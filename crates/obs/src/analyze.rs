@@ -11,7 +11,9 @@
 //! nesting does not hold; reconstruction matches each `span_end` to the
 //! **innermost open span of the same name** (LIFO per name), which is
 //! exact for single-threaded traces and a deterministic, conservative
-//! approximation for interleaved ones.
+//! approximation for interleaved ones. Spans opened after the matched
+//! one stay open — under interleaving they belong to other workers — so
+//! every span that has an end record closes with a duration.
 //!
 //! # Examples
 //!
@@ -223,13 +225,6 @@ impl Trace {
         let mut roots: Vec<SpanNode> = Vec::new();
         let mut stack: Vec<SpanNode> = Vec::new();
         let mut orphan_events: Vec<String> = Vec::new();
-        let attach =
-            |stack: &mut Vec<SpanNode>, roots: &mut Vec<SpanNode>, node: SpanNode| match stack
-                .last_mut()
-            {
-                Some(parent) => parent.children.push(node),
-                None => roots.push(node),
-            };
         for rec in &records {
             let Rec {
                 seq,
@@ -255,15 +250,16 @@ impl Trace {
                     let Some(pos) = stack.iter().rposition(|s| &s.name == name) else {
                         continue; // stray end (e.g. ring evicted the start)
                     };
-                    // anything opened after the match and never closed
-                    // folds into it as a child
+                    // frames opened after the match stay open: with
+                    // interleaved workers they belong to other threads
+                    // and close on their own ends
                     let mut node = stack.remove(pos);
-                    for orphan in stack.split_off(pos) {
-                        node.children.push(orphan);
-                    }
                     node.dur_ns =
                         Some(dur_ns.unwrap_or_else(|| t_ns.saturating_sub(node.start_ns)));
-                    attach(&mut stack, &mut roots, node);
+                    match pos.checked_sub(1) {
+                        Some(parent) => stack[parent].children.push(node),
+                        None => roots.push(node),
+                    }
                 }
                 "event" => {
                     if let Some(open) = stack.last_mut() {
@@ -665,6 +661,29 @@ mod tests {
         let folded = trace.folded_stacks();
         assert!(folded.contains("outer 30\n"), "{folded}");
         assert!(folded.contains("outer;inner 70\n"), "{folded}");
+    }
+
+    #[test]
+    fn interleaved_same_name_spans_each_close_with_a_duration() {
+        // worker B's job opens inside worker A's precompute stage, as
+        // interleaved workers do on one sequence
+        let trace = traced(|tracer, clock| {
+            let batch = tracer.span("batch", &[]);
+            let a = tracer.span("job", &[]);
+            let a_stage = tracer.span("precompute", &[]);
+            let b = tracer.span("job", &[]);
+            clock.advance_ns(10);
+            drop(a_stage);
+            drop(a);
+            drop(b);
+            drop(batch);
+        });
+        assert!(trace.unclosed.is_empty());
+        assert_eq!(trace.roots.len(), 1);
+        assert_eq!(trace.span_count(), 4);
+        let stats = trace.stage_stats();
+        let jobs = stats.iter().find(|(name, _)| name == "job").expect("jobs");
+        assert_eq!(jobs.1.count, 2, "both job spans closed");
     }
 
     #[test]

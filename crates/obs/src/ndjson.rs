@@ -1,9 +1,12 @@
 //! Minimal hand-rolled JSON emission (the offline build has no serde).
 //!
 //! Only what NDJSON telemetry lines need: flat objects of scalar values
-//! plus one nested `fields` object for trace events.
+//! plus one nested `fields` object for trace events. Every form writes
+//! into any [`fmt::Write`] sink ([`write_escaped`], [`write_object`],
+//! [`JsonValue::write_to`], which is also its `Display`); [`escape`] and
+//! [`object`] are those writers aimed at a fresh `String`.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 /// A JSON scalar value.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,19 +30,29 @@ impl JsonValue {
     pub const INF: &'static str = "Infinity";
     /// Canonical spelling of `f64::NEG_INFINITY` — see [`Self::NAN`].
     pub const NEG_INF: &'static str = "-Infinity";
+
+    /// Writes the value's JSON spelling into `out` (what `Display`
+    /// prints).
+    ///
+    /// # Errors
+    ///
+    /// Only what `out` itself reports.
+    pub fn write_to<W: Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        match self {
+            Self::U64(v) => write!(out, "{v}"),
+            Self::I64(v) => write!(out, "{v}"),
+            Self::F64(v) if v.is_finite() => write!(out, "{v:?}"),
+            Self::F64(v) if v.is_nan() => write_escaped(out, Self::NAN),
+            Self::F64(v) if *v > 0.0 => write_escaped(out, Self::INF),
+            Self::F64(_) => write_escaped(out, Self::NEG_INF),
+            Self::Str(s) => write_escaped(out, s),
+        }
+    }
 }
 
-impl std::fmt::Display for JsonValue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::U64(v) => write!(f, "{v}"),
-            Self::I64(v) => write!(f, "{v}"),
-            Self::F64(v) if v.is_finite() => write!(f, "{v:?}"),
-            Self::F64(v) if v.is_nan() => write!(f, "\"{}\"", Self::NAN),
-            Self::F64(v) if *v > 0.0 => write!(f, "\"{}\"", Self::INF),
-            Self::F64(_) => write!(f, "\"{}\"", Self::NEG_INF),
-            Self::Str(s) => write!(f, "{}", escape(s)),
-        }
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 
@@ -79,39 +92,66 @@ impl From<usize> for JsonValue {
     }
 }
 
+/// Writes `s` into `out` as a quoted JSON string literal.
+///
+/// # Errors
+///
+/// Only what `out` itself reports.
+pub fn write_escaped<W: Write + ?Sized>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    // unescaped runs go out in one piece
+    let mut run = 0;
+    for (i, c) in s.char_indices() {
+        if !matches!(c, '"' | '\\') && c >= ' ' {
+            continue;
+        }
+        out.write_str(&s[run..i])?;
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c => write!(out, "\\u{:04x}", c as u32)?,
+        }
+        run = i + c.len_utf8();
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
+}
+
 /// Escapes a string as a quoted JSON string literal.
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let _ = write_escaped(&mut out, s);
     out
+}
+
+/// Writes a flat JSON object from `(key, value)` pairs (single line)
+/// into `out`.
+///
+/// # Errors
+///
+/// Only what `out` itself reports.
+pub fn write_object<W: Write + ?Sized>(out: &mut W, pairs: &[(&str, JsonValue)]) -> fmt::Result {
+    out.write_char('{')?;
+    for (i, (k, v)) in pairs.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        write_escaped(out, k)?;
+        out.write_char(':')?;
+        v.write_to(out)?;
+    }
+    out.write_char('}')
 }
 
 /// Renders a flat JSON object from `(key, value)` pairs (single line).
 #[must_use]
 pub fn object(pairs: &[(&str, JsonValue)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}:{v}", escape(k));
-    }
-    out.push('}');
+    let mut out = String::new();
+    let _ = write_object(&mut out, pairs);
     out
 }
 
@@ -123,6 +163,10 @@ mod tests {
     fn escaping() {
         assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(escape("\u{1}"), "\"\\u0001\"");
+        assert_eq!(escape("é\u{1f}ü\"z"), "\"é\\u001fü\\\"z\"");
+        let mut sink = String::from("prefix:");
+        write_escaped(&mut sink, "tab\there").unwrap();
+        assert_eq!(sink, "prefix:\"tab\\there\"");
     }
 
     #[test]

@@ -183,6 +183,31 @@ struct Series {
     points: VecDeque<SeriesPoint>,
 }
 
+impl Series {
+    /// Folds `value` into window `index`, keeping at most `max_windows`
+    /// windows.
+    fn observe(&mut self, index: u64, value: u64, max_windows: usize) {
+        // samples arrive in clock order per recorder; a same-index or
+        // older observation still lands in the right slot
+        let pos = self.points.iter().position(|p| p.index >= index);
+        let slot = match pos {
+            Some(i) if self.points[i].index == index => &mut self.points[i],
+            Some(i) => {
+                self.points.insert(i, SeriesPoint::new_at(index));
+                &mut self.points[i]
+            }
+            None => {
+                self.points.push_back(SeriesPoint::new_at(index));
+                self.points.back_mut().expect("just pushed")
+            }
+        };
+        slot.observe(value);
+        while self.points.len() > max_windows {
+            self.points.pop_front();
+        }
+    }
+}
+
 /// A deterministic per-window timeline aggregator (see the module docs).
 #[derive(Debug)]
 pub struct TimelineRecorder {
@@ -220,31 +245,22 @@ impl TimelineRecorder {
 
     /// A series' kind is fixed by its first observation; later calls
     /// keep it (mixing kinds on one name is a caller bug, tolerated
-    /// deterministically rather than panicking in telemetry).
+    /// deterministically rather than panicking in telemetry). The name
+    /// is allocated only on that first observation.
     fn observe(&self, series: &str, kind: SeriesKind, value: u64, now_ns: u64) {
         let index = self.config.window_index(now_ns);
+        let max_windows = self.config.max_windows.max(1);
         let mut map = self.series.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = map.entry(series.to_owned()).or_insert_with(|| Series {
-            kind,
-            points: VecDeque::new(),
-        });
-        // samples arrive in clock order per recorder; a same-index or
-        // older observation still lands in the right slot
-        let pos = entry.points.iter().position(|p| p.index >= index);
-        let slot = match pos {
-            Some(i) if entry.points[i].index == index => &mut entry.points[i],
-            Some(i) => {
-                entry.points.insert(i, SeriesPoint::new_at(index));
-                &mut entry.points[i]
-            }
+        match map.get_mut(series) {
+            Some(entry) => entry.observe(index, value, max_windows),
             None => {
-                entry.points.push_back(SeriesPoint::new_at(index));
-                entry.points.back_mut().expect("just pushed")
+                let mut entry = Series {
+                    kind,
+                    points: VecDeque::new(),
+                };
+                entry.observe(index, value, max_windows);
+                map.insert(series.to_owned(), entry);
             }
-        };
-        slot.observe(value);
-        while entry.points.len() > self.config.max_windows.max(1) {
-            entry.points.pop_front();
         }
     }
 

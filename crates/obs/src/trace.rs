@@ -127,23 +127,13 @@ impl TraceEvent {
     /// Renders the event as one NDJSON line (no trailing newline).
     #[must_use]
     pub fn to_ndjson(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"seq\":{},\"t_ns\":{},\"kind\":{},\"name\":{}",
-            self.seq,
-            self.t_ns,
-            ndjson::escape(self.kind.as_str()),
-            ndjson::escape(&self.name)
-        ));
+        let mut out = format!("{{\"seq\":{},\"t_ns\":{},\"kind\":", self.seq, self.t_ns);
+        let _ = ndjson::write_escaped(&mut out, self.kind.as_str());
+        out.push_str(",\"name\":");
+        let _ = ndjson::write_escaped(&mut out, &self.name);
         if !self.fields.is_empty() {
             out.push_str(",\"fields\":");
-            out.push_str(&ndjson::object(
-                &self
-                    .fields
-                    .iter()
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect::<Vec<_>>(),
-            ));
+            let _ = ndjson::write_object(&mut out, &self.fields);
         }
         out.push('}');
         out

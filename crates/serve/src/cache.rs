@@ -24,7 +24,10 @@
 //! The line is then hashed with two independent 64-bit FNV-1a lanes into
 //! a 128-bit [`JobKey`], wide enough that distinct specs colliding is
 //! not a practical concern (and the proptest suite hunts for collisions
-//! over dense spec neighborhoods anyway).
+//! over dense spec neighborhoods anyway). [`job_key`] never builds the
+//! line: the same canonical writer streams its bytes straight into both
+//! lanes, so the key is the FNV-1a hash of exactly the bytes
+//! [`canonical_job_line`] returns.
 //!
 //! # Eviction determinism rule
 //!
@@ -42,6 +45,7 @@
 //! next identical request recomputes.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use canti_farm::{JobOutput, JobSpec};
 use canti_obs::{ndjson, JsonValue};
@@ -94,19 +98,44 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// walk decorrelated trajectories over the same bytes.
 const FNV_OFFSET_LANE2: u64 = 0x6c62_272e_07bb_0142;
 
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+/// A sink that folds every byte written to it into both FNV-1a lanes.
+/// FNV-1a is a byte-at-a-time fold, so hashing the pieces of a line as
+/// they are written equals hashing the whole line.
+struct KeyHasher([u64; 2]);
+
+impl fmt::Write for KeyHasher {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let [mut a, mut b] = self.0;
+        for &byte in s.as_bytes() {
+            a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+            b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+        }
+        self.0 = [a, b];
+        Ok(())
     }
-    h
 }
 
 /// The canonical NDJSON line a [`JobSpec`] hashes as. Public so the
 /// property tests can pin its stability directly.
 #[must_use]
 pub fn canonical_job_line(job: &JobSpec) -> String {
+    let mut line = String::new();
+    let _ = write_canonical(&mut line, job);
+    line
+}
+
+/// The content hash of `job` — see the module docs for the canonical
+/// form it is computed over.
+#[must_use]
+pub fn job_key(job: &JobSpec) -> JobKey {
+    let mut hasher = KeyHasher([FNV_OFFSET, FNV_OFFSET_LANE2]);
+    let _ = write_canonical(&mut hasher, job);
+    JobKey(hasher.0)
+}
+
+/// Writes `job`'s canonical NDJSON line into `out` — the one definition
+/// behind both [`canonical_job_line`] and [`job_key`].
+fn write_canonical(out: &mut impl fmt::Write, job: &JobSpec) -> fmt::Result {
     use canti_farm::{ProbeMode, Receptor};
     let tag = |name: &str| ("job", JsonValue::from(name));
     match job {
@@ -124,68 +153,76 @@ pub fn canonical_job_line(job: &JobSpec) -> String {
                 Receptor::AntiPsa => "anti_psa",
                 Receptor::Dna20mer => "dna_20mer",
             };
-            ndjson::object(&[
-                tag("static_dose_response"),
-                ("receptor", receptor.into()),
-                ("concentration", concentration.value().into()),
-                ("baseline", baseline.value().into()),
-                ("association", association.value().into()),
-                ("wash", wash.value().into()),
-                ("dt", dt.value().into()),
-                ("averaging", (*averaging).into()),
-            ])
+            ndjson::write_object(
+                out,
+                &[
+                    tag("static_dose_response"),
+                    ("receptor", receptor.into()),
+                    ("concentration", concentration.value().into()),
+                    ("baseline", baseline.value().into()),
+                    ("association", association.value().into()),
+                    ("wash", wash.value().into()),
+                    ("dt", dt.value().into()),
+                    ("averaging", (*averaging).into()),
+                ],
+            )
         }
         JobSpec::ProcessVariation {
             thickness_sigma_rel,
-        } => ndjson::object(&[
-            tag("process_variation"),
-            ("thickness_sigma_rel", (*thickness_sigma_rel).into()),
-        ]),
+        } => ndjson::write_object(
+            out,
+            &[
+                tag("process_variation"),
+                ("thickness_sigma_rel", (*thickness_sigma_rel).into()),
+            ],
+        ),
         JobSpec::CrossReactivity {
             target,
             interferent,
-        } => ndjson::object(&[
-            tag("cross_reactivity"),
-            ("target", target.value().into()),
-            ("interferent", interferent.value().into()),
-        ]),
+        } => ndjson::write_object(
+            out,
+            &[
+                tag("cross_reactivity"),
+                ("target", target.value().into()),
+                ("interferent", interferent.value().into()),
+            ],
+        ),
         JobSpec::Probe(mode) => match mode {
-            ProbeMode::Value(v) => {
-                ndjson::object(&[tag("probe"), ("mode", "value".into()), ("v", (*v).into())])
+            ProbeMode::Value(v) => ndjson::write_object(
+                out,
+                &[tag("probe"), ("mode", "value".into()), ("v", (*v).into())],
+            ),
+            ProbeMode::Draws(n) => ndjson::write_object(
+                out,
+                &[tag("probe"), ("mode", "draws".into()), ("n", (*n).into())],
+            ),
+            ProbeMode::Panic => {
+                ndjson::write_object(out, &[tag("probe"), ("mode", "panic".into())])
             }
-            ProbeMode::Draws(n) => {
-                ndjson::object(&[tag("probe"), ("mode", "draws".into()), ("n", (*n).into())])
-            }
-            ProbeMode::Panic => ndjson::object(&[tag("probe"), ("mode", "panic".into())]),
-            ProbeMode::Fail => ndjson::object(&[tag("probe"), ("mode", "fail".into())]),
-            ProbeMode::Flaky { p_fail } => ndjson::object(&[
-                tag("probe"),
-                ("mode", "flaky".into()),
-                ("p_fail", (*p_fail).into()),
-            ]),
+            ProbeMode::Fail => ndjson::write_object(out, &[tag("probe"), ("mode", "fail".into())]),
+            ProbeMode::Flaky { p_fail } => ndjson::write_object(
+                out,
+                &[
+                    tag("probe"),
+                    ("mode", "flaky".into()),
+                    ("p_fail", (*p_fail).into()),
+                ],
+            ),
         },
         JobSpec::ChaosScan {
             fault_seed,
             faults,
             samples,
-        } => ndjson::object(&[
-            tag("chaos_scan"),
-            ("fault_seed", (*fault_seed).into()),
-            ("faults", (*faults).into()),
-            ("samples", (*samples).into()),
-        ]),
+        } => ndjson::write_object(
+            out,
+            &[
+                tag("chaos_scan"),
+                ("fault_seed", (*fault_seed).into()),
+                ("faults", (*faults).into()),
+                ("samples", (*samples).into()),
+            ],
+        ),
     }
-}
-
-/// The content hash of `job` — see the module docs for the canonical
-/// form it is computed over.
-#[must_use]
-pub fn job_key(job: &JobSpec) -> JobKey {
-    let line = canonical_job_line(job);
-    JobKey([
-        fnv1a(FNV_OFFSET, line.as_bytes()),
-        fnv1a(FNV_OFFSET_LANE2, line.as_bytes()),
-    ])
 }
 
 /// Running tallies of one shard's report cache.

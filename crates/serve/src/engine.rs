@@ -2,9 +2,9 @@
 //!
 //! `Front` (crate-internal) bundles everything that must sit behind
 //! one lock in the threaded service: the bounded queue, the request
-//! spans, the serve tallies and the batch log. [`ServeEngine`] glues a
-//! `Front` to a [`BatchExecutor`] into the deterministic, explicitly
-//! pumped form the scripted determinism tests drive.
+//! spans and the serve tallies. [`ServeEngine`] glues a `Front` to a
+//! [`BatchExecutor`] into the deterministic, explicitly pumped form the
+//! scripted determinism tests drive, and keeps its batch log.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -81,6 +81,29 @@ pub struct BatchRecord {
     pub request_ids: Vec<u64>,
 }
 
+impl BatchRecord {
+    fn of(batch: &FormedBatch) -> Self {
+        Self {
+            index: batch.index,
+            trigger: batch.trigger,
+            seed: batch.seed,
+            request_ids: batch.request_ids(),
+        }
+    }
+}
+
+/// How [`Front::admit`] placed an admitted request.
+#[derive(Debug)]
+pub(crate) enum Admission {
+    /// Queued, or coalesced onto a queued leader, under this id: a batch
+    /// answers it later.
+    Queued(u64),
+    /// Answered from the result cache at admission. The response is
+    /// terminal and already fully accounted (stats, counters, SLO,
+    /// request log); the caller only delivers it.
+    Hit(ServeResponse),
+}
+
 /// The lock-scoped half of the serving layer: admission, expiry, batch
 /// formation, spans and tallies. No execution happens here — formed
 /// batches are handed out for the caller to run, so the threaded
@@ -93,15 +116,9 @@ pub(crate) struct Front {
     instruments: Option<crate::exec::ServeInstruments>,
     spans: BTreeMap<u64, SpanGuard>,
     stats: ServeStats,
-    batch_log: Vec<BatchRecord>,
     /// The shard's content-addressed result cache, shared with the
     /// executor. `None` with caching off.
     cache: Option<Arc<std::sync::Mutex<crate::cache::ReportCache>>>,
-    /// Responses for requests answered from the cache at admission,
-    /// buffered until the caller drains them with [`Self::take_hits`]
-    /// (immediately after admit in the threaded service; at the next
-    /// pump in the engine).
-    hits: Vec<ServeResponse>,
 }
 
 impl Front {
@@ -124,9 +141,7 @@ impl Front {
             instruments,
             spans: BTreeMap::new(),
             stats: ServeStats::default(),
-            batch_log: Vec::new(),
             cache,
-            hits: Vec::new(),
         }
     }
 
@@ -138,13 +153,6 @@ impl Front {
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
                 .stats()
         })
-    }
-
-    /// Drains the buffered cache-hit responses. Every hit response is
-    /// terminal and already fully accounted (stats, counters, SLO,
-    /// request log) — the caller only delivers it.
-    pub(crate) fn take_hits(&mut self) -> Vec<ServeResponse> {
-        std::mem::take(&mut self.hits)
     }
 
     pub(crate) fn stats(&self) -> ServeStats {
@@ -159,10 +167,6 @@ impl Front {
         self.queue.is_draining()
     }
 
-    pub(crate) fn batch_log(&self) -> &[BatchRecord] {
-        &self.batch_log
-    }
-
     pub(crate) fn next_wakeup_ns(&self) -> Option<u64> {
         self.queue.next_wakeup_ns()
     }
@@ -174,34 +178,16 @@ impl Front {
     /// Admits `job` (deadline relative to now, falling back to the
     /// config default) or rejects it, keeping tallies, the queue-depth
     /// gauge, the request span and the admission/rejection events.
+    /// `key` is the seed key (the global request id under a sharded
+    /// front — see [`crate::queue::AdmissionQueue::submit_keyed`]) and
+    /// `priority` the brownout class. A cache hit comes back answered.
     pub(crate) fn admit(
-        &mut self,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-    ) -> Result<u64, RejectReason> {
-        self.admit_keyed(job, deadline_ns, None)
-    }
-
-    /// [`Self::admit`] with an explicit seed key (the global request id
-    /// under a sharded front) — see
-    /// [`crate::queue::AdmissionQueue::submit_keyed`].
-    pub(crate) fn admit_keyed(
-        &mut self,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-        key: Option<u64>,
-    ) -> Result<u64, RejectReason> {
-        self.admit_prioritized(job, deadline_ns, key, 0)
-    }
-
-    /// [`Self::admit_keyed`] with an explicit brownout priority class.
-    pub(crate) fn admit_prioritized(
         &mut self,
         job: JobSpec,
         deadline_ns: Option<u64>,
         key: Option<u64>,
         priority: u8,
-    ) -> Result<u64, RejectReason> {
+    ) -> Result<Admission, RejectReason> {
         let now_ns = self.clock.now_ns();
         let kind = job.kind();
         // Content-addressed fast path: a cached answer satisfies any
@@ -223,7 +209,8 @@ impl Front {
                         .queue
                         .allocate_cached()
                         .expect("failed/draining gated above");
-                    return Ok(self.complete_hit(id, key.unwrap_or(id), kind, output, now_ns));
+                    let response = self.complete_hit(id, key.unwrap_or(id), kind, output, now_ns);
+                    return Ok(Admission::Hit(response));
                 }
                 None => {
                     // no request field: the id is not allocated yet at
@@ -289,7 +276,7 @@ impl Front {
                         }
                     }
                 }
-                Ok(id)
+                Ok(Admission::Queued(id))
             }
             Err(reason) => {
                 self.stats.rejected += 1;
@@ -310,7 +297,7 @@ impl Front {
 
     /// One request answered from the result cache at admission: fully
     /// accounted (tallies, counters, SLO, request log, trace event) and
-    /// buffered for [`Self::take_hits`]. No span opens — the request
+    /// returned as its terminal response. No span opens — the request
     /// never enters the queue. On a virtual clock the lookup is
     /// instantaneous (`cache_ns` 0), so scripted traces stay pinned; on
     /// the wall clock `cache_ns` is the real lookup cost and the
@@ -322,7 +309,7 @@ impl Front {
         kind: &'static str,
         output: canti_farm::JobOutput,
         admitted_ns: u64,
-    ) -> u64 {
+    ) -> ServeResponse {
         self.stats.admitted += 1;
         self.stats.cache_hits += 1;
         self.stats.completed += 1;
@@ -365,7 +352,7 @@ impl Front {
                 finished_ns: done_ns,
             });
         }
-        self.hits.push(ServeResponse {
+        ServeResponse {
             request_id: id,
             trace,
             disposition: Disposition::CacheHit {
@@ -376,8 +363,7 @@ impl Front {
                 },
                 result: Ok(output),
             },
-        });
-        id
+        }
     }
 
     /// The deadline-feasibility fast reject: refuses a request whose
@@ -626,14 +612,11 @@ impl Front {
     }
 
     /// Releases every currently ready batch (size threshold first, then
-    /// linger), logging each.
+    /// linger).
     pub(crate) fn form_ready(&mut self) -> Vec<FormedBatch> {
         let now_ns = self.clock.now_ns();
-        let mut batches = Vec::new();
-        while let Some(batch) = self.queue.pop_ready(now_ns) {
-            self.log_batch(&batch);
-            batches.push(batch);
-        }
+        let batches: Vec<FormedBatch> =
+            std::iter::from_fn(|| self.queue.pop_ready(now_ns)).collect();
         if !batches.is_empty() {
             self.observe_depth();
         }
@@ -645,11 +628,7 @@ impl Front {
     pub(crate) fn begin_drain(&mut self) -> Vec<FormedBatch> {
         let now_ns = self.clock.now_ns();
         self.queue.begin_drain();
-        let mut batches = Vec::new();
-        while let Some(batch) = self.queue.pop_drain(now_ns) {
-            self.log_batch(&batch);
-            batches.push(batch);
-        }
+        let batches = std::iter::from_fn(|| self.queue.pop_drain(now_ns)).collect();
         self.observe_depth();
         batches
     }
@@ -667,15 +646,6 @@ impl Front {
             }
         }
         self.stats.batches = self.queue.batches_formed();
-    }
-
-    fn log_batch(&mut self, batch: &FormedBatch) {
-        self.batch_log.push(BatchRecord {
-            index: batch.index,
-            trigger: batch.trigger,
-            seed: batch.seed,
-            request_ids: batch.request_ids(),
-        });
     }
 
     fn observe_depth(&self) {
@@ -704,6 +674,10 @@ impl Front {
 pub struct ServeEngine {
     front: Front,
     executor: BatchExecutor,
+    /// Cache hits answered at admission, delivered at the next pump.
+    hits: Vec<ServeResponse>,
+    /// Every batch formed so far, in formation order.
+    batch_log: Vec<BatchRecord>,
     failed: bool,
     restarts: u64,
 }
@@ -724,6 +698,8 @@ impl ServeEngine {
         Self {
             front: Front::new(config, clock, None, None, cache),
             executor,
+            hits: Vec::new(),
+            batch_log: Vec::new(),
             failed: false,
             restarts: 0,
         }
@@ -806,7 +782,7 @@ impl ServeEngine {
     /// Rejected with a [`RejectReason`] when the queue is full or the
     /// engine is draining.
     pub fn submit(&mut self, job: JobSpec) -> Result<u64, RejectReason> {
-        self.front.admit(job, None)
+        self.admit(job, None, None, 0)
     }
 
     /// Submits a request that expires `deadline_ns` after admission if
@@ -821,7 +797,7 @@ impl ServeEngine {
         job: JobSpec,
         deadline_ns: u64,
     ) -> Result<u64, RejectReason> {
-        self.front.admit(job, Some(deadline_ns))
+        self.admit(job, Some(deadline_ns), None, 0)
     }
 
     /// Submits a request with an explicit brownout priority class:
@@ -838,8 +814,7 @@ impl ServeEngine {
         deadline_ns: Option<u64>,
         priority: u8,
     ) -> Result<u64, RejectReason> {
-        self.front
-            .admit_prioritized(job, deadline_ns, None, priority)
+        self.admit(job, deadline_ns, None, priority)
     }
 
     /// Submission with an explicit seed key: the sharded front passes
@@ -850,7 +825,26 @@ impl ServeEngine {
         deadline_ns: Option<u64>,
         key: u64,
     ) -> Result<u64, RejectReason> {
-        self.front.admit_keyed(job, deadline_ns, Some(key))
+        self.admit(job, deadline_ns, Some(key), 0)
+    }
+
+    /// Admits through the front, holding a cache hit's response for the
+    /// next pump.
+    fn admit(
+        &mut self,
+        job: JobSpec,
+        deadline_ns: Option<u64>,
+        key: Option<u64>,
+        priority: u8,
+    ) -> Result<u64, RejectReason> {
+        match self.front.admit(job, deadline_ns, key, priority)? {
+            Admission::Queued(id) => Ok(id),
+            Admission::Hit(response) => {
+                let id = response.request_id;
+                self.hits.push(response);
+                Ok(id)
+            }
+        }
     }
 
     /// The shared instrument set, when observed (for the sharded front's
@@ -871,7 +865,7 @@ impl ServeEngine {
         }
         // cache hits buffered since the last pump flush first: they were
         // admitted (and answered) before anything that follows
-        let mut out = self.front.take_hits();
+        let mut out = std::mem::take(&mut self.hits);
         out.extend(self.front.take_expired());
         out.extend(self.front.take_shed());
         let batches = self.front.form_ready();
@@ -888,19 +882,20 @@ impl ServeEngine {
             self.front.queue.begin_drain();
             return Vec::new();
         }
-        let mut out = self.front.take_hits();
+        let mut out = std::mem::take(&mut self.hits);
         out.extend(self.front.take_expired());
         let batches = self.front.begin_drain();
         out.extend(self.run_batches(batches));
         out
     }
 
-    /// Executes formed batches, converting an executor panic (a chaos
-    /// kill or a real bug) into terminal answers for **every**
-    /// outstanding request — the batch that died, the batches formed
-    /// behind it, and everything still queued. No admitted request is
-    /// ever left hanging.
+    /// Logs formed batches and executes them, converting an executor
+    /// panic (a chaos kill or a real bug) into terminal answers for
+    /// **every** outstanding request — the batch that died, the batches
+    /// formed behind it, and everything still queued. No admitted
+    /// request is ever left hanging.
     fn run_batches(&mut self, batches: Vec<FormedBatch>) -> Vec<ServeResponse> {
+        self.batch_log.extend(batches.iter().map(BatchRecord::of));
         let mut out = Vec::new();
         let mut batches = batches.into_iter();
         while let Some(batch) = batches.next() {
@@ -966,7 +961,7 @@ impl ServeEngine {
     /// Every batch formed so far, in formation order.
     #[must_use]
     pub fn batch_log(&self) -> &[BatchRecord] {
-        self.front.batch_log()
+        &self.batch_log
     }
 
     /// The executor's observer, if one was attached.

@@ -33,7 +33,7 @@ use canti_farm::{FarmObserver, JobSpec};
 use canti_fault::{ServeChaos, ServeFaultPlan};
 use canti_obs::{ObsClock, WallClock};
 
-use crate::engine::{Front, ServeStats};
+use crate::engine::{Admission, Front, ServeStats};
 use crate::exec::BatchExecutor;
 use crate::queue::{FormedBatch, RejectReason};
 use crate::response::{Disposition, ServeResponse};
@@ -46,9 +46,9 @@ const IDLE_WAIT: Duration = Duration::from_millis(50);
 
 /// A claim on one admitted request's eventual response.
 ///
-/// Fulfilled exactly once — by batch completion, deadline expiry, shard
-/// failure, or the drain flush at shutdown. Dropping the ticket discards
-/// the response.
+/// Fulfilled exactly once — by a cache hit inside `submit`, batch
+/// completion, deadline expiry, shard failure, or the drain flush at
+/// shutdown. Dropping the ticket discards the response.
 #[derive(Debug)]
 pub struct Ticket {
     id: u64,
@@ -62,6 +62,17 @@ struct Slot {
 }
 
 impl Ticket {
+    /// A ticket that already holds its response (a cache hit).
+    fn answered(response: ServeResponse) -> Self {
+        Self {
+            id: response.request_id,
+            slot: Arc::new(Slot {
+                response: Mutex::new(Some(response)),
+                ready: Condvar::new(),
+            }),
+        }
+    }
+
     /// The request id this ticket redeems.
     #[must_use]
     pub fn id(&self) -> u64 {
@@ -281,7 +292,7 @@ impl ServeService {
     /// Rejected immediately with a [`RejectReason`] when the queue is
     /// full, the shard is down, or the service is shutting down.
     pub fn submit(&self, job: JobSpec) -> Result<Ticket, RejectReason> {
-        self.submit_inner(job, None)
+        self.admit(job, None, None)
     }
 
     /// Submits a request that expires `deadline_ns` after admission if
@@ -296,11 +307,7 @@ impl ServeService {
         job: JobSpec,
         deadline_ns: u64,
     ) -> Result<Ticket, RejectReason> {
-        self.submit_inner(job, Some(deadline_ns))
-    }
-
-    fn submit_inner(&self, job: JobSpec, deadline_ns: Option<u64>) -> Result<Ticket, RejectReason> {
-        self.admit(job, deadline_ns, None)
+        self.admit(job, Some(deadline_ns), None)
     }
 
     /// Submission with an explicit seed key: the sharded front passes
@@ -322,7 +329,12 @@ impl ServeService {
     ) -> Result<Ticket, RejectReason> {
         let ticket = {
             let mut state = self.shared.lock();
-            let id = state.front.admit_keyed(job, deadline_ns, key)?;
+            let id = match state.front.admit(job, deadline_ns, key, 0)? {
+                Admission::Queued(id) => id,
+                // a hit changes no queue state: its ticket holds the
+                // answer, with no table entry and no batcher wake-up
+                Admission::Hit(response) => return Ok(Ticket::answered(response)),
+            };
             let slot = Arc::new(Slot::default());
             let seed_key = key.unwrap_or(id);
             state.tickets.insert(
@@ -334,12 +346,6 @@ impl ServeService {
                     enqueued_ns: self.shared.clock.now_ns(),
                 },
             );
-            // a cache hit was answered inside admit: fulfil its ticket
-            // now so the caller's wait() returns without a batcher pass
-            let hits = state.front.take_hits();
-            if !hits.is_empty() {
-                Shared::fulfil(&mut state, hits);
-            }
             Ticket { id, slot }
         };
         self.shared.wake.notify_all();
@@ -852,6 +858,50 @@ mod tests {
         assert_eq!(stats.admitted, 3);
         assert_eq!(stats.failed, 3);
         assert_eq!(stats.completed, 0);
+    }
+
+    #[test]
+    fn a_hit_skips_the_ticket_table_and_a_down_shard_refuses_before_lookup() {
+        let (observer, _ring) = FarmObserver::profiling(4096);
+        let service = ServeService::start_chaos(
+            ServeConfig {
+                max_batch: 1,
+                linger_ns: u64::MAX,
+                threads: 1,
+                cache: Some(crate::CacheConfig::default()),
+                ..ServeConfig::default()
+            },
+            observer,
+            &ServeFaultPlan::kill_shard(0, 1),
+            0,
+        );
+        let cold = service.submit(probe(1.0)).expect("admitted").wait();
+        assert!(cold.disposition.is_ok());
+        let hit = service.submit(probe(1.0)).expect("admitted");
+        assert!(matches!(
+            hit.poll().map(|r| r.disposition),
+            Some(Disposition::CacheHit { .. })
+        ));
+        assert!(
+            service.shared.lock().tickets.is_empty(),
+            "a hit makes no ticket-table entry"
+        );
+        // the next distinct spec rides batch 1, which the plan kills
+        let doomed = service.submit(probe(2.0)).expect("admitted").wait();
+        assert_eq!(
+            doomed.disposition,
+            Disposition::Failed {
+                reason: RejectReason::ShardFailed
+            }
+        );
+        let lookups = || service.cache_stats().map(|c| c.hits + c.misses);
+        let before = lookups();
+        assert_eq!(
+            service.submit(probe(1.0)).map(|t| t.id()),
+            Err(RejectReason::ShardFailed)
+        );
+        assert_eq!(lookups(), before, "refused before any lookup");
+        let _ = service.shutdown();
     }
 
     #[test]

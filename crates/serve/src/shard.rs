@@ -716,36 +716,42 @@ impl ShardedService {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let global_id = *next_id;
-        let n = self.shards.len();
-        let primary = route_request(global_id, n);
-        let mut mask: Vec<bool> = self.shards.iter().map(|s| !s.is_down()).collect();
-        // a shard can die between the mask read and the submit; each
-        // ShardFailed answer marks it dead in our local mask and retries
-        // the failover rule, until no live shard remains
-        loop {
-            let shard = match route_failover(global_id, &mask) {
-                Some(s) => s,
-                None => return Err(RejectReason::ShardFailed),
-            };
-            match self.shards[shard].submit_keyed(job.clone(), deadline_ns, global_id) {
-                Ok(inner) => {
-                    if shard != primary {
+        let primary = route_request(global_id, self.shards.len());
+        let (shard, inner) = 'placed: {
+            // the common case: a live primary admits or refuses outright,
+            // and no liveness mask is built
+            if !self.shards[primary].is_down() {
+                match self.shards[primary].submit_keyed(job.clone(), deadline_ns, global_id) {
+                    Ok(inner) => break 'placed (primary, inner),
+                    Err(RejectReason::ShardFailed) => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            // the primary is down or died under the submit. Another
+            // shard can die between the mask read and its submit too;
+            // each ShardFailed answer marks it dead in our local mask
+            // and retries the failover rule, until no live shard remains
+            let mut mask: Vec<bool> = self.shards.iter().map(|s| !s.is_down()).collect();
+            mask[primary] = false;
+            loop {
+                let shard = route_failover(global_id, &mask).ok_or(RejectReason::ShardFailed)?;
+                match self.shards[shard].submit_keyed(job.clone(), deadline_ns, global_id) {
+                    Ok(inner) => {
                         self.failovers.fetch_add(1, Ordering::Relaxed);
                         self.shards[shard].note_failover(global_id, primary);
+                        break 'placed (shard, inner);
                     }
-                    *next_id += 1;
-                    return Ok(ShardTicket {
-                        global_id,
-                        shard,
-                        inner,
-                    });
+                    Err(RejectReason::ShardFailed) => mask[shard] = false,
+                    Err(e) => return Err(e),
                 }
-                Err(RejectReason::ShardFailed) => {
-                    mask[shard] = false;
-                }
-                Err(e) => return Err(e),
             }
-        }
+        };
+        *next_id += 1;
+        Ok(ShardTicket {
+            global_id,
+            shard,
+            inner,
+        })
     }
 
     /// Total requests queued across all shards.
@@ -850,8 +856,8 @@ impl std::fmt::Debug for ShardedService {
 }
 
 /// The wall-clock supervisor loop behind a [`ShardedService`]: polls
-/// shard health, schedules restarts with the same exponential backoff
-/// the deterministic supervisor uses, and revives dead shards.
+/// shard health every millisecond and revives each dead shard when its
+/// [`RestartSchedule`] says so.
 fn spawn_service_supervisor(
     shards: Vec<Arc<ServeService>>,
     config: SupervisorConfig,
@@ -860,33 +866,62 @@ fn spawn_service_supervisor(
     std::thread::Builder::new()
         .name("canti-serve-supervisor".into())
         .spawn(move || {
-            let mut failures = vec![0u32; shards.len()];
-            let mut due: Vec<Option<Instant>> = vec![None; shards.len()];
+            let started = Instant::now();
+            let mut schedules = vec![RestartSchedule::default(); shards.len()];
             while !stop.load(Ordering::Acquire) {
-                for (shard, svc) in shards.iter().enumerate() {
-                    if !svc.is_down() {
-                        due[shard] = None;
-                        continue;
-                    }
-                    match due[shard] {
-                        None => {
-                            failures[shard] += 1;
-                            let shift = (failures[shard] - 1).min(config.backoff_max_shift);
-                            let delay_ns = config.backoff_base_ns.saturating_mul(1u64 << shift);
-                            due[shard] = Some(Instant::now() + Duration::from_nanos(delay_ns));
-                        }
-                        Some(t) if Instant::now() >= t => {
-                            if svc.revive() {
-                                due[shard] = None;
-                            }
-                        }
-                        Some(_) => {}
+                let now_ns = started.elapsed().as_nanos() as u64;
+                for (svc, schedule) in shards.iter().zip(&mut schedules) {
+                    if schedule.tick(&config, svc.health(), now_ns) {
+                        svc.revive();
                     }
                 }
                 std::thread::sleep(Duration::from_millis(1));
             }
         })
         .expect("spawn canti-serve-supervisor")
+}
+
+/// One threaded shard's restart schedule: its failure streak and, while
+/// it is down, when its restart falls due. The same policy as
+/// [`ShardSupervisor`], read off the service's own health instead of
+/// notifications.
+#[derive(Debug, Clone, Copy, Default)]
+struct RestartSchedule {
+    /// Consecutive deaths since the shard was last seen `Healthy`.
+    failures: u32,
+    /// The restart instant of a down shard, ns on the supervisor's clock.
+    due_ns: Option<u64>,
+}
+
+impl RestartSchedule {
+    /// One supervisor tick over a shard seen at `health` at `now_ns`;
+    /// returns whether to revive it now. A fresh death schedules the
+    /// restart after [`SupervisorConfig::backoff_ns`] for the streak so
+    /// far, and reaching `Healthy` resets the streak.
+    fn tick(&mut self, config: &SupervisorConfig, health: ShardHealth, now_ns: u64) -> bool {
+        match health {
+            ShardHealth::Down => match self.due_ns {
+                None => {
+                    self.failures += 1;
+                    self.due_ns = Some(now_ns.saturating_add(config.backoff_ns(self.failures)));
+                    false
+                }
+                Some(due) if now_ns >= due => {
+                    self.due_ns = None;
+                    true
+                }
+                Some(_) => false,
+            },
+            ShardHealth::Healthy => {
+                *self = Self::default();
+                false
+            }
+            ShardHealth::Recovering | ShardHealth::Degraded => {
+                self.due_ns = None;
+                false
+            }
+        }
+    }
 }
 
 fn sum_cache_stats(
@@ -1025,6 +1060,51 @@ mod tests {
             ShardHealth::from_u8(250),
             ShardHealth::Down,
             "unknown → Down"
+        );
+    }
+
+    /// Ticks one schedule through `script` (health, ns) and returns the
+    /// instants at which it said to revive.
+    fn revivals(script: &[(ShardHealth, u64)]) -> Vec<u64> {
+        let config = SupervisorConfig::default();
+        let mut schedule = RestartSchedule::default();
+        script
+            .iter()
+            .filter(|&&(health, now_ns)| schedule.tick(&config, health, now_ns))
+            .map(|&(_, now_ns)| now_ns)
+            .collect()
+    }
+
+    #[test]
+    fn threaded_restart_streak_resets_once_the_shard_is_healthy() {
+        let base = SupervisorConfig::default().backoff_base_ns;
+        let (down, up) = (ShardHealth::Down, ShardHealth::Healthy);
+        // kill -> one base -> revive -> Healthy -> kill: one base again
+        let second = 10 * base;
+        assert_eq!(
+            revivals(&[
+                (down, 0),
+                (down, base - 1),
+                (down, base),
+                (ShardHealth::Recovering, base + 1),
+                (up, base + 2),
+                (down, second),
+                (down, second + base - 1),
+                (down, second + base),
+            ]),
+            vec![base, second + base]
+        );
+        // without reaching Healthy the streak stands: two bases
+        assert_eq!(
+            revivals(&[
+                (down, 0),
+                (down, base),
+                (ShardHealth::Degraded, base + 1),
+                (down, second),
+                (down, second + 2 * base - 1),
+                (down, second + 2 * base),
+            ]),
+            vec![base, second + 2 * base]
         );
     }
 

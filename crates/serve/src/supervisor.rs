@@ -41,6 +41,17 @@ pub struct SupervisorConfig {
     pub probation_batches: u32,
 }
 
+impl SupervisorConfig {
+    /// The deterministic restart delay for a shard's `n`-th consecutive
+    /// failure (`n ≥ 1`): `backoff_base_ns << min(n - 1,
+    /// backoff_max_shift)`, saturating.
+    #[must_use]
+    pub fn backoff_ns(&self, failures: u32) -> u64 {
+        let shift = failures.saturating_sub(1).min(self.backoff_max_shift);
+        self.backoff_base_ns.saturating_mul(1u64 << shift)
+    }
+}
+
 impl Default for SupervisorConfig {
     fn default() -> Self {
         Self {
@@ -202,13 +213,10 @@ impl ShardSupervisor {
     }
 
     /// The deterministic restart delay for a shard's `n`-th consecutive
-    /// failure (`n ≥ 1`).
+    /// failure (`n ≥ 1`) — see [`SupervisorConfig::backoff_ns`].
     #[must_use]
     pub fn backoff_ns(&self, failures: u32) -> u64 {
-        let shift = failures
-            .saturating_sub(1)
-            .min(self.config.backoff_max_shift);
-        self.config.backoff_base_ns.saturating_mul(1u64 << shift)
+        self.config.backoff_ns(failures)
     }
 }
 

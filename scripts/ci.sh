@@ -4,7 +4,9 @@
 #
 #   scripts/ci.sh          # release build -> release tests (reusing the
 #                          # build) -> clippy --all-targets -> fmt --check
-#                          # -> rustdoc with warnings denied
+#                          # -> rustdoc with warnings denied -> perfbench
+#                          # unit tests + a 1 s serve_cached run gated on
+#                          # its bitwise payload oracle
 #   scripts/ci.sh smoke    # the above, then:
 #                          #   * the example matrix: every example under
 #                          #     examples/ with fast arguments, failing on
@@ -95,6 +97,16 @@ phase_end
 
 phase_begin "rustdoc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+phase_end
+
+phase_begin "perfbench (unit tests + cached payload oracle)"
+# perfbench/ is a cargo workspace of its own, so the workspace phases
+# above neither build nor test it. The short serve_cached run re-solves
+# every answered payload on a 1-worker farm and exits non-zero on any
+# bit mismatch, so a wrong cached answer fails here.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_cached --seed 1 --seconds 1 --trace 0
 phase_end
 
 if [[ "${1:-}" == "smoke" ]]; then

@@ -17,21 +17,26 @@
 //!    worker counts, answers every ticket terminally, and every
 //!    successful payload — cold, warm, failed-over or post-restart —
 //!    carries the same bits.
+//! 5. **Hits are answered inside `submit`** — on the threaded fronts a
+//!    repeat's ticket already holds its `CacheHit`, runs no batch, and
+//!    a down shard refuses before any lookup.
 //!
-//! Property tests (vendored proptest) hunt for canonical-form
-//! instability (field order, NaN payloads) and for key collisions over
-//! dense `JobSpec` neighborhoods.
+//! The streamed `job_key` is pinned against golden lines and keys for
+//! every `JobSpec` variant and against the byte-slice FNV-1a reference
+//! over the built canonical line. Property tests (vendored proptest)
+//! hunt for canonical-form instability (field order, NaN payloads) and
+//! for key collisions over dense `JobSpec` neighborhoods.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use canti::farm::{JobSpec, ProbeMode, Receptor};
+use canti::farm::{FarmObserver, JobSpec, ProbeMode, Receptor};
 use canti::fault::ServeFaultPlan;
 use canti::obs::{ObsClock, VirtualClock};
 use canti::serve::{
-    canonical_job_line, job_key, BatchRecord, CacheConfig, CacheStats, Disposition, RejectReason,
-    ReportCache, ServeConfig, ServeEngine, ServeResponse, ShardedConfig, ShardedEngine,
-    SupervisorConfig,
+    canonical_job_line, job_key, BatchRecord, CacheConfig, CacheStats, Disposition, JobKey,
+    RejectReason, ReportCache, ServeConfig, ServeEngine, ServeResponse, ServeService,
+    ShardedConfig, ShardedEngine, ShardedService, SupervisorConfig,
 };
 use canti::units::{Molar, Seconds};
 use proptest::prelude::*;
@@ -401,6 +406,238 @@ fn cold_warm_failover_trace_is_golden() {
     }
 }
 
+/// One spec of every `JobSpec` variant (every receptor and probe mode),
+/// with non-finite and signed-zero floats among the values.
+fn every_variant() -> Vec<JobSpec> {
+    let dose = |receptor, concentration: Molar, averaging| JobSpec::StaticDoseResponse {
+        receptor,
+        concentration,
+        baseline: Seconds::new(30.0),
+        association: Seconds::new(120.0),
+        wash: Seconds::new(60.0),
+        dt: Seconds::new(0.25),
+        averaging,
+    };
+    vec![
+        dose(Receptor::AntiIgg, Molar::from_nanomolar(3.0), 16),
+        dose(Receptor::AntiPsa, Molar::new(1.0e-12), 1),
+        dose(Receptor::Dna20mer, Molar::new(f64::INFINITY), 0),
+        JobSpec::ProcessVariation {
+            thickness_sigma_rel: 0.02,
+        },
+        JobSpec::ProcessVariation {
+            thickness_sigma_rel: f64::NAN,
+        },
+        JobSpec::CrossReactivity {
+            target: Molar::new(1.0e-9),
+            interferent: Molar::new(f64::NEG_INFINITY),
+        },
+        JobSpec::Probe(ProbeMode::Value(-0.0)),
+        JobSpec::Probe(ProbeMode::Value(1.0e300)),
+        JobSpec::Probe(ProbeMode::Draws(7)),
+        JobSpec::Probe(ProbeMode::Panic),
+        JobSpec::Probe(ProbeMode::Fail),
+        JobSpec::Probe(ProbeMode::Flaky { p_fail: 0.25 }),
+        JobSpec::ChaosScan {
+            fault_seed: u64::MAX,
+            faults: 3,
+            samples: 2048,
+        },
+    ]
+}
+
+/// The canonical line and key of each [`every_variant`] spec, in order,
+/// pinned byte for byte.
+const GOLDEN_KEYS: [(&str, [u64; 2]); 13] = [
+        (
+            "{\"job\":\"static_dose_response\",\"receptor\":\"anti_igg\",\"concentration\":3.0000000000000004e-9,\"baseline\":30.0,\"association\":120.0,\"wash\":60.0,\"dt\":0.25,\"averaging\":16}",
+            [0x656fb7e3ac770554, 0x0e7b5e495c29b3a9],
+        ),
+        (
+            "{\"job\":\"static_dose_response\",\"receptor\":\"anti_psa\",\"concentration\":1e-12,\"baseline\":30.0,\"association\":120.0,\"wash\":60.0,\"dt\":0.25,\"averaging\":1}",
+            [0xeaf834c1f5e8afe5, 0xed3373ee0476995e],
+        ),
+        (
+            "{\"job\":\"static_dose_response\",\"receptor\":\"dna_20mer\",\"concentration\":\"Infinity\",\"baseline\":30.0,\"association\":120.0,\"wash\":60.0,\"dt\":0.25,\"averaging\":0}",
+            [0x1f9991814a5a3def, 0xfbe34b747a8fc410],
+        ),
+        (
+            "{\"job\":\"process_variation\",\"thickness_sigma_rel\":0.02}",
+            [0x11fea0dbf322484f, 0x46aef68d514cc854],
+        ),
+        (
+            "{\"job\":\"process_variation\",\"thickness_sigma_rel\":\"NaN\"}",
+            [0xac65e933fd426322, 0xf8dffee0eaca3a5f],
+        ),
+        (
+            "{\"job\":\"cross_reactivity\",\"target\":1e-9,\"interferent\":\"-Infinity\"}",
+            [0x6fbb5fbe4c3bc99f, 0x5b94f680750bb12c],
+        ),
+        (
+            "{\"job\":\"probe\",\"mode\":\"value\",\"v\":-0.0}",
+            [0x36978046b148a017, 0x5974b2823919aed2],
+        ),
+        (
+            "{\"job\":\"probe\",\"mode\":\"value\",\"v\":1e300}",
+            [0xc312231139159cd9, 0xbbc60f8f3acc8b9a],
+        ),
+        (
+            "{\"job\":\"probe\",\"mode\":\"draws\",\"n\":7}",
+            [0x838a3baf644b9ec5, 0x6c9cf1e82c96712e],
+        ),
+        (
+            "{\"job\":\"probe\",\"mode\":\"panic\"}",
+            [0x14e6298b4503854a, 0xd5fa1ae1fc09c8bd],
+        ),
+        (
+            "{\"job\":\"probe\",\"mode\":\"fail\"}",
+            [0x6a7c183a3a76dda5, 0x5bd2958140924830],
+        ),
+        (
+            "{\"job\":\"probe\",\"mode\":\"flaky\",\"p_fail\":0.25}",
+            [0x0c1edb43d3221950, 0x2becdeaf7a087187],
+        ),
+        (
+            "{\"job\":\"chaos_scan\",\"fault_seed\":18446744073709551615,\"faults\":3,\"samples\":2048}",
+            [0x9d0265fce51ce166, 0x60ce7acfa0656995],
+        ),
+];
+
+#[test]
+fn canonical_lines_and_keys_match_the_golden_table() {
+    let specs = every_variant();
+    assert_eq!(specs.len(), GOLDEN_KEYS.len());
+    for (spec, (line, key)) in specs.iter().zip(GOLDEN_KEYS) {
+        assert_eq!(canonical_job_line(spec), line);
+        assert_eq!(job_key(spec), JobKey(key), "{line}");
+    }
+}
+
+/// Byte-slice FNV-1a over a built line: the reference the streamed
+/// [`job_key`] must reproduce.
+fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
+    let mut h = seed;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The key by the reference route: both lanes over the bytes of
+/// [`canonical_job_line`].
+fn reference_key(job: &JobSpec) -> JobKey {
+    let line = canonical_job_line(job);
+    JobKey([
+        fnv1a(0xcbf2_9ce4_8422_2325, line.as_bytes()),
+        fnv1a(0x6c62_272e_07bb_0142, line.as_bytes()),
+    ])
+}
+
+#[test]
+fn streamed_keys_match_the_byte_slice_reference_for_every_variant() {
+    for spec in every_variant() {
+        assert_eq!(job_key(&spec), reference_key(&spec), "{spec:?}");
+    }
+}
+
+/// A spec's answer as a threaded front gave it: the ticket's poll taken
+/// as `submit` returned, and the final response (that poll, or a wait).
+type Answer = (Option<ServeResponse>, ServeResponse);
+
+/// Contract 5 on one threaded front: a repeat's ticket holds its
+/// `CacheHit` when `submit` returns, with the cold answer's bits and no
+/// batch; a following miss is still batched and answered. `submit`
+/// admits a spec; `batches` reads the front's batch tally.
+fn assert_hits_answer_inside_submit(submit: impl Fn(JobSpec) -> Answer, batches: impl Fn() -> u64) {
+    let (_, cold) = submit(probe(2.5));
+    let cold_bits = output_bits(&cold).expect("the cold request is solved");
+    let before = batches();
+
+    let (polled, _) = submit(probe(2.5));
+    let hit = polled.expect("a repeat is answered inside submit");
+    assert!(
+        matches!(hit.disposition, Disposition::CacheHit { .. }),
+        "expected a cache hit, got {hit}"
+    );
+    assert_eq!(output_bits(&hit), Some(cold_bits), "hit bits diverged");
+    assert_eq!(batches(), before, "a hit runs no batch");
+
+    let (_, miss) = submit(probe(3.5));
+    assert!(
+        matches!(miss.disposition, Disposition::Completed { .. }),
+        "expected a batched answer, got {miss}"
+    );
+    assert_eq!(batches(), before + 1, "the miss rode one batch");
+}
+
+#[test]
+fn threaded_service_answers_a_hit_inside_submit() {
+    let service = ServeService::start(config(1, 8));
+    assert_hits_answer_inside_submit(
+        |spec| {
+            let ticket = service.submit(spec).expect("admitted");
+            let polled = ticket.poll();
+            let answer = polled.clone().unwrap_or_else(|| ticket.wait());
+            (polled, answer)
+        },
+        || service.stats().batches,
+    );
+    let stats = service.shutdown();
+    assert_eq!((stats.cache_hits, stats.completed), (1, 3));
+}
+
+/// The sharded front on one shard whose third batch is killed: the hit
+/// path as above, then a down shard refuses a cached spec before its
+/// cache is consulted.
+#[test]
+fn threaded_sharded_service_answers_a_hit_inside_submit_and_refuses_when_down() {
+    let (observer, _ring) = FarmObserver::profiling(4096);
+    let service = ShardedService::start_chaos(
+        ShardedConfig {
+            shards: 1,
+            base: config(1, 8),
+        },
+        vec![observer],
+        &ServeFaultPlan::kill_shard(0, 2),
+        SupervisorConfig {
+            // never restarted while the test runs
+            backoff_base_ns: 3_600_000_000_000,
+            ..SupervisorConfig::default()
+        },
+    );
+    assert_hits_answer_inside_submit(
+        |spec| {
+            let ticket = service.submit(spec).expect("admitted");
+            let polled = ticket.poll();
+            let answer = polled.clone().unwrap_or_else(|| ticket.wait());
+            (polled, answer)
+        },
+        || service.stats().batches,
+    );
+
+    let doomed = service.submit(probe(4.5)).expect("admitted").wait();
+    assert_eq!(
+        doomed.disposition,
+        Disposition::Failed {
+            reason: RejectReason::ShardFailed
+        }
+    );
+    let lookups = |c: CacheStats| c.hits + c.misses;
+    let before = lookups(service.cache_stats().expect("cache is on"));
+    assert_eq!(
+        service.submit(probe(2.5)).map(|t| t.id()),
+        Err(RejectReason::ShardFailed),
+        "a down shard refuses even a cached spec"
+    );
+    assert_eq!(
+        lookups(service.cache_stats().expect("cache is on")),
+        before,
+        "the refusal came before any lookup"
+    );
+    let _ = service.shutdown();
+}
+
 /// The scripted LRU rule replayed directly against [`ReportCache`]: the
 /// recency order after a fixed access script is a pure function of that
 /// script (logical ticks, never wall time), so two replays agree key for
@@ -506,5 +743,27 @@ proptest! {
         }
         prop_assert!(lines.len() > 512, "window too degenerate to test");
         prop_assert_eq!(keys.len(), lines.len(), "key collision in a dense window");
+    }
+
+    /// The streamed key equals the byte-slice reference over the same
+    /// neighborhoods the tests above walk: assay values and averaging,
+    /// NaN payloads, and dense windows of adjacent bit patterns.
+    #[test]
+    fn streamed_keys_match_the_byte_slice_reference_over_dense_neighborhoods(
+        v in -1.0e12f64..1.0e12,
+        averaging in 1usize..128,
+        payload in 1u64..(1u64 << 51),
+        base_bits in 0x3FF0_0000_0000_0000u64..0x4330_0000_0000_0000,
+    ) {
+        let nan = f64::from_bits(0x7FF8_0000_0000_0000 | payload);
+        let mut specs = vec![assay(v, averaging), probe(v), probe(nan), probe(-nan)];
+        for i in 0..64u64 {
+            let c = f64::from_bits(base_bits + i);
+            specs.push(assay(c, averaging));
+            specs.push(probe(c));
+        }
+        for spec in &specs {
+            prop_assert_eq!(job_key(spec), reference_key(spec));
+        }
     }
 }
