@@ -13,14 +13,18 @@
 use canti_analog::blocks::{Block, ButterworthLowPass, ChopperAmplifier};
 use canti_analog::noise::{CompositeNoise, FlickerNoise, WhiteNoise};
 use canti_bench::timing::Bencher;
+use canti_bio::assay::AssayProtocol;
 use canti_bio::kinetics::LangmuirKinetics;
 use canti_bio::receptor::ReceptorLayer;
+use canti_core::assay::{run_static_assay_precomputed, static_assay_peaks};
 use canti_core::chip::{BiosensorChip, Environment};
 use canti_core::resonant_system::{ResonantCantileverSystem, ResonantLoopConfig};
+use canti_core::static_system::StaticReadoutConfig;
 use canti_fab::drc::full_deck;
 use canti_fab::layout::cantilever_cell;
 use canti_fab::process::{PostCmosFlow, WaferSpec};
 use canti_fab::variation::{Distribution, MonteCarlo};
+use canti_farm::PrecomputeCache;
 use canti_mems::beam::CompositeBeam;
 use canti_mems::geometry::CantileverGeometry;
 use canti_mems::surface_stress::SurfaceStressLoad;
@@ -178,6 +182,46 @@ fn main() {
         let beam = CompositeBeam::new(&geom).expect("beam");
         move || {
             std::hint::black_box(beam.mode_frequency(1)).expect("mode");
+        }
+    });
+
+    // The farm's dose-response kernel on the steady benchmark's spec
+    // (anti-IgG, 30/300/120 s at dt 0.05 s, so 9 001 points; averaging
+    // 256) through the memoized default chain: the streamed fold the farm
+    // runs, then the collecting runners with the same bits.
+    let chains = PrecomputeCache::new();
+    let dose_point = || {
+        let chain = *chains
+            .static_chain(&StaticReadoutConfig::default())
+            .expect("chain");
+        let layer = ReceptorLayer::anti_igg();
+        let kinetics = LangmuirKinetics::from_receptor(&layer);
+        let protocol = AssayProtocol::standard(
+            Seconds::new(30.0),
+            Molar::from_nanomolar(10.0),
+            Seconds::new(300.0),
+            Seconds::new(120.0),
+        );
+        (chain, layer, kinetics, protocol)
+    };
+    let dt = Seconds::new(0.05);
+
+    b.bench("dose_point_9001_fold", || {
+        let (chain, layer, kinetics, protocol) = dose_point();
+        move || {
+            let samples = protocol.samples(&kinetics, dt, 0.0).expect("kinetics");
+            std::hint::black_box(static_assay_peaks(&chain, &layer, samples, 256, 7))
+                .expect("fold");
+        }
+    });
+
+    b.bench("dose_point_9001_collect", || {
+        let (chain, layer, kinetics, protocol) = dose_point();
+        move || {
+            let gram = protocol.run(&kinetics, dt, 0.0).expect("kinetics");
+            let trace =
+                run_static_assay_precomputed(&chain, &layer, &gram, 256, 7).expect("transduce");
+            std::hint::black_box((trace.peak_signal(), gram.peak_coverage()));
         }
     });
 

@@ -6,7 +6,8 @@
 //! [`AssayProtocol::run`] integrates the binding kinetics through it,
 //! producing a [`Sensorgram`] — the coverage-vs-time trace that the
 //! transducer (and eventually the paper's readout electronics) converts to
-//! volts or hertz.
+//! volts or hertz. [`AssayProtocol::samples`] yields the same samples one
+//! at a time, for callers that fold the trace instead of keeping it.
 
 use canti_units::{Molar, Seconds};
 
@@ -165,46 +166,137 @@ impl AssayProtocol {
     }
 
     /// Integrates Langmuir kinetics through the protocol with sample
-    /// interval `dt`, starting from coverage `theta0`.
+    /// interval `dt`, starting from coverage `theta0`: the
+    /// [`Self::samples`] stream, collected.
     ///
     /// Uses the exact exponential update inside each phase, so `dt` only
     /// sets the output sampling, not the accuracy.
     ///
     /// # Errors
     ///
-    /// Returns [`BioError`] if `dt` is not strictly positive or `theta0` is
-    /// outside `[0, 1]`.
+    /// Returns [`BioError`] if `dt` is not strictly positive, `theta0` is
+    /// outside `[0, 1]`, or the run would exceed [`MAX_ASSAY_SAMPLES`].
     pub fn run(
         &self,
         kinetics: &LangmuirKinetics,
         dt: Seconds,
         theta0: f64,
     ) -> Result<Sensorgram, BioError> {
+        let stream = self.samples(kinetics, dt, theta0)?;
+        let mut samples = Vec::with_capacity(stream.len());
+        samples.extend(stream);
+        Ok(Sensorgram { samples })
+    }
+
+    /// The samples [`Self::run`] records, produced one at a time: a
+    /// caller that only folds the trace keeps no buffer that grows with
+    /// the sample count. `run` is this stream collected, so the two agree
+    /// bit for bit.
+    ///
+    /// The checks run here, before the first sample.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BioError`] if `dt` is not strictly positive, `theta0` is
+    /// outside `[0, 1]`, or the run would exceed [`MAX_ASSAY_SAMPLES`].
+    pub fn samples(
+        &self,
+        kinetics: &LangmuirKinetics,
+        dt: Seconds,
+        theta0: f64,
+    ) -> Result<AssaySamples<'_>, BioError> {
         ensure_positive("sample interval", dt.value())?;
         ensure_coverage(theta0)?;
         let total = self.total_duration().value();
-        let steps = (total / dt.value()).ceil() as usize;
-        let mut samples = Vec::with_capacity(steps + 1);
-        let mut theta = theta0;
-        samples.push(SensorgramSample {
-            time: Seconds::zero(),
-            coverage: theta,
-            concentration: self.concentration_at(Seconds::zero()),
-        });
-        for i in 1..=steps {
-            let t = Seconds::new((i as f64 * dt.value()).min(total));
-            let t_prev = Seconds::new((i - 1) as f64 * dt.value());
-            let step = Seconds::new(t.value() - t_prev.value());
-            let c = self.concentration_at(t_prev);
-            theta = kinetics.step(theta, c, step);
-            samples.push(SensorgramSample {
-                time: t,
-                coverage: theta,
-                concentration: c,
+        let steps = (total / dt.value()).ceil();
+        // a NaN or negative step count falls through to zero steps below
+        if steps >= MAX_ASSAY_SAMPLES as f64 {
+            return Err(BioError::TooManySamples {
+                requested: steps + 1.0,
+                limit: MAX_ASSAY_SAMPLES,
             });
         }
-        Ok(Sensorgram { samples })
+        Ok(AssaySamples {
+            protocol: self,
+            kinetics: *kinetics,
+            dt: dt.value(),
+            total,
+            steps: steps as usize,
+            next: 0,
+            theta: theta0,
+        })
     }
+}
+
+/// Most samples one assay run may produce: 2²² (4 194 304), about 466×
+/// a 450 s protocol sampled every 50 ms. [`AssayProtocol::samples`] and
+/// [`AssayProtocol::run`] refuse a longer run with
+/// [`BioError::TooManySamples`] before stepping or allocating anything,
+/// so a pathological `dt` fails its own caller instead of exhausting the
+/// process's memory or time.
+pub const MAX_ASSAY_SAMPLES: usize = 1 << 22;
+
+/// The stream of sensorgram samples an assay run produces; see
+/// [`AssayProtocol::samples`].
+#[derive(Debug, Clone)]
+pub struct AssaySamples<'a> {
+    protocol: &'a AssayProtocol,
+    kinetics: LangmuirKinetics,
+    dt: f64,
+    total: f64,
+    steps: usize,
+    /// Index of the next sample (sample 0 is the starting state).
+    next: usize,
+    theta: f64,
+}
+
+impl Iterator for AssaySamples<'_> {
+    type Item = SensorgramSample;
+
+    // without the hint this stays an outlined call, and collecting a
+    // 9 001-point run through it took ~24 % longer than the loop it
+    // replaced; callers in other crates (the farm's fold) need the hint to
+    // inline it at all
+    #[inline]
+    fn next(&mut self) -> Option<SensorgramSample> {
+        let i = self.next;
+        if i > self.steps {
+            return None;
+        }
+        self.next += 1;
+        if i == 0 {
+            return Some(SensorgramSample {
+                time: Seconds::zero(),
+                coverage: self.theta,
+                concentration: self.protocol.concentration_at(Seconds::zero()),
+            });
+        }
+        let t = Seconds::new((i as f64 * self.dt).min(self.total));
+        let t_prev = Seconds::new((i - 1) as f64 * self.dt);
+        let step = Seconds::new(t.value() - t_prev.value());
+        let c = self.protocol.concentration_at(t_prev);
+        self.theta = self.kinetics.step(self.theta, c, step);
+        Some(SensorgramSample {
+            time: t,
+            coverage: self.theta,
+            concentration: c,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.steps + 1 - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for AssaySamples<'_> {}
+
+/// One step of the running maximum behind [`Sensorgram::peak_coverage`]:
+/// a streamed run that starts its peak at `0.0` and steps it with every
+/// sample's coverage ends with the same bits.
+#[must_use]
+pub fn peak_coverage_step(peak: f64, coverage: f64) -> f64 {
+    peak.max(coverage)
 }
 
 /// One time point of a sensorgram.
@@ -243,10 +335,14 @@ impl Sensorgram {
         self.samples.is_empty()
     }
 
-    /// Maximum coverage reached.
+    /// Maximum coverage reached: [`peak_coverage_step`] folded over the
+    /// samples from `0.0`.
     #[must_use]
     pub fn peak_coverage(&self) -> f64 {
-        self.samples.iter().map(|s| s.coverage).fold(0.0, f64::max)
+        self.samples
+            .iter()
+            .map(|s| s.coverage)
+            .fold(0.0, peak_coverage_step)
     }
 
     /// Final coverage.
@@ -355,6 +451,76 @@ mod tests {
         );
         assert!(p.run(&kinetics(), Seconds::new(0.0), 0.0).is_err());
         assert!(p.run(&kinetics(), Seconds::new(1.0), 2.0).is_err());
+    }
+
+    #[test]
+    fn run_is_the_sample_stream_collected_at_exact_capacity() {
+        let p = AssayProtocol::standard(
+            Seconds::new(30.0),
+            Molar::from_nanomolar(20.0),
+            Seconds::new(300.0),
+            Seconds::new(120.0),
+        );
+        for dt in [0.05, 0.7, 5.0, 1000.0] {
+            let dt = Seconds::new(dt);
+            let gram = p.run(&kinetics(), dt, 0.1).unwrap();
+            assert_eq!(gram.samples.capacity(), gram.len());
+            let stream = p.samples(&kinetics(), dt, 0.1).unwrap();
+            assert_eq!(stream.len(), gram.len());
+            let streamed: Vec<SensorgramSample> = stream.collect();
+            assert_eq!(streamed, gram.samples());
+            let peak = streamed
+                .iter()
+                .fold(0.0, |m, s| peak_coverage_step(m, s.coverage));
+            assert_eq!(peak.to_bits(), gram.peak_coverage().to_bits());
+        }
+        let mut stream = p.samples(&kinetics(), Seconds::new(200.0), 0.0).unwrap();
+        assert_eq!(stream.size_hint(), (4, Some(4)));
+        stream.by_ref().for_each(drop);
+        assert_eq!(stream.size_hint(), (0, Some(0)));
+        assert!(stream.next().is_none());
+    }
+
+    #[test]
+    fn sample_count_is_bounded_before_anything_runs() {
+        let p = AssayProtocol::standard(
+            Seconds::new(30.0),
+            Molar::from_nanomolar(20.0),
+            Seconds::new(300.0),
+            Seconds::new(120.0),
+        );
+        for dt in [1e-9, 1e-15, f64::MIN_POSITIVE] {
+            match p.run(&kinetics(), Seconds::new(dt), 0.0) {
+                Err(BioError::TooManySamples { requested, limit }) => {
+                    assert_eq!(limit, MAX_ASSAY_SAMPLES);
+                    assert!(requested > 4e11, "dt {dt}: {requested}");
+                }
+                other => panic!("dt {dt}: expected TooManySamples, got {other:?}"),
+            }
+        }
+        // the bound is inclusive: exactly MAX_ASSAY_SAMPLES samples pass
+        let edge = |steps: usize| {
+            let mut p = AssayProtocol::new();
+            p.push(AssayPhase::Baseline {
+                duration: Seconds::new(steps as f64),
+            });
+            p.samples(&kinetics(), Seconds::new(1.0), 0.0)
+                .map(|s| s.len())
+        };
+        assert_eq!(edge(MAX_ASSAY_SAMPLES - 1), Ok(MAX_ASSAY_SAMPLES));
+        assert!(matches!(
+            edge(MAX_ASSAY_SAMPLES),
+            Err(BioError::TooManySamples { .. })
+        ));
+        // the interval and coverage checks still come first
+        assert!(matches!(
+            p.samples(&kinetics(), Seconds::new(0.0), 0.0),
+            Err(BioError::NonPositive { .. })
+        ));
+        assert!(matches!(
+            p.samples(&kinetics(), Seconds::new(1e-9), 2.0),
+            Err(BioError::CoverageOutOfRange { .. })
+        ));
     }
 
     #[test]

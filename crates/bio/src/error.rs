@@ -29,6 +29,14 @@ pub enum BioError {
         /// Human-readable name of the offending parameter.
         what: &'static str,
     },
+    /// An assay run would produce more samples than
+    /// [`crate::assay::MAX_ASSAY_SAMPLES`].
+    TooManySamples {
+        /// Samples the run asked for (may exceed `usize`).
+        requested: f64,
+        /// The bound it exceeded.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for BioError {
@@ -44,6 +52,12 @@ impl fmt::Display for BioError {
                 write!(f, "coverage must lie in [0, 1], got {value}")
             }
             Self::NotFinite { what } => write!(f, "{what} must be finite"),
+            Self::TooManySamples { requested, limit } => {
+                write!(
+                    f,
+                    "assay run needs {requested} samples, more than the limit of {limit}"
+                )
+            }
         }
     }
 }
@@ -89,6 +103,14 @@ mod tests {
         assert_eq!(e.to_string(), "k_on must be positive, got -1");
         let e = BioError::CoverageOutOfRange { value: 1.5 };
         assert_eq!(e.to_string(), "coverage must lie in [0, 1], got 1.5");
+        let e = BioError::TooManySamples {
+            requested: 450_000_000_001.0,
+            limit: 1 << 22,
+        };
+        assert_eq!(
+            e.to_string(),
+            "assay run needs 450000000001 samples, more than the limit of 4194304"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use canti_analog::noise::WhiteNoise;
 use canti_bio::analyte::Analyte;
-use canti_bio::assay::Sensorgram;
+use canti_bio::assay::{peak_coverage_step, Sensorgram, SensorgramSample};
 use canti_bio::receptor::ReceptorLayer;
 use canti_obs::Tracer;
 use canti_units::{Hertz, Seconds, SurfaceStress};
@@ -52,7 +52,7 @@ impl AssayTrace {
         self.points
             .iter()
             .map(|p| p.output - first.output)
-            .fold(0.0f64, |m, d| if d.abs() > m.abs() { d } else { m })
+            .fold(0.0f64, peak_signal_step)
     }
 
     /// Output at (the sample closest to) `t`.
@@ -67,6 +67,18 @@ impl AssayTrace {
                     .expect("finite times")
             })
             .map(|p| p.output)
+    }
+}
+
+/// One step of the signed-extremum fold behind
+/// [`AssayTrace::peak_signal`] and [`static_assay_peaks`]: keeps whichever
+/// of the running peak and the next deviation from the first point has
+/// the larger magnitude (the earlier one on a tie).
+fn peak_signal_step(peak: f64, deviation: f64) -> f64 {
+    if deviation.abs() > peak.abs() {
+        deviation
+    } else {
+        peak
     }
 }
 
@@ -148,11 +160,8 @@ pub fn run_static_assay_traced(
     averaging: usize,
     tracer: &Tracer,
 ) -> Result<AssayTrace, CoreError> {
-    if averaging == 0 {
-        return Err(CoreError::Config {
-            reason: "averaging must be at least 1".to_owned(),
-        });
-    }
+    // refuse before the expensive (and state-advancing) chain measurement
+    ensure_averaging(averaging)?;
     let _assay_span = tracer.span(
         "static_assay",
         &[
@@ -175,10 +184,79 @@ pub fn run_static_assay_traced(
     trace
 }
 
-/// [`run_static_assay`] against an already-measured chain response — the
-/// fast path the sensor farm takes after memoizing [`StaticChainResponse`]
-/// for a chip/config. `noise_seed` seeds the per-point white noise (the
-/// plain runner derives it from the system config's seed).
+/// The per-point static transduction: coverage → surface stress →
+/// calibrated output volts, plus one draw of the per-point white noise.
+///
+/// This is the only implementation of that arithmetic: the collecting
+/// [`run_static_assay_precomputed`] and the streaming
+/// [`static_assay_peaks`] both push every sample through
+/// [`Self::point`], so their outputs agree bit for bit.
+#[derive(Debug, Clone)]
+pub(crate) struct StaticTransducer<'a> {
+    receptor: &'a ReceptorLayer,
+    transfer: f64,
+    noise: WhiteNoise,
+}
+
+impl<'a> StaticTransducer<'a> {
+    /// A transducer through `chain` for a surface coated with `receptor`,
+    /// averaging `averaging` electrical samples per assay point (the
+    /// added noise shrinks by √averaging); `noise_seed` seeds the noise.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] on zero averaging or a noise floor the
+    /// generator refuses.
+    pub(crate) fn new(
+        chain: &StaticChainResponse,
+        receptor: &'a ReceptorLayer,
+        averaging: usize,
+        noise_seed: u64,
+    ) -> Result<Self, CoreError> {
+        ensure_averaging(averaging)?;
+        let noise = WhiteNoise::new(
+            // density such that sigma = per-point noise at fs = 1
+            chain.per_point_noise(averaging) * std::f64::consts::SQRT_2,
+            1.0,
+            noise_seed,
+        )?;
+        Ok(Self {
+            receptor,
+            transfer: chain.transfer_volts_per_stress,
+            noise,
+        })
+    }
+
+    /// Transduces the next sample; points must come in time order, since
+    /// each draws the next noise sample.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError`] if the sample's coverage has no surface
+    /// stress (outside `[0, 1]`).
+    pub(crate) fn point(&mut self, sample: &SensorgramSample) -> Result<AssayPoint, CoreError> {
+        let sigma = self.receptor.surface_stress_at(sample.coverage)?;
+        Ok(AssayPoint {
+            time: sample.time,
+            coverage: sample.coverage,
+            output: self.transfer * sigma.value() + self.noise.sample(),
+        })
+    }
+}
+
+fn ensure_averaging(averaging: usize) -> Result<(), CoreError> {
+    if averaging == 0 {
+        return Err(CoreError::Config {
+            reason: "averaging must be at least 1".to_owned(),
+        });
+    }
+    Ok(())
+}
+
+/// [`run_static_assay`] against an already-measured chain response: each
+/// sample through the per-point transduction, collected. `noise_seed`
+/// seeds the per-point white noise (the plain runner derives it from the
+/// system config's seed).
 ///
 /// # Errors
 ///
@@ -190,33 +268,58 @@ pub fn run_static_assay_precomputed(
     averaging: usize,
     noise_seed: u64,
 ) -> Result<AssayTrace, CoreError> {
-    if averaging == 0 {
-        return Err(CoreError::Config {
-            reason: "averaging must be at least 1".to_owned(),
-        });
+    let mut transducer = StaticTransducer::new(chain, receptor, averaging, noise_seed)?;
+    let mut points = Vec::with_capacity(sensorgram.len());
+    for sample in sensorgram.samples() {
+        points.push(transducer.point(sample)?);
     }
-    let transfer = chain.transfer_volts_per_stress;
-    let per_point_noise = chain.per_point_noise(averaging);
-    let mut noise = WhiteNoise::new(
-        per_point_noise * std::f64::consts::SQRT_2, // density such that sigma = per_point_noise at fs=1
-        1.0,
-        noise_seed,
-    )?;
-
-    let points = sensorgram
-        .samples()
-        .iter()
-        .map(|s| {
-            let sigma = receptor.surface_stress_at(s.coverage)?;
-            Ok(AssayPoint {
-                time: s.time,
-                coverage: s.coverage,
-                output: transfer * sigma.value() + noise.sample(),
-            })
-        })
-        .collect::<Result<Vec<_>, CoreError>>()?;
-
     Ok(AssayTrace { points, unit: "V" })
+}
+
+/// The two peaks a static dose-response point reports.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StaticAssayPeaks {
+    /// Signed output extremum relative to the first point, V — the
+    /// trace's [`AssayTrace::peak_signal`].
+    pub peak_signal: f64,
+    /// Highest coverage reached — the sensorgram's
+    /// [`Sensorgram::peak_coverage`].
+    pub peak_coverage: f64,
+}
+
+/// Streams `samples` through the per-point transduction of
+/// [`run_static_assay_precomputed`] and folds both peaks as it goes,
+/// keeping no buffer that grows with the sample count: the path the
+/// sensor farm takes for a dose-response job.
+///
+/// Bit for bit, `peak_signal` is
+/// `run_static_assay_precomputed(..).peak_signal()` and `peak_coverage`
+/// is the sensorgram's `peak_coverage()` over the same samples, because
+/// the per-point arithmetic and the fold steps are the ones those use.
+///
+/// # Errors
+///
+/// Returns [`CoreError`] on zero averaging or coverage→stress failures.
+pub fn static_assay_peaks(
+    chain: &StaticChainResponse,
+    receptor: &ReceptorLayer,
+    samples: impl IntoIterator<Item = SensorgramSample>,
+    averaging: usize,
+    noise_seed: u64,
+) -> Result<StaticAssayPeaks, CoreError> {
+    let mut transducer = StaticTransducer::new(chain, receptor, averaging, noise_seed)?;
+    let mut first = None;
+    let mut peaks = StaticAssayPeaks {
+        peak_signal: 0.0,
+        peak_coverage: 0.0,
+    };
+    for sample in samples {
+        let output = transducer.point(&sample)?.output;
+        let deviation = output - *first.get_or_insert(output);
+        peaks.peak_signal = peak_signal_step(peaks.peak_signal, deviation);
+        peaks.peak_coverage = peak_coverage_step(peaks.peak_coverage, sample.coverage);
+    }
+    Ok(peaks)
 }
 
 /// Runs a sensorgram through the resonant system: coverage → bound mass →
@@ -317,6 +420,31 @@ mod tests {
             "baseline {baseline} vs peak {peak}"
         );
         assert!(run_static_assay(&mut sys, &ReceptorLayer::anti_igg(), &sensorgram(), 0).is_err());
+    }
+
+    #[test]
+    fn streamed_peaks_match_the_collected_trace() {
+        let chain = StaticChainResponse {
+            transfer_volts_per_stress: 2.0,
+            noise_rms_volts: 1e-3,
+        };
+        let layer = ReceptorLayer::anti_igg();
+        let gram = sensorgram();
+        let trace = run_static_assay_precomputed(&chain, &layer, &gram, 4, 9).unwrap();
+        assert_eq!(trace.points.capacity(), gram.len());
+        let peaks =
+            static_assay_peaks(&chain, &layer, gram.samples().iter().copied(), 4, 9).unwrap();
+        assert_eq!(peaks.peak_signal.to_bits(), trace.peak_signal().to_bits());
+        assert_eq!(
+            peaks.peak_coverage.to_bits(),
+            gram.peak_coverage().to_bits()
+        );
+
+        // an empty stream folds to the empty trace's and sensorgram's zeros
+        let empty = static_assay_peaks(&chain, &layer, std::iter::empty(), 4, 9).unwrap();
+        assert_eq!(empty.peak_signal, 0.0);
+        assert_eq!(empty.peak_coverage, Sensorgram::default().peak_coverage());
+        assert!(static_assay_peaks(&chain, &layer, std::iter::empty(), 0, 9).is_err());
     }
 
     #[test]

@@ -296,19 +296,25 @@ impl StaticCantileverSystem {
     }
 
     /// Runs `n` samples of the chain with the given bridge voltage at the
-    /// mux input, returning the output waveform.
-    fn run_samples(&mut self, v_bridge: f64, n: usize) -> Vec<f64> {
-        (0..n)
-            .map(|_| {
-                let x = self.mux.process(v_bridge);
-                let x = self.chopper.process(x);
-                let x = self.lpf.process(x);
-                let x = self.lpf2.process(x);
-                let x = self.offset_comp.process(x);
-                let x = self.pga.process(x);
-                self.output_stage.process(x)
-            })
-            .collect()
+    /// mux input, yielding the output waveform one sample at a time; a
+    /// burst that is only settled through or averaged is never collected.
+    fn run_samples(&mut self, v_bridge: f64, n: usize) -> impl Iterator<Item = f64> + '_ {
+        (0..n).map(move |_| {
+            let x = self.mux.process(v_bridge);
+            let x = self.chopper.process(x);
+            let x = self.lpf.process(x);
+            let x = self.lpf2.process(x);
+            let x = self.offset_comp.process(x);
+            let x = self.pga.process(x);
+            self.output_stage.process(x)
+        })
+    }
+
+    /// Mean of an `n`-sample burst run after a `settle`-sample burst that
+    /// is discarded.
+    fn settled_mean(&mut self, v_bridge: f64, settle: usize, n: usize) -> f64 {
+        self.run_samples(v_bridge, settle).for_each(drop);
+        self.run_samples(v_bridge, n).sum::<f64>() / n as f64
     }
 
     /// Measures the settled DC output of `channel` under stress `sigma`,
@@ -358,12 +364,10 @@ impl StaticCantileverSystem {
         if faults.chopper_dropout {
             self.chopper.set_chopping(false);
         }
-        let _settle = self.run_samples(v_bridge, n);
-        let data = self.run_samples(v_bridge, n);
+        let mut v = self.settled_mean(v_bridge, n, n);
         if faults.chopper_dropout {
             self.chopper.set_chopping(was_chopping);
         }
-        let mut v = data.iter().sum::<f64>() / data.len() as f64;
         if faults.glitch_volts != 0.0 {
             // a spike on the settled output still cannot exceed the rail
             let rail = self.config.supply_rail;
@@ -390,8 +394,9 @@ impl StaticCantileverSystem {
     ) -> Result<Volts, CoreError> {
         self.select_channel(channel)?;
         let v_bridge = self.bridge_output(channel, sigma)?.value();
-        let _settle = self.run_samples(v_bridge, n);
-        let data = self.run_samples(v_bridge, n);
+        self.run_samples(v_bridge, n).for_each(drop);
+        // RMS about the mean takes two passes, so this burst is kept
+        let data: Vec<f64> = self.run_samples(v_bridge, n).collect();
         Ok(Volts::new(rms(&data)))
     }
 
@@ -415,10 +420,7 @@ impl StaticCantileverSystem {
                 let mid = (lo + hi) / 2.0;
                 self.channel_offset_corrections[ch] = Volts::new(mid);
                 self.select_channel(ch)?;
-                let _settle = self.run_samples(v_bridge, 4_000);
-                let data = self.run_samples(v_bridge, 2_000);
-                let mean_out = data.iter().sum::<f64>() / data.len() as f64;
-                if mean_out > 0.0 {
+                if self.settled_mean(v_bridge, 4_000, 2_000) > 0.0 {
                     // output positive: correction too small
                     lo = mid;
                 } else {

@@ -9,7 +9,7 @@
 use canti_bio::assay::AssayProtocol;
 use canti_bio::kinetics::{CompetitiveKinetics, LangmuirKinetics};
 use canti_bio::receptor::{BindingConstants, ReceptorLayer};
-use canti_core::assay::run_static_assay_precomputed;
+use canti_core::assay::static_assay_peaks;
 use canti_core::chip::BiosensorChip;
 use canti_core::static_system::StaticReadoutConfig;
 use canti_fab::variation::Distribution;
@@ -225,18 +225,19 @@ pub(crate) fn execute(
             let layer = receptor.layer();
             let protocol = AssayProtocol::standard(*baseline, *concentration, *association, *wash);
             let kinetics = LangmuirKinetics::from_receptor(&layer);
-            let sensorgram = protocol
-                .run(&kinetics, *dt, 0.0)
+            // one streamed pass: no per-point buffer, the collecting
+            // runners' bits
+            let samples = protocol
+                .samples(&kinetics, *dt, 0.0)
                 .map_err(|e| e.to_string())?;
             let noise_seed: u64 = rng.gen();
-            let trace =
-                run_static_assay_precomputed(&chain, &layer, &sensorgram, *averaging, noise_seed)
-                    .map_err(|e| e.to_string())?;
-            let peak = trace.peak_signal();
+            let peaks = static_assay_peaks(&chain, &layer, samples, *averaging, noise_seed)
+                .map_err(|e| e.to_string())?;
+            let peak = peaks.peak_signal;
             let noise = chain.per_point_noise(*averaging);
             Ok(vec![
                 ("peak_volts", peak),
-                ("peak_coverage", sensorgram.peak_coverage()),
+                ("peak_coverage", peaks.peak_coverage),
                 ("noise_volts", noise),
                 ("snr", peak.abs() / noise),
             ])

@@ -6,7 +6,9 @@
 #                          # build) -> clippy --all-targets -> fmt --check
 #                          # -> rustdoc with warnings denied -> perfbench
 #                          # unit tests + a 1 s serve_cached run gated on
-#                          # its bitwise payload oracle
+#                          # its bitwise payload oracle + a 1 s traced
+#                          # serve_light run gated on its payload oracle
+#                          # and on "kernel replay: N of N" with N > 0
 #   scripts/ci.sh smoke    # the above, then:
 #                          #   * the example matrix: every example under
 #                          #     examples/ with fast arguments, failing on
@@ -99,7 +101,7 @@ phase_begin "rustdoc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 phase_end
 
-phase_begin "perfbench (unit tests + cached payload oracle)"
+phase_begin "perfbench (unit tests + payload oracles + kernel replay)"
 # perfbench/ is a cargo workspace of its own, so the workspace phases
 # above neither build nor test it. The short serve_cached run re-solves
 # every answered payload on a 1-worker farm and exits non-zero on any
@@ -107,6 +109,21 @@ phase_begin "perfbench (unit tests + cached payload oracle)"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload serve_cached --seed 1 --seconds 1 --trace 0
+# The traced serve_light run runs the uncached oracle (request seeds over
+# the request id) and replays each served dose point through the
+# collecting kernel (AssayProtocol::run -> run_static_assay_precomputed
+# -> peak_signal); every replay must reproduce the farm's streamed
+# peak_volts bit for bit, and there must be at least one.
+light_out=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_light --seed 1 --seconds 1 --trace 1) \
+    || { echo "$light_out"; echo "perfbench serve_light --trace 1 failed"; exit 1; }
+echo "$light_out"
+replay=$(echo "$light_out" | sed -n 's/^kernel replay: \([0-9]*\) of \([0-9]*\) .*/\1 \2/p')
+read -r replay_agree replay_jobs <<<"${replay:-0 0}"
+if [[ "$replay_jobs" -eq 0 || "$replay_agree" -ne "$replay_jobs" ]]; then
+    echo "kernel replay gate: ${replay_agree} of ${replay_jobs} served dose points reproduced"
+    exit 1
+fi
 phase_end
 
 if [[ "${1:-}" == "smoke" ]]; then

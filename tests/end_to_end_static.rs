@@ -8,7 +8,7 @@ use canti::bio::receptor::ReceptorLayer;
 use canti::fab::process::{PostCmosFlow, WaferSpec};
 use canti::mems::beam::CompositeBeam;
 use canti::mems::surface_stress::SurfaceStressLoad;
-use canti::system::assay::run_static_assay;
+use canti::system::assay::{run_static_assay, StaticChainResponse};
 use canti::system::chip::BiosensorChip;
 use canti::system::static_system::{
     StaticCantileverSystem, StaticReadoutConfig, REFERENCE_CHANNEL,
@@ -140,4 +140,37 @@ fn channel_isolation() {
         }
     }
     const { assert!(REFERENCE_CHANNEL != 1) };
+}
+
+/// The chain characterization's floating-point results are pinned bit for
+/// bit for the default config: the transfer and noise floor the farm
+/// memoizes, and a calibrated channel's settled mean and noise. The
+/// settling and averaging bursts stream through the chain uncollected;
+/// these bits were recorded when every burst was collected first.
+#[test]
+fn chain_characterization_bits_are_pinned() {
+    let fresh = || {
+        StaticCantileverSystem::new(
+            BiosensorChip::paper_static_chip().expect("chip"),
+            StaticReadoutConfig::default(),
+        )
+        .expect("system")
+    };
+    let chain = StaticChainResponse::measure(&mut fresh()).expect("chain");
+    assert_eq!(
+        chain.transfer_volts_per_stress.to_bits(),
+        0x4000_71DA_7F1B_1602
+    );
+    assert_eq!(chain.noise_rms_volts.to_bits(), 0x3F33_9AB8_F19C_9229);
+
+    let mut system = fresh();
+    system.calibrate_offsets().expect("calibration");
+    let settled = system
+        .measure(0, SurfaceStress::from_millinewtons_per_meter(5.0), 20_000)
+        .expect("measure");
+    let noise = system
+        .output_noise_rms(1, SurfaceStress::zero(), 4_000)
+        .expect("noise");
+    assert_eq!(settled.value().to_bits(), 0xBF78_DEF0_DAAA_8C85);
+    assert_eq!(noise.value().to_bits(), 0x3F4C_DD7A_3D4F_0BD2);
 }

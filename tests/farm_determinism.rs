@@ -2,11 +2,23 @@
 //! seed and any mix of jobs, worker counts {1, 2, 8} must produce
 //! bit-identical `BatchReport`s, and a panicking job must surface as a
 //! per-job `FarmError` without poisoning the batch.
+//!
+//! The dose-response kernel is pinned too: the farm streams each job
+//! through one fold, and its payloads must keep the bits the collecting
+//! runners produce (a golden table recorded from them, and a property
+//! against them), with the same error strings.
 
+use std::sync::OnceLock;
+
+use canti::bio::assay::AssayProtocol;
+use canti::bio::kinetics::LangmuirKinetics;
 use canti::farm::{
     cross_reactivity_panel, dose_response_sweep, process_variation_batch, Farm, FarmConfig,
-    FarmError, JobSpec, ProbeMode,
+    FarmError, JobSpec, PrecomputeCache, ProbeMode, Receptor,
 };
+use canti::system::assay::{run_static_assay_precomputed, static_assay_peaks, StaticChainResponse};
+use canti::system::static_system::StaticReadoutConfig;
+use canti::units::{Molar, Seconds};
 use proptest::prelude::*;
 
 fn run(batch_seed: u64, threads: usize, jobs: &[JobSpec]) -> canti::farm::BatchReport {
@@ -150,5 +162,235 @@ fn job_errors_stay_in_their_slot() {
             "{:?}",
             report.outcomes[1]
         );
+    }
+}
+
+/// The anti-IgG dose point on the quick-immunoassay protocol
+/// (30/300/120 s) at `concentration_nm`, sampled every `dt` seconds.
+fn dose_spec(concentration_nm: f64, dt: f64, averaging: usize) -> JobSpec {
+    JobSpec::StaticDoseResponse {
+        receptor: Receptor::AntiIgg,
+        concentration: Molar::from_nanomolar(concentration_nm),
+        baseline: Seconds::new(30.0),
+        association: Seconds::new(300.0),
+        wash: Seconds::new(120.0),
+        dt: Seconds::new(dt),
+        averaging,
+    }
+}
+
+/// Bits of `peak_volts`, `peak_coverage`, `noise_volts` and `snr` per
+/// `(dt, concentration nM, job seed)`: eight concentrations from 0.1 nM
+/// to 1 uM at two seeds on each protocol, recorded from the collecting
+/// runners (`AssayProtocol::run`, `run_static_assay_precomputed`,
+/// `peak_signal`). `dt` 0.05 s is the steady benchmark's spec (averaging
+/// 256, a 9 001-point sensorgram); `dt` 5 s is `JobSpec::dose_point`.
+#[rustfmt::skip]
+const DOSE_RESPONSE_GOLDEN: [(f64, f64, u64, [u64; 4]); 32] = [
+    (0.05, 0.1, 0x1, [0x3F1D3712DCAC7183, 0x3F682CC78E62A4A0, 0x3EF4DAE3F0BC07F3, 0x401669F32F1C932E]),
+    (0.05, 0.4, 0x1, [0x3F2A2DD7F10AB2A3, 0x3F88112A754C21A0, 0x3EF4DAE3F0BC07F3, 0x402415A8923B0881]),
+    (0.05, 2.0, 0x1, [0x3F45DD8CEF081A80, 0x3FAD60CECB4955E0, 0x3EF4DAE3F0BC07F3, 0x4040C671B7D68177]),
+    (0.05, 7.5, 0x1, [0x3F61533A7C70AD11, 0x3FC96BD3784A8618, 0x3EF4DAE3F0BC07F3, 0x405A956B866282DB]),
+    (0.05, 30.0, 0x1, [0x3F78F19614447F74, 0x3FE2BFD26AA86A4F, 0x3EF4DAE3F0BC07F3, 0x407323069499BD5F]),
+    (0.05, 120.0, 0x1, [0x3F847A52F5C8350A, 0x3FEEE4DF452F0BBF, 0x3EF4DAE3F0BC07F3, 0x407F6BD418ED8FAB]),
+    (0.05, 450.0, 0x1, [0x3F852FD63BA69297, 0x3FEFEDD3362C61A0, 0x3EF4DAE3F0BC07F3, 0x4080412BC4E50E4F]),
+    (0.05, 1000.0, 0x1, [0x3F85372061C3A92B, 0x3FEFF7D0F16C2AD3, 0x3EF4DAE3F0BC07F3, 0x408046C37ACD1D32]),
+    (0.05, 0.1, 0xC0FFEE00D05E, [0x3F206BE2DD3809EE, 0x3F682CC78E62A4A0, 0x3EF4DAE3F0BC07F3, 0x40193272B9F4BA68]),
+    (0.05, 0.4, 0xC0FFEE00D05E, [0x3F2B345D92EE5427, 0x3F88112A754C21A0, 0x3EF4DAE3F0BC07F3, 0x4024DF10C6180C0C]),
+    (0.05, 2.0, 0xC0FFEE00D05E, [0x3F461D349C476256, 0x3FAD60CECB4955E0, 0x3EF4DAE3F0BC07F3, 0x4040F747C5780587]),
+    (0.05, 7.5, 0xC0FFEE00D05E, [0x3F61679BB3F46FAE, 0x3FC96BD3784A8618, 0x3EF4DAE3F0BC07F3, 0x405AB4B0D433B8F7]),
+    (0.05, 30.0, 0xC0FFEE00D05E, [0x3F78FCE4335A60E4, 0x3FE2BFD26AA86A4F, 0x3EF4DAE3F0BC07F3, 0x40732BB2F3C45052]),
+    (0.05, 120.0, 0xC0FFEE00D05E, [0x3F8479103701A347, 0x3FEEE4DF452F0BBF, 0x3EF4DAE3F0BC07F3, 0x407F69E4E0706AE6]),
+    (0.05, 450.0, 0xC0FFEE00D05E, [0x3F8533DE973FDD1F, 0x3FEFEDD3362C61A0, 0x3EF4DAE3F0BC07F3, 0x40804443CB6F4623]),
+    (0.05, 1000.0, 0xC0FFEE00D05E, [0x3F853A7598845428, 0x3FEFF7D0F16C2AD3, 0x3EF4DAE3F0BC07F3, 0x4080495210DF263A]),
+    (5.0, 0.1, 0x1, [0x3F14622194FDAFEA, 0x3F682CC78E638A80, 0x3EF4DAE3F0BC07F3, 0x400F46B4F86BF5FB]),
+    (5.0, 0.4, 0x1, [0x3F25778F6136504B, 0x3F88112A754CA5A0, 0x3EF4DAE3F0BC07F3, 0x4020783273C3C74B]),
+    (5.0, 2.0, 0x1, [0x3F4472288D3B14F1, 0x3FAD60CECB499390, 0x3EF4DAE3F0BC07F3, 0x403F5F4C9277FDA4]),
+    (5.0, 7.5, 0x1, [0x3F60FF056290180A, 0x3FC96BD3784A7FD8, 0x3EF4DAE3F0BC07F3, 0x405A1436484F56CD]),
+    (5.0, 30.0, 0x1, [0x3F78CB946C9B5E1E, 0x3FE2BFD26AA86B33, 0x3EF4DAE3F0BC07F3, 0x407305DDFBB3F8AB]),
+    (5.0, 120.0, 0x1, [0x3F8461DE57538FC7, 0x3FEEE4DF452F0BAE, 0x3EF4DAE3F0BC07F3, 0x407F464DCBC0EC88]),
+    (5.0, 450.0, 0x1, [0x3F851A4C2FF6508C, 0x3FEFEDD3362C61A6, 0x3EF4DAE3F0BC07F3, 0x408030A563CFF53D]),
+    (5.0, 1000.0, 0x1, [0x3F8520E068454295, 0x3FEFF7D0F16C2AD7, 0x3EF4DAE3F0BC07F3, 0x408035B1864447A2]),
+    (5.0, 0.1, 0xC0FFEE00D05E, [0x3F183817D82EE0C2, 0x3F682CC78E638A80, 0x3EF4DAE3F0BC07F3, 0x401294B71CA792F8]),
+    (5.0, 0.4, 0xC0FFEE00D05E, [0x3F27D45DABFDD300, 0x3F88112A754CA5A0, 0x3EF4DAE3F0BC07F3, 0x4022483459069914]),
+    (5.0, 2.0, 0xC0FFEE00D05E, [0x3F45260832299FB0, 0x3FAD60CECB499390, 0x3EF4DAE3F0BC07F3, 0x404039A6112FF7DE]),
+    (5.0, 7.5, 0xC0FFEE00D05E, [0x3F610ABF3E958C28, 0x3FC96BD3784A7FD8, 0x3EF4DAE3F0BC07F3, 0x405A263456DD4E20]),
+    (5.0, 30.0, 0xC0FFEE00D05E, [0x3F78C92435B318D7, 0x3FE2BFD26AA86B33, 0x3EF4DAE3F0BC07F3, 0x407303FF15E20056]),
+    (5.0, 120.0, 0xC0FFEE00D05E, [0x3F846164B93327A0, 0x3FEEE4DF452F0BAE, 0x3EF4DAE3F0BC07F3, 0x407F45932F82EA1E]),
+    (5.0, 450.0, 0xC0FFEE00D05E, [0x3F851F4926C51C93, 0x3FEFEDD3362C61A6, 0x3EF4DAE3F0BC07F3, 0x4080347913D916B3]),
+    (5.0, 1000.0, 0xC0FFEE00D05E, [0x3F8525F52E8E2465, 0x3FEFF7D0F16C2AD7, 0x3EF4DAE3F0BC07F3, 0x408039977AC18A48]),
+];
+
+/// The streamed dose-response kernel reproduces the golden payload bits
+/// of the collecting runners on both protocols, at two seeds each.
+#[test]
+fn dose_response_payloads_match_the_golden_table() {
+    let jobs: Vec<JobSpec> = DOSE_RESPONSE_GOLDEN
+        .iter()
+        .map(|&(dt, c, _, _)| {
+            if dt == 5.0 {
+                JobSpec::dose_point(Receptor::AntiIgg, Molar::from_nanomolar(c))
+            } else {
+                dose_spec(c, dt, 256)
+            }
+        })
+        .collect();
+    let seeds: Vec<u64> = DOSE_RESPONSE_GOLDEN.iter().map(|row| row.2).collect();
+    let report = Farm::new(FarmConfig {
+        batch_seed: 0,
+        threads: 2,
+    })
+    .run_seeded(&jobs, &seeds);
+    for ((dt, c, seed, bits), outcome) in DOSE_RESPONSE_GOLDEN.iter().zip(&report.outcomes) {
+        let out = outcome.as_ref().expect("dose point solves");
+        let got: Vec<u64> = ["peak_volts", "peak_coverage", "noise_volts", "snr"]
+            .iter()
+            .map(|m| out.metric(m).expect("metric present").to_bits())
+            .collect();
+        assert_eq!(got, bits, "dt {dt} s, {c} nM, seed {seed:#x}");
+    }
+}
+
+/// The default static chain, characterized once per test binary.
+fn default_chain() -> StaticChainResponse {
+    static CHAIN: OnceLock<StaticChainResponse> = OnceLock::new();
+    *CHAIN.get_or_init(|| {
+        *PrecomputeCache::new()
+            .static_chain(&StaticReadoutConfig::default())
+            .expect("chain characterizes")
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The fold the farm runs equals the collecting runners bit for bit:
+    /// `run_static_assay_precomputed(..).peak_signal()` and
+    /// `Sensorgram::peak_coverage()` over the same protocol.
+    #[test]
+    fn streamed_peaks_equal_the_collected_trace(
+        log_c in -10.0f64..-6.0,
+        dt in (0usize..3).prop_map(|i| [0.05, 0.5, 5.0][i]),
+        averaging in (0usize..3).prop_map(|i| [1, 16, 256][i]),
+        receptor in (0usize..3).prop_map(|i| [Receptor::AntiIgg, Receptor::AntiPsa, Receptor::Dna20mer][i]),
+        seed in 0u64..u64::MAX,
+    ) {
+        let chain = default_chain();
+        let layer = receptor.layer();
+        let kinetics = LangmuirKinetics::from_receptor(&layer);
+        let protocol = AssayProtocol::standard(
+            Seconds::new(30.0),
+            Molar::new(10f64.powf(log_c)),
+            Seconds::new(300.0),
+            Seconds::new(120.0),
+        );
+        let dt = Seconds::new(dt);
+        let gram = protocol.run(&kinetics, dt, 0.0).expect("kinetics");
+        let trace = run_static_assay_precomputed(&chain, &layer, &gram, averaging, seed)
+            .expect("transduction");
+        let stream = protocol.samples(&kinetics, dt, 0.0).expect("kinetics");
+        let peaks = static_assay_peaks(&chain, &layer, stream, averaging, seed).expect("fold");
+        prop_assert_eq!(peaks.peak_signal.to_bits(), trace.peak_signal().to_bits());
+        prop_assert_eq!(peaks.peak_coverage.to_bits(), gram.peak_coverage().to_bits());
+    }
+}
+
+/// Bad intervals and zero averaging fail with the collecting runners'
+/// error strings, interval first, whichever path reports them.
+#[test]
+fn dose_response_errors_keep_their_strings() {
+    const AVERAGING: &str = "configuration: averaging must be at least 1";
+    const ZERO_DT: &str = "sample interval must be positive, got 0";
+    const NOT_FINITE: &str = "sample interval must be finite";
+    let cases = [
+        (dose_spec(10.0, 5.0, 0), AVERAGING),
+        (dose_spec(10.0, 0.0, 256), ZERO_DT),
+        (
+            dose_spec(10.0, -1.0, 256),
+            "sample interval must be positive, got -1",
+        ),
+        (dose_spec(10.0, f64::NAN, 256), NOT_FINITE),
+        (dose_spec(10.0, f64::INFINITY, 256), NOT_FINITE),
+        (dose_spec(10.0, 0.0, 0), ZERO_DT),
+    ];
+    let jobs: Vec<JobSpec> = cases.iter().map(|(job, _)| job.clone()).collect();
+    let report = run(7, 2, &jobs);
+    for (i, ((_, want), outcome)) in cases.iter().zip(&report.outcomes).enumerate() {
+        match outcome {
+            Err(FarmError::Job { job_index, reason }) => {
+                assert_eq!(*job_index, i);
+                assert_eq!(reason, want, "job {i}");
+            }
+            other => panic!("job {i}: expected a job error, got {other:?}"),
+        }
+    }
+
+    // the crate-level runners and the fold agree on the same strings
+    let chain = default_chain();
+    let layer = Receptor::AntiIgg.layer();
+    let kinetics = LangmuirKinetics::from_receptor(&layer);
+    let protocol = AssayProtocol::standard(
+        Seconds::new(1.0),
+        Molar::from_nanomolar(1.0),
+        Seconds::new(1.0),
+        Seconds::new(1.0),
+    );
+    let gram = protocol.run(&kinetics, Seconds::new(1.0), 0.0).unwrap();
+    let collected = run_static_assay_precomputed(&chain, &layer, &gram, 0, 1).unwrap_err();
+    let stream = protocol.samples(&kinetics, Seconds::new(1.0), 0.0).unwrap();
+    let folded = static_assay_peaks(&chain, &layer, stream, 0, 1).unwrap_err();
+    assert_eq!(collected.to_string(), AVERAGING);
+    assert_eq!(folded.to_string(), AVERAGING);
+    for (dt, want) in [
+        (0.0, ZERO_DT),
+        (-2.5, "sample interval must be positive, got -2.5"),
+        (f64::NAN, NOT_FINITE),
+    ] {
+        let dt = Seconds::new(dt);
+        assert_eq!(
+            protocol.run(&kinetics, dt, 0.0).unwrap_err().to_string(),
+            want
+        );
+        assert_eq!(
+            protocol
+                .samples(&kinetics, dt, 0.0)
+                .unwrap_err()
+                .to_string(),
+            want
+        );
+    }
+}
+
+/// A dose point whose `dt` asks for ~10^11 samples or more is refused in
+/// its own slot before it allocates or steps anything, and the job next to
+/// it keeps its normal payload. (Sizing the sensorgram buffer from that
+/// `dt` used to abort the whole process, which no `catch_unwind` can
+/// contain.)
+#[test]
+fn an_oversampled_dose_point_fails_in_its_own_slot() {
+    let normal = dose_spec(25.0, 5.0, 256);
+    let seeded = |threads: usize, jobs: &[JobSpec], seeds: &[u64]| {
+        Farm::new(FarmConfig {
+            batch_seed: 0,
+            threads,
+        })
+        .run_seeded(jobs, seeds)
+    };
+    let alone = seeded(1, std::slice::from_ref(&normal), &[2]);
+    let expected = alone.outcomes[0].as_ref().expect("normal dose point");
+    for dt in [1e-9, 1e-15] {
+        let jobs = [dose_spec(25.0, dt, 256), normal.clone()];
+        for threads in [1, 2] {
+            let report = seeded(threads, &jobs, &[1, 2]);
+            match &report.outcomes[0] {
+                Err(FarmError::Job {
+                    job_index: 0,
+                    reason,
+                }) => assert!(reason.contains("samples"), "dt {dt}: {reason}"),
+                other => panic!("dt {dt}: expected a job error, got {other:?}"),
+            }
+            let out = report.outcomes[1].as_ref().expect("normal dose point");
+            assert_eq!(out.metrics, expected.metrics, "dt {dt}");
+        }
     }
 }
