@@ -1,13 +1,16 @@
 //! The admission front and the single-threaded serving engine.
 //!
-//! `Front` (crate-internal) bundles everything that must sit behind
-//! one lock in the threaded service: the bounded queue, the request
-//! spans and the serve tallies. [`ServeEngine`] glues a `Front` to a
-//! [`BatchExecutor`] into the deterministic, explicitly pumped form the
-//! scripted determinism tests drive, and keeps its batch log.
+//! `Front` (crate-internal) bundles the lock-scoped half of one shard:
+//! the bounded queue, the request spans and the serve tallies.
+//! [`ServeEngine`] glues a `Front` to a [`BatchExecutor`] into one
+//! shard's state machine. Its pass runs in three steps — form, execute,
+//! land — so a driver can execute batches outside its lock; [`pump`]
+//! runs them in a row, which is the deterministic, explicitly pumped
+//! form the scripted determinism tests drive.
+//!
+//! [`pump`]: ServeEngine::pump
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use canti_farm::{FarmObserver, JobSpec};
@@ -107,7 +110,7 @@ pub(crate) enum Admission {
 /// The lock-scoped half of the serving layer: admission, expiry, batch
 /// formation, spans and tallies. No execution happens here — formed
 /// batches are handed out for the caller to run, so the threaded
-/// service can execute them outside its lock.
+/// driver can execute them outside its lock.
 #[derive(Debug)]
 pub(crate) struct Front {
     queue: AdmissionQueue,
@@ -161,14 +164,6 @@ impl Front {
 
     pub(crate) fn depth(&self) -> usize {
         self.queue.depth()
-    }
-
-    pub(crate) fn is_draining(&self) -> bool {
-        self.queue.is_draining()
-    }
-
-    pub(crate) fn next_wakeup_ns(&self) -> Option<u64> {
-        self.queue.next_wakeup_ns()
     }
 
     pub(crate) fn instruments(&self) -> Option<&crate::exec::ServeInstruments> {
@@ -430,7 +425,7 @@ impl Front {
     /// Marks the shard failed (later submissions get
     /// [`RejectReason::ShardFailed`]) and answers everything still
     /// queued terminally.
-    pub(crate) fn fail_queued(&mut self) -> Vec<ServeResponse> {
+    fn fail_queued(&mut self) -> Vec<ServeResponse> {
         self.queue.fail();
         let victims = self.queue.take_all();
         let now_ns = self.clock.now_ns();
@@ -445,7 +440,7 @@ impl Front {
     /// Answers one admitted request — and every follower coalesced onto
     /// it — [`RejectReason::ShardFailed`]. Used for batch members whose
     /// execution died underneath them.
-    pub(crate) fn fail_pending(&mut self, p: &Pending) -> Vec<ServeResponse> {
+    fn fail_pending(&mut self, p: &Pending) -> Vec<ServeResponse> {
         let now_ns = self.clock.now_ns();
         self.fail_pending_at(p, now_ns)
     }
@@ -475,15 +470,16 @@ impl Front {
         out
     }
 
-    /// Answers requests whose `Pending`s are gone (consumed by the batch
-    /// that died) from what the ticket table still knows: `(local id,
-    /// key, trace, enqueued_ns)` per request.
-    pub(crate) fn fail_inflight(&mut self, known: &[(u64, u64, u64, u64)]) -> Vec<ServeResponse> {
+    /// Answers [`RejectReason::ShardFailed`] to requests known only by
+    /// what a driver's ticket table holds: `(local id, key, enqueued_ns)`
+    /// per request.
+    fn abandon_open(&mut self, known: &[(u64, u64, u64)]) -> Vec<ServeResponse> {
         let now_ns = self.clock.now_ns();
         known
             .iter()
-            .map(|&(id, key, trace, enqueued_ns)| {
+            .map(|&(id, key, enqueued_ns)| {
                 self.stats.failed += 1;
+                let trace = canti_obs::trace_id(key);
                 self.abandon(
                     id,
                     key,
@@ -494,11 +490,6 @@ impl Front {
                 )
             })
             .collect()
-    }
-
-    /// Clears the failed mark after a restart.
-    pub(crate) fn mark_recovered(&mut self) {
-        self.queue.restore();
     }
 
     /// One abandoned request: span closed, SLO breached, debug record
@@ -673,10 +664,13 @@ impl Front {
 #[derive(Debug)]
 pub struct ServeEngine {
     front: Front,
-    executor: BatchExecutor,
-    /// Cache hits answered at admission, delivered at the next pump.
+    /// Shared so a threaded driver can run a batch outside its lock.
+    executor: Arc<BatchExecutor>,
+    /// Cache hits answered at admission, delivered at the next pump
+    /// (pumped admissions only).
     hits: Vec<ServeResponse>,
-    /// Every batch formed so far, in formation order.
+    /// Every batch formed so far, in formation order (pumped passes
+    /// only).
     batch_log: Vec<BatchRecord>,
     failed: bool,
     restarts: u64,
@@ -697,7 +691,7 @@ impl ServeEngine {
         }
         Self {
             front: Front::new(config, clock, None, None, cache),
-            executor,
+            executor: Arc::new(executor),
             hits: Vec::new(),
             batch_log: Vec::new(),
             failed: false,
@@ -712,9 +706,8 @@ impl ServeEngine {
     pub fn with_chaos_plan(mut self, plan: &canti_fault::ServeFaultPlan, shard: usize) -> Self {
         let chaos = canti_fault::ServeChaos::new(plan, shard);
         if !chaos.is_empty() {
-            self.executor = self
-                .executor
-                .with_chaos(Arc::new(std::sync::Mutex::new(chaos)));
+            let chaos = Arc::new(std::sync::Mutex::new(chaos));
+            self.executor = Arc::new(unshared(self.executor).with_chaos(chaos));
         }
         self
     }
@@ -735,7 +728,7 @@ impl ServeEngine {
             Some(instruments.clone()),
             self.front.cache.clone(), // keep the executor's cache handle
         );
-        self.executor = self.executor.with_instruments(observer, instruments);
+        self.executor = Arc::new(unshared(self.executor).with_instruments(observer, instruments));
         self
     }
 
@@ -760,8 +753,18 @@ impl ServeEngine {
         if !self.failed {
             return false;
         }
-        self.executor = self.executor.resurrected();
-        self.front.mark_recovered();
+        let fresh = self.executor.resurrected();
+        drop(self.restart(fresh));
+        true
+    }
+
+    /// [`Self::resurrect`] onto `fresh`, the dead executor's
+    /// [`BatchExecutor::resurrected`] copy, returning the dead executor:
+    /// a threaded driver spawns the fresh pool and joins the dead one
+    /// outside its lock.
+    pub(crate) fn restart(&mut self, fresh: BatchExecutor) -> Arc<BatchExecutor> {
+        let dead = std::mem::replace(&mut self.executor, Arc::new(fresh));
+        self.front.queue.restore();
         self.failed = false;
         self.restarts += 1;
         if let Some(ins) = self.executor.instruments() {
@@ -771,7 +774,7 @@ impl ServeEngine {
             o.tracer()
                 .event("shard_recovered", &[("restarts", self.restarts.into())]);
         }
-        true
+        dead
     }
 
     /// Submits a request without an explicit deadline (the config
@@ -782,7 +785,7 @@ impl ServeEngine {
     /// Rejected with a [`RejectReason`] when the queue is full or the
     /// engine is draining.
     pub fn submit(&mut self, job: JobSpec) -> Result<u64, RejectReason> {
-        self.admit(job, None, None, 0)
+        self.admit(job, None, 0)
     }
 
     /// Submits a request that expires `deadline_ns` after admission if
@@ -797,7 +800,7 @@ impl ServeEngine {
         job: JobSpec,
         deadline_ns: u64,
     ) -> Result<u64, RejectReason> {
-        self.admit(job, Some(deadline_ns), None, 0)
+        self.admit(job, Some(deadline_ns), 0)
     }
 
     /// Submits a request with an explicit brownout priority class:
@@ -814,18 +817,7 @@ impl ServeEngine {
         deadline_ns: Option<u64>,
         priority: u8,
     ) -> Result<u64, RejectReason> {
-        self.admit(job, deadline_ns, None, priority)
-    }
-
-    /// Submission with an explicit seed key: the sharded front passes
-    /// the global request id so payloads are shard-count-invariant.
-    pub(crate) fn submit_keyed(
-        &mut self,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-        key: u64,
-    ) -> Result<u64, RejectReason> {
-        self.admit(job, deadline_ns, Some(key), 0)
+        self.admit(job, deadline_ns, priority)
     }
 
     /// Admits through the front, holding a cache hit's response for the
@@ -834,15 +826,34 @@ impl ServeEngine {
         &mut self,
         job: JobSpec,
         deadline_ns: Option<u64>,
-        key: Option<u64>,
         priority: u8,
     ) -> Result<u64, RejectReason> {
-        match self.front.admit(job, deadline_ns, key, priority)? {
-            Admission::Queued(id) => Ok(id),
+        let admission = self.front.admit(job, deadline_ns, None, priority)?;
+        Ok(self.hold(admission))
+    }
+
+    /// Admits through the front under an explicit seed key — the
+    /// sharded front passes the global request id, so payloads are
+    /// shard-count-invariant. A cache hit comes back answered; the
+    /// pumped front then [`hold`](Self::hold)s it for the next pump.
+    pub(crate) fn place(
+        &mut self,
+        job: JobSpec,
+        deadline_ns: Option<u64>,
+        key: u64,
+    ) -> Result<Admission, RejectReason> {
+        self.front.admit(job, deadline_ns, Some(key), 0)
+    }
+
+    /// The pumped half of an admission: buffers a hit's response for the
+    /// next pump and returns the admitted local id.
+    pub(crate) fn hold(&mut self, admission: Admission) -> u64 {
+        match admission {
+            Admission::Queued(id) => id,
             Admission::Hit(response) => {
                 let id = response.request_id;
                 self.hits.push(response);
-                Ok(id)
+                id
             }
         }
     }
@@ -853,6 +864,12 @@ impl ServeEngine {
         self.front.instruments()
     }
 
+    /// The executor the next batch runs on: a handle a driver holds
+    /// while it executes outside its lock.
+    pub(crate) fn executor(&self) -> Arc<BatchExecutor> {
+        Arc::clone(&self.executor)
+    }
+
     /// Advances the serving state machine at the current clock reading:
     /// expires overdue requests, sheds over the brownout mark, then
     /// forms and executes every ready batch. Returns all responses
@@ -860,71 +877,104 @@ impl ServeEngine {
     /// completions in admission order. A failed engine pumps to nothing
     /// until resurrected (its queue was already answered terminally).
     pub fn pump(&mut self) -> Vec<ServeResponse> {
-        if self.failed {
-            return Vec::new();
-        }
-        // cache hits buffered since the last pump flush first: they were
-        // admitted (and answered) before anything that follows
-        let mut out = std::mem::take(&mut self.hits);
-        out.extend(self.front.take_expired());
-        out.extend(self.front.take_shed());
-        let batches = self.front.form_ready();
-        out.extend(self.run_batches(batches));
-        self.front.finish_noop();
-        out
+        self.pass(false)
     }
 
     /// Stops admission and flushes everything still queued as final
     /// batches (expiring overdue requests first). After draining, every
     /// submission is rejected with [`RejectReason::Draining`].
     pub fn drain(&mut self) -> Vec<ServeResponse> {
-        if self.failed {
-            self.front.queue.begin_drain();
-            return Vec::new();
-        }
-        let mut out = std::mem::take(&mut self.hits);
-        out.extend(self.front.take_expired());
-        let batches = self.front.begin_drain();
-        out.extend(self.run_batches(batches));
+        self.pass(true)
+    }
+
+    fn pass(&mut self, drain: bool) -> Vec<ServeResponse> {
+        let mut out = Vec::new();
+        let batches = self.form(drain, &mut out);
+        out.extend(self.run(batches));
         out
     }
 
-    /// Logs formed batches and executes them, converting an executor
-    /// panic (a chaos kill or a real bug) into terminal answers for
-    /// **every** outstanding request — the batch that died, the batches
-    /// formed behind it, and everything still queued. No admitted
-    /// request is ever left hanging.
-    fn run_batches(&mut self, batches: Vec<FormedBatch>) -> Vec<ServeResponse> {
+    /// Step 1 of a pass: answers into `out` the cache hits buffered
+    /// since the last pump (they were admitted before anything that
+    /// follows), then expiries, then — outside a drain — brownout
+    /// sheds, and releases the batches now due. `drain` stops admission
+    /// and releases everything queued. A failed engine forms nothing:
+    /// its queue was already answered terminally.
+    pub(crate) fn form(&mut self, drain: bool, out: &mut Vec<ServeResponse>) -> Vec<FormedBatch> {
+        if self.failed {
+            if drain {
+                self.front.queue.begin_drain();
+            }
+            return Vec::new();
+        }
+        out.append(&mut self.hits);
+        out.extend(self.front.take_expired());
+        if drain {
+            return self.front.begin_drain();
+        }
+        out.extend(self.front.take_shed());
+        self.front.form_ready()
+    }
+
+    /// Steps 2 and 3 on this thread, for the pumped forms: logs the
+    /// formed batches, then executes and lands each in turn.
+    pub(crate) fn run(&mut self, batches: Vec<FormedBatch>) -> Vec<ServeResponse> {
         self.batch_log.extend(batches.iter().map(BatchRecord::of));
+        let executor = self.executor();
         let mut out = Vec::new();
         let mut batches = batches.into_iter();
         while let Some(batch) = batches.next() {
-            let members = batch.items.clone();
-            let index = batch.index;
-            match catch_unwind(AssertUnwindSafe(|| self.executor.execute(batch))) {
-                Ok(responses) => {
-                    self.front.finish(&responses);
-                    out.extend(responses);
-                }
-                Err(_) => {
-                    self.failed = true;
-                    if let Some(o) = self.executor.observer() {
-                        o.tracer().event("shard_down", &[("batch", index.into())]);
-                    }
-                    for p in &members {
-                        out.extend(self.front.fail_pending(p));
-                    }
-                    for stranded in batches.by_ref() {
-                        for p in &stranded.items {
-                            out.extend(self.front.fail_pending(p));
-                        }
-                    }
-                    out.extend(self.front.fail_queued());
-                    break;
-                }
-            }
+            let ran = executor.try_execute(&batch);
+            out.extend(self.land(&batch, ran, &mut batches));
         }
         out
+    }
+
+    /// Step 3 of a pass: lands one executed batch. A clean run closes
+    /// its members' spans and bumps the tallies. An executor panic (a
+    /// chaos kill or a real bug) fails the shard and answers **every**
+    /// outstanding request terminally — the batch that died, the batches
+    /// formed behind it in `rest`, and everything still queued. No
+    /// admitted request is ever left hanging.
+    pub(crate) fn land(
+        &mut self,
+        batch: &FormedBatch,
+        ran: std::thread::Result<Vec<ServeResponse>>,
+        rest: &mut impl Iterator<Item = FormedBatch>,
+    ) -> Vec<ServeResponse> {
+        if let Ok(responses) = ran {
+            self.front.finish(&responses);
+            return responses;
+        }
+        self.failed = true;
+        if let Some(o) = self.executor.observer() {
+            o.tracer()
+                .event("shard_down", &[("batch", batch.index.into())]);
+        }
+        let stranded: Vec<FormedBatch> = rest.collect();
+        let mut out = Vec::new();
+        for p in batch
+            .items
+            .iter()
+            .chain(stranded.iter().flat_map(|b| &b.items))
+        {
+            out.extend(self.front.fail_pending(p));
+        }
+        out.extend(self.front.fail_queued());
+        self.front.finish(&[]); // keeps `stats.batches` at the batches formed
+        out
+    }
+
+    /// Fails the shard after its driver panicked outside a batch: drops
+    /// the queue and answers every request in `open` — `(local id, key,
+    /// enqueued_ns)` of each ticket the driver still holds, queued or in
+    /// a batch that never landed.
+    pub(crate) fn fail(&mut self, open: &[(u64, u64, u64)]) -> Vec<ServeResponse> {
+        self.failed = true;
+        self.front.queue.fail();
+        self.front.queue.take_all();
+        self.front.observe_depth();
+        self.front.abandon_open(open)
     }
 
     /// Requests currently queued.
@@ -936,14 +986,14 @@ impl ServeEngine {
     /// Whether the engine has drained and admits nothing new.
     #[must_use]
     pub fn is_draining(&self) -> bool {
-        self.front.is_draining()
+        self.front.queue.is_draining()
     }
 
     /// The earliest future instant at which queued state can change on
     /// its own (linger or deadline); `None` while the queue is empty.
     #[must_use]
     pub fn next_wakeup_ns(&self) -> Option<u64> {
-        self.front.next_wakeup_ns()
+        self.front.queue.next_wakeup_ns()
     }
 
     /// The running tallies.
@@ -992,11 +1042,10 @@ impl ServeEngine {
     }
 }
 
-impl Front {
-    /// Keeps `stats.batches` in step even on pumps that formed nothing.
-    fn finish_noop(&mut self) {
-        self.stats.batches = self.queue.batches_formed();
-    }
+/// Takes back sole ownership of an executor while its engine is still
+/// being built, before any batch could hold a handle to it.
+fn unshared(executor: Arc<BatchExecutor>) -> BatchExecutor {
+    Arc::try_unwrap(executor).expect("an engine under construction shares no executor")
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Batch execution against the farm, plus the serve-side instruments.
 //!
 //! The executor is intentionally `&self`-only: it owns no queue state,
-//! so the threaded service can run a batch *outside* the admission lock
-//! — submissions keep getting fast admit/reject answers while a batch
+//! so the threaded driver can run a batch *outside* the engine lock —
+//! submissions keep getting fast admit/reject answers while a batch
 //! computes.
 
 use std::sync::{Arc, Mutex};
@@ -200,7 +200,7 @@ impl BatchExecutor {
     /// Attaches a farm observer: batches run with farm telemetry and the
     /// serve-side counters/histograms/spans are recorded into the same
     /// registry and trace stream. SLO scoring uses the default
-    /// [`SloConfig`]; the engine/service paths instead inject the shared
+    /// [`SloConfig`]; the engine paths instead inject the shared
     /// instruments built from their [`crate::ServeConfig::slo`].
     #[must_use]
     pub fn with_observer(self, observer: FarmObserver) -> Self {
@@ -244,12 +244,21 @@ impl BatchExecutor {
         &self.clock
     }
 
+    /// [`Self::execute`] with a panic (a chaos kill, a poisoned pool, a
+    /// real bug) caught and returned for the engine's failure path.
+    pub(crate) fn try_execute(
+        &self,
+        batch: &FormedBatch,
+    ) -> std::thread::Result<Vec<ServeResponse>> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.execute(batch)))
+    }
+
     /// Executes `batch` on a farm riding this executor's persistent
     /// pool and precompute cache, returning one response per member
     /// request in admission order. Payloads derive from each member's
     /// per-request seed (fixed at admission), not its batch slot.
     #[must_use]
-    pub fn execute(&self, batch: FormedBatch) -> Vec<ServeResponse> {
+    pub fn execute(&self, batch: &FormedBatch) -> Vec<ServeResponse> {
         // held for the whole execution so the farm's spans nest inside
         let _span = self.observer.as_ref().map(|o| {
             o.tracer().span(
@@ -345,7 +354,7 @@ impl BatchExecutor {
         let formed_ns = batch.formed_ns;
         let index = batch.index;
         let mut responses = Vec::with_capacity(answered as usize);
-        for (pending, result) in batch.items.into_iter().zip(report.outcomes) {
+        for (pending, result) in batch.items.iter().zip(report.outcomes) {
             // feed the result cache in admission order, successes only —
             // a per-job failure (or an injected fault) never poisons it
             if let (Some(cache), Some(key), Ok(out)) =
@@ -456,12 +465,23 @@ impl BatchExecutor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::queue::AdmissionQueue;
     use crate::ServeConfig;
     use canti_farm::ProbeMode;
     use canti_obs::VirtualClock;
+
+    /// Holds `executor`'s chaos injector: no batch gets past its fault
+    /// decision until the guard drops.
+    pub(crate) fn hold_chaos(executor: &BatchExecutor) -> std::sync::MutexGuard<'_, ServeChaos> {
+        executor
+            .chaos
+            .as_ref()
+            .expect("a chaos plan is armed")
+            .lock()
+            .expect("serve chaos injector poisoned")
+    }
 
     fn formed(jobs: usize, clock_now: u64) -> FormedBatch {
         let mut q = AdmissionQueue::new(ServeConfig {
@@ -481,7 +501,7 @@ mod tests {
         clock.set_ns(500);
         let exec = BatchExecutor::new(2, clock.clone());
         let batch = formed(4, 100);
-        let responses = exec.execute(batch);
+        let responses = exec.execute(&batch);
         assert_eq!(responses.len(), 4);
         for (i, r) in responses.iter().enumerate() {
             assert_eq!(r.request_id, i as u64);
@@ -510,9 +530,9 @@ mod tests {
     #[test]
     fn worker_count_does_not_change_payloads() {
         let clock = Arc::new(VirtualClock::new());
-        let oracle = BatchExecutor::new(1, clock.clone()).execute(formed(8, 0));
+        let oracle = BatchExecutor::new(1, clock.clone()).execute(&formed(8, 0));
         for threads in [2, 8] {
-            let run = BatchExecutor::new(threads, clock.clone()).execute(formed(8, 0));
+            let run = BatchExecutor::new(threads, clock.clone()).execute(&formed(8, 0));
             assert_eq!(run, oracle, "{threads} farm workers");
         }
     }
@@ -522,7 +542,7 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         let (observer, ring) = FarmObserver::deterministic(4096);
         let exec = BatchExecutor::new(2, clock).with_observer(observer);
-        let responses = exec.execute(formed(3, 0));
+        let responses = exec.execute(&formed(3, 0));
         assert_eq!(responses.len(), 3);
         let m = exec.observer().expect("observer").metrics();
         assert_eq!(m.counter("serve.batches").get(), 1);

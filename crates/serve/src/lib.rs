@@ -26,13 +26,18 @@
 //!   still queued as final batches, fulfils every outstanding ticket and
 //!   only then joins the batcher thread.
 //!
-//! # Two entry points, one core
+//! # One state machine, two drivers
 //!
-//! [`engine::ServeEngine`] is the single-threaded deterministic form:
-//! callers submit and pump it explicitly, which is how the scripted
-//! determinism tests drive it. [`service::ServeService`] wraps the same
-//! admission/batching core with a background batcher thread and blocking
-//! [`service::Ticket`]s for concurrent callers.
+//! [`ShardedEngine`] — routing, failover and supervision over one
+//! [`ServeEngine`] per shard — is the only serve state machine. A
+//! shard's pass runs in three steps: form under the caller's lock,
+//! execute, land. The pumped driver is the engine itself: callers
+//! submit and [`ShardedEngine::pump`] explicitly, which runs the steps
+//! in a row and is how the scripted determinism tests drive it. The
+//! threaded driver, [`ShardedService`], runs the same machine on the
+//! wall clock: one lock around the engine, one batcher thread per shard
+//! executing batches with that lock released, and blocking
+//! [`ShardTicket`]s for concurrent callers.
 //!
 //! # Determinism contract
 //!
@@ -86,10 +91,9 @@ pub use engine::{BatchRecord, ServeEngine, ServeStats};
 pub use exec::BatchExecutor;
 pub use queue::{AdmissionQueue, BatchTrigger, FormedBatch, RejectReason};
 pub use response::{Disposition, LatencyBreakdown, ServeResponse};
-pub use service::{ServeService, Ticket};
+pub use service::{ShardTicket, ShardedService};
 pub use shard::{
-    request_seed, route_failover, route_request, ShardHealth, ShardTicket, ShardedConfig,
-    ShardedEngine, ShardedService,
+    request_seed, route_failover, route_request, ShardHealth, ShardedConfig, ShardedEngine,
 };
 pub use supervisor::{ShardSupervisor, SupervisorConfig};
 

@@ -1,57 +1,58 @@
-//! The threaded serving front: concurrent submitters, one batcher.
+//! The threaded driver: [`ShardedService`] runs the [`ShardedEngine`]
+//! state machine on the wall clock for concurrent callers.
 //!
-//! [`ServeService`] wraps the same admission/batching core as
-//! [`crate::ServeEngine`] behind a mutex and runs a background batcher
-//! thread. Submitters get an immediate admit/reject answer plus a
-//! [`Ticket`] they can block on (or poll); the batcher forms batches
-//! *under* the lock but executes them *outside* it, so admission stays
-//! reject-fast while the farm computes.
+//! One mutex holds the engine and the ticket table, so routing,
+//! failover, health, each queue's failed mark and the restart schedule
+//! change together. A submission takes that lock once: the engine
+//! routes, fails over and admits it, and the caller gets a
+//! [`ShardTicket`] — already answered when the result cache hit. Each
+//! shard has one batcher thread with its own [`Condvar`], which runs
+//! the engine's shard pass in its three steps: form under the lock,
+//! execute with the lock released (so admission stays reject-fast while
+//! the farm computes), land back under the lock, where the answered
+//! requests' tickets are fulfilled.
 //!
-//! # Failure and revival
+//! # Failure and restart
 //!
-//! Every admitted request gets a **terminal** answer — that promise
-//! holds even when execution dies underneath it. A batch whose executor
-//! panics (a poisoned pool, an armed chaos kill) is caught at the
-//! batcher; the service marks itself [`ShardHealth::Down`], answers the
-//! doomed batch, every later formed batch and the whole queue with
-//! [`crate::Disposition::Failed`] / [`RejectReason::ShardFailed`], and
-//! rejects new submissions the same way. [`Ticket::wait`] therefore
-//! never hangs on a dead shard. A down service stays down until
-//! [`ServeService::revive`] (called by the sharded supervisor after its
-//! backoff) swaps in a fresh executor — fresh worker pool, same shared
-//! cache, clock and instruments — and reopens admission as
-//! [`ShardHealth::Recovering`].
+//! Every admitted request gets a **terminal** answer. A batch whose
+//! executor panics (a poisoned pool, an armed chaos kill) lands through
+//! the engine's failure path: the shard goes [`ShardHealth::Down`] and
+//! the doomed batch, the batches formed behind it and the whole queue
+//! are answered [`RejectReason::ShardFailed`]. A `Down` shard's batcher
+//! sleeps until the supervisor's restart instant and then restarts the
+//! shard, spawning its fresh worker pool outside the lock. A panic
+//! outside `execute` fails the shard the same way and answers every
+//! ticket it held, so [`ShardTicket::wait`] never hangs on a dead shard.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use canti_farm::{FarmObserver, JobSpec};
-use canti_fault::{ServeChaos, ServeFaultPlan};
+use canti_fault::ServeFaultPlan;
 use canti_obs::{ObsClock, WallClock};
 
-use crate::engine::{Admission, Front, ServeStats};
-use crate::exec::BatchExecutor;
+use crate::engine::{Admission, ServeStats};
 use crate::queue::{FormedBatch, RejectReason};
-use crate::response::{Disposition, ServeResponse};
-use crate::shard::ShardHealth;
-use crate::ServeConfig;
+use crate::response::ServeResponse;
+use crate::shard::{ShardHealth, ShardedConfig, ShardedEngine};
+use crate::supervisor::SupervisorConfig;
 
-/// How long the batcher sleeps when the queue is empty and nothing can
-/// change without a new submission (a submission kicks it immediately).
+/// How long a batcher sleeps after a pass that changed nothing (a
+/// submission to its shard wakes it at once).
 const IDLE_WAIT: Duration = Duration::from_millis(50);
 
-/// A claim on one admitted request's eventual response.
+/// A claim on one request's response, under its global id.
 ///
 /// Fulfilled exactly once — by a cache hit inside `submit`, batch
-/// completion, deadline expiry, shard failure, or the drain flush at
+/// completion, deadline expiry, shard failure, or the drain at
 /// shutdown. Dropping the ticket discards the response.
 #[derive(Debug)]
-pub struct Ticket {
-    id: u64,
+pub struct ShardTicket {
+    global_id: u64,
+    shard: usize,
     slot: Arc<Slot>,
 }
 
@@ -61,37 +62,29 @@ struct Slot {
     ready: Condvar,
 }
 
-impl Ticket {
-    /// A ticket that already holds its response (a cache hit).
-    fn answered(response: ServeResponse) -> Self {
-        Self {
-            id: response.request_id,
-            slot: Arc::new(Slot {
-                response: Mutex::new(Some(response)),
-                ready: Condvar::new(),
-            }),
-        }
-    }
-
-    /// The request id this ticket redeems.
+impl ShardTicket {
+    /// The global request id this ticket redeems.
     #[must_use]
     pub fn id(&self) -> u64 {
-        self.id
+        self.global_id
     }
 
-    /// Blocks until the response arrives and returns it.
-    ///
-    /// Every admitted request is answered terminally — completion,
-    /// expiry, shard failure, or the shutdown drain — so this cannot
-    /// wait forever: a dying batcher fails its outstanding tickets
-    /// before the shard goes down.
+    /// The shard serving this request (after failover, when it applied).
+    #[must_use]
+    pub fn shard(&self) -> usize {
+        self.shard
+    }
+
+    /// Blocks until the response arrives and returns it. Always
+    /// terminal: if the serving shard dies, the response is
+    /// [`crate::Disposition::Failed`] — never a hang.
     #[must_use]
     pub fn wait(self) -> ServeResponse {
         let mut guard = self
             .slot
             .response
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(response) = guard.take() {
                 return response;
@@ -100,7 +93,7 @@ impl Ticket {
                 .slot
                 .ready
                 .wait(guard)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -110,594 +103,533 @@ impl Ticket {
         self.slot
             .response
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .take()
     }
 }
 
-/// What the ticket table remembers about an outstanding request — enough
-/// to answer it terminally even if its `Pending` was consumed by a batch
-/// that died taking the batcher thread with it.
+/// An open ticket as the table remembers it: enough to answer it
+/// terminally even when its batch never lands.
 #[derive(Debug)]
-struct TicketCell {
+struct Open {
+    global_id: u64,
+    admitted_ns: u64,
     slot: Arc<Slot>,
-    key: u64,
-    trace: u64,
-    enqueued_ns: u64,
 }
 
+#[derive(Debug)]
 struct State {
-    front: Front,
-    tickets: BTreeMap<u64, TicketCell>,
+    engine: ShardedEngine,
+    /// Open tickets by (shard, local id).
+    tickets: BTreeMap<(usize, u64), Open>,
+    stopping: bool,
 }
 
-struct Shared {
-    state: Mutex<State>,
-    wake: Condvar,
-    executor: Mutex<BatchExecutor>,
-    clock: Arc<dyn ObsClock>,
-    stop: AtomicBool,
-    health: AtomicU8,
-    restarts: AtomicU64,
-}
-
-impl Shared {
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn executor(&self) -> MutexGuard<'_, BatchExecutor> {
-        self.executor
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn health(&self) -> ShardHealth {
-        ShardHealth::from_u8(self.health.load(Ordering::SeqCst))
-    }
-
-    /// One clean batch moves the health ladder one rung:
-    /// `Recovering → Degraded → Healthy`.
-    fn promote_health(&self) {
-        let next = match self.health() {
-            ShardHealth::Recovering => ShardHealth::Degraded,
-            ShardHealth::Degraded => ShardHealth::Healthy,
-            other => other,
-        };
-        self.health.store(next.as_u8(), Ordering::SeqCst);
-    }
-
-    fn fulfil(state: &mut State, responses: Vec<ServeResponse>) {
-        for response in responses {
-            if let Some(cell) = state.tickets.remove(&response.request_id) {
-                *cell
+impl State {
+    /// Fulfils the tickets of `shard`'s answered requests, under their
+    /// global ids.
+    fn deliver(&mut self, shard: usize, responses: Vec<ServeResponse>) {
+        for mut response in responses {
+            if let Some(open) = self.tickets.remove(&(shard, response.request_id)) {
+                response.request_id = open.global_id;
+                *open
                     .slot
                     .response
                     .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(response);
-                cell.slot.ready.notify_all();
+                    .unwrap_or_else(PoisonError::into_inner) = Some(response);
+                open.slot.ready.notify_all();
             }
         }
     }
 }
 
-/// The multi-threaded serving service.
+#[derive(Debug)]
+struct Driver {
+    state: Mutex<State>,
+    /// Per shard: wakes that shard's batcher.
+    wake: Vec<Condvar>,
+    clock: Arc<dyn ObsClock>,
+}
+
+impl Driver {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One shard's batcher: pass after pass until shutdown; the last
+    /// pass drains, stopping admission and answering every ticket left.
+    fn serve(&self, shard: usize) {
+        loop {
+            let mut state = self.lock();
+            let drain = state.stopping;
+            if !drain && state.engine.restart_due(shard) {
+                drop(state);
+                self.restart(shard);
+                continue;
+            }
+            let mut answered = Vec::new();
+            let batches = state.engine.shard_mut(shard).form(drain, &mut answered);
+            let idle = answered.is_empty() && batches.is_empty();
+            state.deliver(shard, answered);
+            if !batches.is_empty() {
+                // the pass ends unlocked: callers whose tickets just
+                // landed can submit before the next pass forms
+                self.run(shard, state, batches).engine.end_pass(shard);
+            } else if idle && !drain {
+                // waits under the pass's own lock, so no wake-up is
+                // lost; a Down shard sleeps until its restart falls due
+                let wait = state
+                    .engine
+                    .supervisor()
+                    .next_restart_ns(shard)
+                    .map_or(IDLE_WAIT, |due| {
+                        Duration::from_nanos(due.saturating_sub(self.clock.now_ns()))
+                    });
+                drop(self.wake[shard].wait_timeout(state, wait));
+            }
+            if drain {
+                return;
+            }
+        }
+    }
+
+    /// Restarts a shard whose backoff is due. The lock is held only to
+    /// take the dying executor and to swap in the fresh one: the fresh
+    /// worker pool is spawned, and the dead one joined, outside it.
+    fn restart(&self, shard: usize) {
+        let dying = self.lock().engine.shard(shard).executor();
+        let fresh = dying.resurrected();
+        let dead = self.lock().engine.restart(shard, fresh);
+        drop((dying, dead)); // the last handles on the dead pool
+    }
+
+    /// Steps 2 and 3 of a pass: executes each formed batch with the lock
+    /// released and lands it back under the lock. Returns holding it.
+    fn run<'a>(
+        &'a self,
+        shard: usize,
+        mut state: MutexGuard<'a, State>,
+        batches: Vec<FormedBatch>,
+    ) -> MutexGuard<'a, State> {
+        let executor = state.engine.shard(shard).executor();
+        let mut batches = batches.into_iter();
+        while let Some(batch) = batches.next() {
+            drop(state);
+            let ran = executor.try_execute(&batch);
+            state = self.lock();
+            let answered = state
+                .engine
+                .shard_mut(shard)
+                .land(&batch, ran, &mut batches);
+            state.deliver(shard, answered);
+        }
+        state
+    }
+
+    /// The safety net for a batcher that panicked outside `execute`
+    /// (those panics land through the engine): fails its shard and
+    /// answers every ticket the shard still held.
+    fn fail(&self, shard: usize) {
+        let mut state = self.lock();
+        let open: Vec<(u64, u64, u64)> = state
+            .tickets
+            .range((shard, 0)..(shard + 1, 0))
+            .map(|(&(_, local), o)| (local, o.global_id, o.admitted_ns))
+            .collect();
+        let answered = state.engine.fail_shard(shard, &open);
+        state.deliver(shard, answered);
+    }
+}
+
+/// The threaded serving layer: a [`ShardedEngine`] behind one lock,
+/// one batcher thread per shard, and blocking [`ShardTicket`]s for
+/// concurrent callers.
 ///
 /// ```
 /// use canti_farm::{JobSpec, ProbeMode};
-/// use canti_serve::{ServeConfig, ServeService};
+/// use canti_serve::{ServeConfig, ShardedConfig, ShardedService};
 ///
-/// let service = ServeService::start(ServeConfig {
-///     max_batch: 2,
-///     linger_ns: 1_000, // 1 µs: fire quickly even for a lone request
-///     threads: 1,
-///     ..ServeConfig::default()
+/// let service = ShardedService::start(ShardedConfig {
+///     shards: 1,
+///     base: ServeConfig {
+///         max_batch: 2,
+///         linger_ns: 1_000, // 1 µs: fire quickly even for a lone request
+///         threads: 1,
+///         ..ServeConfig::default()
+///     },
 /// });
 /// let ticket = service.submit(JobSpec::Probe(ProbeMode::Value(1.0))).unwrap();
-/// let response = ticket.wait();
-/// assert!(response.disposition.is_ok());
-/// let stats = service.shutdown();
-/// assert_eq!(stats.completed, 1);
+/// assert!(ticket.wait().disposition.is_ok());
+/// let per_shard = service.shutdown();
+/// assert_eq!(per_shard[0].completed, 1);
 /// ```
-pub struct ServeService {
-    shared: Arc<Shared>,
-    batcher: Mutex<Option<JoinHandle<()>>>,
+#[derive(Debug)]
+pub struct ShardedService {
+    driver: Arc<Driver>,
+    batchers: Vec<JoinHandle<()>>,
 }
 
-impl ServeService {
-    /// Starts a service on the wall clock with no observer.
+impl ShardedService {
+    /// Starts `config.shard_count()` shards on one wall clock.
     #[must_use]
-    pub fn start(config: ServeConfig) -> Self {
-        Self::start_with(config, Arc::new(WallClock::new()), None, None)
+    pub fn start(config: ShardedConfig) -> Self {
+        Self::start_with(
+            config,
+            None,
+            &ServeFaultPlan::default(),
+            SupervisorConfig::default(),
+        )
     }
 
-    /// Starts a service recording serve metrics, spans and farm
-    /// telemetry into `observer`, timed on the observer's own clock.
+    /// Starts one observed shard per observer, every shard timed on the
+    /// first observer's clock (construct the observers over one shared
+    /// clock for coherent timestamps).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `observers.len()` equals the shard count.
     #[must_use]
-    pub fn start_observed(config: ServeConfig, observer: FarmObserver) -> Self {
-        let clock = Arc::clone(observer.clock());
-        Self::start_with(config, clock, Some(observer), None)
+    pub fn start_observed(config: ShardedConfig, observers: Vec<FarmObserver>) -> Self {
+        Self::start_with(
+            config,
+            Some(observers),
+            &ServeFaultPlan::default(),
+            SupervisorConfig::default(),
+        )
     }
 
-    /// [`Self::start_observed`] with this shard's slice of a serve fault
-    /// plan armed on the executor.
-    pub(crate) fn start_chaos(
-        config: ServeConfig,
-        observer: FarmObserver,
+    /// [`Self::start_observed`] with a serve fault plan armed and an
+    /// explicit supervision policy — the chaos entry point.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `observers.len()` equals the shard count.
+    #[must_use]
+    pub fn start_chaos(
+        config: ShardedConfig,
+        observers: Vec<FarmObserver>,
         plan: &ServeFaultPlan,
-        shard: usize,
+        supervision: SupervisorConfig,
     ) -> Self {
-        let clock = Arc::clone(observer.clock());
-        Self::start_with(config, clock, Some(observer), Some((plan, shard)))
+        Self::start_with(config, Some(observers), plan, supervision)
     }
 
     fn start_with(
-        config: ServeConfig,
-        clock: Arc<dyn ObsClock>,
-        observer: Option<FarmObserver>,
-        chaos: Option<(&ServeFaultPlan, usize)>,
+        config: ShardedConfig,
+        observers: Option<Vec<FarmObserver>>,
+        plan: &ServeFaultPlan,
+        supervision: SupervisorConfig,
     ) -> Self {
-        let mut executor = BatchExecutor::new(config.threads, Arc::clone(&clock));
-        // one result cache shared by front (lookups) and executor
-        // (inserts); revive keeps it — resurrected() clones the handle
-        let cache = config
-            .cache
-            .map(|c| Arc::new(Mutex::new(crate::cache::ReportCache::new(c))));
-        if let Some(c) = &cache {
-            executor = executor.with_report_cache(Arc::clone(c));
+        let clock: Arc<dyn ObsClock> = match observers.as_ref().and_then(|o| o.first()) {
+            Some(first) => Arc::clone(first.clock()),
+            None => Arc::new(WallClock::new()),
+        };
+        let mut engine = ShardedEngine::new(config, Arc::clone(&clock))
+            .with_supervisor(supervision)
+            .with_chaos_plan(plan);
+        if let Some(observers) = observers {
+            engine = engine.with_observers(observers);
         }
-        // one instrument set shared between front and executor: SLO
-        // windows and the request log must see both halves of a request
-        let instruments = observer
-            .as_ref()
-            .map(|o| crate::exec::ServeInstruments::new(o, config.slo, config.timeline));
-        if let Some(o) = &observer {
-            executor = executor.with_instruments(
-                o.clone(),
-                instruments.clone().expect("built above with the observer"),
-            );
-        }
-        if let Some((plan, shard)) = chaos {
-            let injector = ServeChaos::new(plan, shard);
-            if !injector.is_empty() {
-                executor = executor.with_chaos(Arc::new(Mutex::new(injector)));
-            }
-        }
-        let shared = Arc::new(Shared {
+        let shards = engine.shard_count();
+        let driver = Arc::new(Driver {
             state: Mutex::new(State {
-                front: Front::new(config, Arc::clone(&clock), observer, instruments, cache),
+                engine,
                 tickets: BTreeMap::new(),
+                stopping: false,
             }),
-            wake: Condvar::new(),
-            executor: Mutex::new(executor),
+            wake: (0..shards).map(|_| Condvar::new()).collect(),
             clock,
-            stop: AtomicBool::new(false),
-            health: AtomicU8::new(ShardHealth::Healthy.as_u8()),
-            restarts: AtomicU64::new(0),
         });
-        let batcher = spawn_batcher(Arc::clone(&shared));
-        Self {
-            shared,
-            batcher: Mutex::new(Some(batcher)),
-        }
+        let batchers = (0..shards)
+            .map(|shard| spawn_batcher(Arc::clone(&driver), shard))
+            .collect();
+        Self { driver, batchers }
     }
 
-    /// Submits a request (config default deadline, if any, applies) and
-    /// returns its ticket.
+    /// The shard count.
+    #[must_use]
+    pub fn shard_count(&self) -> usize {
+        self.driver.wake.len()
+    }
+
+    /// Submits a request, routed by the global id rule (with failover
+    /// when the primary shard is down).
     ///
     /// # Errors
     ///
-    /// Rejected immediately with a [`RejectReason`] when the queue is
-    /// full, the shard is down, or the service is shutting down.
-    pub fn submit(&self, job: JobSpec) -> Result<Ticket, RejectReason> {
-        self.admit(job, None, None)
+    /// Rejected immediately with the target shard's [`RejectReason`];
+    /// [`RejectReason::ShardFailed`] when no live shard remains.
+    pub fn submit(&self, job: JobSpec) -> Result<ShardTicket, RejectReason> {
+        self.admit(job, None)
     }
 
-    /// Submits a request that expires `deadline_ns` after admission if
-    /// still queued.
+    /// Submits a request that expires `deadline_ns` after admission.
     ///
     /// # Errors
     ///
-    /// Rejected immediately with a [`RejectReason`] when the queue is
-    /// full, the shard is down, or the service is shutting down.
+    /// Rejected immediately with the target shard's [`RejectReason`].
     pub fn submit_with_deadline(
         &self,
         job: JobSpec,
         deadline_ns: u64,
-    ) -> Result<Ticket, RejectReason> {
-        self.admit(job, Some(deadline_ns), None)
+    ) -> Result<ShardTicket, RejectReason> {
+        self.admit(job, Some(deadline_ns))
     }
 
-    /// Submission with an explicit seed key: the sharded front passes
-    /// the global request id so payloads are shard-count-invariant.
-    pub(crate) fn submit_keyed(
-        &self,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-        key: u64,
-    ) -> Result<Ticket, RejectReason> {
-        self.admit(job, deadline_ns, Some(key))
-    }
-
-    fn admit(
-        &self,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-        key: Option<u64>,
-    ) -> Result<Ticket, RejectReason> {
-        let ticket = {
-            let mut state = self.shared.lock();
-            let id = match state.front.admit(job, deadline_ns, key, 0)? {
-                Admission::Queued(id) => id,
-                // a hit changes no queue state: its ticket holds the
-                // answer, with no table entry and no batcher wake-up
-                Admission::Hit(response) => return Ok(Ticket::answered(response)),
-            };
-            let slot = Arc::new(Slot::default());
-            let seed_key = key.unwrap_or(id);
-            state.tickets.insert(
-                id,
-                TicketCell {
+    fn admit(&self, job: JobSpec, deadline_ns: Option<u64>) -> Result<ShardTicket, RejectReason> {
+        let mut state = self.driver.lock();
+        let (shard, global_id, admission) = state.engine.admit(job, deadline_ns)?;
+        let slot = match admission {
+            // a hit changes no queue state: its ticket holds the answer,
+            // with no table entry and no batcher wake-up
+            Admission::Hit(mut response) => {
+                drop(state);
+                response.request_id = global_id;
+                Arc::new(Slot {
+                    response: Mutex::new(Some(response)),
+                    ready: Condvar::new(),
+                })
+            }
+            Admission::Queued(local) => {
+                let slot = Arc::new(Slot::default());
+                let open = Open {
+                    global_id,
+                    admitted_ns: self.driver.clock.now_ns(),
                     slot: Arc::clone(&slot),
-                    key: seed_key,
-                    trace: canti_obs::TraceContext::from_admission(seed_key).trace,
-                    enqueued_ns: self.shared.clock.now_ns(),
-                },
-            );
-            Ticket { id, slot }
+                };
+                state.tickets.insert((shard, local), open);
+                drop(state);
+                self.driver.wake[shard].notify_one();
+                slot
+            }
         };
-        self.shared.wake.notify_all();
-        Ok(ticket)
+        Ok(ShardTicket {
+            global_id,
+            shard,
+            slot,
+        })
     }
 
-    /// Requests currently queued (admitted, not yet batched or expired).
+    fn read<T>(&self, view: impl FnOnce(&ShardedEngine) -> T) -> T {
+        view(&self.driver.lock().engine)
+    }
+
+    /// Total requests queued across all shards.
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.shared.lock().front.depth()
+        self.read(ShardedEngine::queue_depth)
     }
 
-    /// The running serve tallies.
+    /// Summed tallies across shards.
     #[must_use]
     pub fn stats(&self) -> ServeStats {
-        self.shared.lock().front.stats()
+        self.read(ShardedEngine::stats)
     }
 
-    /// The result cache's counters, when [`ServeConfig::cache`] is set.
+    /// Summed result-cache counters across shards (`None` when the
+    /// config has caching off).
     #[must_use]
     pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.shared.lock().front.cache_stats()
+        self.read(ShardedEngine::cache_stats)
     }
 
-    /// This shard's current health. `Down` means the executor died and
-    /// the service is refusing work until [`Self::revive`].
+    /// Per-shard tallies, in shard order.
     #[must_use]
-    pub fn health(&self) -> ShardHealth {
-        self.shared.health()
+    pub fn shard_stats(&self) -> Vec<ServeStats> {
+        self.read(ShardedEngine::shard_stats)
     }
 
-    /// Whether the shard is down (dead executor, refusing work).
+    /// Per-shard health, in shard order, as the supervisor sees it.
     #[must_use]
-    pub fn is_down(&self) -> bool {
-        !self.health().is_live()
+    pub fn healths(&self) -> Vec<ShardHealth> {
+        self.read(ShardedEngine::healths)
     }
 
-    /// Times the executor was replaced by [`Self::revive`].
+    /// Requests rerouted off a down primary so far.
+    #[must_use]
+    pub fn failovers(&self) -> u64 {
+        self.read(ShardedEngine::failovers)
+    }
+
+    /// Shard restarts performed so far, across all shards.
     #[must_use]
     pub fn restarts(&self) -> u64 {
-        self.shared.restarts.load(Ordering::SeqCst)
+        self.read(ShardedEngine::restarts)
     }
 
-    /// Brings a `Down` shard back: swaps in a fresh executor (new worker
-    /// pool; same shared cache, clock, observer and instruments), reopens
-    /// admission and moves health to `Recovering`. Also respawns the
-    /// batcher thread in the unlikely case the thread itself died (the
-    /// normal executor-panic path keeps it alive). Returns `false` when
-    /// the shard was not down.
-    pub fn revive(&self) -> bool {
-        if self
-            .shared
-            .health
-            .compare_exchange(
-                ShardHealth::Down.as_u8(),
-                ShardHealth::Recovering.as_u8(),
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            )
-            .is_err()
-        {
-            return false;
-        }
-        let restarts = self.shared.restarts.fetch_add(1, Ordering::SeqCst) + 1;
-        {
-            let mut executor = self.shared.executor();
-            let fresh = executor.resurrected();
-            *executor = fresh;
-            if let Some(ins) = executor.instruments() {
-                ins.shard_restarts.inc();
-            }
-            if let Some(o) = executor.observer() {
-                o.tracer()
-                    .event("shard_recovered", &[("restarts", restarts.into())]);
-            }
-        }
-        self.shared.lock().front.mark_recovered();
-        {
-            let mut batcher = self
-                .batcher
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if batcher.as_ref().is_some_and(JoinHandle::is_finished) {
-                if let Some(dead) = batcher.take() {
-                    let _ = dead.join();
-                }
-                *batcher = Some(spawn_batcher(Arc::clone(&self.shared)));
-            }
-        }
-        self.shared.wake.notify_all();
-        true
-    }
-
-    /// Records a request failed over *to* this shard (counter + trace
-    /// event on this shard's observer).
-    pub(crate) fn note_failover(&self, request_id: u64, from_shard: usize) {
-        {
-            let state = self.shared.lock();
-            if let Some(ins) = state.front.instruments() {
-                ins.failovers.inc();
-            }
-        }
-        let executor = self.shared.executor();
-        if let Some(o) = executor.observer() {
-            o.tracer().event(
-                "failover",
-                &[("request", request_id.into()), ("from", from_shard.into())],
-            );
-        }
-    }
-
-    /// The attached observer, if the service was started observed.
+    /// Per-shard observers (empty entries when started unobserved).
     #[must_use]
-    pub fn observer(&self) -> Option<FarmObserver> {
-        self.shared.executor().observer().cloned()
+    pub fn observers(&self) -> Vec<Option<FarmObserver>> {
+        self.read(|e| {
+            (0..e.shard_count())
+                .map(|s| e.shard(s).observer().cloned())
+                .collect()
+        })
     }
 
-    /// The SLO tracker scoring this service's requests (present when
-    /// started observed).
+    /// Per-shard SLO trackers, in shard order (empty entries when
+    /// started unobserved).
     #[must_use]
-    pub fn slo(&self) -> Option<Arc<canti_obs::SloTracker>> {
-        self.shared
-            .lock()
-            .front
-            .instruments()
-            .map(|i| Arc::clone(&i.slo))
+    pub fn slos(&self) -> Vec<Option<Arc<canti_obs::SloTracker>>> {
+        self.read(ShardedEngine::slos)
     }
 
-    /// The bounded finished-request log behind `/debug/requests`
-    /// (present when started observed).
+    /// Per-shard request logs, in shard order (empty entries when
+    /// started unobserved).
     #[must_use]
-    pub fn request_log(&self) -> Option<Arc<canti_obs::RequestLog>> {
-        self.shared
-            .lock()
-            .front
-            .instruments()
-            .map(|i| Arc::clone(&i.requests))
+    pub fn request_logs(&self) -> Vec<Option<Arc<canti_obs::RequestLog>>> {
+        self.read(ShardedEngine::request_logs)
     }
 
-    /// The per-window timeline recorder behind `/debug/timeline`
-    /// (present when started observed).
+    /// Per-shard timeline recorders, in shard order (empty entries when
+    /// started unobserved).
     #[must_use]
-    pub fn timeline(&self) -> Option<Arc<canti_obs::TimelineRecorder>> {
-        self.shared
-            .lock()
-            .front
-            .instruments()
-            .map(|i| Arc::clone(&i.timeline))
+    pub fn timelines(&self) -> Vec<Option<Arc<canti_obs::TimelineRecorder>>> {
+        self.read(ShardedEngine::timelines)
     }
 
-    /// The worker threads the executor's persistent pool actually runs.
+    /// Per-shard pool widths (the worker threads each shard's executor
+    /// actually runs), in shard order.
     #[must_use]
-    pub fn pool_threads(&self) -> usize {
-        self.shared.executor().pool_threads()
+    pub fn pool_threads(&self) -> Vec<usize> {
+        self.read(|e| {
+            (0..e.shard_count())
+                .map(|s| e.shard(s).executor().pool_threads())
+                .collect()
+        })
     }
 
-    /// Graceful shutdown: stop admitting (later submissions get
-    /// [`RejectReason::Draining`]), flush everything still queued as
-    /// final batches, fulfil every outstanding ticket, join the batcher
-    /// and return the final tallies.
-    #[must_use = "the drain summary reports what the service did"]
-    pub fn shutdown(self) -> ServeStats {
-        self.shutdown_ref()
+    /// Graceful shutdown: each shard stops admitting (later submissions
+    /// get [`RejectReason::Draining`]), flushes its queue as final
+    /// batches and answers every outstanding ticket; returns the final
+    /// per-shard tallies. Dropping the service does the same.
+    #[must_use = "the drain summaries report what each shard did"]
+    pub fn shutdown(mut self) -> Vec<ServeStats> {
+        self.stop();
+        self.shard_stats()
     }
 
-    /// [`Self::shutdown`] through a shared reference, for fronts that
-    /// hold the service in an [`Arc`] (idempotent: later calls just
-    /// return the tallies).
-    pub(crate) fn shutdown_ref(&self) -> ServeStats {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.wake.notify_all();
-        let handle = self
-            .batcher
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
+    fn stop(&mut self) {
+        self.driver.lock().stopping = true;
+        for wake in &self.driver.wake {
+            wake.notify_all();
         }
-        self.shared.lock().front.stats()
+        for batcher in self.batchers.drain(..) {
+            let _ = batcher.join();
+        }
     }
 }
 
-impl Drop for ServeService {
+impl Drop for ShardedService {
     fn drop(&mut self) {
-        let running = self
-            .batcher
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .is_some();
-        if running {
-            let _ = self.shutdown_ref();
-        }
+        self.stop();
     }
 }
 
-impl std::fmt::Debug for ServeService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeService")
-            .field("health", &self.health())
-            .field("queue_depth", &self.queue_depth())
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-fn spawn_batcher(shared: Arc<Shared>) -> JoinHandle<()> {
+fn spawn_batcher(driver: Arc<Driver>, shard: usize) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name("canti-serve-batcher".into())
         .spawn(move || {
-            if catch_unwind(AssertUnwindSafe(|| batcher_loop(&shared))).is_err() {
-                // Safety net for panics outside batch execution (those
-                // are caught per-batch in run_formed): mark the shard
-                // down and answer every outstanding ticket terminally so
-                // no waiter hangs on the dead thread.
-                shared
-                    .health
-                    .store(ShardHealth::Down.as_u8(), Ordering::SeqCst);
-                let mut state = shared.lock();
-                let responses = state.front.fail_queued();
-                Shared::fulfil(&mut state, responses);
-                let known: Vec<(u64, u64, u64, u64)> = state
-                    .tickets
-                    .iter()
-                    .map(|(&id, c)| (id, c.key, c.trace, c.enqueued_ns))
-                    .collect();
-                let responses = state.front.fail_inflight(&known);
-                Shared::fulfil(&mut state, responses);
+            // the batcher outlives a panic outside `execute`: its shard
+            // fails, and the supervisor restarts it after the backoff
+            while catch_unwind(AssertUnwindSafe(|| driver.serve(shard))).is_err() {
+                driver.fail(shard);
             }
         })
         .expect("spawn batcher thread")
 }
 
-/// One batcher pass: expire, shed and form under the lock, execute each
-/// formed batch outside it, fulfil tickets back under the lock. Returns
-/// whether anything happened.
-fn pump_once(shared: &Shared) -> bool {
-    let (worked, batches) = {
-        let mut state = shared.lock();
-        let expired = state.front.take_expired();
-        let shed = state.front.take_shed();
-        let worked = !expired.is_empty() || !shed.is_empty();
-        Shared::fulfil(&mut state, expired);
-        Shared::fulfil(&mut state, shed);
-        (worked, state.front.form_ready())
-    };
-    run_formed(shared, batches) || worked
-}
-
-/// Executes formed batches in order, fulfilling tickets after each. An
-/// executor panic (poisoned pool, chaos kill) marks the shard `Down` and
-/// answers the doomed batch's members, every later formed batch and the
-/// whole queue with [`RejectReason::ShardFailed`] — terminally, so no
-/// ticket is left hanging. Returns whether any batch ran.
-fn run_formed(shared: &Shared, batches: Vec<FormedBatch>) -> bool {
-    let mut worked = false;
-    let mut batches = batches.into_iter();
-    while let Some(batch) = batches.next() {
-        worked = true;
-        let members = batch.items.clone();
-        let index = batch.index;
-        let result = {
-            let executor = shared.executor();
-            catch_unwind(AssertUnwindSafe(|| executor.execute(batch)))
-        };
-        match result {
-            Ok(responses) => {
-                let clean = responses
-                    .iter()
-                    .any(|r| matches!(r.disposition, Disposition::Completed { .. }));
-                if clean {
-                    // promote before fulfilment so a waiter that wakes on
-                    // its ticket already sees the stepped-up health
-                    shared.promote_health();
-                }
-                let mut state = shared.lock();
-                state.front.finish(&responses);
-                Shared::fulfil(&mut state, responses);
-            }
-            Err(_) => {
-                shared
-                    .health
-                    .store(ShardHealth::Down.as_u8(), Ordering::SeqCst);
-                {
-                    let executor = shared.executor();
-                    if let Some(o) = executor.observer() {
-                        o.tracer().event("shard_down", &[("batch", index.into())]);
-                    }
-                }
-                let mut state = shared.lock();
-                let mut responses: Vec<ServeResponse> = members
-                    .iter()
-                    .flat_map(|p| state.front.fail_pending(p))
-                    .collect();
-                for stranded in batches.by_ref() {
-                    for p in &stranded.items {
-                        responses.extend(state.front.fail_pending(p));
-                    }
-                }
-                responses.extend(state.front.fail_queued());
-                Shared::fulfil(&mut state, responses);
-                break;
-            }
-        }
-    }
-    worked
-}
-
-fn batcher_loop(shared: &Shared) {
-    loop {
-        let worked = pump_once(shared);
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        if worked {
-            continue; // more may already be ready
-        }
-        let state = shared.lock();
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let _unused = shared.wake.wait_timeout(state, IDLE_WAIT);
-    }
-    // Drain: stop admission, flush the remainder, answer every ticket.
-    // (A down shard already answered everything; its drain is empty.)
-    let batches = {
-        let mut state = shared.lock();
-        let expired = state.front.take_expired();
-        Shared::fulfil(&mut state, expired);
-        state.front.begin_drain()
-    };
-    let _ = run_formed(shared, batches);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CacheConfig, Disposition, ServeConfig};
     use canti_farm::ProbeMode;
+    use canti_fault::{ServeFaultEvent, ServeFaultKind};
+    use canti_obs::{Metrics, RingCollector, Tracer, VirtualClock};
+    use std::sync::mpsc;
+    use std::time::Instant;
 
     fn probe(v: f64) -> JobSpec {
         JobSpec::Probe(ProbeMode::Value(v))
     }
 
+    /// A driver over one shard: routing out of the way.
+    fn one_shard(base: ServeConfig) -> ShardedService {
+        ShardedService::start(ShardedConfig { shards: 1, base })
+    }
+
+    /// One observed shard with `plan` armed under `supervision`.
+    fn one_chaos_shard(
+        base: ServeConfig,
+        plan: &ServeFaultPlan,
+        supervision: SupervisorConfig,
+    ) -> ShardedService {
+        let (observer, _ring) = FarmObserver::profiling(4096);
+        ShardedService::start_chaos(
+            ShardedConfig { shards: 1, base },
+            vec![observer],
+            plan,
+            supervision,
+        )
+    }
+
+    /// Lone requests batch only by size, one per batch.
+    fn one_per_batch() -> ServeConfig {
+        ServeConfig {
+            max_batch: 1,
+            linger_ns: u64::MAX,
+            threads: 1,
+            ..ServeConfig::default()
+        }
+    }
+
+    /// Supervision whose restart backoff starts at `backoff_base_ns`.
+    fn backoff(backoff_base_ns: u64) -> SupervisorConfig {
+        SupervisorConfig {
+            backoff_base_ns,
+            ..SupervisorConfig::default()
+        }
+    }
+
+    /// Never restarted while a test runs.
+    const NEVER_NS: u64 = 3_600_000_000_000;
+
+    /// Waits for `ticket` under a watchdog, so a hung ticket fails the
+    /// test instead of wedging it.
+    fn wait(ticket: ShardTicket) -> ServeResponse {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(ticket.wait());
+        });
+        rx.recv_timeout(Duration::from_secs(30))
+            .expect("a ticket hung: its response never arrived")
+    }
+
+    /// Polls until shard 0 is live again after a restart.
+    fn until_restarted(service: &ShardedService) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !service.healths()[0].is_live() {
+            assert!(Instant::now() < deadline, "the shard never restarted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn shard_failed(r: &ServeResponse) -> bool {
+        r.disposition
+            == Disposition::Failed {
+                reason: RejectReason::ShardFailed,
+            }
+    }
+
     #[test]
     fn tickets_resolve_for_size_triggered_batches() {
-        let service = ServeService::start(ServeConfig {
+        let service = one_shard(ServeConfig {
             max_batch: 4,
             linger_ns: 1_000_000_000, // 1 s: only size can fire
             threads: 2,
             ..ServeConfig::default()
         });
-        let tickets: Vec<Ticket> = (0..4)
+        let tickets: Vec<ShardTicket> = (0..4)
             .map(|i| service.submit(probe(f64::from(i))).expect("admitted"))
             .collect();
         for (i, t) in tickets.into_iter().enumerate() {
@@ -705,8 +637,8 @@ mod tests {
             assert_eq!(r.request_id, i as u64);
             assert!(r.disposition.is_ok(), "request {i}: {r}");
         }
-        assert_eq!(service.health(), ShardHealth::Healthy);
-        let stats = service.shutdown();
+        assert_eq!(service.healths(), vec![ShardHealth::Healthy]);
+        let stats = service.shutdown()[0];
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.batches, 1);
     }
@@ -714,7 +646,7 @@ mod tests {
     #[test]
     fn full_queue_rejects_fast() {
         // Huge linger + threshold so nothing drains the queue.
-        let service = ServeService::start(ServeConfig {
+        let service = one_shard(ServeConfig {
             queue_capacity: 2,
             max_batch: 64,
             linger_ns: u64::MAX,
@@ -729,7 +661,7 @@ mod tests {
         );
         assert_eq!(service.queue_depth(), 2);
         // Shutdown drains the two queued requests and answers them.
-        let stats = service.shutdown();
+        let stats = service.shutdown()[0];
         assert!(a.wait().disposition.is_ok());
         assert!(b.wait().disposition.is_ok());
         assert_eq!(stats.rejected, 1);
@@ -738,7 +670,7 @@ mod tests {
 
     #[test]
     fn expired_requests_get_expiry_responses() {
-        let service = ServeService::start(ServeConfig {
+        let service = one_shard(ServeConfig {
             max_batch: 64,
             linger_ns: u64::MAX, // batches can never fire...
             threads: 1,
@@ -753,23 +685,23 @@ mod tests {
             Disposition::Expired { .. } => {}
             other => panic!("expected expiry, got {other:?}"),
         }
-        let stats = service.shutdown();
+        let stats = service.shutdown()[0];
         assert_eq!(stats.expired, 1);
         assert_eq!(stats.completed, 0);
     }
 
     #[test]
     fn shutdown_drains_outstanding_requests() {
-        let service = ServeService::start(ServeConfig {
+        let service = one_shard(ServeConfig {
             max_batch: 64,
             linger_ns: u64::MAX,
             threads: 2,
             ..ServeConfig::default()
         });
-        let tickets: Vec<Ticket> = (0..5)
+        let tickets: Vec<ShardTicket> = (0..5)
             .map(|i| service.submit(probe(f64::from(i))).expect("admitted"))
             .collect();
-        let stats = service.shutdown();
+        let stats = service.shutdown()[0];
         assert_eq!(stats.admitted, 5);
         assert_eq!(stats.completed, 5, "drain answered everything");
         for t in tickets {
@@ -781,22 +713,25 @@ mod tests {
     #[test]
     fn observed_service_counts_through_the_shared_registry() {
         let (observer, _ring) = FarmObserver::profiling(4096);
-        let service = ServeService::start_observed(
-            ServeConfig {
-                max_batch: 3,
-                linger_ns: 1_000_000_000,
-                threads: 1,
-                ..ServeConfig::default()
+        let service = ShardedService::start_observed(
+            ShardedConfig {
+                shards: 1,
+                base: ServeConfig {
+                    max_batch: 3,
+                    linger_ns: 1_000_000_000,
+                    threads: 1,
+                    ..ServeConfig::default()
+                },
             },
-            observer,
+            vec![observer],
         );
-        let tickets: Vec<Ticket> = (0..3)
+        let tickets: Vec<ShardTicket> = (0..3)
             .map(|i| service.submit(probe(f64::from(i))).expect("admitted"))
             .collect();
         for t in tickets {
             assert!(t.wait().disposition.is_ok());
         }
-        let observer = service.observer().expect("observer");
+        let observer = service.observers()[0].clone().expect("observer");
         let m = observer.metrics();
         assert_eq!(m.counter("serve.admitted").get(), 3);
         assert_eq!(m.counter("serve.completed").get(), 3);
@@ -805,15 +740,15 @@ mod tests {
 
     #[test]
     fn drop_performs_shutdown() {
-        let service = ServeService::start(ServeConfig {
+        let service = one_shard(ServeConfig {
             max_batch: 64,
             linger_ns: u64::MAX,
             threads: 1,
             ..ServeConfig::default()
         });
         let ticket = service.submit(probe(1.0)).expect("admitted");
-        drop(service); // must drain, not leak the batcher or the ticket
-        assert!(ticket.wait().disposition.is_ok());
+        drop(service); // must drain, not leak the batchers or the ticket
+        assert!(wait(ticket).disposition.is_ok());
     }
 
     #[test]
@@ -822,39 +757,37 @@ mod tests {
         // executor panics under the batch, and *every* waiter — batch
         // members and still-queued requests alike — must get a terminal
         // Failed answer, never a hang.
-        let (observer, _ring) = FarmObserver::profiling(4096);
-        let plan = ServeFaultPlan::kill_shard(0, 0);
-        let service = ServeService::start_chaos(
+        let service = one_chaos_shard(
             ServeConfig {
                 max_batch: 2,
                 linger_ns: u64::MAX, // only size fires: 2 ride, 1 queues
                 threads: 1,
                 ..ServeConfig::default()
             },
-            observer,
-            &plan,
-            0,
+            &ServeFaultPlan::kill_shard(0, 0),
+            backoff(NEVER_NS),
         );
-        let tickets: Vec<Ticket> = (0..3)
+        // the batch cannot reach its kill before all three are admitted
+        let executor = service.driver.lock().engine.shard(0).executor();
+        let gate = crate::exec::tests::hold_chaos(&executor);
+        let tickets: Vec<ShardTicket> = (0..3)
             .map(|i| service.submit(probe(f64::from(i))).expect("admitted"))
             .collect();
+        drop(gate);
         for (i, t) in tickets.into_iter().enumerate() {
-            let r = t.wait();
-            match r.disposition {
-                Disposition::Failed {
-                    reason: RejectReason::ShardFailed,
-                } => {}
-                other => panic!("request {i}: expected ShardFailed, got {other:?}"),
-            }
+            let r = wait(t);
+            assert!(
+                shard_failed(&r),
+                "request {i}: expected ShardFailed, got {r}"
+            );
         }
-        assert_eq!(service.health(), ShardHealth::Down);
-        assert!(service.is_down());
+        assert_eq!(service.healths(), vec![ShardHealth::Down]);
         // a down shard refuses new work with the same terminal reason
         assert_eq!(
             service.submit(probe(9.0)).map(|t| t.id()),
             Err(RejectReason::ShardFailed)
         );
-        let stats = service.shutdown();
+        let stats = service.shutdown()[0];
         assert_eq!(stats.admitted, 3);
         assert_eq!(stats.failed, 3);
         assert_eq!(stats.completed, 0);
@@ -862,18 +795,13 @@ mod tests {
 
     #[test]
     fn a_hit_skips_the_ticket_table_and_a_down_shard_refuses_before_lookup() {
-        let (observer, _ring) = FarmObserver::profiling(4096);
-        let service = ServeService::start_chaos(
+        let service = one_chaos_shard(
             ServeConfig {
-                max_batch: 1,
-                linger_ns: u64::MAX,
-                threads: 1,
-                cache: Some(crate::CacheConfig::default()),
-                ..ServeConfig::default()
+                cache: Some(CacheConfig::default()),
+                ..one_per_batch()
             },
-            observer,
             &ServeFaultPlan::kill_shard(0, 1),
-            0,
+            backoff(NEVER_NS),
         );
         let cold = service.submit(probe(1.0)).expect("admitted").wait();
         assert!(cold.disposition.is_ok());
@@ -883,17 +811,12 @@ mod tests {
             Some(Disposition::CacheHit { .. })
         ));
         assert!(
-            service.shared.lock().tickets.is_empty(),
+            service.driver.lock().tickets.is_empty(),
             "a hit makes no ticket-table entry"
         );
         // the next distinct spec rides batch 1, which the plan kills
-        let doomed = service.submit(probe(2.0)).expect("admitted").wait();
-        assert_eq!(
-            doomed.disposition,
-            Disposition::Failed {
-                reason: RejectReason::ShardFailed
-            }
-        );
+        let doomed = wait(service.submit(probe(2.0)).expect("admitted"));
+        assert!(shard_failed(&doomed), "{doomed}");
         let lookups = || service.cache_stats().map(|c| c.hits + c.misses);
         let before = lookups();
         assert_eq!(
@@ -905,47 +828,141 @@ mod tests {
     }
 
     #[test]
-    fn revive_brings_a_down_shard_back() {
-        let (observer, _ring) = FarmObserver::profiling(4096);
-        let plan = ServeFaultPlan::kill_shard(0, 0);
-        let service = ServeService::start_chaos(
-            ServeConfig {
-                max_batch: 1,
-                linger_ns: u64::MAX,
-                threads: 1,
-                ..ServeConfig::default()
-            },
-            observer,
-            &plan,
-            0,
+    fn the_supervisor_restarts_a_down_shard_when_its_backoff_is_due() {
+        // on a virtual clock the backoff elapses when the test says so
+        let clock = Arc::new(VirtualClock::new());
+        let observer = FarmObserver::from_parts(
+            Arc::new(Metrics::new()),
+            Tracer::new(
+                Arc::new(RingCollector::new(4096)) as _,
+                Arc::clone(&clock) as _,
+            ),
+            Arc::clone(&clock) as _,
         );
-        let doomed = service.submit(probe(1.0)).expect("admitted");
-        assert!(matches!(
-            doomed.wait().disposition,
-            Disposition::Failed { .. }
-        ));
-        assert_eq!(service.health(), ShardHealth::Down);
+        let backoff_ns = 20_000_000;
+        let service = ShardedService::start_chaos(
+            ShardedConfig {
+                shards: 1,
+                base: one_per_batch(),
+            },
+            vec![observer],
+            &ServeFaultPlan::kill_shard(0, 0),
+            backoff(backoff_ns),
+        );
+        let doomed = wait(service.submit(probe(1.0)).expect("admitted"));
+        assert!(shard_failed(&doomed), "{doomed}");
+        assert_eq!(service.healths(), vec![ShardHealth::Down]);
+        assert_eq!(service.restarts(), 0, "no restart before the backoff");
 
-        assert!(service.revive(), "down shard revives");
-        assert!(!service.revive(), "second revive is a no-op");
-        assert_eq!(service.health(), ShardHealth::Recovering);
+        clock.advance_ns(backoff_ns);
+        until_restarted(&service);
+        assert_eq!(service.healths(), vec![ShardHealth::Recovering]);
         assert_eq!(service.restarts(), 1);
 
-        // the revived shard serves again (the kill event already fired)
+        // the restarted shard serves again (the kill event already fired)
         let ticket = service.submit(probe(2.0)).expect("readmitted");
-        assert!(ticket.wait().disposition.is_ok());
+        assert!(wait(ticket).disposition.is_ok());
         assert!(
             matches!(
-                service.health(),
+                service.healths()[0],
                 ShardHealth::Degraded | ShardHealth::Healthy
             ),
             "clean batches walk the ladder up, got {:?}",
-            service.health()
+            service.healths()
         );
-        let observer = service.observer().expect("observer");
+        assert_eq!(service.restarts(), 1, "a live shard is not restarted");
+        let observer = service.observers()[0].clone().expect("observer");
         assert_eq!(observer.metrics().counter("serve.shard_restarts").get(), 1);
-        let stats = service.shutdown();
+        let stats = service.shutdown()[0];
         assert_eq!(stats.failed, 1);
         assert_eq!(stats.completed, 1);
+    }
+
+    #[test]
+    fn a_restarted_shard_serves_its_whole_probation() {
+        let service = one_chaos_shard(
+            one_per_batch(),
+            &ServeFaultPlan::kill_shard(0, 0),
+            SupervisorConfig {
+                backoff_base_ns: 0,
+                probation_batches: 3,
+                ..SupervisorConfig::default()
+            },
+        );
+        assert!(shard_failed(&wait(
+            service.submit(probe(0.0)).expect("admitted")
+        )));
+        until_restarted(&service);
+        let mut ladder = vec![service.healths()[0]];
+        for i in 1..=4 {
+            let ticket = service.submit(probe(f64::from(i))).expect("admitted");
+            assert!(wait(ticket).disposition.is_ok());
+            ladder.push(service.healths()[0]);
+        }
+        use ShardHealth::{Degraded, Healthy, Recovering};
+        assert_eq!(
+            ladder,
+            vec![Recovering, Degraded, Degraded, Degraded, Healthy],
+            "the supervisor's ladder after 0..=4 clean batches"
+        );
+    }
+
+    #[test]
+    fn a_shard_killed_twenty_times_answers_every_ticket_and_serves_again() {
+        let kills = (0..20)
+            .map(|batch| ServeFaultEvent {
+                shard: 0,
+                kind: ServeFaultKind::ShardKill { batch },
+            })
+            .collect();
+        let service = one_chaos_shard(one_per_batch(), &ServeFaultPlan::new(kills), backoff(0));
+        let mut failed = 0;
+        let mut i = 0.0;
+        while failed < 20 {
+            i += 1.0;
+            match service.submit(probe(i)) {
+                Ok(ticket) => {
+                    let r = wait(ticket);
+                    assert!(shard_failed(&r), "kill {failed}: {r}");
+                    failed += 1;
+                }
+                // raced the restart of the shard that just died
+                Err(RejectReason::ShardFailed) => std::thread::yield_now(),
+                Err(other) => panic!("unexpected rejection: {other}"),
+            }
+        }
+        until_restarted(&service);
+        assert_eq!(service.restarts(), 20);
+        let served = wait(service.submit(probe(0.0)).expect("admitted"));
+        assert!(served.disposition.is_ok(), "{served}");
+        let stats = service.shutdown()[0];
+        assert_eq!((stats.failed, stats.completed), (20, 1));
+    }
+
+    #[test]
+    fn sharded_service_round_trips_with_global_ids() {
+        let service = ShardedService::start(ShardedConfig {
+            shards: 3,
+            base: ServeConfig {
+                max_batch: 2,
+                linger_ns: 1_000, // 1 µs: lone requests fire quickly
+                threads: 1,
+                ..ServeConfig::default()
+            },
+        });
+        let tickets: Vec<ShardTicket> = (0..9)
+            .map(|i| service.submit(probe(f64::from(i))).expect("admitted"))
+            .collect();
+        for (i, t) in tickets.into_iter().enumerate() {
+            assert_eq!(t.id(), i as u64);
+            assert_eq!(t.shard(), crate::route_request(i as u64, 3));
+            let r = t.wait();
+            assert_eq!(r.request_id, i as u64, "ticket rewrites to global id");
+            assert!(r.disposition.is_ok(), "request {i}: {r}");
+        }
+        assert_eq!(service.healths(), vec![ShardHealth::Healthy; 3]);
+        let per_shard = service.shutdown();
+        assert_eq!(per_shard.len(), 3);
+        assert_eq!(per_shard.iter().map(|s| s.completed).sum::<u64>(), 9);
     }
 }

@@ -2,10 +2,9 @@
 //! request routing, with health supervision and failover.
 //!
 //! A shard is a complete serving stack of its own — admission queue,
-//! batcher, executor, persistent worker pool — so shards share no locks
-//! and no queues. What binds them into one service is the routing rule
-//! and the request-seed rule, both pure functions of the **global**
-//! request id:
+//! executor, persistent worker pool — so shards share no queues. What
+//! binds them into one service is the routing rule and the request-seed
+//! rule, both pure functions of the **global** request id:
 //!
 //! * **Routing** — [`route_request`] sends global id `g` to shard
 //!   `splitmix64(g) % shards`. Nothing else (arrival time, payload,
@@ -40,19 +39,16 @@
 //! assignment and every terminal answer are identical at any worker
 //! count.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use canti_farm::{FarmObserver, JobSpec};
 use canti_fault::ServeFaultPlan;
 use canti_obs::ObsClock;
 
-use crate::engine::{BatchRecord, ServeEngine, ServeStats};
+use crate::engine::{Admission, BatchRecord, ServeEngine, ServeStats};
+use crate::exec::BatchExecutor;
 use crate::queue::RejectReason;
 use crate::response::ServeResponse;
-use crate::service::{ServeService, Ticket};
 use crate::supervisor::{ShardSupervisor, SupervisorConfig};
 use crate::ServeConfig;
 
@@ -161,30 +157,6 @@ impl ShardHealth {
     pub fn is_live(&self) -> bool {
         !matches!(self, Self::Down)
     }
-
-    /// Compact encoding for the atomic health cells the threaded
-    /// service publishes.
-    #[must_use]
-    pub fn as_u8(&self) -> u8 {
-        match self {
-            Self::Healthy => 0,
-            Self::Degraded => 1,
-            Self::Down => 2,
-            Self::Recovering => 3,
-        }
-    }
-
-    /// Inverse of [`Self::as_u8`] (unknown encodings read as `Down`,
-    /// the conservative answer).
-    #[must_use]
-    pub fn from_u8(v: u8) -> Self {
-        match v {
-            0 => Self::Healthy,
-            1 => Self::Degraded,
-            3 => Self::Recovering,
-            _ => Self::Down,
-        }
-    }
 }
 
 /// Configuration of a sharded serving layer: the shard count plus the
@@ -220,15 +192,17 @@ impl Default for ShardedConfig {
     }
 }
 
-/// The deterministic, explicitly pumped form of the sharded serving
-/// layer: [`crate::ServeEngine`]s behind [`route_request`], sharing one
-/// injected clock, supervised by a [`ShardSupervisor`]. This is what
-/// the scripted shard-determinism and failover tests drive.
+/// The sharded serving state machine: [`crate::ServeEngine`]s behind
+/// [`route_request`], sharing one injected clock, supervised by a
+/// [`ShardSupervisor`]. Pumped explicitly, it is what the scripted
+/// shard-determinism and failover tests drive; the threaded
+/// [`crate::ShardedService`] runs the same machine on the wall clock.
 #[derive(Debug)]
 pub struct ShardedEngine {
     engines: Vec<ServeEngine>,
     /// Per shard: local request id → global request id, in admission
-    /// order (shard engines assign dense local ids on success).
+    /// order (shard engines assign dense local ids on success). Pumped
+    /// admissions only: a threaded driver maps ids in its ticket table.
     locals: Vec<Vec<u64>>,
     next_id: u64,
     clock: Arc<dyn ObsClock>,
@@ -341,6 +315,23 @@ impl ShardedEngine {
         job: JobSpec,
         deadline_ns: Option<u64>,
     ) -> Result<u64, RejectReason> {
+        let (shard, global, admission) = self.admit(job, deadline_ns)?;
+        let local = self.engines[shard].hold(admission);
+        debug_assert_eq!(local as usize, self.locals[shard].len());
+        self.locals[shard].push(global);
+        Ok(global)
+    }
+
+    /// Routes, fails over and admits one request: the shard that took
+    /// it, its global id, and how that shard placed it (a local id, or a
+    /// cache hit already answered). A failover is counted only once the
+    /// target admits: a refused reroute, like every refusal, burns no
+    /// global id and counts nothing.
+    pub(crate) fn admit(
+        &mut self,
+        job: JobSpec,
+        deadline_ns: Option<u64>,
+    ) -> Result<(usize, u64, Admission), RejectReason> {
         let global = self.next_id;
         let n = self.engines.len();
         let primary = route_request(global, n);
@@ -349,28 +340,27 @@ impl ShardedEngine {
         } else {
             // deterministic failover: same health script, same reroute
             let mask: Vec<bool> = (0..n).map(|s| self.shard_is_live(s)).collect();
-            let target = route_failover(global, &mask).ok_or(RejectReason::ShardFailed)?;
+            route_failover(global, &mask).ok_or(RejectReason::ShardFailed)?
+        };
+        let admission = self.engines[shard].place(job, deadline_ns, global)?;
+        if shard != primary {
             self.failovers += 1;
-            if let Some(ins) = self.engines[target].instruments() {
+            if let Some(ins) = self.engines[shard].instruments() {
                 ins.failovers.inc();
             }
-            if let Some(o) = self.engines[target].observer() {
+            if let Some(o) = self.engines[shard].observer() {
                 o.tracer().event(
                     "failover",
                     &[
                         ("request", global.into()),
                         ("from", primary.into()),
-                        ("to", target.into()),
+                        ("to", shard.into()),
                     ],
                 );
             }
-            target
-        };
-        let local = self.engines[shard].submit_keyed(job, deadline_ns, global)?;
-        debug_assert_eq!(local as usize, self.locals[shard].len());
-        self.locals[shard].push(global);
+        }
         self.next_id += 1;
-        Ok(global)
+        Ok((shard, global, admission))
     }
 
     /// A shard is routable unless the supervisor marks it `Down` or its
@@ -380,42 +370,77 @@ impl ShardedEngine {
     }
 
     /// Pumps every shard in shard order, returning all responses with
-    /// their **global** request ids. This is also where supervision
-    /// runs: `Down` shards whose backoff has elapsed are resurrected
-    /// before pumping, and shards that die during the pump are recorded
-    /// (their queued requests were already answered terminally by the
-    /// engine's failure path).
+    /// their **global** request ids. Each shard's pass is the three
+    /// steps a threaded driver splits around its lock, run in a row:
+    /// form (after resurrecting a `Down` shard whose backoff has
+    /// elapsed), execute, land; then the supervisor hears how it went.
     pub fn pump(&mut self) -> Vec<ServeResponse> {
-        let now_ns = self.clock.now_ns();
-        let mut out = Vec::new();
-        for shard in 0..self.engines.len() {
-            if self.supervisor.restart_due(shard, now_ns) && self.engines[shard].resurrect() {
-                self.supervisor.record_restart(shard);
-            }
-            let was_failed = self.engines[shard].is_failed();
-            let responses = self.engines[shard].pump();
-            let clean = responses
-                .iter()
-                .any(|r| matches!(r.disposition, crate::Disposition::Completed { .. }));
-            out.extend(self.globalize(shard, responses));
-            if !was_failed && self.engines[shard].is_failed() {
-                self.supervisor.record_failure(shard, now_ns);
-            } else if clean {
-                self.supervisor.record_clean_batch(shard);
-            }
-        }
-        out
+        self.pass(false)
     }
 
     /// Drains every shard in shard order; afterwards all shards reject
     /// with [`RejectReason::Draining`].
     pub fn drain(&mut self) -> Vec<ServeResponse> {
+        self.pass(true)
+    }
+
+    fn pass(&mut self, drain: bool) -> Vec<ServeResponse> {
         let mut out = Vec::new();
         for shard in 0..self.engines.len() {
-            let responses = self.engines[shard].drain();
+            // a drain restarts nothing
+            if !drain && self.restart_due(shard) {
+                let fresh = self.engines[shard].executor().resurrected();
+                drop(self.restart(shard, fresh));
+            }
+            let mut responses = Vec::new();
+            let batches = self.engines[shard].form(drain, &mut responses);
+            let ran = !batches.is_empty();
+            responses.extend(self.engines[shard].run(batches));
+            if ran {
+                self.end_pass(shard);
+            }
             out.extend(self.globalize(shard, responses));
         }
         out
+    }
+
+    /// Whether `shard` is dead and the supervisor's backoff for it has
+    /// elapsed: its next pass starts with [`Self::restart`].
+    pub(crate) fn restart_due(&self, shard: usize) -> bool {
+        self.engines[shard].is_failed() && self.supervisor.restart_due(shard, self.clock.now_ns())
+    }
+
+    /// Restarts a dead shard onto `fresh` (see [`ServeEngine::resurrect`])
+    /// and returns its dead executor, for the caller to drop.
+    pub(crate) fn restart(&mut self, shard: usize, fresh: BatchExecutor) -> Arc<BatchExecutor> {
+        let dead = self.engines[shard].restart(fresh);
+        self.supervisor.record_restart(shard);
+        dead
+    }
+
+    /// Ends a shard pass that ran batches: the supervisor hears once per
+    /// pass — a death when the shard failed in it (its requests were
+    /// already answered terminally), a clean batch otherwise.
+    pub(crate) fn end_pass(&mut self, shard: usize) {
+        if self.engines[shard].is_failed() {
+            self.supervisor.record_failure(shard, self.clock.now_ns());
+        } else {
+            self.supervisor.record_clean_batch(shard);
+        }
+    }
+
+    /// Fails a shard whose driver panicked outside a batch, answering
+    /// the tickets it still held (`open`, as [`ServeEngine`]'s failure
+    /// path takes them), and tells the supervisor unless it knew.
+    pub(crate) fn fail_shard(
+        &mut self,
+        shard: usize,
+        open: &[(u64, u64, u64)],
+    ) -> Vec<ServeResponse> {
+        if self.supervisor.is_live(shard) {
+            self.supervisor.record_failure(shard, self.clock.now_ns());
+        }
+        self.engines[shard].fail(open)
     }
 
     /// Total requests queued across all shards.
@@ -501,6 +526,11 @@ impl ShardedEngine {
         &self.engines[shard]
     }
 
+    /// One shard's engine, for a driver's land step.
+    pub(crate) fn shard_mut(&mut self, shard: usize) -> &mut ServeEngine {
+        &mut self.engines[shard]
+    }
+
     /// Per-shard SLO trackers, in shard order (empty entries for
     /// unobserved shards).
     #[must_use]
@@ -530,397 +560,6 @@ impl ShardedEngine {
                 r
             })
             .collect()
-    }
-}
-
-/// A claim on one sharded request's response: a shard-local
-/// [`Ticket`] plus the global id it redeems under.
-#[derive(Debug)]
-pub struct ShardTicket {
-    global_id: u64,
-    shard: usize,
-    inner: Ticket,
-}
-
-impl ShardTicket {
-    /// The global request id this ticket redeems.
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        self.global_id
-    }
-
-    /// The shard serving this request (after failover, when it applied).
-    #[must_use]
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Blocks until the response arrives, rewritten to the global id.
-    /// Always terminal: if the serving shard dies, the response is
-    /// [`crate::Disposition::Failed`] — never a hang.
-    #[must_use]
-    pub fn wait(self) -> ServeResponse {
-        let mut response = self.inner.wait();
-        response.request_id = self.global_id;
-        response
-    }
-
-    /// Takes the response if already available, rewritten to the global
-    /// id, without blocking.
-    #[must_use]
-    pub fn poll(&self) -> Option<ServeResponse> {
-        self.inner.poll().map(|mut r| {
-            r.request_id = self.global_id;
-            r
-        })
-    }
-}
-
-/// The threaded form of the sharded serving layer: one
-/// [`ServeService`] (batcher thread, persistent pool) per shard, with
-/// submissions routed by [`route_request`] under a single id lock,
-/// failing over via [`route_failover`] when a shard is down, and a
-/// background supervisor thread resurrecting dead shards after their
-/// backoff.
-pub struct ShardedService {
-    shards: Vec<Arc<ServeService>>,
-    /// The global id allocator. Held across the shard submit so id
-    /// assignment and admission commit atomically — a rejected submit
-    /// burns no id.
-    router: Mutex<u64>,
-    failovers: Arc<AtomicU64>,
-    supervisor_stop: Arc<AtomicBool>,
-    supervisor_thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ShardedService {
-    /// Starts `config.shard_count()` services on the wall clock.
-    #[must_use]
-    pub fn start(config: ShardedConfig) -> Self {
-        Self::start_with(
-            config,
-            None,
-            &ServeFaultPlan::default(),
-            SupervisorConfig::default(),
-        )
-    }
-
-    /// Starts one observed service per shard, each timed on its own
-    /// observer's clock (construct the observers over one shared clock
-    /// for coherent timestamps).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `observers.len()` equals the shard count.
-    #[must_use]
-    pub fn start_observed(config: ShardedConfig, observers: Vec<FarmObserver>) -> Self {
-        Self::start_with(
-            config,
-            Some(observers),
-            &ServeFaultPlan::default(),
-            SupervisorConfig::default(),
-        )
-    }
-
-    /// [`Self::start_observed`] with a serve fault plan armed and an
-    /// explicit supervision policy — the chaos entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `observers.len()` equals the shard count.
-    #[must_use]
-    pub fn start_chaos(
-        config: ShardedConfig,
-        observers: Vec<FarmObserver>,
-        plan: &ServeFaultPlan,
-        supervision: SupervisorConfig,
-    ) -> Self {
-        Self::start_with(config, Some(observers), plan, supervision)
-    }
-
-    fn start_with(
-        config: ShardedConfig,
-        observers: Option<Vec<FarmObserver>>,
-        plan: &ServeFaultPlan,
-        supervision: SupervisorConfig,
-    ) -> Self {
-        let n = config.shard_count();
-        let shards: Vec<Arc<ServeService>> = match observers {
-            Some(observers) => {
-                assert_eq!(observers.len(), n, "one observer per shard");
-                observers
-                    .into_iter()
-                    .enumerate()
-                    .map(|(shard, o)| {
-                        Arc::new(ServeService::start_chaos(config.base, o, plan, shard))
-                    })
-                    .collect()
-            }
-            None => (0..n)
-                .map(|shard| {
-                    let svc = ServeService::start(config.base);
-                    debug_assert_eq!(svc.health().as_u8(), ShardHealth::Healthy.as_u8());
-                    let _ = shard;
-                    Arc::new(svc)
-                })
-                .collect(),
-        };
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = spawn_service_supervisor(shards.clone(), supervision, Arc::clone(&stop));
-        Self {
-            shards,
-            router: Mutex::new(0),
-            failovers: Arc::new(AtomicU64::new(0)),
-            supervisor_stop: stop,
-            supervisor_thread: Some(thread),
-        }
-    }
-
-    /// The shard count.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Submits a request, routed by the global id rule (with failover
-    /// when the primary shard is down).
-    ///
-    /// # Errors
-    ///
-    /// Rejected immediately with the target shard's [`RejectReason`];
-    /// [`RejectReason::ShardFailed`] when no live shard remains.
-    pub fn submit(&self, job: JobSpec) -> Result<ShardTicket, RejectReason> {
-        self.submit_keyed(job, None)
-    }
-
-    /// Submits a request that expires `deadline_ns` after admission.
-    ///
-    /// # Errors
-    ///
-    /// Rejected immediately with the target shard's [`RejectReason`].
-    pub fn submit_with_deadline(
-        &self,
-        job: JobSpec,
-        deadline_ns: u64,
-    ) -> Result<ShardTicket, RejectReason> {
-        self.submit_keyed(job, Some(deadline_ns))
-    }
-
-    fn submit_keyed(
-        &self,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-    ) -> Result<ShardTicket, RejectReason> {
-        let mut next_id = self
-            .router
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let global_id = *next_id;
-        let primary = route_request(global_id, self.shards.len());
-        let (shard, inner) = 'placed: {
-            // the common case: a live primary admits or refuses outright,
-            // and no liveness mask is built
-            if !self.shards[primary].is_down() {
-                match self.shards[primary].submit_keyed(job.clone(), deadline_ns, global_id) {
-                    Ok(inner) => break 'placed (primary, inner),
-                    Err(RejectReason::ShardFailed) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            // the primary is down or died under the submit. Another
-            // shard can die between the mask read and its submit too;
-            // each ShardFailed answer marks it dead in our local mask
-            // and retries the failover rule, until no live shard remains
-            let mut mask: Vec<bool> = self.shards.iter().map(|s| !s.is_down()).collect();
-            mask[primary] = false;
-            loop {
-                let shard = route_failover(global_id, &mask).ok_or(RejectReason::ShardFailed)?;
-                match self.shards[shard].submit_keyed(job.clone(), deadline_ns, global_id) {
-                    Ok(inner) => {
-                        self.failovers.fetch_add(1, Ordering::Relaxed);
-                        self.shards[shard].note_failover(global_id, primary);
-                        break 'placed (shard, inner);
-                    }
-                    Err(RejectReason::ShardFailed) => mask[shard] = false,
-                    Err(e) => return Err(e),
-                }
-            }
-        };
-        *next_id += 1;
-        Ok(ShardTicket {
-            global_id,
-            shard,
-            inner,
-        })
-    }
-
-    /// Total requests queued across all shards.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.shards.iter().map(|s| s.queue_depth()).sum()
-    }
-
-    /// Summed tallies across shards.
-    #[must_use]
-    pub fn stats(&self) -> ServeStats {
-        sum_stats(self.shards.iter().map(|s| s.stats()))
-    }
-
-    /// Summed result-cache counters across shards (`None` when the
-    /// config has caching off).
-    #[must_use]
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        sum_cache_stats(self.shards.iter().map(|s| s.cache_stats()))
-    }
-
-    /// Per-shard tallies, in shard order.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<ServeStats> {
-        self.shards.iter().map(|s| s.stats()).collect()
-    }
-
-    /// Per-shard health, in shard order.
-    #[must_use]
-    pub fn healths(&self) -> Vec<ShardHealth> {
-        self.shards.iter().map(|s| s.health()).collect()
-    }
-
-    /// Requests rerouted off a down primary so far.
-    #[must_use]
-    pub fn failovers(&self) -> u64 {
-        self.failovers.load(Ordering::Relaxed)
-    }
-
-    /// Shard restarts performed by the supervisor so far, across all
-    /// shards.
-    #[must_use]
-    pub fn restarts(&self) -> u64 {
-        self.shards.iter().map(|s| s.restarts()).sum()
-    }
-
-    /// Per-shard observers (empty entries when started unobserved).
-    #[must_use]
-    pub fn observers(&self) -> Vec<Option<FarmObserver>> {
-        self.shards.iter().map(|s| s.observer()).collect()
-    }
-
-    /// Per-shard SLO trackers, in shard order (empty entries when
-    /// started unobserved).
-    #[must_use]
-    pub fn slos(&self) -> Vec<Option<Arc<canti_obs::SloTracker>>> {
-        self.shards.iter().map(|s| s.slo()).collect()
-    }
-
-    /// Per-shard request logs, in shard order (empty entries when
-    /// started unobserved).
-    #[must_use]
-    pub fn request_logs(&self) -> Vec<Option<Arc<canti_obs::RequestLog>>> {
-        self.shards.iter().map(|s| s.request_log()).collect()
-    }
-
-    /// Per-shard timeline recorders, in shard order (empty entries when
-    /// started unobserved).
-    #[must_use]
-    pub fn timelines(&self) -> Vec<Option<Arc<canti_obs::TimelineRecorder>>> {
-        self.shards.iter().map(|s| s.timeline()).collect()
-    }
-
-    /// Per-shard pool widths (the worker threads each shard's executor
-    /// actually runs), in shard order.
-    #[must_use]
-    pub fn pool_threads(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.pool_threads()).collect()
-    }
-
-    /// Gracefully shuts down every shard in shard order (stopping the
-    /// supervisor thread first so nothing resurrects mid-drain),
-    /// returning the final per-shard tallies.
-    #[must_use = "the drain summaries report what each shard did"]
-    pub fn shutdown(mut self) -> Vec<ServeStats> {
-        self.supervisor_stop.store(true, Ordering::Release);
-        if let Some(handle) = self.supervisor_thread.take() {
-            let _ = handle.join();
-        }
-        self.shards.iter().map(|s| s.shutdown_ref()).collect()
-    }
-}
-
-impl std::fmt::Debug for ShardedService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedService")
-            .field("shards", &self.shards.len())
-            .field("healths", &self.healths())
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-/// The wall-clock supervisor loop behind a [`ShardedService`]: polls
-/// shard health every millisecond and revives each dead shard when its
-/// [`RestartSchedule`] says so.
-fn spawn_service_supervisor(
-    shards: Vec<Arc<ServeService>>,
-    config: SupervisorConfig,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name("canti-serve-supervisor".into())
-        .spawn(move || {
-            let started = Instant::now();
-            let mut schedules = vec![RestartSchedule::default(); shards.len()];
-            while !stop.load(Ordering::Acquire) {
-                let now_ns = started.elapsed().as_nanos() as u64;
-                for (svc, schedule) in shards.iter().zip(&mut schedules) {
-                    if schedule.tick(&config, svc.health(), now_ns) {
-                        svc.revive();
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        })
-        .expect("spawn canti-serve-supervisor")
-}
-
-/// One threaded shard's restart schedule: its failure streak and, while
-/// it is down, when its restart falls due. The same policy as
-/// [`ShardSupervisor`], read off the service's own health instead of
-/// notifications.
-#[derive(Debug, Clone, Copy, Default)]
-struct RestartSchedule {
-    /// Consecutive deaths since the shard was last seen `Healthy`.
-    failures: u32,
-    /// The restart instant of a down shard, ns on the supervisor's clock.
-    due_ns: Option<u64>,
-}
-
-impl RestartSchedule {
-    /// One supervisor tick over a shard seen at `health` at `now_ns`;
-    /// returns whether to revive it now. A fresh death schedules the
-    /// restart after [`SupervisorConfig::backoff_ns`] for the streak so
-    /// far, and reaching `Healthy` resets the streak.
-    fn tick(&mut self, config: &SupervisorConfig, health: ShardHealth, now_ns: u64) -> bool {
-        match health {
-            ShardHealth::Down => match self.due_ns {
-                None => {
-                    self.failures += 1;
-                    self.due_ns = Some(now_ns.saturating_add(config.backoff_ns(self.failures)));
-                    false
-                }
-                Some(due) if now_ns >= due => {
-                    self.due_ns = None;
-                    true
-                }
-                Some(_) => false,
-            },
-            ShardHealth::Healthy => {
-                *self = Self::default();
-                false
-            }
-            ShardHealth::Recovering | ShardHealth::Degraded => {
-                self.due_ns = None;
-                false
-            }
-        }
     }
 }
 
@@ -1044,68 +683,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_health_labels_and_encoding_round_trip() {
+    fn shard_health_labels_and_liveness() {
         for h in [
             ShardHealth::Healthy,
             ShardHealth::Degraded,
             ShardHealth::Down,
             ShardHealth::Recovering,
         ] {
-            assert_eq!(ShardHealth::from_u8(h.as_u8()), h);
             assert!(!h.label().is_empty());
         }
         assert!(ShardHealth::Recovering.is_live());
         assert!(!ShardHealth::Down.is_live());
-        assert_eq!(
-            ShardHealth::from_u8(250),
-            ShardHealth::Down,
-            "unknown → Down"
-        );
-    }
-
-    /// Ticks one schedule through `script` (health, ns) and returns the
-    /// instants at which it said to revive.
-    fn revivals(script: &[(ShardHealth, u64)]) -> Vec<u64> {
-        let config = SupervisorConfig::default();
-        let mut schedule = RestartSchedule::default();
-        script
-            .iter()
-            .filter(|&&(health, now_ns)| schedule.tick(&config, health, now_ns))
-            .map(|&(_, now_ns)| now_ns)
-            .collect()
-    }
-
-    #[test]
-    fn threaded_restart_streak_resets_once_the_shard_is_healthy() {
-        let base = SupervisorConfig::default().backoff_base_ns;
-        let (down, up) = (ShardHealth::Down, ShardHealth::Healthy);
-        // kill -> one base -> revive -> Healthy -> kill: one base again
-        let second = 10 * base;
-        assert_eq!(
-            revivals(&[
-                (down, 0),
-                (down, base - 1),
-                (down, base),
-                (ShardHealth::Recovering, base + 1),
-                (up, base + 2),
-                (down, second),
-                (down, second + base - 1),
-                (down, second + base),
-            ]),
-            vec![base, second + base]
-        );
-        // without reaching Healthy the streak stands: two bases
-        assert_eq!(
-            revivals(&[
-                (down, 0),
-                (down, base),
-                (ShardHealth::Degraded, base + 1),
-                (down, second),
-                (down, second + 2 * base - 1),
-                (down, second + 2 * base),
-            ]),
-            vec![base, second + 2 * base]
-        );
     }
 
     #[test]
@@ -1152,6 +740,54 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_reroute_counts_no_failover() {
+        let victim = route_request(0, 2);
+        let survivor = 1 - victim;
+        let (observers, rings): (Vec<FarmObserver>, Vec<_>) =
+            (0..2).map(|_| FarmObserver::deterministic(4096)).unzip();
+        let mut e = ShardedEngine::new(
+            ShardedConfig {
+                shards: 2,
+                base: ServeConfig {
+                    queue_capacity: 2,
+                    max_batch: 1,
+                    threads: 1,
+                    ..ServeConfig::default()
+                },
+            },
+            Arc::new(VirtualClock::new()) as Arc<dyn ObsClock>,
+        )
+        .with_supervisor(SupervisorConfig {
+            backoff_base_ns: u64::MAX, // never restarted
+            ..SupervisorConfig::default()
+        })
+        .with_observers(observers)
+        .with_chaos_plan(&ServeFaultPlan::kill_shard(victim, 0));
+        assert_eq!(e.submit(probe(0.0)), Ok(0));
+        let _ = e.pump(); // the victim's batch 0 dies
+        assert_eq!(e.healths()[victim], ShardHealth::Down);
+
+        // id 1 reroutes onto the survivor and id 2 is its own: full
+        assert_eq!(e.next_shard(), victim);
+        assert_eq!(e.submit(probe(1.0)), Ok(1));
+        assert_eq!(e.next_shard(), survivor);
+        assert_eq!(e.submit(probe(2.0)), Ok(2));
+        // id 3 reroutes onto the full survivor, refused nine times over
+        assert_eq!(e.next_shard(), victim);
+        for _ in 0..9 {
+            assert_eq!(
+                e.submit(probe(3.0)),
+                Err(RejectReason::QueueFull { capacity: 2 })
+            );
+        }
+        assert_eq!(e.failovers(), 1, "only the admitted reroute counts");
+        let observer = e.shard(survivor).observer().expect("observed");
+        assert_eq!(observer.metrics().counter("serve.failovers").get(), 1);
+        let events = rings[survivor].events();
+        assert_eq!(events.iter().filter(|ev| ev.name == "failover").count(), 1);
+    }
+
+    #[test]
     fn rejected_submissions_do_not_burn_global_ids() {
         let clock = Arc::new(VirtualClock::new());
         // capacity 1, linger unreachable: the second submission to any
@@ -1179,32 +815,5 @@ mod tests {
         // the id after a rejection continues the dense stream
         assert_eq!(e.stats().admitted, 1);
         assert_eq!(e.stats().rejected, 1);
-    }
-
-    #[test]
-    fn sharded_service_round_trips_with_global_ids() {
-        let service = ShardedService::start(ShardedConfig {
-            shards: 3,
-            base: ServeConfig {
-                max_batch: 2,
-                linger_ns: 1_000, // 1 µs: lone requests fire quickly
-                threads: 1,
-                ..ServeConfig::default()
-            },
-        });
-        let tickets: Vec<ShardTicket> = (0..9)
-            .map(|i| service.submit(probe(f64::from(i))).expect("admitted"))
-            .collect();
-        for (i, t) in tickets.into_iter().enumerate() {
-            assert_eq!(t.id(), i as u64);
-            assert_eq!(t.shard(), route_request(i as u64, 3));
-            let r = t.wait();
-            assert_eq!(r.request_id, i as u64, "ticket rewrites to global id");
-            assert!(r.disposition.is_ok(), "request {i}: {r}");
-        }
-        assert_eq!(service.healths(), vec![ShardHealth::Healthy; 3]);
-        let per_shard = service.shutdown();
-        assert_eq!(per_shard.len(), 3);
-        assert_eq!(per_shard.iter().map(|s| s.completed).sum::<u64>(), 9);
     }
 }

@@ -90,9 +90,10 @@ impl ShardRecord {
 
 /// The deterministic shard health supervisor.
 ///
-/// The caller (the sharded engine or service) notifies it of failures,
-/// restarts and clean batches; the supervisor answers health queries
-/// and restart-due checks. See the module docs for the state machine.
+/// The caller (the sharded engine, under either driver) notifies it of
+/// failures, restarts and clean batches; the supervisor answers health
+/// queries and restart-due checks. See the module docs for the state
+/// machine.
 #[derive(Debug, Clone)]
 pub struct ShardSupervisor {
     config: SupervisorConfig,

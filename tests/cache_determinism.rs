@@ -35,8 +35,8 @@ use canti::fault::ServeFaultPlan;
 use canti::obs::{ObsClock, VirtualClock};
 use canti::serve::{
     canonical_job_line, job_key, BatchRecord, CacheConfig, CacheStats, Disposition, JobKey,
-    RejectReason, ReportCache, ServeConfig, ServeEngine, ServeResponse, ServeService,
-    ShardedConfig, ShardedEngine, ShardedService, SupervisorConfig,
+    RejectReason, ReportCache, ServeConfig, ServeEngine, ServeResponse, ShardedConfig,
+    ShardedEngine, ShardedService, SupervisorConfig,
 };
 use canti::units::{Molar, Seconds};
 use proptest::prelude::*;
@@ -573,7 +573,10 @@ fn assert_hits_answer_inside_submit(submit: impl Fn(JobSpec) -> Answer, batches:
 
 #[test]
 fn threaded_service_answers_a_hit_inside_submit() {
-    let service = ServeService::start(config(1, 8));
+    let service = ShardedService::start(ShardedConfig {
+        shards: 1,
+        base: config(1, 8),
+    });
     assert_hits_answer_inside_submit(
         |spec| {
             let ticket = service.submit(spec).expect("admitted");
@@ -583,7 +586,7 @@ fn threaded_service_answers_a_hit_inside_submit() {
         },
         || service.stats().batches,
     );
-    let stats = service.shutdown();
+    let stats = service.shutdown()[0];
     assert_eq!((stats.cache_hits, stats.completed), (1, 3));
 }
 
