@@ -476,7 +476,7 @@ mod tests {
         let stream: Vec<(EventKind, String)> = ring
             .events()
             .iter()
-            .map(|e| (e.kind, e.name.clone()))
+            .map(|e| (e.kind, e.name.to_owned()))
             .collect();
         use EventKind as K;
         let expected: Vec<(EventKind, String)> = [

@@ -357,7 +357,7 @@ impl AutonomousInstrument {
                 let kinds = faults.labels.join(",");
                 self.tracer.event(
                     "fault_injected",
-                    &[("channel", ch.into()), ("kinds", kinds.as_str().into())],
+                    &[("channel", ch.into()), ("kinds", kinds.into())],
                 );
             }
         }
@@ -476,7 +476,7 @@ impl AutonomousInstrument {
                 self.sequencer.state()
             );
             self.tracer
-                .event("scan_fault", &[("reason", reason.as_str().into())]);
+                .event("scan_fault", &[("reason", reason.clone().into())]);
             return Err(CoreError::Config { reason });
         }
         let recovery_active = self.policy.is_active();
@@ -514,10 +514,8 @@ impl AutonomousInstrument {
                             AttemptOutcome::Error(e) => {
                                 // configuration-level failure: never retried
                                 let _ = self.sequencer.handle(SequencerEvent::MeasurementFailed);
-                                self.tracer.event(
-                                    "scan_fault",
-                                    &[("reason", e.to_string().as_str().into())],
-                                );
+                                self.tracer
+                                    .event("scan_fault", &[("reason", e.to_string().into())]);
                                 return Err(e);
                             }
                             AttemptOutcome::BadOutput { reason } => {
@@ -529,7 +527,7 @@ impl AutonomousInstrument {
                                         &[
                                             ("channel", ch.into()),
                                             ("attempt", u64::from(attempt).into()),
-                                            ("reason", reason.as_str().into()),
+                                            ("reason", reason.clone().into()),
                                         ],
                                     );
                                     drop(span);
@@ -546,7 +544,7 @@ impl AutonomousInstrument {
                                 }
                                 let _ = self.sequencer.handle(SequencerEvent::MeasurementFailed);
                                 self.tracer
-                                    .event("scan_fault", &[("reason", reason.as_str().into())]);
+                                    .event("scan_fault", &[("reason", reason.clone().into())]);
                                 return Err(CoreError::Config { reason });
                             }
                             AttemptOutcome::Watchdog { reason } => {
@@ -558,7 +556,7 @@ impl AutonomousInstrument {
                                         &[
                                             ("channel", ch.into()),
                                             ("attempt", u64::from(attempt).into()),
-                                            ("reason", reason.as_str().into()),
+                                            ("reason", reason.clone().into()),
                                         ],
                                     );
                                     drop(span);
@@ -574,7 +572,7 @@ impl AutonomousInstrument {
                                     break Err(reason);
                                 }
                                 self.tracer
-                                    .event("scan_fault", &[("reason", reason.as_str().into())]);
+                                    .event("scan_fault", &[("reason", reason.clone().into())]);
                                 return Err(CoreError::Config { reason });
                             }
                         }
@@ -597,7 +595,7 @@ impl AutonomousInstrument {
                                 &[
                                     ("channel", ch.into()),
                                     ("attempts", u64::from(attempt + 1).into()),
-                                    ("reason", reason.as_str().into()),
+                                    ("reason", reason.clone().into()),
                                 ],
                             );
                             status[ch] = ChannelStatus::Quarantined { reason };
@@ -618,7 +616,7 @@ impl AutonomousInstrument {
                 other => {
                     let reason = format!("unexpected sequencer action {other:?}");
                     self.tracer
-                        .event("scan_fault", &[("reason", reason.as_str().into())]);
+                        .event("scan_fault", &[("reason", reason.clone().into())]);
                     return Err(CoreError::Config { reason });
                 }
             }
@@ -744,7 +742,7 @@ mod tests {
         let names: Vec<(EventKind, String)> = ring
             .events()
             .iter()
-            .map(|e| (e.kind, e.name.clone()))
+            .map(|e| (e.kind, e.name.to_owned()))
             .collect();
         use EventKind as K;
         let expect = |kind, name: &str| (kind, name.to_owned());
@@ -788,7 +786,7 @@ mod tests {
         inst.run_scan([SurfaceStress::zero(); CHANNELS], 0)
             .unwrap_err();
         let events = ring.events();
-        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = events.iter().map(|e| e.name).collect();
         // sequencer-side failure event, its fault transition, then the
         // instrument-side scan_fault — in that order
         let mf = names
@@ -984,7 +982,7 @@ mod tests {
             assert_eq!(report.quarantined_channels(), 1);
             assert_eq!(report.retried_channels(), 1);
 
-            let names: Vec<String> = ring.events().iter().map(|e| e.name.clone()).collect();
+            let names: Vec<String> = ring.events().iter().map(|e| e.name.to_owned()).collect();
             assert!(names.iter().any(|n| n == "fault_injected"), "{names:?}");
             assert!(names.iter().any(|n| n == "measure_retry"), "{names:?}");
             assert!(

@@ -462,7 +462,7 @@ impl ResonantCantileverSystem {
                 "amplitude {:.3e} m after {periods} periods",
                 amplitude.value()
             );
-            tracer.event("oscillation_failed", &[("reason", reason.as_str().into())]);
+            tracer.event("oscillation_failed", &[("reason", reason.clone().into())]);
             return Err(CoreError::OscillationFailed { reason });
         }
         let frequency = match record.oscillation_frequency() {
@@ -608,7 +608,7 @@ mod tests {
         assert!(summary.drive_amplitude.value() > 1e-3, "real drive");
         // the ring-up span and the settled event carry the same numbers
         let events = ring.events();
-        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = events.iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["ring_up", "ring_up", "oscillation_settled"]);
         let settled = &events[2];
         assert_eq!(

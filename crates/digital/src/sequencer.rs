@@ -190,7 +190,7 @@ impl MeasurementSequencer {
                     fields.push(("channel", (*channel).into()));
                 }
                 SequencerState::Fault { reason } => {
-                    fields.push(("reason", reason.as_str().into()));
+                    fields.push(("reason", reason.clone().into()));
                 }
                 _ => {}
             }
@@ -293,7 +293,7 @@ impl MeasurementSequencer {
         self.tracer.event(
             "recovered",
             &[
-                ("reason", reason.as_str().into()),
+                ("reason", reason.clone().into()),
                 ("to", state_label(&next).into()),
             ],
         );
@@ -526,10 +526,10 @@ mod tests {
                 .iter()
                 .map(|e| {
                     let get = |k: &str| match e.field(k) {
-                        Some(JsonValue::Str(s)) => s.clone(),
+                        Some(JsonValue::Str(s)) => s.to_string(),
                         _ => "-".to_owned(),
                     };
-                    (e.name.clone(), get("from"), get("to"))
+                    (e.name.to_owned(), get("from"), get("to"))
                 })
                 .collect()
         }
@@ -669,7 +669,7 @@ mod tests {
             }
             assert_eq!(traced_seq, plain, "tracing must not change state");
             // the post-fault StartScan is swallowed by the latch: no event
-            let names: Vec<_> = ring.events().iter().map(|e| e.name.clone()).collect();
+            let names: Vec<_> = ring.events().iter().map(|e| e.name).collect();
             assert_eq!(names, vec!["state_change", "state_change"]);
         }
     }

@@ -619,8 +619,8 @@ mod tests {
         assert_eq!(telemetry.per_worker.iter().map(|w| w.jobs).sum::<u64>(), 12);
         // trace stream: one batch span + one job span per job
         let events = ring.events();
-        assert_eq!(events.first().map(|e| e.name.as_str()), Some("batch"));
-        assert_eq!(events.last().map(|e| e.name.as_str()), Some("batch"));
+        assert_eq!(events.first().map(|e| e.name), Some("batch"));
+        assert_eq!(events.last().map(|e| e.name), Some("batch"));
         let job_starts = events
             .iter()
             .filter(|e| e.name == "job" && e.kind == canti_obs::EventKind::SpanStart)

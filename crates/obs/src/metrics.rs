@@ -401,16 +401,16 @@ impl Metrics {
         let mut out = String::new();
         for (name, c) in &reg.counters {
             out.push_str(&ndjson::object(&[
-                ("metric", JsonValue::Str(name.clone())),
-                ("type", JsonValue::Str("counter".to_owned())),
+                ("metric", JsonValue::from(name.clone())),
+                ("type", JsonValue::from("counter")),
                 ("value", JsonValue::U64(c.get())),
             ]));
             out.push('\n');
         }
         for (name, g) in &reg.gauges {
             out.push_str(&ndjson::object(&[
-                ("metric", JsonValue::Str(name.clone())),
-                ("type", JsonValue::Str("gauge".to_owned())),
+                ("metric", JsonValue::from(name.clone())),
+                ("type", JsonValue::from("gauge")),
                 ("value", JsonValue::I64(g.get())),
             ]));
             out.push('\n');
@@ -418,8 +418,8 @@ impl Metrics {
         for (name, h) in &reg.histograms {
             let s = h.snapshot();
             out.push_str(&ndjson::object(&[
-                ("metric", JsonValue::Str(name.clone())),
-                ("type", JsonValue::Str("histogram".to_owned())),
+                ("metric", JsonValue::from(name.clone())),
+                ("type", JsonValue::from("histogram")),
                 ("count", JsonValue::U64(s.count)),
                 ("sum", JsonValue::U64(s.sum)),
                 ("min", JsonValue::U64(s.min)),

@@ -6,6 +6,7 @@
 //! [`JsonValue::write_to`], which is also its `Display`); [`escape`] and
 //! [`object`] are those writers aimed at a fresh `String`.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write};
 
 /// A JSON scalar value.
@@ -17,8 +18,9 @@ pub enum JsonValue {
     I64(i64),
     /// Float (emitted with enough digits to round-trip).
     F64(f64),
-    /// String (escaped on emission).
-    Str(String),
+    /// String (escaped on emission). A `&'static str` is borrowed, so
+    /// a literal value costs no allocation; runtime text is owned.
+    Str(Cow<'static, str>),
 }
 
 impl JsonValue {
@@ -74,15 +76,15 @@ impl From<f64> for JsonValue {
     }
 }
 
-impl From<&str> for JsonValue {
-    fn from(v: &str) -> Self {
-        Self::Str(v.to_owned())
+impl From<&'static str> for JsonValue {
+    fn from(v: &'static str) -> Self {
+        Self::Str(Cow::Borrowed(v))
     }
 }
 
 impl From<String> for JsonValue {
     fn from(v: String) -> Self {
-        Self::Str(v)
+        Self::Str(Cow::Owned(v))
     }
 }
 

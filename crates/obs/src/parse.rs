@@ -79,7 +79,7 @@ impl Json {
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Self::Value(JsonValue::Str(s)) => Some(s),
+            Self::Value(JsonValue::Str(s)) => Some(s.as_ref()),
             _ => None,
         }
     }
@@ -275,7 +275,7 @@ impl<'a> Parser<'a> {
             JsonValue::NAN => JsonValue::F64(f64::NAN),
             JsonValue::INF => JsonValue::F64(f64::INFINITY),
             JsonValue::NEG_INF => JsonValue::F64(f64::NEG_INFINITY),
-            _ => JsonValue::Str(s),
+            _ => JsonValue::from(s),
         })
     }
 

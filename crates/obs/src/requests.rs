@@ -46,7 +46,11 @@ pub struct RequestRecord {
     pub request: u64,
     /// The request-scoped trace id ([`crate::trace_id`] of `request`).
     pub trace: u64,
-    /// Terminal state label: `"ok"`, `"job_failed"` or `"expired"`.
+    /// Terminal state label: `"ok"` or `"job_failed"` for a request a
+    /// batch answered, `"cache_hit"` for one answered from the result
+    /// cache at admission, `"expired"`, or the reject-reason label of an
+    /// admitted request abandoned without an answer (`"shard_failed"`
+    /// when its shard died, `"shed"` under brownout).
     pub outcome: &'static str,
     /// The batch that carried the request (`None` for expiries).
     pub batch: Option<u64>,

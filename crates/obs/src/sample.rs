@@ -274,7 +274,7 @@ impl Collector for FlightRecorder {
             if let Some(JsonValue::U64(request)) = event.field("request") {
                 pending.request = *request;
             }
-            if event.kind == EventKind::Event && ERROR_EVENT_NAMES.contains(&event.name.as_str()) {
+            if event.kind == EventKind::Event && ERROR_EVENT_NAMES.contains(&event.name) {
                 pending.error = true;
             }
             let is_request_start = event.kind == EventKind::SpanStart && event.name == "request";
@@ -386,7 +386,7 @@ mod tests {
         drop(span);
         let kept = flight.kept();
         assert_eq!(kept.len(), 1);
-        let names: Vec<&str> = kept[0].events.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = kept[0].events.iter().map(|e| e.name).collect();
         assert_eq!(names, ["request", "job_ok", "request"]);
         assert_eq!(kept[0].events[2].kind, EventKind::SpanEnd);
     }

@@ -36,6 +36,7 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::metrics::{Counter, Metrics};
+use crate::timeline::window_slot;
 
 /// Latency-objective and windowing policy for an [`SloTracker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,20 +149,7 @@ impl SloTracker {
             self.breached.inc();
         }
         let mut windows = self.windows.lock().unwrap_or_else(PoisonError::into_inner);
-        // windows arrive in clock order on any one tracker; a same-index
-        // or older sample still lands in the right slot
-        let pos = windows.iter().position(|w| w.index >= index);
-        let slot = match pos {
-            Some(i) if windows[i].index == index => &mut windows[i],
-            Some(i) => {
-                windows.insert(i, WindowCounts::new_at(index));
-                &mut windows[i]
-            }
-            None => {
-                windows.push_back(WindowCounts::new_at(index));
-                windows.back_mut().expect("just pushed")
-            }
-        };
+        let slot = window_slot(&mut windows, index, |w| w.index, WindowCounts::new_at);
         if good {
             slot.good += 1;
         } else {

@@ -187,25 +187,31 @@ impl Series {
     /// Folds `value` into window `index`, keeping at most `max_windows`
     /// windows.
     fn observe(&mut self, index: u64, value: u64, max_windows: usize) {
-        // samples arrive in clock order per recorder; a same-index or
-        // older observation still lands in the right slot
-        let pos = self.points.iter().position(|p| p.index >= index);
-        let slot = match pos {
-            Some(i) if self.points[i].index == index => &mut self.points[i],
-            Some(i) => {
-                self.points.insert(i, SeriesPoint::new_at(index));
-                &mut self.points[i]
-            }
-            None => {
-                self.points.push_back(SeriesPoint::new_at(index));
-                self.points.back_mut().expect("just pushed")
-            }
-        };
-        slot.observe(value);
+        window_slot(&mut self.points, index, |p| p.index, SeriesPoint::new_at).observe(value);
         while self.points.len() > max_windows {
             self.points.pop_front();
         }
     }
+}
+
+/// The slot for window `index` in `windows`, which is sorted by
+/// `index_of` with no repeats; a missing window is made by `new_at` and
+/// inserted in order. Observations arrive in clock order, so the search
+/// starts at the newest window and usually stops there, while a late
+/// observation for an older window still lands in its own slot.
+pub(crate) fn window_slot<T>(
+    windows: &mut VecDeque<T>,
+    index: u64,
+    index_of: impl Fn(&T) -> u64,
+    new_at: impl FnOnce(u64) -> T,
+) -> &mut T {
+    let at = match windows.iter().rposition(|w| index_of(w) <= index) {
+        Some(i) if index_of(&windows[i]) == index => return &mut windows[i],
+        Some(i) => i + 1,
+        None => 0,
+    };
+    windows.insert(at, new_at(index));
+    &mut windows[at]
 }
 
 /// A deterministic per-window timeline aggregator (see the module docs).
@@ -360,9 +366,9 @@ pub fn point_line(
     let mut fields: Vec<(&str, JsonValue)> = Vec::with_capacity(10);
     fields.push(("record", JsonValue::from("timeline")));
     if let Some(label) = shard {
-        fields.push(("shard", JsonValue::from(label)));
+        fields.push(("shard", JsonValue::from(label.to_owned())));
     }
-    fields.push(("series", JsonValue::from(series)));
+    fields.push(("series", JsonValue::from(series.to_owned())));
     fields.push(("kind", JsonValue::from(kind.as_str())));
     fields.push(("window", JsonValue::U64(p.index)));
     fields.push(("t_ns", JsonValue::U64(p.index.saturating_mul(width_ns))));

@@ -10,9 +10,23 @@
 //! [`Tracer::disabled`] is a true no-op — a disabled tracer performs no
 //! clock reads, no allocation and no locking, so instrumented hot paths
 //! cost one branch when telemetry is off.
+//!
+//! # What an enabled tracer allocates
+//!
+//! Nothing per event, for the events the stack emits. Names are
+//! `&'static str` and are borrowed, never copied, by the event and by a
+//! [`SpanGuard`]. A [`TraceEvent`] holds up to [`INLINE_FIELDS`] fields
+//! inline, and a static string value ([`JsonValue::Str`] built from a
+//! `&'static str`) is borrowed too. Only three things reach the heap: an
+//! event with more than [`INLINE_FIELDS`] fields (one block for all of
+//! them), a string value built from runtime text (its own `String`), and
+//! whatever the collector does with the event. A [`RingCollector`]
+//! grows its buffer until it first fills and then recycles slots; an
+//! [`NdjsonCollector`] formats each line into a fresh `String`.
 
 use std::fmt;
 use std::io::Write;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -102,6 +116,66 @@ impl EventKind {
     }
 }
 
+/// One field of a [`TraceEvent`]: a static key and its value.
+pub type Field = (&'static str, JsonValue);
+
+/// How many fields a [`TraceEvent`] holds without a heap block: enough
+/// for a request span's start (`request`, `trace`, `kind`) and for the
+/// cache events. More inline slots would make every ring slot bigger.
+pub const INLINE_FIELDS: usize = 3;
+
+/// A [`TraceEvent`]'s fields in emission order; derefs to a slice. Up
+/// to [`INLINE_FIELDS`] live inline, more spill to one `Vec`.
+#[derive(Clone)]
+pub struct Fields(FieldStore);
+
+#[derive(Clone)]
+enum FieldStore {
+    Inline {
+        len: u8,
+        items: [Field; INLINE_FIELDS],
+    },
+    Spilled(Vec<Field>),
+}
+
+impl From<&[Field]> for Fields {
+    fn from(fields: &[Field]) -> Self {
+        if fields.len() > INLINE_FIELDS {
+            return Self(FieldStore::Spilled(fields.to_vec()));
+        }
+        const UNUSED: Field = ("", JsonValue::U64(0));
+        let mut items = [UNUSED; INLINE_FIELDS];
+        items[..fields.len()].clone_from_slice(fields);
+        Self(FieldStore::Inline {
+            len: fields.len() as u8,
+            items,
+        })
+    }
+}
+
+impl Deref for Fields {
+    type Target = [Field];
+
+    fn deref(&self) -> &[Field] {
+        match &self.0 {
+            FieldStore::Inline { len, items } => &items[..usize::from(*len)],
+            FieldStore::Spilled(fields) => fields,
+        }
+    }
+}
+
+impl PartialEq for Fields {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One structured telemetry record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
@@ -111,10 +185,10 @@ pub struct TraceEvent {
     pub t_ns: u64,
     /// Start/end/instant marker.
     pub kind: EventKind,
-    /// Event or span name.
-    pub name: String,
+    /// Event or span name, as the [`Tracer`] call site spelled it.
+    pub name: &'static str,
     /// Structured payload, in emission order.
-    pub fields: Vec<(&'static str, JsonValue)>,
+    pub fields: Fields,
 }
 
 impl TraceEvent {
@@ -130,7 +204,7 @@ impl TraceEvent {
         let mut out = format!("{{\"seq\":{},\"t_ns\":{},\"kind\":", self.seq, self.t_ns);
         let _ = ndjson::write_escaped(&mut out, self.kind.as_str());
         out.push_str(",\"name\":");
-        let _ = ndjson::write_escaped(&mut out, &self.name);
+        let _ = ndjson::write_escaped(&mut out, self.name);
         if !self.fields.is_empty() {
             out.push_str(",\"fields\":");
             let _ = ndjson::write_object(&mut out, &self.fields);
@@ -311,20 +385,20 @@ impl Tracer {
         self.inner.as_ref().map_or(0, |i| i.clock.now_ns())
     }
 
-    fn emit(&self, kind: EventKind, name: &str, fields: &[(&'static str, JsonValue)]) {
+    fn emit(&self, kind: EventKind, name: &'static str, fields: &[Field]) {
         let Some(inner) = &self.inner else { return };
         let event = TraceEvent {
             seq: inner.seq.fetch_add(1, Ordering::Relaxed),
             t_ns: inner.clock.now_ns(),
             kind,
-            name: name.to_owned(),
-            fields: fields.to_vec(),
+            name,
+            fields: Fields::from(fields),
         };
         inner.collector.record(event);
     }
 
     /// Records an instantaneous event.
-    pub fn event(&self, name: &str, fields: &[(&'static str, JsonValue)]) {
+    pub fn event(&self, name: &'static str, fields: &[Field]) {
         self.emit(EventKind::Event, name, fields);
     }
 
@@ -332,11 +406,11 @@ impl Tracer {
     /// `span_end` (with a `dur_ns` field) when dropped or
     /// [`SpanGuard::end`]ed.
     #[must_use]
-    pub fn span(&self, name: &str, fields: &[(&'static str, JsonValue)]) -> SpanGuard {
+    pub fn span(&self, name: &'static str, fields: &[Field]) -> SpanGuard {
         self.emit(EventKind::SpanStart, name, fields);
         SpanGuard {
             tracer: self.clone(),
-            name: name.to_owned(),
+            name,
             start_ns: self.now_ns(),
             done: !self.is_enabled(),
         }
@@ -347,7 +421,7 @@ impl Tracer {
 #[derive(Debug)]
 pub struct SpanGuard {
     tracer: Tracer,
-    name: String,
+    name: &'static str,
     start_ns: u64,
     done: bool,
 }
@@ -371,7 +445,7 @@ impl SpanGuard {
         self.done = true;
         let dur = self.elapsed_ns();
         self.tracer
-            .emit(EventKind::SpanEnd, &self.name, &[("dur_ns", dur.into())]);
+            .emit(EventKind::SpanEnd, self.name, &[("dur_ns", dur.into())]);
         dur
     }
 }
@@ -467,6 +541,24 @@ mod tests {
             "{\"seq\":0,\"t_ns\":0,\"kind\":\"event\",\"name\":\"quote\\\"me\",\
              \"fields\":{\"f\":1.5,\"s\":\"v\"}}"
         );
+    }
+
+    #[test]
+    fn events_hold_three_fields_inline_and_stay_small() {
+        let (ring, _clock, tracer) = ring_tracer(4);
+        tracer.event("e", &[("a", 1u64.into()), ("b", "s".into())]);
+        let wide: Vec<Field> = ["a", "b", "c", "d", "e"]
+            .into_iter()
+            .zip(0u64..)
+            .map(|(k, v)| (k, v.into()))
+            .collect();
+        tracer.event("wide", &wide);
+        let events = ring.events();
+        assert_eq!(events[0].fields.len(), 2);
+        assert_eq!(events[0].field("b"), Some(&JsonValue::from("s")));
+        assert_eq!(*events[1].fields, *wide, "spilled fields keep their order");
+        // every ring slot is one event: more inline fields cost memory
+        assert!(std::mem::size_of::<TraceEvent>() <= 168);
     }
 
     #[test]

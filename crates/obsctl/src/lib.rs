@@ -795,7 +795,7 @@ pub fn summary_json(path: &Path) -> Result<String, CliError> {
         out.push_str(&ndjson::object(&[
             ("record", JsonValue::from("critical")),
             ("depth", JsonValue::from(depth)),
-            ("span", JsonValue::from(span.name.as_str())),
+            ("span", JsonValue::from(span.name.clone())),
             ("dur_ns", JsonValue::U64(span.duration_ns())),
         ]));
         out.push('\n');
@@ -874,7 +874,7 @@ pub fn trace_request_json(path: &Path, request: u64) -> Result<String, CliError>
         out.push_str(&ndjson::object(&[
             ("record", JsonValue::from("critical")),
             ("depth", JsonValue::from(depth)),
-            ("span", JsonValue::from(span.name.as_str())),
+            ("span", JsonValue::from(span.name.clone())),
             ("dur_ns", JsonValue::U64(span.duration_ns())),
         ]));
         out.push('\n');
@@ -1144,9 +1144,9 @@ pub fn timeline_report(
             for p in &s.points {
                 out.push_str(&ndjson::object(&[
                     ("record", JsonValue::from("timeline")),
-                    ("shard", JsonValue::from(s.shard.as_str())),
-                    ("series", JsonValue::from(s.name.as_str())),
-                    ("kind", JsonValue::from(s.kind.as_str())),
+                    ("shard", JsonValue::from(s.shard.clone())),
+                    ("series", JsonValue::from(s.name.clone())),
+                    ("kind", JsonValue::from(s.kind.clone())),
                     ("window", JsonValue::U64(p.window)),
                     (
                         "t_ns",
@@ -1328,7 +1328,7 @@ fn timeline_crosscheck(
     if json {
         let mut line = ndjson::object(&[
             ("record", JsonValue::from("timeline_crosscheck")),
-            ("shard", JsonValue::from(shard)),
+            ("shard", JsonValue::from(shard.to_owned())),
             ("requests", JsonValue::from(samples.len())),
             ("windows", JsonValue::from(recomputed.len())),
             ("verdict", JsonValue::from("match")),

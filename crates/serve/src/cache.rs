@@ -7,27 +7,25 @@
 //!
 //! # Key canonicalization
 //!
-//! [`job_key`] hashes the **canonical NDJSON line** of the spec, built
-//! with the same [`canti_obs::ndjson`] forms the telemetry pipeline
-//! emits and [`canti_obs::parse`] round-trips:
+//! [`job_key`] folds the spec's own bits into a 128-bit [`JobKey`]; no
+//! text is formatted and nothing is allocated:
 //!
-//! * fields are written in a fixed declaration order, so the key cannot
-//!   depend on field or map ordering;
-//! * floats go through [`canti_obs::JsonValue::F64`], whose `Display` is
-//!   the shortest round-tripping decimal — every distinct finite bit
-//!   pattern gets a distinct spelling, and the non-finite values use the
-//!   canonical `"NaN"` / `"Infinity"` / `"-Infinity"` strings (all NaN
-//!   payloads collapse to one key, which is safe: the stack never
-//!   branches on a NaN payload);
-//! * integers and enum tags are emitted as plain JSON scalars/strings.
+//! * the words go in a fixed order: the variant tag, then the enum tags
+//!   ([`canti_farm::Receptor`], [`canti_farm::ProbeMode`]) as fixed small
+//!   integers, then every field in declaration order, so the key cannot
+//!   depend on field order or on how an enum is declared;
+//! * a float enters as its IEEE-754 bit pattern, so `0.0` and `-0.0`
+//!   key apart and every 1-ulp change moves the key. Every NaN is first
+//!   mapped to one bit pattern, so all NaN payloads share one key. That
+//!   is safe: the stack never branches on a NaN payload;
+//! * integers enter as their value.
 //!
-//! The line is then hashed with two independent 64-bit FNV-1a lanes into
-//! a 128-bit [`JobKey`], wide enough that distinct specs colliding is
-//! not a practical concern (and the proptest suite hunts for collisions
-//! over dense spec neighborhoods anyway). [`job_key`] never builds the
-//! line: the same canonical writer streams its bytes straight into both
-//! lanes, so the key is the FNV-1a hash of exactly the bytes
-//! [`canonical_job_line`] returns.
+//! Two specs therefore fold the same words exactly when their derived
+//! `Debug` texts agree, and the property tests check that their keys
+//! follow. Each of the key's two 64-bit lanes takes every word through
+//! a bijection of the lane's state, so two specs of one variant that
+//! differ in a single field get different keys in both lanes. Specs
+//! that differ more collide only by chance, at 128 bits.
 //!
 //! # Eviction determinism rule
 //!
@@ -45,10 +43,10 @@
 //! next identical request recomputes.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use canti_farm::{JobOutput, JobSpec};
-use canti_obs::{ndjson, JsonValue};
+
+use crate::shard::splitmix64;
 
 /// Policy for the content-addressed report cache. `None` on
 /// [`crate::ServeConfig::cache`] (the default) disables caching and
@@ -75,8 +73,8 @@ impl CacheConfig {
     }
 }
 
-/// The 128-bit content hash of one [`JobSpec`]: two independent FNV-1a
-/// 64 lanes over the spec's canonical NDJSON line.
+/// The 128-bit content hash of one [`JobSpec`]: two lanes folded over
+/// the spec's tags and field bits (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobKey(pub [u64; 2]);
 
@@ -88,57 +86,57 @@ impl JobKey {
     /// shard — cached and recomputed responses compare `==` bitwise.
     #[must_use]
     pub fn fold(&self) -> u64 {
-        crate::shard::splitmix64(self.0[0] ^ self.0[1].rotate_left(32))
+        splitmix64(self.0[0] ^ self.0[1].rotate_left(32))
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-/// Second-lane offset: the FNV offset basis mixed once, so the two lanes
-/// walk decorrelated trajectories over the same bytes.
-const FNV_OFFSET_LANE2: u64 = 0x6c62_272e_07bb_0142;
+/// Where the two lanes start: the first two SHA-512 initial hash words,
+/// any two distinct constants would do.
+const LANE_OFFSETS: [u64; 2] = [0x6A09_E667_F3BC_C908, 0xBB67_AE85_84CA_A73B];
 
-/// A sink that folds every byte written to it into both FNV-1a lanes.
-/// FNV-1a is a byte-at-a-time fold, so hashing the pieces of a line as
-/// they are written equals hashing the whole line.
-struct KeyHasher([u64; 2]);
+/// The one bit pattern every NaN is keyed as.
+const NAN_BITS: u64 = 0x7FF8_0000_0000_0000;
 
-impl fmt::Write for KeyHasher {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        let [mut a, mut b] = self.0;
-        for &byte in s.as_bytes() {
-            a = (a ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            b = (b ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-        self.0 = [a, b];
-        Ok(())
+/// The odd multipliers of the two lanes.
+const LANE_MULTIPLIERS: [u64; 2] = [0x9E37_79B9_7F4A_7C15, 0xD1B5_4A32_D192_ED03];
+
+/// A key under construction. A word is xored into lane 0 as it is and
+/// into lane 1 premixed by splitmix64, and each lane is then multiplied
+/// by its odd constant and rotated. Each step is a bijection of the
+/// lane's state for a fixed word and of the word for a fixed state; the
+/// premix keeps the lanes from sharing algebraic structure, and it is
+/// off the lanes' dependency chain, so the fold costs about one
+/// multiply per word.
+struct KeyFold([u64; 2]);
+
+impl KeyFold {
+    fn word(self, w: u64) -> Self {
+        let [a, b] = self.0;
+        Self([
+            (a ^ w).wrapping_mul(LANE_MULTIPLIERS[0]).rotate_left(29),
+            (b ^ splitmix64(w))
+                .wrapping_mul(LANE_MULTIPLIERS[1])
+                .rotate_left(31),
+        ])
+    }
+
+    fn float(self, v: f64) -> Self {
+        self.word(if v.is_nan() { NAN_BITS } else { v.to_bits() })
+    }
+
+    /// Each lane through splitmix64 (a bijection), so every key bit
+    /// depends on every word.
+    fn finish(self) -> JobKey {
+        JobKey(self.0.map(splitmix64))
     }
 }
 
-/// The canonical NDJSON line a [`JobSpec`] hashes as. Public so the
-/// property tests can pin its stability directly.
-#[must_use]
-pub fn canonical_job_line(job: &JobSpec) -> String {
-    let mut line = String::new();
-    let _ = write_canonical(&mut line, job);
-    line
-}
-
-/// The content hash of `job` — see the module docs for the canonical
-/// form it is computed over.
+/// The content hash of `job` — see the module docs for what it folds.
 #[must_use]
 pub fn job_key(job: &JobSpec) -> JobKey {
-    let mut hasher = KeyHasher([FNV_OFFSET, FNV_OFFSET_LANE2]);
-    let _ = write_canonical(&mut hasher, job);
-    JobKey(hasher.0)
-}
-
-/// Writes `job`'s canonical NDJSON line into `out` — the one definition
-/// behind both [`canonical_job_line`] and [`job_key`].
-fn write_canonical(out: &mut impl fmt::Write, job: &JobSpec) -> fmt::Result {
     use canti_farm::{ProbeMode, Receptor};
-    let tag = |name: &str| ("job", JsonValue::from(name));
-    match job {
+    let key = KeyFold(LANE_OFFSETS);
+    let key = match job {
         JobSpec::StaticDoseResponse {
             receptor,
             concentration,
@@ -147,82 +145,47 @@ fn write_canonical(out: &mut impl fmt::Write, job: &JobSpec) -> fmt::Result {
             wash,
             dt,
             averaging,
-        } => {
-            let receptor = match receptor {
-                Receptor::AntiIgg => "anti_igg",
-                Receptor::AntiPsa => "anti_psa",
-                Receptor::Dna20mer => "dna_20mer",
-            };
-            ndjson::write_object(
-                out,
-                &[
-                    tag("static_dose_response"),
-                    ("receptor", receptor.into()),
-                    ("concentration", concentration.value().into()),
-                    ("baseline", baseline.value().into()),
-                    ("association", association.value().into()),
-                    ("wash", wash.value().into()),
-                    ("dt", dt.value().into()),
-                    ("averaging", (*averaging).into()),
-                ],
-            )
-        }
+        } => key
+            .word(0)
+            .word(match receptor {
+                Receptor::AntiIgg => 0,
+                Receptor::AntiPsa => 1,
+                Receptor::Dna20mer => 2,
+            })
+            .float(concentration.value())
+            .float(baseline.value())
+            .float(association.value())
+            .float(wash.value())
+            .float(dt.value())
+            .word(*averaging as u64),
         JobSpec::ProcessVariation {
             thickness_sigma_rel,
-        } => ndjson::write_object(
-            out,
-            &[
-                tag("process_variation"),
-                ("thickness_sigma_rel", (*thickness_sigma_rel).into()),
-            ],
-        ),
+        } => key.word(1).float(*thickness_sigma_rel),
         JobSpec::CrossReactivity {
             target,
             interferent,
-        } => ndjson::write_object(
-            out,
-            &[
-                tag("cross_reactivity"),
-                ("target", target.value().into()),
-                ("interferent", interferent.value().into()),
-            ],
-        ),
-        JobSpec::Probe(mode) => match mode {
-            ProbeMode::Value(v) => ndjson::write_object(
-                out,
-                &[tag("probe"), ("mode", "value".into()), ("v", (*v).into())],
-            ),
-            ProbeMode::Draws(n) => ndjson::write_object(
-                out,
-                &[tag("probe"), ("mode", "draws".into()), ("n", (*n).into())],
-            ),
-            ProbeMode::Panic => {
-                ndjson::write_object(out, &[tag("probe"), ("mode", "panic".into())])
+        } => key.word(2).float(target.value()).float(interferent.value()),
+        JobSpec::Probe(mode) => {
+            let key = key.word(3);
+            match mode {
+                ProbeMode::Value(v) => key.word(0).float(*v),
+                ProbeMode::Draws(n) => key.word(1).word(*n as u64),
+                ProbeMode::Panic => key.word(2),
+                ProbeMode::Fail => key.word(3),
+                ProbeMode::Flaky { p_fail } => key.word(4).float(*p_fail),
             }
-            ProbeMode::Fail => ndjson::write_object(out, &[tag("probe"), ("mode", "fail".into())]),
-            ProbeMode::Flaky { p_fail } => ndjson::write_object(
-                out,
-                &[
-                    tag("probe"),
-                    ("mode", "flaky".into()),
-                    ("p_fail", (*p_fail).into()),
-                ],
-            ),
-        },
+        }
         JobSpec::ChaosScan {
             fault_seed,
             faults,
             samples,
-        } => ndjson::write_object(
-            out,
-            &[
-                tag("chaos_scan"),
-                ("fault_seed", (*fault_seed).into()),
-                ("faults", (*faults).into()),
-                ("samples", (*samples).into()),
-            ],
-        ),
-    }
+        } => key
+            .word(4)
+            .word(*fault_seed)
+            .word(*faults as u64)
+            .word(*samples as u64),
+    };
+    key.finish()
 }
 
 /// Running tallies of one shard's report cache.
@@ -384,29 +347,19 @@ mod tests {
     }
 
     #[test]
-    fn canonical_line_is_stable_and_distinct_per_spec() {
-        assert_eq!(
-            canonical_job_line(&probe(1.5)),
-            "{\"job\":\"probe\",\"mode\":\"value\",\"v\":1.5}"
-        );
-        assert_ne!(
-            canonical_job_line(&probe(1.5)),
-            canonical_job_line(&probe(1.25))
-        );
-        // all NaN payloads collapse to the one canonical spelling
-        let quiet = f64::NAN;
-        let other = f64::from_bits(quiet.to_bits() ^ 1);
-        assert_eq!(
-            canonical_job_line(&probe(quiet)),
-            canonical_job_line(&probe(other))
-        );
-        assert!(canonical_job_line(&probe(f64::INFINITY)).contains("Infinity"));
-    }
-
-    #[test]
-    fn keys_match_exactly_when_lines_match() {
+    fn keys_follow_the_bit_equality_classes() {
         assert_eq!(job_key(&probe(2.0)), job_key(&probe(2.0)));
         assert_ne!(job_key(&probe(2.0)), job_key(&probe(3.0)));
+        assert_ne!(job_key(&probe(0.0)), job_key(&probe(-0.0)));
+        assert_ne!(
+            job_key(&probe(1.5)),
+            job_key(&probe(f64::from_bits(1.5f64.to_bits() + 1)))
+        );
+        // all NaN payloads share one key
+        let quiet = f64::NAN;
+        let other = f64::from_bits(quiet.to_bits() ^ 1);
+        assert_eq!(job_key(&probe(quiet)), job_key(&probe(other)));
+        assert_ne!(job_key(&probe(f64::INFINITY)), job_key(&probe(quiet)));
         assert_ne!(
             job_key(&JobSpec::Probe(ProbeMode::Draws(2))),
             job_key(&JobSpec::Probe(ProbeMode::Value(2.0)))

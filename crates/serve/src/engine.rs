@@ -174,8 +174,10 @@ impl Front {
     /// config default) or rejects it, keeping tallies, the queue-depth
     /// gauge, the request span and the admission/rejection events.
     /// `key` is the seed key (the global request id under a sharded
-    /// front — see [`crate::queue::AdmissionQueue::submit_keyed`]) and
-    /// `priority` the brownout class. A cache hit comes back answered.
+    /// front — see [`crate::queue::AdmissionQueue::submit_prioritized`])
+    /// and `priority` the brownout class. A cache hit comes back
+    /// answered. This is the serving path's only caller of
+    /// [`crate::cache::job_key`]: a miss hands its key to the queue.
     pub(crate) fn admit(
         &mut self,
         job: JobSpec,
@@ -189,15 +191,17 @@ impl Front {
         // deadline, so the lookup precedes the feasibility check and the
         // capacity gate (a hit occupies no queue slot). Failed/draining
         // still refuse first, inside allocate_cached.
-        if self.cache.is_some() && !self.queue.is_failed() && !self.queue.is_draining() {
-            let job_key = crate::cache::job_key(&job);
+        let job_key =
+            (self.cache.is_some() && !self.queue.is_failed() && !self.queue.is_draining())
+                .then(|| crate::cache::job_key(&job));
+        if let Some(k) = job_key {
             let hit = self
                 .cache
                 .as_ref()
                 .expect("checked above")
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .lookup(job_key);
+                .lookup(k);
             match hit {
                 Some(output) => {
                     let id = self
@@ -224,7 +228,7 @@ impl Front {
             Some(reason) => Err(reason),
             None => self
                 .queue
-                .submit_prioritized(now_ns, job, deadline_ns, key, priority),
+                .submit_prioritized(now_ns, job, job_key, deadline_ns, key, priority),
         };
         match submitted {
             Ok(admitted) => {

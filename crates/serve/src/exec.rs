@@ -554,7 +554,7 @@ pub(crate) mod tests {
             3,
             "all within default objective"
         );
-        let names: Vec<String> = ring.events().iter().map(|e| e.name.clone()).collect();
+        let names: Vec<String> = ring.events().iter().map(|e| e.name.to_owned()).collect();
         assert!(
             names.contains(&"serve_batch".to_owned()),
             "serve_batch span missing from {names:?}"

@@ -84,7 +84,7 @@ pub mod service;
 pub mod shard;
 pub mod supervisor;
 
-pub use cache::{canonical_job_line, job_key, CacheConfig, CacheStats, JobKey, ReportCache};
+pub use cache::{job_key, CacheConfig, CacheStats, JobKey, ReportCache};
 pub use canti_fault::{ServeFaultEvent, ServeFaultKind, ServeFaultPlan};
 pub use canti_obs::{SloConfig, TimelineConfig};
 pub use engine::{BatchRecord, ServeEngine, ServeStats};

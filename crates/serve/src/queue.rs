@@ -314,26 +314,19 @@ impl AdmissionQueue {
         job: JobSpec,
         deadline_ns: Option<u64>,
     ) -> Result<u64, RejectReason> {
-        self.submit_keyed(now_ns, job, deadline_ns, None)
+        let job_key = self.config.cache.map(|_| crate::cache::job_key(&job));
+        self.submit_prioritized(now_ns, job, job_key, deadline_ns, None, 0)
             .map(|a| a.id())
     }
 
-    /// [`Self::submit`] with an explicit seed key: a sharded front
-    /// passes the **global** request id so the request's RNG stream —
-    /// and therefore its payload bits — is the same on any shard count.
+    /// [`Self::submit`] with the spec's content hash, a seed key and a
+    /// brownout priority class. The serving front hashes the spec once
+    /// for its cache lookup and passes `job_key` on (`Some` exactly when
+    /// the config enables the result cache). A sharded front passes the
+    /// **global** request id as `key`, so the request's RNG stream — and
+    /// therefore its payload bits — is the same on any shard count.
     /// Unkeyed submissions fall back to the local id, which coincides
     /// with the global id on a single shard.
-    pub(crate) fn submit_keyed(
-        &mut self,
-        now_ns: u64,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-        key: Option<u64>,
-    ) -> Result<Admitted, RejectReason> {
-        self.submit_prioritized(now_ns, job, deadline_ns, key, 0)
-    }
-
-    /// [`Self::submit_keyed`] with an explicit brownout priority class.
     ///
     /// With the result cache enabled, two things change. The request's
     /// RNG seed derives from its spec's **content hash** instead of its
@@ -349,6 +342,7 @@ impl AdmissionQueue {
         &mut self,
         now_ns: u64,
         job: JobSpec,
+        job_key: Option<JobKey>,
         deadline_ns: Option<u64>,
         key: Option<u64>,
         priority: u8,
@@ -359,7 +353,6 @@ impl AdmissionQueue {
         if self.draining {
             return Err(RejectReason::Draining);
         }
-        let job_key = self.config.cache.map(|_| crate::cache::job_key(&job));
         let coalescable =
             deadline_ns.is_none() && self.config.default_deadline_ns.is_none() && priority == 0;
         if coalescable {
@@ -756,10 +749,14 @@ mod tests {
     #[test]
     fn shedding_evicts_lowest_priority_newest_first() {
         let mut q = queue(8, 8, 1_000_000);
-        q.submit_prioritized(0, probe(0.0), None, None, 1).unwrap(); // id 0
-        q.submit_prioritized(0, probe(1.0), None, None, 0).unwrap(); // id 1
-        q.submit_prioritized(0, probe(2.0), None, None, 0).unwrap(); // id 2
-        q.submit_prioritized(0, probe(3.0), None, None, 2).unwrap(); // id 3
+        q.submit_prioritized(0, probe(0.0), None, None, None, 1)
+            .unwrap(); // id 0
+        q.submit_prioritized(0, probe(1.0), None, None, None, 0)
+            .unwrap(); // id 1
+        q.submit_prioritized(0, probe(2.0), None, None, None, 0)
+            .unwrap(); // id 2
+        q.submit_prioritized(0, probe(3.0), None, None, None, 2)
+            .unwrap(); // id 3
         let shed = q.take_shed(2);
         assert_eq!(
             shed.iter().map(|p| p.id).collect::<Vec<_>>(),

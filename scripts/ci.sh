@@ -7,9 +7,10 @@
 #                          # each -> clippy --all-targets -> fmt --check
 #                          # -> rustdoc with warnings denied -> perfbench
 #                          # unit tests + a 1 s serve_cached run gated on
-#                          # its bitwise payload oracle + a 1 s traced
-#                          # serve_light run gated on its payload oracle
-#                          # and on "kernel replay: N of N" with N > 0
+#                          # its bitwise payload oracle + 1 s traced
+#                          # serve_light and serve_cached runs, each gated
+#                          # on its payload oracle and on "kernel replay:
+#                          # N of N" with N > 0
 #   scripts/ci.sh smoke    # the above, then:
 #                          #   * the example matrix: every example under
 #                          #     examples/ with fast arguments, failing on
@@ -129,21 +130,29 @@ phase_begin "perfbench (unit tests + payload oracles + kernel replay)"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload serve_cached --seed 1 --seconds 1 --trace 0
-# The traced serve_light run runs the uncached oracle (request seeds over
-# the request id) and replays each served dose point through the
-# collecting kernel (AssayProtocol::run -> run_static_assay_precomputed
-# -> peak_signal); every replay must reproduce the farm's streamed
-# peak_volts bit for bit, and there must be at least one.
-light_out=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-    --workload serve_light --seed 1 --seconds 1 --trace 1) \
-    || { echo "$light_out"; echo "perfbench serve_light --trace 1 failed"; exit 1; }
-echo "$light_out"
-replay=$(echo "$light_out" | sed -n 's/^kernel replay: \([0-9]*\) of \([0-9]*\) .*/\1 \2/p')
-read -r replay_agree replay_jobs <<<"${replay:-0 0}"
-if [[ "$replay_jobs" -eq 0 || "$replay_agree" -ne "$replay_jobs" ]]; then
-    echo "kernel replay gate: ${replay_agree} of ${replay_jobs} served dose points reproduced"
-    exit 1
-fi
+# A --trace 1 run splits its time into untraced, traced and unobserved
+# legs, and its oracle checks every leg's payloads: serve_light's request
+# seeds derive from the request id, serve_cached's from job_key, whose
+# cache replay also runs here. Each traced run replays the served dose
+# points through the collecting kernel (AssayProtocol::run ->
+# run_static_assay_precomputed -> peak_signal); every replay must
+# reproduce the farm's streamed peak_volts bit for bit, and there must
+# be at least one.
+traced_perfbench() {
+    local out replay replay_agree replay_jobs
+    out=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "$1" --seed 1 --seconds 1 --trace 1) \
+        || { echo "$out"; echo "perfbench $1 --trace 1 failed"; exit 1; }
+    echo "$out"
+    replay=$(echo "$out" | sed -n 's/^kernel replay: \([0-9]*\) of \([0-9]*\) .*/\1 \2/p')
+    read -r replay_agree replay_jobs <<<"${replay:-0 0}"
+    if [[ "$replay_jobs" -eq 0 || "$replay_agree" -ne "$replay_jobs" ]]; then
+        echo "kernel replay gate ($1): ${replay_agree} of ${replay_jobs} served dose points reproduced"
+        exit 1
+    fi
+}
+traced_perfbench serve_light
+traced_perfbench serve_cached
 phase_end
 
 if [[ "${1:-}" == "smoke" ]]; then

@@ -21,11 +21,12 @@
 //!    repeat's ticket already holds its `CacheHit`, runs no batch, and
 //!    a down shard refuses before any lookup.
 //!
-//! The streamed `job_key` is pinned against golden lines and keys for
-//! every `JobSpec` variant and against the byte-slice FNV-1a reference
-//! over the built canonical line. Property tests (vendored proptest)
-//! hunt for canonical-form instability (field order, NaN payloads) and
-//! for key collisions over dense `JobSpec` neighborhoods.
+//! `job_key` is pinned against golden keys for every `JobSpec` variant.
+//! A spec's derived `Debug` text serves as its identity: it keeps `-0.0`
+//! and prints every NaN as `NaN`, the key's own equality classes.
+//! Property tests (vendored proptest) check that keys follow that
+//! identity over random spec pairs, that NaN payloads collapse, and that
+//! dense `JobSpec` neighborhoods are collision-free.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -34,9 +35,9 @@ use canti::farm::{FarmObserver, JobSpec, ProbeMode, Receptor};
 use canti::fault::ServeFaultPlan;
 use canti::obs::{ObsClock, VirtualClock};
 use canti::serve::{
-    canonical_job_line, job_key, BatchRecord, CacheConfig, CacheStats, Disposition, JobKey,
-    RejectReason, ReportCache, ServeConfig, ServeEngine, ServeResponse, ShardedConfig,
-    ShardedEngine, ShardedService, SupervisorConfig,
+    job_key, BatchRecord, CacheConfig, CacheStats, Disposition, JobKey, RejectReason, ReportCache,
+    ServeConfig, ServeEngine, ServeResponse, ShardedConfig, ShardedEngine, ShardedService,
+    SupervisorConfig,
 };
 use canti::units::{Molar, Seconds};
 use proptest::prelude::*;
@@ -236,7 +237,7 @@ fn eviction_sequence_is_identical_at_any_worker_and_shard_count() {
         for r in &oracle.responses {
             let Some(bits) = output_bits(r) else { continue };
             let spec = probe(((r.request_id as usize * 3 + r.request_id as usize / 7) % 6) as f64);
-            let line = canonical_job_line(&spec);
+            let line = format!("{spec:?}");
             match bits_by_spec_line.get(&line) {
                 Some(prior) => assert_eq!(
                     prior, &bits,
@@ -446,98 +447,82 @@ fn every_variant() -> Vec<JobSpec> {
     ]
 }
 
-/// The canonical line and key of each [`every_variant`] spec, in order,
-/// pinned byte for byte.
-const GOLDEN_KEYS: [(&str, [u64; 2]); 13] = [
-        (
-            "{\"job\":\"static_dose_response\",\"receptor\":\"anti_igg\",\"concentration\":3.0000000000000004e-9,\"baseline\":30.0,\"association\":120.0,\"wash\":60.0,\"dt\":0.25,\"averaging\":16}",
-            [0x656fb7e3ac770554, 0x0e7b5e495c29b3a9],
-        ),
-        (
-            "{\"job\":\"static_dose_response\",\"receptor\":\"anti_psa\",\"concentration\":1e-12,\"baseline\":30.0,\"association\":120.0,\"wash\":60.0,\"dt\":0.25,\"averaging\":1}",
-            [0xeaf834c1f5e8afe5, 0xed3373ee0476995e],
-        ),
-        (
-            "{\"job\":\"static_dose_response\",\"receptor\":\"dna_20mer\",\"concentration\":\"Infinity\",\"baseline\":30.0,\"association\":120.0,\"wash\":60.0,\"dt\":0.25,\"averaging\":0}",
-            [0x1f9991814a5a3def, 0xfbe34b747a8fc410],
-        ),
-        (
-            "{\"job\":\"process_variation\",\"thickness_sigma_rel\":0.02}",
-            [0x11fea0dbf322484f, 0x46aef68d514cc854],
-        ),
-        (
-            "{\"job\":\"process_variation\",\"thickness_sigma_rel\":\"NaN\"}",
-            [0xac65e933fd426322, 0xf8dffee0eaca3a5f],
-        ),
-        (
-            "{\"job\":\"cross_reactivity\",\"target\":1e-9,\"interferent\":\"-Infinity\"}",
-            [0x6fbb5fbe4c3bc99f, 0x5b94f680750bb12c],
-        ),
-        (
-            "{\"job\":\"probe\",\"mode\":\"value\",\"v\":-0.0}",
-            [0x36978046b148a017, 0x5974b2823919aed2],
-        ),
-        (
-            "{\"job\":\"probe\",\"mode\":\"value\",\"v\":1e300}",
-            [0xc312231139159cd9, 0xbbc60f8f3acc8b9a],
-        ),
-        (
-            "{\"job\":\"probe\",\"mode\":\"draws\",\"n\":7}",
-            [0x838a3baf644b9ec5, 0x6c9cf1e82c96712e],
-        ),
-        (
-            "{\"job\":\"probe\",\"mode\":\"panic\"}",
-            [0x14e6298b4503854a, 0xd5fa1ae1fc09c8bd],
-        ),
-        (
-            "{\"job\":\"probe\",\"mode\":\"fail\"}",
-            [0x6a7c183a3a76dda5, 0x5bd2958140924830],
-        ),
-        (
-            "{\"job\":\"probe\",\"mode\":\"flaky\",\"p_fail\":0.25}",
-            [0x0c1edb43d3221950, 0x2becdeaf7a087187],
-        ),
-        (
-            "{\"job\":\"chaos_scan\",\"fault_seed\":18446744073709551615,\"faults\":3,\"samples\":2048}",
-            [0x9d0265fce51ce166, 0x60ce7acfa0656995],
-        ),
+/// The key of each [`every_variant`] spec, in order, pinned bit for bit.
+const GOLDEN_KEYS: [[u64; 2]; 13] = [
+    [0xb6fb_484a_b28a_75cc, 0x218d_919d_4296_5438], // anti-IgG dose, 3 nM
+    [0x9ac4_70ae_6ca3_0cdb, 0x9aea_4020_2556_1edf], // anti-PSA dose, 1 pM
+    [0xcc78_8b36_1af9_b336, 0xe9a0_ed73_84c3_35f0], // DNA dose, infinite concentration
+    [0x0fc4_d729_6011_3916, 0xadf1_d629_1b8a_dd75], // process variation, 0.02
+    [0x3497_177c_c646_f977, 0x57f3_6c97_f765_949d], // process variation, NaN
+    [0xc21f_6245_6a43_bc3d, 0xf91e_bbf3_43c6_8cbb], // cross-reactivity, -inf interferent
+    [0x639e_74f5_15d2_a9ac, 0x92d6_6993_203c_d3d8], // probe value -0.0
+    [0xce8f_c7d1_d346_f239, 0xc9ac_6c8c_6bd2_cbc6], // probe value 1e300
+    [0x295f_ac4b_b1cf_4e09, 0xd89e_1437_e29b_925b], // probe draws 7
+    [0x666f_0f50_0564_6bf4, 0xc4dc_d39a_1bd9_3955], // probe panic
+    [0x40a8_03f3_e82c_65dd, 0x2e36_10d3_ba92_11b7], // probe fail
+    [0x2bc2_4c16_f73a_bfa1, 0xb320_4e29_3214_706e], // probe flaky 0.25
+    [0xd55a_eb88_0347_f3a3, 0x0f1c_4a7d_7c92_9469], // chaos scan
 ];
 
 #[test]
-fn canonical_lines_and_keys_match_the_golden_table() {
+fn keys_match_the_golden_table() {
     let specs = every_variant();
     assert_eq!(specs.len(), GOLDEN_KEYS.len());
-    for (spec, (line, key)) in specs.iter().zip(GOLDEN_KEYS) {
-        assert_eq!(canonical_job_line(spec), line);
-        assert_eq!(job_key(spec), JobKey(key), "{line}");
+    for (spec, key) in specs.iter().zip(GOLDEN_KEYS) {
+        assert_eq!(job_key(spec), JobKey(key), "{spec:?}");
     }
 }
 
-/// Byte-slice FNV-1a over a built line: the reference the streamed
-/// [`job_key`] must reproduce.
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// Float values whose keys are easy to get wrong: signed zeros, NaNs of
+/// either sign and several payloads, infinities and 1-ulp neighbours.
+const TRICKY_FLOATS: [f64; 10] = [
+    0.0,
+    -0.0,
+    f64::NAN,
+    -f64::NAN,
+    f64::from_bits(0x7FF8_0000_0000_0001),
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1.0,
+    f64::from_bits(0x3FF0_0000_0000_0001),
+    0.25,
+];
 
-/// The key by the reference route: both lanes over the bytes of
-/// [`canonical_job_line`].
-fn reference_key(job: &JobSpec) -> JobKey {
-    let line = canonical_job_line(job);
-    JobKey([
-        fnv1a(0xcbf2_9ce4_8422_2325, line.as_bytes()),
-        fnv1a(0x6c62_272e_07bb_0142, line.as_bytes()),
-    ])
-}
-
-#[test]
-fn streamed_keys_match_the_byte_slice_reference_for_every_variant() {
-    for spec in every_variant() {
-        assert_eq!(job_key(&spec), reference_key(&spec), "{spec:?}");
+/// A spec of variant `variant % 6` (the probe modes split across two)
+/// whose floats are `TRICKY_FLOATS[a]` and `[b]` and whose integers and
+/// enum tags come from `n`.
+fn tricky_spec(variant: usize, a: usize, b: usize, n: usize) -> JobSpec {
+    let (x, y) = (TRICKY_FLOATS[a], TRICKY_FLOATS[b]);
+    let receptors = [Receptor::AntiIgg, Receptor::AntiPsa, Receptor::Dna20mer];
+    match variant % 6 {
+        0 => JobSpec::StaticDoseResponse {
+            receptor: receptors[n % 3],
+            concentration: Molar::new(x),
+            baseline: Seconds::new(30.0),
+            association: Seconds::new(y),
+            wash: Seconds::new(60.0),
+            dt: Seconds::new(0.25),
+            averaging: n,
+        },
+        1 => JobSpec::ProcessVariation {
+            thickness_sigma_rel: x,
+        },
+        2 => JobSpec::CrossReactivity {
+            target: Molar::new(x),
+            interferent: Molar::new(y),
+        },
+        3 => JobSpec::Probe(ProbeMode::Value(x)),
+        4 => JobSpec::Probe(match n % 4 {
+            0 => ProbeMode::Draws(n),
+            1 => ProbeMode::Panic,
+            2 => ProbeMode::Fail,
+            _ => ProbeMode::Flaky { p_fail: x },
+        }),
+        _ => JobSpec::ChaosScan {
+            fault_seed: x.to_bits(),
+            faults: n,
+            samples: 2048,
+        },
     }
 }
 
@@ -684,6 +669,25 @@ fn report_cache_recency_order_is_a_pure_function_of_the_access_script() {
     assert!(a.lookup(keys[1]).is_none(), "1 was the eviction victim");
 }
 
+/// Fails unless, for every pair of `specs`, the two keys are equal
+/// exactly when the two `Debug` texts are.
+fn keys_follow_debug_texts(specs: &[JobSpec]) -> Result<(), proptest::TestCaseError> {
+    let keyed: Vec<(JobKey, String)> = specs
+        .iter()
+        .map(|s| (job_key(s), format!("{s:?}")))
+        .collect();
+    for (i, (key_a, text_a)) in keyed.iter().enumerate() {
+        for (key_b, text_b) in &keyed[i + 1..] {
+            prop_assert_eq!(
+                key_a == key_b,
+                text_a == text_b,
+                "{text_a} vs {text_b}: keys {key_a:?} and {key_b:?}"
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -697,7 +701,7 @@ proptest! {
     ) {
         let once = assay(v, averaging);
         let again = assay(v, averaging);
-        prop_assert_eq!(canonical_job_line(&once), canonical_job_line(&again));
+        prop_assert_eq!(format!("{once:?}"), format!("{again:?}"));
         prop_assert_eq!(job_key(&once), job_key(&again));
         // nudging any single field moves the key
         prop_assert!(job_key(&once) != job_key(&assay(v, averaging + 1)));
@@ -714,8 +718,8 @@ proptest! {
         let weird_nan = f64::from_bits(0x7FF8_0000_0000_0000 | payload);
         prop_assert!(weird_nan.is_nan());
         prop_assert_eq!(
-            canonical_job_line(&probe(weird_nan)),
-            canonical_job_line(&probe(f64::NAN))
+            format!("{:?}", probe(weird_nan)),
+            format!("{:?}", probe(f64::NAN))
         );
         prop_assert_eq!(job_key(&probe(weird_nan)), job_key(&probe(f64::NAN)));
         // the sign bit is part of the payload too
@@ -737,36 +741,48 @@ proptest! {
         let mut keys = BTreeSet::new();
         for i in 0..512u64 {
             let c = f64::from_bits(base_bits + i);
-            lines.insert(canonical_job_line(&assay(c, averaging)));
+            lines.insert(format!("{:?}", assay(c, averaging)));
             keys.insert(job_key(&assay(c, averaging)));
             // the probe hashes its value raw: every bit pattern is a
             // distinct line, so this leg alone contributes 512
-            lines.insert(canonical_job_line(&probe(f64::from_bits(base_bits + i))));
+            lines.insert(format!("{:?}", probe(f64::from_bits(base_bits + i))));
             keys.insert(job_key(&probe(f64::from_bits(base_bits + i))));
         }
         prop_assert!(lines.len() > 512, "window too degenerate to test");
         prop_assert_eq!(keys.len(), lines.len(), "key collision in a dense window");
     }
 
-    /// The streamed key equals the byte-slice reference over the same
-    /// neighborhoods the tests above walk: assay values and averaging,
-    /// NaN payloads, and dense windows of adjacent bit patterns.
+    /// Keys follow `Debug` identity over random spec pairs of every
+    /// variant: tricky floats (signed zeros, NaNs, infinities, 1-ulp
+    /// neighbours), every receptor and probe mode, and the golden specs.
     #[test]
-    fn streamed_keys_match_the_byte_slice_reference_over_dense_neighborhoods(
+    fn keys_are_equal_exactly_when_debug_texts_are_for_every_variant(
+        picks in prop::collection::vec((0usize..6, 0usize..10, 0usize..10, 0usize..8), 24..25),
+    ) {
+        let mut specs = every_variant();
+        specs.extend(picks.iter().map(|&(variant, a, b, n)| tricky_spec(variant, a, b, n)));
+        keys_follow_debug_texts(&specs)?;
+    }
+
+    /// Keys follow `Debug` identity over the dense neighbourhoods the
+    /// tests above walk: assay values and averaging, NaN payloads of
+    /// either sign and windows of adjacent bit patterns, set against the
+    /// golden spec of every variant.
+    #[test]
+    fn keys_are_equal_exactly_when_debug_texts_are_over_dense_neighborhoods(
         v in -1.0e12f64..1.0e12,
         averaging in 1usize..128,
         payload in 1u64..(1u64 << 51),
         base_bits in 0x3FF0_0000_0000_0000u64..0x4330_0000_0000_0000,
     ) {
         let nan = f64::from_bits(0x7FF8_0000_0000_0000 | payload);
-        let mut specs = vec![assay(v, averaging), probe(v), probe(nan), probe(-nan)];
+        let mut specs = every_variant();
+        specs.extend([assay(v, averaging), probe(v), probe(nan), probe(-nan)]);
         for i in 0..64u64 {
             let c = f64::from_bits(base_bits + i);
             specs.push(assay(c, averaging));
             specs.push(probe(c));
         }
-        for spec in &specs {
-            prop_assert_eq!(job_key(spec), reference_key(spec));
-        }
+        keys_follow_debug_texts(&specs)?;
     }
 }

@@ -81,8 +81,8 @@ fn deterministic_trace_streams_are_reproducible() {
     assert_eq!(report_a, report_b);
     assert!(!events_a.is_empty());
     assert_eq!(events_a, events_b, "virtual-clock traces must be identical");
-    assert_eq!(events_a.first().map(|e| e.name.as_str()), Some("batch"));
-    assert_eq!(events_a.last().map(|e| e.name.as_str()), Some("batch"));
+    assert_eq!(events_a.first().map(|e| e.name), Some("batch"));
+    assert_eq!(events_a.last().map(|e| e.name), Some("batch"));
 }
 
 /// Tracing the autonomous instrument must not move a single output bit.
@@ -120,7 +120,7 @@ fn traced_instrument_scan_matches_untraced_scan() {
         plain_report, traced_report,
         "tracing must not perturb the scan outputs"
     );
-    let names: Vec<String> = ring.events().iter().map(|e| e.name.clone()).collect();
+    let names: Vec<String> = ring.events().iter().map(|e| e.name.to_owned()).collect();
     for needle in ["power_on", "scan", "measure", "state_change", "scan_report"] {
         assert!(
             names.iter().any(|n| n == needle),
