@@ -302,7 +302,11 @@ impl CompositeNoise {
 }
 
 /// One standard-normal draw via Box–Muller (single value; the pair's twin
-/// is discarded for simplicity — generation cost is irrelevant here).
+/// is discarded, so each draw costs two uniforms, an `ln`, a `sqrt` and a
+/// `cos`). That cost matters: a static-chain sample makes one white draw
+/// plus one per flicker section (11 with the default band), so this is
+/// most of a chain characterization's time and most of a dose-response
+/// point's.
 fn gaussian<R: Rng>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.gen::<f64>();

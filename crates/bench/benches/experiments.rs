@@ -185,6 +185,18 @@ fn main() {
         }
     });
 
+    // Service start-up's floor: a fresh cache per iteration, so every
+    // call builds the default chain, trims its offsets and measures its
+    // noise burst.
+    b.bench("static_chain_characterization", || {
+        || {
+            std::hint::black_box(
+                PrecomputeCache::new().static_chain(&StaticReadoutConfig::default()),
+            )
+            .expect("chain");
+        }
+    });
+
     // The farm's dose-response kernel on the steady benchmark's spec
     // (anti-IgG, 30/300/120 s at dt 0.05 s, so 9 001 points; averaging
     // 256) through the memoized default chain: the streamed fold the farm

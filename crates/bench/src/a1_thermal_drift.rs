@@ -73,7 +73,7 @@ pub fn run() -> ExperimentReport {
     ));
     report.note(
         "ablation verdict: without the reference cantilever, sub-kelvin drift corrupts a \
-         1 mN/m signal at the tens-of-percent level; differential readout pushes the \
+         1 mN/m signal by tens to hundreds of percent; differential readout pushes the \
          error to the noise floor — the array architecture is load-bearing",
     );
     report

@@ -75,8 +75,8 @@ pub fn run() -> ExperimentReport {
         curve.hill
     ));
     report.note(
-        "extension verdict: the fitted EC50 recovers the receptor affinity and unknowns \
-         read back within a few percent across 1.5 decades — the chip is a quantitative \
+        "extension verdict: the fitted EC50 recovers the receptor affinity within 5 % and \
+         unknowns read back within 20 % across 1.5 decades — the chip is a quantitative \
          instrument, not just a detector",
     );
     report

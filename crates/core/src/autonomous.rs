@@ -362,8 +362,10 @@ impl AutonomousInstrument {
             }
         }
         // settle + data bursts: 2·n samples, one tick each (a slow
-        // channel inflates the cost per sample)
-        let ticks = (2 * samples_per_channel as u64)
+        // channel inflates the cost per sample); saturating, so a huge
+        // request cannot wrap to a tiny budget and slip past the watchdog
+        let ticks = (samples_per_channel as u64)
+            .saturating_mul(2)
             .saturating_mul(u64::from(faults.latency_factor.max(1)));
         for _ in 0..ticks {
             if self.sequencer.tick() {
@@ -696,6 +698,23 @@ mod tests {
             .run_scan([SurfaceStress::zero(); CHANNELS], 40)
             .unwrap();
         assert!(report.outputs[0].value().is_finite());
+    }
+
+    #[test]
+    fn huge_sample_count_trips_the_watchdog() {
+        // 2 · 2^63 ticks overflows u64: the budget must saturate, not wrap
+        // to zero ticks and then stream 2^63 samples
+        let system = StaticCantileverSystem::new(
+            BiosensorChip::paper_static_chip().unwrap(),
+            StaticReadoutConfig::default(),
+        )
+        .unwrap();
+        let mut inst = AutonomousInstrument::with_watchdog(system, 100).unwrap();
+        inst.power_on().unwrap();
+        let err = inst
+            .run_scan([SurfaceStress::zero(); CHANNELS], 1 << 63)
+            .unwrap_err();
+        assert!(err.to_string().contains("watchdog"), "{err}");
     }
 
     #[test]

@@ -310,10 +310,8 @@ impl StaticCantileverSystem {
         })
     }
 
-    /// Mean of an `n`-sample burst run after a `settle`-sample burst that
-    /// is discarded.
-    fn settled_mean(&mut self, v_bridge: f64, settle: usize, n: usize) -> f64 {
-        self.run_samples(v_bridge, settle).for_each(drop);
+    /// Mean of the next `n` output samples.
+    fn burst_mean(&mut self, v_bridge: f64, n: usize) -> f64 {
         self.run_samples(v_bridge, n).sum::<f64>() / n as f64
     }
 
@@ -364,7 +362,8 @@ impl StaticCantileverSystem {
         if faults.chopper_dropout {
             self.chopper.set_chopping(false);
         }
-        let mut v = self.settled_mean(v_bridge, n, n);
+        self.run_samples(v_bridge, n).for_each(drop);
+        let mut v = self.burst_mean(v_bridge, n);
         if faults.chopper_dropout {
             self.chopper.set_chopping(was_chopping);
         }
@@ -404,6 +403,16 @@ impl StaticCantileverSystem {
     /// channel at zero stress and programs the DAC to cancel what it sees
     /// (at the DAC's input node, i.e. after the LPF).
     ///
+    /// Each channel is selected and settled once (4 000 samples), then
+    /// every bisection step reads the mean of the next 2 000. No step
+    /// needs its own settle: within a channel the bridge voltage is fixed
+    /// and the mux is not switched, so the only state that changes is the
+    /// DAC code, and the DAC, the PGA and the output stage that follow it
+    /// are memoryless — the chopper and filter states a step would settle
+    /// do not depend on the code. With the default 10-bit DAC (12 steps) a
+    /// full trim runs 4 × (4 000 + 12 × 2 000) = 112 000 chain samples,
+    /// against 288 000 with a settle before every step.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError`] on channel/selection failures.
@@ -416,11 +425,12 @@ impl StaticCantileverSystem {
         for ch in 0..CHANNELS {
             let v_bridge = self.bridge_output(ch, SurfaceStress::zero())?.value();
             let (mut lo, mut hi) = (-range, range);
+            self.select_channel(ch)?;
+            self.run_samples(v_bridge, 4_000).for_each(drop);
             for _ in 0..(self.config.offset_dac_bits as usize + 2) {
                 let mid = (lo + hi) / 2.0;
-                self.channel_offset_corrections[ch] = Volts::new(mid);
-                self.select_channel(ch)?;
-                if self.settled_mean(v_bridge, 4_000, 2_000) > 0.0 {
+                self.offset_comp.calibrate(Volts::new(mid));
+                if self.burst_mean(v_bridge, 2_000) > 0.0 {
                     // output positive: correction too small
                     lo = mid;
                 } else {
@@ -646,6 +656,42 @@ mod tests {
             v10 / v1
         );
         assert!(sys.select_pga(9).is_err());
+    }
+
+    /// The offset trim's decisions, bit for bit: the four DAC corrections
+    /// for the default config and for seeds 1–5. These depend on the sign
+    /// of each bisection step's settled mean, not on the noise bits behind
+    /// it, so they hold across changes to how much noise the trim draws.
+    /// (Seeds 12–14 are left out: their mismatch-seed-14 bridge sits on a
+    /// DAC code boundary, where the noise decides the last code.)
+    #[test]
+    fn offset_trim_decisions_are_pinned() {
+        #[rustfmt::skip]
+        const GOLDEN: [(u64, [f64; CHANNELS]); 6] = [
+            (0x0CA7, [-0.17333984375, -0.37255859375, 0.28662109375, 0.39599609375]),
+            (1, [0.21630859375, 0.06396484375, 0.21240234375, 0.20458984375]),
+            (2, [0.06396484375, 0.21240234375, 0.20458984375, -0.74755859375]),
+            (3, [0.21240234375, 0.20458984375, -0.74755859375, -0.61474609375]),
+            (4, [0.20458984375, -0.74755859375, -0.61474609375, 0.32177734375]),
+            (5, [-0.74755859375, -0.61474609375, 0.32177734375, 0.22021484375]),
+        ];
+        for (seed, want) in GOLDEN {
+            let mut sys = StaticCantileverSystem::new(
+                BiosensorChip::paper_static_chip().unwrap(),
+                StaticReadoutConfig {
+                    seed,
+                    ..StaticReadoutConfig::default()
+                },
+            )
+            .unwrap();
+            sys.calibrate_offsets().unwrap();
+            let got = sys.channel_offset_corrections.map(Volts::value);
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "seed {seed}: trimmed to {got:?}, pinned {want:?}"
+            );
+        }
     }
 
     #[test]

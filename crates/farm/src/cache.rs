@@ -2,8 +2,8 @@
 //!
 //! The expensive part of a static-mode job is not the assay itself but the
 //! chain characterization behind it: building the readout chain,
-//! self-calibrating the offset DACs and measuring the transfer + noise
-//! burst costs hundreds of thousands of electrical samples. That response
+//! self-calibrating the offset DACs (112 000 electrical samples) and
+//! measuring the transfer + noise burst (32 000 more). That response
 //! is a property of the chip/config, not of the job — so the farm computes
 //! it once per distinct configuration and shares it across workers via
 //! [`Arc`].

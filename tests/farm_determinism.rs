@@ -187,38 +187,38 @@ fn dose_spec(concentration_nm: f64, dt: f64, averaging: usize) -> JobSpec {
 /// 256, a 9 001-point sensorgram); `dt` 5 s is `JobSpec::dose_point`.
 #[rustfmt::skip]
 const DOSE_RESPONSE_GOLDEN: [(f64, f64, u64, [u64; 4]); 32] = [
-    (0.05, 0.1, 0x1, [0x3F1D3712DCAC7183, 0x3F682CC78E62A4A0, 0x3EF4DAE3F0BC07F3, 0x401669F32F1C932E]),
-    (0.05, 0.4, 0x1, [0x3F2A2DD7F10AB2A3, 0x3F88112A754C21A0, 0x3EF4DAE3F0BC07F3, 0x402415A8923B0881]),
-    (0.05, 2.0, 0x1, [0x3F45DD8CEF081A80, 0x3FAD60CECB4955E0, 0x3EF4DAE3F0BC07F3, 0x4040C671B7D68177]),
-    (0.05, 7.5, 0x1, [0x3F61533A7C70AD11, 0x3FC96BD3784A8618, 0x3EF4DAE3F0BC07F3, 0x405A956B866282DB]),
-    (0.05, 30.0, 0x1, [0x3F78F19614447F74, 0x3FE2BFD26AA86A4F, 0x3EF4DAE3F0BC07F3, 0x407323069499BD5F]),
-    (0.05, 120.0, 0x1, [0x3F847A52F5C8350A, 0x3FEEE4DF452F0BBF, 0x3EF4DAE3F0BC07F3, 0x407F6BD418ED8FAB]),
-    (0.05, 450.0, 0x1, [0x3F852FD63BA69297, 0x3FEFEDD3362C61A0, 0x3EF4DAE3F0BC07F3, 0x4080412BC4E50E4F]),
-    (0.05, 1000.0, 0x1, [0x3F85372061C3A92B, 0x3FEFF7D0F16C2AD3, 0x3EF4DAE3F0BC07F3, 0x408046C37ACD1D32]),
-    (0.05, 0.1, 0xC0FFEE00D05E, [0x3F206BE2DD3809EE, 0x3F682CC78E62A4A0, 0x3EF4DAE3F0BC07F3, 0x40193272B9F4BA68]),
-    (0.05, 0.4, 0xC0FFEE00D05E, [0x3F2B345D92EE5427, 0x3F88112A754C21A0, 0x3EF4DAE3F0BC07F3, 0x4024DF10C6180C0C]),
-    (0.05, 2.0, 0xC0FFEE00D05E, [0x3F461D349C476256, 0x3FAD60CECB4955E0, 0x3EF4DAE3F0BC07F3, 0x4040F747C5780587]),
-    (0.05, 7.5, 0xC0FFEE00D05E, [0x3F61679BB3F46FAE, 0x3FC96BD3784A8618, 0x3EF4DAE3F0BC07F3, 0x405AB4B0D433B8F7]),
-    (0.05, 30.0, 0xC0FFEE00D05E, [0x3F78FCE4335A60E4, 0x3FE2BFD26AA86A4F, 0x3EF4DAE3F0BC07F3, 0x40732BB2F3C45052]),
-    (0.05, 120.0, 0xC0FFEE00D05E, [0x3F8479103701A347, 0x3FEEE4DF452F0BBF, 0x3EF4DAE3F0BC07F3, 0x407F69E4E0706AE6]),
-    (0.05, 450.0, 0xC0FFEE00D05E, [0x3F8533DE973FDD1F, 0x3FEFEDD3362C61A0, 0x3EF4DAE3F0BC07F3, 0x40804443CB6F4623]),
-    (0.05, 1000.0, 0xC0FFEE00D05E, [0x3F853A7598845428, 0x3FEFF7D0F16C2AD3, 0x3EF4DAE3F0BC07F3, 0x4080495210DF263A]),
-    (5.0, 0.1, 0x1, [0x3F14622194FDAFEA, 0x3F682CC78E638A80, 0x3EF4DAE3F0BC07F3, 0x400F46B4F86BF5FB]),
-    (5.0, 0.4, 0x1, [0x3F25778F6136504B, 0x3F88112A754CA5A0, 0x3EF4DAE3F0BC07F3, 0x4020783273C3C74B]),
-    (5.0, 2.0, 0x1, [0x3F4472288D3B14F1, 0x3FAD60CECB499390, 0x3EF4DAE3F0BC07F3, 0x403F5F4C9277FDA4]),
-    (5.0, 7.5, 0x1, [0x3F60FF056290180A, 0x3FC96BD3784A7FD8, 0x3EF4DAE3F0BC07F3, 0x405A1436484F56CD]),
-    (5.0, 30.0, 0x1, [0x3F78CB946C9B5E1E, 0x3FE2BFD26AA86B33, 0x3EF4DAE3F0BC07F3, 0x407305DDFBB3F8AB]),
-    (5.0, 120.0, 0x1, [0x3F8461DE57538FC7, 0x3FEEE4DF452F0BAE, 0x3EF4DAE3F0BC07F3, 0x407F464DCBC0EC88]),
-    (5.0, 450.0, 0x1, [0x3F851A4C2FF6508C, 0x3FEFEDD3362C61A6, 0x3EF4DAE3F0BC07F3, 0x408030A563CFF53D]),
-    (5.0, 1000.0, 0x1, [0x3F8520E068454295, 0x3FEFF7D0F16C2AD7, 0x3EF4DAE3F0BC07F3, 0x408035B1864447A2]),
-    (5.0, 0.1, 0xC0FFEE00D05E, [0x3F183817D82EE0C2, 0x3F682CC78E638A80, 0x3EF4DAE3F0BC07F3, 0x401294B71CA792F8]),
-    (5.0, 0.4, 0xC0FFEE00D05E, [0x3F27D45DABFDD300, 0x3F88112A754CA5A0, 0x3EF4DAE3F0BC07F3, 0x4022483459069914]),
-    (5.0, 2.0, 0xC0FFEE00D05E, [0x3F45260832299FB0, 0x3FAD60CECB499390, 0x3EF4DAE3F0BC07F3, 0x404039A6112FF7DE]),
-    (5.0, 7.5, 0xC0FFEE00D05E, [0x3F610ABF3E958C28, 0x3FC96BD3784A7FD8, 0x3EF4DAE3F0BC07F3, 0x405A263456DD4E20]),
-    (5.0, 30.0, 0xC0FFEE00D05E, [0x3F78C92435B318D7, 0x3FE2BFD26AA86B33, 0x3EF4DAE3F0BC07F3, 0x407303FF15E20056]),
-    (5.0, 120.0, 0xC0FFEE00D05E, [0x3F846164B93327A0, 0x3FEEE4DF452F0BAE, 0x3EF4DAE3F0BC07F3, 0x407F45932F82EA1E]),
-    (5.0, 450.0, 0xC0FFEE00D05E, [0x3F851F4926C51C93, 0x3FEFEDD3362C61A6, 0x3EF4DAE3F0BC07F3, 0x4080347913D916B3]),
-    (5.0, 1000.0, 0xC0FFEE00D05E, [0x3F8525F52E8E2465, 0x3FEFF7D0F16C2AD7, 0x3EF4DAE3F0BC07F3, 0x408039977AC18A48]),
+    (0.05, 0.1, 0x1, [0x3F245D08CCFEC507, 0x3F682CC78E62A4A0, 0x3EFEE134672E10BC, 0x40151A28DCEF4C09]),
+    (0.05, 0.4, 0x1, [0x3F2F2D421CFB41EF, 0x3F88112A754C21A0, 0x3EFEE134672E10BC, 0x402027680760A7ED]),
+    (0.05, 2.0, 0x1, [0x3F471D677A043E54, 0x3FAD60CECB4955E0, 0x3EFEE134672E10BC, 0x4037F4155FD904C4]),
+    (0.05, 7.5, 0x1, [0x3F61A3311F2FB606, 0x3FC96BD3784A8618, 0x3EFEE134672E10BC, 0x405246FFF89EBA12]),
+    (0.05, 30.0, 0x1, [0x3F79199165A403EE, 0x3FE2BFD26AA86A4F, 0x3EFEE134672E10BC, 0x406A02AEDDBE8C43]),
+    (0.05, 120.0, 0x1, [0x3F848E509E77F747, 0x3FEEE4DF452F0BBF, 0x3EFEE134672E10BC, 0x40754D3A5FD55F2E]),
+    (0.05, 450.0, 0x1, [0x3F8546DC392134C9, 0x3FEFEDD3362C61A0, 0x3EFEE134672E10BC, 0x40760C77F184897D]),
+    (0.05, 1000.0, 0x1, [0x3F854E265F3E4B5D, 0x3FEFF7D0F16C2AD3, 0x3EFEE134672E10BC, 0x40761405CB7DB526]),
+    (0.05, 0.1, 0xC0FFEE00D05E, [0x3F2693EA27DD0540, 0x3F682CC78E62A4A0, 0x3EFEE134672E10BC, 0x4017659B1E8A20E1]),
+    (0.05, 0.4, 0xC0FFEE00D05E, [0x3F30AE326EC9A7BD, 0x3F88112A754C21A0, 0x3EFEE134672E10BC, 0x4021491DE454B1F3]),
+    (0.05, 2.0, 0xC0FFEE00D05E, [0x3F477758D67CD998, 0x3FAD60CECB4955E0, 0x3EFEE134672E10BC, 0x4038514A1462A52E]),
+    (0.05, 7.5, 0xC0FFEE00D05E, [0x3F61BE24C281CD7E, 0x3FC96BD3784A8618, 0x3EFEE134672E10BC, 0x405262EDEC55EA5C]),
+    (0.05, 30.0, 0xC0FFEE00D05E, [0x3F792828BAA10FCD, 0x3FE2BFD26AA86A4F, 0x3EFEE134672E10BC, 0x406A11CDB6A1EDF6]),
+    (0.05, 120.0, 0xC0FFEE00D05E, [0x3F848EB27AA4FABA, 0x3FEEE4DF452F0BBF, 0x3EFEE134672E10BC, 0x40754D9FC8E27EA1]),
+    (0.05, 450.0, 0xC0FFEE00D05E, [0x3F854C7EB46A710C, 0x3FEFEDD3362C61A0, 0x3EFEE134672E10BC, 0x4076124EC1DA6146]),
+    (0.05, 1000.0, 0xC0FFEE00D05E, [0x3F855315B5AEE815, 0x3FEFF7D0F16C2AD3, 0x3EFEE134672E10BC, 0x40761922F72E452A]),
+    (5.0, 0.1, 0x1, [0x3F1A8C2565DECAAE, 0x3F682CC78E638A80, 0x3EFEE134672E10BC, 0x400B82B49CA1C77E]),
+    (5.0, 0.4, 0x1, [0x3F288C9149A6DDAD, 0x3F88112A754CA5A0, 0x3EFEE134672E10BC, 0x40197091371A240E]),
+    (5.0, 2.0, 0x1, [0x3F44FD53A89B7466, 0x3FAD60CECB499390, 0x3EFEE134672E10BC, 0x4035C0446FD51197]),
+    (5.0, 7.5, 0x1, [0x3F6121D029682FE7, 0x3FC96BD3784A7FD8, 0x3EFEE134672E10BC, 0x4051C0ED67E39DBF]),
+    (5.0, 30.0, 0x1, [0x3F78DCF9D0076A0D, 0x3FE2BFD26AA86B33, 0x3EFEE134672E10BC, 0x4069C3E48846A7A1]),
+    (5.0, 120.0, 0x1, [0x3F846A91090995BE, 0x3FEEE4DF452F0BAE, 0x3EFEE134672E10BC, 0x4075282EC70F1630]),
+    (5.0, 450.0, 0x1, [0x3F8526A0379812C2, 0x3FEFEDD3362C61A6, 0x3EFEE134672E10BC, 0x4075EB108F77B8B4]),
+    (5.0, 1000.0, 0x1, [0x3F852D346FE704CB, 0x3FEFF7D0F16C2AD7, 0x3EFEE134672E10BC, 0x4075F1E1E1F87BF1]),
+    (5.0, 0.1, 0xC0FFEE00D05E, [0x3F200A933EB328E8, 0x3F682CC78E638A80, 0x3EFEE134672E10BC, 0x40109F8F10F11D52]),
+    (5.0, 0.4, 0xC0FFEE00D05E, [0x3F2BC2E4FE998B88, 0x3F88112A754CA5A0, 0x3EFEE134672E10BC, 0x401CC4BA48E60287]),
+    (5.0, 2.0, 0xC0FFEE00D05E, [0x3F4621AA06D08DD1, 0x3FAD60CECB499390, 0x3EFEE134672E10BC, 0x4036EF35E3760DAC]),
+    (5.0, 7.5, 0xC0FFEE00D05E, [0x3F61499D135F56ED, 0x3FC96BD3784A7FD8, 0x3EFEE134672E10BC, 0x4051EA2BF7674389]),
+    (5.0, 30.0, 0xC0FFEE00D05E, [0x3F78DACCA1DAE4D6, 0x3FE2BFD26AA86B33, 0x3EFEE134672E10BC, 0x4069C1A32349F1C2]),
+    (5.0, 120.0, 0xC0FFEE00D05E, [0x3F8468C2E74492FB, 0x3FEEE4DF452F0BAE, 0x3EFEE134672E10BC, 0x4075264FE13D1DDC]),
+    (5.0, 450.0, 0xC0FFEE00D05E, [0x3F852E0E710D0EA3, 0x3FEFEDD3362C61A6, 0x3EFEE134672E10BC, 0x4075F2C3CBD60C7B]),
+    (5.0, 1000.0, 0xC0FFEE00D05E, [0x3F8534BA78D61675, 0x3FEFF7D0F16C2AD7, 0x3EFEE134672E10BC, 0x4075F9ADCAF4A502]),
 ];
 
 /// The streamed dose-response kernel reproduces the golden payload bits

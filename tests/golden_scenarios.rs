@@ -26,7 +26,7 @@ fn igg_immunoassay_quick_matches_golden() {
     assert_close(
         "peak_output_volts",
         o.peak_output_volts,
-        7.948_204_502_710_412e-3,
+        7.972_408_558_167_896e-3,
         1e-9,
     );
     assert_close(
@@ -44,7 +44,7 @@ fn igg_immunoassay_quick_matches_golden() {
     assert_close(
         "noise_rms_volts",
         o.noise_rms_volts,
-        1.988_891_658_211_834e-5,
+        2.944_918_237_403_402e-5,
         1e-9,
     );
 }
