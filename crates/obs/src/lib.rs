@@ -17,14 +17,12 @@
 //!
 //! * [`expose`] — Prometheus text-format rendering of a [`Metrics`]
 //!   registry, and [`serve`] — a bounded-thread `TcpListener` server
-//!   scraping it live at `/metrics` (+ `/healthz`),
+//!   scraping it live at `/metrics` (+ `/healthz`), plus the debug
+//!   routes over each serve shard's [`ServeObs`] handle,
 //! * [`parse`] — the NDJSON/JSON reader inverse of [`ndjson`],
-//! * [`slo`] — deterministic fixed-window SLO aggregation with
-//!   error-budget burn counters, fed per-request by the serve layer,
 //! * [`timeline`] — deterministic per-window time series (admissions,
-//!   queue depth, per-stage latency) behind `/debug/timeline`,
-//! * [`sample`] — the tail-sampled [`sample::FlightRecorder`]: bounded
-//!   always-on tracing with a deterministic keep/discard rule,
+//!   queue depth, per-stage latency, SLO verdicts) behind
+//!   `/debug/timeline` and `/debug/slo`,
 //! * [`requests`] — the bounded per-request debug log (trace id +
 //!   latency breakdown) behind the server's `/debug/requests` route,
 //! * [`analyze`] — span-tree reconstruction, per-stage aggregation,
@@ -71,9 +69,7 @@ pub mod metrics;
 pub mod ndjson;
 pub mod parse;
 pub mod requests;
-pub mod sample;
 pub mod serve;
-pub mod slo;
 pub mod timeline;
 pub mod trace;
 
@@ -84,9 +80,7 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics};
 pub use ndjson::JsonValue;
 pub use parse::{parse_json, parse_ndjson, Json, ParseError};
 pub use requests::{RequestLog, RequestRecord};
-pub use sample::{FlightRecorder, KeptTrace, SampleConfig};
-pub use serve::{DebugState, ExpositionServer, Readiness};
-pub use slo::{merge_windows, SloConfig, SloTracker, WindowCounts};
+pub use serve::{DebugState, ExpositionServer, Readiness, ServeObs, SloConfig};
 pub use timeline::{
     merge_timelines, SeriesKind, SeriesPoint, SeriesWindows, TimelineConfig, TimelineRecorder,
 };

@@ -21,15 +21,15 @@
 //!   The shard count, pool width and live draining flag come from the
 //!   attached [`Readiness`] (defaults when none was attached); while
 //!   draining the status code is `503` so load balancers stop routing,
-//! * `GET /debug/requests` — the attached [`crate::RequestLog`]s as
+//! * `GET /debug/requests` — the attached shards' [`RequestLog`]s as
 //!   NDJSON, one finished request per line (trace id + latency
 //!   breakdown), sorted by global request id and tagged by shard,
-//! * `GET /debug/slo` — per-shard and merged SLO window views from the
-//!   attached [`crate::SloTracker`]s,
-//! * `GET /debug/timeline` — the attached [`TimelineRecorder`]s as
-//!   fixed-field NDJSON: one `timeline_config` line, then per-shard
+//! * `GET /debug/slo` — per-shard and merged SLO window views: each
+//!   shard's `slo.good` / `slo.breached` timeline series, per window,
+//! * `GET /debug/timeline` — the attached shards' [`TimelineRecorder`]s
+//!   as fixed-field NDJSON: one `timeline_config` line, then per-shard
 //!   `timeline` lines tagged `"shard":"<label>"`, then the merged view
-//!   tagged `"shard":"merged"` ([`crate::timeline::merge_timelines`]),
+//!   tagged `"shard":"merged"` ([`timeline::merge_timelines`]),
 //! * anything else — `404`.
 //!
 //! Every response — including `404` / `405` / `503` errors — carries
@@ -61,8 +61,7 @@ use std::time::Duration;
 use crate::expose::{render_prometheus, render_prometheus_sharded};
 use crate::metrics::Metrics;
 use crate::requests::RequestLog;
-use crate::slo::{merge_windows, SloTracker, WindowCounts};
-use crate::timeline::{self, TimelineRecorder};
+use crate::timeline::{self, SeriesWindows, TimelineRecorder};
 
 /// Default per-connection I/O timeout: a stalled scraper must not pin a
 /// worker (see [`ExpositionServer::bind_with_options`] to tune it).
@@ -133,17 +132,59 @@ impl Default for Readiness {
     }
 }
 
-/// Debug-route sources: per-shard SLO trackers and request logs, plus
-/// the readiness snapshot. All optional — an empty `DebugState` keeps
-/// the server a plain `/metrics` + `/healthz` endpoint.
+/// The latency objective a serve shard scores every finished request
+/// against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SloConfig {
+    /// A request answered within this many ns counts as good; a slower
+    /// one, and one that got no answer, burns error budget.
+    pub objective_ns: u64,
+}
+
+impl Default for SloConfig {
+    fn default() -> Self {
+        Self {
+            objective_ns: 50_000_000, // 50 ms
+        }
+    }
+}
+
+/// Timeline series holding the requests that met the objective.
+const SLO_GOOD: &str = "slo.good";
+/// Timeline series holding the requests that breached it.
+const SLO_BREACHED: &str = "slo.breached";
+
+/// One serve shard's observability handles: the objective it scores
+/// against, its finished-request log and its timeline, which also
+/// holds the SLO verdicts. The serve layer builds one per observed
+/// shard; [`DebugState`] serves a labelled list of them.
+#[derive(Debug, Clone)]
+pub struct ServeObs {
+    /// The latency objective.
+    pub slo: SloConfig,
+    /// The bounded log behind `/debug/requests`.
+    pub requests: Arc<RequestLog>,
+    /// The per-window series behind `/debug/timeline` and `/debug/slo`.
+    pub timeline: Arc<TimelineRecorder>,
+}
+
+impl ServeObs {
+    /// Records one finished request's verdict at clock time `now_ns`: a
+    /// `slo.good` delta when it met the objective, else `slo.breached`.
+    pub fn record_verdict(&self, good: bool, now_ns: u64) {
+        let series = if good { SLO_GOOD } else { SLO_BREACHED };
+        self.timeline.record_delta(series, 1, now_ns);
+    }
+}
+
+/// Debug-route sources: per-shard serve handles plus the readiness
+/// snapshot. Both optional — an empty `DebugState` keeps the server a
+/// plain `/metrics` + `/healthz` endpoint.
 #[derive(Debug, Default)]
 pub struct DebugState {
-    /// `(shard label, tracker)` pairs behind `/debug/slo`.
-    pub slos: Vec<(String, Arc<SloTracker>)>,
-    /// `(shard label, log)` pairs behind `/debug/requests`.
-    pub requests: Vec<(String, Arc<RequestLog>)>,
-    /// `(shard label, recorder)` pairs behind `/debug/timeline`.
-    pub timelines: Vec<(String, Arc<TimelineRecorder>)>,
+    /// `(shard label, handles)` pairs behind `/debug/requests`,
+    /// `/debug/slo` and `/debug/timeline`, in shard order.
+    pub shards: Vec<(String, ServeObs)>,
     /// The `/healthz` readiness source (defaults used when `None`).
     pub readiness: Option<Readiness>,
 }
@@ -222,9 +263,9 @@ impl ExpositionServer {
         )
     }
 
-    /// [`Self::bind`] plus debug sources: the `/debug/requests` and
-    /// `/debug/slo` routes serve `debug`'s logs and trackers, and
-    /// `/healthz` reports its readiness snapshot.
+    /// [`Self::bind`] plus debug sources: the `/debug/*` routes serve
+    /// `debug`'s shard handles, and `/healthz` reports its readiness
+    /// snapshot.
     ///
     /// # Errors
     ///
@@ -549,8 +590,8 @@ fn render_healthz(registry: &Registry, debug: &DebugState) -> String {
 /// tagged with their shard label and sorted by global request id.
 fn render_debug_requests(debug: &DebugState) -> String {
     let mut rows: Vec<(u64, String)> = Vec::new();
-    for (label, log) in &debug.requests {
-        for r in log.records() {
+    for (label, obs) in &debug.shards {
+        for r in obs.requests.records() {
             let json = r.to_json();
             // splice the shard label in as the first field
             rows.push((r.request, format!("{{\"shard\":\"{label}\",{}", &json[1..])));
@@ -565,48 +606,83 @@ fn render_debug_requests(debug: &DebugState) -> String {
     out
 }
 
-/// The `/debug/slo` text body: per-shard window views plus the merged
-/// view, all derived from the attached trackers.
+/// The `/debug/slo` text body: each shard's `slo.good` and
+/// `slo.breached` windows, then their merged view. A totals line sums
+/// the windows listed under it.
 fn render_debug_slo(debug: &DebugState) -> String {
     use std::fmt::Write as _;
-    if debug.slos.is_empty() {
-        return "no slo trackers attached\n".to_owned();
-    }
-    let config = debug.slos[0].1.config();
-    let width = config.width();
-    let window_lines = |out: &mut String, windows: &[WindowCounts]| {
-        for w in windows {
-            let _ = writeln!(
-                out,
-                "  window {} [t={} ns): good={} breached={} breach={:.3}",
-                w.index,
-                w.index * width,
-                w.good,
-                w.breached,
-                w.breach_fraction()
-            );
-        }
+    let Some((_, first)) = debug.shards.first() else {
+        return "no serve shards attached\n".to_owned();
     };
+    let width = first.timeline.config().width();
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "slo: objective={} ns window={} ns",
-        config.objective_ns, width
+        "slo: objective={} ns window={width} ns",
+        first.slo.objective_ns
     );
-    let mut per_shard: Vec<Vec<WindowCounts>> = Vec::new();
-    for (label, slo) in &debug.slos {
-        let (good, breached) = slo.totals();
-        let _ = writeln!(out, "shard {label}: good={good} breached={breached}");
-        let windows = slo.windows();
-        window_lines(&mut out, &windows);
-        per_shard.push(windows);
+    let mut per_shard = Vec::with_capacity(debug.shards.len());
+    for (label, obs) in &debug.shards {
+        let verdicts = slo_series(&obs.timeline);
+        slo_lines(&mut out, &format!("shard {label}"), &verdicts, width);
+        per_shard.push(verdicts);
     }
-    let merged = merge_windows(&per_shard);
-    let good: u64 = merged.iter().map(|w| w.good).sum();
-    let breached: u64 = merged.iter().map(|w| w.breached).sum();
-    let _ = writeln!(out, "merged: good={good} breached={breached}");
-    window_lines(&mut out, &merged);
+    let merged = timeline::merge_timelines(&per_shard);
+    slo_lines(&mut out, "merged", &merged, width);
     out
+}
+
+/// A recorder's two verdict series, cut to the newest `max_windows`
+/// windows of their union — what one ring holding both verdicts per
+/// window would retain.
+fn slo_series(recorder: &TimelineRecorder) -> Vec<SeriesWindows> {
+    let mut verdicts: Vec<SeriesWindows> = recorder
+        .snapshot()
+        .into_iter()
+        .filter(|s| s.name == SLO_GOOD || s.name == SLO_BREACHED)
+        .collect();
+    let mut indices: Vec<u64> = verdicts
+        .iter()
+        .flat_map(|s| s.points.iter().map(|p| p.index))
+        .collect();
+    indices.sort_unstable();
+    indices.dedup();
+    let evicted = indices
+        .len()
+        .saturating_sub(recorder.config().max_windows.max(1));
+    if let Some(&oldest) = indices.get(evicted) {
+        for s in &mut verdicts {
+            s.points.retain(|p| p.index >= oldest);
+        }
+    }
+    verdicts
+}
+
+/// Writes a `<head>: good=G breached=B` totals line, then one line per
+/// window of `verdicts`.
+fn slo_lines(out: &mut String, head: &str, verdicts: &[SeriesWindows], width: u64) {
+    use std::collections::BTreeMap;
+    use std::fmt::Write as _;
+    let mut windows: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    for s in verdicts {
+        for p in &s.points {
+            let (good, breached) = windows.entry(p.index).or_default();
+            let tally = if s.name == SLO_GOOD { good } else { breached };
+            *tally = tally.saturating_add(p.count);
+        }
+    }
+    let (good, breached) = windows.values().fold((0u64, 0u64), |(g, b), &(wg, wb)| {
+        (g.saturating_add(wg), b.saturating_add(wb))
+    });
+    let _ = writeln!(out, "{head}: good={good} breached={breached}");
+    for (index, (good, breached)) in windows {
+        let fraction = breached as f64 / good.saturating_add(breached).max(1) as f64;
+        let _ = writeln!(
+            out,
+            "  window {index} [t={} ns): good={good} breached={breached} breach={fraction:.3}",
+            index.saturating_mul(width)
+        );
+    }
 }
 
 /// The `/debug/timeline` NDJSON body: the shared window policy, every
@@ -614,16 +690,16 @@ fn render_debug_slo(debug: &DebugState) -> String {
 /// view tagged `"shard":"merged"`. Field order is fixed (see
 /// [`timeline::point_line`]) so golden tests can pin the bytes.
 fn render_debug_timeline(debug: &DebugState) -> String {
-    let Some((_, first)) = debug.timelines.first() else {
+    let Some((_, first)) = debug.shards.first() else {
         return String::new();
     };
-    let config = first.config();
+    let config = first.timeline.config();
     let width = config.width();
     let mut out = timeline::config_line(config);
     out.push('\n');
-    let mut per_shard = Vec::with_capacity(debug.timelines.len());
-    for (label, recorder) in &debug.timelines {
-        let snapshot = recorder.snapshot();
+    let mut per_shard = Vec::with_capacity(debug.shards.len());
+    for (label, obs) in &debug.shards {
+        let snapshot = obs.timeline.snapshot();
         for series in &snapshot {
             for p in &series.points {
                 out.push_str(&timeline::point_line(
@@ -656,6 +732,7 @@ fn render_debug_timeline(debug: &DebugState) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeline::TimelineConfig;
 
     #[test]
     fn binds_ephemeral_and_shuts_down() {
@@ -730,24 +807,28 @@ mod tests {
         server.shutdown();
     }
 
+    /// One shard's handles over `window_ns`-wide windows, `max_windows`
+    /// retained, scored against a 10 ns objective.
+    fn shard_obs(window_ns: u64, max_windows: usize) -> ServeObs {
+        ServeObs {
+            slo: SloConfig { objective_ns: 10 },
+            requests: Arc::new(RequestLog::new(16)),
+            timeline: Arc::new(TimelineRecorder::new(TimelineConfig {
+                window_ns,
+                max_windows,
+            })),
+        }
+    }
+
     #[test]
     fn debug_routes_serve_requests_slo_and_readiness() {
-        use crate::requests::{RequestLog, RequestRecord};
-        use crate::slo::SloConfig;
+        use crate::requests::RequestRecord;
 
         let metrics = Arc::new(Metrics::new());
-        let slo = Arc::new(SloTracker::new(
-            SloConfig {
-                window_ns: 100,
-                objective_ns: 10,
-                max_windows: 8,
-            },
-            &metrics,
-        ));
-        slo.record(5, 0);
-        slo.record(50, 120);
-        let log = Arc::new(RequestLog::new(16));
-        log.push(RequestRecord {
+        let obs = shard_obs(100, 8);
+        obs.record_verdict(true, 0);
+        obs.record_verdict(false, 120);
+        obs.requests.push(RequestRecord {
             request: 3,
             trace: crate::trace_id(3),
             outcome: "ok",
@@ -764,9 +845,7 @@ mod tests {
             "127.0.0.1:0",
             Arc::clone(&metrics),
             DebugState {
-                slos: vec![("0".to_owned(), Arc::clone(&slo))],
-                requests: vec![("0".to_owned(), Arc::clone(&log))],
-                timelines: Vec::new(),
+                shards: vec![("0".to_owned(), obs)],
                 readiness: Some(Readiness {
                     shards: 1,
                     pool_threads: 4,
@@ -808,6 +887,43 @@ mod tests {
             "{slo_body}"
         );
         server.shutdown();
+    }
+
+    /// Two shards over 10 ns windows keeping 2 of them: four windows of
+    /// verdicts, the only breach in the oldest, so the body lists the
+    /// two newest windows clean, and every totals line sums the windows
+    /// listed under it.
+    #[test]
+    fn debug_slo_lists_and_totals_only_the_retained_windows() {
+        let shards: Vec<ServeObs> = (0..2).map(|_| shard_obs(10, 2)).collect();
+        shards[0].record_verdict(false, 0);
+        for t in [0, 10, 20, 30] {
+            shards[0].record_verdict(true, t);
+        }
+        shards[1].record_verdict(true, 25);
+        shards[1].record_verdict(true, 31);
+        let body = render_debug_slo(&DebugState {
+            shards: shards
+                .into_iter()
+                .enumerate()
+                .map(|(i, obs)| (i.to_string(), obs))
+                .collect(),
+            readiness: None,
+        });
+        assert_eq!(
+            body,
+            "slo: objective=10 ns window=10 ns
+shard 0: good=2 breached=0
+  window 2 [t=20 ns): good=1 breached=0 breach=0.000
+  window 3 [t=30 ns): good=1 breached=0 breach=0.000
+shard 1: good=2 breached=0
+  window 2 [t=20 ns): good=1 breached=0 breach=0.000
+  window 3 [t=30 ns): good=1 breached=0 breach=0.000
+merged: good=4 breached=0
+  window 2 [t=20 ns): good=2 breached=0 breach=0.000
+  window 3 [t=30 ns): good=2 breached=0 breach=0.000
+"
+        );
     }
 
     #[test]
@@ -958,20 +1074,15 @@ mod tests {
 
     #[test]
     fn debug_timeline_serves_per_shard_then_merged_ndjson() {
-        use crate::timeline::TimelineConfig;
-
-        let t0 = Arc::new(TimelineRecorder::new(TimelineConfig {
-            window_ns: 100,
-            max_windows: 8,
-        }));
-        t0.record_delta("serve.admitted", 1, 50);
-        let t1 = Arc::new(TimelineRecorder::new(t0.config()));
-        t1.record_delta("serve.admitted", 1, 150);
+        let s0 = shard_obs(100, 8);
+        s0.timeline.record_delta("serve.admitted", 1, 50);
+        let s1 = shard_obs(100, 8);
+        s1.timeline.record_delta("serve.admitted", 1, 150);
         let server = ExpositionServer::bind_debug(
             "127.0.0.1:0",
             Arc::new(Metrics::new()),
             DebugState {
-                timelines: vec![("0".to_owned(), t0), ("1".to_owned(), t1)],
+                shards: vec![("0".to_owned(), s0), ("1".to_owned(), s1)],
                 ..DebugState::default()
             },
         )

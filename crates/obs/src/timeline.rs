@@ -2,17 +2,18 @@
 //!
 //! A [`TimelineRecorder`] turns selected counters, gauges and histogram
 //! deltas into **per-window time series** on the observer clock: window
-//! `i` covers `[i*window_ns, (i+1)*window_ns)`, exactly like the SLO
-//! windows in [`crate::slo`]. Each series accumulates one
-//! [`SeriesPoint`] per window (count / sum / min / max of the observed
-//! values), ring-bounded to [`TimelineConfig::max_windows`] windows, so
-//! always-on timelines have fixed memory.
+//! `i` covers `[i*window_ns, (i+1)*window_ns)`. Each series accumulates
+//! one [`SeriesPoint`] per window (count / sum / min / max of the
+//! observed values), ring-bounded to [`TimelineConfig::max_windows`]
+//! windows, so always-on timelines have fixed memory. The serve layer's
+//! SLO verdicts are two such series (`slo.good`, `slo.breached`), which
+//! `/debug/slo` renders as its window view.
 //!
 //! Because both the window index and the aggregates are pure functions
 //! of `(value, now_ns)` read from the injected [`crate::ObsClock`], a
 //! scripted virtual-clock run produces bit-identical timelines at any
 //! worker count, and [`merge_timelines`] folds per-shard views into one
-//! the same way [`crate::slo::merge_windows`] does.
+//! by per-window addition.
 //!
 //! Two series kinds exist and are tagged in every rendering:
 //!
@@ -187,30 +188,25 @@ impl Series {
     /// Folds `value` into window `index`, keeping at most `max_windows`
     /// windows.
     fn observe(&mut self, index: u64, value: u64, max_windows: usize) {
-        window_slot(&mut self.points, index, |p| p.index, SeriesPoint::new_at).observe(value);
+        window_slot(&mut self.points, index).observe(value);
         while self.points.len() > max_windows {
             self.points.pop_front();
         }
     }
 }
 
-/// The slot for window `index` in `windows`, which is sorted by
-/// `index_of` with no repeats; a missing window is made by `new_at` and
-/// inserted in order. Observations arrive in clock order, so the search
-/// starts at the newest window and usually stops there, while a late
-/// observation for an older window still lands in its own slot.
-pub(crate) fn window_slot<T>(
-    windows: &mut VecDeque<T>,
-    index: u64,
-    index_of: impl Fn(&T) -> u64,
-    new_at: impl FnOnce(u64) -> T,
-) -> &mut T {
-    let at = match windows.iter().rposition(|w| index_of(w) <= index) {
-        Some(i) if index_of(&windows[i]) == index => return &mut windows[i],
+/// The slot for window `index` in `windows`, which is sorted by index
+/// with no repeats; a missing window is inserted empty, in order.
+/// Observations arrive in clock order, so the search starts at the
+/// newest window and usually stops there, while a late observation for
+/// an older window still lands in its own slot.
+fn window_slot(windows: &mut VecDeque<SeriesPoint>, index: u64) -> &mut SeriesPoint {
+    let at = match windows.iter().rposition(|w| w.index <= index) {
+        Some(i) if windows[i].index == index => return &mut windows[i],
         Some(i) => i + 1,
         None => 0,
     };
-    windows.insert(at, new_at(index));
+    windows.insert(at, SeriesPoint::new_at(index));
     &mut windows[at]
 }
 
@@ -574,5 +570,9 @@ mod tests {
         let p = tl.snapshot()[0].points[0];
         assert_eq!(p.sum, u64::MAX);
         assert_eq!(p.count, 2);
+        // merging saturated shards saturates too, instead of wrapping
+        let merged = merge_timelines(&[tl.snapshot(), tl.snapshot()]);
+        assert_eq!(merged[0].points[0].sum, u64::MAX);
+        assert_eq!(merged[0].points[0].count, 4);
     }
 }

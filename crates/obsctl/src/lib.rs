@@ -660,33 +660,21 @@ pub fn trace_request(path: &Path, request: u64) -> Result<String, CliError> {
 
 /// Recomputes deterministic SLO windows offline from the closed
 /// admission-side `request` spans in a telemetry artifact: each span's
-/// duration is its latency, judged against `config.objective_ns` and
-/// bucketed by its end time into `config.window_ns`-wide windows — the
-/// same pure function of `(latency, clock)` the live tracker applies,
-/// so a virtual-clock artifact reproduces `/debug/slo` exactly.
+/// duration is its latency, judged against `objective_ns` and bucketed
+/// by its end time into `window_ns`-wide windows — the same pure
+/// function of `(latency, clock)` the live serve layer applies, so a
+/// virtual-clock artifact reproduces `/debug/slo`'s windows.
 ///
 /// # Errors
 ///
 /// [`CliError::Gate`] when the artifact holds no closed `request`
 /// spans (nothing to aggregate — the serve run came untraced);
 /// [`CliError::Input`] on unreadable/unparsable files.
-pub fn slo_report(path: &Path, config: canti_obs::SloConfig) -> Result<String, CliError> {
-    use canti_obs::WindowCounts;
+pub fn slo_report(path: &Path, objective_ns: u64, window_ns: u64) -> Result<String, CliError> {
     use std::collections::BTreeMap;
 
     let trace = load_trace(path)?;
-    fn collect<'t>(node: &'t canti_obs::SpanNode, out: &mut Vec<&'t canti_obs::SpanNode>) {
-        if node.name == "request" && node.request.is_some() && node.dur_ns.is_some() {
-            out.push(node);
-        }
-        for child in &node.children {
-            collect(child, out);
-        }
-    }
-    let mut samples = Vec::new();
-    for root in &trace.roots {
-        collect(root, &mut samples);
-    }
+    let samples = closed_requests(&trace);
     if samples.is_empty() {
         return Err(CliError::Gate(format!(
             "{}: no closed 'request' spans to aggregate ({} spans total)",
@@ -695,47 +683,71 @@ pub fn slo_report(path: &Path, config: canti_obs::SloConfig) -> Result<String, C
         )));
     }
 
-    let mut windows: BTreeMap<u64, WindowCounts> = BTreeMap::new();
-    let (mut good_total, mut breached_total) = (0u64, 0u64);
+    let width = window_ns.max(1);
+    let mut windows: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
     for span in &samples {
-        let latency_ns = span.duration_ns();
-        let end_ns = span.start_ns + latency_ns;
-        let index = config.window_index(end_ns);
-        let slot = windows.entry(index).or_insert(WindowCounts {
-            index,
-            good: 0,
-            breached: 0,
-        });
-        if latency_ns <= config.objective_ns {
-            slot.good += 1;
-            good_total += 1;
+        let (good, breached) = windows.entry(span.end_ns / width).or_default();
+        if span.latency_ns <= objective_ns {
+            *good += 1;
         } else {
-            slot.breached += 1;
-            breached_total += 1;
+            *breached += 1;
         }
     }
+    let good_total: u64 = windows.values().map(|w| w.0).sum();
+    let breached_total = samples.len() as u64 - good_total;
 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "slo (offline, {} request span(s)): objective={} ns window={} ns \
+        "slo (offline, {} request span(s)): objective={objective_ns} ns window={width} ns \
          good={good_total} breached={breached_total}",
         samples.len(),
-        config.objective_ns,
-        config.width(),
     );
-    for w in windows.values() {
+    for (index, (good, breached)) in windows {
         let _ = writeln!(
             out,
-            "  window {} [t={} ns): good={} breached={} breach={:.3}",
-            w.index,
-            w.index * config.width(),
-            w.good,
-            w.breached,
-            w.breach_fraction()
+            "  window {index} [t={} ns): good={good} breached={breached} breach={:.3}",
+            index * width,
+            breached as f64 / (good + breached) as f64
         );
     }
     Ok(out)
+}
+
+/// One closed admission-side `request` span.
+struct ClosedRequest {
+    /// The request's global admission id.
+    request: u64,
+    /// The span's duration: the request's latency.
+    latency_ns: u64,
+    /// Where the span ended on the observer clock, saturating so a
+    /// crafted artifact cannot overflow it.
+    end_ns: u64,
+}
+
+/// Every closed admission-side `request` span in `trace`, in tree order:
+/// the samples both offline recomputes ([`slo_report`] and
+/// `timeline --spans`) aggregate.
+fn closed_requests(trace: &Trace) -> Vec<ClosedRequest> {
+    fn walk(node: &canti_obs::SpanNode, out: &mut Vec<ClosedRequest>) {
+        if let (Some(request), Some(latency_ns)) = (node.request, node.dur_ns) {
+            if node.name == "request" {
+                out.push(ClosedRequest {
+                    request,
+                    latency_ns,
+                    end_ns: node.start_ns.saturating_add(latency_ns),
+                });
+            }
+        }
+        for child in &node.children {
+            walk(child, out);
+        }
+    }
+    let mut out = Vec::new();
+    for root in &trace.roots {
+        walk(root, &mut out);
+    }
+    out
 }
 
 fn load_trace(path: &Path) -> Result<Trace, CliError> {
@@ -1250,20 +1262,8 @@ fn timeline_crosscheck(
         }
     }
 
-    let trace = Trace::from_docs(&docs);
-    fn collect<'t>(node: &'t canti_obs::SpanNode, out: &mut Vec<&'t canti_obs::SpanNode>) {
-        if node.name == "request" && node.request.is_some() && node.dur_ns.is_some() {
-            out.push(node);
-        }
-        for child in &node.children {
-            collect(child, out);
-        }
-    }
-    let mut samples = Vec::new();
-    for root in &trace.roots {
-        collect(root, &mut samples);
-    }
-    samples.retain(|s| !expired.contains(&s.request.expect("filtered on request")));
+    let mut samples = closed_requests(&Trace::from_docs(&docs));
+    samples.retain(|s| !expired.contains(&s.request));
     if samples.is_empty() {
         return Err(CliError::Gate(format!(
             "{}: no closed non-expired 'request' spans to recompute from",
@@ -1273,9 +1273,8 @@ fn timeline_crosscheck(
 
     let mut windows: BTreeMap<u64, TimelinePoint> = BTreeMap::new();
     for span in &samples {
-        let latency_ns = span.duration_ns();
-        let end_ns = span.start_ns.saturating_add(latency_ns);
-        let index = end_ns / artifact.window_ns.max(1);
+        let latency_ns = span.latency_ns;
+        let index = span.end_ns / artifact.window_ns.max(1);
         let slot = windows.entry(index).or_insert(TimelinePoint {
             window: index,
             count: 0,
@@ -1766,12 +1765,7 @@ mod tests {
              {\"seq\":2,\"t_ns\":900,\"kind\":\"span_start\",\"name\":\"request\",\"fields\":{\"request\":2,\"trace\":6}}\n\
              {\"seq\":3,\"t_ns\":1300,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":400}}\n",
         );
-        let config = canti_obs::SloConfig {
-            window_ns: 1_000,
-            objective_ns: 100,
-            max_windows: 64,
-        };
-        let text = slo_report(&artifact, config).unwrap();
+        let text = slo_report(&artifact, 100, 1_000).unwrap();
         assert!(text.contains("good=1 breached=1"), "{text}");
         assert!(
             text.contains("window 0 [t=0 ns): good=1 breached=0"),
@@ -1788,8 +1782,31 @@ mod tests {
             "{\"seq\":0,\"t_ns\":0,\"kind\":\"span_start\",\"name\":\"job\"}\n\
              {\"seq\":1,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"job\",\"fields\":{\"dur_ns\":5}}\n",
         );
-        let err = slo_report(&jobs_only, config).unwrap_err();
+        let err = slo_report(&jobs_only, 100, 1_000).unwrap_err();
         assert_eq!(err.exit_code(), 1);
+    }
+
+    /// A request span ending past `u64::MAX` saturates into the last
+    /// window instead of overflowing (or wrapping into window 0).
+    #[test]
+    fn slo_report_saturates_a_span_ending_past_the_clock_range() {
+        let start = u64::MAX - 5;
+        let artifact = write_temp(
+            "slo-overflow",
+            &format!(
+                "{{\"seq\":0,\"t_ns\":{start},\"kind\":\"span_start\",\"name\":\"request\",\"fields\":{{\"request\":1}}}}\n\
+                 {{\"seq\":1,\"t_ns\":{start},\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{{\"dur_ns\":100}}}}\n"
+            ),
+        );
+        let text = slo_report(&artifact, 50, 1_000).unwrap();
+        let last = u64::MAX / 1_000;
+        assert!(
+            text.contains(&format!(
+                "window {last} [t={} ns): good=0 breached=1",
+                last * 1_000
+            )),
+            "{text}"
+        );
     }
 
     #[test]

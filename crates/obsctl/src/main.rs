@@ -218,16 +218,17 @@ fn run() -> Result<(), CliError> {
             Ok(())
         }
         "slo" => {
-            let mut config = canti_obs::SloConfig::default();
+            let mut objective_ns = canti_obs::SloConfig::default().objective_ns;
+            let mut window_ns = canti_obs::TimelineConfig::default().window_ns;
             let mut files: Vec<PathBuf> = Vec::new();
             let mut rest = args[1..].iter();
             while let Some(arg) = rest.next() {
                 match arg.as_str() {
                     "--objective-ns" => {
-                        config.objective_ns = parse_flag(rest.next(), "--objective-ns")?;
+                        objective_ns = parse_flag(rest.next(), "--objective-ns")?;
                     }
                     "--window-ns" => {
-                        config.window_ns = parse_flag(rest.next(), "--window-ns")?;
+                        window_ns = parse_flag(rest.next(), "--window-ns")?;
                     }
                     flag if flag.starts_with('-') => {
                         return Err(CliError::Usage(format!("unknown flag {flag}")));
@@ -240,7 +241,7 @@ fn run() -> Result<(), CliError> {
                     "slo takes exactly one file argument: <telemetry.ndjson>".into(),
                 ));
             };
-            let out = slo_report(path, config)?;
+            let out = slo_report(path, objective_ns, window_ns)?;
             print!("{out}");
             Ok(())
         }

@@ -126,7 +126,7 @@ pub(crate) struct Front {
 
 impl Front {
     /// `instruments` must be the same set the executor records into —
-    /// SLO windows and the request log live on the instrument struct
+    /// the timeline and the request log live on the instrument struct
     /// itself (not in the name-keyed registry), so a second construction
     /// would silently split the debug views in half. Likewise `cache`
     /// must be the same handle the executor inserts into.
@@ -219,7 +219,7 @@ impl Front {
                     }
                     if let Some(ins) = &self.instruments {
                         ins.cache_miss.inc();
-                        ins.timeline.record_delta("serve.cache_miss", 1, now_ns);
+                        ins.obs.timeline.record_delta("serve.cache_miss", 1, now_ns);
                     }
                 }
             }
@@ -250,7 +250,7 @@ impl Front {
                 }
                 if let Some(ins) = &self.instruments {
                     ins.admitted.inc();
-                    ins.timeline.record_delta("serve.admitted", 1, now_ns);
+                    ins.obs.timeline.record_delta("serve.admitted", 1, now_ns);
                 }
                 match admitted {
                     crate::queue::Admitted::Queued(_) => self.observe_depth(),
@@ -271,7 +271,7 @@ impl Front {
                         }
                         if let Some(ins) = &self.instruments {
                             ins.coalesced.inc();
-                            ins.timeline.record_delta("serve.coalesced", 1, now_ns);
+                            ins.obs.timeline.record_delta("serve.coalesced", 1, now_ns);
                         }
                     }
                 }
@@ -287,7 +287,7 @@ impl Front {
                 }
                 if let Some(ins) = &self.instruments {
                     ins.rejected.inc();
-                    ins.timeline.record_delta("serve.rejected", 1, now_ns);
+                    ins.obs.timeline.record_delta("serve.rejected", 1, now_ns);
                 }
                 Err(reason)
             }
@@ -330,15 +330,14 @@ impl Front {
             ins.cache_hit.inc();
             ins.completed.inc();
             ins.request_latency_ns.record(cache_ns);
-            ins.slo.record(cache_ns, done_ns);
-            ins.timeline.record_delta("serve.admitted", 1, admitted_ns);
-            ins.timeline.record_delta("serve.cache_hit", 1, done_ns);
-            ins.timeline.record_delta("serve.completed", 1, done_ns);
-            ins.timeline
-                .record_delta("serve.request_latency_ns", cache_ns, done_ns);
-            ins.timeline
-                .record_delta("serve.cache_ns", cache_ns, done_ns);
-            ins.requests.push(canti_obs::RequestRecord {
+            ins.verdict(cache_ns <= ins.obs.slo.objective_ns, done_ns);
+            let tl = &ins.obs.timeline;
+            tl.record_delta("serve.admitted", 1, admitted_ns);
+            tl.record_delta("serve.cache_hit", 1, done_ns);
+            tl.record_delta("serve.completed", 1, done_ns);
+            tl.record_delta("serve.request_latency_ns", cache_ns, done_ns);
+            tl.record_delta("serve.cache_ns", cache_ns, done_ns);
+            ins.obs.requests.push(canti_obs::RequestRecord {
                 request: seed_key,
                 trace,
                 outcome: "cache_hit",
@@ -526,10 +525,10 @@ impl Front {
                 (&ins.failed, "serve.failed")
             };
             counter.inc();
-            ins.timeline.record_delta(series, 1, now_ns);
+            ins.obs.timeline.record_delta(series, 1, now_ns);
             // an abandoned request always burns error budget
-            ins.slo.record_outcome(false, now_ns);
-            ins.requests.push(canti_obs::RequestRecord {
+            ins.verdict(false, now_ns);
+            ins.obs.requests.push(canti_obs::RequestRecord {
                 request: key,
                 trace,
                 outcome: reason.label(),
@@ -570,11 +569,11 @@ impl Front {
                 }
                 if let Some(ins) = &self.instruments {
                     ins.expired.inc();
-                    ins.timeline.record_delta("serve.expired", 1, now_ns);
+                    ins.obs.timeline.record_delta("serve.expired", 1, now_ns);
                     // an expiry always burns error budget, however
                     // briefly the request waited
-                    ins.slo.record_outcome(false, now_ns);
-                    ins.requests.push(canti_obs::RequestRecord {
+                    ins.verdict(false, now_ns);
+                    ins.obs.requests.push(canti_obs::RequestRecord {
                         request: p.key,
                         trace: p.trace,
                         outcome: "expired",
@@ -649,7 +648,8 @@ impl Front {
             ins.queue_depth.set(depth as i64);
             // sampled whenever the depth changes; the cadence depends on
             // batch formation, so this series is not shard-invariant
-            ins.timeline
+            ins.obs
+                .timeline
                 .sample("serve.queue_depth", depth as u64, self.clock.now_ns());
         }
     }
@@ -717,9 +717,10 @@ impl ServeEngine {
     }
 
     /// Attaches a farm observer: serve counters/histograms, request and
-    /// batch spans, SLO windows, the request log and the farm's own
-    /// telemetry all record into it. For coherent timestamps construct
-    /// the observer over the same clock the engine was given.
+    /// batch spans, the timeline (SLO verdicts included), the request
+    /// log and the farm's own telemetry all record into it. For coherent
+    /// timestamps construct the observer over the same clock the engine
+    /// was given.
     #[must_use]
     pub fn with_observer(mut self, observer: FarmObserver) -> Self {
         let config = *self.front.queue.config();
@@ -1024,25 +1025,12 @@ impl ServeEngine {
         self.executor.observer()
     }
 
-    /// The SLO tracker scoring this engine's requests (present once an
-    /// observer is attached).
+    /// This engine's debug handles — objective, request log and
+    /// timeline — behind the `/debug/*` routes (present once an observer
+    /// is attached).
     #[must_use]
-    pub fn slo(&self) -> Option<Arc<canti_obs::SloTracker>> {
-        self.front.instruments().map(|i| Arc::clone(&i.slo))
-    }
-
-    /// The bounded finished-request log behind `/debug/requests`
-    /// (present once an observer is attached).
-    #[must_use]
-    pub fn request_log(&self) -> Option<Arc<canti_obs::RequestLog>> {
-        self.front.instruments().map(|i| Arc::clone(&i.requests))
-    }
-
-    /// The per-window timeline recorder behind `/debug/timeline`
-    /// (present once an observer is attached).
-    #[must_use]
-    pub fn timeline(&self) -> Option<Arc<canti_obs::TimelineRecorder>> {
-        self.front.instruments().map(|i| Arc::clone(&i.timeline))
+    pub fn obs(&self) -> Option<canti_obs::ServeObs> {
+        self.front.instruments().map(|i| i.obs.clone())
     }
 }
 

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use canti_farm::{Farm, FarmConfig, FarmObserver, JobSpec, PrecomputeCache, WorkerPool};
 use canti_fault::ServeChaos;
 use canti_obs::{
-    Counter, Gauge, Histogram, ObsClock, RequestLog, RequestRecord, SloConfig, SloTracker,
+    Counter, Gauge, Histogram, ObsClock, RequestLog, RequestRecord, ServeObs, SloConfig,
     TimelineConfig, TimelineRecorder, TraceContext,
 };
 
@@ -23,10 +23,10 @@ pub(crate) const REQUEST_LOG_CAPACITY: usize = 1024;
 /// The serve-layer metrics handles, registered once per observer.
 ///
 /// Names follow the `serve.` prefix the exposition layer sanitizes into
-/// `serve_*` Prometheus series. The SLO tracker and request log ride
-/// alongside because they cannot be re-derived from the name-keyed
-/// registry — engine and executor must share ONE `ServeInstruments` so
-/// both record into the same window deque and debug log.
+/// `serve_*` Prometheus series. The shard's [`ServeObs`] rides alongside
+/// because its request log and timeline cannot be re-derived from the
+/// name-keyed registry — engine and executor must share ONE
+/// `ServeInstruments` so both record into the same timeline and log.
 #[derive(Debug, Clone)]
 pub(crate) struct ServeInstruments {
     pub admitted: Arc<Counter>,
@@ -44,9 +44,9 @@ pub(crate) struct ServeInstruments {
     pub queue_depth: Arc<Gauge>,
     pub batch_size: Arc<Histogram>,
     pub request_latency_ns: Arc<Histogram>,
-    pub slo: Arc<SloTracker>,
-    pub requests: Arc<RequestLog>,
-    pub timeline: Arc<TimelineRecorder>,
+    pub slo_good: Arc<Counter>,
+    pub slo_breached: Arc<Counter>,
+    pub obs: ServeObs,
 }
 
 impl ServeInstruments {
@@ -107,10 +107,26 @@ impl ServeInstruments {
             queue_depth: m.gauge("serve.queue_depth"),
             batch_size: m.histogram("serve.batch_size"),
             request_latency_ns: m.histogram("serve.request_latency_ns"),
-            slo: Arc::new(SloTracker::new(slo, m)),
-            requests: Arc::new(RequestLog::new(REQUEST_LOG_CAPACITY)),
-            timeline: Arc::new(TimelineRecorder::new(timeline)),
+            slo_good: m.counter("slo.good"),
+            slo_breached: m.counter("slo.breached"),
+            obs: ServeObs {
+                slo,
+                requests: Arc::new(RequestLog::new(REQUEST_LOG_CAPACITY)),
+                timeline: Arc::new(TimelineRecorder::new(timeline)),
+            },
         }
+    }
+
+    /// Scores one finished request: a cumulative `slo.good` or
+    /// `slo.breached` count, plus the same verdict in its timeline
+    /// window at `now_ns`.
+    pub(crate) fn verdict(&self, good: bool, now_ns: u64) {
+        if good {
+            self.slo_good.inc();
+        } else {
+            self.slo_breached.inc();
+        }
+        self.obs.record_verdict(good, now_ns);
     }
 }
 
@@ -199,9 +215,10 @@ impl BatchExecutor {
 
     /// Attaches a farm observer: batches run with farm telemetry and the
     /// serve-side counters/histograms/spans are recorded into the same
-    /// registry and trace stream. SLO scoring uses the default
-    /// [`SloConfig`]; the engine paths instead inject the shared
-    /// instruments built from their [`crate::ServeConfig::slo`].
+    /// registry and trace stream. Requests are scored against the
+    /// default [`SloConfig`] on the default [`TimelineConfig`] grid; an
+    /// engine instead shares one instrument set built from its
+    /// [`crate::ServeConfig::slo`] and [`crate::ServeConfig::timeline`].
     #[must_use]
     pub fn with_observer(self, observer: FarmObserver) -> Self {
         let instruments =
@@ -210,8 +227,8 @@ impl BatchExecutor {
     }
 
     /// Attaches an observer together with an already-built instrument
-    /// set, so the engine front and the executor score the same SLO
-    /// windows and fill the same request log.
+    /// set, so the engine front and the executor record into the same
+    /// timeline and fill the same request log.
     #[must_use]
     pub(crate) fn with_instruments(
         mut self,
@@ -220,7 +237,7 @@ impl BatchExecutor {
     ) -> Self {
         // The farm records its per-batch aggregates into the same
         // recorder, so serve.* and farm.* series share one window grid.
-        self.observer = Some(observer.with_timeline(Arc::clone(&instruments.timeline)));
+        self.observer = Some(observer.with_timeline(Arc::clone(&instruments.obs.timeline)));
         self.instruments = Some(instruments);
         self
     }
@@ -347,8 +364,9 @@ impl BatchExecutor {
             ins.completed.add(answered);
             // batch cadence depends on how the queue partitioned, so
             // these are not shard-count invariant — tagged accordingly
-            ins.timeline.record_delta("serve.batches", 1, now_ns);
-            ins.timeline
+            ins.obs.timeline.record_delta("serve.batches", 1, now_ns);
+            ins.obs
+                .timeline
                 .sample("serve.batch_size", batch.len() as u64, now_ns);
         }
         let formed_ns = batch.formed_ns;
@@ -385,22 +403,18 @@ impl BatchExecutor {
                 |key: u64, trace: u64, outcome: &'static str, b: &LatencyBreakdown, lat: u64| {
                     if let Some(ins) = &self.instruments {
                         ins.request_latency_ns.record(lat);
-                        ins.slo.record(lat, now_ns);
+                        ins.verdict(lat <= ins.obs.slo.objective_ns, now_ns);
                         // request-scoped deltas: every contribution
                         // counted exactly once, so the merged per-window
                         // series are invariant under re-sharding
-                        ins.timeline.record_delta("serve.completed", 1, now_ns);
-                        ins.timeline
-                            .record_delta("serve.request_latency_ns", lat, now_ns);
-                        ins.timeline
-                            .record_delta("serve.queue_ns", b.queue_ns, now_ns);
-                        ins.timeline
-                            .record_delta("serve.form_ns", b.form_ns, now_ns);
-                        ins.timeline
-                            .record_delta("serve.exec_ns", b.exec_ns, now_ns);
-                        ins.timeline
-                            .record_delta("serve.respond_ns", b.respond_ns, now_ns);
-                        ins.requests.push(RequestRecord {
+                        let tl = &ins.obs.timeline;
+                        tl.record_delta("serve.completed", 1, now_ns);
+                        tl.record_delta("serve.request_latency_ns", lat, now_ns);
+                        tl.record_delta("serve.queue_ns", b.queue_ns, now_ns);
+                        tl.record_delta("serve.form_ns", b.form_ns, now_ns);
+                        tl.record_delta("serve.exec_ns", b.exec_ns, now_ns);
+                        tl.record_delta("serve.respond_ns", b.respond_ns, now_ns);
+                        ins.obs.requests.push(RequestRecord {
                             request: key,
                             trace,
                             outcome,

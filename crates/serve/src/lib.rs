@@ -120,14 +120,15 @@ pub struct ServeConfig {
     pub batch_seed: u64,
     /// Farm worker threads per batch (`0` = machine parallelism).
     pub threads: usize,
-    /// SLO policy: window width, latency objective and retention for the
-    /// deterministic fixed-window aggregator every finished request is
-    /// scored against (completions by latency, expiries always breach).
+    /// SLO objective every finished request is scored against: answers
+    /// by latency, while expired, shed and failed requests always
+    /// breach. Verdicts land as `slo.good` / `slo.breached` series on the
+    /// [`Self::timeline`] grid, so `/debug/slo` shares its windows.
     pub slo: SloConfig,
     /// Timeline policy: window width and retention for the per-window
-    /// telemetry series (admissions, queue depth, per-stage latency)
-    /// behind `/debug/timeline`. Recorded only when an observer is
-    /// attached, like the SLO tracker.
+    /// telemetry series (admissions, queue depth, per-stage latency, SLO
+    /// verdicts) behind `/debug/timeline` and `/debug/slo`. Recorded
+    /// only when an observer is attached.
     pub timeline: TimelineConfig,
     /// Deadline-feasibility fast reject at admission. `None` (default)
     /// disables the check, preserving pre-existing scripted traces.

@@ -467,25 +467,11 @@ impl ShardedService {
         })
     }
 
-    /// Per-shard SLO trackers, in shard order (empty entries when
+    /// Per-shard debug handles, in shard order (empty entries when
     /// started unobserved).
     #[must_use]
-    pub fn slos(&self) -> Vec<Option<Arc<canti_obs::SloTracker>>> {
-        self.read(ShardedEngine::slos)
-    }
-
-    /// Per-shard request logs, in shard order (empty entries when
-    /// started unobserved).
-    #[must_use]
-    pub fn request_logs(&self) -> Vec<Option<Arc<canti_obs::RequestLog>>> {
-        self.read(ShardedEngine::request_logs)
-    }
-
-    /// Per-shard timeline recorders, in shard order (empty entries when
-    /// started unobserved).
-    #[must_use]
-    pub fn timelines(&self) -> Vec<Option<Arc<canti_obs::TimelineRecorder>>> {
-        self.read(ShardedEngine::timelines)
+    pub fn obs(&self) -> Vec<Option<canti_obs::ServeObs>> {
+        self.read(ShardedEngine::obs)
     }
 
     /// Per-shard pool widths (the worker threads each shard's executor

@@ -531,25 +531,11 @@ impl ShardedEngine {
         &mut self.engines[shard]
     }
 
-    /// Per-shard SLO trackers, in shard order (empty entries for
+    /// Per-shard debug handles, in shard order (empty entries for
     /// unobserved shards).
     #[must_use]
-    pub fn slos(&self) -> Vec<Option<Arc<canti_obs::SloTracker>>> {
-        self.engines.iter().map(ServeEngine::slo).collect()
-    }
-
-    /// Per-shard request logs, in shard order (empty entries for
-    /// unobserved shards).
-    #[must_use]
-    pub fn request_logs(&self) -> Vec<Option<Arc<canti_obs::RequestLog>>> {
-        self.engines.iter().map(ServeEngine::request_log).collect()
-    }
-
-    /// Per-shard timeline recorders, in shard order (empty entries for
-    /// unobserved shards).
-    #[must_use]
-    pub fn timelines(&self) -> Vec<Option<Arc<canti_obs::TimelineRecorder>>> {
-        self.engines.iter().map(ServeEngine::timeline).collect()
+    pub fn obs(&self) -> Vec<Option<canti_obs::ServeObs>> {
+        self.engines.iter().map(ServeEngine::obs).collect()
     }
 
     fn globalize(&self, shard: usize, responses: Vec<ServeResponse>) -> Vec<ServeResponse> {

@@ -6,9 +6,8 @@
 //! routes: a JSON `/healthz` readiness body, the per-request
 //! `/debug/requests` log (trace id + latency breakdown), the
 //! `/debug/slo` window view, and the per-window `/debug/timeline`
-//! NDJSON series. Each shard's trace stream passes through a
-//! [`FlightRecorder`] (head-sampled + tail-retained request traces)
-//! before landing in the profiling ring.
+//! NDJSON series — all three served from each shard's `ServeObs`
+//! handle. Each shard's trace stream lands in a profiling ring.
 //!
 //! Run with:
 //! `cargo run --release --example serve_demo [requests] [--submitters N] [--batch N] [--shards N] [--chaos-serve SEED] [--telemetry] [--addr HOST:PORT]`
@@ -41,8 +40,8 @@
 //!
 //! The demo deliberately includes one hopeless deadline (to show an
 //! expiry burning SLO budget), prints the per-request latency breakdown
-//! table and the SLO window summary, then drains gracefully and
-//! self-scrapes every route.
+//! table, self-scrapes every route (the SLO window view among them),
+//! then drains gracefully.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -50,8 +49,8 @@ use std::time::{Duration, Instant};
 
 use canti::farm::{FarmObserver, JobSpec, ProbeMode, Receptor};
 use canti::obs::{
-    merge_windows, Collector, DebugState, ExpositionServer, FlightRecorder, Metrics, ObsClock,
-    Readiness, RingCollector, SampleConfig, Tracer, WallClock,
+    Collector, DebugState, ExpositionServer, Metrics, ObsClock, Readiness, RingCollector, ServeObs,
+    Tracer, WallClock,
 };
 use canti::serve::{
     CacheConfig, Disposition, RejectReason, ServeConfig, ServeFaultPlan, ServeResponse,
@@ -79,39 +78,38 @@ fn request(i: usize) -> JobSpec {
     }
 }
 
-/// One ring + flight recorder + wall-clock observer per shard, with the
-/// per-shard metrics sources for the merged exposition view.
+/// One ring + wall-clock observer per shard, with the per-shard metrics
+/// sources for the merged exposition view.
 #[allow(clippy::type_complexity)]
 fn build_observers(
     shards: usize,
 ) -> (
     Vec<FarmObserver>,
     Vec<Arc<RingCollector>>,
-    Vec<Arc<FlightRecorder>>,
     Vec<(String, Arc<Metrics>)>,
 ) {
     let mut observers = Vec::with_capacity(shards);
     let mut rings = Vec::with_capacity(shards);
-    let mut flights = Vec::with_capacity(shards);
     let mut sources: Vec<(String, Arc<Metrics>)> = Vec::with_capacity(shards);
     for s in 0..shards {
         let ring = Arc::new(RingCollector::new(1 << 15));
-        let flight = Arc::new(FlightRecorder::new(
-            SampleConfig::default(),
-            Some(Arc::clone(&ring) as Arc<dyn Collector>),
-        ));
         let clock: Arc<dyn ObsClock> = Arc::new(WallClock::new());
-        let tracer = Tracer::new(
-            Arc::clone(&flight) as Arc<dyn Collector>,
-            Arc::clone(&clock),
-        );
+        let tracer = Tracer::new(Arc::clone(&ring) as Arc<dyn Collector>, Arc::clone(&clock));
         let observer = FarmObserver::from_parts(Arc::new(Metrics::new()), tracer, clock);
         sources.push((s.to_string(), Arc::clone(observer.metrics())));
         observers.push(observer);
         rings.push(ring);
-        flights.push(flight);
     }
-    (observers, rings, flights, sources)
+    (observers, rings, sources)
+}
+
+/// The observed shards' debug handles, labelled by shard index, for
+/// [`DebugState::shards`].
+fn labelled(obs: Vec<Option<ServeObs>>) -> Vec<(String, ServeObs)> {
+    obs.into_iter()
+        .enumerate()
+        .filter_map(|(s, o)| o.map(|o| (s.to_string(), o)))
+        .collect()
 }
 
 /// Waits every ticket on a helper thread under a hard timeout: in a
@@ -145,7 +143,7 @@ fn run_chaos(batch: usize, shards: usize, seed: u64, telemetry: bool) {
         "chaos-serve: seed {seed:#x} kills shard {victim}'s first batch ({shards} shards, batch<={batch})"
     );
 
-    let (observers, rings, _flights, sources) = build_observers(shards);
+    let (observers, rings, sources) = build_observers(shards);
     let shard0_metrics = Arc::clone(&sources[0].1);
     let service = Arc::new(ShardedService::start_chaos(
         ShardedConfig {
@@ -296,7 +294,7 @@ fn run_chaos(batch: usize, shards: usize, seed: u64, telemetry: bool) {
 /// from the content-addressed result cache, and (c) every answer —
 /// computed, coalesced or cached — carries bit-identical payloads.
 fn run_cache(shards: usize, telemetry: bool) {
-    let (observers, rings, _flights, sources) = build_observers(shards);
+    let (observers, rings, sources) = build_observers(shards);
     let shard0_metrics = Arc::clone(&sources[0].1);
     let service = Arc::new(ShardedService::start_observed(
         ShardedConfig {
@@ -329,14 +327,8 @@ fn run_cache(shards: usize, telemetry: bool) {
         ..Readiness::default()
     };
     let debug = DebugState {
-        requests: service
-            .request_logs()
-            .into_iter()
-            .enumerate()
-            .filter_map(|(s, log)| log.map(|log| (s.to_string(), log)))
-            .collect(),
+        shards: labelled(service.obs()),
         readiness: Some(readiness),
-        ..DebugState::default()
     };
     let server =
         ExpositionServer::bind_sharded_debug("127.0.0.1:0", sources, debug).expect("bind server");
@@ -524,12 +516,8 @@ fn main() {
 
     // Wall-clock observers (one per shard): this is a service, latencies
     // should be real. Each shard records into its own registry; the
-    // exposition endpoint merges them under per-shard labels. The trace
-    // stream routes through a flight recorder (head sampling + tail
-    // retention of SLO breaches and error traces) before the ring, so
-    // the full stream stays available for --telemetry while the kept
-    // set stays bounded.
-    let (observers, rings, flights, sources) = build_observers(shards);
+    // exposition endpoint merges them under per-shard labels.
+    let (observers, rings, sources) = build_observers(shards);
 
     let service = Arc::new(ShardedService::start_observed(
         ShardedConfig {
@@ -544,8 +532,8 @@ fn main() {
         observers,
     ));
 
-    // The debug routes read the live serve state: per-shard SLO trackers
-    // and request logs, plus the readiness snapshot behind /healthz.
+    // The debug routes read the live serve state: per-shard request logs
+    // and timelines, plus the readiness snapshot behind /healthz.
     // live per-shard health in the /healthz body; Weak so the readiness
     // closure doesn't keep the service alive past its shutdown
     let health_source = Arc::downgrade(&service);
@@ -562,24 +550,7 @@ fn main() {
     };
     let draining = Arc::clone(&readiness.draining);
     let debug = DebugState {
-        slos: service
-            .slos()
-            .into_iter()
-            .enumerate()
-            .filter_map(|(s, slo)| slo.map(|slo| (s.to_string(), slo)))
-            .collect(),
-        requests: service
-            .request_logs()
-            .into_iter()
-            .enumerate()
-            .filter_map(|(s, log)| log.map(|log| (s.to_string(), log)))
-            .collect(),
-        timelines: service
-            .timelines()
-            .into_iter()
-            .enumerate()
-            .filter_map(|(s, tl)| tl.map(|tl| (s.to_string(), tl)))
-            .collect(),
+        shards: labelled(service.obs()),
         readiness: Some(readiness),
     };
     let shard0_metrics = Arc::clone(&sources[0].1);
@@ -665,30 +636,7 @@ fn main() {
         other => panic!("deadline demo: a 0 ns deadline must expire, got {other:?}"),
     }
 
-    // SLO window summary: merged across shards.
-    let per_shard_windows: Vec<_> = service
-        .slos()
-        .into_iter()
-        .flatten()
-        .map(|slo| slo.windows())
-        .collect();
-    let merged = merge_windows(&per_shard_windows);
-    println!("\nslo windows (merged across {shards} shard(s)):");
-    for w in &merged {
-        println!(
-            "  window {}: good={} breached={} breach={:.3}",
-            w.index,
-            w.good,
-            w.breached,
-            w.breach_fraction()
-        );
-    }
-    assert!(
-        !merged.is_empty(),
-        "completed requests must fill slo windows"
-    );
-
-    // The debug endpoints serve the same state over HTTP.
+    // The debug endpoints serve the live state over HTTP.
     let debug_requests = server
         .scrape("/debug/requests")
         .expect("self-scrape /debug/requests");
@@ -699,11 +647,15 @@ fn main() {
     for line in debug_requests.lines().take(4) {
         println!("{line}");
     }
+    // The SLO window view, per shard and merged across shards.
     let debug_slo = server.scrape("/debug/slo").expect("self-scrape /debug/slo");
     println!("\n--- /debug/slo ---\n{debug_slo}");
+    let merged_windows = debug_slo
+        .split_once("merged:")
+        .map(|(_, merged)| merged.lines().filter(|l| l.contains("window ")).count());
     assert!(
-        debug_slo.contains("merged:"),
-        "slo route serves the merged view"
+        merged_windows.is_some_and(|n| n > 0),
+        "completed requests must fill the merged slo windows: {debug_slo}"
     );
 
     // The per-window timeline: per-shard series followed by the merged
@@ -723,16 +675,6 @@ fn main() {
             && debug_timeline.contains("\"series\":\"serve.completed\""),
         "timeline route serves merged serve series"
     );
-
-    // Flight-recorder verdicts: deterministic head samples plus every
-    // SLO breach or errored trace, bounded per shard.
-    for (s, flight) in flights.iter().enumerate() {
-        let (decided, kept, discarded, evicted) = flight.stats();
-        println!(
-            "shard {s} flight recorder: {decided} decided, {kept} kept, \
-             {discarded} discarded, {evicted} evicted"
-        );
-    }
 
     let health = server.scrape("/healthz").expect("self-scrape /healthz");
     println!("--- /healthz ---\n{health}");

@@ -26,7 +26,10 @@
 #                          #     and whose scraped /debug/timeline body is
 #                          #     archived (serve_timeline.ndjson, previous
 #                          #     run kept as .prev) and gated through
-#                          #     obsctl timeline + obsctl anomaly
+#                          #     obsctl timeline (its merged section must
+#                          #     carry the slo.breached verdict series the
+#                          #     demo's 0 ns deadline feeds) + obsctl
+#                          #     anomaly
 #                          #   * a cache drill (serve_demo --cache) whose
 #                          #     telemetry artifact is gated through
 #                          #     obsctl summary: zero trace sequence gaps
@@ -209,8 +212,9 @@ if [[ "${1:-}" == "smoke" ]]; then
     timeline_artifact=target/serve_timeline.ndjson
     timeline_prev=target/serve_timeline.prev.ndjson
     [[ -s "$timeline_artifact" ]] && cp "$timeline_artifact" "$timeline_prev"
-    # the demo itself asserts breakdown tiling, non-empty SLO windows and
-    # the JSON /healthz body before it exits 0
+    # the demo itself asserts breakdown tiling, non-empty merged windows
+    # in the scraped /debug/slo body and the JSON /healthz body before it
+    # exits 0
     cargo run --release --example serve_demo 16 --shards 2 --telemetry
     serve_artifact=target/serve_telemetry.ndjson
     [[ -s "$serve_artifact" ]] || { echo "missing serve artifact $serve_artifact"; exit 1; }
@@ -229,6 +233,12 @@ if [[ "${1:-}" == "smoke" ]]; then
     [[ -s "$timeline_artifact" ]] || { echo "missing timeline artifact $timeline_artifact"; exit 1; }
     echo "-- obsctl timeline (merged view) --"
     cargo run --release -q -p canti-obsctl -- timeline "$timeline_artifact" --shard merged
+    # SLO verdicts ride the timeline: the demo's 0 ns deadline expires
+    # deterministically, so the merged section must carry slo.breached
+    # (exit 1 on an empty selection)
+    echo "-- obsctl timeline (merged slo.breached verdicts) --"
+    cargo run --release -q -p canti-obsctl -- timeline "$timeline_artifact" --shard merged \
+        --series slo.breached
     if [[ -s "$timeline_prev" ]]; then
         # gate request-scoped observation counts against the previous
         # run; sums are wall-clock noisy, counts are load-determined

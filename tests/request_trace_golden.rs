@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use canti::farm::{FarmObserver, JobSpec, ProbeMode};
 use canti::obs::{
-    Collector, DebugState, ExpositionServer, Metrics, ObsClock, RingCollector, SloConfig, Tracer,
-    VirtualClock,
+    Collector, DebugState, ExpositionServer, Metrics, ObsClock, RingCollector, SloConfig,
+    TimelineConfig, Tracer, VirtualClock,
 };
 use canti::serve::{ServeConfig, ServeEngine, ServeResponse};
 
@@ -44,9 +44,9 @@ fn scripted_observed_run(threads: usize) -> Scripted {
             linger_ns: 1_000,
             batch_seed: 0x601D,
             threads,
-            slo: SloConfig {
+            slo: SloConfig { objective_ns: 300 },
+            timeline: TimelineConfig {
                 window_ns: 1_000,
-                objective_ns: 300,
                 max_windows: 8,
             },
             ..ServeConfig::default()
@@ -66,12 +66,9 @@ fn scripted_observed_run(threads: usize) -> Scripted {
     responses.extend(engine.pump());
     responses.extend(engine.drain());
 
-    let slo = engine.slo().expect("observed engine tracks slo");
-    let log = engine.request_log().expect("observed engine keeps a log");
+    let obs = engine.obs().expect("observed engine keeps debug handles");
     let debug = DebugState {
-        slos: vec![("0".to_owned(), slo)],
-        requests: vec![("0".to_owned(), log)],
-        timelines: Vec::new(),
+        shards: vec![("0".to_owned(), obs)],
         readiness: None,
     };
     let server =

@@ -1,6 +1,6 @@
 //! The determinism contract of the telemetry time-dimension: per-window
-//! timelines and the tail-sampled flight recorder, driven by the same
-//! scripted virtual-clock style `shard_determinism.rs` uses.
+//! timelines (SLO verdicts included) and the request logs, driven by the
+//! same scripted virtual-clock style `shard_determinism.rs` uses.
 //!
 //! The script is **solo-paced** — at most one request is ever queued, so
 //! every batch holds exactly one request at any shard count and the
@@ -8,17 +8,20 @@
 //! legitimately change queue waits when re-partitioned). The contract:
 //!
 //! 1. **Across worker counts, at a fixed shard count** — the composed
-//!    `/debug/timeline` NDJSON body and every shard's flight-recorder
-//!    summary are bit-identical at 1/2/8 farm workers.
+//!    `/debug/timeline` NDJSON body and every shard's request log are
+//!    bit-identical at 1/2/8 farm workers.
 //! 2. **Across shard counts** — the merged [`SeriesKind::Delta`] series
-//!    and the union of kept trace ids are invariant at 1/2/4 shards
-//!    (sample-kind series like queue depth legitimately differ).
+//!    (`slo.good` and `slo.breached` among them) and the union of the
+//!    requests the logs keep are invariant at 1/2/4 shards (sample-kind
+//!    series like queue depth legitimately differ).
 //! 3. The merged `serve.*` delta lines match a hand-computed golden.
 //! 4. `obsctl timeline --spans` recomputes the request-latency windows
 //!    offline from each shard's span artifact and they match the live
 //!    windows exactly.
-//! 5. The kept-trace set is exactly what the documented decision rule
-//!    (slo breach / error taint / head sample) selects.
+//! 5. The SLO verdict series account for every terminal request, on a
+//!    script extended with a coalesced pair, a brownout burst and a
+//!    cache hit: one verdict per request, equal to the registry
+//!    counters, each in its terminal delta's window.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -26,25 +29,17 @@ use std::sync::Arc;
 use canti::farm::{dose_response_sweep, FarmObserver, JobSpec, ProbeMode};
 use canti::obs::timeline::{config_line, point_line};
 use canti::obs::{
-    merge_timelines, Collector, FlightRecorder, Metrics, ObsClock, RingCollector, SampleConfig,
-    SeriesKind, SeriesPoint, SeriesWindows, TimelineConfig, Tracer, VirtualClock,
+    merge_timelines, Collector, Metrics, ObsClock, RingCollector, SeriesKind, SeriesPoint,
+    SeriesWindows, SloConfig, TimelineConfig, Tracer, VirtualClock,
 };
 use canti::serve::{
-    route_request, Disposition, RejectReason, ServeConfig, ServeResponse, ShardedConfig,
-    ShardedEngine,
+    route_request, BrownoutConfig, CacheConfig, Disposition, RejectReason, ServeConfig,
+    ServeResponse, ShardedConfig, ShardedEngine,
 };
 use canti_obsctl::{timeline_report, TimelineOptions};
 
 const WORKER_GRID: [usize; 3] = [1, 2, 8];
 const SHARD_GRID: [usize; 3] = [1, 2, 4];
-
-/// The flight policy under test: head-keep every trace id divisible by
-/// 4, tail-keep anything slower than 2 µs or error-tainted.
-const FLIGHT: SampleConfig = SampleConfig {
-    head_modulus: 4,
-    objective_ns: 2_000,
-    max_events: 4_096,
-};
 
 enum Step {
     Submit(JobSpec),
@@ -124,28 +119,32 @@ struct ObservedRun {
     /// point lines, merged point lines) — byte-compatible with what
     /// `canti_obs::serve` renders for the same recorders.
     body: String,
+    /// Each shard's timeline snapshot, in shard order.
+    per_shard: Vec<Vec<SeriesWindows>>,
     merged: Vec<SeriesWindows>,
-    /// Sorted, deduplicated union of kept trace ids across shards.
-    kept_union: Vec<u64>,
-    /// Per-shard flight-recorder NDJSON summaries.
-    flight_ndjson: Vec<String>,
+    /// Each shard's metrics registry, in shard order.
+    metrics: Vec<Arc<Metrics>>,
+    /// Sorted union of `(request, outcome, latency_ns)` over what the
+    /// shards' request logs keep.
+    kept_union: Vec<(u64, &'static str, u64)>,
+    /// Per-shard request logs, one JSON record per line.
+    request_ndjson: Vec<String>,
     /// Per-shard raw span/event NDJSON from the ring collectors.
     span_ndjson: Vec<String>,
 }
 
 fn observed_run(workers: usize, shards: usize) -> ObservedRun {
+    run(config(workers), shards, script())
+}
+
+fn run(base: ServeConfig, shards: usize, steps: Vec<Step>) -> ObservedRun {
     let clock = Arc::new(VirtualClock::new());
     let mut observers = Vec::new();
-    let mut flights = Vec::new();
     let mut rings = Vec::new();
     for _ in 0..shards {
         let ring = Arc::new(RingCollector::new(1 << 12));
-        let flight = Arc::new(FlightRecorder::new(
-            FLIGHT,
-            Some(Arc::clone(&ring) as Arc<dyn Collector>),
-        ));
         let tracer = Tracer::new(
-            Arc::clone(&flight) as Arc<dyn Collector>,
+            Arc::clone(&ring) as Arc<dyn Collector>,
             Arc::clone(&clock) as Arc<dyn ObsClock>,
         );
         observers.push(FarmObserver::from_parts(
@@ -153,21 +152,18 @@ fn observed_run(workers: usize, shards: usize) -> ObservedRun {
             tracer,
             Arc::clone(&clock) as Arc<dyn ObsClock>,
         ));
-        flights.push(flight);
         rings.push(ring);
     }
+    let metrics = observers.iter().map(|o| Arc::clone(o.metrics())).collect();
     let mut engine = ShardedEngine::new(
-        ShardedConfig {
-            shards,
-            base: config(workers),
-        },
+        ShardedConfig { shards, base },
         Arc::clone(&clock) as Arc<dyn ObsClock>,
     )
     .with_observers(observers);
 
     let mut admissions = Vec::new();
     let mut responses = Vec::new();
-    for step in script() {
+    for step in steps {
         match step {
             Step::Submit(job) => admissions.push(engine.submit(job)),
             Step::SubmitDeadline(job, d) => {
@@ -179,18 +175,19 @@ fn observed_run(workers: usize, shards: usize) -> ObservedRun {
         }
     }
 
-    let timelines: Vec<_> = engine
-        .timelines()
+    let obs: Vec<_> = engine
+        .obs()
         .into_iter()
-        .map(|tl| tl.expect("every shard is observed"))
+        .map(|o| o.expect("every shard is observed"))
         .collect();
-    let width = timelines[0].config().width();
-    let mut body = config_line(timelines[0].config());
+    let config = obs[0].timeline.config();
+    let width = config.width();
+    let mut body = config_line(config);
     body.push('\n');
-    let mut per_shard = Vec::with_capacity(timelines.len());
-    for (s, tl) in timelines.iter().enumerate() {
+    let mut per_shard = Vec::with_capacity(obs.len());
+    for (s, o) in obs.iter().enumerate() {
         let label = s.to_string();
-        let snapshot = tl.snapshot();
+        let snapshot = o.timeline.snapshot();
         for series in &snapshot {
             for p in &series.points {
                 body.push_str(&point_line(
@@ -219,24 +216,39 @@ fn observed_run(workers: usize, shards: usize) -> ObservedRun {
         }
     }
 
-    let mut kept_union: Vec<u64> = flights.iter().flat_map(|f| f.kept_trace_ids()).collect();
+    let mut kept_union: Vec<(u64, &'static str, u64)> = obs
+        .iter()
+        .flat_map(|o| o.requests.records())
+        .map(|r| (r.request, r.outcome, r.latency_ns))
+        .collect();
     kept_union.sort_unstable();
-    kept_union.dedup();
+    let request_ndjson = obs
+        .iter()
+        .map(|o| {
+            o.requests
+                .records()
+                .iter()
+                .map(|r| r.to_json() + "\n")
+                .collect()
+        })
+        .collect();
     ObservedRun {
         admissions,
         responses,
         body,
+        per_shard,
         merged,
+        metrics,
         kept_union,
-        flight_ndjson: flights.iter().map(|f| f.to_ndjson()).collect(),
+        request_ndjson,
         span_ndjson: rings.iter().map(|r| r.to_ndjson()).collect(),
     }
 }
 
 /// Contract scope 1: at every shard count, the timeline body and each
-/// shard's flight summary are bit-identical across farm worker counts.
+/// shard's request log are bit-identical across farm worker counts.
 #[test]
-fn timeline_and_flight_artifacts_are_bit_identical_across_worker_counts() {
+fn timeline_and_request_logs_are_bit_identical_across_worker_counts() {
     for shards in SHARD_GRID {
         let oracle = observed_run(WORKER_GRID[0], shards);
         for workers in [WORKER_GRID[1], WORKER_GRID[2]] {
@@ -246,12 +258,8 @@ fn timeline_and_flight_artifacts_are_bit_identical_across_worker_counts() {
                 "/debug/timeline diverged at {workers} workers x {shards} shards"
             );
             assert_eq!(
-                run.flight_ndjson, oracle.flight_ndjson,
-                "flight summaries diverged at {workers} workers x {shards} shards"
-            );
-            assert_eq!(
-                run.kept_union, oracle.kept_union,
-                "kept-trace set diverged at {workers} workers x {shards} shards"
+                run.request_ndjson, oracle.request_ndjson,
+                "request logs diverged at {workers} workers x {shards} shards"
             );
         }
     }
@@ -268,7 +276,8 @@ fn delta_view(merged: &[SeriesWindows]) -> BTreeMap<&str, &[SeriesPoint]> {
 }
 
 /// Contract scope 2: across shard counts, the admission stream, every
-/// merged delta series and the kept-trace union are invariant.
+/// merged delta series (the SLO verdicts included) and the union of
+/// kept requests are invariant.
 #[test]
 fn merged_delta_series_and_kept_set_are_shard_count_invariant() {
     let oracle = observed_run(1, 1);
@@ -278,10 +287,18 @@ fn merged_delta_series_and_kept_set_are_shard_count_invariant() {
         1,
         "exactly the post-drain refusal"
     );
+    let deltas = delta_view(&oracle.merged);
     assert!(
-        delta_view(&oracle.merged).len() >= 10,
-        "serve + farm delta series present: {:?}",
-        delta_view(&oracle.merged).keys().collect::<Vec<_>>()
+        deltas.len() >= 10
+            && deltas.contains_key("slo.good")
+            && deltas.contains_key("slo.breached"),
+        "serve + farm + slo delta series present: {:?}",
+        deltas.keys().collect::<Vec<_>>()
+    );
+    assert_eq!(
+        oracle.kept_union.len(),
+        8,
+        "the logs keep every answered request"
     );
     for shards in [SHARD_GRID[1], SHARD_GRID[2]] {
         let run = observed_run(1, shards);
@@ -296,7 +313,7 @@ fn merged_delta_series_and_kept_set_are_shard_count_invariant() {
         );
         assert_eq!(
             run.kept_union, oracle.kept_union,
-            "kept-trace set diverged at {shards} shards"
+            "kept request set diverged at {shards} shards"
         );
     }
 }
@@ -410,49 +427,121 @@ fn offline_recompute_from_spans_matches_the_live_windows() {
     }
 }
 
-/// Contract scope 5: the kept-trace set is exactly what the decision
-/// rule selects — every SLO breach, every error-tainted trace, every
-/// head-sampled trace id, nothing else.
+/// The solo-paced script with the coalescing and brownout paths spliced
+/// in before its final submission: a leader and its coalesced follower
+/// answered by one batch, then a burst of three over a brownout mark of
+/// one (two shed, one lingers into a batch). Under [`accounting_config`]
+/// the final submission repeats r0's spec, so the cache answers it.
+fn accounting_script() -> Vec<Step> {
+    let probe = |v: f64| JobSpec::Probe(ProbeMode::Value(v));
+    let mut steps = script();
+    let tail = steps.split_off(steps.len() - 3); // r7, drain, refusal
+    steps.push(Step::Submit(probe(10.0)));
+    steps.push(Step::Submit(probe(10.0)));
+    steps.push(Step::AdvanceNs(1_100));
+    steps.push(Step::Pump);
+    for v in [11.0, 12.0, 13.0] {
+        steps.push(Step::Submit(probe(v)));
+    }
+    steps.push(Step::Pump);
+    steps.push(Step::AdvanceNs(1_100));
+    steps.push(Step::Pump);
+    steps.extend(tail);
+    steps
+}
+
+/// [`config`] with the cache on, a brownout mark of one and a 2 µs
+/// objective, so the slow solos breach on latency.
+fn accounting_config() -> ServeConfig {
+    ServeConfig {
+        slo: SloConfig {
+            objective_ns: 2_000,
+        },
+        brownout: Some(BrownoutConfig { high_water: 1 }),
+        cache: Some(CacheConfig::default()),
+        ..config(1)
+    }
+}
+
+/// `name`'s per-window counts in one timeline snapshot.
+fn counts(snapshot: &[SeriesWindows], name: &str) -> BTreeMap<u64, u64> {
+    snapshot
+        .iter()
+        .filter(|s| s.name == name)
+        .flat_map(|s| s.points.iter().map(|p| (p.index, p.count)))
+        .collect()
+}
+
+/// Contract scope 5: every path that answers a request — batch
+/// completion, coalesced follower, cache hit, expiry, shed — records
+/// exactly one SLO verdict, in the window of its terminal delta, and
+/// the verdict series agree with the registry counters.
 #[test]
-fn flight_recorder_keeps_exactly_the_policy_set() {
-    let run = observed_run(2, 2);
-    let mut expect: BTreeSet<u64> = BTreeSet::new();
-    let mut fast_head = false;
-    for r in &run.responses {
-        match &r.disposition {
-            Disposition::Completed { latency_ns, .. }
-            | Disposition::CacheHit { latency_ns, .. } => {
-                if *latency_ns > FLIGHT.objective_ns {
-                    expect.insert(r.trace);
-                } else if r.trace % FLIGHT.head_modulus == 0 {
-                    expect.insert(r.trace);
-                    fast_head = true;
+fn slo_verdicts_account_for_every_terminal_request() {
+    for shards in SHARD_GRID {
+        let run = run(accounting_config(), shards, accounting_script());
+        let objective_ns = accounting_config().slo.objective_ns;
+        let good_expected = run
+            .responses
+            .iter()
+            .filter(|r| match &r.disposition {
+                Disposition::Completed { latency_ns, .. }
+                | Disposition::CacheHit { latency_ns, .. } => *latency_ns <= objective_ns,
+                Disposition::Expired { .. } | Disposition::Failed { .. } => false,
+            })
+            .count() as u64;
+        let mut verdicts = (0, 0);
+        for (s, snapshot) in run.per_shard.iter().enumerate() {
+            let good = counts(snapshot, "slo.good");
+            let breached = counts(snapshot, "slo.breached");
+            let shard_good: u64 = good.values().sum();
+            let shard_breached: u64 = breached.values().sum();
+            assert_eq!(
+                (shard_good, shard_breached),
+                (
+                    run.metrics[s].counter("slo.good").get(),
+                    run.metrics[s].counter("slo.breached").get()
+                ),
+                "verdict series vs registry counters, shard {s} of {shards}"
+            );
+            verdicts.0 += shard_good;
+            verdicts.1 += shard_breached;
+
+            let mut terminal: BTreeMap<u64, u64> = BTreeMap::new();
+            for name in [
+                "serve.completed",
+                "serve.expired",
+                "serve.shed",
+                "serve.failed",
+            ] {
+                for (index, n) in counts(snapshot, name) {
+                    *terminal.entry(index).or_default() += n;
                 }
             }
-            Disposition::Expired { .. } | Disposition::Failed { .. } => {
-                expect.insert(r.trace);
+            let mut scored: BTreeMap<u64, u64> = good;
+            for (index, n) in breached {
+                *scored.entry(index).or_default() += n;
             }
+            assert_eq!(
+                scored, terminal,
+                "verdicts per window vs terminal deltas per window, shard {s} of {shards}"
+            );
+        }
+        assert_eq!(
+            verdicts,
+            (good_expected, run.responses.len() as u64 - good_expected),
+            "one verdict per terminal request at {shards} shards"
+        );
+
+        if shards == 1 {
+            let outcomes: BTreeSet<&str> = run.kept_union.iter().map(|&(_, o, _)| o).collect();
+            for outcome in ["ok", "coalesced", "cache_hit", "expired", "shed"] {
+                assert!(
+                    outcomes.contains(outcome),
+                    "the script reaches the {outcome} path: {outcomes:?}"
+                );
+            }
+            assert!(verdicts.1 > 3, "latency breaches join the error paths");
         }
     }
-    assert_eq!(
-        run.kept_union,
-        expect.into_iter().collect::<Vec<u64>>(),
-        "kept set must be exactly the policy selection"
-    );
-    let summaries = run.flight_ndjson.concat();
-    assert_eq!(
-        summaries.matches("\"reason\":\"slo_breach\"").count(),
-        2,
-        "both slow solos are tail-kept: {summaries}"
-    );
-    assert_eq!(
-        summaries.matches("\"reason\":\"error\"").count(),
-        1,
-        "the scripted expiry is error-kept: {summaries}"
-    );
-    assert_eq!(
-        fast_head,
-        summaries.contains("\"reason\":\"head\""),
-        "head retention appears iff a fast trace id hits the modulus"
-    );
 }
