@@ -82,7 +82,8 @@ pub use parse::{parse_json, parse_ndjson, Json, ParseError};
 pub use requests::{RequestLog, RequestRecord};
 pub use serve::{DebugState, ExpositionServer, Readiness, ServeObs, SloConfig};
 pub use timeline::{
-    merge_timelines, SeriesKind, SeriesPoint, SeriesWindows, TimelineConfig, TimelineRecorder,
+    merge_timelines, SeriesId, SeriesKind, SeriesPoint, SeriesWindows, TimelineConfig,
+    TimelineRecorder,
 };
 pub use trace::{
     trace_id, Collector, EventKind, NdjsonCollector, RingCollector, SpanGuard, TraceContext,

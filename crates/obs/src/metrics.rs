@@ -117,7 +117,12 @@ impl Histogram {
         let idx = self.bounds.partition_point(|&b| b < v);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        // saturating, like `Counter::add`: a wrapped sum fakes a reset
+        let _ = self
+            .sum
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                Some(s.saturating_add(v))
+            });
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -191,7 +196,7 @@ fn quantile_from_buckets(bounds: &[u64], counts: &[u64], total: u64, q: f64, max
 pub struct HistogramSnapshot {
     /// Samples recorded.
     pub count: u64,
-    /// Exact sum of all samples.
+    /// Exact sum of all samples, saturating at `u64::MAX`.
     pub sum: u64,
     /// Exact smallest sample (0 when empty).
     pub min: u64,
@@ -531,6 +536,16 @@ mod tests {
         c.add(12345);
         c.add(u64::MAX);
         assert_eq!(c.get(), u64::MAX);
+    }
+
+    #[test]
+    fn histogram_sum_saturates_at_u64_max_without_wrapping() {
+        let h = Histogram::new(default_latency_bounds());
+        h.record(u64::MAX);
+        h.record(2);
+        let snap = h.snapshot();
+        assert_eq!(snap.sum, u64::MAX, "a wrapped sum would read 1");
+        assert_eq!(snap.count, 2);
     }
 
     #[test]

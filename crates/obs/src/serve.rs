@@ -150,9 +150,9 @@ impl Default for SloConfig {
 }
 
 /// Timeline series holding the requests that met the objective.
-const SLO_GOOD: &str = "slo.good";
+pub const SLO_GOOD: &str = "slo.good";
 /// Timeline series holding the requests that breached it.
-const SLO_BREACHED: &str = "slo.breached";
+pub const SLO_BREACHED: &str = "slo.breached";
 
 /// One serve shard's observability handles: the objective it scores
 /// against, its finished-request log and its timeline, which also
@@ -166,15 +166,6 @@ pub struct ServeObs {
     pub requests: Arc<RequestLog>,
     /// The per-window series behind `/debug/timeline` and `/debug/slo`.
     pub timeline: Arc<TimelineRecorder>,
-}
-
-impl ServeObs {
-    /// Records one finished request's verdict at clock time `now_ns`: a
-    /// `slo.good` delta when it met the objective, else `slo.breached`.
-    pub fn record_verdict(&self, good: bool, now_ns: u64) {
-        let series = if good { SLO_GOOD } else { SLO_BREACHED };
-        self.timeline.record_delta(series, 1, now_ns);
-    }
 }
 
 /// Debug-route sources: per-shard serve handles plus the readiness
@@ -820,14 +811,20 @@ mod tests {
         }
     }
 
+    /// Scores one request on `obs` at `t_ns`, as the serve layer does.
+    fn verdict(obs: &ServeObs, good: bool, t_ns: u64) {
+        let series = if good { SLO_GOOD } else { SLO_BREACHED };
+        obs.timeline.record_delta(series, 1, t_ns);
+    }
+
     #[test]
     fn debug_routes_serve_requests_slo_and_readiness() {
         use crate::requests::RequestRecord;
 
         let metrics = Arc::new(Metrics::new());
         let obs = shard_obs(100, 8);
-        obs.record_verdict(true, 0);
-        obs.record_verdict(false, 120);
+        verdict(&obs, true, 0);
+        verdict(&obs, false, 120);
         obs.requests.push(RequestRecord {
             request: 3,
             trace: crate::trace_id(3),
@@ -896,12 +893,12 @@ mod tests {
     #[test]
     fn debug_slo_lists_and_totals_only_the_retained_windows() {
         let shards: Vec<ServeObs> = (0..2).map(|_| shard_obs(10, 2)).collect();
-        shards[0].record_verdict(false, 0);
+        verdict(&shards[0], false, 0);
         for t in [0, 10, 20, 30] {
-            shards[0].record_verdict(true, t);
+            verdict(&shards[0], true, t);
         }
-        shards[1].record_verdict(true, 25);
-        shards[1].record_verdict(true, 31);
+        verdict(&shards[1], true, 25);
+        verdict(&shards[1], true, 31);
         let body = render_debug_slo(&DebugState {
             shards: shards
                 .into_iter()

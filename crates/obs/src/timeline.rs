@@ -9,6 +9,11 @@
 //! SLO verdicts are two such series (`slo.good`, `slo.breached`), which
 //! `/debug/slo` renders as its window view.
 //!
+//! A writer resolves each name once ([`TimelineRecorder::series`]), then
+//! folds any number of observations by [`SeriesId`] under one lock with
+//! no name lookup ([`TimelineRecorder::record`]). A series resolved but
+//! never observed is left out of every rendering.
+//!
 //! Because both the window index and the aggregates are pure functions
 //! of `(value, now_ns)` read from the injected [`crate::ObsClock`], a
 //! scripted virtual-clock run produces bit-identical timelines at any
@@ -28,7 +33,7 @@
 //! # Examples
 //!
 //! ```
-//! use canti_obs::timeline::{TimelineConfig, TimelineRecorder};
+//! use canti_obs::timeline::{SeriesKind, TimelineConfig, TimelineRecorder};
 //!
 //! let tl = TimelineRecorder::new(TimelineConfig {
 //!     window_ns: 1_000,
@@ -37,11 +42,15 @@
 //! tl.record_delta("serve.admitted", 1, 100);
 //! tl.record_delta("serve.admitted", 1, 1_500);
 //! tl.sample("serve.queue_depth", 3, 100);
+//! let admitted = tl.series("serve.admitted", SeriesKind::Delta);
+//! let _never_observed = tl.series("serve.shed", SeriesKind::Delta);
+//! tl.record(&[(admitted, 1, 1_600)]);
 //! let snap = tl.snapshot();
-//! assert_eq!(snap.len(), 2);
+//! assert_eq!(snap.len(), 2, "a series never observed is not listed");
 //! assert_eq!(snap[0].name, "serve.admitted");
 //! assert_eq!(snap[0].points.len(), 2);
 //! assert_eq!((snap[0].points[0].index, snap[0].points[0].count), (0, 1));
+//! assert_eq!(snap[0].points[1].count, 2);
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
@@ -210,11 +219,24 @@ fn window_slot(windows: &mut VecDeque<SeriesPoint>, index: u64) -> &mut SeriesPo
     &mut windows[at]
 }
 
+/// A series resolved by [`TimelineRecorder::series`]. It is valid only
+/// on the recorder that issued it: another recorder may hold a
+/// different series, or none, under the same id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesId(usize);
+
+/// The recorder's state: one window ring per id, and the names sorted.
+#[derive(Debug, Default)]
+struct Registry {
+    rings: Vec<Series>,
+    names: BTreeMap<String, SeriesId>,
+}
+
 /// A deterministic per-window timeline aggregator (see the module docs).
 #[derive(Debug)]
 pub struct TimelineRecorder {
     config: TimelineConfig,
-    series: Mutex<BTreeMap<String, Series>>,
+    registry: Mutex<Registry>,
 }
 
 impl TimelineRecorder {
@@ -223,7 +245,7 @@ impl TimelineRecorder {
     pub fn new(config: TimelineConfig) -> Self {
         Self {
             config,
-            series: Mutex::new(BTreeMap::new()),
+            registry: Mutex::new(Registry::default()),
         }
     }
 
@@ -233,47 +255,61 @@ impl TimelineRecorder {
         self.config
     }
 
+    /// The id of series `name`, registered as `kind` on first use, which
+    /// fixes its kind: later calls return the same id and keep it (mixing
+    /// kinds on one name is a caller bug, tolerated deterministically
+    /// rather than panicking in telemetry).
+    pub fn series(&self, name: &str, kind: SeriesKind) -> SeriesId {
+        let mut registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&id) = registry.names.get(name) {
+            return id;
+        }
+        let id = SeriesId(registry.rings.len());
+        registry.rings.push(Series {
+            kind,
+            points: VecDeque::new(),
+        });
+        registry.names.insert(name.to_owned(), id);
+        id
+    }
+
+    /// Folds each `(series, value, t_ns)` observation into the window
+    /// its own `t_ns` names, all under one lock.
+    ///
+    /// # Panics
+    ///
+    /// On a [`SeriesId`] from another recorder that is beyond this one's
+    /// series (an id within them records into the series holding it).
+    pub fn record(&self, observations: &[(SeriesId, u64, u64)]) {
+        let max_windows = self.config.max_windows.max(1);
+        let mut registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
+        for &(SeriesId(id), value, t_ns) in observations {
+            registry.rings[id].observe(self.config.window_index(t_ns), value, max_windows);
+        }
+    }
+
     /// Records an additive contribution of `value` to `series` at clock
     /// time `now_ns` (which names the window).
     pub fn record_delta(&self, series: &str, value: u64, now_ns: u64) {
-        self.observe(series, SeriesKind::Delta, value, now_ns);
+        self.record(&[(self.series(series, SeriesKind::Delta), value, now_ns)]);
     }
 
     /// Records a point-in-time observation of `value` on `series` at
     /// clock time `now_ns`.
     pub fn sample(&self, series: &str, value: u64, now_ns: u64) {
-        self.observe(series, SeriesKind::Sample, value, now_ns);
+        self.record(&[(self.series(series, SeriesKind::Sample), value, now_ns)]);
     }
 
-    /// A series' kind is fixed by its first observation; later calls
-    /// keep it (mixing kinds on one name is a caller bug, tolerated
-    /// deterministically rather than panicking in telemetry). The name
-    /// is allocated only on that first observation.
-    fn observe(&self, series: &str, kind: SeriesKind, value: u64, now_ns: u64) {
-        let index = self.config.window_index(now_ns);
-        let max_windows = self.config.max_windows.max(1);
-        let mut map = self.series.lock().unwrap_or_else(PoisonError::into_inner);
-        match map.get_mut(series) {
-            Some(entry) => entry.observe(index, value, max_windows),
-            None => {
-                let mut entry = Series {
-                    kind,
-                    points: VecDeque::new(),
-                };
-                entry.observe(index, value, max_windows);
-                map.insert(series.to_owned(), entry);
-            }
-        }
-    }
-
-    /// The retained series, sorted by name, each with its windows oldest
-    /// first.
+    /// The observed series, sorted by name, each with its windows oldest
+    /// first. A series resolved but never observed is left out.
     #[must_use]
     pub fn snapshot(&self) -> Vec<SeriesWindows> {
-        self.series
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        let registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
+        registry
+            .names
             .iter()
+            .map(|(name, &SeriesId(id))| (name, &registry.rings[id]))
+            .filter(|(_, s)| !s.points.is_empty())
             .map(|(name, s)| SeriesWindows {
                 name: name.clone(),
                 kind: s.kind,

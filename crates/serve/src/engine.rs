@@ -218,8 +218,7 @@ impl Front {
                         o.tracer().event("cache_miss", &[("kind", kind.into())]);
                     }
                     if let Some(ins) = &self.instruments {
-                        ins.cache_miss.inc();
-                        ins.obs.timeline.record_delta("serve.cache_miss", 1, now_ns);
+                        ins.cache_miss.counter.inc();
                     }
                 }
             }
@@ -230,6 +229,10 @@ impl Front {
                 .queue
                 .submit_prioritized(now_ns, job, job_key, deadline_ns, key, priority),
         };
+        // A lookup ran exactly when `job_key` is set, and a hit returned
+        // above, so the miss's delta (counted at the lookup) leads the
+        // outcome's in one write.
+        let from = usize::from(job_key.is_none());
         match submitted {
             Ok(admitted) => {
                 let id = admitted.id();
@@ -249,8 +252,15 @@ impl Front {
                     self.spans.insert(id, span);
                 }
                 if let Some(ins) = &self.instruments {
-                    ins.admitted.inc();
-                    ins.obs.timeline.record_delta("serve.admitted", 1, now_ns);
+                    let coalesced = matches!(admitted, crate::queue::Admitted::Coalesced { .. });
+                    let deltas = [
+                        (ins.cache_miss.series, 1, now_ns),
+                        ins.admitted.one(now_ns),
+                        (ins.coalesced.series, 1, now_ns),
+                    ];
+                    ins.obs
+                        .timeline
+                        .record(&deltas[from..2 + usize::from(coalesced)]);
                 }
                 match admitted {
                     crate::queue::Admitted::Queued(_) => self.observe_depth(),
@@ -270,8 +280,7 @@ impl Front {
                             );
                         }
                         if let Some(ins) = &self.instruments {
-                            ins.coalesced.inc();
-                            ins.obs.timeline.record_delta("serve.coalesced", 1, now_ns);
+                            ins.coalesced.counter.inc();
                         }
                     }
                 }
@@ -286,8 +295,8 @@ impl Front {
                     );
                 }
                 if let Some(ins) = &self.instruments {
-                    ins.rejected.inc();
-                    ins.obs.timeline.record_delta("serve.rejected", 1, now_ns);
+                    let deltas = [(ins.cache_miss.series, 1, now_ns), ins.rejected.one(now_ns)];
+                    ins.obs.timeline.record(&deltas[from..]);
                 }
                 Err(reason)
             }
@@ -326,17 +335,16 @@ impl Front {
             );
         }
         if let Some(ins) = &self.instruments {
-            ins.admitted.inc();
-            ins.cache_hit.inc();
-            ins.completed.inc();
             ins.request_latency_ns.record(cache_ns);
-            ins.verdict(cache_ns <= ins.obs.slo.objective_ns, done_ns);
-            let tl = &ins.obs.timeline;
-            tl.record_delta("serve.admitted", 1, admitted_ns);
-            tl.record_delta("serve.cache_hit", 1, done_ns);
-            tl.record_delta("serve.completed", 1, done_ns);
-            tl.record_delta("serve.request_latency_ns", cache_ns, done_ns);
-            tl.record_delta("serve.cache_ns", cache_ns, done_ns);
+            let good = cache_ns <= ins.obs.slo.objective_ns;
+            ins.obs.timeline.record(&[
+                ins.verdict(good).one(done_ns),
+                ins.admitted.one(admitted_ns),
+                ins.cache_hit.one(done_ns),
+                ins.completed.one(done_ns),
+                (ins.latency_series, cache_ns, done_ns),
+                (ins.cache_ns, cache_ns, done_ns),
+            ]);
             ins.obs.requests.push(canti_obs::RequestRecord {
                 request: seed_key,
                 trace,
@@ -519,15 +527,15 @@ impl Front {
             );
         }
         if let Some(ins) = &self.instruments {
-            let (counter, series) = if matches!(reason, RejectReason::Shed) {
-                (&ins.shed, "serve.shed")
+            let tally = if matches!(reason, RejectReason::Shed) {
+                &ins.shed
             } else {
-                (&ins.failed, "serve.failed")
+                &ins.failed
             };
-            counter.inc();
-            ins.obs.timeline.record_delta(series, 1, now_ns);
             // an abandoned request always burns error budget
-            ins.verdict(false, now_ns);
+            ins.obs
+                .timeline
+                .record(&[tally.one(now_ns), ins.verdict(false).one(now_ns)]);
             ins.obs.requests.push(canti_obs::RequestRecord {
                 request: key,
                 trace,
@@ -568,11 +576,11 @@ impl Front {
                     );
                 }
                 if let Some(ins) = &self.instruments {
-                    ins.expired.inc();
-                    ins.obs.timeline.record_delta("serve.expired", 1, now_ns);
                     // an expiry always burns error budget, however
                     // briefly the request waited
-                    ins.verdict(false, now_ns);
+                    ins.obs
+                        .timeline
+                        .record(&[ins.expired.one(now_ns), ins.verdict(false).one(now_ns)]);
                     ins.obs.requests.push(canti_obs::RequestRecord {
                         request: p.key,
                         trace: p.trace,
@@ -646,11 +654,10 @@ impl Front {
         if let Some(ins) = &self.instruments {
             let depth = self.queue.depth();
             ins.queue_depth.set(depth as i64);
-            // sampled whenever the depth changes; the cadence depends on
-            // batch formation, so this series is not shard-invariant
+            // sampled whenever the depth changes
             ins.obs
                 .timeline
-                .sample("serve.queue_depth", depth as u64, self.clock.now_ns());
+                .record(&[(ins.depth_series, depth as u64, self.clock.now_ns())]);
         }
     }
 }

@@ -9,9 +9,10 @@ use std::sync::{Arc, Mutex};
 
 use canti_farm::{Farm, FarmConfig, FarmObserver, JobSpec, PrecomputeCache, WorkerPool};
 use canti_fault::ServeChaos;
+use canti_obs::serve::{SLO_BREACHED, SLO_GOOD};
 use canti_obs::{
-    Counter, Gauge, Histogram, ObsClock, RequestLog, RequestRecord, ServeObs, SloConfig,
-    TimelineConfig, TimelineRecorder, TraceContext,
+    Counter, Gauge, Histogram, ObsClock, RequestLog, RequestRecord, SeriesId, SeriesKind, ServeObs,
+    SloConfig, TimelineConfig, TimelineRecorder, TraceContext,
 };
 
 use crate::queue::FormedBatch;
@@ -20,46 +21,84 @@ use crate::response::{Disposition, LatencyBreakdown, ServeResponse};
 /// Finished requests retained for `/debug/requests`, per front.
 pub(crate) const REQUEST_LOG_CAPACITY: usize = 1024;
 
+/// A registry counter and the timeline delta series of the same name.
+#[derive(Debug, Clone)]
+pub(crate) struct Tally {
+    pub counter: Arc<Counter>,
+    pub series: SeriesId,
+}
+
+impl Tally {
+    /// Counts one event: bumps the counter and returns the event's delta
+    /// at `t_ns` for the caller's timeline write.
+    pub(crate) fn one(&self, t_ns: u64) -> (SeriesId, u64, u64) {
+        self.counter.inc();
+        (self.series, 1, t_ns)
+    }
+}
+
 /// The serve-layer metrics handles, registered once per observer.
 ///
 /// Names follow the `serve.` prefix the exposition layer sanitizes into
-/// `serve_*` Prometheus series. The shard's [`ServeObs`] rides alongside
-/// because its request log and timeline cannot be re-derived from the
-/// name-keyed registry — engine and executor must share ONE
-/// `ServeInstruments` so both record into the same timeline and log.
+/// `serve_*` Prometheus series. Every timeline series the layer writes
+/// is resolved here once, so a request's writes skip the name lookup.
+/// Request-scoped deltas count every contribution exactly once, so
+/// their merged windows are invariant under re-sharding; the batch and
+/// queue-depth series follow how the queue partitioned, so they are
+/// not. The shard's [`ServeObs`] rides alongside because its request
+/// log and timeline cannot be re-derived from the name-keyed registry —
+/// engine and executor must share ONE `ServeInstruments` so both record
+/// into the same timeline and log.
 #[derive(Debug, Clone)]
 pub(crate) struct ServeInstruments {
-    pub admitted: Arc<Counter>,
-    pub rejected: Arc<Counter>,
-    pub expired: Arc<Counter>,
-    pub completed: Arc<Counter>,
-    pub batches: Arc<Counter>,
-    pub failed: Arc<Counter>,
-    pub shed: Arc<Counter>,
+    pub admitted: Tally,
+    pub rejected: Tally,
+    pub expired: Tally,
+    pub completed: Tally,
+    pub batches: Tally,
+    pub failed: Tally,
+    pub shed: Tally,
+    pub cache_hit: Tally,
+    pub cache_miss: Tally,
+    pub coalesced: Tally,
+    pub slo_good: Tally,
+    pub slo_breached: Tally,
     pub failovers: Arc<Counter>,
     pub shard_restarts: Arc<Counter>,
-    pub cache_hit: Arc<Counter>,
-    pub cache_miss: Arc<Counter>,
-    pub coalesced: Arc<Counter>,
     pub queue_depth: Arc<Gauge>,
     pub batch_size: Arc<Histogram>,
     pub request_latency_ns: Arc<Histogram>,
-    pub slo_good: Arc<Counter>,
-    pub slo_breached: Arc<Counter>,
+    // the timeline series of the gauge and the histograms above, then
+    // the latency breakdown's phases
+    pub depth_series: SeriesId,
+    pub batch_size_series: SeriesId,
+    pub latency_series: SeriesId,
+    pub cache_ns: SeriesId,
+    pub queue_ns: SeriesId,
+    pub form_ns: SeriesId,
+    pub exec_ns: SeriesId,
+    pub respond_ns: SeriesId,
     pub obs: ServeObs,
 }
 
 impl ServeInstruments {
     pub(crate) fn new(observer: &FarmObserver, slo: SloConfig, timeline: TimelineConfig) -> Self {
         let m = observer.metrics();
-        m.describe("serve.admitted", "requests accepted into the queue");
-        m.describe("serve.rejected", "submissions refused at the door");
-        m.describe(
-            "serve.expired",
-            "admitted requests that missed their deadline",
-        );
-        m.describe("serve.completed", "requests answered by a finished batch");
-        m.describe("serve.batches", "farm batches executed");
+        let obs = ServeObs {
+            slo,
+            requests: Arc::new(RequestLog::new(REQUEST_LOG_CAPACITY)),
+            timeline: Arc::new(TimelineRecorder::new(timeline)),
+        };
+        let delta = |name| obs.timeline.series(name, SeriesKind::Delta);
+        let sample = |name| obs.timeline.series(name, SeriesKind::Sample);
+        // an empty help text registers no description
+        let tally = |name, help| {
+            m.describe(name, help);
+            Tally {
+                counter: m.counter(name),
+                series: delta(name),
+            }
+        };
         m.describe(
             "serve.queue_depth",
             "requests currently waiting for a batch",
@@ -70,63 +109,63 @@ impl ServeInstruments {
             "admission-to-answer latency in nanoseconds",
         );
         m.describe(
-            "serve.failed",
-            "admitted requests abandoned because their shard died",
-        );
-        m.describe("serve.shed", "admitted requests evicted under brownout");
-        m.describe(
             "serve.failovers",
             "requests rerouted here because their primary shard was down",
         );
         m.describe("serve.shard_restarts", "times this shard was resurrected");
-        m.describe(
-            "serve.cache_hit",
-            "requests answered from the content-addressed result cache",
-        );
-        m.describe(
-            "serve.cache_miss",
-            "cache lookups that went to the farm instead",
-        );
-        m.describe(
-            "serve.coalesced",
-            "requests that rode an identical in-flight leader",
-        );
         Self {
-            admitted: m.counter("serve.admitted"),
-            rejected: m.counter("serve.rejected"),
-            expired: m.counter("serve.expired"),
-            completed: m.counter("serve.completed"),
-            batches: m.counter("serve.batches"),
-            failed: m.counter("serve.failed"),
-            shed: m.counter("serve.shed"),
+            admitted: tally("serve.admitted", "requests accepted into the queue"),
+            rejected: tally("serve.rejected", "submissions refused at the door"),
+            expired: tally(
+                "serve.expired",
+                "admitted requests that missed their deadline",
+            ),
+            completed: tally("serve.completed", "requests answered by a finished batch"),
+            batches: tally("serve.batches", "farm batches executed"),
+            failed: tally(
+                "serve.failed",
+                "admitted requests abandoned because their shard died",
+            ),
+            shed: tally("serve.shed", "admitted requests evicted under brownout"),
+            cache_hit: tally(
+                "serve.cache_hit",
+                "requests answered from the content-addressed result cache",
+            ),
+            cache_miss: tally(
+                "serve.cache_miss",
+                "cache lookups that went to the farm instead",
+            ),
+            coalesced: tally(
+                "serve.coalesced",
+                "requests that rode an identical in-flight leader",
+            ),
+            slo_good: tally(SLO_GOOD, ""),
+            slo_breached: tally(SLO_BREACHED, ""),
             failovers: m.counter("serve.failovers"),
             shard_restarts: m.counter("serve.shard_restarts"),
-            cache_hit: m.counter("serve.cache_hit"),
-            cache_miss: m.counter("serve.cache_miss"),
-            coalesced: m.counter("serve.coalesced"),
             queue_depth: m.gauge("serve.queue_depth"),
             batch_size: m.histogram("serve.batch_size"),
             request_latency_ns: m.histogram("serve.request_latency_ns"),
-            slo_good: m.counter("slo.good"),
-            slo_breached: m.counter("slo.breached"),
-            obs: ServeObs {
-                slo,
-                requests: Arc::new(RequestLog::new(REQUEST_LOG_CAPACITY)),
-                timeline: Arc::new(TimelineRecorder::new(timeline)),
-            },
+            depth_series: sample("serve.queue_depth"),
+            batch_size_series: sample("serve.batch_size"),
+            latency_series: delta("serve.request_latency_ns"),
+            cache_ns: delta("serve.cache_ns"),
+            queue_ns: delta("serve.queue_ns"),
+            form_ns: delta("serve.form_ns"),
+            exec_ns: delta("serve.exec_ns"),
+            respond_ns: delta("serve.respond_ns"),
+            obs,
         }
     }
 
-    /// Scores one finished request: a cumulative `slo.good` or
-    /// `slo.breached` count, plus the same verdict in its timeline
-    /// window at `now_ns`.
-    pub(crate) fn verdict(&self, good: bool, now_ns: u64) {
+    /// The `slo.good` or `slo.breached` tally a finished request's
+    /// verdict counts in.
+    pub(crate) fn verdict(&self, good: bool) -> &Tally {
         if good {
-            self.slo_good.inc();
+            &self.slo_good
         } else {
-            self.slo_breached.inc();
+            &self.slo_breached
         }
-        self.obs.record_verdict(good, now_ns);
     }
 }
 
@@ -359,15 +398,11 @@ impl BatchExecutor {
             .map(|p| 1 + p.followers.len() as u64)
             .sum();
         if let Some(ins) = &self.instruments {
-            ins.batches.inc();
             ins.batch_size.record(batch.len() as u64);
-            ins.completed.add(answered);
-            // batch cadence depends on how the queue partitioned, so
-            // these are not shard-count invariant — tagged accordingly
-            ins.obs.timeline.record_delta("serve.batches", 1, now_ns);
-            ins.obs
-                .timeline
-                .sample("serve.batch_size", batch.len() as u64, now_ns);
+            ins.obs.timeline.record(&[
+                ins.batches.one(now_ns),
+                (ins.batch_size_series, batch.len() as u64, now_ns),
+            ]);
         }
         let formed_ns = batch.formed_ns;
         let index = batch.index;
@@ -403,17 +438,15 @@ impl BatchExecutor {
                 |key: u64, trace: u64, outcome: &'static str, b: &LatencyBreakdown, lat: u64| {
                     if let Some(ins) = &self.instruments {
                         ins.request_latency_ns.record(lat);
-                        ins.verdict(lat <= ins.obs.slo.objective_ns, now_ns);
-                        // request-scoped deltas: every contribution
-                        // counted exactly once, so the merged per-window
-                        // series are invariant under re-sharding
-                        let tl = &ins.obs.timeline;
-                        tl.record_delta("serve.completed", 1, now_ns);
-                        tl.record_delta("serve.request_latency_ns", lat, now_ns);
-                        tl.record_delta("serve.queue_ns", b.queue_ns, now_ns);
-                        tl.record_delta("serve.form_ns", b.form_ns, now_ns);
-                        tl.record_delta("serve.exec_ns", b.exec_ns, now_ns);
-                        tl.record_delta("serve.respond_ns", b.respond_ns, now_ns);
+                        ins.obs.timeline.record(&[
+                            ins.verdict(lat <= ins.obs.slo.objective_ns).one(now_ns),
+                            ins.completed.one(now_ns),
+                            (ins.latency_series, lat, now_ns),
+                            (ins.queue_ns, b.queue_ns, now_ns),
+                            (ins.form_ns, b.form_ns, now_ns),
+                            (ins.exec_ns, b.exec_ns, now_ns),
+                            (ins.respond_ns, b.respond_ns, now_ns),
+                        ]);
                         ins.obs.requests.push(RequestRecord {
                             request: key,
                             trace,

@@ -27,8 +27,11 @@
 //!   a service with the content-addressed result cache on, prove that
 //!   concurrent identical requests coalesce onto one in-flight leader,
 //!   that repeats are answered from the cache, and that every answer is
-//!   bit-identical; under `--telemetry` writes shard 0's stream to
-//!   `target/serve_cache_telemetry.ndjson` for the CI cache gate,
+//!   bit-identical, and that the scraped `/debug/timeline` counts
+//!   every hit in its merged `serve.cache_hit` windows; under
+//!   `--telemetry` writes shard 0's stream to
+//!   `target/serve_cache_telemetry.ndjson` and that timeline body to
+//!   `target/serve_cache_timeline.ndjson` for the CI cache gates,
 //! * `--telemetry` — write shard 0's full trace stream (request spans,
 //!   serve_batch/batch/job spans, metrics) to
 //!   `target/serve_telemetry.ndjson` for `obsctl trace` / `obsctl slo`
@@ -49,8 +52,8 @@ use std::time::{Duration, Instant};
 
 use canti::farm::{FarmObserver, JobSpec, ProbeMode, Receptor};
 use canti::obs::{
-    Collector, DebugState, ExpositionServer, Metrics, ObsClock, Readiness, RingCollector, ServeObs,
-    Tracer, WallClock,
+    parse_ndjson, Collector, DebugState, ExpositionServer, Json, Metrics, ObsClock, Readiness,
+    RingCollector, ServeObs, Tracer, WallClock,
 };
 use canti::serve::{
     CacheConfig, Disposition, RejectReason, ServeConfig, ServeFaultPlan, ServeResponse,
@@ -435,6 +438,25 @@ fn run_cache(shards: usize, telemetry: bool) {
             && debug_requests.contains("\"outcome\":\"coalesced\""),
         "request log must record cache_hit and coalesced outcomes"
     );
+    // The threaded hit path reaches the timeline: the merged
+    // serve.cache_hit windows count every hit the service answered.
+    let debug_timeline = server
+        .scrape("/debug/timeline")
+        .expect("self-scrape /debug/timeline");
+    let timeline_hits: u64 = parse_ndjson(&debug_timeline)
+        .expect("/debug/timeline is NDJSON")
+        .iter()
+        .filter(|r| {
+            r.get("shard").and_then(Json::as_str) == Some("merged")
+                && r.get("series").and_then(Json::as_str) == Some("serve.cache_hit")
+        })
+        .filter_map(|r| r.get("count").and_then(Json::as_u64))
+        .sum();
+    println!("cache drill timeline: merged serve.cache_hit x{timeline_hits}");
+    assert_eq!(
+        timeline_hits, stats.cache_hits,
+        "merged serve.cache_hit windows vs the service's hit tally"
+    );
 
     if telemetry {
         // shard 0's stream is self-contained (its own seq sequence) and
@@ -448,6 +470,12 @@ fn run_cache(shards: usize, telemetry: bool) {
             "telemetry: {} NDJSON records ({} trace events dropped) -> {path}",
             ndjson.lines().count(),
             rings[0].dropped()
+        );
+        let timeline_path = "target/serve_cache_timeline.ndjson";
+        std::fs::write(timeline_path, &debug_timeline).expect("write cache timeline artifact");
+        println!(
+            "telemetry: {} timeline records -> {timeline_path}",
+            debug_timeline.lines().count()
         );
     }
 

@@ -34,7 +34,13 @@
 #                          #     telemetry artifact is gated through
 #                          #     obsctl summary: zero trace sequence gaps
 #                          #     AND non-zero cache_hit AND non-zero
-#                          #     coalesced counts in the cache section
+#                          #     coalesced counts in the cache section,
+#                          #     and whose scraped /debug/timeline body
+#                          #     (serve_cache_timeline.ndjson; the demo
+#                          #     asserts its merged serve.cache_hit count
+#                          #     equals the service's hit tally) is gated
+#                          #     through obsctl timeline: the merged
+#                          #     section must carry serve.cache_hit
 #                          #   * the bench loop: farm, experiments and
 #                          #     serve benches with archived
 #                          #     BENCH_<name>.json artifacts, each gated
@@ -275,8 +281,9 @@ if [[ "${1:-}" == "smoke" ]]; then
 
     phase_begin "cache smoke (result cache + coalescing drill)"
     # the demo itself asserts byte-identical payloads across the burst,
-    # >0 coalesced followers, >0 cache hits, and cache-aware /healthz +
-    # /debug/requests bodies before it exits 0
+    # >0 coalesced followers, >0 cache hits, cache-aware /healthz +
+    # /debug/requests bodies, and a merged serve.cache_hit timeline count
+    # equal to the service's hit tally before it exits 0
     cargo run --release --example serve_demo -- --cache --shards 2 --telemetry
     cache_artifact=target/serve_cache_telemetry.ndjson
     [[ -s "$cache_artifact" ]] || { echo "missing cache artifact $cache_artifact"; exit 1; }
@@ -294,6 +301,14 @@ if [[ "${1:-}" == "smoke" ]]; then
             || { echo "cache gate: no $name activity in $cache_artifact"; exit 1; }
         echo "cache gate: $name x$count"
     done
+    # the threaded hit path's timeline writes reach the scraped body:
+    # the merged section must carry serve.cache_hit (exit 1 on an empty
+    # selection)
+    cache_timeline=target/serve_cache_timeline.ndjson
+    [[ -s "$cache_timeline" ]] || { echo "missing cache timeline artifact $cache_timeline"; exit 1; }
+    echo "-- obsctl timeline (merged serve.cache_hit windows) --"
+    cargo run --release -q -p canti-obsctl -- timeline "$cache_timeline" --shard merged \
+        --series serve.cache_hit
     phase_end
 
     phase_begin "bench loop (farm, experiments, serve x shards) + perf gates"

@@ -7,14 +7,18 @@
 //! the ticket's slot. The key folds the spec's bits without formatting
 //! text, and the hit's `cache_hit` event holds its name and fields
 //! inline. A `Tracer` event or span with a static name and up to three
-//! scalar or static-string fields allocates nothing.
+//! scalar or static-string fields allocates nothing, and neither does a
+//! timeline write by resolved series ids into windows that exist.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use canti::farm::{FarmObserver, JobSpec, Receptor};
-use canti::obs::{Collector, ObsClock, RingCollector, Tracer, VirtualClock};
+use canti::obs::{
+    Collector, ObsClock, RingCollector, SeriesKind, TimelineConfig, TimelineRecorder, Tracer,
+    VirtualClock,
+};
 use canti::serve::{CacheConfig, Disposition, ServeConfig, ShardedConfig, ShardedService};
 use canti::units::{Molar, Seconds};
 
@@ -199,4 +203,21 @@ fn a_trace_event_with_up_to_three_fields_allocates_nothing() {
     let last = events.last().expect("the ring holds events");
     assert_eq!(last.name, "wide");
     assert_eq!(last.fields.len(), 4);
+}
+
+#[test]
+fn a_timeline_record_over_resolved_ids_allocates_nothing() {
+    let tl = TimelineRecorder::new(TimelineConfig::default());
+    let admitted = tl.series("serve.admitted", SeriesKind::Delta);
+    let latency = tl.series("serve.request_latency_ns", SeriesKind::Delta);
+    let depth = tl.series("serve.queue_depth", SeriesKind::Sample);
+    let hit = |t_ns: u64| tl.record(&[(admitted, 1, t_ns), (latency, 900, t_ns), (depth, 3, t_ns)]);
+    // open each series' window
+    hit(0);
+
+    let ((), n) = allocations(|| hit(10));
+    assert_eq!(n, 0, "three observations into existing windows");
+    let ((), n) = allocations(|| tl.record(&[]));
+    assert_eq!(n, 0, "an empty write");
+    assert_eq!(tl.snapshot()[0].points[0].count, 2);
 }

@@ -22,6 +22,8 @@
 //!    script extended with a coalesced pair, a brownout burst and a
 //!    cache hit: one verdict per request, equal to the registry
 //!    counters, each in its terminal delta's window.
+//! 6. With the cache on, that extended script's merged `serve.*` and
+//!    `slo.*` delta lines match a golden taken at one shard.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -544,4 +546,116 @@ fn slo_verdicts_account_for_every_terminal_request() {
             assert!(verdicts.1 > 3, "latency breaches join the error paths");
         }
     }
+}
+
+/// The merged `serve.*` and `slo.*` delta lines of [`accounting_script`]
+/// under [`accounting_config`] at one shard, where the script reaches
+/// the ok, coalesced, cache-hit, expired and shed paths. Unlike
+/// [`merged_serve_delta_lines_match_the_scripted_golden`], the cache is
+/// on, so the hit's series (`serve.cache_hit`, `serve.cache_ns`,
+/// `serve.cache_miss`) are pinned too. The list is exact: every line,
+/// in body order, and no other.
+#[test]
+fn merged_cache_on_delta_lines_match_the_accounting_golden() {
+    let golden = [
+        r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":0,"t_ns":0,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":6,"t_ns":3000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":8,"t_ns":4000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":19,"t_ns":9500,"count":3,"sum":3,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":21,"t_ns":10500,"count":3,"sum":3,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.batches","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.batches","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.batches","kind":"delta","window":6,"t_ns":3000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.batches","kind":"delta","window":8,"t_ns":4000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.batches","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.batches","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.batches","kind":"delta","window":21,"t_ns":10500,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.batches","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.cache_hit","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.cache_miss","kind":"delta","window":0,"t_ns":0,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.cache_miss","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.cache_miss","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.cache_miss","kind":"delta","window":6,"t_ns":3000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.cache_miss","kind":"delta","window":8,"t_ns":4000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.cache_miss","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.cache_miss","kind":"delta","window":19,"t_ns":9500,"count":3,"sum":3,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.cache_miss","kind":"delta","window":21,"t_ns":10500,"count":3,"sum":3,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.cache_ns","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.coalesced","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.completed","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.completed","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.completed","kind":"delta","window":6,"t_ns":3000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.completed","kind":"delta","window":8,"t_ns":4000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.completed","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.completed","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.completed","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":2,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.completed","kind":"delta","window":24,"t_ns":12000,"count":2,"sum":2,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":6,"t_ns":3000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":8,"t_ns":4000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.expired","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":6,"t_ns":3000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":8,"t_ns":4000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":6,"t_ns":3000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":8,"t_ns":4000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":2600,"min":2600,"max":2600}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":2600,"min":2600,"max":2600}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":2200,"min":1100,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.rejected","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":6,"t_ns":3000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":8,"t_ns":4000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":2600,"min":2600,"max":2600}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":2600,"min":2600,"max":2600}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":2200,"min":1100,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":24,"t_ns":12000,"count":2,"sum":1100,"min":0,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":6,"t_ns":3000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":8,"t_ns":4000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.shed","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":2,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"slo.breached","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"slo.breached","kind":"delta","window":19,"t_ns":9500,"count":2,"sum":2,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"slo.breached","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":2,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":6,"t_ns":3000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":8,"t_ns":4000,"count":1,"sum":1,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":2,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":24,"t_ns":12000,"count":2,"sum":2,"min":1,"max":1}"#,
+    ];
+    let run = run(accounting_config(), 1, accounting_script());
+    let actual: Vec<&str> = run
+        .body
+        .lines()
+        .filter(|l| {
+            l.contains(r#""shard":"merged""#)
+                && l.contains(r#""kind":"delta""#)
+                && (l.contains(r#""series":"serve."#) || l.contains(r#""series":"slo."#))
+        })
+        .collect();
+    assert_eq!(actual, golden, "merged serve.* and slo.* delta lines");
 }

@@ -1,13 +1,22 @@
-//! Property tests for `timeline::merge_timelines` (vendored proptest):
-//! the merged view is exactly the per-window fold of the per-shard
-//! snapshots — no series or window invented, none dropped, counts and
-//! sums added, min and max widened, each series' kind taken from the
-//! first shard that carries it — and the fold is order-independent. The
-//! merged `/debug/timeline` and `/debug/slo` views both rely on it.
+//! Property tests for the timeline (vendored proptest).
+//!
+//! `timeline::merge_timelines`: the merged view is exactly the
+//! per-window fold of the per-shard snapshots — no series or window
+//! invented, none dropped, counts and sums added, min and max widened,
+//! each series' kind taken from the first shard that carries it — and
+//! the fold is order-independent. The merged `/debug/timeline` and
+//! `/debug/slo` views both rely on it.
+//!
+//! `TimelineRecorder::record`: recording by resolved id, in any grouping
+//! of the observations, leaves the same snapshot, text rendering and
+//! NDJSON as recording by name, and resolving series that are never
+//! observed changes none of the three.
 
 use std::collections::BTreeMap;
 
-use canti::obs::{merge_timelines, SeriesKind, SeriesPoint, SeriesWindows};
+use canti::obs::{
+    merge_timelines, SeriesKind, SeriesPoint, SeriesWindows, TimelineConfig, TimelineRecorder,
+};
 use proptest::prelude::*;
 
 /// Series names, with the kind each carries when every shard agrees.
@@ -119,5 +128,79 @@ proptest! {
         let mut reversed = shards.clone();
         reversed.reverse();
         prop_assert_eq!(forward, merge_timelines(&reversed));
+    }
+}
+
+/// One observation: series (an index into [`SERIES`]'s names, so names
+/// repeat), kind draw (0 = delta), value, `t_ns`, and whether the id
+/// writer flushes its pending group after it (on 0).
+type Observation = (usize, u8, u64, u64, u8);
+
+/// Observation sequences over 100 ns windows spread across 20 windows,
+/// out of clock order, so a 4-window ring evicts and late observations
+/// land in older windows. A name's first draw fixes its kind; later
+/// draws of the other kind exercise the sticky-kind rule.
+fn observations() -> impl Strategy<Value = Vec<Observation>> {
+    proptest::collection::vec(
+        (
+            0usize..SERIES.len(),
+            0u8..2,
+            0u64..1_000,
+            0u64..2_000,
+            0u8..3,
+        ),
+        0..64,
+    )
+}
+
+fn kind(draw: u8) -> SeriesKind {
+    if draw == 0 {
+        SeriesKind::Delta
+    } else {
+        SeriesKind::Sample
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `series` + `record` in random groupings == `record_delta` /
+    /// `sample` one observation at a time, with extra series resolved
+    /// before and after the observations but never observed.
+    #[test]
+    fn recording_by_id_equals_recording_by_name(
+        observations in observations(),
+        unobserved in 0usize..4,
+    ) {
+        let config = TimelineConfig { window_ns: 100, max_windows: 4 };
+        let by_name = TimelineRecorder::new(config);
+        for &(name, draw, value, t_ns, _) in &observations {
+            match kind(draw) {
+                SeriesKind::Delta => by_name.record_delta(SERIES[name].0, value, t_ns),
+                SeriesKind::Sample => by_name.sample(SERIES[name].0, value, t_ns),
+            }
+        }
+
+        let by_id = TimelineRecorder::new(config);
+        let resolve_unobserved = |tag: &str| {
+            for i in 0..unobserved {
+                by_id.series(&format!("unobserved.{tag}{i}"), kind(i as u8 % 2));
+            }
+        };
+        resolve_unobserved("before");
+        let mut group = Vec::new();
+        for &(name, draw, value, t_ns, flush) in &observations {
+            group.push((by_id.series(SERIES[name].0, kind(draw)), value, t_ns));
+            if flush == 0 {
+                by_id.record(&group);
+                group.clear();
+            }
+        }
+        by_id.record(&group);
+        resolve_unobserved("after");
+
+        prop_assert_eq!(by_id.snapshot(), by_name.snapshot());
+        prop_assert_eq!(by_id.render(), by_name.render());
+        prop_assert_eq!(by_id.to_ndjson(), by_name.to_ndjson());
     }
 }
