@@ -1,22 +1,18 @@
 //! Farm scaling bench: wall time of a 256-job dose-response sweep at one
-//! worker vs several, on a pre-warmed precompute cache — plus a chunked
-//! service-shaped pass where the same sweep arrives as many small
-//! batches and the persistent [`WorkerPool`] amortizes the per-batch
-//! thread-spawn cost away.
+//! worker vs several, on a pre-warmed precompute cache.
 //!
 //! ```text
 //! cargo bench -p canti-bench --bench farm              # default threads
 //! CANTI_FARM_THREADS=8 cargo bench -p canti-bench --bench farm
 //! CANTI_FARM_JOBS=64   cargo bench -p canti-bench --bench farm
-//! CANTI_FARM_BATCH=16  cargo bench -p canti-bench --bench farm
 //! ```
 //!
-//! Reports the speedups and re-checks the determinism contract on the
-//! way: the multi-thread and pooled reports must be bit-identical to the
-//! single-thread spawn-per-batch ones. The archived telemetry
-//! (`CANTI_BENCH_JSON`) comes from a pooled observed run, so the
-//! `queue_wait` stage in `BENCH_farm.json` reflects parked-worker
-//! pickup, not thread spawn.
+//! Reports the speedup and re-checks the determinism contract on the
+//! way: the multi-thread and observed reports must be bit-identical to
+//! the sequential 1-thread one. The archived telemetry
+//! (`CANTI_BENCH_JSON`) comes from an observed run on a [`WorkerPool`]
+//! built before the batch starts, so the `queue_wait` stage in
+//! `BENCH_farm.json` reflects parked-worker pickup, not thread spawn.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -68,44 +64,12 @@ fn timed_run(threads: usize, jobs: &[JobSpec], cache: &Arc<PrecomputeCache>) -> 
     (elapsed, sum.to_bits())
 }
 
-/// Runs `jobs` as successive `chunk`-sized batches — the shape a serving
-/// layer produces — either spawning workers per batch (`pool` = `None`)
-/// or reusing the given persistent pool, and returns the wall time plus
-/// a content fingerprint.
-fn timed_chunked_run(
-    jobs: &[JobSpec],
-    chunk: usize,
-    threads: usize,
-    cache: &Arc<PrecomputeCache>,
-    pool: Option<&Arc<WorkerPool>>,
-) -> (Duration, u64) {
-    let start = Instant::now();
-    let mut sum = 0.0f64;
-    for part in jobs.chunks(chunk.max(1)) {
-        let mut farm = Farm::with_cache(
-            FarmConfig {
-                batch_seed: 0xFA12_2026,
-                threads,
-            },
-            Arc::clone(cache),
-        );
-        if let Some(pool) = pool {
-            farm = farm.with_pool(Arc::clone(pool));
-        }
-        let report = farm.run(part);
-        assert_eq!(report.ok_count(), part.len(), "all jobs must succeed");
-        sum += report.metric_values("peak_volts").iter().sum::<f64>();
-    }
-    (start.elapsed(), sum.to_bits())
-}
-
 fn main() {
     let jobs_n = env_usize("CANTI_FARM_JOBS", 256);
     let threads = env_usize(
         "CANTI_FARM_THREADS",
         std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get),
     );
-    let chunk = env_usize("CANTI_FARM_BATCH", 16);
     let jobs = sweep(jobs_n);
 
     // warm the shared cache so both timings measure job work, not the
@@ -126,21 +90,8 @@ fn main() {
     let speedup = t1.as_secs_f64() / tn.as_secs_f64().max(1e-9);
     println!("  speedup  : {speedup:.2}x  (results bit-identical)");
 
-    // chunked service-shaped load: the same sweep as ceil(jobs/chunk)
-    // small batches, where the spawn path pays thread startup per batch
-    // and the persistent pool pays it once
-    println!("  chunked  : {chunk}-job batches");
-    let (t_spawn, fp_spawn) = timed_chunked_run(&jobs, chunk, threads, &cache, None);
-    println!("    spawn-per-batch : {:>10.2?}", t_spawn);
-    let pool = Arc::new(WorkerPool::new(threads));
-    let (t_pool, fp_pool) = timed_chunked_run(&jobs, chunk, threads, &cache, Some(&pool));
-    println!("    persistent pool : {:>10.2?}", t_pool);
-    assert_eq!(fp_spawn, fp_pool, "pool reuse changed the chunked results");
-    let pool_speedup = t_spawn.as_secs_f64() / t_pool.as_secs_f64().max(1e-9);
-    println!("    pool speedup    : {pool_speedup:.2}x  (results bit-identical)");
-
-    // one more observed run — on the persistent pool, so the archived
-    // queue_wait histogram measures parked-worker pickup — and a third
+    // one more observed run — on a pool built up front, so the archived
+    // queue_wait histogram measures parked-worker pickup — and a second
     // check that attaching the observer does not perturb the numbers
     let (observer, _ring) = FarmObserver::profiling(4096);
     let farm = Farm::with_cache(
@@ -150,7 +101,7 @@ fn main() {
         },
         Arc::clone(&cache),
     )
-    .with_pool(Arc::clone(&pool))
+    .with_pool(Arc::new(WorkerPool::new(threads)))
     .with_observer(observer);
     let report = farm.run(&jobs);
     let fp: f64 = report.metric_values("peak_volts").iter().sum();

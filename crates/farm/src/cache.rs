@@ -42,8 +42,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to compute.
     pub misses: u64,
-    /// Entries dropped to stay under a configured capacity.
-    pub evictions: u64,
     /// Entries currently resident (all maps).
     pub entries: u64,
     /// Rough resident payload size: per-entry value + key sizes. An
@@ -90,50 +88,26 @@ pub fn static_config_key(config: &StaticReadoutConfig) -> u64 {
     h
 }
 
-/// The static-chain map plus its FIFO insertion order (for capacity
-/// eviction), guarded by one lock.
-#[derive(Debug, Default)]
-struct StaticChains {
-    map: HashMap<u64, Arc<StaticChainResponse>>,
-    order: std::collections::VecDeque<u64>,
-}
-
 /// The shared memoization layer.
 #[derive(Debug, Default)]
 pub struct PrecomputeCache {
-    static_chains: Mutex<StaticChains>,
+    static_chains: Mutex<HashMap<u64, Arc<StaticChainResponse>>>,
     resonant: Mutex<HashMap<u64, Arc<ResonantBaseline>>>,
-    /// FIFO cap on distinct static-chain configs (`None` = unbounded).
-    max_static_entries: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl PrecomputeCache {
-    /// Creates an empty, unbounded cache.
+    /// Creates an empty cache.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates a cache evicting static-chain entries FIFO beyond
-    /// `max_static_entries` distinct configs — for long-lived farms fed
-    /// many one-shot configurations. Eviction never changes results
-    /// (evicted entries are recomputed deterministically on re-request);
-    /// it only trades memory for recompute time.
-    #[must_use]
-    pub fn with_capacity(max_static_entries: usize) -> Self {
-        Self {
-            max_static_entries: Some(max_static_entries.max(1)),
-            ..Self::default()
-        }
-    }
-
     /// Counters and occupancy so far.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let static_entries = self.static_chains.lock().expect("cache lock").map.len() as u64;
+        let static_entries = self.static_chains.lock().expect("cache lock").len() as u64;
         let resonant_entries = self.resonant.lock().expect("cache lock").len() as u64;
         let per_static =
             (std::mem::size_of::<StaticChainResponse>() + std::mem::size_of::<u64>()) as u64;
@@ -142,7 +116,6 @@ impl PrecomputeCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
             entries: static_entries + resonant_entries,
             bytes_estimate: static_entries * per_static + resonant_entries * per_resonant,
         }
@@ -160,7 +133,7 @@ impl PrecomputeCache {
     ) -> Result<Arc<StaticChainResponse>, CoreError> {
         let key = static_config_key(config);
         let mut chains = self.static_chains.lock().expect("cache lock");
-        if let Some(chain) = chains.map.get(&key) {
+        if let Some(chain) = chains.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(chain));
         }
@@ -169,18 +142,7 @@ impl PrecomputeCache {
         let mut system = StaticCantileverSystem::new(chip, config.clone())?;
         system.calibrate_offsets()?;
         let chain = Arc::new(StaticChainResponse::measure(&mut system)?);
-        chains.map.insert(key, Arc::clone(&chain));
-        chains.order.push_back(key);
-        if let Some(cap) = self.max_static_entries {
-            while chains.map.len() > cap {
-                if let Some(oldest) = chains.order.pop_front() {
-                    chains.map.remove(&oldest);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    break;
-                }
-            }
-        }
+        chains.insert(key, Arc::clone(&chain));
         Ok(chain)
     }
 
@@ -266,35 +228,11 @@ mod tests {
     fn stats_track_entries_and_bytes() {
         let cache = PrecomputeCache::new();
         let empty = cache.stats();
-        assert_eq!(
-            (empty.entries, empty.bytes_estimate, empty.evictions),
-            (0, 0, 0)
-        );
+        assert_eq!((empty.entries, empty.bytes_estimate), (0, 0));
         cache.resonant_baseline().unwrap();
         cache.static_chain(&StaticReadoutConfig::default()).unwrap();
         let s = cache.stats();
         assert_eq!(s.entries, 2);
         assert!(s.bytes_estimate > 0);
-        assert_eq!(s.evictions, 0);
-    }
-
-    #[test]
-    fn capacity_evicts_fifo_and_recomputes_identically() {
-        let cache = PrecomputeCache::with_capacity(1);
-        let a_cfg = StaticReadoutConfig::default();
-        let b_cfg = StaticReadoutConfig {
-            seed: a_cfg.seed.wrapping_add(7),
-            ..StaticReadoutConfig::default()
-        };
-        let a = cache.static_chain(&a_cfg).unwrap();
-        cache.static_chain(&b_cfg).unwrap(); // pushes `a` out (FIFO, cap 1)
-        let s = cache.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.entries, 1);
-        // re-requesting `a` misses and recomputes the exact same response
-        let a2 = cache.static_chain(&a_cfg).unwrap();
-        assert_eq!(*a, *a2, "eviction must be invisible to results");
-        assert_eq!(cache.stats().misses, 3);
-        assert_eq!(cache.stats().evictions, 2);
     }
 }

@@ -46,7 +46,7 @@ pub mod supervisor;
 pub mod telemetry;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -86,7 +86,10 @@ pub struct Farm {
     config: FarmConfig,
     cache: Arc<PrecomputeCache>,
     observer: Option<FarmObserver>,
-    pool: Option<Arc<WorkerPool>>,
+    /// Attached by [`Self::with_pool`], or built by [`Self::dispatch`] on
+    /// the first batch that needs more than one thread; kept for the
+    /// farm's lifetime either way.
+    pool: OnceLock<Arc<WorkerPool>>,
     sabotage: Option<PoolHook>,
 }
 
@@ -95,7 +98,7 @@ impl std::fmt::Debug for Farm {
         f.debug_struct("Farm")
             .field("config", &self.config)
             .field("observed", &self.observer.is_some())
-            .field("pooled", &self.pool.is_some())
+            .field("pooled", &self.pool.get().is_some())
             .field("sabotaged", &self.sabotage.is_some())
             .finish()
     }
@@ -116,28 +119,29 @@ impl Farm {
             config,
             cache,
             observer: None,
-            pool: None,
+            pool: OnceLock::new(),
             sabotage: None,
         }
     }
 
-    /// Attaches a persistent [`WorkerPool`]: subsequent runs dispatch
-    /// onto its long-lived threads instead of spawning a fresh scoped
-    /// pool per batch. The report is bit-identical either way (the
+    /// Runs this farm's batches on `pool`, in place of the pool a
+    /// multi-thread farm would build on its first batch — so several
+    /// farms can share one set of long-lived threads (each serve shard
+    /// attaches one). The report is bit-identical either way (the
     /// determinism contract does not depend on the scheduling
-    /// substrate); [`Self::threads`] reports the pool's size while one
-    /// is attached, overriding `config.threads`.
+    /// substrate); [`Self::threads`] reports the pool's size, overriding
+    /// `config.threads`, and even a 1-thread pool takes the pooled path.
     #[must_use]
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
+        self.pool = OnceLock::from(pool);
         self
     }
 
-    /// Attaches a [`PoolHook`] the attached pool's workers call before
-    /// each job, outside the per-job panic harness — the serve chaos
-    /// seam for simulating harness-level worker deaths. Effective only
-    /// on the persistent-pool path ([`Self::with_pool`]); the
-    /// spawn-per-batch oracle stays hook-free.
+    /// Attaches a [`PoolHook`] the pool's workers call before each job,
+    /// outside the per-job panic harness — the serve chaos seam for
+    /// simulating harness-level worker deaths. It fires on every pooled
+    /// farm: one with an attached pool, or with more than one thread.
+    /// The sequential 1-thread oracle stays hook-free.
     #[must_use]
     pub fn with_sabotage(mut self, hook: PoolHook) -> Self {
         self.sabotage = Some(hook);
@@ -161,12 +165,12 @@ impl Farm {
         self.observer.as_ref()
     }
 
-    /// The resolved worker count: the attached pool's size when one is
-    /// present, else `config.threads` with `0` mapped to the machine's
+    /// The resolved worker count: the pool's size once the farm has
+    /// one, else `config.threads` with `0` mapped to the machine's
     /// available parallelism.
     #[must_use]
     pub fn threads(&self) -> usize {
-        if let Some(pool) = &self.pool {
+        if let Some(pool) = self.pool.get() {
             pool.threads()
         } else if self.config.threads > 0 {
             self.config.threads
@@ -211,10 +215,13 @@ impl Farm {
         }
     }
 
-    /// Dispatches one wave of jobs onto the execution substrate: the
-    /// attached persistent pool when present, else a scoped
-    /// spawn-per-batch pool. `items` maps wave slots to batch job
-    /// indexes (`None` runs the whole batch, slot `i` = job `i`).
+    /// Runs one wave of jobs — the one place that picks the execution
+    /// path. A farm with one thread and no attached pool runs the wave
+    /// sequentially on the calling thread: the oracle every other
+    /// schedule is tested against. Every other farm runs it on its
+    /// [`WorkerPool`], the attached one or one of [`Self::threads`]
+    /// workers built here on first use. `items` maps wave slots to batch
+    /// job indexes (`None` runs the whole batch, slot `i` = job `i`).
     pub(crate) fn dispatch(
         &self,
         runner: &Arc<BatchRunner>,
@@ -224,29 +231,31 @@ impl Farm {
     ) -> (Vec<Result<JobOutput, FarmError>>, Vec<WorkerStat>) {
         let n = items.as_ref().map_or(runner.jobs.len(), |v| v.len());
         let wave = items.is_some();
-        match &self.pool {
-            Some(pool) => {
-                let r = Arc::clone(runner);
-                pool.run_observed_hooked(
-                    n,
-                    move |slot| {
-                        let i = items.as_ref().map_or(slot, |v| v[slot]);
-                        r.run_job(i, attempt, wave, deadline_ns)
-                    },
-                    runner.observer.as_ref().map(|o| Arc::clone(o.clock())),
-                    self.sabotage.clone(),
-                )
-            }
-            None => pool::run_indexed_observed(
-                n,
-                self.threads(),
-                |slot| {
-                    let i = items.as_ref().map_or(slot, |v| v[slot]);
-                    runner.run_job(i, attempt, wave, deadline_ns)
-                },
-                runner.observer.as_ref().map(|o| o.clock().as_ref()),
-            ),
+        let clock = runner.observer.as_ref().map(|o| Arc::clone(o.clock()));
+        let r = Arc::clone(runner);
+        let job = move |slot: usize| {
+            let i = items.as_ref().map_or(slot, |v| v[slot]);
+            r.run_job(i, attempt, wave, deadline_ns)
+        };
+        if self.pool.get().is_none() && self.threads() == 1 {
+            let mut stat = WorkerStat::default();
+            let outcomes = (0..n)
+                .map(|slot| {
+                    let t0 = clock.as_ref().map(|c| c.now_ns());
+                    let outcome = job(slot);
+                    if let (Some(t0), Some(c)) = (t0, &clock) {
+                        stat.busy_ns += c.now_ns().saturating_sub(t0);
+                    }
+                    stat.jobs += 1;
+                    outcome
+                })
+                .collect();
+            return (outcomes, vec![stat]);
         }
+        let pool = self
+            .pool
+            .get_or_init(|| Arc::new(WorkerPool::new(self.threads())));
+        pool.run_observed_hooked(n, job, clock, self.sabotage.clone())
     }
 
     /// Runs a batch, returning one outcome per job in submission order.
@@ -254,10 +263,10 @@ impl Farm {
     /// Jobs run on [`Self::threads`] workers; errors and panics are
     /// captured per job as [`FarmError`]s without aborting the batch.
     /// The report is bit-identical for any worker count, with or without
-    /// an attached observer, and with or without a persistent pool.
+    /// an attached observer, and with or without an attached pool.
     #[must_use]
     pub fn run(&self, jobs: &[JobSpec]) -> BatchReport {
-        self.run_with_seeds(jobs, None)
+        self.run_inner(jobs, None, None)
     }
 
     /// Like [`Self::run`], but each job's RNG stream derives from its
@@ -295,10 +304,6 @@ impl Farm {
         assert_eq!(jobs.len(), seeds.len(), "one seed per job");
         assert_eq!(jobs.len(), contexts.len(), "one trace context per job");
         self.run_inner(jobs, Some(seeds.to_vec()), Some(contexts.to_vec()))
-    }
-
-    fn run_with_seeds(&self, jobs: &[JobSpec], seeds: Option<Vec<u64>>) -> BatchReport {
-        self.run_inner(jobs, seeds, None)
     }
 
     fn run_inner(
@@ -629,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn persistent_pool_run_is_bit_identical_to_spawned() {
+    fn persistent_pool_run_is_bit_identical_to_sequential() {
         let jobs: Vec<JobSpec> = (0..16)
             .map(|i| JobSpec::Probe(ProbeMode::Draws(1 + i % 5)))
             .collect();

@@ -437,8 +437,8 @@ fn emit_breaker_event(
         .set(position.gauge_value());
 }
 
-/// Element-wise accumulation of wave worker stats (waves may use
-/// different worker counts when the item count shrinks).
+/// Element-wise accumulation of wave worker stats; the first wave sizes
+/// the total.
 fn merge_worker_stats(total: &mut Vec<WorkerStat>, wave: &[WorkerStat]) {
     if total.len() < wave.len() {
         total.resize(wave.len(), WorkerStat::default());

@@ -242,12 +242,8 @@ impl FarmTelemetry {
         }
         let _ = writeln!(
             out,
-            "  cache: {} hits / {} misses / {} evictions, {} entries, ~{} B",
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.evictions,
-            self.cache.entries,
-            self.cache.bytes_estimate
+            "  cache: {} hits / {} misses, {} entries, ~{} B",
+            self.cache.hits, self.cache.misses, self.cache.entries, self.cache.bytes_estimate
         );
         for (w, stat) in self.per_worker.iter().enumerate() {
             let _ = writeln!(
@@ -280,7 +276,6 @@ impl FarmTelemetry {
             ("record", JsonValue::from("farm_cache")),
             ("hits", JsonValue::U64(self.cache.hits)),
             ("misses", JsonValue::U64(self.cache.misses)),
-            ("evictions", JsonValue::U64(self.cache.evictions)),
             ("entries", JsonValue::U64(self.cache.entries)),
             ("bytes_estimate", JsonValue::U64(self.cache.bytes_estimate)),
         ]));
@@ -324,7 +319,6 @@ mod tests {
             cache: CacheStats {
                 hits: 3,
                 misses: 1,
-                evictions: 0,
                 entries: 1,
                 bytes_estimate: 24,
             },

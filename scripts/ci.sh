@@ -3,8 +3,9 @@
 # the workspace exactly once per profile and reports per-phase wall time.
 #
 #   scripts/ci.sh          # release build -> release tests (reusing the
-#                          # build) -> the threaded serve tests 20 times
-#                          # each -> clippy --all-targets -> fmt --check
+#                          # build) -> the threaded serve tests and the
+#                          # worker-pool tests 20 times each -> clippy
+#                          # --all-targets -> fmt --check
 #                          # -> rustdoc with warnings denied -> perfbench
 #                          # unit tests + a 1 s serve_cached run gated on
 #                          # its bitwise payload oracle + 1 s traced
@@ -100,9 +101,11 @@ phase_begin "tests (release, reusing the build)"
 cargo test -q --release --workspace
 phase_end
 
-phase_begin "threaded serve tests, 20 runs each (release)"
-# A race in the threaded driver's locking shows up one run in N, so its
-# tests repeat; the first failing run, or one over 60 s, fails the gate.
+phase_begin "threaded serve and worker-pool tests, 20 runs each (release)"
+# A race in the threaded driver's locking, or in the WorkerPool's claim,
+# retire and orphan logic that runs every multi-thread farm batch, shows
+# up one run in N, so their tests repeat; the first failing run, or one
+# over 60 s, fails the gate.
 repeat_20() {
     local run out
     for run in $(seq 1 20); do
@@ -117,6 +120,8 @@ repeat_20() {
 repeat_20 -p canti-serve --lib service::tests
 repeat_20 --test serve_failover threaded_sharded_service_answers_every_ticket_under_chaos
 repeat_20 --test cache_determinism threaded_
+repeat_20 -p canti-farm --lib pool::tests
+repeat_20 --test pool_oracle
 phase_end
 
 phase_begin "clippy --all-targets (-D warnings)"

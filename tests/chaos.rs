@@ -169,7 +169,7 @@ fn sharded_supervision_is_bit_identical_across_workers_and_shards() {
             "the partition covers every job exactly once"
         );
 
-        // oracle: every shard supervised at 1 worker on the spawn path
+        // oracle: every shard supervised at 1 worker on the sequential path
         let oracle: Vec<_> = parts
             .iter()
             .map(|part| {

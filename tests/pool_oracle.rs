@@ -1,7 +1,8 @@
-//! The persistent worker pool against the spawn-per-batch oracle:
+//! The persistent worker pool against the sequential 1-thread oracle:
 //! reusing long-lived workers across batches must never change a single
 //! `BatchReport` bit, and telemetry must stay strictly additive on the
-//! pool path.
+//! pool path. A multi-thread farm runs every batch on one pool, and a
+//! worker death never wedges it.
 //!
 //! The jobs are the golden-scenario mix (dose-response sweep,
 //! cross-reactivity panel, Monte-Carlo process variation, probes) so the
@@ -11,7 +12,7 @@ use std::sync::Arc;
 
 use canti::farm::{
     cross_reactivity_panel, dose_response_sweep, process_variation_batch, BatchReport, Farm,
-    FarmConfig, FarmObserver, JobSpec, ProbeMode, WorkerPool,
+    FarmConfig, FarmObserver, FarmSupervisor, JobSpec, ProbeMode, SupervisorConfig, WorkerPool,
 };
 use proptest::prelude::*;
 
@@ -29,6 +30,7 @@ fn golden_jobs() -> Vec<JobSpec> {
     jobs
 }
 
+/// A farm with no attached pool: the sequential oracle at 1 thread.
 fn spawn_run(seed: u64, threads: usize, jobs: &[JobSpec]) -> BatchReport {
     Farm::new(FarmConfig {
         batch_seed: seed,
@@ -47,7 +49,7 @@ fn pool_run(seed: u64, pool: &Arc<WorkerPool>, jobs: &[JobSpec]) -> BatchReport 
 }
 
 /// The satellite contract: the persistent pool's `BatchReport` is
-/// byte-identical to a freshly-spawned 1-thread farm's, for the golden
+/// byte-identical to the sequential 1-thread farm's, for the golden
 /// job mix, at every pool width — and stays identical when the same
 /// pool is reused for further batches.
 #[test]
@@ -94,7 +96,7 @@ fn pool_path_telemetry_is_strictly_additive() {
     );
 }
 
-/// At one worker, the pool path and the spawn path emit byte-identical
+/// At one worker, the pool path and the sequential path emit byte-identical
 /// deterministic trace streams: same spans, same fields, same order,
 /// same NDJSON bytes.
 #[test]
@@ -122,61 +124,150 @@ fn single_worker_trace_bytes_match_between_pool_and_spawn_paths() {
     );
 }
 
-/// The resurrection contract: after a harness-level worker death and
-/// [`WorkerPool::respawn_poisoned`], the pool's reports on the golden
-/// job mix are byte-identical to a fresh pool's (and to the spawn
-/// oracle) at every width — slot discipline makes output independent of
-/// *which* threads run, so surviving a death leaves no residue.
+/// A multi-thread farm with no attached pool builds one pool on its
+/// first batch and keeps it: three batches and a supervisor's retry
+/// waves all run on the same two workers, and every report still equals
+/// the 1-thread oracle. The sabotage hook never panics here; it only
+/// records which threads ran jobs.
 #[test]
-fn respawned_pool_matches_the_fresh_pool_oracle_after_a_worker_death() {
+fn an_unattached_multi_thread_farm_runs_every_batch_and_retry_wave_on_one_pool() {
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+
+    let jobs = golden_jobs();
+    let oracle = spawn_run(0x0E0E_5EED, 1, &jobs);
+    let ran_on: Arc<Mutex<HashSet<ThreadId>>> = Arc::default();
+    let hook = {
+        let ran_on = Arc::clone(&ran_on);
+        Arc::new(move |_job: usize| {
+            ran_on
+                .lock()
+                .expect("thread-id set")
+                .insert(std::thread::current().id());
+        })
+    };
+    let farm = Farm::new(FarmConfig {
+        batch_seed: 0x0E0E_5EED,
+        threads: 2,
+    })
+    .with_sabotage(hook);
+    for round in 0..3 {
+        assert_eq!(
+            farm.run(&jobs),
+            oracle,
+            "round {round}: report diverged from the oracle"
+        );
+    }
+
+    let mut supervisor = FarmSupervisor::new(
+        farm,
+        SupervisorConfig {
+            max_attempts: 4,
+            breaker_threshold: 0,
+            ..SupervisorConfig::default()
+        },
+    );
+    let flaky = vec![JobSpec::Probe(ProbeMode::Flaky { p_fail: 0.5 }); 24];
+    let supervised = supervisor.run(&flaky);
+    assert!(
+        supervised.retried_jobs > 0,
+        "a 0.5 failure rate must force retry waves"
+    );
+
+    let threads = ran_on.lock().expect("thread-id set").len();
+    assert!(
+        (1..=2).contains(&threads),
+        "{threads} distinct threads ran jobs; one 2-worker pool has at most 2"
+    );
+}
+
+/// Kills one worker of a `width`-worker pool on its first job, then
+/// checks what the pool does next: with no live worker left it refuses
+/// the next batch, otherwise its survivors reproduce the oracle.
+fn worker_death_drill(width: usize, jobs: &[JobSpec], oracle: &BatchReport) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    let jobs = golden_jobs();
-    let oracle = spawn_run(0xDEAD_5EED, 1, &jobs);
-    for width in [1, 2, 8] {
-        let pool = Arc::new(WorkerPool::new(width));
+    let pool = Arc::new(WorkerPool::new(width));
+    let fired = Arc::new(AtomicBool::new(false));
+    let hook = {
+        let fired = Arc::clone(&fired);
+        Arc::new(move |_job: usize| {
+            if !fired.swap(true, Ordering::Relaxed) {
+                panic!("sabotage: worker death (intentional)");
+            }
+        })
+    };
+    let sabotaged = catch_unwind(AssertUnwindSafe(|| {
+        let _ = Farm::new(FarmConfig {
+            batch_seed: 0xDEAD_5EED,
+            threads: width,
+        })
+        .with_pool(Arc::clone(&pool))
+        .with_sabotage(hook)
+        .run(jobs);
+    }));
+    assert!(
+        sabotaged.is_err(),
+        "width {width}: the killed worker's job must re-raise"
+    );
 
-        // kill exactly one worker at harness level: the sabotage hook
-        // fires once, on the first claimed job of a throwaway batch
-        let fired = Arc::new(AtomicBool::new(false));
-        let hook = {
-            let fired = Arc::clone(&fired);
-            Arc::new(move |_job: usize| {
-                if !fired.swap(true, Ordering::Relaxed) {
-                    panic!("sabotage: worker death (intentional)");
-                }
-            })
-        };
-        let sabotaged = catch_unwind(AssertUnwindSafe(|| {
-            let _ = Farm::new(FarmConfig {
-                batch_seed: 0xDEAD_5EED,
-                threads: pool.threads(),
-            })
-            .with_pool(Arc::clone(&pool))
-            .with_sabotage(hook)
-            .run(&jobs);
-        }));
-        assert!(sabotaged.is_err(), "the poisoned job must re-raise");
-        assert_eq!(
-            pool.poisoned_workers(),
-            1,
-            "width {width}: exactly one worker died"
+    if width == 1 {
+        // the last worker died and orphan-aborted its batch; the next
+        // submission must fail loudly rather than wait forever
+        let refused = catch_unwind(AssertUnwindSafe(|| pool_run(0xDEAD_5EED, &pool, jobs)));
+        let payload = refused.expect_err("a pool with no live workers must refuse a batch");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+            .unwrap_or_default();
+        assert!(
+            message.contains("no live workers"),
+            "unexpected panic: {message}"
         );
-        assert_eq!(pool.live_workers(), width - 1);
-
-        // resurrect, then the oracle must hold across reused batches
-        assert_eq!(pool.respawn_poisoned(), 1);
-        assert_eq!(pool.live_workers(), width);
-        assert_eq!(pool.poisoned_workers(), 0);
+    } else {
         for round in 0..3 {
-            let report = pool_run(0xDEAD_5EED, &pool, &jobs);
             assert_eq!(
-                report, oracle,
-                "width {width}, round {round}: a respawned pool diverged from the oracle"
+                pool_run(0xDEAD_5EED, &pool, jobs),
+                *oracle,
+                "width {width}, round {round}: the surviving workers diverged from the oracle"
             );
         }
-        assert_eq!(pool.respawn_poisoned(), 0, "nothing left to respawn");
+    }
+}
+
+/// The worker-death paths a pool keeps without in-place repair, at
+/// widths 1, 2 and 8. Each width runs on its own thread under a 60 s
+/// watchdog, so a wedged pool fails the test instead of hanging it.
+#[test]
+fn a_worker_death_re_raises_and_never_wedges_the_pool() {
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
+
+    let jobs = Arc::new(golden_jobs());
+    let oracle = Arc::new(spawn_run(0xDEAD_5EED, 1, &jobs));
+    for width in [1, 2, 8] {
+        let (done, finished) = mpsc::channel();
+        let drill = {
+            let (jobs, oracle) = (Arc::clone(&jobs), Arc::clone(&oracle));
+            std::thread::spawn(move || {
+                worker_death_drill(width, &jobs, &oracle);
+                let _ = done.send(());
+            })
+        };
+        // a drill that panics drops `done` unsent: Disconnected
+        match finished.recv_timeout(Duration::from_secs(60)) {
+            Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+                if let Err(payload) = drill.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("width {width}: a worker death wedged the pool for 60 s")
+            }
+        }
     }
 }
 
@@ -185,8 +276,8 @@ proptest! {
 
     /// Property form of the oracle: for any seed and any probe batch,
     /// a persistent pool (reused across *all* cases of this test, so
-    /// genuinely long-lived) reports the same bytes as the
-    /// spawn-per-batch farm.
+    /// genuinely long-lived) reports the same bytes as the sequential
+    /// 1-thread farm.
     #[test]
     fn pool_reuse_never_changes_report_bytes(
         seed in 0u64..u64::MAX,
