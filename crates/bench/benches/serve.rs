@@ -23,8 +23,8 @@
 //! {1, 4} and gates each artifact against its own previous archive. On
 //! the way out the bench replays a scripted arrival sequence on a
 //! virtual clock and asserts the serving determinism contract end to
-//! end — across farm worker counts on the plain engine, and across
-//! worker counts again at the configured shard count.
+//! end: across farm worker counts at one shard, and again at the
+//! configured shard count (at least two).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,8 +33,7 @@ use canti_bench::report::ExperimentReport;
 use canti_farm::{FarmObserver, JobSpec, Receptor};
 use canti_obs::{Histogram, HistogramSnapshot, Metrics, ObsClock, VirtualClock};
 use canti_serve::{
-    CacheConfig, ServeConfig, ServeEngine, ServeResponse, ShardedConfig, ShardedEngine,
-    ShardedService,
+    CacheConfig, ServeConfig, ServeResponse, ShardedConfig, ShardedEngine, ShardedService,
 };
 use canti_units::{Molar, Seconds};
 
@@ -74,35 +73,11 @@ fn scripted_config(threads: usize, cached: bool) -> ServeConfig {
 }
 
 /// Replays `requests` as a scripted arrival sequence on a virtual clock
-/// and returns every response, for the cross-worker-count check. The
-/// script runs in the same cache mode as the load phase, so the cached
-/// bench also pins the cached/coalesced path's determinism.
+/// at `shards` shards and returns every response, for the cross-worker
+/// check at a fixed shard count. The script runs in the same cache mode
+/// as the load phase, so the cached bench also pins the
+/// cached/coalesced path's determinism.
 fn scripted_run(
-    requests: usize,
-    threads: usize,
-    distinct: usize,
-    cached: bool,
-) -> Vec<ServeResponse> {
-    let clock = Arc::new(VirtualClock::new());
-    let mut engine = ServeEngine::new(
-        scripted_config(threads, cached),
-        Arc::clone(&clock) as Arc<dyn ObsClock>,
-    );
-    let mut responses = Vec::new();
-    for i in 0..requests {
-        engine.submit(request(i, distinct)).expect("admitted");
-        clock.advance_ns(100);
-        responses.extend(engine.pump());
-    }
-    clock.advance_ns(1_000);
-    responses.extend(engine.pump());
-    responses.extend(engine.drain());
-    responses
-}
-
-/// The same script against the sharded engine, for the cross-worker
-/// check at a fixed shard count.
-fn sharded_scripted_run(
     requests: usize,
     threads: usize,
     shards: usize,
@@ -269,28 +244,22 @@ fn main() {
 
     // Worker-count invariance on a scripted arrival sequence: the whole
     // serving path (admission -> batching -> farm) must be bit-identical,
-    // on the plain engine and again at the configured shard count.
+    // at one shard and again at the configured shard count.
     let check_n = requests.min(48);
-    let oracle = scripted_run(check_n, 1, distinct, cached);
-    for t in [2, 8] {
-        assert_eq!(
-            scripted_run(check_n, t, distinct, cached),
-            oracle,
-            "serve determinism contract violated at {t} farm workers"
-        );
-    }
     let check_shards = shards.max(2);
-    let sharded_oracle = sharded_scripted_run(check_n, 1, check_shards, distinct, cached);
-    for t in [2, 8] {
-        assert_eq!(
-            sharded_scripted_run(check_n, t, check_shards, distinct, cached),
-            sharded_oracle,
-            "sharded determinism contract violated at {t} workers x {check_shards} shards"
-        );
+    for n in [1, check_shards] {
+        let oracle = scripted_run(check_n, 1, n, distinct, cached);
+        for t in [2, 8] {
+            assert_eq!(
+                scripted_run(check_n, t, n, distinct, cached),
+                oracle,
+                "serve determinism contract violated at {t} workers x {n} shards"
+            );
+        }
     }
     println!(
         "  determinism: {check_n}-request script bit-identical at 1/2/8 workers \
-         (plain and {check_shards}-shard)"
+         (1 and {check_shards} shards)"
     );
 
     let mut exp = ExperimentReport::new("SERVE", "serving-layer load bench", &["metric", "value"]);

@@ -52,7 +52,11 @@ SUBCOMMANDS:
               recompute the request-latency windows offline from the
               closed 'request' spans of that telemetry artifact and
               cross-check them against the live windows; exits 1 when
-              they disagree.
+              they disagree. The cross-check is exact only for artifacts
+              recorded on a virtual clock: on a wall clock a request
+              span opens after admission reads the clock and closes
+              after the batch's answer time, so span durations exceed
+              the recorded latencies and the check fails.
     anomaly   Compare a timeline artifact against an archived baseline,
               per series, on total observation counts (stable under a
               wall clock, unlike nanosecond sums). Exits 1 when any
@@ -80,7 +84,8 @@ OPTIONS (timeline):
                           'merged' (default 0).
     --series <NAME>       Restrict to this series; repeatable.
     --spans <FILE>        Telemetry NDJSON artifact to recompute the
-                          request-latency windows from as a cross-check.
+                          request-latency windows from as a cross-check
+                          (exact only on a virtual clock; see above).
 
 OPTIONS (anomaly):
     --shard <S>           Shard section to compare (default merged).

@@ -1,14 +1,12 @@
-//! The admission front and the single-threaded serving engine.
+//! The admission front and one shard's serving state machine.
 //!
-//! `Front` (crate-internal) bundles the lock-scoped half of one shard:
-//! the bounded queue, the request spans and the serve tallies.
-//! [`ServeEngine`] glues a `Front` to a [`BatchExecutor`] into one
-//! shard's state machine. Its pass runs in three steps — form, execute,
-//! land — so a driver can execute batches outside its lock; [`pump`]
-//! runs them in a row, which is the deterministic, explicitly pumped
-//! form the scripted determinism tests drive.
-//!
-//! [`pump`]: ServeEngine::pump
+//! `Front` bundles the lock-scoped half of one shard: the bounded
+//! queue, the request spans and the serve tallies. `ServeEngine` glues a
+//! `Front` to a `BatchExecutor` into one shard's state machine. Its pass
+//! runs in three steps — form, execute, land — so a driver can execute
+//! batches outside its lock. Both are crate-internal:
+//! [`crate::ShardedEngine`] runs one per shard, and every request they
+//! see carries the global id it allocated.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -18,7 +16,7 @@ use canti_obs::trace::SpanGuard;
 use canti_obs::ObsClock;
 
 use crate::exec::BatchExecutor;
-use crate::queue::{AdmissionQueue, BatchTrigger, FormedBatch, Pending, RejectReason};
+use crate::queue::{AdmissionQueue, Admitted, BatchTrigger, FormedBatch, Pending, RejectReason};
 use crate::response::{Disposition, ServeResponse};
 use crate::ServeConfig;
 
@@ -98,9 +96,9 @@ impl BatchRecord {
 /// How [`Front::admit`] placed an admitted request.
 #[derive(Debug)]
 pub(crate) enum Admission {
-    /// Queued, or coalesced onto a queued leader, under this id: a batch
-    /// answers it later.
-    Queued(u64),
+    /// Queued, or coalesced onto a queued leader: a batch answers it
+    /// later.
+    Queued,
     /// Answered from the result cache at admission. The response is
     /// terminal and already fully accounted (stats, counters, SLO,
     /// request log); the caller only delivers it.
@@ -170,27 +168,24 @@ impl Front {
         self.instruments.as_ref()
     }
 
-    /// Admits `job` (deadline relative to now, falling back to the
-    /// config default) or rejects it, keeping tallies, the queue-depth
-    /// gauge, the request span and the admission/rejection events.
-    /// `key` is the seed key (the global request id under a sharded
-    /// front — see [`crate::queue::AdmissionQueue::submit_prioritized`])
-    /// and `priority` the brownout class. A cache hit comes back
-    /// answered. This is the serving path's only caller of
-    /// [`crate::cache::job_key`]: a miss hands its key to the queue.
+    /// Admits `job` under its global request `id` (deadline relative to
+    /// now, falling back to the config default) or rejects it, keeping
+    /// tallies, the queue-depth gauge, the request span and the
+    /// admission/rejection events. A cache hit comes back answered. This
+    /// is the serving path's only caller of [`crate::cache::job_key`]: a
+    /// miss hands its key to the queue.
     pub(crate) fn admit(
         &mut self,
+        id: u64,
         job: JobSpec,
         deadline_ns: Option<u64>,
-        key: Option<u64>,
-        priority: u8,
     ) -> Result<Admission, RejectReason> {
         let now_ns = self.clock.now_ns();
         let kind = job.kind();
         // Content-addressed fast path: a cached answer satisfies any
-        // deadline, so the lookup precedes the feasibility check and the
-        // capacity gate (a hit occupies no queue slot). Failed/draining
-        // still refuse first, inside allocate_cached.
+        // deadline, so the lookup precedes the capacity gate (a hit
+        // occupies no queue slot). A failed or draining shard refuses
+        // before any lookup, in the queue.
         let job_key =
             (self.cache.is_some() && !self.queue.is_failed() && !self.queue.is_draining())
                 .then(|| crate::cache::job_key(&job));
@@ -204,16 +199,12 @@ impl Front {
                 .lookup(k);
             match hit {
                 Some(output) => {
-                    let id = self
-                        .queue
-                        .allocate_cached()
-                        .expect("failed/draining gated above");
-                    let response = self.complete_hit(id, key.unwrap_or(id), kind, output, now_ns);
+                    let response = self.complete_hit(id, kind, output, now_ns);
                     return Ok(Admission::Hit(response));
                 }
                 None => {
-                    // no request field: the id is not allocated yet at
-                    // miss time (the normal admission below assigns it)
+                    // the miss names only the kind: the admission or
+                    // rejection that follows accounts for the request
                     if let Some(o) = &self.observer {
                         o.tracer().event("cache_miss", &[("kind", kind.into())]);
                     }
@@ -223,24 +214,18 @@ impl Front {
                 }
             }
         }
-        let submitted = match self.feasibility_reject(deadline_ns) {
-            Some(reason) => Err(reason),
-            None => self
-                .queue
-                .submit_prioritized(now_ns, job, job_key, deadline_ns, key, priority),
-        };
+        let submitted = self.queue.submit(now_ns, id, job, job_key, deadline_ns);
         // A lookup ran exactly when `job_key` is set, and a hit returned
         // above, so the miss's delta (counted at the lookup) leads the
         // outcome's in one write.
         let from = usize::from(job_key.is_none());
         match submitted {
             Ok(admitted) => {
-                let id = admitted.id();
                 self.stats.admitted += 1;
+                let ctx = canti_obs::TraceContext::from_admission(id);
                 if let Some(o) = &self.observer {
-                    // span fields carry the global key and trace id, so
+                    // span fields carry the global id and trace id, so
                     // the chain stays joinable at any shard count
-                    let ctx = canti_obs::TraceContext::from_admission(key.unwrap_or(id));
                     let span = o.tracer().span(
                         "request",
                         &[
@@ -252,7 +237,7 @@ impl Front {
                     self.spans.insert(id, span);
                 }
                 if let Some(ins) = &self.instruments {
-                    let coalesced = matches!(admitted, crate::queue::Admitted::Coalesced { .. });
+                    let coalesced = matches!(admitted, Admitted::Coalesced { .. });
                     let deltas = [
                         (ins.cache_miss.series, 1, now_ns),
                         ins.admitted.one(now_ns),
@@ -263,13 +248,12 @@ impl Front {
                         .record(&deltas[from..2 + usize::from(coalesced)]);
                 }
                 match admitted {
-                    crate::queue::Admitted::Queued(_) => self.observe_depth(),
-                    crate::queue::Admitted::Coalesced { leader, .. } => {
+                    Admitted::Queued => self.observe_depth(),
+                    Admitted::Coalesced { leader } => {
                         // no depth change: the follower rides the
                         // leader's slot
                         self.stats.coalesced += 1;
                         if let Some(o) = &self.observer {
-                            let ctx = canti_obs::TraceContext::from_admission(key.unwrap_or(id));
                             o.tracer().event(
                                 "coalesced",
                                 &[
@@ -284,7 +268,7 @@ impl Front {
                         }
                     }
                 }
-                Ok(Admission::Queued(id))
+                Ok(Admission::Queued)
             }
             Err(reason) => {
                 self.stats.rejected += 1;
@@ -313,7 +297,6 @@ impl Front {
     fn complete_hit(
         &mut self,
         id: u64,
-        seed_key: u64,
         kind: &'static str,
         output: canti_farm::JobOutput,
         admitted_ns: u64,
@@ -321,14 +304,14 @@ impl Front {
         self.stats.admitted += 1;
         self.stats.cache_hits += 1;
         self.stats.completed += 1;
-        let trace = canti_obs::trace_id(seed_key);
+        let trace = canti_obs::trace_id(id);
         let done_ns = self.clock.now_ns();
         let cache_ns = done_ns.saturating_sub(admitted_ns);
         if let Some(o) = &self.observer {
             o.tracer().event(
                 "cache_hit",
                 &[
-                    ("request", seed_key.into()),
+                    ("request", id.into()),
                     ("trace", trace.into()),
                     ("kind", kind.into()),
                 ],
@@ -346,7 +329,7 @@ impl Front {
                 (ins.cache_ns, cache_ns, done_ns),
             ]);
             ins.obs.requests.push(canti_obs::RequestRecord {
-                request: seed_key,
+                request: id,
                 trace,
                 outcome: "cache_hit",
                 batch: None,
@@ -372,28 +355,8 @@ impl Front {
         }
     }
 
-    /// The deadline-feasibility fast reject: refuses a request whose
-    /// relative deadline is shorter than this shard's own p95
-    /// admission-to-completion estimate. Opt-in via
-    /// [`crate::FeasibilityConfig`] and inert until the latency
-    /// histogram holds `min_samples` completions.
-    fn feasibility_reject(&self, deadline_ns: Option<u64>) -> Option<RejectReason> {
-        let policy = self.queue.config().feasibility?;
-        let ins = self.instruments.as_ref()?;
-        let deadline = deadline_ns.or(self.queue.config().default_deadline_ns)?;
-        let snap = ins.request_latency_ns.snapshot();
-        if snap.count >= policy.min_samples && deadline < snap.p95 {
-            Some(RejectReason::Infeasible {
-                needed_ns: snap.p95,
-                deadline_ns: deadline,
-            })
-        } else {
-            None
-        }
-    }
-
-    /// Brownout shedding: evicts the lowest-priority waiting requests
-    /// down to the configured high-water mark, answering each
+    /// Brownout shedding: evicts the newest waiting requests down to
+    /// the configured high-water mark, answering each
     /// [`Disposition::Failed`] / [`RejectReason::Shed`]. Inert without a
     /// [`crate::BrownoutConfig`].
     pub(crate) fn take_shed(&mut self) -> Vec<ServeResponse> {
@@ -408,20 +371,12 @@ impl Front {
         let mut responses = Vec::new();
         for p in &victims {
             self.stats.shed += 1;
-            responses.push(self.abandon(
-                p.id,
-                p.key,
-                p.trace,
-                p.enqueued_ns,
-                RejectReason::Shed,
-                now_ns,
-            ));
+            responses.push(self.abandon(p.id, p.trace, p.enqueued_ns, RejectReason::Shed, now_ns));
             // a shed leader takes its coalesced followers with it
             for f in &p.followers {
                 self.stats.shed += 1;
                 responses.push(self.abandon(
                     f.id,
-                    f.key,
                     f.trace,
                     f.enqueued_ns,
                     RejectReason::Shed,
@@ -461,7 +416,6 @@ impl Front {
         self.stats.failed += 1;
         out.push(self.abandon(
             p.id,
-            p.key,
             p.trace,
             p.enqueued_ns,
             RejectReason::ShardFailed,
@@ -471,7 +425,6 @@ impl Front {
             self.stats.failed += 1;
             out.push(self.abandon(
                 f.id,
-                f.key,
                 f.trace,
                 f.enqueued_ns,
                 RejectReason::ShardFailed,
@@ -482,23 +435,16 @@ impl Front {
     }
 
     /// Answers [`RejectReason::ShardFailed`] to requests known only by
-    /// what a driver's ticket table holds: `(local id, key, enqueued_ns)`
-    /// per request.
-    fn abandon_open(&mut self, known: &[(u64, u64, u64)]) -> Vec<ServeResponse> {
+    /// what a driver's ticket table holds: `(id, enqueued_ns)` per
+    /// request.
+    fn abandon_open(&mut self, known: &[(u64, u64)]) -> Vec<ServeResponse> {
         let now_ns = self.clock.now_ns();
         known
             .iter()
-            .map(|&(id, key, enqueued_ns)| {
+            .map(|&(id, enqueued_ns)| {
                 self.stats.failed += 1;
-                let trace = canti_obs::trace_id(key);
-                self.abandon(
-                    id,
-                    key,
-                    trace,
-                    enqueued_ns,
-                    RejectReason::ShardFailed,
-                    now_ns,
-                )
+                let trace = canti_obs::trace_id(id);
+                self.abandon(id, trace, enqueued_ns, RejectReason::ShardFailed, now_ns)
             })
             .collect()
     }
@@ -509,7 +455,6 @@ impl Front {
     fn abandon(
         &mut self,
         id: u64,
-        key: u64,
         trace: u64,
         enqueued_ns: u64,
         reason: RejectReason,
@@ -520,7 +465,7 @@ impl Front {
             o.tracer().event(
                 "request_abandoned",
                 &[
-                    ("request", key.into()),
+                    ("request", id.into()),
                     ("trace", trace.into()),
                     ("reason", reason.label().into()),
                 ],
@@ -537,7 +482,7 @@ impl Front {
                 .timeline
                 .record(&[tally.one(now_ns), ins.verdict(false).one(now_ns)]);
             ins.obs.requests.push(canti_obs::RequestRecord {
-                request: key,
+                request: id,
                 trace,
                 outcome: reason.label(),
                 batch: None,
@@ -572,7 +517,7 @@ impl Front {
                 if let Some(o) = &self.observer {
                     o.tracer().event(
                         "request_expired",
-                        &[("request", p.key.into()), ("trace", p.trace.into())],
+                        &[("request", p.id.into()), ("trace", p.trace.into())],
                     );
                 }
                 if let Some(ins) = &self.instruments {
@@ -582,7 +527,7 @@ impl Front {
                         .timeline
                         .record(&[ins.expired.one(now_ns), ins.verdict(false).one(now_ns)]);
                     ins.obs.requests.push(canti_obs::RequestRecord {
-                        request: p.key,
+                        request: p.id,
                         trace: p.trace,
                         outcome: "expired",
                         batch: None,
@@ -662,18 +607,12 @@ impl Front {
     }
 }
 
-/// The single-threaded serving engine: submit requests, then [`pump`]
-/// whenever the clock has moved (or a threshold may have been crossed)
-/// to expire, batch and execute them.
-///
-/// This is the deterministic form of the serving layer: given the same
-/// [`ServeConfig`] and the same scripted sequence of submissions and
-/// clock advances, the batch log, every response payload and the final
-/// [`ServeStats`] are bit-identical at any worker count.
-///
-/// [`pump`]: Self::pump
+/// One shard's serving state machine: a `Front` plus the executor its
+/// batches run on. [`crate::ShardedEngine`] pumps it explicitly and
+/// [`crate::ShardedService`] drives it from a batcher thread; either way
+/// a pass runs [`Self::form`], the executor, then [`Self::land`].
 #[derive(Debug)]
-pub struct ServeEngine {
+pub(crate) struct ServeEngine {
     front: Front,
     /// Shared so a threaded driver can run a batch outside its lock.
     executor: Arc<BatchExecutor>,
@@ -683,14 +622,11 @@ pub struct ServeEngine {
     /// Every batch formed so far, in formation order (pumped passes
     /// only).
     batch_log: Vec<BatchRecord>,
-    failed: bool,
-    restarts: u64,
 }
 
 impl ServeEngine {
     /// An engine under `config`, timing everything on `clock`.
-    #[must_use]
-    pub fn new(config: ServeConfig, clock: Arc<dyn ObsClock>) -> Self {
+    pub(crate) fn new(config: ServeConfig, clock: Arc<dyn ObsClock>) -> Self {
         // one result cache per shard, shared by front (lookups) and
         // executor (inserts)
         let cache = config
@@ -705,16 +641,17 @@ impl ServeEngine {
             executor: Arc::new(executor),
             hits: Vec::new(),
             batch_log: Vec::new(),
-            failed: false,
-            restarts: 0,
         }
     }
 
     /// Arms a [`canti_fault::ServeFaultPlan`]: this engine consumes the
     /// plan's slice for `shard`. An empty slice installs nothing at all,
     /// so a default plan is provably identical to no plan.
-    #[must_use]
-    pub fn with_chaos_plan(mut self, plan: &canti_fault::ServeFaultPlan, shard: usize) -> Self {
+    pub(crate) fn with_chaos_plan(
+        mut self,
+        plan: &canti_fault::ServeFaultPlan,
+        shard: usize,
+    ) -> Self {
         let chaos = canti_fault::ServeChaos::new(plan, shard);
         if !chaos.is_empty() {
             let chaos = Arc::new(std::sync::Mutex::new(chaos));
@@ -728,8 +665,7 @@ impl ServeEngine {
     /// log and the farm's own telemetry all record into it. For coherent
     /// timestamps construct the observer over the same clock the engine
     /// was given.
-    #[must_use]
-    pub fn with_observer(mut self, observer: FarmObserver) -> Self {
+    pub(crate) fn with_observer(mut self, observer: FarmObserver) -> Self {
         let config = *self.front.queue.config();
         let instruments =
             crate::exec::ServeInstruments::new(&observer, config.slo, config.timeline);
@@ -744,129 +680,47 @@ impl ServeEngine {
         self
     }
 
-    /// Whether the engine's shard has died (executor panic) and awaits
-    /// [`Self::resurrect`]. Submissions meanwhile are rejected with
-    /// [`RejectReason::ShardFailed`]; pumps are no-ops.
-    #[must_use]
-    pub fn is_failed(&self) -> bool {
-        self.failed
+    /// Whether the shard has died (executor panic) and awaits a restart.
+    /// Its queue refuses every submission with
+    /// [`RejectReason::ShardFailed`] meanwhile, and passes form nothing.
+    pub(crate) fn is_failed(&self) -> bool {
+        self.front.queue.is_failed()
     }
 
-    /// Times the engine was resurrected after a shard failure.
-    #[must_use]
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
-    /// Rebuilds the dead shard: a fresh executor over a **fresh** worker
-    /// pool (same clock, cache, observer, instruments and chaos state),
-    /// admission re-opened. Returns `false` when the engine is healthy.
-    pub fn resurrect(&mut self) -> bool {
-        if !self.failed {
-            return false;
-        }
-        let fresh = self.executor.resurrected();
-        drop(self.restart(fresh));
-        true
-    }
-
-    /// [`Self::resurrect`] onto `fresh`, the dead executor's
-    /// [`BatchExecutor::resurrected`] copy, returning the dead executor:
-    /// a threaded driver spawns the fresh pool and joins the dead one
-    /// outside its lock.
-    pub(crate) fn restart(&mut self, fresh: BatchExecutor) -> Arc<BatchExecutor> {
+    /// Reopens the dead shard on `fresh`, the dead executor's
+    /// [`BatchExecutor::resurrected`] copy, as the shard's `restarts`-th
+    /// restart, and returns the dead executor: a threaded driver spawns
+    /// the fresh pool and joins the dead one outside its lock.
+    pub(crate) fn restart(&mut self, fresh: BatchExecutor, restarts: u64) -> Arc<BatchExecutor> {
         let dead = std::mem::replace(&mut self.executor, Arc::new(fresh));
         self.front.queue.restore();
-        self.failed = false;
-        self.restarts += 1;
         if let Some(ins) = self.executor.instruments() {
             ins.shard_restarts.inc();
         }
         if let Some(o) = self.executor.observer() {
             o.tracer()
-                .event("shard_recovered", &[("restarts", self.restarts.into())]);
+                .event("shard_recovered", &[("restarts", restarts.into())]);
         }
         dead
     }
 
-    /// Submits a request without an explicit deadline (the config
-    /// default, if any, applies).
-    ///
-    /// # Errors
-    ///
-    /// Rejected with a [`RejectReason`] when the queue is full or the
-    /// engine is draining.
-    pub fn submit(&mut self, job: JobSpec) -> Result<u64, RejectReason> {
-        self.admit(job, None, 0)
-    }
-
-    /// Submits a request that expires `deadline_ns` after admission if
-    /// still queued.
-    ///
-    /// # Errors
-    ///
-    /// Rejected with a [`RejectReason`] when the queue is full or the
-    /// engine is draining.
-    pub fn submit_with_deadline(
+    /// Admits through the front under the request's global `id`. A
+    /// cache hit comes back answered; the pumped front then
+    /// [`hold`](Self::hold)s it for the next pump.
+    pub(crate) fn admit(
         &mut self,
-        job: JobSpec,
-        deadline_ns: u64,
-    ) -> Result<u64, RejectReason> {
-        self.admit(job, Some(deadline_ns), 0)
-    }
-
-    /// Submits a request with an explicit brownout priority class:
-    /// higher priorities survive shedding longer. [`Self::submit`] uses
-    /// priority 0.
-    ///
-    /// # Errors
-    ///
-    /// Rejected with a [`RejectReason`] when the queue is full, the
-    /// engine is draining, or the shard has failed.
-    pub fn submit_prioritized(
-        &mut self,
+        id: u64,
         job: JobSpec,
         deadline_ns: Option<u64>,
-        priority: u8,
-    ) -> Result<u64, RejectReason> {
-        self.admit(job, deadline_ns, priority)
-    }
-
-    /// Admits through the front, holding a cache hit's response for the
-    /// next pump.
-    fn admit(
-        &mut self,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-        priority: u8,
-    ) -> Result<u64, RejectReason> {
-        let admission = self.front.admit(job, deadline_ns, None, priority)?;
-        Ok(self.hold(admission))
-    }
-
-    /// Admits through the front under an explicit seed key — the
-    /// sharded front passes the global request id, so payloads are
-    /// shard-count-invariant. A cache hit comes back answered; the
-    /// pumped front then [`hold`](Self::hold)s it for the next pump.
-    pub(crate) fn place(
-        &mut self,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-        key: u64,
     ) -> Result<Admission, RejectReason> {
-        self.front.admit(job, deadline_ns, Some(key), 0)
+        self.front.admit(id, job, deadline_ns)
     }
 
     /// The pumped half of an admission: buffers a hit's response for the
-    /// next pump and returns the admitted local id.
-    pub(crate) fn hold(&mut self, admission: Admission) -> u64 {
-        match admission {
-            Admission::Queued(id) => id,
-            Admission::Hit(response) => {
-                let id = response.request_id;
-                self.hits.push(response);
-                id
-            }
+    /// next pump.
+    pub(crate) fn hold(&mut self, admission: Admission) {
+        if let Admission::Hit(response) = admission {
+            self.hits.push(response);
         }
     }
 
@@ -882,30 +736,6 @@ impl ServeEngine {
         Arc::clone(&self.executor)
     }
 
-    /// Advances the serving state machine at the current clock reading:
-    /// expires overdue requests, sheds over the brownout mark, then
-    /// forms and executes every ready batch. Returns all responses
-    /// produced — expirations, then shed evictions, then batch
-    /// completions in admission order. A failed engine pumps to nothing
-    /// until resurrected (its queue was already answered terminally).
-    pub fn pump(&mut self) -> Vec<ServeResponse> {
-        self.pass(false)
-    }
-
-    /// Stops admission and flushes everything still queued as final
-    /// batches (expiring overdue requests first). After draining, every
-    /// submission is rejected with [`RejectReason::Draining`].
-    pub fn drain(&mut self) -> Vec<ServeResponse> {
-        self.pass(true)
-    }
-
-    fn pass(&mut self, drain: bool) -> Vec<ServeResponse> {
-        let mut out = Vec::new();
-        let batches = self.form(drain, &mut out);
-        out.extend(self.run(batches));
-        out
-    }
-
     /// Step 1 of a pass: answers into `out` the cache hits buffered
     /// since the last pump (they were admitted before anything that
     /// follows), then expiries, then — outside a drain — brownout
@@ -913,7 +743,7 @@ impl ServeEngine {
     /// and releases everything queued. A failed engine forms nothing:
     /// its queue was already answered terminally.
     pub(crate) fn form(&mut self, drain: bool, out: &mut Vec<ServeResponse>) -> Vec<FormedBatch> {
-        if self.failed {
+        if self.is_failed() {
             if drain {
                 self.front.queue.begin_drain();
             }
@@ -958,7 +788,6 @@ impl ServeEngine {
             self.front.finish(&responses);
             return responses;
         }
-        self.failed = true;
         if let Some(o) = self.executor.observer() {
             o.tracer()
                 .event("shard_down", &[("batch", batch.index.into())]);
@@ -972,17 +801,17 @@ impl ServeEngine {
         {
             out.extend(self.front.fail_pending(p));
         }
+        // marks the shard failed, then answers its queue
         out.extend(self.front.fail_queued());
         self.front.finish(&[]); // keeps `stats.batches` at the batches formed
         out
     }
 
     /// Fails the shard after its driver panicked outside a batch: drops
-    /// the queue and answers every request in `open` — `(local id, key,
+    /// the queue and answers every request in `open` — `(id,
     /// enqueued_ns)` of each ticket the driver still holds, queued or in
     /// a batch that never landed.
-    pub(crate) fn fail(&mut self, open: &[(u64, u64, u64)]) -> Vec<ServeResponse> {
-        self.failed = true;
+    pub(crate) fn fail(&mut self, open: &[(u64, u64)]) -> Vec<ServeResponse> {
         self.front.queue.fail();
         self.front.queue.take_all();
         self.front.observe_depth();
@@ -990,53 +819,40 @@ impl ServeEngine {
     }
 
     /// Requests currently queued.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.front.depth()
-    }
-
-    /// Whether the engine has drained and admits nothing new.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
-        self.front.queue.is_draining()
     }
 
     /// The earliest future instant at which queued state can change on
     /// its own (linger or deadline); `None` while the queue is empty.
-    #[must_use]
-    pub fn next_wakeup_ns(&self) -> Option<u64> {
+    pub(crate) fn next_wakeup_ns(&self) -> Option<u64> {
         self.front.queue.next_wakeup_ns()
     }
 
     /// The running tallies.
-    #[must_use]
-    pub fn stats(&self) -> ServeStats {
+    pub(crate) fn stats(&self) -> ServeStats {
         self.front.stats()
     }
 
     /// The result cache's counters, when [`ServeConfig::cache`] is set.
-    #[must_use]
-    pub fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
+    pub(crate) fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
         self.front.cache_stats()
     }
 
     /// Every batch formed so far, in formation order.
-    #[must_use]
-    pub fn batch_log(&self) -> &[BatchRecord] {
+    pub(crate) fn batch_log(&self) -> &[BatchRecord] {
         &self.batch_log
     }
 
     /// The executor's observer, if one was attached.
-    #[must_use]
-    pub fn observer(&self) -> Option<&FarmObserver> {
+    pub(crate) fn observer(&self) -> Option<&FarmObserver> {
         self.executor.observer()
     }
 
     /// This engine's debug handles — objective, request log and
     /// timeline — behind the `/debug/*` routes (present once an observer
     /// is attached).
-    #[must_use]
-    pub fn obs(&self) -> Option<canti_obs::ServeObs> {
+    pub(crate) fn obs(&self) -> Option<canti_obs::ServeObs> {
         self.front.instruments().map(|i| i.obs.clone())
     }
 }
@@ -1050,6 +866,8 @@ fn unshared(executor: Arc<BatchExecutor>) -> BatchExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::BatchTrigger;
+    use crate::{ShardedConfig, ShardedEngine};
     use canti_farm::ProbeMode;
     use canti_obs::VirtualClock;
 
@@ -1057,8 +875,14 @@ mod tests {
         JobSpec::Probe(ProbeMode::Value(v))
     }
 
-    fn engine(clock: &Arc<VirtualClock>, config: ServeConfig) -> ServeEngine {
-        ServeEngine::new(config, Arc::clone(clock) as Arc<dyn ObsClock>)
+    fn engine(clock: &Arc<VirtualClock>, config: ServeConfig) -> ShardedEngine {
+        ShardedEngine::new(
+            ShardedConfig {
+                shards: 1,
+                base: config,
+            },
+            Arc::clone(clock) as Arc<dyn ObsClock>,
+        )
     }
 
     #[test]
@@ -1078,9 +902,9 @@ mod tests {
         let responses = e.pump();
         assert_eq!(responses.len(), 2, "one full batch fires, one queued");
         assert_eq!(e.queue_depth(), 1);
-        assert_eq!(e.batch_log().len(), 1);
-        assert_eq!(e.batch_log()[0].trigger, BatchTrigger::Size);
-        assert_eq!(e.batch_log()[0].request_ids, vec![0, 1]);
+        assert_eq!(e.batch_log(0).len(), 1);
+        assert_eq!(e.batch_log(0)[0].trigger, BatchTrigger::Size);
+        assert_eq!(e.batch_log(0)[0].request_ids, vec![0, 1]);
         assert_eq!(e.stats().completed, 2);
     }
 
@@ -1103,7 +927,7 @@ mod tests {
         clock.advance_ns(1);
         let responses = e.pump();
         assert_eq!(responses.len(), 1);
-        assert_eq!(e.batch_log()[0].trigger, BatchTrigger::Linger);
+        assert_eq!(e.batch_log(0)[0].trigger, BatchTrigger::Linger);
         match &responses[0].disposition {
             Disposition::Completed { latency_ns, .. } => assert_eq!(*latency_ns, 1_000),
             other => panic!("unexpected {other:?}"),
@@ -1136,7 +960,7 @@ mod tests {
             "expiry wins over batching"
         );
         assert!(responses[1].disposition.is_ok());
-        assert_eq!(e.batch_log()[0].request_ids, vec![1]);
+        assert_eq!(e.batch_log(0)[0].request_ids, vec![1]);
         assert_eq!(e.stats().expired, 1);
     }
 
@@ -1158,8 +982,7 @@ mod tests {
         assert!(e.pump().is_empty(), "below threshold, linger unreachable");
         let responses = e.drain();
         assert_eq!(responses.len(), 3);
-        assert_eq!(e.batch_log()[0].trigger, BatchTrigger::Drain);
-        assert!(e.is_draining());
+        assert_eq!(e.batch_log(0)[0].trigger, BatchTrigger::Drain);
         assert_eq!(e.submit(probe(9.0)), Err(RejectReason::Draining));
         let stats = e.stats();
         assert_eq!(
@@ -1208,12 +1031,12 @@ mod tests {
                 ..ServeConfig::default()
             },
         )
-        .with_observer(observer);
+        .with_observers(vec![observer]);
         e.submit(probe(1.0)).unwrap();
         e.submit(probe(2.0)).unwrap();
         let responses = e.pump();
         assert_eq!(responses.len(), 2);
-        let m = e.observer().expect("observer").metrics();
+        let m = e.shard(0).observer().expect("observer").metrics();
         assert_eq!(m.counter("serve.admitted").get(), 2);
         assert_eq!(m.counter("serve.completed").get(), 2);
         assert_eq!(m.gauge("serve.queue_depth").get(), 0);
@@ -1243,9 +1066,9 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-        assert_eq!(e.next_wakeup_ns(), None);
+        assert_eq!(e.next_wakeup_ns(0), None);
         clock.advance_ns(10);
         e.submit_with_deadline(probe(1.0), 400).unwrap();
-        assert_eq!(e.next_wakeup_ns(), Some(410), "deadline before linger");
+        assert_eq!(e.next_wakeup_ns(0), Some(410), "deadline before linger");
     }
 }

@@ -169,14 +169,14 @@ impl ServeInstruments {
     }
 }
 
-/// Runs [`FormedBatch`]es on the farm engine.
+/// Runs formed batches on the farm engine.
 ///
 /// Construction fixes the worker count, the shared precompute cache and
 /// the (optional) observer; execution is then a pure mapping from a
 /// formed batch to per-request responses, bit-identical at any worker
 /// count because the farm itself is.
 #[derive(Debug)]
-pub struct BatchExecutor {
+pub(crate) struct BatchExecutor {
     threads: usize,
     pool: Arc<WorkerPool>,
     cache: Arc<PrecomputeCache>,
@@ -196,8 +196,7 @@ impl BatchExecutor {
     /// machine parallelism), timing requests on `clock`. The workers
     /// live in a persistent [`WorkerPool`] for the executor's lifetime,
     /// so successive batches pay no thread-spawn cost.
-    #[must_use]
-    pub fn new(threads: usize, clock: Arc<dyn ObsClock>) -> Self {
+    pub(crate) fn new(threads: usize, clock: Arc<dyn ObsClock>) -> Self {
         Self {
             threads,
             pool: Arc::new(WorkerPool::new(threads)),
@@ -252,23 +251,11 @@ impl BatchExecutor {
         self.instruments.as_ref()
     }
 
-    /// Attaches a farm observer: batches run with farm telemetry and the
-    /// serve-side counters/histograms/spans are recorded into the same
-    /// registry and trace stream. Requests are scored against the
-    /// default [`SloConfig`] on the default [`TimelineConfig`] grid; an
-    /// engine instead shares one instrument set built from its
-    /// [`crate::ServeConfig::slo`] and [`crate::ServeConfig::timeline`].
-    #[must_use]
-    pub fn with_observer(self, observer: FarmObserver) -> Self {
-        let instruments =
-            ServeInstruments::new(&observer, SloConfig::default(), TimelineConfig::default());
-        self.with_instruments(observer, instruments)
-    }
-
-    /// Attaches an observer together with an already-built instrument
-    /// set, so the engine front and the executor record into the same
-    /// timeline and fill the same request log.
-    #[must_use]
+    /// Attaches a farm observer together with the instrument set the
+    /// engine front records into, so both write the same timeline and
+    /// fill the same request log: batches run with farm telemetry, and
+    /// the serve-side counters, histograms and spans land in the same
+    /// registry and trace stream.
     pub(crate) fn with_instruments(
         mut self,
         observer: FarmObserver,
@@ -283,21 +270,13 @@ impl BatchExecutor {
 
     /// The worker threads the persistent pool actually runs (resolved
     /// machine parallelism when constructed with `0`).
-    #[must_use]
-    pub fn pool_threads(&self) -> usize {
+    pub(crate) fn pool_threads(&self) -> usize {
         self.pool.threads()
     }
 
     /// The attached observer, if any.
-    #[must_use]
-    pub fn observer(&self) -> Option<&FarmObserver> {
+    pub(crate) fn observer(&self) -> Option<&FarmObserver> {
         self.observer.as_ref()
-    }
-
-    /// The clock requests are timed on.
-    #[must_use]
-    pub fn clock(&self) -> &Arc<dyn ObsClock> {
-        &self.clock
     }
 
     /// [`Self::execute`] with a panic (a chaos kill, a poisoned pool, a
@@ -313,8 +292,7 @@ impl BatchExecutor {
     /// pool and precompute cache, returning one response per member
     /// request in admission order. Payloads derive from each member's
     /// per-request seed (fixed at admission), not its batch slot.
-    #[must_use]
-    pub fn execute(&self, batch: &FormedBatch) -> Vec<ServeResponse> {
+    pub(crate) fn execute(&self, batch: &FormedBatch) -> Vec<ServeResponse> {
         // held for the whole execution so the farm's spans nest inside
         let _span = self.observer.as_ref().map(|o| {
             o.tracer().span(
@@ -360,7 +338,7 @@ impl BatchExecutor {
             .items
             .iter()
             .map(|p| TraceContext {
-                request: p.key,
+                request: p.id,
                 trace: p.trace,
             })
             .collect();
@@ -435,7 +413,7 @@ impl BatchExecutor {
                 (breakdown, latency_ns)
             };
             let instrument =
-                |key: u64, trace: u64, outcome: &'static str, b: &LatencyBreakdown, lat: u64| {
+                |id: u64, trace: u64, outcome: &'static str, b: &LatencyBreakdown, lat: u64| {
                     if let Some(ins) = &self.instruments {
                         ins.request_latency_ns.record(lat);
                         ins.obs.timeline.record(&[
@@ -448,7 +426,7 @@ impl BatchExecutor {
                             (ins.respond_ns, b.respond_ns, now_ns),
                         ]);
                         ins.obs.requests.push(RequestRecord {
-                            request: key,
+                            request: id,
                             trace,
                             outcome,
                             batch: Some(index),
@@ -463,7 +441,7 @@ impl BatchExecutor {
                 };
             let (breakdown, latency_ns) = record(pending.enqueued_ns);
             instrument(
-                pending.key,
+                pending.id,
                 pending.trace,
                 if result.is_ok() { "ok" } else { "job_failed" },
                 &breakdown,
@@ -485,7 +463,7 @@ impl BatchExecutor {
             for f in &pending.followers {
                 let (breakdown, latency_ns) = record(f.enqueued_ns);
                 instrument(
-                    f.key,
+                    f.id,
                     f.trace,
                     if result.is_ok() {
                         "coalesced"
@@ -536,8 +514,8 @@ pub(crate) mod tests {
             ..ServeConfig::default()
         });
         for i in 0..jobs {
-            q.submit(clock_now, JobSpec::Probe(ProbeMode::Draws(1 + i)), None)
-                .unwrap();
+            let job = JobSpec::Probe(ProbeMode::Draws(1 + i));
+            q.submit(clock_now, i as u64, job, None, None).unwrap();
         }
         q.pop_ready(clock_now).expect("size-triggered batch")
     }
@@ -588,7 +566,9 @@ pub(crate) mod tests {
     fn observed_execution_records_serve_metrics() {
         let clock = Arc::new(VirtualClock::new());
         let (observer, ring) = FarmObserver::deterministic(4096);
-        let exec = BatchExecutor::new(2, clock).with_observer(observer);
+        let instruments =
+            ServeInstruments::new(&observer, SloConfig::default(), TimelineConfig::default());
+        let exec = BatchExecutor::new(2, clock).with_instruments(observer, instruments);
         let responses = exec.execute(&formed(3, 0));
         assert_eq!(responses.len(), 3);
         let m = exec.observer().expect("observer").metrics();

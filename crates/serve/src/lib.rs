@@ -8,7 +8,7 @@
 //! This crate is that front end, std-only like the rest of the
 //! workspace:
 //!
-//! * **Bounded admission** — [`queue::AdmissionQueue`] holds at most
+//! * **Bounded admission** — each shard's queue holds at most
 //!   [`ServeConfig::queue_capacity`] waiting requests; submissions past
 //!   that are rejected immediately with an explicit
 //!   [`RejectReason::QueueFull`] instead of queueing unboundedly
@@ -29,15 +29,22 @@
 //! # One state machine, two drivers
 //!
 //! [`ShardedEngine`] — routing, failover and supervision over one
-//! [`ServeEngine`] per shard — is the only serve state machine. A
-//! shard's pass runs in three steps: form under the caller's lock,
-//! execute, land. The pumped driver is the engine itself: callers
-//! submit and [`ShardedEngine::pump`] explicitly, which runs the steps
-//! in a row and is how the scripted determinism tests drive it. The
-//! threaded driver, [`ShardedService`], runs the same machine on the
-//! wall clock: one lock around the engine, one batcher thread per shard
-//! executing batches with that lock released, and blocking
-//! [`ShardTicket`]s for concurrent callers.
+//! crate-internal engine per shard — is the only serve state machine,
+//! and the only two ways to drive it are:
+//!
+//! * **pumped** — [`ShardedEngine`] itself: callers submit and
+//!   [`ShardedEngine::pump`] explicitly, which runs each shard's pass
+//!   (form, execute, land) in a row. This is how the scripted
+//!   determinism tests drive it; one shard is the plain single-queue
+//!   case.
+//! * **threaded** — [`ShardedService`] runs the same machine on the
+//!   wall clock: one lock around the engine, one batcher thread per
+//!   shard executing batches with that lock released, and blocking
+//!   [`ShardTicket`]s for concurrent callers.
+//!
+//! Every request has one id: the global id [`ShardedEngine`] allocates
+//! at admission. Its shard's queue, spans, request log, batch log and
+//! response, and the service's ticket table, all key on it.
 //!
 //! # Determinism contract
 //!
@@ -56,14 +63,17 @@
 //! use std::sync::Arc;
 //! use canti_obs::VirtualClock;
 //! use canti_farm::{JobSpec, ProbeMode};
-//! use canti_serve::{Disposition, ServeConfig, ServeEngine};
+//! use canti_serve::{Disposition, ServeConfig, ShardedConfig, ShardedEngine};
 //!
 //! let clock = Arc::new(VirtualClock::new());
-//! let config = ServeConfig {
-//!     max_batch: 2,
-//!     ..ServeConfig::default()
+//! let config = ShardedConfig {
+//!     shards: 1,
+//!     base: ServeConfig {
+//!         max_batch: 2,
+//!         ..ServeConfig::default()
+//!     },
 //! };
-//! let mut engine = ServeEngine::new(config, clock.clone());
+//! let mut engine = ShardedEngine::new(config, clock.clone());
 //! engine.submit(JobSpec::Probe(ProbeMode::Value(1.0))).unwrap();
 //! engine.submit(JobSpec::Probe(ProbeMode::Value(2.0))).unwrap();
 //! // two queued requests hit the size threshold: one farm batch forms
@@ -77,7 +87,7 @@
 
 pub mod cache;
 pub mod engine;
-pub mod exec;
+mod exec;
 pub mod queue;
 pub mod response;
 pub mod service;
@@ -87,9 +97,8 @@ pub mod supervisor;
 pub use cache::{job_key, CacheConfig, CacheStats, JobKey, ReportCache};
 pub use canti_fault::{ServeFaultEvent, ServeFaultKind, ServeFaultPlan};
 pub use canti_obs::{SloConfig, TimelineConfig};
-pub use engine::{BatchRecord, ServeEngine, ServeStats};
-pub use exec::BatchExecutor;
-pub use queue::{AdmissionQueue, BatchTrigger, FormedBatch, RejectReason};
+pub use engine::{BatchRecord, ServeStats};
+pub use queue::{BatchTrigger, RejectReason};
 pub use response::{Disposition, LatencyBreakdown, ServeResponse};
 pub use service::{ShardTicket, ShardedService};
 pub use shard::{
@@ -130,9 +139,6 @@ pub struct ServeConfig {
     /// verdicts) behind `/debug/timeline` and `/debug/slo`. Recorded
     /// only when an observer is attached.
     pub timeline: TimelineConfig,
-    /// Deadline-feasibility fast reject at admission. `None` (default)
-    /// disables the check, preserving pre-existing scripted traces.
-    pub feasibility: Option<FeasibilityConfig>,
     /// Brownout shedding policy. `None` (default) disables shedding.
     pub brownout: Option<BrownoutConfig>,
     /// Content-addressed result caching and in-flight coalescing policy.
@@ -145,27 +151,9 @@ pub struct ServeConfig {
     pub cache: Option<CacheConfig>,
 }
 
-/// Policy for the deadline-feasibility fast reject: refuse a request at
-/// the door ([`RejectReason::Infeasible`]) when its relative deadline is
-/// shorter than the shard's own p95 admission-to-completion estimate,
-/// read from the `serve.request_latency_ns` histogram. Only active on
-/// observed engines — unobserved builds have no histogram to consult.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FeasibilityConfig {
-    /// Completed-request samples the histogram must hold before the
-    /// estimate is trusted; below this every deadline is admitted.
-    pub min_samples: u64,
-}
-
-impl Default for FeasibilityConfig {
-    fn default() -> Self {
-        Self { min_samples: 32 }
-    }
-}
-
 /// Policy for brownout shedding: once queue depth exceeds `high_water`,
-/// the pump evicts the lowest-priority waiting requests (newest first
-/// among equals) down to the mark, answering each
+/// the pump evicts the newest waiting requests down to the mark,
+/// answering each
 /// [`Disposition::Failed`] with [`RejectReason::Shed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BrownoutConfig {
@@ -190,7 +178,6 @@ impl Default for ServeConfig {
             threads: 0,
             slo: SloConfig::default(),
             timeline: TimelineConfig::default(),
-            feasibility: None,
             brownout: None,
             cache: None,
         }

@@ -29,19 +29,9 @@ pub enum RejectReason {
     /// handed to requests that were already in flight when the shard
     /// died — admitted work is answered, never abandoned silently.
     ShardFailed,
-    /// Deadline-feasibility fast reject: the relative deadline is
-    /// shorter than the shard's own p95 service-time estimate, so
-    /// admitting the request would almost certainly burn a batch slot on
-    /// work that expires anyway.
-    Infeasible {
-        /// The shard's p95 admission-to-completion estimate, ns.
-        needed_ns: u64,
-        /// The relative deadline the request asked for, ns.
-        deadline_ns: u64,
-    },
     /// Brownout shedding evicted the request: queue depth crossed the
-    /// configured high-water mark and this request was among the lowest
-    /// priority waiting.
+    /// configured high-water mark and this request was among the newest
+    /// waiting.
     Shed,
 }
 
@@ -53,7 +43,6 @@ impl RejectReason {
             Self::QueueFull { .. } => "queue_full",
             Self::Draining => "draining",
             Self::ShardFailed => "shard_failed",
-            Self::Infeasible { .. } => "infeasible",
             Self::Shed => "shed",
         }
     }
@@ -67,13 +56,6 @@ impl fmt::Display for RejectReason {
             }
             Self::Draining => write!(f, "service is draining"),
             Self::ShardFailed => write!(f, "shard failed"),
-            Self::Infeasible {
-                needed_ns,
-                deadline_ns,
-            } => write!(
-                f,
-                "deadline infeasible ({deadline_ns} ns asked, p95 service is {needed_ns} ns)"
-            ),
             Self::Shed => write!(f, "shed under brownout"),
         }
     }
@@ -109,11 +91,9 @@ impl BatchTrigger {
 /// answer fans out to it when the batch completes.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Follower {
-    /// Admission-ordered request id (shares the leader's id space).
+    /// The request's global id.
     pub id: u64,
-    /// The request key telemetry reports (global id under sharding).
-    pub key: u64,
-    /// The request-scoped trace id over `key`.
+    /// The request-scoped trace id over `id`.
     pub trace: u64,
     /// Clock reading at admission — later than the leader's, so the
     /// follower's `queue_ns` is measured against its own arrival and the
@@ -125,53 +105,35 @@ pub(crate) struct Follower {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Admitted {
     /// Queued normally (occupies a queue slot, runs its own job).
-    Queued(u64),
+    Queued,
     /// Coalesced onto the queued leader with the same content hash.
     Coalesced {
-        /// The id handed to this submission.
-        id: u64,
         /// The leader request it rides on.
         leader: u64,
     },
 }
 
-impl Admitted {
-    /// The id handed out either way.
-    pub(crate) fn id(&self) -> u64 {
-        match *self {
-            Self::Queued(id) | Self::Coalesced { id, .. } => id,
-        }
-    }
-}
-
 /// One admitted request waiting for (or riding in) a batch.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Pending {
-    /// Admission-ordered request id, unique per queue.
+    /// The request's global id, allocated by the sharded front. Spans,
+    /// responses, logs and tickets all key on it.
     pub id: u64,
     /// The simulation to run.
     pub job: JobSpec,
     /// The seed this request's farm RNG stream derives from:
     /// [`crate::shard::request_seed`] over the config's base seed and
-    /// the request key (the global id under a sharded front, the local
-    /// id otherwise). Fixed at admission so the payload is independent
+    /// the request id. Fixed at admission so the payload is independent
     /// of which batch, slot or shard the request later rides in.
     pub seed: u64,
     /// The request-scoped trace id: [`canti_obs::trace_id`] over the
-    /// same key the seed derives from, so every span the request touches
-    /// carries one stable id at any worker or shard count.
+    /// id, so every span the request touches carries one stable id at
+    /// any worker or shard count.
     pub trace: u64,
-    /// The request key the seed and trace derive from: the **global**
-    /// id under a sharded front, the local id otherwise. Telemetry and
-    /// debug records report this id, never the local one.
-    pub key: u64,
     /// Clock reading at admission.
     pub enqueued_ns: u64,
     /// Absolute expiry instant, when the request carries a deadline.
     pub deadline_ns: Option<u64>,
-    /// Brownout priority class: higher values survive shedding longer.
-    /// Unprioritized submissions get 0.
-    pub priority: u8,
     /// The spec's content hash — `Some` only when the config enables the
     /// result cache. Drives in-flight coalescing and the post-batch
     /// cache insert.
@@ -185,7 +147,7 @@ pub(crate) struct Pending {
 /// A batch the queue has released for execution: an ordered slice of
 /// admitted requests plus the farm seed it must run under.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FormedBatch {
+pub(crate) struct FormedBatch {
     /// Zero-based batch index (also the seed offset).
     pub index: u64,
     /// What fired the batch.
@@ -196,25 +158,17 @@ pub struct FormedBatch {
     /// anchor the per-request latency breakdown measures `queue_ns`
     /// against.
     pub formed_ns: u64,
-    pub(crate) items: Vec<Pending>,
+    pub items: Vec<Pending>,
 }
 
 impl FormedBatch {
     /// Requests riding in this batch.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.items.len()
     }
 
-    /// Whether the batch is empty (never produced by the queue).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// The member request ids, in admission order.
-    #[must_use]
-    pub fn request_ids(&self) -> Vec<u64> {
+    pub(crate) fn request_ids(&self) -> Vec<u64> {
         self.items.iter().map(|p| p.id).collect()
     }
 }
@@ -225,17 +179,16 @@ impl FormedBatch {
 /// `take_expired` removes requests whose deadline has passed,
 /// and `pop_ready` / `pop_drain` release batches. Time
 /// never flows implicitly — every decision reads the `now_ns` the caller
-/// passes in.
+/// passes in. Ids come from the caller too: the queue allocates none.
 #[derive(Debug)]
-pub struct AdmissionQueue {
+pub(crate) struct AdmissionQueue {
     config: ServeConfig,
     queue: VecDeque<Pending>,
     /// Content hash → queued leader id, maintained only when the config
-    /// enables the result cache. A deadline-free default-priority
-    /// submission whose hash is in here coalesces onto that leader
-    /// instead of occupying a queue slot.
+    /// enables the result cache. A deadline-free submission whose hash
+    /// is in here coalesces onto that leader instead of occupying a
+    /// queue slot.
     inflight: BTreeMap<JobKey, u64>,
-    next_id: u64,
     next_batch: u64,
     draining: bool,
     failed: bool,
@@ -243,13 +196,11 @@ pub struct AdmissionQueue {
 
 impl AdmissionQueue {
     /// An empty queue under `config`.
-    #[must_use]
-    pub fn new(config: ServeConfig) -> Self {
+    pub(crate) fn new(config: ServeConfig) -> Self {
         Self {
             config,
             queue: VecDeque::with_capacity(config.capacity()),
             inflight: BTreeMap::new(),
-            next_id: 0,
             next_batch: 0,
             draining: false,
             failed: false,
@@ -257,33 +208,28 @@ impl AdmissionQueue {
     }
 
     /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &ServeConfig {
+    pub(crate) fn config(&self) -> &ServeConfig {
         &self.config
     }
 
     /// Requests currently waiting.
-    #[must_use]
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.queue.len()
     }
 
     /// Whether the queue has stopped admitting.
-    #[must_use]
-    pub fn is_draining(&self) -> bool {
+    pub(crate) fn is_draining(&self) -> bool {
         self.draining
     }
 
     /// Whether the owning shard is marked failed: every submission is
     /// refused with [`RejectReason::ShardFailed`] until the shard
     /// restarts and clears the mark.
-    #[must_use]
-    pub fn is_failed(&self) -> bool {
+    pub(crate) fn is_failed(&self) -> bool {
         self.failed
     }
 
-    /// Marks the owning shard failed. Request ids keep advancing across
-    /// the outage so a restarted shard never reuses an id.
+    /// Marks the owning shard failed.
     pub(crate) fn fail(&mut self) {
         self.failed = true;
     }
@@ -294,58 +240,38 @@ impl AdmissionQueue {
     }
 
     /// Batches released so far.
-    #[must_use]
-    pub fn batches_formed(&self) -> u64 {
+    pub(crate) fn batches_formed(&self) -> u64 {
         self.next_batch
     }
 
-    /// Admits `job` at time `now_ns`, or explains why not.
-    ///
-    /// `deadline_ns` is relative to admission; when `None`, the config's
-    /// default deadline (if any) applies. Returns the request id.
-    ///
-    /// # Errors
-    ///
-    /// [`RejectReason::Draining`] once [`Self::begin_drain`] was called,
-    /// [`RejectReason::QueueFull`] when `capacity` requests wait already.
-    pub fn submit(
-        &mut self,
-        now_ns: u64,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-    ) -> Result<u64, RejectReason> {
-        let job_key = self.config.cache.map(|_| crate::cache::job_key(&job));
-        self.submit_prioritized(now_ns, job, job_key, deadline_ns, None, 0)
-            .map(|a| a.id())
-    }
-
-    /// [`Self::submit`] with the spec's content hash, a seed key and a
-    /// brownout priority class. The serving front hashes the spec once
-    /// for its cache lookup and passes `job_key` on (`Some` exactly when
-    /// the config enables the result cache). A sharded front passes the
-    /// **global** request id as `key`, so the request's RNG stream — and
-    /// therefore its payload bits — is the same on any shard count.
-    /// Unkeyed submissions fall back to the local id, which coincides
-    /// with the global id on a single shard.
+    /// Admits `job` under the caller's request `id` at time `now_ns`,
+    /// or explains why not. `deadline_ns` is relative to admission; when
+    /// `None`, the config's default deadline (if any) applies.
+    /// `job_key` is the spec's content hash, `Some` exactly when the
+    /// config enables the result cache (the serving front hashes once
+    /// for its lookup and passes the key on).
     ///
     /// With the result cache enabled, two things change. The request's
     /// RNG seed derives from its spec's **content hash** instead of its
-    /// key, so identical specs yield identical payload bits (the
+    /// id, so identical specs yield identical payload bits (the
     /// invariant that makes cached answers bitwise interchangeable with
-    /// recomputed ones). And a deadline-free, default-priority
-    /// submission identical to a queued request **coalesces**: it gets
-    /// its own id but occupies no queue slot and runs no job — the
-    /// leader's answer fans out to it. Deadline-carrying or prioritized
-    /// submissions always queue normally so expiry and shedding
-    /// semantics stay exact.
-    pub(crate) fn submit_prioritized(
+    /// recomputed ones). And a deadline-free submission identical to a
+    /// queued request **coalesces**: it occupies no queue slot and runs
+    /// no job — the leader's answer fans out to it. Deadline-carrying
+    /// submissions always queue normally so expiry stays exact.
+    ///
+    /// # Errors
+    ///
+    /// [`RejectReason::ShardFailed`] while the shard is marked failed,
+    /// [`RejectReason::Draining`] once [`Self::begin_drain`] was called,
+    /// [`RejectReason::QueueFull`] when `capacity` requests wait already.
+    pub(crate) fn submit(
         &mut self,
         now_ns: u64,
+        id: u64,
         job: JobSpec,
         job_key: Option<JobKey>,
         deadline_ns: Option<u64>,
-        key: Option<u64>,
-        priority: u8,
     ) -> Result<Admitted, RejectReason> {
         if self.failed {
             return Err(RejectReason::ShardFailed);
@@ -353,22 +279,17 @@ impl AdmissionQueue {
         if self.draining {
             return Err(RejectReason::Draining);
         }
-        let coalescable =
-            deadline_ns.is_none() && self.config.default_deadline_ns.is_none() && priority == 0;
-        if coalescable {
+        let trace = canti_obs::trace_id(id);
+        if deadline_ns.is_none() && self.config.default_deadline_ns.is_none() {
             if let Some(k) = job_key {
                 if let Some(&leader) = self.inflight.get(&k) {
                     if let Some(p) = self.queue.iter_mut().find(|p| p.id == leader) {
-                        let id = self.next_id;
-                        self.next_id += 1;
-                        let key = key.unwrap_or(id);
                         p.followers.push(Follower {
                             id,
-                            key,
-                            trace: canti_obs::trace_id(key),
+                            trace,
                             enqueued_ns: now_ns,
                         });
-                        return Ok(Admitted::Coalesced { id, leader });
+                        return Ok(Admitted::Coalesced { leader });
                     }
                 }
             }
@@ -377,16 +298,13 @@ impl AdmissionQueue {
         if self.queue.len() >= capacity {
             return Err(RejectReason::QueueFull { capacity });
         }
-        let id = self.next_id;
-        self.next_id += 1;
         let deadline = deadline_ns
             .or(self.config.default_deadline_ns)
             .map(|d| now_ns.saturating_add(d));
-        let key = key.unwrap_or(id);
         let seed = match job_key {
             // content-derived: identical specs → identical payload bits
             Some(k) => crate::shard::request_seed(self.config.batch_seed, k.fold()),
-            None => crate::shard::request_seed(self.config.batch_seed, key),
+            None => crate::shard::request_seed(self.config.batch_seed, id),
         };
         if let Some(k) = job_key {
             // the newest queued instance is the coalesce target
@@ -396,36 +314,13 @@ impl AdmissionQueue {
             id,
             job,
             seed,
-            trace: canti_obs::trace_id(key),
-            key,
+            trace,
             enqueued_ns: now_ns,
             deadline_ns: deadline,
-            priority,
             job_key,
             followers: Vec::new(),
         });
-        Ok(Admitted::Queued(id))
-    }
-
-    /// Allocates an id for a request answered straight from the result
-    /// cache: it never occupies a queue slot, but burns an id so the
-    /// admission-ordered id stream stays dense (the sharded front's
-    /// local→global mapping depends on that).
-    ///
-    /// # Errors
-    ///
-    /// The same failed/draining gates as [`Self::submit`] — a down or
-    /// draining shard refuses cached answers too.
-    pub(crate) fn allocate_cached(&mut self) -> Result<u64, RejectReason> {
-        if self.failed {
-            return Err(RejectReason::ShardFailed);
-        }
-        if self.draining {
-            return Err(RejectReason::Draining);
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        Ok(id)
+        Ok(Admitted::Queued)
     }
 
     /// Removes and returns every queued request whose deadline has
@@ -454,13 +349,10 @@ impl AdmissionQueue {
                 } else {
                     let f = p.followers.remove(0);
                     p.id = f.id;
-                    p.key = f.key;
                     p.trace = f.trace;
                     p.enqueued_ns = f.enqueued_ns;
-                    // followers are deadline-free and priority-0 by the
-                    // coalescing rule
+                    // followers are deadline-free by the coalescing rule
                     p.deadline_ns = None;
-                    p.priority = 0;
                     if let Some(k) = p.job_key {
                         if inflight.get(&k) == Some(&gone.id) {
                             inflight.insert(k, p.id);
@@ -476,24 +368,13 @@ impl AdmissionQueue {
     }
 
     /// Brownout shedding: while more than `high_water` requests wait,
-    /// evicts the lowest-priority one (newest first among equals) and
-    /// returns the victims in eviction order. Purely a function of queue
-    /// state, so a scripted run sheds the same requests every time.
+    /// evicts the newest one and returns the victims in eviction order.
+    /// Purely a function of queue state, so a scripted run sheds the
+    /// same requests every time.
     pub(crate) fn take_shed(&mut self, high_water: usize) -> Vec<Pending> {
         let mut shed = Vec::new();
         while self.queue.len() > high_water {
-            let min_priority = self
-                .queue
-                .iter()
-                .map(|p| p.priority)
-                .min()
-                .expect("queue is non-empty above the high-water mark");
-            let victim = self
-                .queue
-                .iter()
-                .rposition(|p| p.priority == min_priority)
-                .expect("a min-priority element exists");
-            let victim = self.queue.remove(victim).expect("victim index in range");
+            let victim = self.queue.pop_back().expect("non-empty above the mark");
             if let Some(k) = victim.job_key {
                 if self.inflight.get(&k) == Some(&victim.id) {
                     self.inflight.remove(&k);
@@ -532,7 +413,7 @@ impl AdmissionQueue {
 
     /// Stops admission: every later [`Self::submit`] is rejected with
     /// [`RejectReason::Draining`].
-    pub fn begin_drain(&mut self) {
+    pub(crate) fn begin_drain(&mut self) {
         self.draining = true;
     }
 
@@ -550,8 +431,7 @@ impl AdmissionQueue {
     /// The earliest future instant at which the queue's state can change
     /// on its own: the oldest request's linger deadline or the earliest
     /// request deadline, whichever comes first. `None` while empty.
-    #[must_use]
-    pub fn next_wakeup_ns(&self) -> Option<u64> {
+    pub(crate) fn next_wakeup_ns(&self) -> Option<u64> {
         let linger = self
             .queue
             .front()
@@ -605,23 +485,35 @@ mod tests {
         })
     }
 
+    /// Submits an unkeyed probe under `id`.
+    fn submit(
+        q: &mut AdmissionQueue,
+        now_ns: u64,
+        id: u64,
+        deadline_ns: Option<u64>,
+    ) -> Result<Admitted, RejectReason> {
+        q.submit(now_ns, id, probe(id as f64), None, deadline_ns)
+    }
+
     #[test]
-    fn ids_are_admission_ordered_and_capacity_is_enforced() {
-        let mut q = queue(2, 8, 100);
-        assert_eq!(q.submit(0, probe(1.0), None), Ok(0));
-        assert_eq!(q.submit(0, probe(2.0), None), Ok(1));
+    fn capacity_is_enforced_and_ids_come_from_the_caller() {
+        let mut q = queue(2, 2, 100);
+        assert_eq!(submit(&mut q, 0, 7, None), Ok(Admitted::Queued));
+        assert_eq!(submit(&mut q, 0, 3, None), Ok(Admitted::Queued));
         assert_eq!(
-            q.submit(0, probe(3.0), None),
+            submit(&mut q, 0, 9, None),
             Err(RejectReason::QueueFull { capacity: 2 })
         );
         assert_eq!(q.depth(), 2);
+        let b = q.pop_ready(0).expect("size-triggered batch");
+        assert_eq!(b.request_ids(), vec![7, 3], "admission order, caller ids");
     }
 
     #[test]
     fn size_threshold_fires_before_linger() {
         let mut q = queue(8, 3, 1_000);
-        for i in 0..5 {
-            q.submit(0, probe(f64::from(i)), None).unwrap();
+        for id in 0..5 {
+            submit(&mut q, 0, id, None).unwrap();
         }
         let b = q.pop_ready(0).expect("size-triggered batch");
         assert_eq!(b.trigger, BatchTrigger::Size);
@@ -633,8 +525,8 @@ mod tests {
     #[test]
     fn linger_deadline_fires_for_a_partial_batch() {
         let mut q = queue(8, 4, 1_000);
-        q.submit(10, probe(1.0), None).unwrap();
-        q.submit(500, probe(2.0), None).unwrap();
+        submit(&mut q, 10, 0, None).unwrap();
+        submit(&mut q, 500, 1, None).unwrap();
         assert!(q.pop_ready(1_009).is_none(), "oldest has waited 999 ns");
         let b = q.pop_ready(1_010).expect("linger fires at 1010");
         assert_eq!(b.trigger, BatchTrigger::Linger);
@@ -649,8 +541,8 @@ mod tests {
     #[test]
     fn deadlines_expire_queued_requests() {
         let mut q = queue(8, 8, 10_000);
-        q.submit(0, probe(1.0), Some(100)).unwrap();
-        q.submit(0, probe(2.0), None).unwrap();
+        submit(&mut q, 0, 0, Some(100)).unwrap();
+        submit(&mut q, 0, 1, None).unwrap();
         assert!(q.take_expired(99).is_empty());
         let gone = q.take_expired(100);
         assert_eq!(gone.len(), 1);
@@ -665,8 +557,8 @@ mod tests {
             default_deadline_ns: Some(50),
             ..ServeConfig::default()
         });
-        q.submit(7, probe(1.0), None).unwrap();
-        q.submit(7, probe(2.0), Some(500)).unwrap();
+        submit(&mut q, 7, 0, None).unwrap();
+        submit(&mut q, 7, 1, Some(500)).unwrap();
         let gone = q.take_expired(57);
         assert_eq!(gone.len(), 1, "default deadline 7+50 fires");
         assert_eq!(gone[0].id, 0);
@@ -675,11 +567,11 @@ mod tests {
     #[test]
     fn drain_rejects_new_and_flushes_in_threshold_chunks() {
         let mut q = queue(8, 2, 1_000_000);
-        for i in 0..5 {
-            q.submit(0, probe(f64::from(i)), None).unwrap();
+        for id in 0..5 {
+            submit(&mut q, 0, id, None).unwrap();
         }
         q.begin_drain();
-        assert_eq!(q.submit(0, probe(9.0), None), Err(RejectReason::Draining));
+        assert_eq!(submit(&mut q, 0, 5, None), Err(RejectReason::Draining));
         let sizes: Vec<usize> = std::iter::from_fn(|| q.pop_drain(0).map(|b| b.len())).collect();
         assert_eq!(sizes, vec![2, 2, 1]);
         assert!(q.pop_drain(0).is_none());
@@ -688,8 +580,8 @@ mod tests {
     #[test]
     fn batch_seeds_step_with_the_index() {
         let mut q = queue(8, 1, 1_000);
-        q.submit(0, probe(1.0), None).unwrap();
-        q.submit(0, probe(2.0), None).unwrap();
+        submit(&mut q, 0, 0, None).unwrap();
+        submit(&mut q, 0, 1, None).unwrap();
         let a = q.pop_ready(0).unwrap();
         let b = q.pop_ready(0).unwrap();
         assert_eq!(a.index, 0);
@@ -702,10 +594,10 @@ mod tests {
     fn next_wakeup_is_the_earlier_of_linger_and_deadline() {
         let mut q = queue(8, 8, 1_000);
         assert_eq!(q.next_wakeup_ns(), None);
-        q.submit(100, probe(1.0), Some(350)).unwrap();
+        submit(&mut q, 100, 0, Some(350)).unwrap();
         // linger at 1100, deadline at 450
         assert_eq!(q.next_wakeup_ns(), Some(450));
-        q.submit(120, probe(2.0), None).unwrap();
+        submit(&mut q, 120, 1, None).unwrap();
         assert_eq!(q.next_wakeup_ns(), Some(450), "front linger still 1100");
         let _ = q.take_expired(450);
         assert_eq!(q.next_wakeup_ns(), Some(1_120), "now the second's linger");
@@ -719,53 +611,35 @@ mod tests {
         assert_eq!(RejectReason::Draining.label(), "draining");
         assert_eq!(BatchTrigger::Linger.label(), "linger");
         assert_eq!(RejectReason::ShardFailed.label(), "shard_failed");
-        assert!(RejectReason::Infeasible {
-            needed_ns: 100,
-            deadline_ns: 10
-        }
-        .to_string()
-        .contains("p95"));
         assert_eq!(RejectReason::Shed.label(), "shed");
     }
 
     #[test]
-    fn failed_queue_refuses_until_restored_without_reusing_ids() {
+    fn failed_queue_refuses_until_restored() {
         let mut q = queue(8, 8, 100);
-        assert_eq!(q.submit(0, probe(1.0), None), Ok(0));
+        assert_eq!(submit(&mut q, 0, 0, None), Ok(Admitted::Queued));
         q.fail();
         assert!(q.is_failed());
-        assert_eq!(
-            q.submit(0, probe(2.0), None),
-            Err(RejectReason::ShardFailed)
-        );
+        assert_eq!(submit(&mut q, 0, 1, None), Err(RejectReason::ShardFailed));
         q.restore();
-        assert_eq!(
-            q.submit(0, probe(3.0), None),
-            Ok(1),
-            "id 1 was never burned"
-        );
+        assert_eq!(submit(&mut q, 0, 1, None), Ok(Admitted::Queued));
     }
 
     #[test]
-    fn shedding_evicts_lowest_priority_newest_first() {
+    fn shedding_evicts_newest_first() {
         let mut q = queue(8, 8, 1_000_000);
-        q.submit_prioritized(0, probe(0.0), None, None, None, 1)
-            .unwrap(); // id 0
-        q.submit_prioritized(0, probe(1.0), None, None, None, 0)
-            .unwrap(); // id 1
-        q.submit_prioritized(0, probe(2.0), None, None, None, 0)
-            .unwrap(); // id 2
-        q.submit_prioritized(0, probe(3.0), None, None, None, 2)
-            .unwrap(); // id 3
+        for id in 0..4 {
+            submit(&mut q, 0, id, None).unwrap();
+        }
         let shed = q.take_shed(2);
         assert_eq!(
             shed.iter().map(|p| p.id).collect::<Vec<_>>(),
-            vec![2, 1],
-            "priority-0 victims go newest first"
+            vec![3, 2],
+            "victims go newest first"
         );
         assert_eq!(q.depth(), 2);
         assert!(q.take_shed(2).is_empty(), "at the mark, nothing sheds");
         let survivors: Vec<u64> = q.take_all().iter().map(|p| p.id).collect();
-        assert_eq!(survivors, vec![0, 3], "high-priority requests survive");
+        assert_eq!(survivors, vec![0, 1], "the oldest requests survive");
     }
 }

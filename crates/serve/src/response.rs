@@ -14,7 +14,8 @@ use crate::RejectReason;
 /// response streams at any worker count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeResponse {
-    /// The id [`crate::AdmissionQueue::submit`] handed out.
+    /// The request's global id, as [`crate::ShardedEngine::submit`]
+    /// returned it and [`crate::ShardTicket::id`] names it.
     pub request_id: u64,
     /// The request-scoped trace id: [`canti_obs::trace_id`] of the
     /// global admission id, fixed at admission. Every span and event the

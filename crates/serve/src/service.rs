@@ -51,7 +51,7 @@ const IDLE_WAIT: Duration = Duration::from_millis(50);
 /// shutdown. Dropping the ticket discards the response.
 #[derive(Debug)]
 pub struct ShardTicket {
-    global_id: u64,
+    id: u64,
     shard: usize,
     slot: Arc<Slot>,
 }
@@ -66,7 +66,7 @@ impl ShardTicket {
     /// The global request id this ticket redeems.
     #[must_use]
     pub fn id(&self) -> u64 {
-        self.global_id
+        self.id
     }
 
     /// The shard serving this request (after failover, when it applied).
@@ -112,7 +112,6 @@ impl ShardTicket {
 /// terminally even when its batch never lands.
 #[derive(Debug)]
 struct Open {
-    global_id: u64,
     admitted_ns: u64,
     slot: Arc<Slot>,
 }
@@ -120,18 +119,16 @@ struct Open {
 #[derive(Debug)]
 struct State {
     engine: ShardedEngine,
-    /// Open tickets by (shard, local id).
+    /// Open tickets by (shard, request id).
     tickets: BTreeMap<(usize, u64), Open>,
     stopping: bool,
 }
 
 impl State {
-    /// Fulfils the tickets of `shard`'s answered requests, under their
-    /// global ids.
+    /// Fulfils the tickets of `shard`'s answered requests.
     fn deliver(&mut self, shard: usize, responses: Vec<ServeResponse>) {
-        for mut response in responses {
+        for response in responses {
             if let Some(open) = self.tickets.remove(&(shard, response.request_id)) {
-                response.request_id = open.global_id;
                 *open
                     .slot
                     .response
@@ -231,10 +228,10 @@ impl Driver {
     /// answers every ticket the shard still held.
     fn fail(&self, shard: usize) {
         let mut state = self.lock();
-        let open: Vec<(u64, u64, u64)> = state
+        let open: Vec<(u64, u64)> = state
             .tickets
             .range((shard, 0)..(shard + 1, 0))
-            .map(|(&(_, local), o)| (local, o.global_id, o.admitted_ns))
+            .map(|(&(_, id), o)| (id, o.admitted_ns))
             .collect();
         let answered = state.engine.fail_shard(shard, &open);
         state.deliver(shard, answered);
@@ -378,36 +375,30 @@ impl ShardedService {
 
     fn admit(&self, job: JobSpec, deadline_ns: Option<u64>) -> Result<ShardTicket, RejectReason> {
         let mut state = self.driver.lock();
-        let (shard, global_id, admission) = state.engine.admit(job, deadline_ns)?;
+        let (shard, id, admission) = state.engine.admit(job, deadline_ns)?;
         let slot = match admission {
             // a hit changes no queue state: its ticket holds the answer,
             // with no table entry and no batcher wake-up
-            Admission::Hit(mut response) => {
+            Admission::Hit(response) => {
                 drop(state);
-                response.request_id = global_id;
                 Arc::new(Slot {
                     response: Mutex::new(Some(response)),
                     ready: Condvar::new(),
                 })
             }
-            Admission::Queued(local) => {
+            Admission::Queued => {
                 let slot = Arc::new(Slot::default());
                 let open = Open {
-                    global_id,
                     admitted_ns: self.driver.clock.now_ns(),
                     slot: Arc::clone(&slot),
                 };
-                state.tickets.insert((shard, local), open);
+                state.tickets.insert((shard, id), open);
                 drop(state);
                 self.driver.wake[shard].notify_one();
                 slot
             }
         };
-        Ok(ShardTicket {
-            global_id,
-            shard,
-            slot,
-        })
+        Ok(ShardTicket { id, shard, slot })
     }
 
     fn read<T>(&self, view: impl FnOnce(&ShardedEngine) -> T) -> T {
@@ -943,7 +934,7 @@ mod tests {
             assert_eq!(t.id(), i as u64);
             assert_eq!(t.shard(), crate::route_request(i as u64, 3));
             let r = t.wait();
-            assert_eq!(r.request_id, i as u64, "ticket rewrites to global id");
+            assert_eq!(r.request_id, i as u64, "answered under its global id");
             assert!(r.disposition.is_ok(), "request {i}: {r}");
         }
         assert_eq!(service.healths(), vec![ShardHealth::Healthy; 3]);

@@ -192,18 +192,16 @@ impl Default for ShardedConfig {
     }
 }
 
-/// The sharded serving state machine: [`crate::ServeEngine`]s behind
+/// The serving state machine: one engine per shard behind
 /// [`route_request`], sharing one injected clock, supervised by a
-/// [`ShardSupervisor`]. Pumped explicitly, it is what the scripted
-/// shard-determinism and failover tests drive; the threaded
+/// [`ShardSupervisor`]. It allocates every request's global id, and
+/// every queue, span, log and response keys on that id. Pumped
+/// explicitly (one shard is the plain single-queue case), it is what the
+/// scripted determinism and failover tests drive; the threaded
 /// [`crate::ShardedService`] runs the same machine on the wall clock.
 #[derive(Debug)]
 pub struct ShardedEngine {
     engines: Vec<ServeEngine>,
-    /// Per shard: local request id → global request id, in admission
-    /// order (shard engines assign dense local ids on success). Pumped
-    /// admissions only: a threaded driver maps ids in its ticket table.
-    locals: Vec<Vec<u64>>,
     next_id: u64,
     clock: Arc<dyn ObsClock>,
     supervisor: ShardSupervisor,
@@ -220,7 +218,6 @@ impl ShardedEngine {
             engines: (0..n)
                 .map(|_| ServeEngine::new(config.base, Arc::clone(&clock)))
                 .collect(),
-            locals: vec![Vec::new(); n],
             next_id: 0,
             clock,
             supervisor: ShardSupervisor::new(SupervisorConfig::default(), n),
@@ -315,15 +312,13 @@ impl ShardedEngine {
         job: JobSpec,
         deadline_ns: Option<u64>,
     ) -> Result<u64, RejectReason> {
-        let (shard, global, admission) = self.admit(job, deadline_ns)?;
-        let local = self.engines[shard].hold(admission);
-        debug_assert_eq!(local as usize, self.locals[shard].len());
-        self.locals[shard].push(global);
-        Ok(global)
+        let (shard, id, admission) = self.admit(job, deadline_ns)?;
+        self.engines[shard].hold(admission);
+        Ok(id)
     }
 
     /// Routes, fails over and admits one request: the shard that took
-    /// it, its global id, and how that shard placed it (a local id, or a
+    /// it, its global id, and how that shard placed it (queued, or a
     /// cache hit already answered). A failover is counted only once the
     /// target admits: a refused reroute, like every refusal, burns no
     /// global id and counts nothing.
@@ -342,7 +337,7 @@ impl ShardedEngine {
             let mask: Vec<bool> = (0..n).map(|s| self.shard_is_live(s)).collect();
             route_failover(global, &mask).ok_or(RejectReason::ShardFailed)?
         };
-        let admission = self.engines[shard].place(job, deadline_ns, global)?;
+        let admission = self.engines[shard].admit(global, job, deadline_ns)?;
         if shard != primary {
             self.failovers += 1;
             if let Some(ins) = self.engines[shard].instruments() {
@@ -369,11 +364,11 @@ impl ShardedEngine {
         self.supervisor.is_live(shard) && !self.engines[shard].is_failed()
     }
 
-    /// Pumps every shard in shard order, returning all responses with
-    /// their **global** request ids. Each shard's pass is the three
-    /// steps a threaded driver splits around its lock, run in a row:
-    /// form (after resurrecting a `Down` shard whose backoff has
-    /// elapsed), execute, land; then the supervisor hears how it went.
+    /// Pumps every shard in shard order, returning all responses. Each
+    /// shard's pass is the three steps a threaded driver splits around
+    /// its lock, run in a row: form (after resurrecting a `Down` shard
+    /// whose backoff has elapsed), execute, land; then the supervisor
+    /// hears how it went.
     pub fn pump(&mut self) -> Vec<ServeResponse> {
         self.pass(false)
     }
@@ -399,7 +394,7 @@ impl ShardedEngine {
             if ran {
                 self.end_pass(shard);
             }
-            out.extend(self.globalize(shard, responses));
+            out.extend(responses);
         }
         out
     }
@@ -410,12 +405,13 @@ impl ShardedEngine {
         self.engines[shard].is_failed() && self.supervisor.restart_due(shard, self.clock.now_ns())
     }
 
-    /// Restarts a dead shard onto `fresh` (see [`ServeEngine::resurrect`])
-    /// and returns its dead executor, for the caller to drop.
+    /// Restarts a dead shard onto `fresh`, a fresh worker pool over the
+    /// dead executor's clock, caches, observer and chaos state, and
+    /// returns the dead executor, for the caller to drop.
     pub(crate) fn restart(&mut self, shard: usize, fresh: BatchExecutor) -> Arc<BatchExecutor> {
-        let dead = self.engines[shard].restart(fresh);
         self.supervisor.record_restart(shard);
-        dead
+        let restarts = self.supervisor.restarts(shard);
+        self.engines[shard].restart(fresh, restarts)
     }
 
     /// Ends a shard pass that ran batches: the supervisor hears once per
@@ -430,13 +426,9 @@ impl ShardedEngine {
     }
 
     /// Fails a shard whose driver panicked outside a batch, answering
-    /// the tickets it still held (`open`, as [`ServeEngine`]'s failure
-    /// path takes them), and tells the supervisor unless it knew.
-    pub(crate) fn fail_shard(
-        &mut self,
-        shard: usize,
-        open: &[(u64, u64, u64)],
-    ) -> Vec<ServeResponse> {
+    /// the tickets it still held (`open`: `(id, enqueued_ns)` each), and
+    /// tells the supervisor unless it knew.
+    pub(crate) fn fail_shard(&mut self, shard: usize, open: &[(u64, u64)]) -> Vec<ServeResponse> {
         if self.supervisor.is_live(shard) {
             self.supervisor.record_failure(shard, self.clock.now_ns());
         }
@@ -493,36 +485,31 @@ impl ShardedEngine {
         &self.supervisor
     }
 
-    /// One shard's batch log with member ids rewritten to global ids.
+    /// One shard's batch log: every batch it formed so far, in
+    /// formation order.
     ///
     /// # Panics
     ///
     /// Panics when `shard` is out of range.
     #[must_use]
     pub fn batch_log(&self, shard: usize) -> Vec<BatchRecord> {
-        self.engines[shard]
-            .batch_log()
-            .iter()
-            .map(|b| BatchRecord {
-                index: b.index,
-                trigger: b.trigger,
-                seed: b.seed,
-                request_ids: b
-                    .request_ids
-                    .iter()
-                    .map(|&local| self.locals[shard][local as usize])
-                    .collect(),
-            })
-            .collect()
+        self.engines[shard].batch_log().to_vec()
     }
 
-    /// One shard's engine (for observers / wakeups in tests and tools).
+    /// The earliest future instant at which `shard`'s queued state can
+    /// change on its own: its oldest request's linger deadline or its
+    /// earliest request deadline. `None` while its queue is empty.
     ///
     /// # Panics
     ///
     /// Panics when `shard` is out of range.
     #[must_use]
-    pub fn shard(&self, shard: usize) -> &ServeEngine {
+    pub fn next_wakeup_ns(&self, shard: usize) -> Option<u64> {
+        self.engines[shard].next_wakeup_ns()
+    }
+
+    /// One shard's engine, for a driver's executor and observer reads.
+    pub(crate) fn shard(&self, shard: usize) -> &ServeEngine {
         &self.engines[shard]
     }
 
@@ -536,16 +523,6 @@ impl ShardedEngine {
     #[must_use]
     pub fn obs(&self) -> Vec<Option<canti_obs::ServeObs>> {
         self.engines.iter().map(ServeEngine::obs).collect()
-    }
-
-    fn globalize(&self, shard: usize, responses: Vec<ServeResponse>) -> Vec<ServeResponse> {
-        responses
-            .into_iter()
-            .map(|mut r| {
-                r.request_id = self.locals[shard][r.request_id as usize];
-                r
-            })
-            .collect()
     }
 }
 
@@ -683,7 +660,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_routes_and_globalizes_ids() {
+    fn sharded_engine_routes_and_answers_under_global_ids() {
         let clock = Arc::new(VirtualClock::new());
         let mut e = ShardedEngine::new(
             ShardedConfig {

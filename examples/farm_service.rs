@@ -19,10 +19,15 @@
 //!
 //! The service self-scrapes after the last batch and prints the
 //! exposition text, so a plain run (no curl) still shows the format.
+//! One worker pool and one precompute cache live as long as the
+//! service: every batch runs on the same threads, and the static chain
+//! is characterized once.
+
+use std::sync::Arc;
 
 use canti::farm::{
     cross_reactivity_panel, dose_response_sweep, process_variation_batch, Farm, FarmConfig,
-    FarmObserver, JobSpec,
+    FarmObserver, JobSpec, PrecomputeCache, WorkerPool,
 };
 
 fn usage() -> ! {
@@ -76,15 +81,21 @@ fn main() {
         .map(|i| i as f64 * 25.0)
         .collect();
 
+    let pool = Arc::new(WorkerPool::new(0));
+    let cache = Arc::new(PrecomputeCache::new());
     for batch in 0..batches {
         let mut jobs: Vec<JobSpec> = dose_response_sweep(&concentrations);
         jobs.extend(process_variation_batch(per_kind, 0.04));
         jobs.extend(cross_reactivity_panel(10.0, &interferents));
 
-        let farm = Farm::new(FarmConfig {
-            batch_seed: 0xFA12 + batch as u64,
-            threads: 0,
-        })
+        let farm = Farm::with_cache(
+            FarmConfig {
+                batch_seed: 0xFA12 + batch as u64,
+                threads: 0,
+            },
+            Arc::clone(&cache),
+        )
+        .with_pool(Arc::clone(&pool))
         .with_observer(observer.clone());
         let report = farm.run(&jobs);
         println!(

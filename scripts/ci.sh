@@ -181,7 +181,7 @@ if [[ "${1:-}" == "smoke" ]]; then
     run_example array_screening
     run_example autonomous_operation
     run_example dna_hybridization
-    run_example farm_service 6 --batches 1
+    run_example farm_service 6 --batches 2
     run_example immunoassay
     run_example interference_rejection
     run_example process_monte_carlo

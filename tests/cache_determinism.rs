@@ -33,11 +33,10 @@ use std::sync::Arc;
 
 use canti::farm::{FarmObserver, JobSpec, ProbeMode, Receptor};
 use canti::fault::ServeFaultPlan;
-use canti::obs::{ObsClock, VirtualClock};
+use canti::obs::{EventKind, JsonValue, ObsClock, VirtualClock};
 use canti::serve::{
     job_key, BatchRecord, CacheConfig, CacheStats, Disposition, JobKey, RejectReason, ReportCache,
-    ServeConfig, ServeEngine, ServeResponse, ShardedConfig, ShardedEngine, ShardedService,
-    SupervisorConfig,
+    ServeConfig, ServeResponse, ShardedConfig, ShardedEngine, ShardedService, SupervisorConfig,
 };
 use canti::units::{Molar, Seconds};
 use proptest::prelude::*;
@@ -52,7 +51,6 @@ fn config(workers: usize, capacity: usize) -> ServeConfig {
         threads: workers,
         slo: Default::default(),
         timeline: Default::default(),
-        feasibility: None,
         brownout: None,
         cache: Some(CacheConfig { capacity }),
     }
@@ -95,7 +93,13 @@ fn cached_responses_are_bitwise_identical_to_recomputed() {
         JobSpec::Probe(ProbeMode::Draws(5)),
     ] {
         let clock = Arc::new(VirtualClock::new());
-        let mut engine = ServeEngine::new(config(2, 8), Arc::clone(&clock) as Arc<dyn ObsClock>);
+        let mut engine = ShardedEngine::new(
+            ShardedConfig {
+                shards: 1,
+                base: config(2, 8),
+            },
+            Arc::clone(&clock) as Arc<dyn ObsClock>,
+        );
 
         engine.submit(spec.clone()).expect("cold admission");
         clock.advance_ns(1_001); // past the linger
@@ -131,7 +135,13 @@ fn cached_responses_are_bitwise_identical_to_recomputed() {
 #[test]
 fn coalesced_fanout_answers_every_ticket_exactly_once() {
     let clock = Arc::new(VirtualClock::new());
-    let mut engine = ServeEngine::new(config(2, 8), Arc::clone(&clock) as Arc<dyn ObsClock>);
+    let mut engine = ShardedEngine::new(
+        ShardedConfig {
+            shards: 1,
+            base: config(2, 8),
+        },
+        Arc::clone(&clock) as Arc<dyn ObsClock>,
+    );
 
     let ids: Vec<u64> = (0..6)
         .map(|_| engine.submit(assay(3.0, 8)).expect("admitted"))
@@ -159,13 +169,74 @@ fn coalesced_fanout_answers_every_ticket_exactly_once() {
         );
     }
 
-    let batches: Vec<BatchRecord> = engine.batch_log().to_vec();
+    let batches: Vec<BatchRecord> = engine.batch_log(0);
     assert_eq!(batches.len(), 1, "one farm job for six tickets");
     assert_eq!(batches[0].request_ids.len(), 1);
     let stats = engine.stats();
     assert_eq!(stats.coalesced, 5);
     assert_eq!(stats.completed, 6);
     engine.drain();
+}
+
+/// A coalesced follower names its leader by the leader's global request
+/// id, the id every span and response carries: on each shard, every
+/// `coalesced` event's `leader` is the `request` field of a request span
+/// that opened in that shard's ring.
+#[test]
+fn coalesced_events_name_their_leader_by_global_id() {
+    for shards in [2, 4] {
+        let (observers, rings): (Vec<FarmObserver>, Vec<_>) = (0..shards)
+            .map(|_| FarmObserver::deterministic(4096))
+            .unzip();
+        let clock = Arc::new(VirtualClock::new());
+        let mut engine = ShardedEngine::new(
+            ShardedConfig {
+                shards,
+                base: ServeConfig {
+                    max_batch: 64,
+                    ..config(1, 8)
+                },
+            },
+            Arc::clone(&clock) as Arc<dyn ObsClock>,
+        )
+        .with_observers(observers);
+        for _ in 0..3 * shards {
+            engine.submit(assay(3.0, 8)).expect("admitted");
+        }
+        clock.advance_ns(1_001);
+        let responses = engine.pump();
+        assert_eq!(responses.len(), 3 * shards, "every ticket answered");
+
+        let u64_field = |ev: &canti::obs::TraceEvent, key: &str| match ev.field(key) {
+            Some(JsonValue::U64(v)) => *v,
+            other => panic!("{} event: {key} = {other:?}", ev.name),
+        };
+        let mut checked = 0;
+        for (shard, ring) in rings.iter().enumerate() {
+            let events = ring.events();
+            let opened: BTreeSet<u64> = events
+                .iter()
+                .filter(|ev| ev.name == "request" && ev.kind == EventKind::SpanStart)
+                .map(|ev| u64_field(ev, "request"))
+                .collect();
+            for ev in events.iter().filter(|ev| ev.name == "coalesced") {
+                let leader = u64_field(ev, "leader");
+                assert!(
+                    opened.contains(&leader),
+                    "{shards} shards: shard {shard} follower {} names leader {leader}, \
+                     but the shard's request spans are {opened:?}",
+                    u64_field(ev, "request")
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(
+            checked,
+            engine.stats().coalesced,
+            "{shards} shards: one coalesced event per follower"
+        );
+        assert!(checked > 0, "{shards} shards: the script must coalesce");
+    }
 }
 
 /// Everything observable about one scripted capacity-starved run.

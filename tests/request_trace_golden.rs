@@ -13,7 +13,7 @@ use canti::obs::{
     Collector, DebugState, ExpositionServer, Metrics, ObsClock, RingCollector, SloConfig,
     TimelineConfig, Tracer, VirtualClock,
 };
-use canti::serve::{ServeConfig, ServeEngine, ServeResponse};
+use canti::serve::{ServeConfig, ServeResponse, ShardedConfig, ShardedEngine};
 
 /// Everything the scripted run produces: the responses, the ring's
 /// NDJSON trace stream, and the live `/debug/requests` + `/debug/slo`
@@ -38,22 +38,25 @@ fn scripted_observed_run(threads: usize) -> Scripted {
     );
     let metrics = Arc::new(Metrics::new());
     let observer = FarmObserver::from_parts(Arc::clone(&metrics), tracer, Arc::clone(&obs_clock));
-    let mut engine = ServeEngine::new(
-        ServeConfig {
-            max_batch: 2,
-            linger_ns: 1_000,
-            batch_seed: 0x601D,
-            threads,
-            slo: SloConfig { objective_ns: 300 },
-            timeline: TimelineConfig {
-                window_ns: 1_000,
-                max_windows: 8,
+    let mut engine = ShardedEngine::new(
+        ShardedConfig {
+            shards: 1,
+            base: ServeConfig {
+                max_batch: 2,
+                linger_ns: 1_000,
+                batch_seed: 0x601D,
+                threads,
+                slo: SloConfig { objective_ns: 300 },
+                timeline: TimelineConfig {
+                    window_ns: 1_000,
+                    max_windows: 8,
+                },
+                ..ServeConfig::default()
             },
-            ..ServeConfig::default()
         },
         Arc::clone(&obs_clock),
     )
-    .with_observer(observer);
+    .with_observers(vec![observer]);
 
     engine.submit(JobSpec::Probe(ProbeMode::Draws(1))).unwrap();
     engine.submit(JobSpec::Probe(ProbeMode::Draws(2))).unwrap();
@@ -66,7 +69,10 @@ fn scripted_observed_run(threads: usize) -> Scripted {
     responses.extend(engine.pump());
     responses.extend(engine.drain());
 
-    let obs = engine.obs().expect("observed engine keeps debug handles");
+    let obs = engine
+        .obs()
+        .remove(0)
+        .expect("observed engine keeps debug handles");
     let debug = DebugState {
         shards: vec![("0".to_owned(), obs)],
         readiness: None,

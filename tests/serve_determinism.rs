@@ -9,8 +9,8 @@ use std::sync::Arc;
 use canti::farm::{dose_response_sweep, process_variation_batch, JobSpec, ProbeMode};
 use canti::obs::{ObsClock, VirtualClock};
 use canti::serve::{
-    BatchRecord, BatchTrigger, Disposition, RejectReason, ServeConfig, ServeEngine, ServeResponse,
-    ServeStats,
+    BatchRecord, BatchTrigger, Disposition, RejectReason, ServeConfig, ServeResponse, ServeStats,
+    ShardedConfig, ShardedEngine,
 };
 
 /// Everything observable about one scripted run.
@@ -27,19 +27,21 @@ struct RunTrace {
 /// batch, a full-queue rejection, an expired deadline, and a drain flush.
 fn scripted_run(threads: usize) -> RunTrace {
     let clock = Arc::new(VirtualClock::new());
-    let mut engine = ServeEngine::new(
-        ServeConfig {
-            queue_capacity: 4,
-            max_batch: 3,
-            linger_ns: 1_000,
-            default_deadline_ns: None,
-            batch_seed: 0x5E4E_D15C,
-            threads,
-            slo: Default::default(),
-            timeline: Default::default(),
-            feasibility: None,
-            brownout: None,
-            cache: None,
+    let mut engine = ShardedEngine::new(
+        ShardedConfig {
+            shards: 1,
+            base: ServeConfig {
+                queue_capacity: 4,
+                max_batch: 3,
+                linger_ns: 1_000,
+                default_deadline_ns: None,
+                batch_seed: 0x5E4E_D15C,
+                threads,
+                slo: Default::default(),
+                timeline: Default::default(),
+                brownout: None,
+                cache: None,
+            },
         },
         Arc::clone(&clock) as Arc<dyn ObsClock>,
     );
@@ -95,7 +97,7 @@ fn scripted_run(threads: usize) -> RunTrace {
         .admissions
         .push(engine.submit(JobSpec::Probe(ProbeMode::Value(1.0))));
 
-    trace.batches = engine.batch_log().to_vec();
+    trace.batches = engine.batch_log(0);
     trace.stats = engine.stats();
     trace
 }
@@ -224,12 +226,15 @@ fn script_covers_rejection_expiry_and_every_trigger() {
 fn batch_seed_feeds_the_farm_but_not_the_shape() {
     let run = |seed: u64| -> (Vec<BatchRecord>, Vec<ServeResponse>) {
         let clock = Arc::new(VirtualClock::new());
-        let mut engine = ServeEngine::new(
-            ServeConfig {
-                max_batch: 4,
-                batch_seed: seed,
-                threads: 2,
-                ..ServeConfig::default()
+        let mut engine = ShardedEngine::new(
+            ShardedConfig {
+                shards: 1,
+                base: ServeConfig {
+                    max_batch: 4,
+                    batch_seed: seed,
+                    threads: 2,
+                    ..ServeConfig::default()
+                },
             },
             Arc::clone(&clock) as Arc<dyn ObsClock>,
         );
@@ -237,7 +242,7 @@ fn batch_seed_feeds_the_farm_but_not_the_shape() {
             engine.submit(JobSpec::Probe(ProbeMode::Draws(d))).unwrap();
         }
         let responses = engine.pump();
-        (engine.batch_log().to_vec(), responses)
+        (engine.batch_log(0), responses)
     };
     let (shape_a, payload_a) = run(1);
     let (shape_b, payload_b) = run(2);

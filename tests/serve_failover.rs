@@ -51,7 +51,6 @@ fn config(workers: usize) -> ServeConfig {
         threads: workers,
         slo: Default::default(),
         timeline: Default::default(),
-        feasibility: None,
         brownout: None,
         cache: None,
     }

@@ -11,9 +11,6 @@
 //!    (seeds derive from the global id, not the batch slot), the routing
 //!    assignment, scripted deadline expiries and the admission stream
 //!    itself are invariant at 1/2/4 shards.
-//!
-//! A single-shard sharded engine is additionally pinned bit-identical to
-//! the plain `ServeEngine`, so sharding is a strict generalisation.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -21,15 +18,14 @@ use std::sync::Arc;
 use canti::farm::{dose_response_sweep, process_variation_batch, JobOutput, JobSpec, ProbeMode};
 use canti::obs::{ObsClock, VirtualClock};
 use canti::serve::{
-    route_request, BatchRecord, BatchTrigger, Disposition, RejectReason, ServeConfig, ServeEngine,
+    route_request, BatchRecord, BatchTrigger, Disposition, RejectReason, ServeConfig,
     ServeResponse, ServeStats, ShardedConfig, ShardedEngine,
 };
 
-const WORKER_GRID: [usize; 3] = [1, 2, 8];
 const SHARD_GRID: [usize; 3] = [1, 2, 4];
 
-/// One step of the arrival script. The same step sequence drives the
-/// plain and the sharded engines, so their traces are comparable.
+/// One step of the arrival script. The same step sequence drives every
+/// shard count, so their traces are comparable.
 enum Step {
     Submit(JobSpec),
     SubmitDeadline(JobSpec, u64),
@@ -97,7 +93,6 @@ fn config(workers: usize) -> ServeConfig {
         threads: workers,
         slo: Default::default(),
         timeline: Default::default(),
-        feasibility: None,
         brownout: None,
         cache: None,
     }
@@ -143,41 +138,6 @@ fn sharded_run(workers: usize, shards: usize) -> ShardTrace {
         .map(|s| engine.batch_log(s))
         .collect();
     trace.shard_stats = engine.shard_stats();
-    trace
-}
-
-/// The same script against the plain single-queue engine.
-#[derive(Debug, PartialEq)]
-struct PlainTrace {
-    admissions: Vec<Result<u64, RejectReason>>,
-    responses: Vec<ServeResponse>,
-    batches: Vec<BatchRecord>,
-    stats: ServeStats,
-}
-
-fn plain_run(workers: usize) -> PlainTrace {
-    let clock = Arc::new(VirtualClock::new());
-    let mut engine = ServeEngine::new(config(workers), Arc::clone(&clock) as Arc<dyn ObsClock>);
-    let mut trace = PlainTrace {
-        admissions: Vec::new(),
-        responses: Vec::new(),
-        batches: Vec::new(),
-        stats: ServeStats::default(),
-    };
-    for step in script() {
-        match step {
-            Step::Submit(job) => trace.admissions.push(engine.submit(job)),
-            Step::SubmitDeadline(job, d) => {
-                trace.admissions.push(engine.submit_with_deadline(job, d));
-            }
-            Step::Pump => trace.responses.extend(engine.pump()),
-            Step::AdvanceNs(ns) => clock.advance_ns(ns),
-            Step::SetNs(ns) => clock.set_ns(ns),
-            Step::Drain => trace.responses.extend(engine.drain()),
-        }
-    }
-    trace.batches = engine.batch_log().to_vec();
-    trace.stats = engine.stats();
     trace
 }
 
@@ -314,20 +274,6 @@ fn batch_logs_respect_the_routing_rule_and_cover_every_completed_request() {
             .collect();
         completed.sort_unstable();
         assert_eq!(logged, completed, "{shards} shards");
-    }
-}
-
-/// A 1-shard sharded engine is the plain engine, bit for bit: same
-/// admissions, responses, batch log and stats at every worker count.
-#[test]
-fn single_shard_run_is_bit_identical_to_the_plain_engine() {
-    for workers in WORKER_GRID {
-        let sharded = sharded_run(workers, 1);
-        let plain = plain_run(workers);
-        assert_eq!(sharded.admissions, plain.admissions, "{workers} workers");
-        assert_eq!(sharded.responses, plain.responses, "{workers} workers");
-        assert_eq!(sharded.shard_batches[0], plain.batches, "{workers} workers");
-        assert_eq!(sharded.shard_stats[0], plain.stats, "{workers} workers");
     }
 }
 

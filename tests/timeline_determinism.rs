@@ -107,7 +107,6 @@ fn config(workers: usize) -> ServeConfig {
             window_ns: 500,
             max_windows: 64,
         },
-        feasibility: None,
         brownout: None,
         cache: None,
     }
