@@ -121,21 +121,6 @@ impl FarmObserver {
     pub fn clock(&self) -> &Arc<dyn ObsClock> {
         &self.clock
     }
-
-    /// Binds a live `/metrics` + `/healthz` exposition server over this
-    /// observer's metrics registry. Bind to `"127.0.0.1:0"` for an
-    /// ephemeral port (read it back via
-    /// [`canti_obs::ExpositionServer::local_addr`]).
-    ///
-    /// Serving is as additive as the rest of the telemetry: scrapes read
-    /// atomic snapshots and never touch farm state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying socket bind failure.
-    pub fn serve(&self, addr: &str) -> std::io::Result<canti_obs::ExpositionServer> {
-        canti_obs::ExpositionServer::bind(addr, Arc::clone(&self.metrics))
-    }
 }
 
 /// Per-job stage instruments handed down into job execution. Owned

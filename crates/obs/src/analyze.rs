@@ -160,9 +160,9 @@ pub struct Trace {
     pub unclosed: Vec<(String, u64)>,
     /// Names of instantaneous events recorded while no span was open
     /// (seq order). Admission-time telemetry (cache hits, coalescing)
-    /// lands here whenever it fires outside a request span, so
-    /// consumers that tally activity must not ignore it — see
-    /// [`Self::all_event_counts`].
+    /// lands here whenever it fires outside a request span, and so does
+    /// a restarted shard's `shard_recovered`; [`Self::event_counts`]
+    /// tallies them with the rest.
     pub orphan_events: Vec<String>,
 }
 
@@ -389,14 +389,15 @@ impl Trace {
         out
     }
 
-    /// Tallies instantaneous event names across the whole span forest,
-    /// sorted by name. Fault-injection and recovery telemetry
-    /// (`fault_injected`, `measure_retry`, `channel_quarantined`,
-    /// `breaker_state`, …) surfaces here without the consumer having to
-    /// walk the tree.
+    /// Tallies every event record in the artifact by name, sorted by
+    /// name: the events inside the span forest plus the
+    /// [`Self::orphan_events`] fired while no span was open. Fault,
+    /// recovery and supervision telemetry (`fault_injected`,
+    /// `shard_recovered`, …) and admission-time cache activity surface
+    /// here without the consumer having to walk the tree, and without
+    /// depending on whether a span happened to be open when they fired.
     #[must_use]
     pub fn event_counts(&self) -> Vec<(String, u64)> {
-        use std::collections::BTreeMap;
         fn walk(node: &SpanNode, counts: &mut BTreeMap<String, u64>) {
             for event in &node.events {
                 *counts.entry(event.clone()).or_insert(0) += 1;
@@ -409,18 +410,6 @@ impl Trace {
         for root in &self.roots {
             walk(root, &mut counts);
         }
-        counts.into_iter().collect()
-    }
-
-    /// [`Self::event_counts`] plus the orphan events — the complete
-    /// per-name tally of every event record in the artifact, whether or
-    /// not a span happened to be open when it fired. Use this when the
-    /// tally itself is the signal (cache activity, coalescing), where
-    /// dropping span-less events would under-count nondeterministically.
-    #[must_use]
-    pub fn all_event_counts(&self) -> Vec<(String, u64)> {
-        use std::collections::BTreeMap;
-        let mut counts: BTreeMap<String, u64> = self.event_counts().into_iter().collect();
         for name in &self.orphan_events {
             *counts.entry(name.clone()).or_insert(0) += 1;
         }
@@ -540,7 +529,7 @@ mod tests {
     #[test]
     fn span_less_events_survive_as_orphans() {
         // a cache hit firing between request spans must not vanish: it
-        // is kept out of the span tree but tallied in all_event_counts
+        // is kept out of the span tree but tallied in event_counts
         let trace = traced(|tracer, clock| {
             tracer.event("cache_miss", &[]);
             let span = tracer.span("request", &[]);
@@ -554,11 +543,11 @@ mod tests {
             trace.orphan_events,
             vec!["cache_miss", "cache_hit", "cache_hit"]
         );
-        // the span-attached view still sees only what fired in-span...
-        assert_eq!(trace.event_counts(), vec![("cache_miss".to_owned(), 1)]);
-        // ...while the complete tally folds the orphans back in
+        // the span keeps only what fired inside it...
+        assert_eq!(trace.roots[0].events, vec!["cache_miss"]);
+        // ...while the tally counts every event record
         assert_eq!(
-            trace.all_event_counts(),
+            trace.event_counts(),
             vec![("cache_hit".to_owned(), 2), ("cache_miss".to_owned(), 2)]
         );
     }

@@ -64,51 +64,7 @@ pub fn sanitize_name(name: &str) -> String {
 /// equals `_count`.
 #[must_use]
 pub fn render_prometheus(metrics: &Metrics) -> String {
-    let mut out = String::new();
-
-    for (name, counter) in metrics.counters() {
-        let help = metrics.description(&name);
-        let name = sanitize_name(&name);
-        if let Some(help) = help {
-            let _ = writeln!(out, "# HELP {name}_total {}", escape_help(&help));
-        }
-        let _ = writeln!(out, "# TYPE {name}_total counter");
-        let _ = writeln!(out, "{name}_total {}", counter.get());
-    }
-
-    for (name, gauge) in metrics.gauges() {
-        let help = metrics.description(&name);
-        let name = sanitize_name(&name);
-        if let Some(help) = help {
-            let _ = writeln!(out, "# HELP {name} {}", escape_help(&help));
-        }
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {}", gauge.get());
-    }
-
-    for (name, histogram) in metrics.histograms() {
-        let help = metrics.description(&name);
-        let name = sanitize_name(&name);
-        if let Some(help) = help {
-            let _ = writeln!(out, "# HELP {name} {}", escape_help(&help));
-        }
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        let bounds = histogram.bounds().to_vec();
-        let counts = histogram.bucket_counts();
-        let mut cumulative = 0u64;
-        for (bound, count) in bounds.iter().zip(&counts) {
-            cumulative += count;
-            let _ = writeln!(out, "{name}_bucket{{le=\"{bound}\"}} {cumulative}");
-        }
-        // overflow bucket: the +Inf series totals every sample
-        cumulative += counts.last().copied().unwrap_or(0);
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-        let snapshot = histogram.snapshot();
-        let _ = writeln!(out, "{name}_sum {}", snapshot.sum);
-        let _ = writeln!(out, "{name}_count {}", snapshot.count);
-    }
-
-    out
+    render(&[(None, metrics)])
 }
 
 /// Escapes a `# HELP` text per the Prometheus text format: backslash
@@ -142,15 +98,6 @@ fn escape_label(value: &str) -> String {
     out
 }
 
-/// One histogram's state lifted out of a shard registry, pending merge.
-struct HistogramSeries {
-    shard: String,
-    bounds: Vec<u64>,
-    counts: Vec<u64>,
-    sum: u64,
-    count: u64,
-}
-
 /// Renders several labelled registries — `(shard label, registry)`
 /// pairs — as **one** merged Prometheus exposition.
 ///
@@ -162,86 +109,90 @@ struct HistogramSeries {
 /// is as golden-file testable as [`render_prometheus`].
 #[must_use]
 pub fn render_prometheus_sharded(sources: &[(String, Arc<Metrics>)]) -> String {
-    let mut counters: BTreeMap<String, Vec<(String, u64)>> = BTreeMap::new();
-    let mut gauges: BTreeMap<String, Vec<(String, i64)>> = BTreeMap::new();
-    let mut histograms: BTreeMap<String, Vec<HistogramSeries>> = BTreeMap::new();
-    let mut descriptions: BTreeMap<String, String> = BTreeMap::new();
+    let labels: Vec<String> = sources
+        .iter()
+        .map(|(label, _)| escape_label(label))
+        .collect();
+    let sources: Vec<(Option<&str>, &Metrics)> = labels
+        .iter()
+        .zip(sources)
+        .map(|(label, (_, metrics))| (Some(label.as_str()), &**metrics))
+        .collect();
+    render(&sources)
+}
 
-    for (label, metrics) in sources {
-        let shard = escape_label(label);
-        for (name, help) in metrics.descriptions() {
-            // first shard carrying a description wins (sources order)
-            descriptions.entry(sanitize_name(&name)).or_insert(help);
+/// The label set `{shard="..",le=".."}` of one sample, holding whichever
+/// of the two labels it has; empty when it has neither.
+fn labels(shard: Option<&str>, le: Option<&str>) -> String {
+    match (shard, le) {
+        (None, None) => String::new(),
+        (Some(shard), None) => format!("{{shard=\"{shard}\"}}"),
+        (None, Some(le)) => format!("{{le=\"{le}\"}}"),
+        (Some(shard), Some(le)) => format!("{{shard=\"{shard}\",le=\"{le}\"}}"),
+    }
+}
+
+/// The one rendering loop: `(escaped shard label, registry)` pairs, an
+/// unlabelled registry carrying `None`. Each sanitized metric name gets
+/// one `# HELP` line (from the first source describing it) and one
+/// `# TYPE` line, then its samples in source order; counters render
+/// before gauges before histograms, each kind sorted by name.
+fn render(sources: &[(Option<&str>, &Metrics)]) -> String {
+    type Samples = BTreeMap<String, Vec<String>>;
+    let (mut counters, mut gauges, mut histograms) =
+        (Samples::new(), Samples::new(), Samples::new());
+    let mut help: BTreeMap<String, String> = BTreeMap::new();
+    for &(shard, metrics) in sources {
+        let plain = labels(shard, None);
+        for (name, text) in metrics.descriptions() {
+            help.entry(sanitize_name(&name)).or_insert(text);
         }
         for (name, counter) in metrics.counters() {
-            counters
-                .entry(sanitize_name(&name))
-                .or_default()
-                .push((shard.clone(), counter.get()));
+            let name = sanitize_name(&name);
+            let line = format!("{name}_total{plain} {}", counter.get());
+            counters.entry(name).or_default().push(line);
         }
         for (name, gauge) in metrics.gauges() {
-            gauges
-                .entry(sanitize_name(&name))
-                .or_default()
-                .push((shard.clone(), gauge.get()));
+            let name = sanitize_name(&name);
+            let line = format!("{name}{plain} {}", gauge.get());
+            gauges.entry(name).or_default().push(line);
         }
         for (name, histogram) in metrics.histograms() {
+            let name = sanitize_name(&name);
+            let counts = histogram.bucket_counts();
             let snapshot = histogram.snapshot();
-            histograms
-                .entry(sanitize_name(&name))
-                .or_default()
-                .push(HistogramSeries {
-                    shard: shard.clone(),
-                    bounds: histogram.bounds().to_vec(),
-                    counts: histogram.bucket_counts(),
-                    sum: snapshot.sum,
-                    count: snapshot.count,
-                });
+            let mut lines = Vec::with_capacity(counts.len() + 2);
+            let mut cumulative = 0u64;
+            for (bound, count) in histogram.bounds().iter().zip(&counts) {
+                cumulative += count;
+                let le = labels(shard, Some(&bound.to_string()));
+                lines.push(format!("{name}_bucket{le} {cumulative}"));
+            }
+            // overflow bucket: the +Inf series totals every sample
+            cumulative += counts.last().copied().unwrap_or(0);
+            let le = labels(shard, Some("+Inf"));
+            lines.push(format!("{name}_bucket{le} {cumulative}"));
+            lines.push(format!("{name}_sum{plain} {}", snapshot.sum));
+            lines.push(format!("{name}_count{plain} {}", snapshot.count));
+            histograms.entry(name).or_default().extend(lines);
         }
     }
 
     let mut out = String::new();
-    for (name, series) in &counters {
-        if let Some(help) = descriptions.get(name) {
-            let _ = writeln!(out, "# HELP {name}_total {}", escape_help(help));
-        }
-        let _ = writeln!(out, "# TYPE {name}_total counter");
-        for (shard, value) in series {
-            let _ = writeln!(out, "{name}_total{{shard=\"{shard}\"}} {value}");
-        }
-    }
-    for (name, series) in &gauges {
-        if let Some(help) = descriptions.get(name) {
-            let _ = writeln!(out, "# HELP {name} {}", escape_help(help));
-        }
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        for (shard, value) in series {
-            let _ = writeln!(out, "{name}{{shard=\"{shard}\"}} {value}");
-        }
-    }
-    for (name, series) in &histograms {
-        if let Some(help) = descriptions.get(name) {
-            let _ = writeln!(out, "# HELP {name} {}", escape_help(help));
-        }
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        for s in series {
-            let shard = &s.shard;
-            let mut cumulative = 0u64;
-            for (bound, count) in s.bounds.iter().zip(&s.counts) {
-                cumulative += count;
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{{shard=\"{shard}\",le=\"{bound}\"}} {cumulative}"
-                );
+    for (samples, suffix, kind) in [
+        (counters, "_total", "counter"),
+        (gauges, "", "gauge"),
+        (histograms, "", "histogram"),
+    ] {
+        for (name, lines) in samples {
+            if let Some(text) = help.get(&name) {
+                let _ = writeln!(out, "# HELP {name}{suffix} {}", escape_help(text));
             }
-            // overflow bucket: the +Inf series totals every sample
-            cumulative += s.counts.last().copied().unwrap_or(0);
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{shard=\"{shard}\",le=\"+Inf\"}} {cumulative}"
-            );
-            let _ = writeln!(out, "{name}_sum{{shard=\"{shard}\"}} {}", s.sum);
-            let _ = writeln!(out, "{name}_count{{shard=\"{shard}\"}} {}", s.count);
+            let _ = writeln!(out, "# TYPE {name}{suffix} {kind}");
+            for line in lines {
+                out.push_str(&line);
+                out.push('\n');
+            }
         }
     }
     out

@@ -8,7 +8,7 @@
 //! * [`metrics`] — a lock-cheap registry of named counters, gauges and
 //!   fixed-bucket histograms (`Arc`-shared, atomic hot paths),
 //! * [`trace`] — a structured span/event tracer behind a pluggable
-//!   [`trace::Collector`] (bounded in-memory ring, NDJSON writer),
+//!   [`trace::Collector`] (a bounded in-memory ring in-tree),
 //! * [`clock`] — the injectable [`clock::ObsClock`] both ride on:
 //!   deterministic [`clock::VirtualClock`] for tests and farm runs,
 //!   [`clock::WallClock`] for the opt-in profiling paths only,
@@ -22,7 +22,7 @@
 //! * [`parse`] — the NDJSON/JSON reader inverse of [`ndjson`],
 //! * [`timeline`] — deterministic per-window time series (admissions,
 //!   queue depth, per-stage latency, SLO verdicts) behind
-//!   `/debug/timeline` and `/debug/slo`,
+//!   `/debug/timeline`,
 //! * [`requests`] — the bounded per-request debug log (trace id +
 //!   latency breakdown) behind the server's `/debug/requests` route,
 //! * [`analyze`] — span-tree reconstruction, per-stage aggregation,
@@ -80,12 +80,11 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics};
 pub use ndjson::JsonValue;
 pub use parse::{parse_json, parse_ndjson, Json, ParseError};
 pub use requests::{RequestLog, RequestRecord};
-pub use serve::{DebugState, ExpositionServer, Readiness, ServeObs, SloConfig};
+pub use serve::{Exposition, ExpositionServer, Readiness, Registry, ServeObs, SloConfig};
 pub use timeline::{
     merge_timelines, SeriesId, SeriesKind, SeriesPoint, SeriesWindows, TimelineConfig,
     TimelineRecorder,
 };
 pub use trace::{
-    trace_id, Collector, EventKind, NdjsonCollector, RingCollector, SpanGuard, TraceContext,
-    TraceEvent, Tracer,
+    trace_id, Collector, EventKind, RingCollector, SpanGuard, TraceContext, TraceEvent, Tracer,
 };

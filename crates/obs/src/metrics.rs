@@ -316,12 +316,6 @@ impl Metrics {
             .or_insert_with(|| help.to_owned());
     }
 
-    /// The help text registered for `name`, if any.
-    #[must_use]
-    pub fn description(&self, name: &str) -> Option<String> {
-        self.lock().descriptions.get(name).cloned()
-    }
-
     /// Every registered `(name, help)` pair, sorted by name.
     #[must_use]
     pub fn descriptions(&self) -> Vec<(String, String)> {
@@ -585,15 +579,10 @@ mod tests {
     #[test]
     fn describe_is_first_write_wins_and_ignores_empty() {
         let m = Metrics::new();
-        assert_eq!(m.description("serve.admitted"), None);
         m.describe("serve.admitted", "");
-        assert_eq!(m.description("serve.admitted"), None);
+        assert_eq!(m.descriptions(), vec![]);
         m.describe("serve.admitted", "requests accepted");
         m.describe("serve.admitted", "a later, losing description");
-        assert_eq!(
-            m.description("serve.admitted").as_deref(),
-            Some("requests accepted")
-        );
         m.describe("farm.jobs_ok", "jobs completed");
         assert_eq!(
             m.descriptions(),

@@ -6,16 +6,16 @@
 //! deliberately tiny: a `TcpListener`, a small **bounded** pool of worker
 //! threads all blocking in `accept`, one short-lived HTTP/1.0-style
 //! exchange per connection, and a graceful [`ExpositionServer::shutdown`]
-//! that wakes every worker and joins it.
+//! that wakes every worker and joins it. [`ExpositionServer::bind`] is
+//! its one constructor; an [`Exposition`] says what it serves.
 //!
 //! Routes:
 //!
-//! * `GET /metrics` — the registry in Prometheus text format
-//!   ([`crate::expose::render_prometheus`]), content type
-//!   `text/plain; version=0.0.4`; a server bound with
-//!   [`ExpositionServer::bind_sharded`] instead renders the merged
-//!   per-shard view ([`crate::expose::render_prometheus_sharded`]),
-//!   every series labelled `shard="<label>"`,
+//! * `GET /metrics` — the [`Registry`] in Prometheus text format, content
+//!   type `text/plain; version=0.0.4`: one registry as is
+//!   ([`crate::expose::render_prometheus`]), or the merged per-shard
+//!   view ([`crate::expose::render_prometheus_sharded`]), every series
+//!   labelled `shard="<label>"`,
 //! * `GET /healthz` — a JSON readiness body:
 //!   `{"status":"ok","shards":N,"pool_threads":W,"draining":false}`.
 //!   The shard count, pool width and live draining flag come from the
@@ -24,12 +24,11 @@
 //! * `GET /debug/requests` — the attached shards' [`RequestLog`]s as
 //!   NDJSON, one finished request per line (trace id + latency
 //!   breakdown), sorted by global request id and tagged by shard,
-//! * `GET /debug/slo` — per-shard and merged SLO window views: each
-//!   shard's `slo.good` / `slo.breached` timeline series, per window,
 //! * `GET /debug/timeline` — the attached shards' [`TimelineRecorder`]s
 //!   as fixed-field NDJSON: one `timeline_config` line, then per-shard
 //!   `timeline` lines tagged `"shard":"<label>"`, then the merged view
-//!   tagged `"shard":"merged"` ([`timeline::merge_timelines`]),
+//!   tagged `"shard":"merged"` ([`timeline::merge_timelines`]). The SLO
+//!   verdicts are two of its series, [`SLO_GOOD`] and [`SLO_BREACHED`],
 //! * anything else — `404`.
 //!
 //! Every response — including `404` / `405` / `503` errors — carries
@@ -40,12 +39,13 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use canti_obs::serve::ExpositionServer;
+//! use canti_obs::serve::{Exposition, ExpositionServer, Registry};
 //! use canti_obs::Metrics;
 //!
 //! let metrics = Arc::new(Metrics::new());
 //! metrics.counter("up").inc();
-//! let server = ExpositionServer::bind("127.0.0.1:0", Arc::clone(&metrics)).unwrap();
+//! let exposition = Exposition::new(Registry::Single(Arc::clone(&metrics)));
+//! let server = ExpositionServer::bind("127.0.0.1:0", exposition).unwrap();
 //! let body = server.scrape("/metrics").unwrap();
 //! assert!(body.contains("up_total 1"));
 //! server.shutdown();
@@ -61,16 +61,20 @@ use std::time::Duration;
 use crate::expose::{render_prometheus, render_prometheus_sharded};
 use crate::metrics::Metrics;
 use crate::requests::RequestLog;
-use crate::timeline::{self, SeriesWindows, TimelineRecorder};
+use crate::timeline::{self, TimelineRecorder};
 
 /// Default per-connection I/O timeout: a stalled scraper must not pin a
-/// worker (see [`ExpositionServer::bind_with_options`] to tune it).
+/// worker (see [`Exposition::io_timeout`] to tune it).
 const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// What a `/metrics` scrape renders: one registry, or several labelled
 /// by shard and merged into a single exposition.
-enum Registry {
+#[derive(Debug)]
+pub enum Registry {
+    /// One registry, its series unlabelled.
     Single(Arc<Metrics>),
+    /// `(shard label, registry)` pairs, every series tagged
+    /// `shard="<label>"`; shard order fixes the series order.
     Sharded(Vec<(String, Arc<Metrics>)>),
 }
 
@@ -157,35 +161,59 @@ pub const SLO_BREACHED: &str = "slo.breached";
 /// One serve shard's observability handles: the objective it scores
 /// against, its finished-request log and its timeline, which also
 /// holds the SLO verdicts. The serve layer builds one per observed
-/// shard; [`DebugState`] serves a labelled list of them.
+/// shard; an [`Exposition`] serves a labelled list of them.
 #[derive(Debug, Clone)]
 pub struct ServeObs {
     /// The latency objective.
     pub slo: SloConfig,
     /// The bounded log behind `/debug/requests`.
     pub requests: Arc<RequestLog>,
-    /// The per-window series behind `/debug/timeline` and `/debug/slo`.
+    /// The per-window series behind `/debug/timeline`, SLO verdicts
+    /// included.
     pub timeline: Arc<TimelineRecorder>,
 }
 
-/// Debug-route sources: per-shard serve handles plus the readiness
-/// snapshot. Both optional — an empty `DebugState` keeps the server a
-/// plain `/metrics` + `/healthz` endpoint.
-#[derive(Debug, Default)]
-pub struct DebugState {
-    /// `(shard label, handles)` pairs behind `/debug/requests`,
-    /// `/debug/slo` and `/debug/timeline`, in shard order.
+/// Everything an [`ExpositionServer`] serves, and the pool serving it.
+/// Only the registry is required: [`Self::new`] leaves the debug routes
+/// empty and `/healthz` on its defaults.
+#[derive(Debug)]
+pub struct Exposition {
+    /// The registries behind `/metrics`.
+    pub registry: Registry,
+    /// `(shard label, handles)` pairs behind `/debug/requests` and
+    /// `/debug/timeline`, in shard order.
     pub shards: Vec<(String, ServeObs)>,
     /// The `/healthz` readiness source (defaults used when `None`).
     pub readiness: Option<Readiness>,
+    /// Worker threads, clamped to ≥ 1. The pool bounds concurrency: at
+    /// most this many connections are ever being served, everything
+    /// else queues in the listener backlog.
+    pub workers: usize,
+    /// Per-connection read / write timeout, clamped to ≥ 1 ms (the OS
+    /// rejects zero). A client that connects and then goes silent, or
+    /// stops reading the response, releases its worker after this long
+    /// instead of pinning it forever.
+    pub io_timeout: Duration,
+}
+
+impl Exposition {
+    /// `registry` alone, served by 2 workers with a 5 s I/O timeout.
+    #[must_use]
+    pub fn new(registry: Registry) -> Self {
+        Self {
+            registry,
+            shards: Vec::new(),
+            readiness: None,
+            workers: 2,
+            io_timeout: DEFAULT_IO_TIMEOUT,
+        }
+    }
 }
 
 struct Shared {
-    registry: Registry,
-    debug: DebugState,
+    exposition: Exposition,
     stop: AtomicBool,
     requests: AtomicU64,
-    io_timeout: Duration,
 }
 
 /// A running `/metrics` + `/healthz` endpoint on a bounded thread pool.
@@ -206,146 +234,22 @@ impl std::fmt::Debug for ExpositionServer {
 
 impl ExpositionServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts serving `metrics` on 2 worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the bind failure.
-    pub fn bind(addr: &str, metrics: Arc<Metrics>) -> std::io::Result<Self> {
-        Self::bind_with_workers(addr, metrics, 2)
-    }
-
-    /// [`Self::bind`] with an explicit worker count (clamped to ≥ 1).
-    /// The pool bounds concurrency: at most `workers` connections are
-    /// ever being served, everything else queues in the listener backlog.
+    /// starts serving `exposition` on its worker pool.
     ///
     /// # Errors
     ///
     /// Propagates bind / clone failures.
-    pub fn bind_with_workers(
-        addr: &str,
-        metrics: Arc<Metrics>,
-        workers: usize,
-    ) -> std::io::Result<Self> {
-        Self::bind_with_options(addr, metrics, workers, DEFAULT_IO_TIMEOUT)
-    }
-
-    /// [`Self::bind_with_workers`] with an explicit per-connection read /
-    /// write timeout. A client that connects and then goes silent (or
-    /// stops reading the response) releases its worker after `io_timeout`
-    /// instead of pinning it forever; zero durations are rejected by the
-    /// OS, so the timeout is clamped to ≥ 1 ms.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind / clone failures.
-    pub fn bind_with_options(
-        addr: &str,
-        metrics: Arc<Metrics>,
-        workers: usize,
-        io_timeout: Duration,
-    ) -> std::io::Result<Self> {
-        Self::bind_registry(
-            addr,
-            Registry::Single(metrics),
-            DebugState::default(),
-            workers,
-            io_timeout,
-        )
-    }
-
-    /// [`Self::bind`] plus debug sources: the `/debug/*` routes serve
-    /// `debug`'s shard handles, and `/healthz` reports its readiness
-    /// snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind / clone failures.
-    pub fn bind_debug(
-        addr: &str,
-        metrics: Arc<Metrics>,
-        debug: DebugState,
-    ) -> std::io::Result<Self> {
-        Self::bind_registry(
-            addr,
-            Registry::Single(metrics),
-            debug,
-            2,
-            DEFAULT_IO_TIMEOUT,
-        )
-    }
-
-    /// [`Self::bind_sharded`] plus debug sources (see
-    /// [`Self::bind_debug`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind / clone failures.
-    pub fn bind_sharded_debug(
-        addr: &str,
-        shards: Vec<(String, Arc<Metrics>)>,
-        debug: DebugState,
-    ) -> std::io::Result<Self> {
-        Self::bind_registry(
-            addr,
-            Registry::Sharded(shards),
-            debug,
-            2,
-            DEFAULT_IO_TIMEOUT,
-        )
-    }
-
-    /// Binds `addr` and serves the **merged** per-shard exposition: each
-    /// `(label, registry)` pair in `shards` contributes its series
-    /// tagged `shard="<label>"`, rendered together by
-    /// [`render_prometheus_sharded`] on every `/metrics` scrape. Runs
-    /// 2 worker threads; shard order fixes the series order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind / clone failures.
-    pub fn bind_sharded(addr: &str, shards: Vec<(String, Arc<Metrics>)>) -> std::io::Result<Self> {
-        Self::bind_sharded_with_options(addr, shards, 2, DEFAULT_IO_TIMEOUT)
-    }
-
-    /// [`Self::bind_sharded`] with explicit worker count (clamped to
-    /// ≥ 1) and per-connection I/O timeout (clamped to ≥ 1 ms).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind / clone failures.
-    pub fn bind_sharded_with_options(
-        addr: &str,
-        shards: Vec<(String, Arc<Metrics>)>,
-        workers: usize,
-        io_timeout: Duration,
-    ) -> std::io::Result<Self> {
-        Self::bind_registry(
-            addr,
-            Registry::Sharded(shards),
-            DebugState::default(),
-            workers,
-            io_timeout,
-        )
-    }
-
-    fn bind_registry(
-        addr: &str,
-        registry: Registry,
-        debug: DebugState,
-        workers: usize,
-        io_timeout: Duration,
-    ) -> std::io::Result<Self> {
+    pub fn bind(addr: &str, mut exposition: Exposition) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        exposition.io_timeout = exposition.io_timeout.max(Duration::from_millis(1));
+        let workers = exposition.workers.max(1);
         let shared = Arc::new(Shared {
-            registry,
-            debug,
+            exposition,
             stop: AtomicBool::new(false),
             requests: AtomicU64::new(0),
-            io_timeout: io_timeout.max(Duration::from_millis(1)),
         });
-        let handles = (0..workers.max(1))
+        let handles = (0..workers)
             .map(|i| {
                 let listener = listener.try_clone()?;
                 let shared = Arc::clone(&shared);
@@ -372,7 +276,7 @@ impl ExpositionServer {
     /// connections.
     #[must_use]
     pub fn io_timeout(&self) -> Duration {
-        self.shared.io_timeout
+        self.shared.exposition.io_timeout
     }
 
     /// Requests served so far (any route).
@@ -389,16 +293,9 @@ impl ExpositionServer {
     /// Propagates connection / read failures, and maps non-200 statuses
     /// to `ErrorKind::Other`.
     pub fn scrape(&self, path: &str) -> std::io::Result<String> {
-        let mut stream = TcpStream::connect(self.addr)?;
-        stream.set_read_timeout(Some(DEFAULT_IO_TIMEOUT))?;
-        write!(stream, "GET {path} HTTP/1.0\r\nHost: canti\r\n\r\n")?;
-        let mut response = String::new();
-        stream.read_to_string(&mut response)?;
-        let (head, body) = response
-            .split_once("\r\n\r\n")
-            .ok_or_else(|| std::io::Error::other("malformed http response"))?;
+        let (head, body) = self.scrape_response(path)?;
         if head.starts_with("HTTP/1.0 200") {
-            Ok(body.to_owned())
+            Ok(body)
         } else {
             Err(std::io::Error::other(format!(
                 "scrape {path}: {}",
@@ -457,8 +354,9 @@ fn worker_loop(listener: &TcpListener, shared: &Shared) {
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(shared.io_timeout))?;
-    stream.set_write_timeout(Some(shared.io_timeout))?;
+    let exposition = &shared.exposition;
+    stream.set_read_timeout(Some(exposition.io_timeout))?;
+    stream.set_write_timeout(Some(exposition.io_timeout))?;
     let mut reader = BufReader::new(stream);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
@@ -479,11 +377,10 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
         ("GET" | "HEAD", "/metrics") => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            shared.registry.render(),
+            exposition.registry.render(),
         ),
         ("GET" | "HEAD", "/healthz" | "/health") => {
-            let draining = shared
-                .debug
+            let draining = exposition
                 .readiness
                 .as_ref()
                 .is_some_and(|r| r.draining.load(Ordering::SeqCst));
@@ -496,23 +393,18 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
                     "200 OK"
                 },
                 "application/json; charset=utf-8",
-                render_healthz(&shared.registry, &shared.debug),
+                render_healthz(exposition),
             )
         }
         ("GET" | "HEAD", "/debug/requests") => (
             "200 OK",
             "application/x-ndjson; charset=utf-8",
-            render_debug_requests(&shared.debug),
-        ),
-        ("GET" | "HEAD", "/debug/slo") => (
-            "200 OK",
-            "text/plain; charset=utf-8",
-            render_debug_slo(&shared.debug),
+            render_debug_requests(exposition),
         ),
         ("GET" | "HEAD", "/debug/timeline") => (
             "200 OK",
             "application/x-ndjson; charset=utf-8",
-            render_debug_timeline(&shared.debug),
+            render_debug_timeline(exposition),
         ),
         ("GET" | "HEAD", _) => (
             "404 Not Found",
@@ -540,12 +432,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> 
 
 /// The `/healthz` JSON readiness body. Field order is fixed so golden
 /// tests can pin the bytes.
-fn render_healthz(registry: &Registry, debug: &DebugState) -> String {
-    let default_shards = match registry {
+fn render_healthz(exposition: &Exposition) -> String {
+    let default_shards = match &exposition.registry {
         Registry::Single(_) => 1,
         Registry::Sharded(sources) => sources.len(),
     };
-    let (shards, pool_threads, draining, health, cache) = match &debug.readiness {
+    let (shards, pool_threads, draining, health, cache) = match &exposition.readiness {
         Some(r) => (
             r.shards,
             r.pool_threads,
@@ -579,9 +471,9 @@ fn render_healthz(registry: &Registry, debug: &DebugState) -> String {
 
 /// The `/debug/requests` NDJSON body: every attached log's records,
 /// tagged with their shard label and sorted by global request id.
-fn render_debug_requests(debug: &DebugState) -> String {
+fn render_debug_requests(exposition: &Exposition) -> String {
     let mut rows: Vec<(u64, String)> = Vec::new();
-    for (label, obs) in &debug.shards {
+    for (label, obs) in &exposition.shards {
         for r in obs.requests.records() {
             let json = r.to_json();
             // splice the shard label in as the first field
@@ -597,99 +489,20 @@ fn render_debug_requests(debug: &DebugState) -> String {
     out
 }
 
-/// The `/debug/slo` text body: each shard's `slo.good` and
-/// `slo.breached` windows, then their merged view. A totals line sums
-/// the windows listed under it.
-fn render_debug_slo(debug: &DebugState) -> String {
-    use std::fmt::Write as _;
-    let Some((_, first)) = debug.shards.first() else {
-        return "no serve shards attached\n".to_owned();
-    };
-    let width = first.timeline.config().width();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "slo: objective={} ns window={width} ns",
-        first.slo.objective_ns
-    );
-    let mut per_shard = Vec::with_capacity(debug.shards.len());
-    for (label, obs) in &debug.shards {
-        let verdicts = slo_series(&obs.timeline);
-        slo_lines(&mut out, &format!("shard {label}"), &verdicts, width);
-        per_shard.push(verdicts);
-    }
-    let merged = timeline::merge_timelines(&per_shard);
-    slo_lines(&mut out, "merged", &merged, width);
-    out
-}
-
-/// A recorder's two verdict series, cut to the newest `max_windows`
-/// windows of their union — what one ring holding both verdicts per
-/// window would retain.
-fn slo_series(recorder: &TimelineRecorder) -> Vec<SeriesWindows> {
-    let mut verdicts: Vec<SeriesWindows> = recorder
-        .snapshot()
-        .into_iter()
-        .filter(|s| s.name == SLO_GOOD || s.name == SLO_BREACHED)
-        .collect();
-    let mut indices: Vec<u64> = verdicts
-        .iter()
-        .flat_map(|s| s.points.iter().map(|p| p.index))
-        .collect();
-    indices.sort_unstable();
-    indices.dedup();
-    let evicted = indices
-        .len()
-        .saturating_sub(recorder.config().max_windows.max(1));
-    if let Some(&oldest) = indices.get(evicted) {
-        for s in &mut verdicts {
-            s.points.retain(|p| p.index >= oldest);
-        }
-    }
-    verdicts
-}
-
-/// Writes a `<head>: good=G breached=B` totals line, then one line per
-/// window of `verdicts`.
-fn slo_lines(out: &mut String, head: &str, verdicts: &[SeriesWindows], width: u64) {
-    use std::collections::BTreeMap;
-    use std::fmt::Write as _;
-    let mut windows: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    for s in verdicts {
-        for p in &s.points {
-            let (good, breached) = windows.entry(p.index).or_default();
-            let tally = if s.name == SLO_GOOD { good } else { breached };
-            *tally = tally.saturating_add(p.count);
-        }
-    }
-    let (good, breached) = windows.values().fold((0u64, 0u64), |(g, b), &(wg, wb)| {
-        (g.saturating_add(wg), b.saturating_add(wb))
-    });
-    let _ = writeln!(out, "{head}: good={good} breached={breached}");
-    for (index, (good, breached)) in windows {
-        let fraction = breached as f64 / good.saturating_add(breached).max(1) as f64;
-        let _ = writeln!(
-            out,
-            "  window {index} [t={} ns): good={good} breached={breached} breach={fraction:.3}",
-            index.saturating_mul(width)
-        );
-    }
-}
-
 /// The `/debug/timeline` NDJSON body: the shared window policy, every
 /// shard's per-window points tagged `"shard":"<label>"`, then the merged
 /// view tagged `"shard":"merged"`. Field order is fixed (see
 /// [`timeline::point_line`]) so golden tests can pin the bytes.
-fn render_debug_timeline(debug: &DebugState) -> String {
-    let Some((_, first)) = debug.shards.first() else {
+fn render_debug_timeline(exposition: &Exposition) -> String {
+    let Some((_, first)) = exposition.shards.first() else {
         return String::new();
     };
     let config = first.timeline.config();
     let width = config.width();
     let mut out = timeline::config_line(config);
     out.push('\n');
-    let mut per_shard = Vec::with_capacity(debug.shards.len());
-    for (label, obs) in &debug.shards {
+    let mut per_shard = Vec::with_capacity(exposition.shards.len());
+    for (label, obs) in &exposition.shards {
         let snapshot = obs.timeline.snapshot();
         for series in &snapshot {
             for p in &series.points {
@@ -725,9 +538,14 @@ mod tests {
     use super::*;
     use crate::timeline::TimelineConfig;
 
+    /// `metrics` alone, on the default pool.
+    fn single(metrics: Metrics) -> Exposition {
+        Exposition::new(Registry::Single(Arc::new(metrics)))
+    }
+
     #[test]
     fn binds_ephemeral_and_shuts_down() {
-        let server = ExpositionServer::bind("127.0.0.1:0", Arc::new(Metrics::new())).unwrap();
+        let server = ExpositionServer::bind("127.0.0.1:0", single(Metrics::new())).unwrap();
         assert_ne!(server.local_addr().port(), 0);
         server.shutdown();
     }
@@ -740,11 +558,13 @@ mod tests {
     fn hung_client_releases_the_worker_after_the_io_timeout() {
         let metrics = Arc::new(Metrics::new());
         metrics.counter("alive").inc();
-        let server = ExpositionServer::bind_with_options(
+        let server = ExpositionServer::bind(
             "127.0.0.1:0",
-            metrics,
-            1,
-            Duration::from_millis(50),
+            Exposition {
+                workers: 1,
+                io_timeout: Duration::from_millis(50),
+                ..Exposition::new(Registry::Single(metrics))
+            },
         )
         .unwrap();
         assert_eq!(server.io_timeout(), Duration::from_millis(50));
@@ -771,9 +591,12 @@ mod tests {
         s0.counter("serve.admitted").add(3);
         let s1 = Arc::new(Metrics::new());
         s1.counter("serve.admitted").add(4);
-        let server = ExpositionServer::bind_sharded(
+        let server = ExpositionServer::bind(
             "127.0.0.1:0",
-            vec![("0".to_owned(), s0), ("1".to_owned(), s1)],
+            Exposition::new(Registry::Sharded(vec![
+                ("0".to_owned(), s0),
+                ("1".to_owned(), s1),
+            ])),
         )
         .unwrap();
         let body = server.scrape("/metrics").unwrap();
@@ -818,7 +641,7 @@ mod tests {
     }
 
     #[test]
-    fn debug_routes_serve_requests_slo_and_readiness() {
+    fn debug_routes_serve_requests_and_readiness() {
         use crate::requests::RequestRecord;
 
         let metrics = Arc::new(Metrics::new());
@@ -838,10 +661,9 @@ mod tests {
             finished_ns: 0,
         });
         let draining = Arc::new(AtomicBool::new(false));
-        let server = ExpositionServer::bind_debug(
+        let server = ExpositionServer::bind(
             "127.0.0.1:0",
-            Arc::clone(&metrics),
-            DebugState {
+            Exposition {
                 shards: vec![("0".to_owned(), obs)],
                 readiness: Some(Readiness {
                     shards: 1,
@@ -850,6 +672,7 @@ mod tests {
                     shard_health: None,
                     cache: None,
                 }),
+                ..Exposition::new(Registry::Single(metrics))
             },
         )
         .unwrap();
@@ -873,54 +696,19 @@ mod tests {
         );
         assert!(requests.contains("\"queue_ns\":5"), "{requests}");
 
-        let slo_body = server.scrape("/debug/slo").unwrap();
+        // the SLO verdicts are timeline series; they have no route of
+        // their own
+        let timeline = server.scrape("/debug/timeline").unwrap();
         assert!(
-            slo_body.contains("shard 0: good=1 breached=1"),
-            "{slo_body}"
+            timeline.contains(
+                "{\"record\":\"timeline\",\"shard\":\"merged\",\"series\":\"slo.breached\",\
+                 \"kind\":\"delta\",\"window\":1,"
+            ),
+            "{timeline}"
         );
-        assert!(slo_body.contains("merged: good=1 breached=1"), "{slo_body}");
-        assert!(
-            slo_body.contains("window 1 [t=100 ns): good=0 breached=1"),
-            "{slo_body}"
-        );
+        let err = server.scrape("/debug/slo").unwrap_err();
+        assert!(err.to_string().contains("404"), "{err}");
         server.shutdown();
-    }
-
-    /// Two shards over 10 ns windows keeping 2 of them: four windows of
-    /// verdicts, the only breach in the oldest, so the body lists the
-    /// two newest windows clean, and every totals line sums the windows
-    /// listed under it.
-    #[test]
-    fn debug_slo_lists_and_totals_only_the_retained_windows() {
-        let shards: Vec<ServeObs> = (0..2).map(|_| shard_obs(10, 2)).collect();
-        verdict(&shards[0], false, 0);
-        for t in [0, 10, 20, 30] {
-            verdict(&shards[0], true, t);
-        }
-        verdict(&shards[1], true, 25);
-        verdict(&shards[1], true, 31);
-        let body = render_debug_slo(&DebugState {
-            shards: shards
-                .into_iter()
-                .enumerate()
-                .map(|(i, obs)| (i.to_string(), obs))
-                .collect(),
-            readiness: None,
-        });
-        assert_eq!(
-            body,
-            "slo: objective=10 ns window=10 ns
-shard 0: good=2 breached=0
-  window 2 [t=20 ns): good=1 breached=0 breach=0.000
-  window 3 [t=30 ns): good=1 breached=0 breach=0.000
-shard 1: good=2 breached=0
-  window 2 [t=20 ns): good=1 breached=0 breach=0.000
-  window 3 [t=30 ns): good=1 breached=0 breach=0.000
-merged: good=4 breached=0
-  window 2 [t=20 ns): good=2 breached=0 breach=0.000
-  window 3 [t=30 ns): good=2 breached=0 breach=0.000
-"
-        );
     }
 
     #[test]
@@ -942,17 +730,16 @@ merged: good=4 breached=0
                 ]
             }
         };
-        let server = ExpositionServer::bind_debug(
+        let server = ExpositionServer::bind(
             "127.0.0.1:0",
-            Arc::new(Metrics::new()),
-            DebugState {
+            Exposition {
                 readiness: Some(Readiness {
                     shards: 2,
                     pool_threads: 1,
                     shard_health: Some(Arc::new(provider)),
                     ..Readiness::default()
                 }),
-                ..DebugState::default()
+                ..single(Metrics::new())
             },
         )
         .unwrap();
@@ -981,17 +768,16 @@ merged: good=4 breached=0
             let hits = Arc::clone(&hits);
             move || [hits.load(Ordering::SeqCst), 2, 2, 1, 1]
         };
-        let server = ExpositionServer::bind_debug(
+        let server = ExpositionServer::bind(
             "127.0.0.1:0",
-            Arc::new(Metrics::new()),
-            DebugState {
+            Exposition {
                 readiness: Some(Readiness {
                     shards: 1,
                     pool_threads: 1,
                     cache: Some(Arc::new(provider)),
                     ..Readiness::default()
                 }),
-                ..DebugState::default()
+                ..single(Metrics::new())
             },
         )
         .unwrap();
@@ -1010,7 +796,7 @@ merged: good=4 breached=0
 
     #[test]
     fn unknown_route_is_404_and_bad_method_405() {
-        let server = ExpositionServer::bind("127.0.0.1:0", Arc::new(Metrics::new())).unwrap();
+        let server = ExpositionServer::bind("127.0.0.1:0", single(Metrics::new())).unwrap();
         let err = server.scrape("/nope").unwrap_err();
         assert!(err.to_string().contains("404"), "{err}");
 
@@ -1028,10 +814,9 @@ merged: good=4 breached=0
     #[test]
     fn error_responses_carry_length_and_close_headers() {
         let draining = Arc::new(AtomicBool::new(true));
-        let server = ExpositionServer::bind_debug(
+        let server = ExpositionServer::bind(
             "127.0.0.1:0",
-            Arc::new(Metrics::new()),
-            DebugState {
+            Exposition {
                 readiness: Some(Readiness {
                     shards: 1,
                     pool_threads: 0,
@@ -1039,7 +824,7 @@ merged: good=4 breached=0
                     shard_health: None,
                     cache: None,
                 }),
-                ..DebugState::default()
+                ..single(Metrics::new())
             },
         )
         .unwrap();
@@ -1075,12 +860,11 @@ merged: good=4 breached=0
         s0.timeline.record_delta("serve.admitted", 1, 50);
         let s1 = shard_obs(100, 8);
         s1.timeline.record_delta("serve.admitted", 1, 150);
-        let server = ExpositionServer::bind_debug(
+        let server = ExpositionServer::bind(
             "127.0.0.1:0",
-            Arc::new(Metrics::new()),
-            DebugState {
+            Exposition {
                 shards: vec![("0".to_owned(), s0), ("1".to_owned(), s1)],
-                ..DebugState::default()
+                ..single(Metrics::new())
             },
         )
         .unwrap();

@@ -6,8 +6,8 @@
 //! one [`SeriesPoint`] per window (count / sum / min / max of the
 //! observed values), ring-bounded to [`TimelineConfig::max_windows`]
 //! windows, so always-on timelines have fixed memory. The serve layer's
-//! SLO verdicts are two such series (`slo.good`, `slo.breached`), which
-//! `/debug/slo` renders as its window view.
+//! SLO verdicts are two such series (`slo.good`, `slo.breached`), served
+//! per shard and merged by `/debug/timeline` like every other series.
 //!
 //! A writer resolves each name once ([`TimelineRecorder::series`]), then
 //! folds any number of observations by [`SeriesId`] under one lock with

@@ -1,10 +1,10 @@
 //! Structured span/event tracing with pluggable collectors.
 //!
 //! A [`Tracer`] timestamps (via the injected [`ObsClock`]) and sequences
-//! [`TraceEvent`]s, then hands them to a [`Collector`]. Two collectors
-//! ship in-tree: a bounded in-memory [`RingCollector`] (tests, live
-//! inspection) and an [`NdjsonCollector`] writing one JSON object per
-//! line to any `Write` sink (files, stdout, CI artifacts).
+//! [`TraceEvent`]s, then hands them to a [`Collector`]. The in-tree
+//! collector is a bounded in-memory [`RingCollector`] (tests, live
+//! inspection); [`RingCollector::to_ndjson`] writes it out as one JSON
+//! object per line (files, CI artifacts).
 //!
 //! Tracers are cheap to clone (an `Arc` under the hood) and
 //! [`Tracer::disabled`] is a true no-op — a disabled tracer performs no
@@ -21,11 +21,9 @@
 //! event with more than [`INLINE_FIELDS`] fields (one block for all of
 //! them), a string value built from runtime text (its own `String`), and
 //! whatever the collector does with the event. A [`RingCollector`]
-//! grows its buffer until it first fills and then recycles slots; an
-//! [`NdjsonCollector`] formats each line into a fresh `String`.
+//! grows its buffer until it first fills and then recycles slots.
 
 use std::fmt;
-use std::io::Write;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -296,43 +294,6 @@ impl Collector for RingCollector {
     }
 }
 
-/// A collector serializing each event as one NDJSON line into a `Write`
-/// sink.
-pub struct NdjsonCollector<W: Write + Send> {
-    sink: Mutex<W>,
-}
-
-impl<W: Write + Send> NdjsonCollector<W> {
-    /// Wraps `sink`; each event becomes one line.
-    pub fn new(sink: W) -> Self {
-        Self {
-            sink: Mutex::new(sink),
-        }
-    }
-
-    /// Unwraps the sink (flushing is the caller's business).
-    pub fn into_inner(self) -> W {
-        self.sink
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<W: Write + Send> fmt::Debug for NdjsonCollector<W> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NdjsonCollector").finish_non_exhaustive()
-    }
-}
-
-impl<W: Write + Send> Collector for NdjsonCollector<W> {
-    fn record(&self, event: TraceEvent) {
-        let line = event.to_ndjson();
-        let mut sink = self.sink.lock().unwrap_or_else(PoisonError::into_inner);
-        // telemetry must never take the instrument down with it
-        let _ = writeln!(sink, "{line}");
-    }
-}
-
 struct TracerInner {
     collector: Arc<dyn Collector>,
     clock: Arc<dyn ObsClock>,
@@ -559,19 +520,5 @@ mod tests {
         assert_eq!(*events[1].fields, *wide, "spilled fields keep their order");
         // every ring slot is one event: more inline fields cost memory
         assert!(std::mem::size_of::<TraceEvent>() <= 168);
-    }
-
-    #[test]
-    fn ndjson_collector_writes_lines() {
-        let clock = Arc::new(VirtualClock::new());
-        let collector = Arc::new(NdjsonCollector::new(Vec::<u8>::new()));
-        let tracer = Tracer::new(Arc::clone(&collector) as _, clock);
-        tracer.event("a", &[]);
-        tracer.event("b", &[]);
-        drop(tracer);
-        let bytes = Arc::into_inner(collector).expect("sole owner").into_inner();
-        let text = String::from_utf8(bytes).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     }
 }

@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use canti_obs::serve::ExpositionServer;
+use canti_obs::serve::{Exposition, ExpositionServer, Registry};
 use canti_obs::Metrics;
 
 fn raw_get(addr: std::net::SocketAddr, path: &str) -> String {
@@ -30,8 +30,11 @@ fn live_scrape_returns_prometheus_text() {
         .histogram_with_bounds("farm.solve_ns", vec![1_000, 1_000_000])
         .record(250);
 
-    let server =
-        ExpositionServer::bind("127.0.0.1:0", Arc::clone(&metrics)).expect("bind ephemeral");
+    let server = ExpositionServer::bind(
+        "127.0.0.1:0",
+        Exposition::new(Registry::Single(Arc::clone(&metrics))),
+    )
+    .expect("bind ephemeral");
     let addr = server.local_addr();
 
     // /metrics: correct status, content type, and all three instrument kinds
@@ -55,7 +58,7 @@ fn live_scrape_returns_prometheus_text() {
     let body = server.scrape("/metrics").expect("self-scrape");
     assert!(body.contains("farm_jobs_ok_total 50"), "{body}");
 
-    // /healthz liveness: a JSON readiness body (no DebugState registered,
+    // /healthz liveness: a JSON readiness body (no Readiness attached,
     // so the defaults report a healthy single-shard server)
     let response = raw_get(addr, "/healthz");
     assert!(response.starts_with("HTTP/1.0 200 OK"), "{response}");
@@ -96,7 +99,14 @@ fn live_scrape_returns_prometheus_text() {
 fn concurrent_scrapes_on_a_bounded_pool() {
     let metrics = Arc::new(Metrics::new());
     metrics.counter("hits").inc();
-    let server = ExpositionServer::bind_with_workers("127.0.0.1:0", metrics, 3).expect("bind");
+    let server = ExpositionServer::bind(
+        "127.0.0.1:0",
+        Exposition {
+            workers: 3,
+            ..Exposition::new(Registry::Single(metrics))
+        },
+    )
+    .expect("bind");
     let addr = server.local_addr();
 
     std::thread::scope(|s| {

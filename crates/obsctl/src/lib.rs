@@ -1,12 +1,12 @@
 //! `obsctl` — the consumption-side CLI over canti telemetry artifacts.
 //!
-//! Seven subcommands, all pure functions in this library so tests (and
+//! Six subcommands, all pure functions in this library so tests (and
 //! CI) can drive them without spawning the binary:
 //!
 //! * [`summary`] — parse a telemetry NDJSON artifact, reconstruct the
-//!   span tree, print per-stage aggregates and the critical path;
-//!   **fails** (the CI gate) when the span tree is empty or the trace
-//!   sequence has gaps,
+//!   span tree, print per-stage aggregates, the critical path and the
+//!   [`EventTally`] of fault, shard and cache events; **fails** (the CI
+//!   gate) when the span tree is empty or the trace sequence has gaps,
 //! * [`flame`] — folded-stack flamegraph lines from the same artifact
 //!   (pipe into `flamegraph.pl` / inferno),
 //! * [`diff`] — compare per-stage `p50`/`p95`/`p99` between two bench or
@@ -18,12 +18,10 @@
 //!   its critical path; **fails** when the request is absent, orphaned
 //!   (no admission-side span), unclosed, or the sequence has gaps —
 //!   the serve-artifact health gate,
-//! * [`slo_report`] — recompute deterministic SLO windows offline from
-//!   the closed `request` spans in an artifact, for auditing the live
-//!   `/debug/slo` view against the raw trace,
 //! * [`timeline_report`] — render the per-window series of a
-//!   `/debug/timeline` NDJSON artifact as tables with count sparklines,
-//!   and optionally recompute the request-latency windows offline from a
+//!   `/debug/timeline` NDJSON artifact as tables with count sparklines
+//!   (the SLO verdicts are its `slo.good` / `slo.breached` series), and
+//!   optionally recompute the request-latency windows offline from a
 //!   span artifact as a cross-check (**fails** when they disagree),
 //! * [`anomaly`] — compare a timeline artifact against an archived
 //!   baseline, per-series, and report count drift beyond a threshold;
@@ -323,85 +321,59 @@ pub fn diff(old: &Path, new: &Path, opts: DiffOptions) -> Result<DiffReport, Cli
     Ok(report)
 }
 
-/// Event names the robustness layer emits: instrument-side fault
-/// injection and recovery, plus farm-side supervision. `obsctl summary`
-/// tallies these into its fault-health section.
-pub const FAULT_EVENT_NAMES: &[&str] = &[
-    "fault_injected",
-    "measure_retry",
-    "channel_quarantined",
-    "channel_skipped",
-    "watchdog_trip",
-    "recovered",
-    "scan_fault",
-    "retry_wave",
-    "breaker_state",
+/// The event families `summary` reports, in report order: `(heading,
+/// --json record name, line printed when none of them fired, event
+/// names in reporting order)`. Instrument-side fault injection and
+/// recovery plus farm supervision; the serve layer's shard lifecycle
+/// (down → failover → recovered) plus scripted batcher stalls; its
+/// result cache (admission-time hits and misses, in-flight coalescing).
+const EVENT_FAMILIES: [(&str, &str, &str, &[&str]); 3] = [
+    (
+        "fault health",
+        "fault",
+        "fault health: clean (no fault or recovery events)",
+        &[
+            "fault_injected",
+            "measure_retry",
+            "channel_quarantined",
+            "channel_skipped",
+            "watchdog_trip",
+            "recovered",
+            "scan_fault",
+            "retry_wave",
+            "breaker_state",
+        ],
+    ),
+    (
+        "shard health",
+        "shard",
+        "shard health: clean (no shard failures or failovers)",
+        &["shard_down", "failover", "shard_recovered", "batcher_stall"],
+    ),
+    (
+        "cache",
+        "cache",
+        "cache: quiet (no cache activity recorded)",
+        &["cache_hit", "cache_miss", "coalesced"],
+    ),
 ];
 
-/// The fault/recovery event tally of one telemetry artifact.
+/// Every event record of one telemetry artifact, counted by name
+/// ([`Trace::event_counts`]): an event fired while no span was open
+/// (a cache hit between request spans, a restarted shard's
+/// `shard_recovered`) counts like any other.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FaultHealth {
-    /// `(event name, occurrences)` for every fault/recovery event
-    /// present, in [`FAULT_EVENT_NAMES`] order.
-    pub counts: Vec<(String, u64)>,
+pub struct EventTally {
+    counts: Vec<(String, u64)>,
 }
 
-impl FaultHealth {
-    /// Whether the artifact recorded no fault or recovery activity.
+impl EventTally {
+    /// Tallies `trace`'s event records.
     #[must_use]
-    pub fn is_quiet(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// The section `summary` appends to its report.
-    #[must_use]
-    pub fn render(&self) -> String {
-        if self.is_quiet() {
-            return "fault health: clean (no fault or recovery events)\n".to_owned();
+    pub fn new(trace: &Trace) -> Self {
+        Self {
+            counts: trace.event_counts(),
         }
-        let mut out = String::from("fault health:\n");
-        for (name, count) in &self.counts {
-            let _ = writeln!(out, "  {name:<20} {count}");
-        }
-        out
-    }
-}
-
-/// Tallies the robustness layer's fault/recovery events in a trace.
-#[must_use]
-pub fn fault_health(trace: &Trace) -> FaultHealth {
-    let all = trace.event_counts();
-    let counts = FAULT_EVENT_NAMES
-        .iter()
-        .filter_map(|name| {
-            all.iter()
-                .find(|(n, _)| n == name)
-                .map(|(n, c)| (n.clone(), *c))
-        })
-        .collect();
-    FaultHealth { counts }
-}
-
-/// Event names the serve layer's self-healing path emits, in reporting
-/// order: the shard lifecycle (down → failover → recovered) plus
-/// scripted batcher stalls.
-pub const SHARD_EVENT_NAMES: [&str; 4] =
-    ["shard_down", "failover", "shard_recovered", "batcher_stall"];
-
-/// The serve-resilience event tally of one telemetry artifact: shard
-/// deaths, failovers off them, and supervised restarts.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ShardHealthReport {
-    /// `(event name, occurrences)` for every serve-resilience event
-    /// present, in [`SHARD_EVENT_NAMES`] order.
-    pub counts: Vec<(String, u64)>,
-}
-
-impl ShardHealthReport {
-    /// Whether the artifact recorded no shard failures or failovers.
-    #[must_use]
-    pub fn is_quiet(&self) -> bool {
-        self.counts.is_empty()
     }
 
     /// Occurrences of one event name (0 when absent).
@@ -413,105 +385,40 @@ impl ShardHealthReport {
             .map_or(0, |&(_, c)| c)
     }
 
-    /// The section `summary` appends to its report.
-    #[must_use]
-    pub fn render(&self) -> String {
-        if self.is_quiet() {
-            return "shard health: clean (no shard failures or failovers)\n".to_owned();
-        }
-        let mut out = String::from("shard health:\n");
-        for (name, count) in &self.counts {
-            let _ = writeln!(out, "  {name:<20} {count}");
-        }
-        out
-    }
-}
-
-/// Tallies the serve layer's self-healing events in a trace.
-#[must_use]
-pub fn shard_health(trace: &Trace) -> ShardHealthReport {
-    let all = trace.event_counts();
-    let counts = SHARD_EVENT_NAMES
-        .iter()
-        .filter_map(|name| {
-            all.iter()
-                .find(|(n, _)| n == name)
-                .map(|(n, c)| (n.clone(), *c))
-        })
-        .collect();
-    ShardHealthReport { counts }
-}
-
-/// Event names the serve layer's result-cache path emits, in reporting
-/// order: admission-time hits and misses plus in-flight coalescing.
-pub const CACHE_EVENT_NAMES: [&str; 3] = ["cache_hit", "cache_miss", "coalesced"];
-
-/// The result-cache event tally of one telemetry artifact.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CacheReport {
-    /// `(event name, occurrences)` for every cache event present, in
-    /// [`CACHE_EVENT_NAMES`] order.
-    pub counts: Vec<(String, u64)>,
-}
-
-impl CacheReport {
-    /// Whether the artifact recorded no cache activity at all (caching
-    /// off, or no repeated requests).
-    #[must_use]
-    pub fn is_quiet(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Occurrences of one event name (0 when absent).
-    #[must_use]
-    pub fn count(&self, name: &str) -> u64 {
-        self.counts
+    /// `(event name, occurrences)` for each of `names` that fired, in
+    /// `names` order.
+    fn fired<'a>(
+        &'a self,
+        names: &'a [&'static str],
+    ) -> impl Iterator<Item = (&'static str, u64)> + 'a {
+        names
             .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |&(_, c)| c)
+            .map(|&name| (name, self.count(name)))
+            .filter(|&(_, count)| count > 0)
     }
 
-    /// The section `summary` appends to its report.
-    #[must_use]
-    pub fn render(&self) -> String {
-        if self.is_quiet() {
-            return "cache: quiet (no cache activity recorded)\n".to_owned();
-        }
-        let mut out = String::from("cache:\n");
-        for (name, count) in &self.counts {
-            let _ = writeln!(out, "  {name:<20} {count}");
+    /// The sections `summary` appends to its report, one per family.
+    fn render(&self) -> String {
+        let mut out = String::new();
+        for (heading, _, quiet, names) in EVENT_FAMILIES {
+            let mut fired = self.fired(names).peekable();
+            if fired.peek().is_none() {
+                out.push_str(quiet);
+                out.push('\n');
+                continue;
+            }
+            let _ = writeln!(out, "{heading}:");
+            for (name, count) in fired {
+                let _ = writeln!(out, "  {name:<20} {count}");
+            }
         }
         out
     }
 }
 
-/// Tallies the serve layer's result-cache events in a trace. Uses the
-/// complete event tally ([`Trace::all_event_counts`]): cache hits and
-/// coalescing fire at admission time, often outside any request span,
-/// and the span-attached tally would drop those nondeterministically.
-#[must_use]
-pub fn cache_report(trace: &Trace) -> CacheReport {
-    let all = trace.all_event_counts();
-    let counts = CACHE_EVENT_NAMES
-        .iter()
-        .filter_map(|name| {
-            all.iter()
-                .find(|(n, _)| n == name)
-                .map(|(n, c)| (n.clone(), *c))
-        })
-        .collect();
-    CacheReport { counts }
-}
-
-/// Parses a telemetry NDJSON artifact into a [`Trace`] and renders the
-/// span-tree summary plus a fault-health section, gating on artifact
-/// health.
-///
-/// # Errors
-///
-/// [`CliError::Gate`] when the span tree is empty or the trace sequence
-/// has gaps; [`CliError::Input`] on unreadable/unparsable files.
-pub fn summary(path: &Path) -> Result<String, CliError> {
+/// The gates [`summary`] and [`summary_json`] share: the artifact parses
+/// into a non-empty span tree on a gap-free sequence.
+fn load_summarizable(path: &Path) -> Result<Trace, CliError> {
     let trace = load_trace(path)?;
     if trace.span_count() == 0 {
         return Err(CliError::Gate(format!(
@@ -521,18 +428,36 @@ pub fn summary(path: &Path) -> Result<String, CliError> {
             trace.skipped_records
         )));
     }
-    if !trace.seq_gaps.is_empty() {
-        return Err(CliError::Gate(format!(
-            "{}: trace sequence has {} gap(s): {:?}",
-            path.display(),
-            trace.seq_gaps.len(),
-            trace.seq_gaps
-        )));
+    gate_gaps(&trace, path)?;
+    Ok(trace)
+}
+
+/// Fails when the trace sequence has gaps: an artifact missing records
+/// cannot vouch for anything it holds.
+fn gate_gaps(trace: &Trace, path: &Path) -> Result<(), CliError> {
+    if trace.seq_gaps.is_empty() {
+        return Ok(());
     }
+    Err(CliError::Gate(format!(
+        "{}: trace sequence has {} gap(s): {:?}",
+        path.display(),
+        trace.seq_gaps.len(),
+        trace.seq_gaps
+    )))
+}
+
+/// Parses a telemetry NDJSON artifact into a [`Trace`] and renders the
+/// span-tree summary plus the [`EventTally`] sections, gating on
+/// artifact health.
+///
+/// # Errors
+///
+/// [`CliError::Gate`] when the span tree is empty or the trace sequence
+/// has gaps; [`CliError::Input`] on unreadable/unparsable files.
+pub fn summary(path: &Path) -> Result<String, CliError> {
+    let trace = load_summarizable(path)?;
     let mut out = trace.render_summary();
-    out.push_str(&fault_health(&trace).render());
-    out.push_str(&shard_health(&trace).render());
-    out.push_str(&cache_report(&trace).render());
+    out.push_str(&EventTally::new(&trace).render());
     Ok(out)
 }
 
@@ -561,14 +486,7 @@ fn request_paths_checked<'t>(
     path: &Path,
     request: u64,
 ) -> Result<Vec<Vec<&'t canti_obs::SpanNode>>, CliError> {
-    if !trace.seq_gaps.is_empty() {
-        return Err(CliError::Gate(format!(
-            "{}: trace sequence has {} gap(s): {:?}",
-            path.display(),
-            trace.seq_gaps.len(),
-            trace.seq_gaps
-        )));
-    }
+    gate_gaps(trace, path)?;
     let paths = trace.request_paths(request);
     if paths.is_empty() {
         return Err(CliError::Gate(format!(
@@ -658,62 +576,6 @@ pub fn trace_request(path: &Path, request: u64) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Recomputes deterministic SLO windows offline from the closed
-/// admission-side `request` spans in a telemetry artifact: each span's
-/// duration is its latency, judged against `objective_ns` and bucketed
-/// by its end time into `window_ns`-wide windows — the same pure
-/// function of `(latency, clock)` the live serve layer applies, so a
-/// virtual-clock artifact reproduces `/debug/slo`'s windows.
-///
-/// # Errors
-///
-/// [`CliError::Gate`] when the artifact holds no closed `request`
-/// spans (nothing to aggregate — the serve run came untraced);
-/// [`CliError::Input`] on unreadable/unparsable files.
-pub fn slo_report(path: &Path, objective_ns: u64, window_ns: u64) -> Result<String, CliError> {
-    use std::collections::BTreeMap;
-
-    let trace = load_trace(path)?;
-    let samples = closed_requests(&trace);
-    if samples.is_empty() {
-        return Err(CliError::Gate(format!(
-            "{}: no closed 'request' spans to aggregate ({} spans total)",
-            path.display(),
-            trace.span_count()
-        )));
-    }
-
-    let width = window_ns.max(1);
-    let mut windows: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    for span in &samples {
-        let (good, breached) = windows.entry(span.end_ns / width).or_default();
-        if span.latency_ns <= objective_ns {
-            *good += 1;
-        } else {
-            *breached += 1;
-        }
-    }
-    let good_total: u64 = windows.values().map(|w| w.0).sum();
-    let breached_total = samples.len() as u64 - good_total;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "slo (offline, {} request span(s)): objective={objective_ns} ns window={width} ns \
-         good={good_total} breached={breached_total}",
-        samples.len(),
-    );
-    for (index, (good, breached)) in windows {
-        let _ = writeln!(
-            out,
-            "  window {index} [t={} ns): good={good} breached={breached} breach={:.3}",
-            index * width,
-            breached as f64 / (good + breached) as f64
-        );
-    }
-    Ok(out)
-}
-
 /// One closed admission-side `request` span.
 struct ClosedRequest {
     /// The request's global admission id.
@@ -726,8 +588,7 @@ struct ClosedRequest {
 }
 
 /// Every closed admission-side `request` span in `trace`, in tree order:
-/// the samples both offline recomputes ([`slo_report`] and
-/// `timeline --spans`) aggregate.
+/// the samples `timeline --spans` recomputes the latency windows from.
 fn closed_requests(trace: &Trace) -> Vec<ClosedRequest> {
     fn walk(node: &canti_obs::SpanNode, out: &mut Vec<ClosedRequest>) {
         if let (Some(request), Some(latency_ns)) = (node.request, node.dur_ns) {
@@ -757,8 +618,9 @@ fn load_trace(path: &Path) -> Result<Trace, CliError> {
 
 /// Machine-readable [`summary`]: the same artifact-health gates, but
 /// fixed-field NDJSON output — one `trace_health` line, one `stage`
-/// line per span name, one `critical` line per critical-path hop, one
-/// `fault` line per fault/recovery event present.
+/// line per span name, one `critical` line per critical-path hop, then
+/// one `fault`, `shard` or `cache` line per [`EventTally`] event that
+/// fired.
 ///
 /// # Errors
 ///
@@ -766,24 +628,7 @@ fn load_trace(path: &Path) -> Result<Trace, CliError> {
 pub fn summary_json(path: &Path) -> Result<String, CliError> {
     use canti_obs::ndjson::{self, JsonValue};
 
-    let trace = load_trace(path)?;
-    if trace.span_count() == 0 {
-        return Err(CliError::Gate(format!(
-            "{}: span tree is empty ({} trace records, {} non-trace lines)",
-            path.display(),
-            trace.trace_records,
-            trace.skipped_records
-        )));
-    }
-    if !trace.seq_gaps.is_empty() {
-        return Err(CliError::Gate(format!(
-            "{}: trace sequence has {} gap(s): {:?}",
-            path.display(),
-            trace.seq_gaps.len(),
-            trace.seq_gaps
-        )));
-    }
-
+    let trace = load_summarizable(path)?;
     let mut out = String::new();
     out.push_str(&ndjson::object(&[
         ("record", JsonValue::from("trace_health")),
@@ -812,29 +657,16 @@ pub fn summary_json(path: &Path) -> Result<String, CliError> {
         ]));
         out.push('\n');
     }
-    for (name, count) in fault_health(&trace).counts {
-        out.push_str(&ndjson::object(&[
-            ("record", JsonValue::from("fault")),
-            ("name", JsonValue::from(name)),
-            ("count", JsonValue::U64(count)),
-        ]));
-        out.push('\n');
-    }
-    for (name, count) in shard_health(&trace).counts {
-        out.push_str(&ndjson::object(&[
-            ("record", JsonValue::from("shard")),
-            ("name", JsonValue::from(name)),
-            ("count", JsonValue::U64(count)),
-        ]));
-        out.push('\n');
-    }
-    for (name, count) in cache_report(&trace).counts {
-        out.push_str(&ndjson::object(&[
-            ("record", JsonValue::from("cache")),
-            ("name", JsonValue::from(name)),
-            ("count", JsonValue::U64(count)),
-        ]));
-        out.push('\n');
+    let tally = EventTally::new(&trace);
+    for (_, record, _, names) in EVENT_FAMILIES {
+        for (name, count) in tally.fired(names) {
+            out.push_str(&ndjson::object(&[
+                ("record", JsonValue::from(record)),
+                ("name", JsonValue::from(name)),
+                ("count", JsonValue::U64(count)),
+            ]));
+            out.push('\n');
+        }
     }
     Ok(out)
 }
@@ -1109,8 +941,7 @@ fn sparkline(points: &[TimelinePoint]) -> String {
 /// series, or fixed-field NDJSON with `--json`. With `spans`, also
 /// recomputes the request-latency windows offline from the closed
 /// `request` spans in that telemetry artifact and cross-checks them
-/// against the live `serve.request_latency_ns` section, the same way
-/// [`slo_report`] audits `/debug/slo`.
+/// against the live `serve.request_latency_ns` section.
 ///
 /// # Errors
 ///
@@ -1609,10 +1440,9 @@ mod tests {
         assert!(text.contains("failover             2"), "{text}");
         assert!(text.contains("shard_recovered      1"), "{text}");
 
-        let report = shard_health(&load_trace(&artifact).unwrap());
-        assert!(!report.is_quiet());
-        assert_eq!(report.count("failover"), 2);
-        assert_eq!(report.count("batcher_stall"), 0, "absent reads as zero");
+        let tally = EventTally::new(&load_trace(&artifact).unwrap());
+        assert_eq!(tally.count("failover"), 2);
+        assert_eq!(tally.count("batcher_stall"), 0, "absent reads as zero");
 
         let json = summary_json(&artifact).unwrap();
         assert!(
@@ -1633,7 +1463,6 @@ mod tests {
             text.contains("shard health: clean"),
             "a failure-free artifact must say so: {text}"
         );
-        assert!(shard_health(&load_trace(&artifact).unwrap()).is_quiet());
     }
 
     #[test]
@@ -1655,11 +1484,10 @@ mod tests {
         assert!(text.contains("cache_miss           1"), "{text}");
         assert!(text.contains("coalesced            1"), "{text}");
 
-        let report = cache_report(&load_trace(&artifact).unwrap());
-        assert!(!report.is_quiet());
-        assert_eq!(report.count("cache_hit"), 3);
-        assert_eq!(report.count("cache_miss"), 1);
-        assert_eq!(report.count("coalesced"), 1);
+        let tally = EventTally::new(&load_trace(&artifact).unwrap());
+        assert_eq!(tally.count("cache_hit"), 3);
+        assert_eq!(tally.count("cache_miss"), 1);
+        assert_eq!(tally.count("coalesced"), 1);
 
         let json = summary_json(&artifact).unwrap();
         assert!(
@@ -1684,7 +1512,6 @@ mod tests {
             text.contains("cache: quiet"),
             "a cache-free artifact must say so: {text}"
         );
-        assert!(cache_report(&load_trace(&artifact).unwrap()).is_quiet());
     }
 
     #[test]
@@ -1756,55 +1583,34 @@ mod tests {
         assert!(err.to_string().contains("gap"), "{err}");
     }
 
-    #[test]
-    fn slo_report_rebuilds_windows_from_request_spans() {
-        let artifact = write_temp(
-            "slo-windows",
-            "{\"seq\":0,\"t_ns\":100,\"kind\":\"span_start\",\"name\":\"request\",\"fields\":{\"request\":1,\"trace\":5}}\n\
-             {\"seq\":1,\"t_ns\":150,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":50}}\n\
-             {\"seq\":2,\"t_ns\":900,\"kind\":\"span_start\",\"name\":\"request\",\"fields\":{\"request\":2,\"trace\":6}}\n\
-             {\"seq\":3,\"t_ns\":1300,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":400}}\n",
-        );
-        let text = slo_report(&artifact, 100, 1_000).unwrap();
-        assert!(text.contains("good=1 breached=1"), "{text}");
-        assert!(
-            text.contains("window 0 [t=0 ns): good=1 breached=0"),
-            "{text}"
-        );
-        assert!(
-            text.contains("window 1 [t=1000 ns): good=0 breached=1"),
-            "{text}"
-        );
-
-        // an artifact with no request spans has nothing to audit
-        let jobs_only = write_temp(
-            "slo-empty",
-            "{\"seq\":0,\"t_ns\":0,\"kind\":\"span_start\",\"name\":\"job\"}\n\
-             {\"seq\":1,\"t_ns\":5,\"kind\":\"span_end\",\"name\":\"job\",\"fields\":{\"dur_ns\":5}}\n",
-        );
-        let err = slo_report(&jobs_only, 100, 1_000).unwrap_err();
-        assert_eq!(err.exit_code(), 1);
-    }
-
     /// A request span ending past `u64::MAX` saturates into the last
-    /// window instead of overflowing (or wrapping into window 0).
+    /// window of the `--spans` recompute instead of overflowing (or
+    /// wrapping into window 0), so it matches a live window recorded
+    /// there.
     #[test]
-    fn slo_report_saturates_a_span_ending_past_the_clock_range() {
+    fn timeline_spans_saturate_a_span_ending_past_the_clock_range() {
         let start = u64::MAX - 5;
-        let artifact = write_temp(
-            "slo-overflow",
+        let last = u64::MAX / 1_000;
+        let timeline = write_temp(
+            "spans-overflow-timeline",
+            &format!(
+                "{{\"record\":\"timeline_config\",\"window_ns\":1000,\"max_windows\":8}}\n\
+                 {{\"record\":\"timeline\",\"shard\":\"0\",\"series\":\"serve.request_latency_ns\",\
+                 \"kind\":\"delta\",\"window\":{last},\"t_ns\":{},\"count\":1,\"sum\":100,\
+                 \"min\":100,\"max\":100}}\n",
+                last * 1_000
+            ),
+        );
+        let spans = write_temp(
+            "spans-overflow",
             &format!(
                 "{{\"seq\":0,\"t_ns\":{start},\"kind\":\"span_start\",\"name\":\"request\",\"fields\":{{\"request\":1}}}}\n\
                  {{\"seq\":1,\"t_ns\":{start},\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{{\"dur_ns\":100}}}}\n"
             ),
         );
-        let text = slo_report(&artifact, 50, 1_000).unwrap();
-        let last = u64::MAX / 1_000;
+        let text = timeline_report(&timeline, Some(&spans), &TimelineOptions::default()).unwrap();
         assert!(
-            text.contains(&format!(
-                "window {last} [t={} ns): good=0 breached=1",
-                last * 1_000
-            )),
+            text.contains("1 request span(s), 1 window(s) — matches live"),
             "{text}"
         );
     }

@@ -4,7 +4,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use canti_obsctl::{
-    anomaly, diff, flame, slo_report, summary, summary_json, timeline_report, trace_request,
+    anomaly, diff, flame, summary, summary_json, timeline_report, trace_request,
     trace_request_json, AnomalyOptions, CliError, DiffOptions, TimelineOptions,
 };
 
@@ -16,7 +16,6 @@ USAGE:
     obsctl flame    <telemetry.ndjson>
     obsctl diff     <old.json> <new.json> [--threshold-pct <P>] [--min-ns <N>]
     obsctl trace    <telemetry.ndjson> <request-id> [--json]
-    obsctl slo      <telemetry.ndjson> [--objective-ns <N>] [--window-ns <N>]
     obsctl timeline <timeline.ndjson> [--shard <S>] [--series <NAME>]...
                     [--spans <telemetry.ndjson>] [--json]
     obsctl anomaly  <current.ndjson> <baseline.ndjson> [--shard <S>]
@@ -25,7 +24,9 @@ USAGE:
 
 SUBCOMMANDS:
     summary   Reconstruct the span tree from a telemetry NDJSON artifact
-              and print per-stage aggregates plus the critical path.
+              and print per-stage aggregates, the critical path and the
+              fault, shard and cache event tallies (every event record
+              counts, whether or not a span was open when it fired).
               Fails (exit 1) when the span tree is empty or the trace
               sequence has gaps — CI uses this as an artifact-health gate.
     flame     Print folded-stack flamegraph lines (`a;b;c <self_ns>`)
@@ -43,12 +44,9 @@ SUBCOMMANDS:
               the request is absent, orphaned (no admission span),
               unclosed, or the sequence has gaps — the serve-artifact
               health gate CI runs on the smoke telemetry.
-    slo       Recompute deterministic SLO windows offline from the closed
-              'request' spans in the artifact, for auditing the live
-              /debug/slo view against the raw trace. Exits 1 when the
-              artifact holds no request spans.
     timeline  Render the per-window series of a /debug/timeline NDJSON
-              artifact as tables with count sparklines. With --spans,
+              artifact as tables with count sparklines; the SLO verdicts
+              are its slo.good and slo.breached series. With --spans,
               recompute the request-latency windows offline from the
               closed 'request' spans of that telemetry artifact and
               cross-check them against the live windows; exits 1 when
@@ -72,12 +70,6 @@ OPTIONS (diff):
                           only when it grew by more than P% (default 25).
     --min-ns <N>          Absolute noise floor in nanoseconds; deltas of
                           at most N ns never count (default 10000).
-
-OPTIONS (slo):
-    --objective-ns <N>    Latency objective in nanoseconds; a request at
-                          most this slow is good (default 50000000).
-    --window-ns <N>       Fixed window width in nanoseconds on the
-                          artifact's clock (default 1000000000).
 
 OPTIONS (timeline):
     --shard <S>           Shard section to render: a shard label or
@@ -220,34 +212,6 @@ fn run() -> Result<(), CliError> {
                     report.missing.len()
                 )));
             }
-            Ok(())
-        }
-        "slo" => {
-            let mut objective_ns = canti_obs::SloConfig::default().objective_ns;
-            let mut window_ns = canti_obs::TimelineConfig::default().window_ns;
-            let mut files: Vec<PathBuf> = Vec::new();
-            let mut rest = args[1..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--objective-ns" => {
-                        objective_ns = parse_flag(rest.next(), "--objective-ns")?;
-                    }
-                    "--window-ns" => {
-                        window_ns = parse_flag(rest.next(), "--window-ns")?;
-                    }
-                    flag if flag.starts_with('-') => {
-                        return Err(CliError::Usage(format!("unknown flag {flag}")));
-                    }
-                    path => files.push(PathBuf::from(path)),
-                }
-            }
-            let [path] = files.as_slice() else {
-                return Err(CliError::Usage(
-                    "slo takes exactly one file argument: <telemetry.ndjson>".into(),
-                ));
-            };
-            let out = slo_report(path, objective_ns, window_ns)?;
-            print!("{out}");
             Ok(())
         }
         "diff" => {

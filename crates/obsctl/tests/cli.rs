@@ -111,28 +111,6 @@ fn trace_gates_on_unknown_requests_and_rejects_bad_ids() {
 }
 
 #[test]
-fn slo_recomputes_windows_offline() {
-    let path = temp("slo-offline", &serve_trace());
-    // the request ran 2000 ns: good under a loose objective…
-    let out = obsctl(&["slo", path.to_str().unwrap()]);
-    assert!(out.status.success());
-    assert!(String::from_utf8_lossy(&out.stdout).contains("good=1 breached=0"));
-    // …and a breach under a 1 µs one
-    let out = obsctl(&[
-        "slo",
-        path.to_str().unwrap(),
-        "--objective-ns",
-        "1000",
-        "--window-ns",
-        "1000000",
-    ]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("good=0 breached=1"), "{stdout}");
-    assert!(stdout.contains("window 0 "), "{stdout}");
-}
-
-#[test]
 fn diff_passes_on_identical_inputs() {
     let old = fixture("bench_old.json");
     let out = obsctl(&["diff", old.to_str().unwrap(), old.to_str().unwrap()]);
@@ -258,6 +236,11 @@ fn usage_errors_exit_2_and_help_exits_0() {
     assert_eq!(out.status.code(), Some(2));
     let out = obsctl(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(2));
+    // the SLO verdicts are timeline series; there is no slo subcommand
+    let path = temp("no-slo", &serve_trace());
+    let out = obsctl(&["slo", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand slo"));
     let out = obsctl(&["diff", "only-one-file.json"]);
     assert_eq!(out.status.code(), Some(2));
     let out = obsctl(&["--help"]);
@@ -268,14 +251,16 @@ fn usage_errors_exit_2_and_help_exits_0() {
         "flame",
         "diff",
         "trace",
-        "slo",
+        "timeline",
+        "anomaly",
         "--threshold-pct",
         "--min-ns",
-        "--objective-ns",
-        "--window-ns",
         "EXIT CODES",
     ] {
         assert!(help.contains(needle), "help missing {needle}");
+    }
+    for gone in ["obsctl slo", "--objective-ns", "--window-ns"] {
+        assert!(!help.contains(gone), "help still lists {gone}");
     }
 }
 

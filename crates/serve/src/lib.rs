@@ -132,12 +132,13 @@ pub struct ServeConfig {
     /// SLO objective every finished request is scored against: answers
     /// by latency, while expired, shed and failed requests always
     /// breach. Verdicts land as `slo.good` / `slo.breached` series on the
-    /// [`Self::timeline`] grid, so `/debug/slo` shares its windows.
+    /// [`Self::timeline`] grid: `/debug/timeline` serves them per shard
+    /// and merged, like every other series.
     pub slo: SloConfig,
     /// Timeline policy: window width and retention for the per-window
     /// telemetry series (admissions, queue depth, per-stage latency, SLO
-    /// verdicts) behind `/debug/timeline` and `/debug/slo`. Recorded
-    /// only when an observer is attached.
+    /// verdicts) behind `/debug/timeline`. Recorded only when an
+    /// observer is attached.
     pub timeline: TimelineConfig,
     /// Brownout shedding policy. `None` (default) disables shedding.
     pub brownout: Option<BrownoutConfig>,

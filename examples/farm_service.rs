@@ -21,7 +21,7 @@
 //! exposition text, so a plain run (no curl) still shows the format.
 //! One worker pool and one precompute cache live as long as the
 //! service: every batch runs on the same threads, and the static chain
-//! is characterized once.
+//! is characterized once. `/healthz` reports that pool's width.
 
 use std::sync::Arc;
 
@@ -29,6 +29,7 @@ use canti::farm::{
     cross_reactivity_panel, dose_response_sweep, process_variation_batch, Farm, FarmConfig,
     FarmObserver, JobSpec, PrecomputeCache, WorkerPool,
 };
+use canti::obs::{Exposition, ExpositionServer, Readiness, Registry};
 
 fn usage() -> ! {
     eprintln!(
@@ -65,7 +66,18 @@ fn main() {
 
     // Wall-clock observer: this is a service, latencies should be real.
     let (observer, _ring) = FarmObserver::profiling(8192);
-    let server = observer.serve(&addr).expect("bind exposition server");
+    let pool = Arc::new(WorkerPool::new(0));
+    let server = ExpositionServer::bind(
+        &addr,
+        Exposition {
+            readiness: Some(Readiness {
+                pool_threads: pool.threads(),
+                ..Readiness::default()
+            }),
+            ..Exposition::new(Registry::Single(Arc::clone(observer.metrics())))
+        },
+    )
+    .expect("bind exposition server");
     println!(
         "serving /metrics and /healthz on http://{}  ({} batches x {} jobs)",
         server.local_addr(),
@@ -81,7 +93,6 @@ fn main() {
         .map(|i| i as f64 * 25.0)
         .collect();
 
-    let pool = Arc::new(WorkerPool::new(0));
     let cache = Arc::new(PrecomputeCache::new());
     for batch in 0..batches {
         let mut jobs: Vec<JobSpec> = dose_response_sweep(&concentrations);
@@ -108,8 +119,12 @@ fn main() {
 
     let health = server.scrape("/healthz").expect("self-scrape /healthz");
     assert_eq!(
-        health, "{\"status\":\"ok\",\"shards\":1,\"pool_threads\":0,\"draining\":false}\n",
-        "health endpoint answers with the readiness body"
+        health,
+        format!(
+            "{{\"status\":\"ok\",\"shards\":1,\"pool_threads\":{},\"draining\":false}}\n",
+            pool.threads()
+        ),
+        "health endpoint reports the width of the pool every batch ran on"
     );
     let exposition = server.scrape("/metrics").expect("self-scrape /metrics");
     println!("\n--- /metrics ---\n{exposition}");

@@ -26,12 +26,14 @@
 //! `target/chaos_telemetry.ndjson`, and re-verifies that the supervised
 //! report is bit-identical to a single-threaded oracle.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use canti::farm::{
     chaos_scan_batch, cross_reactivity_panel, dose_response_sweep, process_variation_batch, Farm,
     FarmConfig, FarmObserver, FarmSupervisor, JobSpec, ProbeMode, SupervisorConfig,
 };
+use canti::obs::{Exposition, ExpositionServer, Registry};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -65,7 +67,9 @@ fn main() {
 
     let observer = telemetry_on.then(|| FarmObserver::profiling(8192));
     let server = observer.as_ref().filter(|_| serve_on).map(|(obs, _)| {
-        let server = obs.serve("127.0.0.1:0").expect("bind exposition server");
+        let exposition = Exposition::new(Registry::Single(Arc::clone(obs.metrics())));
+        let server =
+            ExpositionServer::bind("127.0.0.1:0", exposition).expect("bind exposition server");
         println!("serving /metrics on http://{}", server.local_addr());
         server
     });

@@ -4,10 +4,10 @@
 //! batch sizes, request latencies, admitted/rejected/expired counters,
 //! every series labelled `shard="<i>"`) plus the observability debug
 //! routes: a JSON `/healthz` readiness body, the per-request
-//! `/debug/requests` log (trace id + latency breakdown), the
-//! `/debug/slo` window view, and the per-window `/debug/timeline`
-//! NDJSON series — all three served from each shard's `ServeObs`
-//! handle. Each shard's trace stream lands in a profiling ring.
+//! `/debug/requests` log (trace id + latency breakdown), and the
+//! per-window `/debug/timeline` NDJSON series, SLO verdicts included —
+//! both served from each shard's `ServeObs` handle. Each shard's trace
+//! stream lands in a profiling ring.
 //!
 //! Run with:
 //! `cargo run --release --example serve_demo [requests] [--submitters N] [--batch N] [--shards N] [--chaos-serve SEED] [--telemetry] [--addr HOST:PORT]`
@@ -34,7 +34,7 @@
 //!   `target/serve_cache_timeline.ndjson` for the CI cache gates,
 //! * `--telemetry` — write shard 0's full trace stream (request spans,
 //!   serve_batch/batch/job spans, metrics) to
-//!   `target/serve_telemetry.ndjson` for `obsctl trace` / `obsctl slo`
+//!   `target/serve_telemetry.ndjson` for `obsctl trace`
 //!   (`target/serve_chaos_telemetry.ndjson` under `--chaos-serve`), and
 //!   — outside chaos mode — the scraped `/debug/timeline` body to
 //!   `target/serve_timeline.ndjson` for `obsctl timeline` / `anomaly`,
@@ -52,8 +52,8 @@ use std::time::{Duration, Instant};
 
 use canti::farm::{FarmObserver, JobSpec, ProbeMode, Receptor};
 use canti::obs::{
-    parse_ndjson, Collector, DebugState, ExpositionServer, Json, Metrics, ObsClock, Readiness,
-    RingCollector, ServeObs, Tracer, WallClock,
+    parse_ndjson, Collector, Exposition, ExpositionServer, Json, Metrics, ObsClock, Readiness,
+    Registry, RingCollector, ServeObs, Tracer, WallClock,
 };
 use canti::serve::{
     CacheConfig, Disposition, RejectReason, ServeConfig, ServeFaultPlan, ServeResponse,
@@ -107,7 +107,7 @@ fn build_observers(
 }
 
 /// The observed shards' debug handles, labelled by shard index, for
-/// [`DebugState::shards`].
+/// [`Exposition::shards`].
 fn labelled(obs: Vec<Option<ServeObs>>) -> Vec<(String, ServeObs)> {
     obs.into_iter()
         .enumerate()
@@ -329,12 +329,12 @@ fn run_cache(shards: usize, telemetry: bool) {
         })),
         ..Readiness::default()
     };
-    let debug = DebugState {
+    let exposition = Exposition {
         shards: labelled(service.obs()),
         readiness: Some(readiness),
+        ..Exposition::new(Registry::Sharded(sources))
     };
-    let server =
-        ExpositionServer::bind_sharded_debug("127.0.0.1:0", sources, debug).expect("bind server");
+    let server = ExpositionServer::bind("127.0.0.1:0", exposition).expect("bind server");
     println!(
         "cache drill: {shards} shard(s), capacity {} per shard, http://{}",
         CacheConfig::default().capacity,
@@ -577,15 +577,15 @@ fn main() {
         ..Readiness::default()
     };
     let draining = Arc::clone(&readiness.draining);
-    let debug = DebugState {
+    let shard0_metrics = Arc::clone(&sources[0].1);
+    let exposition = Exposition {
         shards: labelled(service.obs()),
         readiness: Some(readiness),
+        ..Exposition::new(Registry::Sharded(sources))
     };
-    let shard0_metrics = Arc::clone(&sources[0].1);
-    let server = ExpositionServer::bind_sharded_debug(&addr, sources, debug)
-        .expect("bind exposition server");
+    let server = ExpositionServer::bind(&addr, exposition).expect("bind exposition server");
     println!(
-        "serving /metrics /healthz /debug/requests /debug/slo /debug/timeline on http://{}  \
+        "serving /metrics /healthz /debug/requests /debug/timeline on http://{}  \
          ({requests} requests, {submitters} submitters, batch<={batch}, {shards} shard(s))",
         server.local_addr()
     );
@@ -675,17 +675,6 @@ fn main() {
     for line in debug_requests.lines().take(4) {
         println!("{line}");
     }
-    // The SLO window view, per shard and merged across shards.
-    let debug_slo = server.scrape("/debug/slo").expect("self-scrape /debug/slo");
-    println!("\n--- /debug/slo ---\n{debug_slo}");
-    let merged_windows = debug_slo
-        .split_once("merged:")
-        .map(|(_, merged)| merged.lines().filter(|l| l.contains("window ")).count());
-    assert!(
-        merged_windows.is_some_and(|n| n > 0),
-        "completed requests must fill the merged slo windows: {debug_slo}"
-    );
-
     // The per-window timeline: per-shard series followed by the merged
     // view, one fixed-field NDJSON record per (series, window).
     let debug_timeline = server
@@ -702,6 +691,24 @@ fn main() {
         debug_timeline.contains("\"shard\":\"merged\"")
             && debug_timeline.contains("\"series\":\"serve.completed\""),
         "timeline route serves merged serve series"
+    );
+    // The SLO verdicts are two of its series, per shard and merged
+    // across shards: every answered request and the expiry above land
+    // in slo.good or slo.breached.
+    let merged_verdicts: Vec<&str> = debug_timeline
+        .lines()
+        .filter(|l| {
+            l.contains("\"shard\":\"merged\",\"series\":\"slo.good\"")
+                || l.contains("\"shard\":\"merged\",\"series\":\"slo.breached\"")
+        })
+        .collect();
+    println!("\n--- merged SLO verdict windows ---");
+    for line in &merged_verdicts {
+        println!("{line}");
+    }
+    assert!(
+        !merged_verdicts.is_empty(),
+        "terminal requests must fill the merged slo windows: {debug_timeline}"
     );
 
     let health = server.scrape("/healthz").expect("self-scrape /healthz");
@@ -733,7 +740,7 @@ fn main() {
 
     if telemetry {
         // shard 0's stream is self-contained (its own seq sequence), so
-        // obsctl trace/slo can gate on it without cross-shard stitching
+        // obsctl trace can gate on it without cross-shard stitching
         let mut ndjson = rings[0].to_ndjson();
         ndjson.push_str(&shard0_metrics.to_ndjson());
         let path = "target/serve_telemetry.ndjson";

@@ -22,8 +22,8 @@
 #                          #     batch gated through obsctl summary
 #                          #   * a sharded traced serve_demo run whose
 #                          #     telemetry artifact is gated through
-#                          #     obsctl trace (request-chain health) and
-#                          #     obsctl slo (offline window recompute),
+#                          #     obsctl trace (request-chain health: a
+#                          #     closed admission-side request span),
 #                          #     and whose scraped /debug/timeline body is
 #                          #     archived (serve_timeline.ndjson, previous
 #                          #     run kept as .prev) and gated through
@@ -223,22 +223,19 @@ if [[ "${1:-}" == "smoke" ]]; then
     timeline_artifact=target/serve_timeline.ndjson
     timeline_prev=target/serve_timeline.prev.ndjson
     [[ -s "$timeline_artifact" ]] && cp "$timeline_artifact" "$timeline_prev"
-    # the demo itself asserts breakdown tiling, non-empty merged windows
-    # in the scraped /debug/slo body and the JSON /healthz body before it
-    # exits 0
+    # the demo itself asserts breakdown tiling, non-empty merged
+    # slo.good/slo.breached lines in the scraped /debug/timeline body and
+    # the JSON /healthz body before it exits 0
     cargo run --release --example serve_demo 16 --shards 2 --telemetry
     serve_artifact=target/serve_telemetry.ndjson
     [[ -s "$serve_artifact" ]] || { echo "missing serve artifact $serve_artifact"; exit 1; }
     # pick a request id actually present in shard 0's stream, then gate:
-    # obsctl trace fails (exit 1) on orphaned or unclosed request spans
-    # and on trace sequence gaps
+    # obsctl trace fails (exit 1) unless the artifact holds a closed
+    # admission-side request span for it, and on trace sequence gaps
     req=$(grep -o '"request":[0-9]*' "$serve_artifact" | head -1 | cut -d: -f2)
     [[ -n "$req" ]] || { echo "no request spans in $serve_artifact"; exit 1; }
     echo "-- obsctl trace: request $req --"
     cargo run --release -q -p canti-obsctl -- trace "$serve_artifact" "$req"
-    # the offline SLO recomputation must find request spans to aggregate
-    echo "-- obsctl slo (offline windows) --"
-    cargo run --release -q -p canti-obsctl -- slo "$serve_artifact"
     # the scraped /debug/timeline body must parse and render (exit 1 on
     # an empty shard selection, exit 2 on a malformed artifact)
     [[ -s "$timeline_artifact" ]] || { echo "missing timeline artifact $timeline_artifact"; exit 1; }

@@ -1,6 +1,7 @@
 //! Golden pins for the request-scoped observability surface: a scripted
-//! virtual-clock serve run whose `/debug/requests` body, `/debug/slo`
-//! body and `obsctl trace` rendering are pinned byte-for-byte. The run
+//! virtual-clock serve run whose `/debug/requests` body, SLO verdict
+//! lines of the `/debug/timeline` body and `obsctl trace` rendering are
+//! pinned byte-for-byte. The run
 //! shares one [`VirtualClock`] between the engine and its observer, so
 //! every timestamp, latency phase and trace id in both artifacts is a
 //! pure function of the script — any drift in the emission paths shows
@@ -10,19 +11,20 @@ use std::sync::Arc;
 
 use canti::farm::{FarmObserver, JobSpec, ProbeMode};
 use canti::obs::{
-    Collector, DebugState, ExpositionServer, Metrics, ObsClock, RingCollector, SloConfig,
+    Collector, Exposition, ExpositionServer, Metrics, ObsClock, Registry, RingCollector, SloConfig,
     TimelineConfig, Tracer, VirtualClock,
 };
 use canti::serve::{ServeConfig, ServeResponse, ShardedConfig, ShardedEngine};
 
 /// Everything the scripted run produces: the responses, the ring's
-/// NDJSON trace stream, and the live `/debug/requests` + `/debug/slo`
-/// bodies scraped over HTTP.
+/// NDJSON trace stream, the live `/debug/requests` body scraped over
+/// HTTP, and the `slo.good` / `slo.breached` lines of the scraped
+/// `/debug/timeline` body.
 struct Scripted {
     responses: Vec<ServeResponse>,
     trace_ndjson: String,
     requests_body: String,
-    slo_body: String,
+    slo_lines: String,
 }
 
 /// A fixed script on a shared virtual clock: two probes size-batched at
@@ -73,21 +75,25 @@ fn scripted_observed_run(threads: usize) -> Scripted {
         .obs()
         .remove(0)
         .expect("observed engine keeps debug handles");
-    let debug = DebugState {
+    let exposition = Exposition {
         shards: vec![("0".to_owned(), obs)],
-        readiness: None,
+        ..Exposition::new(Registry::Single(metrics))
     };
-    let server =
-        ExpositionServer::bind_debug("127.0.0.1:0", metrics, debug).expect("bind debug server");
+    let server = ExpositionServer::bind("127.0.0.1:0", exposition).expect("bind debug server");
     let requests_body = server.scrape("/debug/requests").expect("scrape requests");
-    let slo_body = server.scrape("/debug/slo").expect("scrape slo");
+    let timeline_body = server.scrape("/debug/timeline").expect("scrape timeline");
     server.shutdown();
+    let slo_lines = timeline_body
+        .lines()
+        .filter(|l| l.contains("\"series\":\"slo."))
+        .map(|l| format!("{l}\n"))
+        .collect();
 
     Scripted {
         responses,
         trace_ndjson: ring.to_ndjson(),
         requests_body,
-        slo_body,
+        slo_lines,
     }
 }
 
@@ -99,16 +105,14 @@ const GOLDEN_REQUESTS: &str = "\
 {\"shard\":\"0\",\"request\":1,\"trace\":14234191361360560413,\"outcome\":\"ok\",\"batch\":0,\"latency_ns\":250,\"queue_ns\":250,\"form_ns\":0,\"exec_ns\":0,\"respond_ns\":0,\"finished_ns\":250}\n\
 {\"shard\":\"0\",\"request\":2,\"trace\":5814461512456608474,\"outcome\":\"ok\",\"batch\":1,\"latency_ns\":1150,\"queue_ns\":1150,\"form_ns\":0,\"exec_ns\":0,\"respond_ns\":0,\"finished_ns\":1400}\n";
 
-/// The `/debug/slo` body: the two size-batched probes land good in
-/// window 0, the lingered straggler breaches in window 1.
-const GOLDEN_SLO: &str = "slo: objective=300 ns window=1000 ns
-shard 0: good=2 breached=1
-  window 0 [t=0 ns): good=2 breached=0 breach=0.000
-  window 1 [t=1000 ns): good=0 breached=1 breach=1.000
-merged: good=2 breached=1
-  window 0 [t=0 ns): good=2 breached=0 breach=0.000
-  window 1 [t=1000 ns): good=0 breached=1 breach=1.000
-";
+/// The SLO verdict lines of the `/debug/timeline` body, shard 0 then
+/// the merged view: the two size-batched probes land good in window 0,
+/// the lingered straggler breaches in window 1.
+const GOLDEN_SLO: &str = "\
+{\"record\":\"timeline\",\"shard\":\"0\",\"series\":\"slo.breached\",\"kind\":\"delta\",\"window\":1,\"t_ns\":1000,\"count\":1,\"sum\":1,\"min\":1,\"max\":1}\n\
+{\"record\":\"timeline\",\"shard\":\"0\",\"series\":\"slo.good\",\"kind\":\"delta\",\"window\":0,\"t_ns\":0,\"count\":2,\"sum\":2,\"min\":1,\"max\":1}\n\
+{\"record\":\"timeline\",\"shard\":\"merged\",\"series\":\"slo.breached\",\"kind\":\"delta\",\"window\":1,\"t_ns\":1000,\"count\":1,\"sum\":1,\"min\":1,\"max\":1}\n\
+{\"record\":\"timeline\",\"shard\":\"merged\",\"series\":\"slo.good\",\"kind\":\"delta\",\"window\":0,\"t_ns\":0,\"count\":2,\"sum\":2,\"min\":1,\"max\":1}\n";
 
 /// `obsctl trace` for request 1: the admission-side chain (both request
 /// spans are open concurrently, so reconstruction nests them), the farm
@@ -124,7 +128,7 @@ fn debug_requests_and_slo_bodies_are_pinned() {
     let run = scripted_observed_run(1);
     assert_eq!(run.responses.len(), 3, "script answers all three probes");
     assert_eq!(run.requests_body, GOLDEN_REQUESTS);
-    assert_eq!(run.slo_body, GOLDEN_SLO);
+    assert_eq!(run.slo_lines, GOLDEN_SLO);
 }
 
 /// The debug bodies are invariant under farm worker count: every value
@@ -139,8 +143,8 @@ fn debug_bodies_are_bit_identical_across_worker_counts() {
             "/debug/requests diverged at {threads} workers"
         );
         assert_eq!(
-            run.slo_body, oracle.slo_body,
-            "/debug/slo diverged at {threads} workers"
+            run.slo_lines, oracle.slo_lines,
+            "/debug/timeline SLO verdicts diverged at {threads} workers"
         );
         assert_eq!(
             run.responses, oracle.responses,

@@ -19,6 +19,10 @@
 //! 4. **The empty plan is inert** — a run armed with
 //!    [`ServeFaultPlan::default`] is bit-identical to a run with no
 //!    plan installed at all.
+//! 5. **The victim's telemetry tallies its whole lifecycle** — observed
+//!    per shard, the victim's ring gives `obsctl summary` one
+//!    `shard_down` and one `shard_recovered`, although the restart
+//!    fires the latter while no span is open.
 //!
 //! A threaded companion test drives the same fault plan through
 //! [`ShardedService`] under a watchdog: every ticket must resolve
@@ -86,6 +90,17 @@ struct ChaosTrace {
 /// The scripted chaos run: kill → failover → backoff → restart →
 /// re-admission, all on the virtual clock.
 fn chaos_run(workers: usize, shards: usize, plan: Option<&ServeFaultPlan>) -> ChaosTrace {
+    observed_chaos_run(workers, shards, plan, Vec::new())
+}
+
+/// [`chaos_run`] with one observer per shard (none when `observers` is
+/// empty).
+fn observed_chaos_run(
+    workers: usize,
+    shards: usize,
+    plan: Option<&ServeFaultPlan>,
+    observers: Vec<FarmObserver>,
+) -> ChaosTrace {
     let clock = Arc::new(VirtualClock::new());
     let mut engine = ShardedEngine::new(
         ShardedConfig {
@@ -95,6 +110,9 @@ fn chaos_run(workers: usize, shards: usize, plan: Option<&ServeFaultPlan>) -> Ch
         Arc::clone(&clock) as Arc<dyn ObsClock>,
     )
     .with_supervisor(supervision());
+    if !observers.is_empty() {
+        engine = engine.with_observers(observers);
+    }
     if let Some(plan) = plan {
         engine = engine.with_chaos_plan(plan);
     }
@@ -340,6 +358,39 @@ fn the_default_plan_is_bit_identical_to_no_plan() {
             "no faults: everything completes"
         );
     }
+}
+
+/// Contract 5: the victim's ring, summarized by `obsctl`, counts the
+/// kill and the restart once each. The restart's `shard_recovered`
+/// fires between batches, outside every span, so a tally that counted
+/// only span-attached events would miss it.
+#[test]
+fn summary_tallies_the_victims_shard_down_and_shard_recovered() {
+    let (observers, rings): (Vec<FarmObserver>, Vec<_>) =
+        (0..2).map(|_| FarmObserver::deterministic(1 << 14)).unzip();
+    let trace = observed_chaos_run(1, 2, Some(&kill_plan()), observers);
+    assert_eq!(trace.restarts, 1, "the script restarts the victim once");
+    assert_eq!(rings[VICTIM].dropped(), 0, "the ring holds the whole run");
+
+    let path = std::env::temp_dir().join(format!(
+        "serve-failover-victim-{}.ndjson",
+        std::process::id()
+    ));
+    std::fs::write(&path, rings[VICTIM].to_ndjson()).expect("write the victim's ring");
+    let summary = canti_obsctl::summary(&path).expect("the victim's ring is a healthy artifact");
+    let json = canti_obsctl::summary_json(&path).expect("the same gates pass in --json mode");
+    let _ = std::fs::remove_file(&path);
+
+    assert!(summary.contains("  shard_down           1\n"), "{summary}");
+    assert!(summary.contains("  shard_recovered      1\n"), "{summary}");
+    assert!(
+        json.contains("{\"record\":\"shard\",\"name\":\"shard_down\",\"count\":1}"),
+        "{json}"
+    );
+    assert!(
+        json.contains("{\"record\":\"shard\",\"name\":\"shard_recovered\",\"count\":1}"),
+        "{json}"
+    );
 }
 
 /// The threaded layer under the same fault plan, watchdog-asserted:

@@ -4,8 +4,8 @@
 //! per-window fold of the per-shard snapshots — no series or window
 //! invented, none dropped, counts and sums added, min and max widened,
 //! each series' kind taken from the first shard that carries it — and
-//! the fold is order-independent. The merged `/debug/timeline` and
-//! `/debug/slo` views both rely on it.
+//! the fold is order-independent. The merged `/debug/timeline` view,
+//! SLO verdicts included, relies on it.
 //!
 //! `TimelineRecorder::record`: recording by resolved id, in any grouping
 //! of the observations, leaves the same snapshot, text rendering and
