@@ -10,13 +10,19 @@
 //!
 //! Lookups hold the cache lock across a miss's computation: concurrent
 //! workers wanting the same key block until the first one fills it, so an
-//! expensive precompute runs exactly once per batch no matter the worker
-//! count. The computation itself is deterministic (seeded by the config),
-//! which is what keeps memoization invisible to the determinism contract.
+//! expensive precompute runs exactly once per cache no matter the worker
+//! count — and once per service when its shards share one cache. The
+//! computation itself is deterministic (seeded by the config), which is
+//! what keeps memoization invisible to the determinism contract.
+//!
+//! A map is written only after its computation succeeds, so a panic
+//! mid-computation leaves it consistent: the next lookup recovers the
+//! poisoned lock and computes again, instead of failing every later job
+//! that shares the cache.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use canti_core::assay::StaticChainResponse;
 use canti_core::chip::{BiosensorChip, Environment};
@@ -107,8 +113,16 @@ impl PrecomputeCache {
     /// Counters and occupancy so far.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        let static_entries = self.static_chains.lock().expect("cache lock").len() as u64;
-        let resonant_entries = self.resonant.lock().expect("cache lock").len() as u64;
+        let static_entries = self
+            .static_chains
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len() as u64;
+        let resonant_entries = self
+            .resonant
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len() as u64;
         let per_static =
             (std::mem::size_of::<StaticChainResponse>() + std::mem::size_of::<u64>()) as u64;
         let per_resonant =
@@ -132,7 +146,10 @@ impl PrecomputeCache {
         config: &StaticReadoutConfig,
     ) -> Result<Arc<StaticChainResponse>, CoreError> {
         let key = static_config_key(config);
-        let mut chains = self.static_chains.lock().expect("cache lock");
+        let mut chains = self
+            .static_chains
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(chain) = chains.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(chain));
@@ -153,7 +170,7 @@ impl PrecomputeCache {
     ///
     /// Returns [`CoreError`] if the resonant system cannot be built.
     pub fn resonant_baseline(&self) -> Result<Arc<ResonantBaseline>, CoreError> {
-        let mut map = self.resonant.lock().expect("cache lock");
+        let mut map = self.resonant.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(base) = map.get(&0) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(base));
@@ -222,6 +239,24 @@ mod tests {
             a.transfer_volts_per_stress, c.transfer_volts_per_stress,
             "transfer is mismatch-independent"
         );
+    }
+
+    #[test]
+    fn a_poisoned_lock_is_recovered_not_fatal() {
+        let cache = PrecomputeCache::new();
+        let held = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _map = cache.resonant.lock().unwrap();
+                panic!("a job dies holding the cache lock");
+            })
+            .join()
+        });
+        assert!(held.is_err() && cache.resonant.is_poisoned());
+        let base = cache
+            .resonant_baseline()
+            .expect("computed despite the poison");
+        assert!(base.baseline_frequency_hz > 10e3);
+        assert_eq!((cache.stats().misses, cache.stats().entries), (1, 1));
     }
 
     #[test]

@@ -255,7 +255,7 @@ impl Farm {
         let pool = self
             .pool
             .get_or_init(|| Arc::new(WorkerPool::new(self.threads())));
-        pool.run_observed_hooked(n, job, clock, self.sabotage.clone())
+        pool.run(n, job, clock, self.sabotage.clone())
     }
 
     /// Runs a batch, returning one outcome per job in submission order.

@@ -64,7 +64,7 @@ enum Slot<T> {
 
 /// One submitted batch on a [`WorkerPool`], type-erased so batches of
 /// different result types can share the same queue. The typed closure
-/// built by [`WorkerPool::run_observed`] owns the slot vector; the pool
+/// built by [`WorkerPool::run`] owns the slot vector; the pool
 /// only needs "run index `i`" plus claim/retire bookkeeping.
 struct BatchTask {
     /// Jobs in the batch.
@@ -187,7 +187,13 @@ impl WorkerPool {
     }
 
     /// Runs `f(i)` for every `i in 0..n` on the pool's workers and
-    /// returns the results in index order.
+    /// returns the results in index order, plus per-worker utilization:
+    /// job counts always, busy time when `clock` is provided (one entry
+    /// per pool thread; idle workers report zero jobs). `sabotage`, when
+    /// set, is a [`PoolHook`] the workers call outside the job harness —
+    /// the serve chaos seam: a hook panic kills the running worker (its
+    /// job's slot poisons, the batch still completes or orphan-aborts,
+    /// the payload re-raises here).
     ///
     /// # Panics
     ///
@@ -195,45 +201,7 @@ impl WorkerPool {
     /// worker dies only by a [`PoolHook`] panic). If `f` panics, the
     /// batch still completes (and later batches still run — the worker
     /// thread survives); the first panic payload is then re-raised here.
-    pub fn run<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: Fn(usize) -> T + Send + Sync + 'static,
-    {
-        self.run_observed(n, f, None).0
-    }
-
-    /// [`Self::run`] plus per-worker utilization: job counts always,
-    /// busy time when `clock` is provided. The stats vector always has
-    /// one entry per pool thread (idle workers report zero jobs).
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::run`]: when the pool is shut down or every worker has
-    /// died, and by re-raising the first job panic after the batch
-    /// completes.
-    pub fn run_observed<T, F>(
-        &self,
-        n: usize,
-        f: F,
-        clock: Option<Arc<dyn ObsClock>>,
-    ) -> (Vec<T>, Vec<WorkerStat>)
-    where
-        T: Send + 'static,
-        F: Fn(usize) -> T + Send + Sync + 'static,
-    {
-        self.run_observed_hooked(n, f, clock, None)
-    }
-
-    /// [`Self::run_observed`] with an optional [`PoolHook`] the workers
-    /// call outside the job harness — the serve chaos seam. A hook panic
-    /// kills the running worker (its job's slot poisons, the batch still
-    /// completes or orphan-aborts, the payload re-raises here).
-    ///
-    /// # Panics
-    ///
-    /// As [`Self::run`].
-    pub fn run_observed_hooked<T, F>(
+    pub fn run<T, F>(
         &self,
         n: usize,
         f: F,
@@ -461,20 +429,23 @@ mod tests {
 
     #[test]
     fn results_are_in_submission_order() {
-        let out = WorkerPool::new(4).run(64, |i| i);
+        let out = WorkerPool::new(4).run(64, |i| i, None, None).0;
         assert_eq!(out, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_single_job_batches() {
         let pool = WorkerPool::new(4);
-        assert_eq!(pool.run(0, |i| i), Vec::<usize>::new());
-        assert_eq!(pool.run(1, |i| i + 10), vec![10]);
+        assert_eq!(pool.run(0, |i| i, None, None).0, Vec::<usize>::new());
+        assert_eq!(pool.run(1, |i| i + 10, None, None).0, vec![10]);
     }
 
     #[test]
     fn more_threads_than_jobs() {
-        assert_eq!(WorkerPool::new(16).run(3, |i| i), vec![0, 1, 2]);
+        assert_eq!(
+            WorkerPool::new(16).run(3, |i| i, None, None).0,
+            vec![0, 1, 2]
+        );
     }
 
     /// Regression: a panic in the FIRST job of a multi-job batch must not
@@ -486,13 +457,19 @@ mod tests {
         let completed = Arc::new(AtomicUsize::new(0));
         let job_completed = Arc::clone(&completed);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(16, move |i| {
-                if i == 0 {
-                    panic!("first job dies");
-                }
-                job_completed.fetch_add(1, Ordering::Relaxed);
-                i
-            })
+            pool.run(
+                16,
+                move |i| {
+                    if i == 0 {
+                        panic!("first job dies");
+                    }
+                    job_completed.fetch_add(1, Ordering::Relaxed);
+                    i
+                },
+                None,
+                None,
+            )
+            .0
         }));
         let payload = result.expect_err("pool must re-raise the job panic");
         let message = payload
@@ -509,7 +486,7 @@ mod tests {
 
     #[test]
     fn worker_stats_cover_every_job() {
-        let (out, stats) = WorkerPool::new(4).run_observed(40, |i| i, None);
+        let (out, stats) = WorkerPool::new(4).run(40, |i| i, None, None);
         assert_eq!(out.len(), 40);
         assert_eq!(stats.len(), 4);
         assert_eq!(stats.iter().map(|s| s.jobs).sum::<u64>(), 40);
@@ -528,14 +505,14 @@ mod tests {
         let pool = WorkerPool::new(2);
 
         let wall: Arc<dyn ObsClock> = Arc::new(canti_obs::WallClock::new());
-        let (_, stats) = pool.run_observed(8, spin, Some(wall));
+        let (_, stats) = pool.run(8, spin, Some(wall), None);
         assert!(
             stats.iter().map(|s| s.busy_ns).sum::<u64>() > 0,
             "real work under a wall clock must accumulate busy time"
         );
 
         let frozen: Arc<dyn ObsClock> = Arc::new(VirtualClock::new());
-        let (_, stats) = pool.run_observed(8, spin, Some(frozen));
+        let (_, stats) = pool.run(8, spin, Some(frozen), None);
         assert_eq!(stats.iter().map(|s| s.jobs).sum::<u64>(), 8);
         assert!(
             stats.iter().all(|s| s.busy_ns == 0),
@@ -549,7 +526,11 @@ mod tests {
         let oracle: Vec<u64> = (0..100).map(f).collect();
         for threads in [1, 2, 3, 8] {
             let pool = WorkerPool::new(threads);
-            assert_eq!(pool.run(100, f), oracle, "{threads} persistent workers");
+            assert_eq!(
+                pool.run(100, f, None, None).0,
+                oracle,
+                "{threads} persistent workers"
+            );
         }
     }
 
@@ -557,7 +538,7 @@ mod tests {
     fn persistent_pool_is_reused_across_batches() {
         let pool = WorkerPool::new(3);
         for round in 0..10u64 {
-            let out = pool.run(16, move |i| i as u64 + round);
+            let out = pool.run(16, move |i| i as u64 + round, None, None).0;
             assert_eq!(out, (0..16).map(|i| i + round).collect::<Vec<_>>());
         }
     }
@@ -565,10 +546,10 @@ mod tests {
     #[test]
     fn persistent_pool_empty_batch_and_stats_shape() {
         let pool = WorkerPool::new(4);
-        let (out, stats) = pool.run_observed(0, |i| i, None);
+        let (out, stats) = pool.run(0, |i| i, None, None);
         assert_eq!(out, Vec::<usize>::new());
         assert_eq!(stats.len(), 4, "one stat slot per pool thread");
-        let (out, stats) = pool.run_observed(40, |i| i, None);
+        let (out, stats) = pool.run(40, |i| i, None, None);
         assert_eq!(out.len(), 40);
         assert_eq!(stats.iter().map(|s| s.jobs).sum::<u64>(), 40);
     }
@@ -578,10 +559,11 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         let pool = WorkerPool::new(1);
         let job_clock = Arc::clone(&clock);
-        let (_, stats) = pool.run_observed(
+        let (_, stats) = pool.run(
             5,
             move |_| job_clock.advance_ns(10),
             Some(clock as Arc<dyn ObsClock>),
+            None,
         );
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].jobs, 5);
@@ -598,13 +580,20 @@ mod tests {
         let run_completed = Arc::clone(&completed);
         let run_pool = Arc::clone(&pool);
         let result = catch_unwind(AssertUnwindSafe(move || {
-            run_pool.run(16, move |i| {
-                if i == 3 {
-                    panic!("third job dies");
-                }
-                run_completed.fetch_add(1, Ordering::Relaxed);
-                i
-            })
+            run_pool
+                .run(
+                    16,
+                    move |i| {
+                        if i == 3 {
+                            panic!("third job dies");
+                        }
+                        run_completed.fetch_add(1, Ordering::Relaxed);
+                        i
+                    },
+                    None,
+                    None,
+                )
+                .0
         }));
         let payload = result.expect_err("pool must re-raise the job panic");
         assert_eq!(
@@ -617,7 +606,10 @@ mod tests {
             "all surviving jobs completed before the re-raise"
         );
         // subsequent batches still run on the same workers
-        assert_eq!(pool.run(8, |i| i * 2), vec![0, 2, 4, 6, 8, 10, 12, 14]);
+        assert_eq!(
+            pool.run(8, |i| i * 2, None, None).0,
+            vec![0, 2, 4, 6, 8, 10, 12, 14]
+        );
     }
 
     /// Satellite: shutdown is graceful — work already queued completes
@@ -629,11 +621,18 @@ mod tests {
         let job_started = Arc::clone(&started);
         let run_pool = Arc::clone(&pool);
         let caller = std::thread::spawn(move || {
-            run_pool.run(8, move |i| {
-                job_started.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                i
-            })
+            run_pool
+                .run(
+                    8,
+                    move |i| {
+                        job_started.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                        i
+                    },
+                    None,
+                    None,
+                )
+                .0
         });
         // wait until the batch is genuinely in flight, then shut down
         while started.load(Ordering::Relaxed) == 0 {
@@ -649,10 +648,10 @@ mod tests {
     #[test]
     fn double_shutdown_is_a_noop_and_late_submission_panics() {
         let pool = WorkerPool::new(2);
-        assert_eq!(pool.run(4, |i| i), vec![0, 1, 2, 3]);
+        assert_eq!(pool.run(4, |i| i, None, None).0, vec![0, 1, 2, 3]);
         pool.shutdown();
         pool.shutdown(); // second call must return immediately
-        let late = catch_unwind(AssertUnwindSafe(|| pool.run(1, |i| i)));
+        let late = catch_unwind(AssertUnwindSafe(|| pool.run(1, |i| i, None, None).0));
         let payload = late.expect_err("submission after shutdown must panic");
         let message = payload
             .downcast_ref::<String>()
@@ -675,7 +674,7 @@ mod tests {
         let callers: Vec<_> = (0..4u64)
             .map(|c| {
                 let pool = Arc::clone(&pool);
-                std::thread::spawn(move || pool.run(32, move |i| i as u64 * 10 + c))
+                std::thread::spawn(move || pool.run(32, move |i| i as u64 * 10 + c, None, None).0)
             })
             .collect();
         for (c, handle) in callers.into_iter().enumerate() {

@@ -1,7 +1,8 @@
 //! The per-request debug log behind the `/debug/requests` endpoint.
 //!
-//! The serve layer pushes one [`RequestRecord`] per finished request
-//! (completed or expired) into a bounded [`RequestLog`]. Records carry
+//! The serve layer pushes one [`RequestRecord`] per finished request —
+//! every terminal outcome: completed, coalesced follower, cache hit,
+//! expired, shed or failed — into a bounded [`RequestLog`]. Records carry
 //! the request-scoped trace id and the full latency breakdown, so an
 //! operator can go from "this request was slow" to "its time went to
 //! the queue, not the farm" without reconstructing the span tree.

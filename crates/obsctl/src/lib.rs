@@ -940,8 +940,9 @@ fn sparkline(points: &[TimelinePoint]) -> String {
 /// `/debug/timeline` artifact — a table plus count sparkline per
 /// series, or fixed-field NDJSON with `--json`. With `spans`, also
 /// recomputes the request-latency windows offline from the closed
-/// `request` spans in that telemetry artifact and cross-checks them
-/// against the live `serve.request_latency_ns` section.
+/// `request` spans and `cache_hit` events in that telemetry artifact
+/// and cross-checks them against the live `serve.request_latency_ns`
+/// section.
 ///
 /// # Errors
 ///
@@ -1054,9 +1055,12 @@ pub fn timeline_report(
 
 /// Recomputes the per-window request-latency series offline from the
 /// closed `request` spans of a telemetry artifact and compares it to
-/// the live `serve.request_latency_ns` section, window by window.
-/// Expired requests are excluded (their spans close without a latency
-/// contribution), matching the serve layer's recording rule.
+/// the live `serve.request_latency_ns` section, window by window. It
+/// applies the serve layer's recording rule: an expired, shed or
+/// stranded request (a `request_expired` or `request_abandoned` event)
+/// closes its span without a latency sample, and a cache hit opens no
+/// span but records one, a 0-ns lookup at its `cache_hit` event on the
+/// virtual clock where this check is exact.
 fn timeline_crosscheck(
     artifact: &TimelineArtifact,
     shard: &str,
@@ -1078,34 +1082,41 @@ fn timeline_crosscheck(
     let text = read_file(spans_path)?;
     let docs = parse_ndjson(&text)
         .map_err(|e| CliError::Input(format!("{}: {e}", spans_path.display())))?;
-    let mut expired: BTreeSet<u64> = BTreeSet::new();
-    for doc in &docs {
-        if doc.get("kind").and_then(Json::as_str) == Some("event")
-            && doc.get("name").and_then(Json::as_str) == Some("request_expired")
-        {
-            if let Some(r) = doc
-                .get("fields")
-                .and_then(|f| f.get("request"))
-                .and_then(Json::as_u64)
-            {
-                expired.insert(r);
-            }
+    let mut unanswered: BTreeSet<u64> = BTreeSet::new();
+    let mut hits_ns: Vec<u64> = Vec::new();
+    for doc in docs
+        .iter()
+        .filter(|d| d.get("kind").and_then(Json::as_str) == Some("event"))
+    {
+        match doc.get("name").and_then(Json::as_str) {
+            Some("request_expired" | "request_abandoned") => unanswered.extend(
+                doc.get("fields")
+                    .and_then(|f| f.get("request"))
+                    .and_then(Json::as_u64),
+            ),
+            Some("cache_hit") => hits_ns.extend(doc.get("t_ns").and_then(Json::as_u64)),
+            _ => {}
         }
     }
 
-    let mut samples = closed_requests(&Trace::from_docs(&docs));
-    samples.retain(|s| !expired.contains(&s.request));
+    let mut spans = closed_requests(&Trace::from_docs(&docs));
+    spans.retain(|s| !unanswered.contains(&s.request));
+    // (end_ns, latency_ns) per recorded latency
+    let samples: Vec<(u64, u64)> = spans
+        .iter()
+        .map(|s| (s.end_ns, s.latency_ns))
+        .chain(hits_ns.iter().map(|&t_ns| (t_ns, 0)))
+        .collect();
     if samples.is_empty() {
         return Err(CliError::Gate(format!(
-            "{}: no closed non-expired 'request' spans to recompute from",
+            "{}: no closed, answered 'request' spans or cache hits to recompute from",
             spans_path.display()
         )));
     }
 
     let mut windows: BTreeMap<u64, TimelinePoint> = BTreeMap::new();
-    for span in &samples {
-        let latency_ns = span.latency_ns;
-        let index = span.end_ns / artifact.window_ns.max(1);
+    for &(end_ns, latency_ns) in &samples {
+        let index = end_ns / artifact.window_ns.max(1);
         let slot = windows.entry(index).or_insert(TimelinePoint {
             window: index,
             count: 0,
@@ -1166,11 +1177,15 @@ fn timeline_crosscheck(
         line.push('\n');
         Ok(line)
     } else {
+        let hits = match hits_ns.len() {
+            0 => String::new(),
+            n => format!("{n} cache hit(s), "),
+        };
         Ok(format!(
-            "offline recompute ({}): {} request span(s), {} window(s) — \
+            "offline recompute ({}): {} request span(s), {hits}{} window(s) — \
              matches live serve.request_latency_ns\n",
             spans_path.display(),
-            samples.len(),
+            spans.len(),
             recomputed.len()
         ))
     }

@@ -204,7 +204,7 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// `self` plus `other` field-wise — how the sharded fronts sum their
+    /// `self` plus `other` field-wise — how the sharded engine sums its
     /// per-shard caches.
     #[must_use]
     pub fn merged(self, other: Self) -> Self {
@@ -226,11 +226,10 @@ struct CacheEntry {
 
 /// The capacity-bounded, deterministically evicting report cache.
 ///
-/// One per shard (constructed from [`crate::ServeConfig::cache`]),
-/// shared between that shard's admission front and batch executor: the
-/// front looks up at admission, the executor inserts batch results in
-/// admission order. See the module docs for the eviction determinism
-/// rule.
+/// One per shard (constructed from [`crate::ServeConfig::cache`]), held
+/// by that shard's batch executor: the shard's engine looks up at
+/// admission, the executor inserts batch results in admission order.
+/// See the module docs for the eviction determinism rule.
 #[derive(Debug)]
 pub struct ReportCache {
     config: CacheConfig,

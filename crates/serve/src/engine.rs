@@ -1,23 +1,25 @@
-//! The admission front and one shard's serving state machine.
+//! One shard's serving state machine.
 //!
-//! `Front` bundles the lock-scoped half of one shard: the bounded
-//! queue, the request spans and the serve tallies. `ServeEngine` glues a
-//! `Front` to a `BatchExecutor` into one shard's state machine. Its pass
-//! runs in three steps — form, execute, land — so a driver can execute
-//! batches outside its lock. Both are crate-internal:
-//! [`crate::ShardedEngine`] runs one per shard, and every request they
-//! see carries the global id it allocated.
+//! `ServeEngine` holds what one shard keeps behind its lock — the
+//! bounded queue, the request spans, the serve tallies, the pumped-only
+//! hit buffer and batch log — and the `BatchExecutor` its batches run
+//! on, which alone holds the shard's clock, observer, instruments and
+//! result cache. Its pass runs in three steps — form, execute, land — so
+//! a driver can execute batches outside its lock. It is crate-internal:
+//! [`crate::ShardedEngine`] runs one per shard, and every request it
+//! sees carries the global id that engine allocated.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
-use canti_farm::{FarmObserver, JobSpec};
+use canti_farm::{FarmObserver, JobOutput, JobSpec, PrecomputeCache};
 use canti_obs::trace::SpanGuard;
-use canti_obs::ObsClock;
+use canti_obs::{ObsClock, TraceContext};
 
-use crate::exec::BatchExecutor;
+use crate::cache::ReportCache;
+use crate::exec::{BatchExecutor, ServeInstruments};
 use crate::queue::{AdmissionQueue, Admitted, BatchTrigger, FormedBatch, Pending, RejectReason};
-use crate::response::{Disposition, ServeResponse};
+use crate::response::{Disposition, LatencyBreakdown, ServeResponse};
 use crate::ServeConfig;
 
 /// Running tallies of everything the serving layer decided.
@@ -93,7 +95,7 @@ impl BatchRecord {
     }
 }
 
-/// How [`Front::admit`] placed an admitted request.
+/// How [`ServeEngine::admit`] placed an admitted request.
 #[derive(Debug)]
 pub(crate) enum Admission {
     /// Queued, or coalesced onto a queued leader: a batch answers it
@@ -105,516 +107,20 @@ pub(crate) enum Admission {
     Hit(ServeResponse),
 }
 
-/// The lock-scoped half of the serving layer: admission, expiry, batch
-/// formation, spans and tallies. No execution happens here — formed
-/// batches are handed out for the caller to run, so the threaded
-/// driver can execute them outside its lock.
-#[derive(Debug)]
-pub(crate) struct Front {
-    queue: AdmissionQueue,
-    clock: Arc<dyn ObsClock>,
-    observer: Option<FarmObserver>,
-    instruments: Option<crate::exec::ServeInstruments>,
-    spans: BTreeMap<u64, SpanGuard>,
-    stats: ServeStats,
-    /// The shard's content-addressed result cache, shared with the
-    /// executor. `None` with caching off.
-    cache: Option<Arc<std::sync::Mutex<crate::cache::ReportCache>>>,
-}
-
-impl Front {
-    /// `instruments` must be the same set the executor records into —
-    /// the timeline and the request log live on the instrument struct
-    /// itself (not in the name-keyed registry), so a second construction
-    /// would silently split the debug views in half. Likewise `cache`
-    /// must be the same handle the executor inserts into.
-    pub(crate) fn new(
-        config: ServeConfig,
-        clock: Arc<dyn ObsClock>,
-        observer: Option<FarmObserver>,
-        instruments: Option<crate::exec::ServeInstruments>,
-        cache: Option<Arc<std::sync::Mutex<crate::cache::ReportCache>>>,
-    ) -> Self {
-        Self {
-            queue: AdmissionQueue::new(config),
-            clock,
-            observer,
-            instruments,
-            spans: BTreeMap::new(),
-            stats: ServeStats::default(),
-            cache,
-        }
-    }
-
-    /// The shard's result-cache tallies (hits, misses, entries, ...),
-    /// when caching is on.
-    pub(crate) fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.cache.as_ref().map(|c| {
-            c.lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .stats()
-        })
-    }
-
-    pub(crate) fn stats(&self) -> ServeStats {
-        self.stats
-    }
-
-    pub(crate) fn depth(&self) -> usize {
-        self.queue.depth()
-    }
-
-    pub(crate) fn instruments(&self) -> Option<&crate::exec::ServeInstruments> {
-        self.instruments.as_ref()
-    }
-
-    /// Admits `job` under its global request `id` (deadline relative to
-    /// now, falling back to the config default) or rejects it, keeping
-    /// tallies, the queue-depth gauge, the request span and the
-    /// admission/rejection events. A cache hit comes back answered. This
-    /// is the serving path's only caller of [`crate::cache::job_key`]: a
-    /// miss hands its key to the queue.
-    pub(crate) fn admit(
-        &mut self,
-        id: u64,
-        job: JobSpec,
-        deadline_ns: Option<u64>,
-    ) -> Result<Admission, RejectReason> {
-        let now_ns = self.clock.now_ns();
-        let kind = job.kind();
-        // Content-addressed fast path: a cached answer satisfies any
-        // deadline, so the lookup precedes the capacity gate (a hit
-        // occupies no queue slot). A failed or draining shard refuses
-        // before any lookup, in the queue.
-        let job_key =
-            (self.cache.is_some() && !self.queue.is_failed() && !self.queue.is_draining())
-                .then(|| crate::cache::job_key(&job));
-        if let Some(k) = job_key {
-            let hit = self
-                .cache
-                .as_ref()
-                .expect("checked above")
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .lookup(k);
-            match hit {
-                Some(output) => {
-                    let response = self.complete_hit(id, kind, output, now_ns);
-                    return Ok(Admission::Hit(response));
-                }
-                None => {
-                    // the miss names only the kind: the admission or
-                    // rejection that follows accounts for the request
-                    if let Some(o) = &self.observer {
-                        o.tracer().event("cache_miss", &[("kind", kind.into())]);
-                    }
-                    if let Some(ins) = &self.instruments {
-                        ins.cache_miss.counter.inc();
-                    }
-                }
-            }
-        }
-        let submitted = self.queue.submit(now_ns, id, job, job_key, deadline_ns);
-        // A lookup ran exactly when `job_key` is set, and a hit returned
-        // above, so the miss's delta (counted at the lookup) leads the
-        // outcome's in one write.
-        let from = usize::from(job_key.is_none());
-        match submitted {
-            Ok(admitted) => {
-                self.stats.admitted += 1;
-                let ctx = canti_obs::TraceContext::from_admission(id);
-                if let Some(o) = &self.observer {
-                    // span fields carry the global id and trace id, so
-                    // the chain stays joinable at any shard count
-                    let span = o.tracer().span(
-                        "request",
-                        &[
-                            ("request", ctx.request.into()),
-                            ("trace", ctx.trace.into()),
-                            ("kind", kind.into()),
-                        ],
-                    );
-                    self.spans.insert(id, span);
-                }
-                if let Some(ins) = &self.instruments {
-                    let coalesced = matches!(admitted, Admitted::Coalesced { .. });
-                    let deltas = [
-                        (ins.cache_miss.series, 1, now_ns),
-                        ins.admitted.one(now_ns),
-                        (ins.coalesced.series, 1, now_ns),
-                    ];
-                    ins.obs
-                        .timeline
-                        .record(&deltas[from..2 + usize::from(coalesced)]);
-                }
-                match admitted {
-                    Admitted::Queued => self.observe_depth(),
-                    Admitted::Coalesced { leader } => {
-                        // no depth change: the follower rides the
-                        // leader's slot
-                        self.stats.coalesced += 1;
-                        if let Some(o) = &self.observer {
-                            o.tracer().event(
-                                "coalesced",
-                                &[
-                                    ("request", ctx.request.into()),
-                                    ("trace", ctx.trace.into()),
-                                    ("leader", leader.into()),
-                                ],
-                            );
-                        }
-                        if let Some(ins) = &self.instruments {
-                            ins.coalesced.counter.inc();
-                        }
-                    }
-                }
-                Ok(Admission::Queued)
-            }
-            Err(reason) => {
-                self.stats.rejected += 1;
-                if let Some(o) = &self.observer {
-                    o.tracer().event(
-                        "request_rejected",
-                        &[("kind", kind.into()), ("reason", reason.label().into())],
-                    );
-                }
-                if let Some(ins) = &self.instruments {
-                    let deltas = [(ins.cache_miss.series, 1, now_ns), ins.rejected.one(now_ns)];
-                    ins.obs.timeline.record(&deltas[from..]);
-                }
-                Err(reason)
-            }
-        }
-    }
-
-    /// One request answered from the result cache at admission: fully
-    /// accounted (tallies, counters, SLO, request log, trace event) and
-    /// returned as its terminal response. No span opens — the request
-    /// never enters the queue. On a virtual clock the lookup is
-    /// instantaneous (`cache_ns` 0), so scripted traces stay pinned; on
-    /// the wall clock `cache_ns` is the real lookup cost and the
-    /// breakdown still tiles exactly.
-    fn complete_hit(
-        &mut self,
-        id: u64,
-        kind: &'static str,
-        output: canti_farm::JobOutput,
-        admitted_ns: u64,
-    ) -> ServeResponse {
-        self.stats.admitted += 1;
-        self.stats.cache_hits += 1;
-        self.stats.completed += 1;
-        let trace = canti_obs::trace_id(id);
-        let done_ns = self.clock.now_ns();
-        let cache_ns = done_ns.saturating_sub(admitted_ns);
-        if let Some(o) = &self.observer {
-            o.tracer().event(
-                "cache_hit",
-                &[
-                    ("request", id.into()),
-                    ("trace", trace.into()),
-                    ("kind", kind.into()),
-                ],
-            );
-        }
-        if let Some(ins) = &self.instruments {
-            ins.request_latency_ns.record(cache_ns);
-            let good = cache_ns <= ins.obs.slo.objective_ns;
-            ins.obs.timeline.record(&[
-                ins.verdict(good).one(done_ns),
-                ins.admitted.one(admitted_ns),
-                ins.cache_hit.one(done_ns),
-                ins.completed.one(done_ns),
-                (ins.latency_series, cache_ns, done_ns),
-                (ins.cache_ns, cache_ns, done_ns),
-            ]);
-            ins.obs.requests.push(canti_obs::RequestRecord {
-                request: id,
-                trace,
-                outcome: "cache_hit",
-                batch: None,
-                latency_ns: cache_ns,
-                queue_ns: 0,
-                form_ns: 0,
-                exec_ns: 0,
-                respond_ns: 0,
-                finished_ns: done_ns,
-            });
-        }
-        ServeResponse {
-            request_id: id,
-            trace,
-            disposition: Disposition::CacheHit {
-                latency_ns: cache_ns,
-                breakdown: crate::response::LatencyBreakdown {
-                    cache_ns,
-                    ..Default::default()
-                },
-                result: Ok(output),
-            },
-        }
-    }
-
-    /// Brownout shedding: evicts the newest waiting requests down to
-    /// the configured high-water mark, answering each
-    /// [`Disposition::Failed`] / [`RejectReason::Shed`]. Inert without a
-    /// [`crate::BrownoutConfig`].
-    pub(crate) fn take_shed(&mut self) -> Vec<ServeResponse> {
-        let Some(policy) = self.queue.config().brownout else {
-            return Vec::new();
-        };
-        let victims = self.queue.take_shed(policy.high_water);
-        if victims.is_empty() {
-            return Vec::new();
-        }
-        let now_ns = self.clock.now_ns();
-        let mut responses = Vec::new();
-        for p in &victims {
-            self.stats.shed += 1;
-            responses.push(self.abandon(p.id, p.trace, p.enqueued_ns, RejectReason::Shed, now_ns));
-            // a shed leader takes its coalesced followers with it
-            for f in &p.followers {
-                self.stats.shed += 1;
-                responses.push(self.abandon(
-                    f.id,
-                    f.trace,
-                    f.enqueued_ns,
-                    RejectReason::Shed,
-                    now_ns,
-                ));
-            }
-        }
-        self.observe_depth();
-        responses
-    }
-
-    /// Marks the shard failed (later submissions get
-    /// [`RejectReason::ShardFailed`]) and answers everything still
-    /// queued terminally.
-    fn fail_queued(&mut self) -> Vec<ServeResponse> {
-        self.queue.fail();
-        let victims = self.queue.take_all();
-        let now_ns = self.clock.now_ns();
-        let responses = victims
-            .iter()
-            .flat_map(|p| self.fail_pending_at(p, now_ns))
-            .collect();
-        self.observe_depth();
-        responses
-    }
-
-    /// Answers one admitted request — and every follower coalesced onto
-    /// it — [`RejectReason::ShardFailed`]. Used for batch members whose
-    /// execution died underneath them.
-    fn fail_pending(&mut self, p: &Pending) -> Vec<ServeResponse> {
-        let now_ns = self.clock.now_ns();
-        self.fail_pending_at(p, now_ns)
-    }
-
-    fn fail_pending_at(&mut self, p: &Pending, now_ns: u64) -> Vec<ServeResponse> {
-        let mut out = Vec::with_capacity(1 + p.followers.len());
-        self.stats.failed += 1;
-        out.push(self.abandon(
-            p.id,
-            p.trace,
-            p.enqueued_ns,
-            RejectReason::ShardFailed,
-            now_ns,
-        ));
-        for f in &p.followers {
-            self.stats.failed += 1;
-            out.push(self.abandon(
-                f.id,
-                f.trace,
-                f.enqueued_ns,
-                RejectReason::ShardFailed,
-                now_ns,
-            ));
-        }
-        out
-    }
-
-    /// Answers [`RejectReason::ShardFailed`] to requests known only by
-    /// what a driver's ticket table holds: `(id, enqueued_ns)` per
-    /// request.
-    fn abandon_open(&mut self, known: &[(u64, u64)]) -> Vec<ServeResponse> {
-        let now_ns = self.clock.now_ns();
-        known
-            .iter()
-            .map(|&(id, enqueued_ns)| {
-                self.stats.failed += 1;
-                let trace = canti_obs::trace_id(id);
-                self.abandon(id, trace, enqueued_ns, RejectReason::ShardFailed, now_ns)
-            })
-            .collect()
-    }
-
-    /// One abandoned request: span closed, SLO breached, debug record
-    /// written, terminal [`Disposition::Failed`] response built. The
-    /// caller bumps the matching `ServeStats` tally.
-    fn abandon(
-        &mut self,
-        id: u64,
-        trace: u64,
-        enqueued_ns: u64,
-        reason: RejectReason,
-        now_ns: u64,
-    ) -> ServeResponse {
-        let waited_ns = now_ns.saturating_sub(enqueued_ns);
-        if let Some(o) = &self.observer {
-            o.tracer().event(
-                "request_abandoned",
-                &[
-                    ("request", id.into()),
-                    ("trace", trace.into()),
-                    ("reason", reason.label().into()),
-                ],
-            );
-        }
-        if let Some(ins) = &self.instruments {
-            let tally = if matches!(reason, RejectReason::Shed) {
-                &ins.shed
-            } else {
-                &ins.failed
-            };
-            // an abandoned request always burns error budget
-            ins.obs
-                .timeline
-                .record(&[tally.one(now_ns), ins.verdict(false).one(now_ns)]);
-            ins.obs.requests.push(canti_obs::RequestRecord {
-                request: id,
-                trace,
-                outcome: reason.label(),
-                batch: None,
-                latency_ns: waited_ns,
-                queue_ns: waited_ns,
-                form_ns: 0,
-                exec_ns: 0,
-                respond_ns: 0,
-                finished_ns: now_ns,
-            });
-        }
-        if let Some(span) = self.spans.remove(&id) {
-            span.end();
-        }
-        ServeResponse {
-            request_id: id,
-            trace,
-            disposition: Disposition::Failed { reason },
-        }
-    }
-
-    /// Expires overdue queued requests, answering each with
-    /// [`Disposition::Expired`].
-    pub(crate) fn take_expired(&mut self) -> Vec<ServeResponse> {
-        let now_ns = self.clock.now_ns();
-        let expired = self.queue.take_expired(now_ns);
-        let responses: Vec<ServeResponse> = expired
-            .into_iter()
-            .map(|p: Pending| {
-                self.stats.expired += 1;
-                let waited_ns = now_ns.saturating_sub(p.enqueued_ns);
-                if let Some(o) = &self.observer {
-                    o.tracer().event(
-                        "request_expired",
-                        &[("request", p.id.into()), ("trace", p.trace.into())],
-                    );
-                }
-                if let Some(ins) = &self.instruments {
-                    // an expiry always burns error budget, however
-                    // briefly the request waited
-                    ins.obs
-                        .timeline
-                        .record(&[ins.expired.one(now_ns), ins.verdict(false).one(now_ns)]);
-                    ins.obs.requests.push(canti_obs::RequestRecord {
-                        request: p.id,
-                        trace: p.trace,
-                        outcome: "expired",
-                        batch: None,
-                        latency_ns: waited_ns,
-                        queue_ns: waited_ns,
-                        form_ns: 0,
-                        exec_ns: 0,
-                        respond_ns: 0,
-                        finished_ns: now_ns,
-                    });
-                }
-                if let Some(span) = self.spans.remove(&p.id) {
-                    span.end();
-                }
-                ServeResponse {
-                    request_id: p.id,
-                    trace: p.trace,
-                    disposition: Disposition::Expired {
-                        waited_ns,
-                        deadline_ns: p.deadline_ns.unwrap_or(now_ns),
-                    },
-                }
-            })
-            .collect();
-        if !responses.is_empty() {
-            self.observe_depth();
-        }
-        responses
-    }
-
-    /// Releases every currently ready batch (size threshold first, then
-    /// linger).
-    pub(crate) fn form_ready(&mut self) -> Vec<FormedBatch> {
-        let now_ns = self.clock.now_ns();
-        let batches: Vec<FormedBatch> =
-            std::iter::from_fn(|| self.queue.pop_ready(now_ns)).collect();
-        if !batches.is_empty() {
-            self.observe_depth();
-        }
-        batches
-    }
-
-    /// Stops admission and releases the remaining queue as drain
-    /// batches.
-    pub(crate) fn begin_drain(&mut self) -> Vec<FormedBatch> {
-        let now_ns = self.clock.now_ns();
-        self.queue.begin_drain();
-        let batches = std::iter::from_fn(|| self.queue.pop_drain(now_ns)).collect();
-        self.observe_depth();
-        batches
-    }
-
-    /// Closes the request spans of completed responses and bumps the
-    /// completion tallies (batch metrics themselves are recorded by the
-    /// executor).
-    pub(crate) fn finish(&mut self, responses: &[ServeResponse]) {
-        for r in responses {
-            if let Some(span) = self.spans.remove(&r.request_id) {
-                span.end();
-            }
-            if matches!(r.disposition, Disposition::Completed { .. }) {
-                self.stats.completed += 1;
-            }
-        }
-        self.stats.batches = self.queue.batches_formed();
-    }
-
-    fn observe_depth(&self) {
-        if let Some(ins) = &self.instruments {
-            let depth = self.queue.depth();
-            ins.queue_depth.set(depth as i64);
-            // sampled whenever the depth changes
-            ins.obs
-                .timeline
-                .record(&[(ins.depth_series, depth as u64, self.clock.now_ns())]);
-        }
-    }
-}
-
-/// One shard's serving state machine: a `Front` plus the executor its
-/// batches run on. [`crate::ShardedEngine`] pumps it explicitly and
+/// One shard's serving state machine: admission, expiry, shedding and
+/// batch formation under one lock, and the executor its batches run on.
+/// [`crate::ShardedEngine`] pumps it explicitly and
 /// [`crate::ShardedService`] drives it from a batcher thread; either way
 /// a pass runs [`Self::form`], the executor, then [`Self::land`].
 #[derive(Debug)]
 pub(crate) struct ServeEngine {
-    front: Front,
-    /// Shared so a threaded driver can run a batch outside its lock.
+    queue: AdmissionQueue,
+    /// Open request spans by id: opened at admission, ended with the
+    /// request's terminal answer.
+    spans: BTreeMap<u64, SpanGuard>,
+    stats: ServeStats,
+    /// The shard's one clock, observer, instruments and result cache;
+    /// shared so a threaded driver can run a batch outside its lock.
     executor: Arc<BatchExecutor>,
     /// Cache hits answered at admission, delivered at the next pump
     /// (pumped admissions only).
@@ -625,19 +131,21 @@ pub(crate) struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// An engine under `config`, timing everything on `clock`.
-    pub(crate) fn new(config: ServeConfig, clock: Arc<dyn ObsClock>) -> Self {
-        // one result cache per shard, shared by front (lookups) and
-        // executor (inserts)
-        let cache = config
-            .cache
-            .map(|c| Arc::new(std::sync::Mutex::new(crate::cache::ReportCache::new(c))));
-        let mut executor = BatchExecutor::new(config.threads, Arc::clone(&clock));
-        if let Some(c) = &cache {
-            executor = executor.with_report_cache(Arc::clone(c));
+    /// An engine under `config`, timing everything on `clock`, whose
+    /// executor shares the service's `precompute` cache.
+    pub(crate) fn new(
+        config: ServeConfig,
+        clock: Arc<dyn ObsClock>,
+        precompute: Arc<PrecomputeCache>,
+    ) -> Self {
+        let mut executor = BatchExecutor::new(config.threads, clock, precompute);
+        if let Some(c) = config.cache {
+            executor = executor.with_report_cache(ReportCache::new(c));
         }
         Self {
-            front: Front::new(config, clock, None, None, cache),
+            queue: AdmissionQueue::new(config),
+            spans: BTreeMap::new(),
+            stats: ServeStats::default(),
             executor: Arc::new(executor),
             hits: Vec::new(),
             batch_log: Vec::new(),
@@ -662,20 +170,12 @@ impl ServeEngine {
 
     /// Attaches a farm observer: serve counters/histograms, request and
     /// batch spans, the timeline (SLO verdicts included), the request
-    /// log and the farm's own telemetry all record into it. For coherent
-    /// timestamps construct the observer over the same clock the engine
-    /// was given.
+    /// log and the farm's own telemetry all record into it, through the
+    /// executor's one instrument set. For coherent timestamps construct
+    /// the observer over the same clock the engine was given.
     pub(crate) fn with_observer(mut self, observer: FarmObserver) -> Self {
-        let config = *self.front.queue.config();
-        let instruments =
-            crate::exec::ServeInstruments::new(&observer, config.slo, config.timeline);
-        self.front = Front::new(
-            config,
-            Arc::clone(&self.front.clock),
-            Some(observer.clone()),
-            Some(instruments.clone()),
-            self.front.cache.clone(), // keep the executor's cache handle
-        );
+        let config = self.queue.config();
+        let instruments = ServeInstruments::new(&observer, config.slo, config.timeline);
         self.executor = Arc::new(unshared(self.executor).with_instruments(observer, instruments));
         self
     }
@@ -684,7 +184,7 @@ impl ServeEngine {
     /// Its queue refuses every submission with
     /// [`RejectReason::ShardFailed`] meanwhile, and passes form nothing.
     pub(crate) fn is_failed(&self) -> bool {
-        self.front.queue.is_failed()
+        self.queue.is_failed()
     }
 
     /// Reopens the dead shard on `fresh`, the dead executor's
@@ -693,7 +193,7 @@ impl ServeEngine {
     /// the fresh pool and joins the dead one outside its lock.
     pub(crate) fn restart(&mut self, fresh: BatchExecutor, restarts: u64) -> Arc<BatchExecutor> {
         let dead = std::mem::replace(&mut self.executor, Arc::new(fresh));
-        self.front.queue.restore();
+        self.queue.restore();
         if let Some(ins) = self.executor.instruments() {
             ins.shard_restarts.inc();
         }
@@ -704,16 +204,214 @@ impl ServeEngine {
         dead
     }
 
-    /// Admits through the front under the request's global `id`. A
-    /// cache hit comes back answered; the pumped front then
-    /// [`hold`](Self::hold)s it for the next pump.
+    /// Admits `job` under its global request `id` (deadline relative to
+    /// now) or rejects it, keeping tallies, the queue-depth gauge, the
+    /// request span and the admission/rejection events. A cache hit comes
+    /// back answered; the pumped engine then [`hold`](Self::hold)s it for
+    /// the next pump. This is the serving path's only caller of
+    /// [`crate::cache::job_key`]: a miss hands its key to the queue.
     pub(crate) fn admit(
         &mut self,
         id: u64,
         job: JobSpec,
         deadline_ns: Option<u64>,
     ) -> Result<Admission, RejectReason> {
-        self.front.admit(id, job, deadline_ns)
+        let ex = &self.executor;
+        let now_ns = ex.clock().now_ns();
+        let kind = job.kind();
+        // Content-addressed fast path: a cached answer satisfies any
+        // deadline, so the lookup precedes the capacity gate (a hit
+        // occupies no queue slot). A failed or draining shard refuses
+        // before any lookup, in the queue.
+        let cache = ex
+            .report_cache()
+            .filter(|_| !self.queue.is_failed() && !self.queue.is_draining());
+        let job_key = cache.map(|_| crate::cache::job_key(&job));
+        if let (Some(cache), Some(k)) = (cache, job_key) {
+            let hit = cache
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .lookup(k);
+            if let Some(output) = hit {
+                return Ok(Admission::Hit(self.complete_hit(id, kind, output, now_ns)));
+            }
+            // the miss names only the kind: the admission or rejection
+            // that follows accounts for the request
+            if let Some(o) = ex.observer() {
+                o.tracer().event("cache_miss", &[("kind", kind.into())]);
+            }
+            if let Some(ins) = ex.instruments() {
+                ins.cache_miss.counter.inc();
+            }
+        }
+        let submitted = self.queue.submit(now_ns, id, job, job_key, deadline_ns);
+        // A lookup ran exactly when `job_key` is set, and a hit returned
+        // above, so the miss's delta (counted at the lookup) leads the
+        // outcome's in one write.
+        let from = usize::from(job_key.is_none());
+        let admitted = match submitted {
+            Ok(admitted) => admitted,
+            Err(reason) => {
+                self.stats.rejected += 1;
+                if let Some(o) = ex.observer() {
+                    o.tracer().event(
+                        "request_rejected",
+                        &[("kind", kind.into()), ("reason", reason.label().into())],
+                    );
+                }
+                if let Some(ins) = ex.instruments() {
+                    let deltas = [(ins.cache_miss.series, 1, now_ns), ins.rejected.one(now_ns)];
+                    ins.obs.timeline.record(&deltas[from..]);
+                }
+                return Err(reason);
+            }
+        };
+        self.stats.admitted += 1;
+        let ctx = TraceContext::from_admission(id);
+        if let Some(o) = ex.observer() {
+            // span fields carry the global id and trace id, so the chain
+            // stays joinable at any shard count
+            let span = o.tracer().span(
+                "request",
+                &[
+                    ("request", ctx.request.into()),
+                    ("trace", ctx.trace.into()),
+                    ("kind", kind.into()),
+                ],
+            );
+            self.spans.insert(id, span);
+        }
+        if let Some(ins) = ex.instruments() {
+            let coalesced = matches!(admitted, Admitted::Coalesced { .. });
+            let deltas = [
+                (ins.cache_miss.series, 1, now_ns),
+                ins.admitted.one(now_ns),
+                (ins.coalesced.series, 1, now_ns),
+            ];
+            ins.obs
+                .timeline
+                .record(&deltas[from..2 + usize::from(coalesced)]);
+        }
+        match admitted {
+            Admitted::Queued => self.observe_depth(),
+            Admitted::Coalesced { leader } => {
+                // no depth change: the follower rides the leader's slot
+                self.stats.coalesced += 1;
+                if let Some(o) = ex.observer() {
+                    o.tracer().event(
+                        "coalesced",
+                        &[
+                            ("request", ctx.request.into()),
+                            ("trace", ctx.trace.into()),
+                            ("leader", leader.into()),
+                        ],
+                    );
+                }
+                if let Some(ins) = ex.instruments() {
+                    ins.coalesced.counter.inc();
+                }
+            }
+        }
+        Ok(Admission::Queued)
+    }
+
+    /// One request answered from the result cache at admission: tallied,
+    /// its `cache_hit` event emitted, its answer recorded, and returned
+    /// as its terminal response. No span opens — the request never enters
+    /// the queue. On a virtual clock the lookup is instantaneous
+    /// (`cache_ns` 0), so scripted traces stay pinned; on the wall clock
+    /// `cache_ns` is the real lookup cost and the breakdown still tiles
+    /// exactly.
+    fn complete_hit(
+        &mut self,
+        id: u64,
+        kind: &'static str,
+        output: JobOutput,
+        admitted_ns: u64,
+    ) -> ServeResponse {
+        self.stats.admitted += 1;
+        self.stats.cache_hits += 1;
+        self.stats.completed += 1;
+        let ex = &self.executor;
+        let trace = canti_obs::trace_id(id);
+        let done_ns = ex.clock().now_ns();
+        let cache_ns = done_ns.saturating_sub(admitted_ns);
+        if let Some(o) = ex.observer() {
+            o.tracer().event(
+                "cache_hit",
+                &[
+                    ("request", id.into()),
+                    ("trace", trace.into()),
+                    ("kind", kind.into()),
+                ],
+            );
+        }
+        let response = ServeResponse {
+            request_id: id,
+            trace,
+            disposition: Disposition::CacheHit {
+                latency_ns: cache_ns,
+                breakdown: LatencyBreakdown {
+                    cache_ns,
+                    ..LatencyBreakdown::default()
+                },
+                result: Ok(output),
+            },
+        };
+        if let Some(ins) = ex.instruments() {
+            ins.finish(&response, false, admitted_ns, done_ns);
+        }
+        response
+    }
+
+    /// Ends one admitted request that got no answer — expired, shed, or
+    /// stranded by its shard's death — as `disposition`: tallied, its
+    /// `request_expired` or `request_abandoned` event emitted, recorded
+    /// as a breach, its span closed.
+    fn unanswered(
+        &mut self,
+        (id, trace, admitted_ns): (u64, u64, u64),
+        disposition: Disposition,
+        now_ns: u64,
+    ) -> ServeResponse {
+        let ex = &self.executor;
+        if let Disposition::Failed { reason } = disposition {
+            if reason == RejectReason::Shed {
+                self.stats.shed += 1;
+            } else {
+                self.stats.failed += 1;
+            }
+            if let Some(o) = ex.observer() {
+                o.tracer().event(
+                    "request_abandoned",
+                    &[
+                        ("request", id.into()),
+                        ("trace", trace.into()),
+                        ("reason", reason.label().into()),
+                    ],
+                );
+            }
+        } else {
+            self.stats.expired += 1;
+            if let Some(o) = ex.observer() {
+                o.tracer().event(
+                    "request_expired",
+                    &[("request", id.into()), ("trace", trace.into())],
+                );
+            }
+        }
+        let response = ServeResponse {
+            request_id: id,
+            trace,
+            disposition,
+        };
+        if let Some(ins) = ex.instruments() {
+            ins.finish(&response, false, admitted_ns, now_ns);
+        }
+        if let Some(span) = self.spans.remove(&id) {
+            span.end();
+        }
+        response
     }
 
     /// The pumped half of an admission: buffers a hit's response for the
@@ -722,12 +420,6 @@ impl ServeEngine {
         if let Admission::Hit(response) = admission {
             self.hits.push(response);
         }
-    }
-
-    /// The shared instrument set, when observed (for the sharded front's
-    /// failover counters).
-    pub(crate) fn instruments(&self) -> Option<&crate::exec::ServeInstruments> {
-        self.front.instruments()
     }
 
     /// The executor the next batch runs on: a handle a driver holds
@@ -745,17 +437,51 @@ impl ServeEngine {
     pub(crate) fn form(&mut self, drain: bool, out: &mut Vec<ServeResponse>) -> Vec<FormedBatch> {
         if self.is_failed() {
             if drain {
-                self.front.queue.begin_drain();
+                self.queue.begin_drain();
             }
             return Vec::new();
         }
         out.append(&mut self.hits);
-        out.extend(self.front.take_expired());
-        if drain {
-            return self.front.begin_drain();
+        let now_ns = self.executor.clock().now_ns();
+        let expired = self.queue.take_expired(now_ns);
+        if !expired.is_empty() {
+            for p in &expired {
+                let waited_ns = now_ns.saturating_sub(p.enqueued_ns);
+                let deadline_ns = p.deadline_ns.unwrap_or(now_ns);
+                let expiry = Disposition::Expired {
+                    waited_ns,
+                    deadline_ns,
+                };
+                // an expiring leader's followers stay queued, promoted
+                out.push(self.unanswered((p.id, p.trace, p.enqueued_ns), expiry, now_ns));
+            }
+            self.observe_depth();
         }
-        out.extend(self.front.take_shed());
-        self.front.form_ready()
+        if drain {
+            self.queue.begin_drain();
+            let batches = std::iter::from_fn(|| self.queue.pop_drain(now_ns)).collect();
+            self.observe_depth();
+            return batches;
+        }
+        // brownout: the newest waiting requests, down to the mark, are
+        // shed with their followers
+        let brownout = self.queue.config().brownout;
+        let victims = brownout.map_or_else(Vec::new, |b| self.queue.take_shed(b.high_water));
+        if !victims.is_empty() {
+            let shed = Disposition::Failed {
+                reason: RejectReason::Shed,
+            };
+            for m in victims.iter().flat_map(Pending::members) {
+                out.push(self.unanswered(m, shed.clone(), now_ns));
+            }
+            self.observe_depth();
+        }
+        let batches: Vec<FormedBatch> =
+            std::iter::from_fn(|| self.queue.pop_ready(now_ns)).collect();
+        if !batches.is_empty() {
+            self.observe_depth();
+        }
+        batches
     }
 
     /// Steps 2 and 3 on this thread, for the pumped forms: logs the
@@ -773,70 +499,101 @@ impl ServeEngine {
     }
 
     /// Step 3 of a pass: lands one executed batch. A clean run closes
-    /// its members' spans and bumps the tallies. An executor panic (a
-    /// chaos kill or a real bug) fails the shard and answers **every**
-    /// outstanding request terminally — the batch that died, the batches
-    /// formed behind it in `rest`, and everything still queued. No
-    /// admitted request is ever left hanging.
+    /// its members' spans (the executor already recorded their answers)
+    /// and bumps the tallies. An executor panic (a chaos kill or a real
+    /// bug) fails the shard and answers **every** outstanding request
+    /// terminally — the batch that died, the batches formed behind it in
+    /// `rest`, and everything still queued. No admitted request is ever
+    /// left hanging.
     pub(crate) fn land(
         &mut self,
         batch: &FormedBatch,
         ran: std::thread::Result<Vec<ServeResponse>>,
         rest: &mut impl Iterator<Item = FormedBatch>,
     ) -> Vec<ServeResponse> {
-        if let Ok(responses) = ran {
-            self.front.finish(&responses);
-            return responses;
-        }
-        if let Some(o) = self.executor.observer() {
-            o.tracer()
-                .event("shard_down", &[("batch", batch.index.into())]);
-        }
-        let stranded: Vec<FormedBatch> = rest.collect();
-        let mut out = Vec::new();
-        for p in batch
-            .items
-            .iter()
-            .chain(stranded.iter().flat_map(|b| &b.items))
-        {
-            out.extend(self.front.fail_pending(p));
-        }
-        // marks the shard failed, then answers its queue
-        out.extend(self.front.fail_queued());
-        self.front.finish(&[]); // keeps `stats.batches` at the batches formed
+        let out = if let Ok(responses) = ran {
+            for r in &responses {
+                if let Some(span) = self.spans.remove(&r.request_id) {
+                    span.end();
+                }
+            }
+            self.stats.completed += responses.len() as u64;
+            responses
+        } else {
+            if let Some(o) = self.executor.observer() {
+                o.tracer()
+                    .event("shard_down", &[("batch", batch.index.into())]);
+            }
+            let stranded: Vec<FormedBatch> = rest.collect();
+            let queued = self.queue.take_all();
+            let doomed = batch
+                .items
+                .iter()
+                .chain(stranded.iter().flat_map(|b| &b.items))
+                .chain(&queued);
+            self.fail(doomed.flat_map(Pending::members))
+        };
+        self.stats.batches = self.queue.batches_formed();
         out
     }
 
-    /// Fails the shard after its driver panicked outside a batch: drops
-    /// the queue and answers every request in `open` — `(id,
-    /// enqueued_ns)` of each ticket the driver still holds, queued or in
-    /// a batch that never landed.
-    pub(crate) fn fail(&mut self, open: &[(u64, u64)]) -> Vec<ServeResponse> {
-        self.front.queue.fail();
-        self.front.queue.take_all();
-        self.front.observe_depth();
-        self.front.abandon_open(open)
+    /// Fails the shard — it refuses every submission until restarted —
+    /// drops what is still queued, and answers
+    /// [`RejectReason::ShardFailed`] to each `(id, trace, admitted_ns)`
+    /// in `open`: the members of a batch that died, or every ticket a
+    /// driver that panicked outside a batch still held.
+    pub(crate) fn fail(
+        &mut self,
+        open: impl IntoIterator<Item = (u64, u64, u64)>,
+    ) -> Vec<ServeResponse> {
+        self.queue.fail();
+        self.queue.take_all();
+        let now_ns = self.executor.clock().now_ns();
+        let failed = Disposition::Failed {
+            reason: RejectReason::ShardFailed,
+        };
+        let out = open
+            .into_iter()
+            .map(|m| self.unanswered(m, failed.clone(), now_ns))
+            .collect();
+        self.observe_depth();
+        out
+    }
+
+    /// Samples the queue depth into the gauge and the timeline; called
+    /// whenever the depth changes.
+    fn observe_depth(&self) {
+        if let Some(ins) = self.executor.instruments() {
+            let depth = self.queue.depth();
+            ins.queue_depth.set(depth as i64);
+            ins.obs.timeline.record(&[(
+                ins.depth_series,
+                depth as u64,
+                self.executor.clock().now_ns(),
+            )]);
+        }
     }
 
     /// Requests currently queued.
     pub(crate) fn queue_depth(&self) -> usize {
-        self.front.depth()
+        self.queue.depth()
     }
 
     /// The earliest future instant at which queued state can change on
     /// its own (linger or deadline); `None` while the queue is empty.
     pub(crate) fn next_wakeup_ns(&self) -> Option<u64> {
-        self.front.queue.next_wakeup_ns()
+        self.queue.next_wakeup_ns()
     }
 
     /// The running tallies.
     pub(crate) fn stats(&self) -> ServeStats {
-        self.front.stats()
+        self.stats
     }
 
     /// The result cache's counters, when [`ServeConfig::cache`] is set.
     pub(crate) fn cache_stats(&self) -> Option<crate::cache::CacheStats> {
-        self.front.cache_stats()
+        let cache = self.executor.report_cache()?;
+        Some(cache.lock().unwrap_or_else(PoisonError::into_inner).stats())
     }
 
     /// Every batch formed so far, in formation order.
@@ -853,7 +610,7 @@ impl ServeEngine {
     /// timeline — behind the `/debug/*` routes (present once an observer
     /// is attached).
     pub(crate) fn obs(&self) -> Option<canti_obs::ServeObs> {
-        self.front.instruments().map(|i| i.obs.clone())
+        self.executor.instruments().map(|i| i.obs.clone())
     }
 }
 

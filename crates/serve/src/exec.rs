@@ -3,9 +3,10 @@
 //! The executor is intentionally `&self`-only: it owns no queue state,
 //! so the threaded driver can run a batch *outside* the engine lock —
 //! submissions keep getting fast admit/reject answers while a batch
-//! computes.
+//! computes. It is also the one holder of its shard's clock, observer,
+//! instruments and result cache; the engine reaches them through it.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use canti_farm::{Farm, FarmConfig, FarmObserver, JobSpec, PrecomputeCache, WorkerPool};
 use canti_fault::ServeChaos;
@@ -15,10 +16,11 @@ use canti_obs::{
     SloConfig, TimelineConfig, TimelineRecorder, TraceContext,
 };
 
-use crate::queue::FormedBatch;
+use crate::cache::ReportCache;
+use crate::queue::{FormedBatch, RejectReason};
 use crate::response::{Disposition, LatencyBreakdown, ServeResponse};
 
-/// Finished requests retained for `/debug/requests`, per front.
+/// Finished requests retained for `/debug/requests`, per shard.
 pub(crate) const REQUEST_LOG_CAPACITY: usize = 1024;
 
 /// A registry counter and the timeline delta series of the same name.
@@ -46,9 +48,9 @@ impl Tally {
 /// their merged windows are invariant under re-sharding; the batch and
 /// queue-depth series follow how the queue partitioned, so they are
 /// not. The shard's [`ServeObs`] rides alongside because its request
-/// log and timeline cannot be re-derived from the name-keyed registry —
-/// engine and executor must share ONE `ServeInstruments` so both record
-/// into the same timeline and log.
+/// log and timeline cannot be re-derived from the name-keyed registry:
+/// the shard's executor holds its one set, and the engine records
+/// through it.
 #[derive(Debug, Clone)]
 pub(crate) struct ServeInstruments {
     pub admitted: Tally,
@@ -158,33 +160,120 @@ impl ServeInstruments {
         }
     }
 
-    /// The `slo.good` or `slo.breached` tally a finished request's
-    /// verdict counts in.
-    pub(crate) fn verdict(&self, good: bool) -> &Tally {
-        if good {
-            &self.slo_good
-        } else {
-            &self.slo_breached
-        }
+    /// Records one terminal answer: the one place the SLO rule is
+    /// applied and a [`RequestRecord`] written. An answer — a batch
+    /// completion or a cache hit — lands in the latency histogram and is
+    /// good within the objective. An expired, shed or failed request
+    /// always breaches, however briefly it waited, and its wait since
+    /// `admitted_ns` stands as its latency and queue time. One timeline
+    /// write carries the verdict, the outcome's tallies and its phase
+    /// series at `now_ns` (a hit also counts its admission, at
+    /// `admitted_ns`); then the request log gets the row. A served
+    /// `follower` rode a coalesced leader's job and logs as `coalesced`.
+    pub(crate) fn finish(&self, r: &ServeResponse, follower: bool, admitted_ns: u64, now_ns: u64) {
+        let at = |series, value| (series, value, now_ns);
+        let timeline = &self.obs.timeline;
+        let answer = |latency_ns| {
+            self.request_latency_ns.record(latency_ns);
+            let verdict = if latency_ns <= self.obs.slo.objective_ns {
+                &self.slo_good
+            } else {
+                &self.slo_breached
+            };
+            [
+                verdict.one(now_ns),
+                self.completed.one(now_ns),
+                at(self.latency_series, latency_ns),
+            ]
+        };
+        let (outcome, batch, latency_ns, b) = match &r.disposition {
+            Disposition::Completed {
+                batch,
+                latency_ns,
+                breakdown: b,
+                result,
+            } => {
+                let [verdict, completed, latency] = answer(*latency_ns);
+                timeline.record(&[
+                    verdict,
+                    completed,
+                    latency,
+                    at(self.queue_ns, b.queue_ns),
+                    at(self.form_ns, b.form_ns),
+                    at(self.exec_ns, b.exec_ns),
+                    at(self.respond_ns, b.respond_ns),
+                ]);
+                let served_follower = follower && result.is_ok();
+                let outcome = if served_follower {
+                    "coalesced"
+                } else {
+                    r.disposition.label()
+                };
+                (outcome, Some(*batch), *latency_ns, *b)
+            }
+            Disposition::CacheHit {
+                latency_ns,
+                breakdown: b,
+                ..
+            } => {
+                let [verdict, completed, latency] = answer(*latency_ns);
+                timeline.record(&[
+                    verdict,
+                    completed,
+                    latency,
+                    at(self.cache_ns, b.cache_ns),
+                    self.admitted.one(admitted_ns),
+                    self.cache_hit.one(now_ns),
+                ]);
+                ("cache_hit", None, *latency_ns, *b)
+            }
+            Disposition::Expired { .. } | Disposition::Failed { .. } => {
+                let tally = match r.disposition {
+                    Disposition::Expired { .. } => &self.expired,
+                    Disposition::Failed {
+                        reason: RejectReason::Shed,
+                    } => &self.shed,
+                    _ => &self.failed,
+                };
+                timeline.record(&[tally.one(now_ns), self.slo_breached.one(now_ns)]);
+                let waited_ns = now_ns.saturating_sub(admitted_ns);
+                let b = LatencyBreakdown {
+                    queue_ns: waited_ns,
+                    ..LatencyBreakdown::default()
+                };
+                (r.disposition.label(), None, waited_ns, b)
+            }
+        };
+        self.obs.requests.push(RequestRecord {
+            request: r.request_id,
+            trace: r.trace,
+            outcome,
+            batch,
+            latency_ns,
+            queue_ns: b.queue_ns,
+            form_ns: b.form_ns,
+            exec_ns: b.exec_ns,
+            respond_ns: b.respond_ns,
+            finished_ns: now_ns,
+        });
     }
 }
 
 /// Runs formed batches on the farm engine.
 ///
-/// Construction fixes the worker count, the shared precompute cache and
-/// the (optional) observer; execution is then a pure mapping from a
-/// formed batch to per-request responses, bit-identical at any worker
-/// count because the farm itself is.
+/// Construction fixes the worker count, the service's shared precompute
+/// cache and the (optional) observer; execution is then a pure mapping
+/// from a formed batch to per-request responses, bit-identical at any
+/// worker count because the farm itself is.
 #[derive(Debug)]
 pub(crate) struct BatchExecutor {
     threads: usize,
     pool: Arc<WorkerPool>,
     cache: Arc<PrecomputeCache>,
-    /// The shard's content-addressed result cache, shared with the
-    /// admission front (which looks up at admission; the executor
-    /// inserts batch results in admission order). `None` with caching
-    /// off.
-    report_cache: Option<Arc<Mutex<crate::cache::ReportCache>>>,
+    /// The shard's content-addressed result cache: the engine looks up
+    /// at admission, and the executor inserts batch results in admission
+    /// order. `None` with caching off.
+    report_cache: Option<Arc<Mutex<ReportCache>>>,
     clock: Arc<dyn ObsClock>,
     observer: Option<FarmObserver>,
     instruments: Option<ServeInstruments>,
@@ -193,14 +282,18 @@ pub(crate) struct BatchExecutor {
 
 impl BatchExecutor {
     /// An executor running `threads` farm workers per batch (`0` =
-    /// machine parallelism), timing requests on `clock`. The workers
-    /// live in a persistent [`WorkerPool`] for the executor's lifetime,
-    /// so successive batches pay no thread-spawn cost.
-    pub(crate) fn new(threads: usize, clock: Arc<dyn ObsClock>) -> Self {
+    /// machine parallelism) over `cache`, timing requests on `clock`.
+    /// The workers live in a persistent [`WorkerPool`] for the executor's
+    /// lifetime, so successive batches pay no thread-spawn cost.
+    pub(crate) fn new(
+        threads: usize,
+        clock: Arc<dyn ObsClock>,
+        cache: Arc<PrecomputeCache>,
+    ) -> Self {
         Self {
             threads,
             pool: Arc::new(WorkerPool::new(threads)),
-            cache: Arc::new(PrecomputeCache::new()),
+            cache,
             report_cache: None,
             clock,
             observer: None,
@@ -209,14 +302,11 @@ impl BatchExecutor {
         }
     }
 
-    /// Attaches the shard's result cache: successful batch outputs are
-    /// inserted (in admission order) after each batch lands. The handle
-    /// is shared with the admission front, which serves hits.
-    pub(crate) fn with_report_cache(
-        mut self,
-        cache: Arc<Mutex<crate::cache::ReportCache>>,
-    ) -> Self {
-        self.report_cache = Some(cache);
+    /// Attaches the shard's result cache: the engine serves hits from
+    /// it, and successful batch outputs are inserted (in admission order)
+    /// after each batch lands.
+    pub(crate) fn with_report_cache(mut self, cache: ReportCache) -> Self {
+        self.report_cache = Some(Arc::new(Mutex::new(cache)));
         self
     }
 
@@ -246,16 +336,25 @@ impl BatchExecutor {
         }
     }
 
-    /// The shared instrument set, when observed.
+    /// The shard's instrument set, when observed.
     pub(crate) fn instruments(&self) -> Option<&ServeInstruments> {
         self.instruments.as_ref()
     }
 
-    /// Attaches a farm observer together with the instrument set the
-    /// engine front records into, so both write the same timeline and
-    /// fill the same request log: batches run with farm telemetry, and
-    /// the serve-side counters, histograms and spans land in the same
-    /// registry and trace stream.
+    /// The clock every serve timestamp of the shard reads.
+    pub(crate) fn clock(&self) -> &dyn ObsClock {
+        &*self.clock
+    }
+
+    /// The shard's result cache, when caching is on.
+    pub(crate) fn report_cache(&self) -> Option<&Mutex<ReportCache>> {
+        self.report_cache.as_deref()
+    }
+
+    /// Attaches a farm observer together with the shard's instrument
+    /// set, which the engine records through: batches run with farm
+    /// telemetry, and the serve-side counters, histograms and spans land
+    /// in the same registry and trace stream.
     pub(crate) fn with_instruments(
         mut self,
         observer: FarmObserver,
@@ -370,11 +469,6 @@ impl BatchExecutor {
         let exec_end_ns = self.clock.now_ns();
 
         let now_ns = self.clock.now_ns();
-        let answered: u64 = batch
-            .items
-            .iter()
-            .map(|p| 1 + p.followers.len() as u64)
-            .sum();
         if let Some(ins) = &self.instruments {
             ins.batch_size.record(batch.len() as u64);
             ins.obs.timeline.record(&[
@@ -382,9 +476,8 @@ impl BatchExecutor {
                 (ins.batch_size_series, batch.len() as u64, now_ns),
             ]);
         }
-        let formed_ns = batch.formed_ns;
-        let index = batch.index;
-        let mut responses = Vec::with_capacity(answered as usize);
+        let answered = batch.items.iter().map(|p| 1 + p.followers.len()).sum();
+        let mut responses = Vec::with_capacity(answered);
         for (pending, result) in batch.items.iter().zip(report.outcomes) {
             // feed the result cache in admission order, successes only —
             // a per-job failure (or an injected fault) never poisons it
@@ -393,96 +486,36 @@ impl BatchExecutor {
             {
                 cache
                     .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .unwrap_or_else(PoisonError::into_inner)
                     .insert(key, out.clone());
             }
-            // the phases tile admission→answer exactly: each anchor
-            // subtraction reuses the previous anchor, so on a monotone
-            // clock cache+queue+form+exec+respond == latency. Followers
-            // measure queue_ns against their own (later) arrival, so
-            // their breakdowns tile too.
-            let record = |enqueued_ns: u64| {
-                let breakdown = LatencyBreakdown {
-                    cache_ns: 0,
-                    queue_ns: formed_ns.saturating_sub(enqueued_ns),
-                    form_ns: exec_start_ns.saturating_sub(formed_ns),
-                    exec_ns: exec_end_ns.saturating_sub(exec_start_ns),
-                    respond_ns: now_ns.saturating_sub(exec_end_ns),
-                };
-                let latency_ns = now_ns.saturating_sub(enqueued_ns);
-                (breakdown, latency_ns)
-            };
-            let instrument =
-                |id: u64, trace: u64, outcome: &'static str, b: &LatencyBreakdown, lat: u64| {
-                    if let Some(ins) = &self.instruments {
-                        ins.request_latency_ns.record(lat);
-                        ins.obs.timeline.record(&[
-                            ins.verdict(lat <= ins.obs.slo.objective_ns).one(now_ns),
-                            ins.completed.one(now_ns),
-                            (ins.latency_series, lat, now_ns),
-                            (ins.queue_ns, b.queue_ns, now_ns),
-                            (ins.form_ns, b.form_ns, now_ns),
-                            (ins.exec_ns, b.exec_ns, now_ns),
-                            (ins.respond_ns, b.respond_ns, now_ns),
-                        ]);
-                        ins.obs.requests.push(RequestRecord {
-                            request: id,
-                            trace,
-                            outcome,
-                            batch: Some(index),
-                            latency_ns: lat,
-                            queue_ns: b.queue_ns,
-                            form_ns: b.form_ns,
-                            exec_ns: b.exec_ns,
-                            respond_ns: b.respond_ns,
-                            finished_ns: now_ns,
-                        });
-                    }
-                };
-            let (breakdown, latency_ns) = record(pending.enqueued_ns);
-            instrument(
-                pending.id,
-                pending.trace,
-                if result.is_ok() { "ok" } else { "job_failed" },
-                &breakdown,
-                latency_ns,
-            );
-            responses.push(ServeResponse {
-                request_id: pending.id,
-                trace: pending.trace,
-                disposition: Disposition::Completed {
-                    batch: index,
-                    latency_ns,
-                    breakdown,
-                    result: result.clone(),
-                },
-            });
-            // fan the leader's answer out to every coalesced follower —
+            // the leader's answer fans out to every coalesced follower —
             // each ticket answered exactly once, with the same payload
-            // bits
-            for f in &pending.followers {
-                let (breakdown, latency_ns) = record(f.enqueued_ns);
-                instrument(
-                    f.id,
-                    f.trace,
-                    if result.is_ok() {
-                        "coalesced"
-                    } else {
-                        "job_failed"
-                    },
-                    &breakdown,
-                    latency_ns,
-                );
-                responses.push(ServeResponse {
-                    request_id: f.id,
-                    trace: f.trace,
+            // bits. The phases tile admission→answer exactly: each anchor
+            // subtraction reuses the previous anchor, so on a monotone
+            // clock cache+queue+form+exec+respond == latency, and a
+            // follower's queue_ns runs from its own (later) arrival.
+            for (i, (id, trace, enqueued_ns)) in pending.members().enumerate() {
+                let response = ServeResponse {
+                    request_id: id,
+                    trace,
                     disposition: Disposition::Completed {
-                        batch: index,
-                        latency_ns,
-                        breakdown,
+                        batch: batch.index,
+                        latency_ns: now_ns.saturating_sub(enqueued_ns),
+                        breakdown: LatencyBreakdown {
+                            cache_ns: 0,
+                            queue_ns: batch.formed_ns.saturating_sub(enqueued_ns),
+                            form_ns: exec_start_ns.saturating_sub(batch.formed_ns),
+                            exec_ns: exec_end_ns.saturating_sub(exec_start_ns),
+                            respond_ns: now_ns.saturating_sub(exec_end_ns),
+                        },
                         result: result.clone(),
                     },
-                });
+                };
+                if let Some(ins) = &self.instruments {
+                    ins.finish(&response, i > 0, enqueued_ns, now_ns);
+                }
+                responses.push(response);
             }
         }
         responses
@@ -508,6 +541,29 @@ pub(crate) mod tests {
             .expect("serve chaos injector poisoned")
     }
 
+    /// What `executor`'s precompute cache counted: one miss per chain
+    /// characterization, one hit per lookup it answered.
+    pub(crate) fn precompute_stats(executor: &BatchExecutor) -> canti_farm::CacheStats {
+        executor.cache.stats()
+    }
+
+    /// Jobs for global ids 0, 1, ... until each of `shards` shards has
+    /// been routed exactly one dose-response request; the ids in between
+    /// carry probes, which need no precompute.
+    pub(crate) fn one_dose_per_shard(shards: usize) -> Vec<JobSpec> {
+        let mut dosed = vec![false; shards];
+        let mut jobs = Vec::new();
+        while dosed.contains(&false) {
+            let shard = crate::route_request(jobs.len() as u64, shards);
+            jobs.push(if std::mem::replace(&mut dosed[shard], true) {
+                JobSpec::Probe(ProbeMode::Value(0.0))
+            } else {
+                canti_farm::dose_response_sweep(&[1.0]).remove(0)
+            });
+        }
+        jobs
+    }
+
     fn formed(jobs: usize, clock_now: u64) -> FormedBatch {
         let mut q = AdmissionQueue::new(ServeConfig {
             max_batch: jobs,
@@ -524,7 +580,7 @@ pub(crate) mod tests {
     fn execution_answers_every_request_in_admission_order() {
         let clock = Arc::new(VirtualClock::new());
         clock.set_ns(500);
-        let exec = BatchExecutor::new(2, clock.clone());
+        let exec = BatchExecutor::new(2, clock.clone(), Arc::default());
         let batch = formed(4, 100);
         let responses = exec.execute(&batch);
         assert_eq!(responses.len(), 4);
@@ -555,9 +611,10 @@ pub(crate) mod tests {
     #[test]
     fn worker_count_does_not_change_payloads() {
         let clock = Arc::new(VirtualClock::new());
-        let oracle = BatchExecutor::new(1, clock.clone()).execute(&formed(8, 0));
+        let oracle = BatchExecutor::new(1, clock.clone(), Arc::default()).execute(&formed(8, 0));
         for threads in [2, 8] {
-            let run = BatchExecutor::new(threads, clock.clone()).execute(&formed(8, 0));
+            let run =
+                BatchExecutor::new(threads, clock.clone(), Arc::default()).execute(&formed(8, 0));
             assert_eq!(run, oracle, "{threads} farm workers");
         }
     }
@@ -568,7 +625,8 @@ pub(crate) mod tests {
         let (observer, ring) = FarmObserver::deterministic(4096);
         let instruments =
             ServeInstruments::new(&observer, SloConfig::default(), TimelineConfig::default());
-        let exec = BatchExecutor::new(2, clock).with_instruments(observer, instruments);
+        let exec =
+            BatchExecutor::new(2, clock, Arc::default()).with_instruments(observer, instruments);
         let responses = exec.execute(&formed(3, 0));
         assert_eq!(responses.len(), 3);
         let m = exec.observer().expect("observer").metrics();

@@ -118,9 +118,6 @@ pub struct ServeConfig {
     /// Linger deadline: a non-full batch fires once the *oldest* queued
     /// request has waited this long (on the serve clock).
     pub linger_ns: u64,
-    /// Default per-request deadline, relative to admission, applied when
-    /// a submission carries none. `None` disables default deadlines.
-    pub default_deadline_ns: Option<u64>,
     /// Base serve seed. Each admitted request's RNG stream derives from
     /// [`shard::request_seed`] over this base and the request key, so a
     /// given arrival script replays to identical payloads — on any
@@ -174,7 +171,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             max_batch: 16,
             linger_ns: 1_000_000, // 1 ms
-            default_deadline_ns: None,
             batch_seed: 0x5E4E_2026,
             threads: 0,
             slo: SloConfig::default(),

@@ -116,7 +116,7 @@ pub(crate) enum Admitted {
 /// One admitted request waiting for (or riding in) a batch.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Pending {
-    /// The request's global id, allocated by the sharded front. Spans,
+    /// The request's global id, allocated by the sharded engine. Spans,
     /// responses, logs and tickets all key on it.
     pub id: u64,
     /// The simulation to run.
@@ -142,6 +142,18 @@ pub(crate) struct Pending {
     /// They occupy no queue slots; the executor fans this request's
     /// answer out to each of them.
     pub followers: Vec<Follower>,
+}
+
+impl Pending {
+    /// Everyone one answer to this request reaches, leader first:
+    /// `(id, trace, enqueued_ns)` of the request and of each follower.
+    pub(crate) fn members(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        std::iter::once((self.id, self.trace, self.enqueued_ns)).chain(
+            self.followers
+                .iter()
+                .map(|f| (f.id, f.trace, f.enqueued_ns)),
+        )
+    }
 }
 
 /// A batch the queue has released for execution: an ordered slice of
@@ -245,11 +257,11 @@ impl AdmissionQueue {
     }
 
     /// Admits `job` under the caller's request `id` at time `now_ns`,
-    /// or explains why not. `deadline_ns` is relative to admission; when
-    /// `None`, the config's default deadline (if any) applies.
-    /// `job_key` is the spec's content hash, `Some` exactly when the
-    /// config enables the result cache (the serving front hashes once
-    /// for its lookup and passes the key on).
+    /// or explains why not. `deadline_ns` is relative to admission;
+    /// `None` means the request never expires. `job_key` is the spec's
+    /// content hash, `Some` exactly when the config enables the result
+    /// cache (the shard's engine hashes once for its lookup and passes
+    /// the key on).
     ///
     /// With the result cache enabled, two things change. The request's
     /// RNG seed derives from its spec's **content hash** instead of its
@@ -280,7 +292,7 @@ impl AdmissionQueue {
             return Err(RejectReason::Draining);
         }
         let trace = canti_obs::trace_id(id);
-        if deadline_ns.is_none() && self.config.default_deadline_ns.is_none() {
+        if deadline_ns.is_none() {
             if let Some(k) = job_key {
                 if let Some(&leader) = self.inflight.get(&k) {
                     if let Some(p) = self.queue.iter_mut().find(|p| p.id == leader) {
@@ -298,9 +310,7 @@ impl AdmissionQueue {
         if self.queue.len() >= capacity {
             return Err(RejectReason::QueueFull { capacity });
         }
-        let deadline = deadline_ns
-            .or(self.config.default_deadline_ns)
-            .map(|d| now_ns.saturating_add(d));
+        let deadline = deadline_ns.map(|d| now_ns.saturating_add(d));
         let seed = match job_key {
             // content-derived: identical specs → identical payload bits
             Some(k) => crate::shard::request_seed(self.config.batch_seed, k.fold()),
@@ -549,19 +559,6 @@ mod tests {
         assert_eq!(gone[0].id, 0);
         assert_eq!(gone[0].deadline_ns, Some(100));
         assert_eq!(q.depth(), 1, "undeadlined neighbour survives");
-    }
-
-    #[test]
-    fn default_deadline_applies_when_submission_carries_none() {
-        let mut q = AdmissionQueue::new(ServeConfig {
-            default_deadline_ns: Some(50),
-            ..ServeConfig::default()
-        });
-        submit(&mut q, 7, 0, None).unwrap();
-        submit(&mut q, 7, 1, Some(500)).unwrap();
-        let gone = q.take_expired(57);
-        assert_eq!(gone.len(), 1, "default deadline 7+50 fires");
-        assert_eq!(gone[0].id, 0);
     }
 
     #[test]

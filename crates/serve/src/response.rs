@@ -31,13 +31,14 @@ pub struct ServeResponse {
 /// `cache_ns + queue_ns + form_ns + exec_ns + respond_ns == latency_ns`.
 /// On a [`canti_obs::VirtualClock`] every anchor is a scripted reading,
 /// so breakdowns are bit-identical at any worker count. A cache hit is
-/// all `cache_ns` (the other phases never happened); a farm-served
-/// request has `cache_ns` 0 (with the cache off) or the lookup cost of
-/// its admission-time miss (with it on).
+/// all `cache_ns` (the other phases never happened). A farm-served
+/// request always has `cache_ns` 0: admission reads the clock before its
+/// lookup, so a miss's lookup cost lands in `queue_ns`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LatencyBreakdown {
-    /// The admission-time result-cache lookup (`cache_lookup` phase),
-    /// ns. Zero when the cache is disabled.
+    /// A cache hit's admission-time lookup, ns: its whole latency. Zero
+    /// for a farm-served request, whose miss lookup counts in
+    /// `queue_ns`.
     pub cache_ns: u64,
     /// Admission to batch formation: time spent waiting in the
     /// admission queue, ns.

@@ -917,6 +917,37 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_shards_characterize_the_chain_once() {
+        let service = ShardedService::start(ShardedConfig {
+            shards: 4,
+            base: ServeConfig {
+                max_batch: 1,
+                threads: 1,
+                ..ServeConfig::default()
+            },
+        });
+        let tickets: Vec<ShardTicket> = crate::exec::tests::one_dose_per_shard(4)
+            .into_iter()
+            .map(|job| service.submit(job).expect("admitted"))
+            .collect();
+        for t in tickets {
+            let r = wait(t);
+            assert!(r.disposition.is_ok(), "{r}");
+        }
+        let state = service.driver.lock();
+        for s in 0..4 {
+            let stats = crate::exec::tests::precompute_stats(&state.engine.shard(s).executor());
+            assert_eq!(
+                (stats.misses, stats.hits),
+                (1, 3),
+                "shard {s}: four concurrent lookups, one characterization"
+            );
+        }
+        drop(state);
+        let _ = service.shutdown();
+    }
+
+    #[test]
     fn sharded_service_round_trips_with_global_ids() {
         let service = ShardedService::start(ShardedConfig {
             shards: 3,

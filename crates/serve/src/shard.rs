@@ -2,9 +2,11 @@
 //! request routing, with health supervision and failover.
 //!
 //! A shard is a complete serving stack of its own — admission queue,
-//! executor, persistent worker pool — so shards share no queues. What
-//! binds them into one service is the routing rule and the request-seed
-//! rule, both pure functions of the **global** request id:
+//! executor, persistent worker pool — so shards share no queues; they
+//! share only the precompute cache, whose values are pure functions of
+//! the config. What binds them into one service is the routing rule and
+//! the request-seed rule, both pure functions of the **global** request
+//! id:
 //!
 //! * **Routing** — [`route_request`] sends global id `g` to shard
 //!   `splitmix64(g) % shards`. Nothing else (arrival time, payload,
@@ -41,7 +43,7 @@
 
 use std::sync::Arc;
 
-use canti_farm::{FarmObserver, JobSpec};
+use canti_farm::{FarmObserver, JobSpec, PrecomputeCache};
 use canti_fault::ServeFaultPlan;
 use canti_obs::ObsClock;
 
@@ -193,12 +195,13 @@ impl Default for ShardedConfig {
 }
 
 /// The serving state machine: one engine per shard behind
-/// [`route_request`], sharing one injected clock, supervised by a
-/// [`ShardSupervisor`]. It allocates every request's global id, and
-/// every queue, span, log and response keys on that id. Pumped
-/// explicitly (one shard is the plain single-queue case), it is what the
-/// scripted determinism and failover tests drive; the threaded
-/// [`crate::ShardedService`] runs the same machine on the wall clock.
+/// [`route_request`], sharing one injected clock and one precompute
+/// cache, supervised by a [`ShardSupervisor`]. It allocates every
+/// request's global id, and every queue, span, log and response keys on
+/// that id. Pumped explicitly (one shard is the plain single-queue
+/// case), it is what the scripted determinism and failover tests drive;
+/// the threaded [`crate::ShardedService`] runs the same machine on the
+/// wall clock.
 #[derive(Debug)]
 pub struct ShardedEngine {
     engines: Vec<ServeEngine>,
@@ -214,9 +217,12 @@ impl ShardedEngine {
     #[must_use]
     pub fn new(config: ShardedConfig, clock: Arc<dyn ObsClock>) -> Self {
         let n = config.shard_count();
+        // the chain characterization is computed once per service: every
+        // shard, and every restart, shares one precompute cache
+        let precompute = Arc::new(PrecomputeCache::new());
         Self {
             engines: (0..n)
-                .map(|_| ServeEngine::new(config.base, Arc::clone(&clock)))
+                .map(|_| ServeEngine::new(config.base, Arc::clone(&clock), Arc::clone(&precompute)))
                 .collect(),
             next_id: 0,
             clock,
@@ -274,15 +280,8 @@ impl ShardedEngine {
         self.engines.len()
     }
 
-    /// The shard the next admitted request will route to (before
-    /// failover).
-    #[must_use]
-    pub fn next_shard(&self) -> usize {
-        route_request(self.next_id, self.engines.len())
-    }
-
-    /// Submits a request (config default deadline applies), returning
-    /// its **global** id.
+    /// Submits a request that never expires, returning its **global**
+    /// id.
     ///
     /// # Errors
     ///
@@ -340,10 +339,11 @@ impl ShardedEngine {
         let admission = self.engines[shard].admit(global, job, deadline_ns)?;
         if shard != primary {
             self.failovers += 1;
-            if let Some(ins) = self.engines[shard].instruments() {
+            let executor = self.engines[shard].executor();
+            if let Some(ins) = executor.instruments() {
                 ins.failovers.inc();
             }
-            if let Some(o) = self.engines[shard].observer() {
+            if let Some(o) = executor.observer() {
                 o.tracer().event(
                     "failover",
                     &[
@@ -432,6 +432,9 @@ impl ShardedEngine {
         if self.supervisor.is_live(shard) {
             self.supervisor.record_failure(shard, self.clock.now_ns());
         }
+        let open = open
+            .iter()
+            .map(|&(id, at)| (id, canti_obs::trace_id(id), at));
         self.engines[shard].fail(open)
     }
 
@@ -731,12 +734,12 @@ mod tests {
         assert_eq!(e.healths()[victim], ShardHealth::Down);
 
         // id 1 reroutes onto the survivor and id 2 is its own: full
-        assert_eq!(e.next_shard(), victim);
+        assert_eq!(route_request(1, 2), victim);
         assert_eq!(e.submit(probe(1.0)), Ok(1));
-        assert_eq!(e.next_shard(), survivor);
+        assert_eq!(route_request(2, 2), survivor);
         assert_eq!(e.submit(probe(2.0)), Ok(2));
         // id 3 reroutes onto the full survivor, refused nine times over
-        assert_eq!(e.next_shard(), victim);
+        assert_eq!(route_request(3, 2), victim);
         for _ in 0..9 {
             assert_eq!(
                 e.submit(probe(3.0)),
@@ -748,6 +751,33 @@ mod tests {
         assert_eq!(observer.metrics().counter("serve.failovers").get(), 1);
         let events = rings[survivor].events();
         assert_eq!(events.iter().filter(|ev| ev.name == "failover").count(), 1);
+    }
+
+    #[test]
+    fn every_shard_characterizes_the_chain_through_one_cache() {
+        let mut e = ShardedEngine::new(
+            ShardedConfig {
+                shards: 4,
+                base: ServeConfig {
+                    max_batch: 1,
+                    threads: 1,
+                    ..ServeConfig::default()
+                },
+            },
+            Arc::new(VirtualClock::new()) as Arc<dyn ObsClock>,
+        );
+        for job in crate::exec::tests::one_dose_per_shard(4) {
+            e.submit(job).expect("admitted");
+        }
+        assert!(e.pump().iter().all(|r| r.disposition.is_ok()));
+        for s in 0..4 {
+            let stats = crate::exec::tests::precompute_stats(&e.shard(s).executor());
+            assert_eq!(
+                (stats.misses, stats.hits),
+                (1, 3),
+                "shard {s}: one characterization for the service, one hit per other shard"
+            );
+        }
     }
 
     #[test]

@@ -110,12 +110,6 @@ impl ShardSupervisor {
         }
     }
 
-    /// The active policy.
-    #[must_use]
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
-    }
-
     /// `shard`'s current health.
     #[must_use]
     pub fn health(&self, shard: usize) -> ShardHealth {
@@ -132,12 +126,6 @@ impl ShardSupervisor {
     #[must_use]
     pub fn is_live(&self, shard: usize) -> bool {
         self.records[shard].health.is_live()
-    }
-
-    /// Liveness per shard, the mask [`crate::route_failover`] consumes.
-    #[must_use]
-    pub fn live_mask(&self) -> Vec<bool> {
-        self.records.iter().map(|r| r.health.is_live()).collect()
     }
 
     /// Restarts performed across all shards.
@@ -157,7 +145,7 @@ impl ShardSupervisor {
     /// scheduled restart instant.
     pub fn record_failure(&mut self, shard: usize, now_ns: u64) -> u64 {
         let failures = self.records[shard].failures + 1;
-        let due = now_ns.saturating_add(self.backoff_ns(failures));
+        let due = now_ns.saturating_add(self.config.backoff_ns(failures));
         let r = &mut self.records[shard];
         r.health = ShardHealth::Down;
         r.failures = failures;
@@ -212,13 +200,6 @@ impl ShardSupervisor {
             ShardHealth::Healthy | ShardHealth::Down => {}
         }
     }
-
-    /// The deterministic restart delay for a shard's `n`-th consecutive
-    /// failure (`n ≥ 1`) — see [`SupervisorConfig::backoff_ns`].
-    #[must_use]
-    pub fn backoff_ns(&self, failures: u32) -> u64 {
-        self.config.backoff_ns(failures)
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +220,8 @@ mod tests {
         assert_eq!(due, 100 + 1_000_000, "first failure waits one base");
         assert_eq!(s.health(1), ShardHealth::Down);
         assert!(!s.is_live(1));
-        assert_eq!(s.live_mask(), vec![true, false, true]);
+        let live: Vec<bool> = s.healths().iter().map(ShardHealth::is_live).collect();
+        assert_eq!(live, vec![true, false, true]);
         assert!(!s.restart_due(1, due - 1));
         assert!(s.restart_due(1, due));
 
@@ -257,15 +239,12 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let s = ShardSupervisor::new(
-            SupervisorConfig {
-                backoff_base_ns: 100,
-                backoff_max_shift: 3,
-                probation_batches: 1,
-            },
-            1,
-        );
-        let delays: Vec<u64> = (1..=6).map(|n| s.backoff_ns(n)).collect();
+        let config = SupervisorConfig {
+            backoff_base_ns: 100,
+            backoff_max_shift: 3,
+            probation_batches: 1,
+        };
+        let delays: Vec<u64> = (1..=6).map(|n| config.backoff_ns(n)).collect();
         assert_eq!(delays, vec![100, 200, 400, 800, 800, 800]);
     }
 

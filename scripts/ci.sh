@@ -5,7 +5,9 @@
 #   scripts/ci.sh          # release build -> release tests (reusing the
 #                          # build) -> the threaded serve tests and the
 #                          # worker-pool tests 20 times each -> clippy
-#                          # --all-targets -> fmt --check
+#                          # --all-targets -> fmt --check (both over the
+#                          # workspace and over perfbench/, a cargo
+#                          # workspace of its own)
 #                          # -> rustdoc with warnings denied -> perfbench
 #                          # unit tests + a 1 s serve_cached run gated on
 #                          # its bitwise payload oracle + 1 s traced
@@ -126,10 +128,14 @@ phase_end
 
 phase_begin "clippy --all-targets (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+# perfbench/ is its own cargo workspace, so the line above skips it,
+# though it consumes the serve and farm APIs
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 phase_end
 
 phase_begin "fmt --check"
 cargo fmt --all -- --check
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 phase_end
 
 phase_begin "rustdoc (-D warnings)"
@@ -137,8 +143,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 phase_end
 
 phase_begin "perfbench (unit tests + payload oracles + kernel replay)"
-# perfbench/ is a cargo workspace of its own, so the workspace phases
-# above neither build nor test it. The short serve_cached run re-solves
+# perfbench/ is a cargo workspace of its own, so the workspace build and
+# test phases above neither build nor test it. The short serve_cached run re-solves
 # every answered payload on a 1-worker farm and exits non-zero on any
 # bit mismatch, so a wrong cached answer fails here.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml

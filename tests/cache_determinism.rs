@@ -46,7 +46,6 @@ fn config(workers: usize, capacity: usize) -> ServeConfig {
         queue_capacity: 64,
         max_batch: 3,
         linger_ns: 1_000,
-        default_deadline_ns: None,
         batch_seed: 0xCAC4_E5EE,
         threads: workers,
         slo: Default::default(),

@@ -17,13 +17,16 @@
 //! 3. The merged `serve.*` delta lines match a hand-computed golden.
 //! 4. `obsctl timeline --spans` recomputes the request-latency windows
 //!    offline from each shard's span artifact and they match the live
-//!    windows exactly.
+//!    windows exactly, also when a killed shard abandons requests and
+//!    the cache answers others.
 //! 5. The SLO verdict series account for every terminal request, on a
 //!    script extended with a coalesced pair, a brownout burst and a
 //!    cache hit: one verdict per request, equal to the registry
 //!    counters, each in its terminal delta's window.
 //! 6. With the cache on, that extended script's merged `serve.*` and
 //!    `slo.*` delta lines match a golden taken at one shard.
+//! 7. The request logs agree with the responses: one row per response,
+//!    carrying its trace, outcome, latency and phases.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -31,12 +34,12 @@ use std::sync::Arc;
 use canti::farm::{dose_response_sweep, FarmObserver, JobSpec, ProbeMode};
 use canti::obs::timeline::{config_line, point_line};
 use canti::obs::{
-    merge_timelines, Collector, Metrics, ObsClock, RingCollector, SeriesKind, SeriesPoint,
-    SeriesWindows, SloConfig, TimelineConfig, Tracer, VirtualClock,
+    merge_timelines, Collector, Metrics, ObsClock, RequestRecord, RingCollector, SeriesKind,
+    SeriesPoint, SeriesWindows, SloConfig, TimelineConfig, Tracer, VirtualClock,
 };
 use canti::serve::{
     route_request, BrownoutConfig, CacheConfig, Disposition, RejectReason, ServeConfig,
-    ServeResponse, ShardedConfig, ShardedEngine,
+    ServeFaultPlan, ServeResponse, ShardedConfig, ShardedEngine, SupervisorConfig,
 };
 use canti_obsctl::{timeline_report, TimelineOptions};
 
@@ -97,7 +100,6 @@ fn config(workers: usize) -> ServeConfig {
         queue_capacity: 64,
         max_batch: 3,
         linger_ns: 1_000,
-        default_deadline_ns: None,
         batch_seed: 0x5AAD_D15C,
         threads: workers,
         slo: Default::default(),
@@ -128,6 +130,8 @@ struct ObservedRun {
     /// Sorted union of `(request, outcome, latency_ns)` over what the
     /// shards' request logs keep.
     kept_union: Vec<(u64, &'static str, u64)>,
+    /// Every row the shards' request logs keep, in shard order.
+    records: Vec<RequestRecord>,
     /// Per-shard request logs, one JSON record per line.
     request_ndjson: Vec<String>,
     /// Per-shard raw span/event NDJSON from the ring collectors.
@@ -135,10 +139,24 @@ struct ObservedRun {
 }
 
 fn observed_run(workers: usize, shards: usize) -> ObservedRun {
-    run(config(workers), shards, script())
+    run(
+        config(workers),
+        shards,
+        script(),
+        &ServeFaultPlan::default(),
+        SupervisorConfig::default(),
+    )
 }
 
-fn run(base: ServeConfig, shards: usize, steps: Vec<Step>) -> ObservedRun {
+/// Runs `steps` on `shards` observed shards sharing one virtual clock,
+/// with `plan` armed under `supervision`.
+fn run(
+    base: ServeConfig,
+    shards: usize,
+    steps: Vec<Step>,
+    plan: &ServeFaultPlan,
+    supervision: SupervisorConfig,
+) -> ObservedRun {
     let clock = Arc::new(VirtualClock::new());
     let mut observers = Vec::new();
     let mut rings = Vec::new();
@@ -160,6 +178,8 @@ fn run(base: ServeConfig, shards: usize, steps: Vec<Step>) -> ObservedRun {
         ShardedConfig { shards, base },
         Arc::clone(&clock) as Arc<dyn ObsClock>,
     )
+    .with_supervisor(supervision)
+    .with_chaos_plan(plan)
     .with_observers(observers);
 
     let mut admissions = Vec::new();
@@ -233,6 +253,7 @@ fn run(base: ServeConfig, shards: usize, steps: Vec<Step>) -> ObservedRun {
                 .collect()
         })
         .collect();
+    let records = obs.iter().flat_map(|o| o.requests.records()).collect();
     ObservedRun {
         admissions,
         responses,
@@ -241,6 +262,7 @@ fn run(base: ServeConfig, shards: usize, steps: Vec<Step>) -> ObservedRun {
         merged,
         metrics,
         kept_union,
+        records,
         request_ndjson,
         span_ndjson: rings.iter().map(|r| r.to_ndjson()).collect(),
     }
@@ -428,6 +450,76 @@ fn offline_recompute_from_spans_matches_the_live_windows() {
     }
 }
 
+/// Contract scope 4 where spans and the live latency series part ways:
+/// two shards on one virtual clock, the cache on, shard 1 killed before
+/// its first batch and restarted 2 µs later, and the six-dose sweep sent
+/// twice (submit, 1.1 µs, pump), then drained. Shard 1's killed request
+/// closes a span but records no latency, and shard 0 answers two cache
+/// hits, which record a 0-ns latency but open no span. Both shards'
+/// offline recomputes must still match their live windows.
+#[test]
+fn offline_recompute_skips_abandoned_requests_and_counts_cache_hits() {
+    let concentrations: Vec<f64> = (0..6)
+        .map(|i| 0.5 * 10f64.powf(0.4 * f64::from(i)))
+        .collect();
+    let jobs = dose_response_sweep(&concentrations);
+    let mut steps = Vec::new();
+    for job in jobs.iter().chain(&jobs) {
+        steps.push(Step::Submit(job.clone()));
+        steps.push(Step::AdvanceNs(1_100));
+        steps.push(Step::Pump);
+    }
+    steps.push(Step::Drain);
+    let run = run(
+        ServeConfig {
+            brownout: None,
+            ..accounting_config()
+        },
+        2,
+        steps,
+        &ServeFaultPlan::kill_shard(1, 0),
+        SupervisorConfig {
+            backoff_base_ns: 2_000,
+            ..SupervisorConfig::default()
+        },
+    );
+    assert_eq!(
+        run.metrics[1].counter("serve.failed").get(),
+        1,
+        "shard 1's batch 0 dies"
+    );
+    assert_eq!(
+        run.metrics[0].counter("serve.cache_hit").get(),
+        2,
+        "shard 0 answers two hits"
+    );
+
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let tl_path = dir.join(format!("canti_timeline_chaos_{pid}.ndjson"));
+    std::fs::write(&tl_path, &run.body).expect("write timeline artifact");
+    for (s, spans) in run.span_ndjson.iter().enumerate() {
+        let sp_path = dir.join(format!("canti_timeline_chaos_spans_{pid}_{s}.ndjson"));
+        std::fs::write(&sp_path, spans).expect("write span artifact");
+        let checked = timeline_report(
+            &tl_path,
+            Some(&sp_path),
+            &TimelineOptions {
+                shard: s.to_string(),
+                series: vec!["serve.request_latency_ns".to_owned()],
+                json: false,
+            },
+        );
+        let _ = std::fs::remove_file(&sp_path);
+        let out = checked.unwrap_or_else(|e| panic!("crosscheck failed on shard {s}: {e}"));
+        assert!(
+            out.contains("matches live serve.request_latency_ns"),
+            "no match verdict on shard {s}:\n{out}"
+        );
+    }
+    let _ = std::fs::remove_file(&tl_path);
+}
+
 /// The solo-paced script with the coalescing and brownout paths spliced
 /// in before its final submission: a leader and its coalesced follower
 /// answered by one batch, then a burst of three over a brownout mark of
@@ -480,7 +572,13 @@ fn counts(snapshot: &[SeriesWindows], name: &str) -> BTreeMap<u64, u64> {
 #[test]
 fn slo_verdicts_account_for_every_terminal_request() {
     for shards in SHARD_GRID {
-        let run = run(accounting_config(), shards, accounting_script());
+        let run = run(
+            accounting_config(),
+            shards,
+            accounting_script(),
+            &ServeFaultPlan::default(),
+            SupervisorConfig::default(),
+        );
         let objective_ns = accounting_config().slo.objective_ns;
         let good_expected = run
             .responses
@@ -646,7 +744,13 @@ fn merged_cache_on_delta_lines_match_the_accounting_golden() {
         r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":2,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":24,"t_ns":12000,"count":2,"sum":2,"min":1,"max":1}"#,
     ];
-    let run = run(accounting_config(), 1, accounting_script());
+    let run = run(
+        accounting_config(),
+        1,
+        accounting_script(),
+        &ServeFaultPlan::default(),
+        SupervisorConfig::default(),
+    );
     let actual: Vec<&str> = run
         .body
         .lines()
@@ -657,4 +761,87 @@ fn merged_cache_on_delta_lines_match_the_accounting_golden() {
         })
         .collect();
     assert_eq!(actual, golden, "merged serve.* and slo.* delta lines");
+}
+
+/// Contract scope 7: at every shard count, each response of
+/// [`accounting_script`] has exactly one request-log row, under its
+/// trace, and the row says what the response says: a completion's batch,
+/// latency and four phases, a hit's latency, an expiry's wait as both
+/// latency and queue time, and the disposition's label as the outcome —
+/// except `coalesced` for a served follower.
+#[test]
+fn request_log_agrees_with_every_response() {
+    for shards in SHARD_GRID {
+        let run = run(
+            accounting_config(),
+            shards,
+            accounting_script(),
+            &ServeFaultPlan::default(),
+            SupervisorConfig::default(),
+        );
+        assert_eq!(
+            run.records.len(),
+            run.responses.len(),
+            "one row per response at {shards} shards"
+        );
+        let mut followers = 0;
+        for r in &run.responses {
+            let rows: Vec<&RequestRecord> = run
+                .records
+                .iter()
+                .filter(|row| row.request == r.request_id)
+                .collect();
+            let [row] = rows[..] else {
+                panic!(
+                    "request {} has {} rows at {shards} shards",
+                    r.request_id,
+                    rows.len()
+                );
+            };
+            let at = format!("request {} at {shards} shards", r.request_id);
+            assert_eq!(row.trace, r.trace, "{at}: trace");
+            let label = r.disposition.label();
+            if row.outcome == "coalesced" {
+                assert_eq!(label, "ok", "{at}: only a served follower is coalesced");
+                followers += 1;
+            } else {
+                assert_eq!(row.outcome, label, "{at}: outcome");
+            }
+            match &r.disposition {
+                Disposition::Completed {
+                    batch,
+                    latency_ns,
+                    breakdown,
+                    ..
+                } => {
+                    assert_eq!(row.batch, Some(*batch), "{at}: batch");
+                    assert_eq!(row.latency_ns, *latency_ns, "{at}: latency");
+                    assert_eq!(
+                        (row.queue_ns, row.form_ns, row.exec_ns, row.respond_ns),
+                        (
+                            breakdown.queue_ns,
+                            breakdown.form_ns,
+                            breakdown.exec_ns,
+                            breakdown.respond_ns
+                        ),
+                        "{at}: phases"
+                    );
+                }
+                Disposition::CacheHit { latency_ns, .. } => {
+                    assert_eq!(row.latency_ns, *latency_ns, "{at}: latency");
+                }
+                Disposition::Expired { waited_ns, .. } => {
+                    assert_eq!(
+                        (row.latency_ns, row.queue_ns),
+                        (*waited_ns, *waited_ns),
+                        "{at}: an expiry's latency is its wait"
+                    );
+                }
+                Disposition::Failed { .. } => {}
+            }
+        }
+        if shards == 1 {
+            assert!(followers > 0, "the script serves a coalesced follower");
+        }
+    }
 }
