@@ -511,13 +511,14 @@ impl ServeEngine {
         ran: std::thread::Result<Vec<ServeResponse>>,
         rest: &mut impl Iterator<Item = FormedBatch>,
     ) -> Vec<ServeResponse> {
-        let out = if let Ok(responses) = ran {
+        if let Ok(responses) = ran {
             for r in &responses {
                 if let Some(span) = self.spans.remove(&r.request_id) {
                     span.end();
                 }
             }
             self.stats.completed += responses.len() as u64;
+            self.stats.batches += 1;
             responses
         } else {
             if let Some(o) = self.executor.observer() {
@@ -532,9 +533,7 @@ impl ServeEngine {
                 .chain(stranded.iter().flat_map(|b| &b.items))
                 .chain(&queued);
             self.fail(doomed.flat_map(Pending::members))
-        };
-        self.stats.batches = self.queue.batches_formed();
-        out
+        }
     }
 
     /// Fails the shard — it refuses every submission until restarted —
@@ -624,7 +623,7 @@ fn unshared(executor: Arc<BatchExecutor>) -> BatchExecutor {
 mod tests {
     use super::*;
     use crate::queue::BatchTrigger;
-    use crate::{ShardedConfig, ShardedEngine};
+    use crate::{CacheConfig, ServeFaultPlan, ShardedConfig, ShardedEngine};
     use canti_farm::ProbeMode;
     use canti_obs::VirtualClock;
 
@@ -809,6 +808,65 @@ mod tests {
             .filter(|e| e.name == "request" && e.kind == canti_obs::EventKind::SpanEnd)
             .count();
         assert_eq!((request_starts, request_ends), (2, 2));
+    }
+
+    #[test]
+    fn stats_equal_their_counters_when_a_kill_strands_batches() {
+        // max batch 1: the pump forms one batch per leader; under the
+        // kill the first dies and the ones behind it are stranded, never
+        // executed
+        for plan in [ServeFaultPlan::default(), ServeFaultPlan::kill_shard(0, 0)] {
+            for cache in [None, Some(CacheConfig::default())] {
+                let (observer, _ring) = FarmObserver::deterministic(4096);
+                let clock = Arc::new(VirtualClock::new());
+                let config = ServeConfig {
+                    max_batch: 1,
+                    threads: 1,
+                    cache,
+                    ..ServeConfig::default()
+                };
+                let mut e = engine(&clock, config)
+                    .with_observers(vec![observer])
+                    .with_chaos_plan(&plan);
+                // the repeat coalesces onto its queued leader when cached
+                for v in [0.0, 1.0, 1.0] {
+                    e.submit(probe(v)).unwrap();
+                }
+                let _ = e.pump();
+                let _ = e.drain();
+                let ServeStats {
+                    admitted,
+                    rejected,
+                    expired,
+                    completed,
+                    batches,
+                    failed,
+                    shed,
+                    cache_hits,
+                    coalesced,
+                } = e.stats();
+                let m = e.shard(0).observer().expect("observer").metrics();
+                let counters = [
+                    "serve.admitted",
+                    "serve.rejected",
+                    "serve.expired",
+                    "serve.completed",
+                    "serve.batches",
+                    "serve.failed",
+                    "serve.shed",
+                    "serve.cache_hit",
+                    "serve.coalesced",
+                ]
+                .map(|name| m.counter(name).get());
+                let fields = [
+                    admitted, rejected, expired, completed, batches, failed, shed, cache_hits,
+                    coalesced,
+                ];
+                let case = format!("{plan:?}, cache {}", cache.is_some());
+                assert_eq!(fields, counters, "{case}");
+                assert_eq!(completed + failed, 3, "{case}");
+            }
+        }
     }
 
     #[test]

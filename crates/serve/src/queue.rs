@@ -251,11 +251,6 @@ impl AdmissionQueue {
         self.failed = false;
     }
 
-    /// Batches released so far.
-    pub(crate) fn batches_formed(&self) -> u64 {
-        self.next_batch
-    }
-
     /// Admits `job` under the caller's request `id` at time `now_ns`,
     /// or explains why not. `deadline_ns` is relative to admission;
     /// `None` means the request never expires. `job_key` is the spec's
@@ -584,7 +579,6 @@ mod tests {
         assert_eq!(a.index, 0);
         assert_eq!(b.index, 1);
         assert_eq!(b.seed, a.seed + 1);
-        assert_eq!(q.batches_formed(), 2);
     }
 
     #[test]

@@ -519,8 +519,8 @@ fn spawn_batcher(driver: Arc<Driver>, shard: usize) -> JoinHandle<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheConfig, Disposition, ServeConfig};
-    use canti_farm::ProbeMode;
+    use crate::{job_key, request_seed, CacheConfig, Disposition, ServeConfig};
+    use canti_farm::{Farm, FarmConfig, JobOutput, ProbeMode};
     use canti_fault::{ServeFaultEvent, ServeFaultKind};
     use canti_obs::{Metrics, RingCollector, Tracer, VirtualClock};
     use std::sync::mpsc;
@@ -945,6 +945,77 @@ mod tests {
         }
         drop(state);
         let _ = service.shutdown();
+    }
+
+    #[test]
+    fn concurrent_submitters_on_four_shards_get_the_oracle_payloads() {
+        for cache in [None, Some(CacheConfig::default())] {
+            let base = ServeConfig {
+                max_batch: 4,
+                linger_ns: 0, // no request waits on the batcher's idle sleep
+                threads: 1,
+                cache,
+                ..ServeConfig::default()
+            };
+            // with the cache on, 8 distinct specs repeat, so hits and
+            // coalescing can happen; a Draws payload depends on the seed
+            let distinct = if cache.is_some() { 8 } else { 64 };
+            let spec = move |i: usize| JobSpec::Probe(ProbeMode::Draws(1 + i % distinct));
+            let service = Arc::new(ShardedService::start(ShardedConfig { shards: 4, base }));
+            let submitters: Vec<_> = (0..4)
+                .map(|w| {
+                    let service = Arc::clone(&service);
+                    std::thread::spawn(move || {
+                        (0..16)
+                            .map(|i| {
+                                let job = spec(w * 16 + i);
+                                let ticket = service.submit(job.clone()).expect("admitted");
+                                let id = ticket.id();
+                                (id, job, wait(ticket))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let mut answered: Vec<(u64, JobSpec, ServeResponse)> = submitters
+                .into_iter()
+                .flat_map(|s| s.join().expect("submitter thread"))
+                .collect();
+            answered.sort_by_key(|(id, ..)| *id);
+            let ids: Vec<u64> = answered.iter().map(|(id, ..)| *id).collect();
+            assert_eq!(ids, (0..64).collect::<Vec<u64>>(), "cache {cache:?}");
+            assert_eq!(service.stats().completed, 64, "cache {cache:?}");
+            for (shard, stats) in service.shard_stats().iter().enumerate() {
+                assert!(stats.completed > 0, "shard {shard} answered nothing");
+            }
+
+            // the oracle: each request re-solved alone on a 1-worker farm,
+            // under the seed the service fixed at admission
+            let farm = Farm::new(FarmConfig {
+                batch_seed: base.batch_seed,
+                threads: 1,
+            });
+            let bits = |o: &JobOutput| {
+                let metrics = o.metrics.iter().map(|&(n, v)| (n, v.to_bits()));
+                (o.kind, metrics.collect::<Vec<_>>())
+            };
+            for (id, job, response) in &answered {
+                assert_eq!(response.request_id, *id);
+                let served = response
+                    .disposition
+                    .output()
+                    .unwrap_or_else(|| panic!("not answered Ok: {response}"));
+                let key = if cache.is_some() {
+                    job_key(job).fold()
+                } else {
+                    *id
+                };
+                let seed = request_seed(base.batch_seed, key);
+                let oracle = farm.run_seeded(std::slice::from_ref(job), &[seed]).outcomes;
+                let oracle = oracle[0].as_ref().expect("oracle solve");
+                assert_eq!(bits(served), bits(oracle), "request {id}, cache {cache:?}");
+            }
+        }
     }
 
     #[test]
