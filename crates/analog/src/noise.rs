@@ -320,7 +320,7 @@ fn gaussian<R: Rng>(rng: &mut R) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spectrum::welch_psd;
+    use crate::spectrum::{welch_psd, PowerSpectrum};
 
     #[test]
     fn white_noise_rms_matches_density() {
@@ -361,39 +361,57 @@ mod tests {
         assert!((high / (d * d) - 1.0).abs() < 0.3, "high-bin PSD {high}");
     }
 
+    /// Band-averaged PSD at `f`: the mean of f·S(f) over the bins within
+    /// ±25 % of `f`, divided by `f`. For a 1/f spectrum f·S(f) is flat, so
+    /// the mean is unbiased, and it reads ~0.5·f/Δf bins instead of one.
+    fn band_density(psd: &PowerSpectrum, f: f64) -> f64 {
+        let band = 0.75 * f..=1.25 * f;
+        let (sum, bins) = psd
+            .frequencies
+            .iter()
+            .zip(&psd.densities)
+            .filter(|(fk, _)| band.contains(fk))
+            .fold((0.0, 0), |(sum, bins), (fk, s)| (sum + fk * s, bins + 1));
+        sum / f64::from(bins) / f
+    }
+
+    /// The −10 dB/decade check on 2^18 samples of `source` at `fs` (after
+    /// a 50 000-sample settle): the band-averaged PSD drops ~10× per
+    /// decade from 100 Hz to 10 kHz and sits at a²/f at 1 kHz.
+    fn check_flicker_slope(mut source: impl FnMut() -> f64, fs: f64, a: f64) -> Result<(), String> {
+        for _ in 0..50_000 {
+            source();
+        }
+        let data: Vec<f64> = (0..1 << 18).map(|_| source()).collect();
+        let psd = welch_psd(&data, fs, 8192).unwrap();
+        let s100 = band_density(&psd, 100.0);
+        let s1k = band_density(&psd, 1e3);
+        let s10k = band_density(&psd, 1e4);
+        // each decade up should drop the PSD by ~10x (within 45 %)
+        if (s100 / s1k - 10.0).abs() >= 4.5 {
+            return Err(format!("100->1k ratio {}", s100 / s1k));
+        }
+        if (s1k / s10k - 10.0).abs() >= 4.5 {
+            return Err(format!("1k->10k ratio {}", s1k / s10k));
+        }
+        let expected = a * a / 1e3;
+        if (s1k / expected - 1.0).abs() >= 0.6 {
+            return Err(format!("S(1kHz) {s1k} vs {expected}"));
+        }
+        Ok(())
+    }
+
     #[test]
     fn flicker_psd_slopes_at_minus_10db_per_decade() {
-        let fs = 100e3;
-        let a = 1e-5;
-        // statistical check — the seed is chosen so the Welch estimate of
-        // the slope sits comfortably inside the tolerance band
+        let (fs, a) = (100e3, 1e-5);
         let mut n = FlickerNoise::new(a, 1.0, 40e3, fs, 6).unwrap();
-        // settle the filter bank
-        for _ in 0..50_000 {
-            n.sample();
+        if let Err(e) = check_flicker_slope(|| n.sample(), fs, a) {
+            panic!("{e}");
         }
-        let data: Vec<f64> = (0..1 << 18).map(|_| n.sample()).collect();
-        let psd = welch_psd(&data, fs, 8192).unwrap();
-        let s100 = psd.density_at(100.0).unwrap();
-        let s1k = psd.density_at(1e3).unwrap();
-        let s10k = psd.density_at(1e4).unwrap();
-        // each decade up should drop the PSD by ~10x (within 40%)
-        assert!(
-            (s100 / s1k - 10.0).abs() < 4.5,
-            "100->1k ratio {}",
-            s100 / s1k
-        );
-        assert!(
-            (s1k / s10k - 10.0).abs() < 4.5,
-            "1k->10k ratio {}",
-            s1k / s10k
-        );
-        // absolute level at 1 kHz ~ a^2/1000
-        let expected = a * a / 1e3;
-        assert!(
-            (s1k / expected - 1.0).abs() < 0.6,
-            "S(1kHz) {s1k} vs {expected}"
-        );
+        // negative control: a flat spectrum at the same 1 kHz level fails
+        let mut w = WhiteNoise::new(a / 1e3f64.sqrt(), fs, 6).unwrap();
+        let control = check_flicker_slope(|| w.sample(), fs, a);
+        assert!(control.is_err(), "white noise passed the slope check");
     }
 
     #[test]
