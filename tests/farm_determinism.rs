@@ -187,38 +187,38 @@ fn dose_spec(concentration_nm: f64, dt: f64, averaging: usize) -> JobSpec {
 /// 256, a 9 001-point sensorgram); `dt` 5 s is `JobSpec::dose_point`.
 #[rustfmt::skip]
 const DOSE_RESPONSE_GOLDEN: [(f64, f64, u64, [u64; 4]); 32] = [
-    (0.05, 0.1, 0x1, [0x3F245D08CCFEC507, 0x3F682CC78E62A4A0, 0x3EFEE134672E10BC, 0x40151A28DCEF4C09]),
-    (0.05, 0.4, 0x1, [0x3F2F2D421CFB41EF, 0x3F88112A754C21A0, 0x3EFEE134672E10BC, 0x402027680760A7ED]),
-    (0.05, 2.0, 0x1, [0x3F471D677A043E54, 0x3FAD60CECB4955E0, 0x3EFEE134672E10BC, 0x4037F4155FD904C4]),
-    (0.05, 7.5, 0x1, [0x3F61A3311F2FB606, 0x3FC96BD3784A8618, 0x3EFEE134672E10BC, 0x405246FFF89EBA12]),
-    (0.05, 30.0, 0x1, [0x3F79199165A403EE, 0x3FE2BFD26AA86A4F, 0x3EFEE134672E10BC, 0x406A02AEDDBE8C43]),
-    (0.05, 120.0, 0x1, [0x3F848E509E77F747, 0x3FEEE4DF452F0BBF, 0x3EFEE134672E10BC, 0x40754D3A5FD55F2E]),
-    (0.05, 450.0, 0x1, [0x3F8546DC392134C9, 0x3FEFEDD3362C61A0, 0x3EFEE134672E10BC, 0x40760C77F184897D]),
-    (0.05, 1000.0, 0x1, [0x3F854E265F3E4B5D, 0x3FEFF7D0F16C2AD3, 0x3EFEE134672E10BC, 0x40761405CB7DB526]),
-    (0.05, 0.1, 0xC0FFEE00D05E, [0x3F2693EA27DD0540, 0x3F682CC78E62A4A0, 0x3EFEE134672E10BC, 0x4017659B1E8A20E1]),
-    (0.05, 0.4, 0xC0FFEE00D05E, [0x3F30AE326EC9A7BD, 0x3F88112A754C21A0, 0x3EFEE134672E10BC, 0x4021491DE454B1F3]),
-    (0.05, 2.0, 0xC0FFEE00D05E, [0x3F477758D67CD998, 0x3FAD60CECB4955E0, 0x3EFEE134672E10BC, 0x4038514A1462A52E]),
-    (0.05, 7.5, 0xC0FFEE00D05E, [0x3F61BE24C281CD7E, 0x3FC96BD3784A8618, 0x3EFEE134672E10BC, 0x405262EDEC55EA5C]),
-    (0.05, 30.0, 0xC0FFEE00D05E, [0x3F792828BAA10FCD, 0x3FE2BFD26AA86A4F, 0x3EFEE134672E10BC, 0x406A11CDB6A1EDF6]),
-    (0.05, 120.0, 0xC0FFEE00D05E, [0x3F848EB27AA4FABA, 0x3FEEE4DF452F0BBF, 0x3EFEE134672E10BC, 0x40754D9FC8E27EA1]),
-    (0.05, 450.0, 0xC0FFEE00D05E, [0x3F854C7EB46A710C, 0x3FEFEDD3362C61A0, 0x3EFEE134672E10BC, 0x4076124EC1DA6146]),
-    (0.05, 1000.0, 0xC0FFEE00D05E, [0x3F855315B5AEE815, 0x3FEFF7D0F16C2AD3, 0x3EFEE134672E10BC, 0x40761922F72E452A]),
-    (5.0, 0.1, 0x1, [0x3F1A8C2565DECAAE, 0x3F682CC78E638A80, 0x3EFEE134672E10BC, 0x400B82B49CA1C77E]),
-    (5.0, 0.4, 0x1, [0x3F288C9149A6DDAD, 0x3F88112A754CA5A0, 0x3EFEE134672E10BC, 0x40197091371A240E]),
-    (5.0, 2.0, 0x1, [0x3F44FD53A89B7466, 0x3FAD60CECB499390, 0x3EFEE134672E10BC, 0x4035C0446FD51197]),
-    (5.0, 7.5, 0x1, [0x3F6121D029682FE7, 0x3FC96BD3784A7FD8, 0x3EFEE134672E10BC, 0x4051C0ED67E39DBF]),
-    (5.0, 30.0, 0x1, [0x3F78DCF9D0076A0D, 0x3FE2BFD26AA86B33, 0x3EFEE134672E10BC, 0x4069C3E48846A7A1]),
-    (5.0, 120.0, 0x1, [0x3F846A91090995BE, 0x3FEEE4DF452F0BAE, 0x3EFEE134672E10BC, 0x4075282EC70F1630]),
-    (5.0, 450.0, 0x1, [0x3F8526A0379812C2, 0x3FEFEDD3362C61A6, 0x3EFEE134672E10BC, 0x4075EB108F77B8B4]),
-    (5.0, 1000.0, 0x1, [0x3F852D346FE704CB, 0x3FEFF7D0F16C2AD7, 0x3EFEE134672E10BC, 0x4075F1E1E1F87BF1]),
-    (5.0, 0.1, 0xC0FFEE00D05E, [0x3F200A933EB328E8, 0x3F682CC78E638A80, 0x3EFEE134672E10BC, 0x40109F8F10F11D52]),
-    (5.0, 0.4, 0xC0FFEE00D05E, [0x3F2BC2E4FE998B88, 0x3F88112A754CA5A0, 0x3EFEE134672E10BC, 0x401CC4BA48E60287]),
-    (5.0, 2.0, 0xC0FFEE00D05E, [0x3F4621AA06D08DD1, 0x3FAD60CECB499390, 0x3EFEE134672E10BC, 0x4036EF35E3760DAC]),
-    (5.0, 7.5, 0xC0FFEE00D05E, [0x3F61499D135F56ED, 0x3FC96BD3784A7FD8, 0x3EFEE134672E10BC, 0x4051EA2BF7674389]),
-    (5.0, 30.0, 0xC0FFEE00D05E, [0x3F78DACCA1DAE4D6, 0x3FE2BFD26AA86B33, 0x3EFEE134672E10BC, 0x4069C1A32349F1C2]),
-    (5.0, 120.0, 0xC0FFEE00D05E, [0x3F8468C2E74492FB, 0x3FEEE4DF452F0BAE, 0x3EFEE134672E10BC, 0x4075264FE13D1DDC]),
-    (5.0, 450.0, 0xC0FFEE00D05E, [0x3F852E0E710D0EA3, 0x3FEFEDD3362C61A6, 0x3EFEE134672E10BC, 0x4075F2C3CBD60C7B]),
-    (5.0, 1000.0, 0xC0FFEE00D05E, [0x3F8534BA78D61675, 0x3FEFF7D0F16C2AD7, 0x3EFEE134672E10BC, 0x4075F9ADCAF4A502]),
+    (0.05, 0.1, 0x1, [0x3F1B6032A430CDF0, 0x3F682CC78E62A4A0, 0x3EF340D72109AA0D, 0x4016C000A0912599]),
+    (0.05, 0.4, 0x1, [0x3F29616A9DC6A4DD, 0x3F88112A754C21A0, 0x3EF340D72109AA0D, 0x40251787800A7739]),
+    (0.05, 2.0, 0x1, [0x3F45AA719A37170E, 0x3FAD60CECB4955E0, 0x3EF340D72109AA0D, 0x4042013EC468E74D]),
+    (0.05, 7.5, 0x1, [0x3F614673A73C6C35, 0x3FC96BD3784A8618, 0x3EF340D72109AA0D, 0x405CB65ACECA1CCE]),
+    (0.05, 30.0, 0x1, [0x3F78EB32A9AA5F05, 0x3FE2BFD26AA86A4F, 0x3EF340D72109AA0D, 0x4074B549558071AF]),
+    (0.05, 120.0, 0x1, [0x3F847721407B24D4, 0x3FEEE4DF452F0BBF, 0x3EF340D72109AA0D, 0x408101DBE90BA12D]),
+    (0.05, 450.0, 0x1, [0x3F852C287B359B51, 0x3FEFEDD3362C61A0, 0x3EF340D72109AA0D, 0x4081984C640BEFF8]),
+    (0.05, 1000.0, 0x1, [0x3F853372A152B1E5, 0x3FEFF7D0F16C2AD3, 0x3EF340D72109AA0D, 0x40819E5B360D2086]),
+    (0.05, 0.1, 0xC0FFEE00D05E, [0x3F1EE021A2042633, 0x3F682CC78E62A4A0, 0x3EF340D72109AA0D, 0x4019A88C2B5E5577]),
+    (0.05, 0.4, 0xC0FFEE00D05E, [0x3F2A388B86B85D53, 0x3F88112A754C21A0, 0x3EF340D72109AA0D, 0x4025CA4E94F7B04C]),
+    (0.05, 2.0, 0xC0FFEE00D05E, [0x3F45E5E5FFAFA35D, 0x3FAD60CECB4955E0, 0x3EF340D72109AA0D, 0x404232A75452DACD]),
+    (0.05, 7.5, 0xC0FFEE00D05E, [0x3F6159C80CCE7FF0, 0x3FC96BD3784A8618, 0x3EF340D72109AA0D, 0x405CD67B4FC4553A]),
+    (0.05, 30.0, 0xC0FFEE00D05E, [0x3F78F5FA5FC76905, 0x3FE2BFD26AA86A4F, 0x3EF340D72109AA0D, 0x4074BE3EBA9F3C34]),
+    (0.05, 120.0, 0xC0FFEE00D05E, [0x3F84759B4D382756, 0x3FEEE4DF452F0BBF, 0x3EF340D72109AA0D, 0x40810097D9E23645]),
+    (0.05, 450.0, 0xC0FFEE00D05E, [0x3F852FEF4F0F0543, 0x3FEFEDD3362C61A0, 0x3EF340D72109AA0D, 0x40819B6FD9C825DE]),
+    (0.05, 1000.0, 0xC0FFEE00D05E, [0x3F85368650537C4C, 0x3FEFF7D0F16C2AD3, 0x3EF340D72109AA0D, 0x4081A0E9CC2DF67C]),
+    (5.0, 0.1, 0x1, [0x3F1365FE480AD51E, 0x3F682CC78E638A80, 0x3EF340D72109AA0D, 0x40101EE0068ADD77]),
+    (5.0, 0.4, 0x1, [0x3F24F97DBABCE2E6, 0x3F88112A754CA5A0, 0x3EF340D72109AA0D, 0x40216E31582143DC]),
+    (5.0, 2.0, 0x1, [0x3F445BEBFE02A066, 0x3FAD60CECB499390, 0x3EF340D72109AA0D, 0x4040EB3F9735C87D]),
+    (5.0, 7.5, 0x1, [0x3F60F9763EC1FAE8, 0x3FC96BD3784A7FD8, 0x3EF340D72109AA0D, 0x405C3664B3D2BCEC]),
+    (5.0, 30.0, 0x1, [0x3F78C8CCDAB44F8C, 0x3FE2BFD26AA86B33, 0x3EF340D72109AA0D, 0x407498B377E67F88]),
+    (5.0, 120.0, 0x1, [0x3F84607A8E60087F, 0x3FEEE4DF452F0BAE, 0x3EF340D72109AA0D, 0x4080EF090973D51E]),
+    (5.0, 450.0, 0x1, [0x3F851853E95C6AD7, 0x3FEFEDD3362C61A6, 0x3EF340D72109AA0D, 0x408187D19FAA4B08]),
+    (5.0, 1000.0, 0x1, [0x3F851EE821AB5CE0, 0x3FEFF7D0F16C2AD7, 0x3EF340D72109AA0D, 0x40818D4941931971]),
+    (5.0, 0.1, 0xC0FFEE00D05E, [0x3F16F6718634066B, 0x3F682CC78E638A80, 0x3EF340D72109AA0D, 0x401315255BF86965]),
+    (5.0, 0.4, 0xC0FFEE00D05E, [0x3F27338A830065D5, 0x3F88112A754CA5A0, 0x3EF340D72109AA0D, 0x402347EB71AD69D1]),
+    (5.0, 2.0, 0xC0FFEE00D05E, [0x3F44FDD367EA4465, 0x3FAD60CECB499390, 0x3EF340D72109AA0D, 0x404171CB83F7EDA3]),
+    (5.0, 7.5, 0xC0FFEE00D05E, [0x3F61022880556186, 0x3FC96BD3784A7FD8, 0x3EF340D72109AA0D, 0x405C44D8DC65167A]),
+    (5.0, 30.0, 0xC0FFEE00D05E, [0x3F78C68C950CA3B6, 0x3FE2BFD26AA86B33, 0x3EF340D72109AA0D, 0x407496D492148734]),
+    (5.0, 120.0, 0xC0FFEE00D05E, [0x3F84603D69286869, 0x3FEEE4DF452F0BAE, 0x3EF340D72109AA0D, 0x4080EED6393452C4]),
+    (5.0, 450.0, 0xC0FFEE00D05E, [0x3F851CECF872DA79, 0x3FEFEDD3362C61A6, 0x3EF340D72109AA0D, 0x40818BA3CAA5A6B3]),
+    (5.0, 1000.0, 0xC0FFEE00D05E, [0x3F852399003BE24B, 0x3FEFF7D0F16C2AD7, 0x3EF340D72109AA0D, 0x4081912F3610264C]),
 ];
 
 /// The streamed dose-response kernel reproduces the golden payload bits

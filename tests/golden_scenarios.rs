@@ -26,7 +26,7 @@ fn igg_immunoassay_quick_matches_golden() {
     assert_close(
         "peak_output_volts",
         o.peak_output_volts,
-        7.972_408_558_167_896e-3,
+        7.991_113_076_465_800e-3,
         1e-9,
     );
     assert_close(
@@ -44,7 +44,7 @@ fn igg_immunoassay_quick_matches_golden() {
     assert_close(
         "noise_rms_volts",
         o.noise_rms_volts,
-        2.944_918_237_403_402e-5,
+        1.836_136_113_057_313e-5,
         1e-9,
     );
 }
