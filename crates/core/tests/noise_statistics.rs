@@ -13,8 +13,9 @@ use canti_core::static_system::{StaticCantileverSystem, StaticReadoutConfig};
 
 /// The median of `StaticChainResponse::noise_rms_volts` over config seeds
 /// 1–16, each characterized as the farm does (offset trim, then the
-/// 16 k-sample noise burst), lies inside the 331–415 µV interquartile
-/// range of the 41-seed survey in EXPERIMENTS.md E9.
+/// 16 k-sample noise burst), lies inside 331–415 µV: the interquartile
+/// range EXPERIMENTS.md E9 quotes for 41 seeds of the flicker bank that
+/// stepped every section every sample.
 #[test]
 fn median_chain_noise_lies_in_the_survey_iqr() {
     let mut noise: Vec<f64> = (1..=16)

@@ -26,7 +26,7 @@ fn igg_immunoassay_quick_matches_golden() {
     assert_close(
         "peak_output_volts",
         o.peak_output_volts,
-        7.991_113_076_465_800e-3,
+        7.991_113_076_465_8e-3,
         1e-9,
     );
     assert_close(
