@@ -75,19 +75,32 @@ pub fn run() -> ExperimentReport {
     // chopper on/off comparison: baseband output noise density (~30 Hz,
     // where the biosignal lives), measured on a zero-input run so the
     // flicker floor is what remains. Decimate by 64 after the 4th-order
-    // LPF so the Welch bins resolve the baseband.
+    // LPF so the Welch bins resolve the baseband. The density is the
+    // band mean of f*S(f) over the 6 bins from 15 to 60 Hz, divided by
+    // 30 Hz: f*S(f) is flat under a 1/f floor, so the band reads the
+    // 30 Hz density from six bins instead of one. Over seeds 0xF4 and
+    // 1-9 the suppression read 14.9 +/- 1.3x this way, 16.2 +/- 4.2x
+    // from the 30 Hz bin alone.
     let baseband_density = |chopping: bool| {
         let mut chain = make_chain(chopping, 0xF4);
         let zeros = vec![0.0; 1 << 19];
         let out = chain.run(&zeros);
         let decim: Vec<f64> = out[100_000..].iter().step_by(64).copied().collect();
         let psd = welch_psd(&decim, FS / 64.0, 1024).expect("psd");
-        psd.density_at(30.0).expect("bin").sqrt()
+        let band: Vec<f64> = psd
+            .frequencies
+            .iter()
+            .zip(&psd.densities)
+            .filter(|(f, _)| (15.0..=60.0).contains(*f))
+            .map(|(f, s)| f * s)
+            .collect();
+        (band.iter().sum::<f64>() / band.len() as f64 / 30.0).sqrt()
     };
     let on = baseband_density(true);
     let off = baseband_density(false);
     report.note(format!(
-        "output noise density at 30 Hz: chopper on {:.2e} V/rtHz, off {:.2e} V/rtHz \
+        "output noise density at 30 Hz (band mean of f*S(f) over 15-60 Hz / 30 Hz): \
+         chopper on {:.2e} V/rtHz, off {:.2e} V/rtHz \
          (suppression {:.0}x — the amplifier's 1/f noise is chopped out of band)",
         on,
         off,

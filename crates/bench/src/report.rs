@@ -4,6 +4,7 @@
 
 use std::fmt::Write as _;
 
+use canti_obs::ndjson::escape;
 use canti_obs::HistogramSnapshot;
 
 /// One reproduced experiment's results.
@@ -104,38 +105,20 @@ impl ExperimentReport {
     }
 
     /// Renders the report as a pretty-printed JSON object (hand-rolled —
-    /// the offline build has no serde).
+    /// the offline build has no serde — with strings escaped by
+    /// [`canti_obs::ndjson::escape`]).
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        }
         fn arr(items: &[String]) -> String {
             format!("[{}]", items.join(", "))
         }
-        let headers: Vec<String> = self.headers.iter().map(|h| esc(h)).collect();
+        let headers: Vec<String> = self.headers.iter().map(|h| escape(h)).collect();
         let rows: Vec<String> = self
             .rows
             .iter()
-            .map(|r| arr(&r.iter().map(|c| esc(c)).collect::<Vec<_>>()))
+            .map(|r| arr(&r.iter().map(|c| escape(c)).collect::<Vec<_>>()))
             .collect();
-        let notes: Vec<String> = self.notes.iter().map(|n| esc(n)).collect();
+        let notes: Vec<String> = self.notes.iter().map(|n| escape(n)).collect();
         let timings: Vec<String> = self
             .timings
             .iter()
@@ -143,7 +126,7 @@ impl ExperimentReport {
                 format!(
                     "{{\"name\": {}, \"count\": {}, \"sum_ns\": {}, \"min_ns\": {}, \
                      \"max_ns\": {}, \"p50_ns\": {}, \"p95_ns\": {}, \"p99_ns\": {}}}",
-                    esc(name),
+                    escape(name),
                     s.count,
                     s.sum,
                     s.min,
@@ -156,8 +139,8 @@ impl ExperimentReport {
             .collect();
         format!(
             "{{\n  \"id\": {},\n  \"title\": {},\n  \"headers\": {},\n  \"rows\": {},\n  \"notes\": {},\n  \"timings\": {}\n}}",
-            esc(&self.id),
-            esc(&self.title),
+            escape(&self.id),
+            escape(&self.title),
             arr(&headers),
             arr(&rows),
             arr(&notes),

@@ -1,20 +1,12 @@
 //! Std-only micro-benchmark runner (the build environment has no
 //! criterion): warm-up, batched timing, and per-iteration latency
 //! aggregation on the shared `canti-obs` [`Histogram`] — the same
-//! fixed-bucket type the sensor farm's stage telemetry uses, so bench
+//! log-linear type the sensor farm's stage telemetry uses, so bench
 //! output and farm telemetry report identical p50/p95/max semantics.
 
 use std::time::{Duration, Instant};
 
 use canti_obs::{Histogram, HistogramSnapshot};
-
-/// Power-of-two nanosecond bounds from 1 ns to ~17 min — finer at the
-/// bottom than [`canti_obs::metrics::default_latency_bounds`] because kernel
-/// iterations can be single-digit nanoseconds.
-#[must_use]
-pub fn bench_latency_bounds() -> Vec<u64> {
-    (0..40).map(|i| 1u64 << i).collect()
-}
 
 /// Per-kernel timing summary: one histogram sample per batch, each the
 /// batch's per-iteration time in ns.
@@ -142,7 +134,7 @@ impl Bencher {
             batch *= 2;
         };
 
-        let hist = Histogram::new(bench_latency_bounds());
+        let hist = Histogram::new();
         let mut iterations = 0u64;
         let start = Instant::now();
         while hist.count() < 5 || start.elapsed() < self.budget {

@@ -330,19 +330,11 @@ impl Farm {
             Arc::new(self.batch_runner(Arc::new(jobs.to_vec()), seeds, contexts, batch_start_ns));
 
         // Stage histograms are registry-backed and cumulative across
-        // batches, so this batch's contribution is a post-minus-pre
-        // snapshot delta.
-        let pre_stages = obs.filter(|o| o.timeline().is_some()).map(|_| {
-            let stages = runner
-                .stages
-                .as_ref()
-                .expect("observer implies instruments");
-            (
-                stages.queue_wait.snapshot(),
-                stages.precompute.snapshot(),
-                stages.solve.snapshot(),
-            )
-        });
+        // batches, so this batch's contribution is a post-minus-pre sum.
+        let pre_sums = runner
+            .stages
+            .as_ref()
+            .map(|s| [&s.queue_wait, &s.precompute, &s.solve].map(|h| h.sum()));
 
         let (outcomes, worker_stats) = self.dispatch(&runner, None, 0, None);
 
@@ -367,8 +359,7 @@ impl Farm {
                 cache: self.cache.stats(),
                 per_worker: worker_stats,
             };
-            if let (Some(timeline), Some((pre_wait, pre_pre, pre_solve))) =
-                (o.timeline(), pre_stages.as_ref())
+            if let (Some(timeline), Some([pre_wait, pre_pre, pre_solve])) = (o.timeline(), pre_sums)
             {
                 // Aggregate per-batch deltas only, stamped at batch end.
                 // Per-worker series are deliberately absent: they would
@@ -385,7 +376,7 @@ impl Farm {
                     ("farm.precompute_ns", &telemetry.precompute_ns, pre_pre),
                     ("farm.solve_ns", &telemetry.solve_ns, pre_solve),
                 ] {
-                    timeline.record_delta(series, post.sum.saturating_sub(pre.sum), now_ns);
+                    timeline.record_delta(series, post.sum.saturating_sub(pre), now_ns);
                 }
             }
             telemetry

@@ -59,8 +59,10 @@ pub fn sanitize_name(name: &str) -> String {
 
 /// Renders every instrument in `metrics` in the Prometheus text format.
 ///
-/// Counters are suffixed `_total` per convention; histogram buckets are
-/// emitted cumulatively with an explicit `le="+Inf"` series whose value
+/// Counters are suffixed `_total` per convention; a histogram renders the
+/// cumulative count at each power-of-two octave's upper edge `2^j - 1`
+/// (an exact bucket edge of its log-linear layout) up to the octave
+/// holding its max, then an explicit `le="+Inf"` series whose value
 /// equals `_count`.
 #[must_use]
 pub fn render_prometheus(metrics: &Metrics) -> String {
@@ -159,21 +161,17 @@ fn render(sources: &[(Option<&str>, &Metrics)]) -> String {
         }
         for (name, histogram) in metrics.histograms() {
             let name = sanitize_name(&name);
-            let counts = histogram.bucket_counts();
-            let snapshot = histogram.snapshot();
-            let mut lines = Vec::with_capacity(counts.len() + 2);
-            let mut cumulative = 0u64;
-            for (bound, count) in histogram.bounds().iter().zip(&counts) {
-                cumulative += count;
-                let le = labels(shard, Some(&bound.to_string()));
+            let octaves = histogram.octave_counts();
+            let mut lines = Vec::with_capacity(octaves.len() + 3);
+            for (edge, cumulative) in octaves {
+                let le = labels(shard, Some(&edge.to_string()));
                 lines.push(format!("{name}_bucket{le} {cumulative}"));
             }
-            // overflow bucket: the +Inf series totals every sample
-            cumulative += counts.last().copied().unwrap_or(0);
+            let count = histogram.count();
             let le = labels(shard, Some("+Inf"));
-            lines.push(format!("{name}_bucket{le} {cumulative}"));
-            lines.push(format!("{name}_sum{plain} {}", snapshot.sum));
-            lines.push(format!("{name}_count{plain} {}", snapshot.count));
+            lines.push(format!("{name}_bucket{le} {count}"));
+            lines.push(format!("{name}_sum{plain} {}", histogram.sum()));
+            lines.push(format!("{name}_count{plain} {count}"));
             histograms.entry(name).or_default().extend(lines);
         }
     }
@@ -224,13 +222,20 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_and_inf_matches_count() {
         let m = Metrics::new();
-        let h = m.histogram_with_bounds("lat", vec![10, 100]);
+        let h = m.histogram("lat");
         for v in [5, 7, 50, 5_000] {
             h.record(v);
         }
         let text = render_prometheus(&m);
-        assert!(text.contains("lat_bucket{le=\"10\"} 2\n"), "{text}");
-        assert!(text.contains("lat_bucket{le=\"100\"} 3\n"), "{text}");
+        assert!(text.contains("lat_bucket{le=\"0\"} 0\n"), "{text}");
+        assert!(text.contains("lat_bucket{le=\"7\"} 2\n"), "{text}");
+        assert!(text.contains("lat_bucket{le=\"63\"} 3\n"), "{text}");
+        assert!(text.contains("lat_bucket{le=\"4095\"} 3\n"), "{text}");
+        assert!(text.contains("lat_bucket{le=\"8191\"} 4\n"), "{text}");
+        assert!(
+            !text.contains("le=\"16383\""),
+            "past the max's octave: {text}"
+        );
         assert!(text.contains("lat_bucket{le=\"+Inf\"} 4\n"), "{text}");
         assert!(text.contains("lat_sum 5062\n"), "{text}");
         assert!(text.contains("lat_count 4\n"), "{text}");
@@ -301,15 +306,15 @@ mod tests {
     #[test]
     fn sharded_histograms_carry_shard_and_le_labels() {
         let s0 = Arc::new(Metrics::new());
-        s0.histogram_with_bounds("lat", vec![10, 100]).record(7);
+        s0.histogram("lat").record(7);
         let s1 = Arc::new(Metrics::new());
-        let h1 = s1.histogram_with_bounds("lat", vec![10, 100]);
+        let h1 = s1.histogram("lat");
         h1.record(50);
         h1.record(5_000);
         let text = render_prometheus_sharded(&[("0".to_owned(), s0), ("1".to_owned(), s1)]);
         assert_eq!(text.matches("# TYPE lat histogram").count(), 1, "{text}");
         assert!(
-            text.contains("lat_bucket{shard=\"0\",le=\"10\"} 1"),
+            text.contains("lat_bucket{shard=\"0\",le=\"7\"} 1"),
             "{text}"
         );
         assert!(
@@ -317,7 +322,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("lat_bucket{shard=\"1\",le=\"100\"} 1"),
+            text.contains("lat_bucket{shard=\"1\",le=\"127\"} 1"),
             "{text}"
         );
         assert!(
@@ -351,7 +356,7 @@ mod tests {
         m.describe("serve.admitted", "requests accepted into the queue");
         m.gauge("serve.queue_depth").set(1);
         m.describe("serve.queue_depth", "requests awaiting a batch");
-        m.histogram_with_bounds("lat", vec![10]).record(4);
+        m.histogram("lat").record(4);
         m.describe("lat", "per-request latency in ns\\with a newline:\n");
         let text = render_prometheus(&m);
         assert!(
@@ -412,7 +417,7 @@ mod tests {
         m.counter("c").add(3);
         m.describe("c", "a described counter");
         m.gauge("g").set(-1);
-        m.histogram_with_bounds("h", vec![10]).record(4);
+        m.histogram("h").record(4);
         let plain = render_prometheus(&m);
         let sharded = render_prometheus_sharded(&[("0".to_owned(), Arc::clone(&m))]);
         // stripping the shard label (and re-bracing histogram le labels)

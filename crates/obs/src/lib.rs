@@ -6,7 +6,7 @@
 //! farm's determinism contract. All std-only:
 //!
 //! * [`metrics`] — a lock-cheap registry of named counters, gauges and
-//!   fixed-bucket histograms (`Arc`-shared, atomic hot paths),
+//!   log-linear histograms (`Arc`-shared, atomic hot paths),
 //! * [`trace`] — a structured span/event tracer behind a pluggable
 //!   [`trace::Collector`] (a bounded in-memory ring in-tree),
 //! * [`clock`] — the injectable [`clock::ObsClock`] both ride on:

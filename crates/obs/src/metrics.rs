@@ -1,4 +1,4 @@
-//! A lock-cheap metrics registry: counters, gauges and fixed-bucket
+//! A lock-cheap metrics registry: counters, gauges and log-linear
 //! histograms.
 //!
 //! The registry ([`Metrics`]) hands out `Arc`-shared instruments keyed by
@@ -68,43 +68,60 @@ impl Gauge {
     }
 }
 
-/// Default histogram bucket bounds: 1 µs … ~17 s in ×2 steps (ns units).
-///
-/// Suits latency-shaped data; custom bounds can be passed to
-/// [`Metrics::histogram_with_bounds`].
-#[must_use]
-pub fn default_latency_bounds() -> Vec<u64> {
-    (0..25).map(|i| 1_000u64 << i).collect()
+/// Linear sub-buckets per power-of-two octave (values below this are
+/// counted exactly, one bucket each).
+const SUB_BUCKETS: u64 = 16;
+
+/// 16 exact buckets for 0–15, then 16 per octave `[2^k, 2^(k+1))` for
+/// k = 4..=63: 976.
+const BUCKETS: usize = bucket_index(u64::MAX) + 1;
+
+/// The bucket holding `v`: `v` itself below 32; above, `v`'s leading one
+/// and the 4 bits after it (16–31), offset by 16 per octave past the
+/// first.
+const fn bucket_index(v: u64) -> usize {
+    let shift = (u64::BITS - v.leading_zeros()).saturating_sub(5);
+    (shift as u64 * SUB_BUCKETS + (v >> shift)) as usize
 }
 
-/// A fixed-bucket histogram of `u64` samples (conventionally nanoseconds).
+/// The largest value bucket `index` holds (its inclusive upper edge).
+fn bucket_upper(index: usize) -> u64 {
+    let index = index as u64;
+    let shift = (index / SUB_BUCKETS).saturating_sub(1);
+    let lower = (index - shift * SUB_BUCKETS) << shift;
+    lower + ((1u64 << shift) - 1)
+}
+
+/// A log-linear histogram of `u64` samples (conventionally nanoseconds).
 ///
-/// Bucket `i` counts samples `<= bounds[i]`; one overflow bucket catches
-/// the rest. `min`/`max`/`sum`/`count` are tracked exactly; quantiles are
-/// estimated from the bucket the quantile falls in (upper bound, clamped
-/// to the exact max), which is the standard fixed-bucket trade-off.
+/// One fixed layout serves every caller: values 0–15 land in exact
+/// buckets, and each power-of-two octave above splits into 16 linear
+/// sub-buckets, up to `u64::MAX` (976 buckets, indexed from the sample's
+/// leading zeros). `min`/`max`/`sum`/`count` are tracked exactly; a
+/// quantile reads its bucket's upper edge clamped to the exact max, so
+/// it equals the exact order statistic `x` below 16 and lies in
+/// `[x, x + x/16]` above.
 #[derive(Debug)]
 pub struct Histogram {
-    bounds: Vec<u64>,
-    buckets: Vec<AtomicU64>,
+    buckets: Box<[AtomicU64]>,
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
 }
 
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Histogram {
-    /// A histogram over ascending `bounds` (plus an implicit overflow
-    /// bucket). Empty bounds give a single-bucket histogram that still
-    /// tracks count/sum/min/max exactly.
+    /// An empty histogram.
     #[must_use]
-    pub fn new(mut bounds: Vec<u64>) -> Self {
-        bounds.sort_unstable();
-        bounds.dedup();
-        let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
+    pub fn new() -> Self {
         Self {
-            bounds,
-            buckets,
+            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -114,8 +131,7 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        let idx = self.bounds.partition_point(|&b| b < v);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         // saturating, like `Counter::add`: a wrapped sum fakes a reset
         let _ = self
@@ -133,27 +149,41 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// The ascending bucket upper bounds (the implicit overflow bucket is
-    /// not listed).
+    /// Exact sum of all samples, saturating at `u64::MAX`.
     #[must_use]
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
     }
 
-    /// Per-bucket sample counts: `bounds().len() + 1` entries, the last
-    /// being the overflow bucket.
+    /// Cumulative sample counts at each power-of-two octave's upper edge
+    /// `2^j - 1` (an exact bucket edge), from 0 up to the first edge at
+    /// or above the max, as `(edge, samples <= edge)` pairs; the last
+    /// count is every sample.
     #[must_use]
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
+    pub(crate) fn octave_counts(&self) -> Vec<(u64, u64)> {
+        let max = self.max.load(Ordering::Relaxed);
+        let mut out = Vec::new();
+        let mut cumulative = 0u64;
+        let mut next = 0;
+        for j in 0..=u64::BITS {
+            let edge = u64::MAX.checked_shr(u64::BITS - j).unwrap_or(0);
+            let last = bucket_index(edge);
+            for bucket in &self.buckets[next..=last] {
+                cumulative += bucket.load(Ordering::Relaxed);
+            }
+            next = last + 1;
+            out.push((edge, cumulative));
+            if edge >= max {
+                break;
+            }
+        }
+        out
     }
 
     /// A point-in-time copy of the aggregate view.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
+        let count = self.count();
         let counts: Vec<u64> = self
             .buckets
             .iter()
@@ -163,19 +193,19 @@ impl Histogram {
         let min = self.min.load(Ordering::Relaxed);
         HistogramSnapshot {
             count,
-            sum: self.sum.load(Ordering::Relaxed),
+            sum: self.sum(),
             min: if count == 0 { 0 } else { min },
             max,
-            p50: quantile_from_buckets(&self.bounds, &counts, count, 0.50, max),
-            p95: quantile_from_buckets(&self.bounds, &counts, count, 0.95, max),
-            p99: quantile_from_buckets(&self.bounds, &counts, count, 0.99, max),
+            p50: quantile_from_buckets(&counts, count, 0.50, max),
+            p95: quantile_from_buckets(&counts, count, 0.95, max),
+            p99: quantile_from_buckets(&counts, count, 0.99, max),
         }
     }
 }
 
-/// Estimates quantile `q` from bucket counts: the upper bound of the
+/// Estimates quantile `q` from bucket counts: the upper edge of the
 /// bucket the rank lands in, clamped to the observed max.
-fn quantile_from_buckets(bounds: &[u64], counts: &[u64], total: u64, q: f64, max: u64) -> u64 {
+fn quantile_from_buckets(counts: &[u64], total: u64, q: f64, max: u64) -> u64 {
     if total == 0 {
         return 0;
     }
@@ -185,7 +215,7 @@ fn quantile_from_buckets(bounds: &[u64], counts: &[u64], total: u64, q: f64, max
     for (i, &c) in counts.iter().enumerate() {
         seen += c;
         if seen >= rank {
-            return bounds.get(i).copied().unwrap_or(max).min(max);
+            return bucket_upper(i).min(max);
         }
     }
     max
@@ -285,21 +315,14 @@ impl Metrics {
         )
     }
 
-    /// The histogram named `name` with [`default_latency_bounds`],
-    /// created on first use.
+    /// The histogram named `name`, created on first use.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histogram_with_bounds(name, default_latency_bounds())
-    }
-
-    /// The histogram named `name`; `bounds` apply only on first creation.
-    #[must_use]
-    pub fn histogram_with_bounds(&self, name: &str, bounds: Vec<u64>) -> Arc<Histogram> {
         let mut reg = self.lock();
         Arc::clone(
             reg.histograms
                 .entry(name.to_owned())
-                .or_insert_with(|| Arc::new(Histogram::new(bounds))),
+                .or_insert_with(|| Arc::new(Histogram::new())),
         )
     }
 
@@ -449,8 +472,32 @@ mod tests {
     }
 
     #[test]
+    fn layout_is_976_contiguous_buckets_indexed_by_leading_zeros() {
+        assert_eq!(BUCKETS, 976);
+        for v in 0..32 {
+            assert_eq!(bucket_index(v), v as usize, "exact below 32");
+        }
+        // each bucket's upper edge is its own, and the next value opens
+        // the next bucket: the buckets tile 0..=u64::MAX with no gap
+        for i in 0..BUCKETS {
+            let upper = bucket_upper(i);
+            assert_eq!(bucket_index(upper), i, "bucket {i}");
+            if i + 1 < BUCKETS {
+                assert_eq!(bucket_index(upper + 1), i + 1, "bucket {i}");
+            }
+        }
+        assert_eq!(bucket_upper(BUCKETS - 1), u64::MAX);
+        // 16 sub-buckets per octave: [1024, 2048) in steps of 64
+        assert_eq!(
+            (bucket_index(1024), bucket_index(1087), bucket_index(1088)),
+            (112, 112, 113)
+        );
+        assert_eq!(bucket_upper(112), 1087);
+    }
+
+    #[test]
     fn histogram_exact_aggregates() {
-        let h = Histogram::new(vec![10, 100, 1000]);
+        let h = Histogram::new();
         for v in [1, 5, 50, 500, 5000] {
             h.record(v);
         }
@@ -463,9 +510,9 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_land_in_the_right_bucket() {
-        let h = Histogram::new(vec![10, 100, 1000]);
-        // 90 samples <= 10, 10 samples in (100, 1000]
+    fn quantiles_read_the_bucket_upper_edge_clamped_to_max() {
+        let h = Histogram::new();
+        // 90 samples of 7 (an exact bucket), 10 in 700's bucket [672, 703]
         for _ in 0..90 {
             h.record(7);
         }
@@ -473,16 +520,19 @@ mod tests {
             h.record(700);
         }
         let s = h.snapshot();
-        assert_eq!(s.p50, 10, "median bucket upper bound");
-        assert_eq!(s.p95, 1000.min(s.max), "tail bucket, clamped to max");
+        assert_eq!(s.p50, 7, "values below 16 read exactly");
         assert_eq!(s.max, 700);
-        assert_eq!(s.p95, 700);
-        assert_eq!(s.p99, 700, "p99 clamps to the observed max");
+        assert_eq!(s.p95, 700, "the bucket edge 703 clamps to the max");
+        assert_eq!(s.p99, 700);
+        // a larger max lifts the clamp: the tail reads the edge, < 1/16 up
+        h.record(1_000);
+        let s = h.snapshot();
+        assert_eq!((s.p95, s.p99, s.max), (703, 703, 1_000));
     }
 
     #[test]
     fn empty_and_single_sample_histograms() {
-        let h = Histogram::new(default_latency_bounds());
+        let h = Histogram::new();
         let s = h.snapshot();
         assert_eq!((s.count, s.min, s.max, s.p50, s.p95), (0, 0, 0, 0, 0));
         h.record(123_456);
@@ -494,14 +544,6 @@ mod tests {
         assert_eq!(s.p50, 123_456);
         assert_eq!(s.p95, 123_456);
         assert_eq!(s.p99, 123_456);
-    }
-
-    #[test]
-    fn overflow_bucket_catches_huge_samples() {
-        let h = Histogram::new(vec![10]);
-        h.record(1_000_000);
-        let s = h.snapshot();
-        assert_eq!(s.p50, 1_000_000, "overflow quantile falls back to max");
     }
 
     #[test]
@@ -534,7 +576,7 @@ mod tests {
 
     #[test]
     fn histogram_sum_saturates_at_u64_max_without_wrapping() {
-        let h = Histogram::new(default_latency_bounds());
+        let h = Histogram::new();
         h.record(u64::MAX);
         h.record(2);
         let snap = h.snapshot();
@@ -543,37 +585,43 @@ mod tests {
     }
 
     #[test]
-    fn overflow_bucket_accounting_is_exact() {
-        let h = Histogram::new(vec![10, 100]);
-        // 2 in the first bucket, 1 in the second, 3 in the overflow
+    fn octave_counts_partition_the_samples_exactly() {
+        let h = Histogram::new();
         for v in [3, 10, 55, 101, 1_000, u64::MAX] {
             h.record(v);
         }
-        assert_eq!(h.bounds(), &[10, 100]);
-        assert_eq!(h.bucket_counts(), vec![2, 1, 3]);
-        let s = h.snapshot();
-        assert_eq!(s.count, 6);
+        let octaves = h.octave_counts();
+        assert_eq!(octaves.len(), 65, "edges 2^j - 1 for j = 0..=64");
+        let at = |edge: u64| octaves.iter().find(|&&(e, _)| e == edge).unwrap().1;
+        assert_eq!((at(0), at(3), at(7), at(15)), (0, 1, 1, 2));
+        assert_eq!((at(63), at(127), at(1_023)), (3, 4, 5));
+        assert_eq!(at(u64::MAX >> 1), 5);
         assert_eq!(
-            h.bucket_counts().iter().sum::<u64>(),
-            s.count,
-            "buckets partition the samples"
+            octaves.last(),
+            Some(&(u64::MAX, 6)),
+            "the last edge holds every sample"
         );
-        assert_eq!(s.max, u64::MAX);
-        // overflow-bucket quantiles clamp to the observed max
+        let s = h.snapshot();
+        assert_eq!((s.count, s.max), (6, u64::MAX));
+        // the top bucket's quantiles clamp to the observed max
         assert_eq!(s.p95, u64::MAX);
+        // the edges stop at the octave holding the max
+        let small = Histogram::new();
+        small.record(5);
+        assert_eq!(small.octave_counts(), vec![(0, 0), (1, 0), (3, 0), (7, 1)]);
     }
 
     #[test]
     fn zero_count_snapshot_is_all_zero() {
-        for bounds in [vec![], vec![10, 100]] {
-            let h = Histogram::new(bounds);
-            let s = h.snapshot();
-            assert_eq!(
-                (s.count, s.sum, s.min, s.max, s.p50, s.p95),
-                (0, 0, 0, 0, 0, 0)
-            );
-            assert_eq!(s.mean(), 0.0);
-        }
+        let h = Histogram::new();
+        let s = h.snapshot();
+        assert_eq!(
+            (s.count, s.sum, s.min, s.max, s.p50, s.p95),
+            (0, 0, 0, 0, 0, 0)
+        );
+        assert_eq!(s.mean(), 0.0);
+        assert_eq!((h.count(), h.sum()), (0, 0));
+        assert_eq!(h.octave_counts(), vec![(0, 0)]);
     }
 
     #[test]

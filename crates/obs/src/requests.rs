@@ -151,18 +151,6 @@ impl RequestLog {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// NDJSON rendering: one [`RequestRecord::to_json`] line per record,
-    /// oldest first.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for r in self.records() {
-            out.push_str(&r.to_json());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -209,9 +197,6 @@ mod tests {
         assert_eq!(log.capacity(), 3);
         let ids: Vec<u64> = log.records().iter().map(|r| r.request).collect();
         assert_eq!(ids, vec![2, 3, 4]);
-        let rendered = log.render();
-        assert_eq!(rendered.lines().count(), 3);
-        assert!(rendered.starts_with("{\"request\":2,"), "{rendered}");
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //! worker count, and [`merge_timelines`] folds per-shard views into one
 //! by per-window addition.
 //!
+//! The NDJSON format has one owner: [`config_line`] and [`point_line`]
+//! write it, and [`TimelineDump::parse`] reads it back.
+//!
 //! Two series kinds exist and are tagged in every rendering:
 //!
 //! * [`SeriesKind::Delta`] — additive contributions (admissions,
@@ -54,10 +57,10 @@
 //! ```
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
 use std::sync::{Mutex, PoisonError};
 
 use crate::ndjson::{self, JsonValue};
+use crate::parse::{parse_ndjson, Json};
 
 /// Windowing policy for a [`TimelineRecorder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,37 +321,6 @@ impl TimelineRecorder {
             .collect()
     }
 
-    /// A deterministic text rendering: the window policy and one line
-    /// per retained (series, window) pair.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let snap = self.snapshot();
-        let _ = writeln!(
-            out,
-            "timeline: window={} ns max_windows={} series={}",
-            self.config.width(),
-            self.config.max_windows.max(1),
-            snap.len()
-        );
-        for series in &snap {
-            let _ = writeln!(out, "  {} [{}]:", series.name, series.kind.as_str());
-            for p in &series.points {
-                let _ = writeln!(
-                    out,
-                    "    window {} [t={} ns): count={} sum={} min={} max={}",
-                    p.index,
-                    p.index * self.config.width(),
-                    p.count,
-                    p.sum,
-                    p.min_or_zero(),
-                    p.max
-                );
-            }
-        }
-        out
-    }
-
     /// Renders the whole timeline as NDJSON: one `timeline_config` line
     /// followed by one fixed-field `timeline` line per (series, window).
     #[must_use]
@@ -409,6 +381,119 @@ pub fn point_line(
     fields.push(("min", JsonValue::U64(p.min_or_zero())));
     fields.push(("max", JsonValue::U64(p.max)));
     ndjson::object(&fields)
+}
+
+/// A timeline NDJSON dump read back: the inverse of [`config_line`] and
+/// [`point_line`], for a [`TimelineRecorder::to_ndjson`] dump or a
+/// `/debug/timeline` body.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TimelineDump {
+    /// The window policy of the first `timeline_config` record, with
+    /// `max_windows` clamped to ≥ 1.
+    pub config: TimelineConfig,
+    /// Every `(shard label, series)` section in order of first
+    /// appearance, points sorted by window. A point without a `shard`
+    /// field (a bare recorder dump) lands under shard `"0"`.
+    pub sections: Vec<(String, SeriesWindows)>,
+}
+
+impl TimelineDump {
+    /// Parses a dump. The first `timeline_config` record wins, and lines
+    /// of other record types are skipped, so a combined artifact still
+    /// loads.
+    ///
+    /// # Errors
+    ///
+    /// The reason, when `text` is not NDJSON, a `timeline_config` record
+    /// is malformed or absent, a `timeline` record is missing a field or
+    /// names an unknown kind, or there is no `timeline` record. A line
+    /// number counts non-empty lines.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        let docs = parse_ndjson(text).map_err(|e| e.to_string())?;
+        let mut config = None;
+        let mut sections: Vec<(String, SeriesWindows)> = Vec::new();
+        for (i, doc) in docs.iter().enumerate() {
+            let line = i + 1;
+            match doc.get("record").and_then(Json::as_str) {
+                Some("timeline_config") if config.is_none() => {
+                    let field = |key| doc.get(key).and_then(Json::as_u64);
+                    let (Some(window_ns @ 1..), Some(max_windows)) =
+                        (field("window_ns"), field("max_windows"))
+                    else {
+                        return Err(format!("line {line}: malformed timeline_config record"));
+                    };
+                    config = Some(TimelineConfig {
+                        window_ns,
+                        max_windows: usize::try_from(max_windows.max(1)).unwrap_or(usize::MAX),
+                    });
+                }
+                Some("timeline") => {
+                    let missing =
+                        |key: &str| format!("line {line}: timeline record is missing {key:?}");
+                    let field = |key: &str| {
+                        doc.get(key)
+                            .and_then(Json::as_u64)
+                            .ok_or_else(|| missing(key))
+                    };
+                    let name = doc
+                        .get("series")
+                        .and_then(Json::as_str)
+                        .ok_or_else(|| missing("series"))?;
+                    let kind = match doc.get("kind").and_then(Json::as_str) {
+                        None | Some("delta") => SeriesKind::Delta,
+                        Some("sample") => SeriesKind::Sample,
+                        Some(other) => {
+                            return Err(format!(
+                                "line {line}: timeline record has unknown kind {other:?}"
+                            ))
+                        }
+                    };
+                    let shard = doc.get("shard").and_then(Json::as_str).unwrap_or("0");
+                    let point = SeriesPoint {
+                        index: field("window")?,
+                        count: field("count")?,
+                        sum: field("sum")?,
+                        min: field("min")?,
+                        max: field("max")?,
+                    };
+                    match sections
+                        .iter_mut()
+                        .find(|(label, s)| label == shard && s.name == name)
+                    {
+                        Some((_, series)) => series.points.push(point),
+                        None => sections.push((
+                            shard.to_owned(),
+                            SeriesWindows {
+                                name: name.to_owned(),
+                                kind,
+                                points: vec![point],
+                            },
+                        )),
+                    }
+                }
+                _ => {}
+            }
+        }
+        let config = config.ok_or_else(|| {
+            "no timeline_config record (is this a /debug/timeline artifact?)".to_owned()
+        })?;
+        if sections.is_empty() {
+            return Err("no timeline records".to_owned());
+        }
+        for (_, series) in &mut sections {
+            series.points.sort_by_key(|p| p.index);
+        }
+        Ok(Self { config, sections })
+    }
+
+    /// The section for `(shard, name)`, if the dump carries it.
+    #[must_use]
+    pub fn section(&self, shard: &str, name: &str) -> Option<&SeriesWindows> {
+        self.sections
+            .iter()
+            .find(|(label, s)| label == shard && s.name == name)
+            .map(|(_, s)| s)
+    }
 }
 
 /// Merges per-shard timeline snapshots into one: same-name series fold
@@ -572,19 +657,42 @@ mod tests {
     }
 
     #[test]
-    fn render_is_deterministic_text() {
-        let tl = TimelineRecorder::new(config(100, 8));
+    fn a_dump_parses_back_to_its_config_and_snapshot() {
+        let tl = TimelineRecorder::new(config(100, 3));
         tl.record_delta("s", 5, 0);
+        tl.record_delta("s", u64::MAX, 250);
         tl.sample("q", 2, 120);
-        let text = tl.render();
-        assert!(text.contains("window=100 ns"), "{text}");
-        assert!(text.contains("s [delta]:"), "{text}");
-        assert!(text.contains("q [sample]:"), "{text}");
-        assert!(
-            text.contains("window 0 [t=0 ns): count=1 sum=5 min=5 max=5"),
-            "{text}"
-        );
-        assert!(text.contains("window 1 [t=100 ns)"), "{text}");
+        tl.record_delta("s", 1, 10);
+        let dump = TimelineDump::parse(&tl.to_ndjson()).unwrap();
+        assert_eq!(dump.config, tl.config());
+        assert!(dump.sections.iter().all(|(shard, _)| shard == "0"));
+        let sections: Vec<SeriesWindows> = dump.sections.into_iter().map(|(_, s)| s).collect();
+        assert_eq!(sections, tl.snapshot());
+
+        let head = "{\"record\":\"timeline_config\",\"window_ns\":100,\"max_windows\":3}\n";
+        let point = "{\"record\":\"timeline\",\"series\":\"s\",\"kind\":\"delta\",\
+                     \"window\":0,\"count\":1,\"sum\":5,\"min\":5,\"max\":5}";
+        for (text, reason) in [
+            (
+                point.to_owned(),
+                "no timeline_config record (is this a /debug/timeline artifact?)".to_owned(),
+            ),
+            (head.to_owned(), "no timeline records".to_owned()),
+            (
+                head.replace("100", "0"),
+                "line 1: malformed timeline_config record".to_owned(),
+            ),
+            (
+                format!("{head}{}", point.replace(",\"sum\":5", "")),
+                "line 2: timeline record is missing \"sum\"".to_owned(),
+            ),
+            (
+                format!("{head}{}", point.replace("delta", "gauge")),
+                "line 2: timeline record has unknown kind \"gauge\"".to_owned(),
+            ),
+        ] {
+            assert_eq!(TimelineDump::parse(&text), Err(reason), "{text}");
+        }
     }
 
     #[test]

@@ -26,9 +26,7 @@ fn live_scrape_returns_prometheus_text() {
     let metrics = Arc::new(Metrics::new());
     metrics.counter("farm.jobs_ok").add(42);
     metrics.gauge("farm.queue_depth").set(3);
-    metrics
-        .histogram_with_bounds("farm.solve_ns", vec![1_000, 1_000_000])
-        .record(250);
+    metrics.histogram("farm.solve_ns").record(250);
 
     let server = ExpositionServer::bind(
         "127.0.0.1:0",
@@ -48,7 +46,7 @@ fn live_scrape_returns_prometheus_text() {
     assert!(body.contains("farm_jobs_ok_total 42"), "{body}");
     assert!(body.contains("farm_queue_depth 3"), "{body}");
     assert!(
-        body.contains("farm_solve_ns_bucket{le=\"1000\"} 1"),
+        body.contains("farm_solve_ns_bucket{le=\"255\"} 1"),
         "{body}"
     );
     assert!(body.contains("farm_solve_ns_count 1"), "{body}");

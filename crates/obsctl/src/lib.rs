@@ -28,6 +28,11 @@
 //!   the binary exits non-zero on drift or a missing series — the
 //!   timeline anomaly gate `scripts/ci.sh` runs between smoke runs.
 //!
+//! `timeline` and `anomaly` read their artifacts through
+//! `canti_obs::timeline::TimelineDump`, the reader of the format
+//! `canti_obs::timeline` writes, and `timeline --json` re-emits through
+//! that module's own line writers.
+//!
 //! `diff` understands every timing shape the workspace writes: the
 //! `ExperimentReport::to_json` document (`"timings": [...]`), NDJSON
 //! `farm_stage` records, and NDJSON metric-dump histogram lines.
@@ -42,6 +47,10 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use canti_obs::parse::{parse_json, parse_ndjson, Json};
+use canti_obs::timeline::{
+    config_line, point_line, SeriesId, SeriesKind, SeriesPoint, SeriesWindows, TimelineDump,
+    TimelineRecorder,
+};
 use canti_obs::Trace;
 
 /// What went wrong, and how the process should exit.
@@ -726,173 +735,16 @@ pub fn trace_request_json(path: &Path, request: u64) -> Result<String, CliError>
     Ok(out)
 }
 
-/// One per-window point of a timeline series, as parsed back from a
-/// `/debug/timeline` artifact line (`min` is 0 for an empty window,
-/// matching the emission side's `min_or_zero`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelinePoint {
-    /// Window index (`t_ns / window_ns`).
-    pub window: u64,
-    /// Observations folded into this window.
-    pub count: u64,
-    /// Saturating sum of the observed values.
-    pub sum: u64,
-    /// Smallest observed value.
-    pub min: u64,
-    /// Largest observed value.
-    pub max: u64,
+/// Reads a `/debug/timeline` NDJSON artifact through [`TimelineDump`].
+fn load_timeline(path: &Path) -> Result<TimelineDump, CliError> {
+    TimelineDump::parse(&read_file(path)?)
+        .map_err(|e| CliError::Input(format!("{}: {e}", path.display())))
 }
 
-/// One `(shard, series)` section of a timeline artifact, points in
-/// ascending window order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimelineSeries {
-    /// Shard label — `"merged"` for the cross-shard fold.
-    pub shard: String,
-    /// Series name, e.g. `serve.admitted`.
-    pub name: String,
-    /// `"delta"` (additive, shard-merge invariant) or `"sample"`.
-    pub kind: String,
-    /// The per-window points.
-    pub points: Vec<TimelinePoint>,
-}
-
-impl TimelineSeries {
-    /// Total observation count across the retained windows.
-    #[must_use]
-    pub fn total_count(&self) -> u64 {
-        self.points
-            .iter()
-            .fold(0u64, |acc, p| acc.saturating_add(p.count))
-    }
-
-    /// Total observed sum across the retained windows.
-    #[must_use]
-    pub fn total_sum(&self) -> u64 {
-        self.points
-            .iter()
-            .fold(0u64, |acc, p| acc.saturating_add(p.sum))
-    }
-}
-
-/// A parsed `/debug/timeline` NDJSON artifact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimelineArtifact {
-    /// Window width on the producer's clock, ns.
-    pub window_ns: u64,
-    /// Retention limit per series (newest windows win).
-    pub max_windows: u64,
-    /// Every `(shard, series)` section, in artifact order.
-    pub series: Vec<TimelineSeries>,
-}
-
-impl TimelineArtifact {
-    /// The section for `(shard, name)`, if the artifact carries it.
-    #[must_use]
-    pub fn section(&self, shard: &str, name: &str) -> Option<&TimelineSeries> {
-        self.series
-            .iter()
-            .find(|s| s.shard == shard && s.name == name)
-    }
-}
-
-/// Parses a `/debug/timeline` NDJSON artifact: one `timeline_config`
-/// record (the first wins) plus `timeline` point records. Lines of
-/// other record types ride along untouched, so a combined artifact
-/// still loads. A `timeline` record without a `shard` field (a bare
-/// `TimelineRecorder::to_ndjson` dump) lands under shard `"0"`.
-///
-/// # Errors
-///
-/// [`CliError::Input`] when the file is unreadable/unparsable, lacks a
-/// `timeline_config` record, holds no `timeline` records, or a
-/// `timeline` record is missing a required field.
-pub fn load_timeline(path: &Path) -> Result<TimelineArtifact, CliError> {
-    let text = read_file(path)?;
-    let docs =
-        parse_ndjson(&text).map_err(|e| CliError::Input(format!("{}: {e}", path.display())))?;
-
-    let mut config: Option<(u64, u64)> = None;
-    let mut series: Vec<TimelineSeries> = Vec::new();
-    for (i, doc) in docs.iter().enumerate() {
-        match doc.get("record").and_then(Json::as_str) {
-            Some("timeline_config") if config.is_none() => {
-                let window_ns = doc.get("window_ns").and_then(Json::as_u64);
-                let max_windows = doc.get("max_windows").and_then(Json::as_u64);
-                match (window_ns, max_windows) {
-                    (Some(w), Some(m)) if w > 0 => config = Some((w, m.max(1))),
-                    _ => {
-                        return Err(CliError::Input(format!(
-                            "{}: line {}: malformed timeline_config record",
-                            path.display(),
-                            i + 1
-                        )));
-                    }
-                }
-            }
-            Some("timeline_config") => {}
-            Some("timeline") => {
-                let field = |key: &str| -> Result<u64, CliError> {
-                    doc.get(key).and_then(Json::as_u64).ok_or_else(|| {
-                        CliError::Input(format!(
-                            "{}: line {}: timeline record is missing {key:?}",
-                            path.display(),
-                            i + 1
-                        ))
-                    })
-                };
-                let Some(name) = doc.get("series").and_then(Json::as_str) else {
-                    return Err(CliError::Input(format!(
-                        "{}: line {}: timeline record is missing \"series\"",
-                        path.display(),
-                        i + 1
-                    )));
-                };
-                let shard = doc.get("shard").and_then(Json::as_str).unwrap_or("0");
-                let kind = doc.get("kind").and_then(Json::as_str).unwrap_or("delta");
-                let point = TimelinePoint {
-                    window: field("window")?,
-                    count: field("count")?,
-                    sum: field("sum")?,
-                    min: field("min")?,
-                    max: field("max")?,
-                };
-                match series
-                    .iter_mut()
-                    .find(|s| s.shard == shard && s.name == name)
-                {
-                    Some(existing) => existing.points.push(point),
-                    None => series.push(TimelineSeries {
-                        shard: shard.to_owned(),
-                        name: name.to_owned(),
-                        kind: kind.to_owned(),
-                        points: vec![point],
-                    }),
-                }
-            }
-            _ => {}
-        }
-    }
-
-    let Some((window_ns, max_windows)) = config else {
-        return Err(CliError::Input(format!(
-            "{}: no timeline_config record (is this a /debug/timeline artifact?)",
-            path.display()
-        )));
-    };
-    if series.is_empty() {
-        return Err(CliError::Input(format!(
-            "{}: no timeline records",
-            path.display()
-        )));
-    }
-    for s in &mut series {
-        s.points.sort_by_key(|p| p.window);
-    }
-    Ok(TimelineArtifact {
-        window_ns,
-        max_windows,
-        series,
+/// `(count, sum)` over a series' retained windows, saturating.
+fn totals(series: &SeriesWindows) -> (u64, u64) {
+    series.points.iter().fold((0u64, 0u64), |(count, sum), p| {
+        (count.saturating_add(p.count), sum.saturating_add(p.sum))
     })
 }
 
@@ -919,7 +771,7 @@ impl Default for TimelineOptions {
 
 /// One sparkline glyph per recorded window, count-scaled to the
 /// series' busiest window.
-fn sparkline(points: &[TimelinePoint]) -> String {
+fn sparkline(points: &[SeriesPoint]) -> String {
     const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let max = points.iter().map(|p| p.count).max().unwrap_or(0);
     points
@@ -954,13 +806,12 @@ pub fn timeline_report(
     spans: Option<&Path>,
     opts: &TimelineOptions,
 ) -> Result<String, CliError> {
-    use canti_obs::ndjson::{self, JsonValue};
-
-    let artifact = load_timeline(path)?;
-    let selected: Vec<&TimelineSeries> = artifact
-        .series
+    let dump = load_timeline(path)?;
+    let selected: Vec<&SeriesWindows> = dump
+        .sections
         .iter()
-        .filter(|s| s.shard == opts.shard)
+        .filter(|(shard, _)| *shard == opts.shard)
+        .map(|(_, s)| s)
         .filter(|s| opts.series.is_empty() || opts.series.contains(&s.name))
         .collect();
     if selected.is_empty() {
@@ -976,52 +827,33 @@ pub fn timeline_report(
         )));
     }
 
+    let width = dump.config.width();
     let mut out = String::new();
     if opts.json {
-        out.push_str(&ndjson::object(&[
-            ("record", JsonValue::from("timeline_config")),
-            ("window_ns", JsonValue::U64(artifact.window_ns)),
-            ("max_windows", JsonValue::U64(artifact.max_windows)),
-        ]));
+        out.push_str(&config_line(dump.config));
         out.push('\n');
         for s in &selected {
             for p in &s.points {
-                out.push_str(&ndjson::object(&[
-                    ("record", JsonValue::from("timeline")),
-                    ("shard", JsonValue::from(s.shard.clone())),
-                    ("series", JsonValue::from(s.name.clone())),
-                    ("kind", JsonValue::from(s.kind.clone())),
-                    ("window", JsonValue::U64(p.window)),
-                    (
-                        "t_ns",
-                        JsonValue::U64(p.window.saturating_mul(artifact.window_ns)),
-                    ),
-                    ("count", JsonValue::U64(p.count)),
-                    ("sum", JsonValue::U64(p.sum)),
-                    ("min", JsonValue::U64(p.min)),
-                    ("max", JsonValue::U64(p.max)),
-                ]));
+                out.push_str(&point_line(Some(&opts.shard), &s.name, s.kind, width, p));
                 out.push('\n');
             }
         }
     } else {
         let _ = writeln!(
             out,
-            "timeline: window={} ns, {} window(s) retained, shard {:?}, {} series",
-            artifact.window_ns,
-            artifact.max_windows,
+            "timeline: window={width} ns, {} window(s) retained, shard {:?}, {} series",
+            dump.config.max_windows,
             opts.shard,
             selected.len()
         );
         for s in &selected {
+            let (count, sum) = totals(s);
             let _ = writeln!(
                 out,
-                "{} ({}): {} window(s) count={} sum={}  {}",
+                "{} ({}): {} window(s) count={count} sum={sum}  {}",
                 s.name,
-                s.kind,
+                s.kind.as_str(),
                 s.points.len(),
-                s.total_count(),
-                s.total_sum(),
                 sparkline(&s.points)
             );
             for p in &s.points {
@@ -1029,8 +861,8 @@ pub fn timeline_report(
                 let _ = writeln!(
                     out,
                     "  window {} [t={} ns): count={} sum={} mean={} min={} max={}",
-                    p.window,
-                    p.window.saturating_mul(artifact.window_ns),
+                    p.index,
+                    p.index.saturating_mul(width),
                     p.count,
                     p.sum,
                     mean,
@@ -1043,7 +875,7 @@ pub fn timeline_report(
 
     if let Some(spans_path) = spans {
         out.push_str(&timeline_crosscheck(
-            &artifact,
+            &dump,
             &opts.shard,
             path,
             spans_path,
@@ -1060,18 +892,20 @@ pub fn timeline_report(
 /// stranded request (a `request_expired` or `request_abandoned` event)
 /// closes its span without a latency sample, and a cache hit opens no
 /// span but records one, a 0-ns lookup at its `cache_hit` event on the
-/// virtual clock where this check is exact.
+/// virtual clock where this check is exact. The samples go through a
+/// [`TimelineRecorder`] on the artifact's window policy, so windowing
+/// and retention are the live recorder's own.
 fn timeline_crosscheck(
-    artifact: &TimelineArtifact,
+    dump: &TimelineDump,
     shard: &str,
     artifact_path: &Path,
     spans_path: &Path,
     json: bool,
 ) -> Result<String, CliError> {
     use canti_obs::ndjson::{self, JsonValue};
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeSet;
 
-    let Some(live) = artifact.section(shard, "serve.request_latency_ns") else {
+    let Some(live) = dump.section(shard, "serve.request_latency_ns") else {
         return Err(CliError::Gate(format!(
             "{}: shard {:?} has no serve.request_latency_ns series to cross-check",
             artifact_path.display(),
@@ -1101,11 +935,13 @@ fn timeline_crosscheck(
 
     let mut spans = closed_requests(&Trace::from_docs(&docs));
     spans.retain(|s| !unanswered.contains(&s.request));
-    // (end_ns, latency_ns) per recorded latency
-    let samples: Vec<(u64, u64)> = spans
+    let recorder = TimelineRecorder::new(dump.config);
+    let latency = recorder.series("serve.request_latency_ns", SeriesKind::Delta);
+    // (series, latency_ns, end_ns) per recorded latency
+    let samples: Vec<(SeriesId, u64, u64)> = spans
         .iter()
-        .map(|s| (s.end_ns, s.latency_ns))
-        .chain(hits_ns.iter().map(|&t_ns| (t_ns, 0)))
+        .map(|s| (latency, s.latency_ns, s.end_ns))
+        .chain(hits_ns.iter().map(|&t_ns| (latency, 0, t_ns)))
         .collect();
     if samples.is_empty() {
         return Err(CliError::Gate(format!(
@@ -1113,34 +949,11 @@ fn timeline_crosscheck(
             spans_path.display()
         )));
     }
-
-    let mut windows: BTreeMap<u64, TimelinePoint> = BTreeMap::new();
-    for &(end_ns, latency_ns) in &samples {
-        let index = end_ns / artifact.window_ns.max(1);
-        let slot = windows.entry(index).or_insert(TimelinePoint {
-            window: index,
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        });
-        slot.count = slot.count.saturating_add(1);
-        slot.sum = slot.sum.saturating_add(latency_ns);
-        slot.min = slot.min.min(latency_ns);
-        slot.max = slot.max.max(latency_ns);
-    }
-    // the live recorder retains only the newest max_windows windows
-    while windows.len() as u64 > artifact.max_windows {
-        windows.pop_first();
-    }
-    let recomputed: Vec<TimelinePoint> = windows
-        .into_values()
-        .map(|mut p| {
-            if p.min == u64::MAX {
-                p.min = 0;
-            }
-            p
-        })
+    recorder.record(&samples);
+    let recomputed: Vec<SeriesPoint> = recorder
+        .snapshot()
+        .into_iter()
+        .flat_map(|s| s.points)
         .collect();
 
     if recomputed != live.points {
@@ -1301,11 +1114,11 @@ pub fn anomaly(
 
     let names: Vec<String> = if opts.series.is_empty() {
         let mut names: Vec<String> = cur
-            .series
+            .sections
             .iter()
-            .chain(&base.series)
-            .filter(|s| s.shard == opts.shard)
-            .map(|s| s.name.clone())
+            .chain(&base.sections)
+            .filter(|(shard, _)| *shard == opts.shard)
+            .map(|(_, s)| s.name.clone())
             .collect();
         names.sort_unstable();
         names.dedup();
@@ -1324,12 +1137,8 @@ pub fn anomaly(
 
     let mut report = AnomalyReport::default();
     for name in names {
-        let cur_total = cur
-            .section(&opts.shard, &name)
-            .map(TimelineSeries::total_count);
-        let base_total = base
-            .section(&opts.shard, &name)
-            .map(TimelineSeries::total_count);
+        let cur_total = cur.section(&opts.shard, &name).map(|s| totals(s).0);
+        let base_total = base.section(&opts.shard, &name).map(|s| totals(s).0);
         match (base_total, cur_total) {
             (None, None) => {
                 report.missing.push((name.clone(), "baseline"));

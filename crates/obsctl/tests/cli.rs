@@ -7,7 +7,10 @@ use std::process::{Command, Output};
 use std::sync::Arc;
 
 use canti_obs::clock::VirtualClock;
+use canti_obs::serve::{Exposition, ExpositionServer, Registry, ServeObs, SloConfig};
+use canti_obs::timeline::{TimelineConfig, TimelineRecorder};
 use canti_obs::trace::{RingCollector, Tracer};
+use canti_obs::{Metrics, RequestLog};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -375,6 +378,55 @@ fn timeline_renders_tables_and_sparklines() {
         stdout.contains("\"series\":\"serve.expired\",\"kind\":\"delta\",\"window\":1"),
         "{stdout}"
     );
+}
+
+/// A `/debug/timeline` body scraped from a live exposition of two
+/// shards, each with delta and sample series over several windows.
+fn scraped_debug_timeline() -> String {
+    let shard = |offset: u64| {
+        let timeline = TimelineRecorder::new(TimelineConfig {
+            window_ns: 1_000,
+            max_windows: 4,
+        });
+        for t_ns in [2_500, 100, 4_200, 1_100, 5_900] {
+            timeline.record_delta("serve.request_latency_ns", t_ns / 3 + offset, t_ns);
+            timeline.sample("serve.queue_depth", offset + t_ns % 7, t_ns);
+        }
+        timeline.record_delta("slo.good", 1, 300 + offset);
+        ServeObs {
+            slo: SloConfig::default(),
+            requests: Arc::new(RequestLog::new(8)),
+            timeline: Arc::new(timeline),
+        }
+    };
+    let exposition = Exposition {
+        shards: vec![("0".to_owned(), shard(0)), ("1".to_owned(), shard(7))],
+        ..Exposition::new(Registry::Single(Arc::new(Metrics::new())))
+    };
+    let server = ExpositionServer::bind("127.0.0.1:0", exposition).expect("bind ephemeral");
+    let body = server.scrape("/debug/timeline").expect("scrape");
+    server.shutdown();
+    body
+}
+
+#[test]
+fn timeline_json_re_emits_a_shards_lines_byte_for_byte() {
+    let body = scraped_debug_timeline();
+    let path = temp("tl-debug-body", &body);
+    let out = obsctl(&["timeline", path.to_str().unwrap(), "--json", "--shard", "0"]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut expected: String = body
+        .lines()
+        .filter(|l| l.contains("\"record\":\"timeline_config\"") || l.contains("\"shard\":\"0\""))
+        .collect::<Vec<_>>()
+        .join("\n");
+    expected.push('\n');
+    assert!(expected.lines().count() > 8, "{body}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
 }
 
 #[test]

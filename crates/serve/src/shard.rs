@@ -809,4 +809,35 @@ mod tests {
         assert_eq!(e.stats().admitted, 1);
         assert_eq!(e.stats().rejected, 1);
     }
+
+    /// Batch sizes are small integers, which the histogram counts
+    /// exactly: batches of 4 and 1 read p50 1 and p99 4, not a latency
+    /// bucket edge clamped to the max.
+    #[test]
+    fn batch_size_quantiles_read_the_exact_sizes() {
+        let (observer, _ring) = FarmObserver::deterministic(4096);
+        let mut e = ShardedEngine::new(
+            ShardedConfig {
+                shards: 1,
+                base: ServeConfig {
+                    max_batch: 4,
+                    linger_ns: u64::MAX,
+                    threads: 1,
+                    ..ServeConfig::default()
+                },
+            },
+            Arc::new(VirtualClock::new()) as Arc<dyn ObsClock>,
+        )
+        .with_observers(vec![observer]);
+        for i in 0..5 {
+            e.submit(probe(f64::from(i))).expect("admitted");
+        }
+        assert_eq!(e.pump().len(), 4, "a full batch fires");
+        assert_eq!(e.drain().len(), 1, "the drain fires the rest");
+        let sizes: Vec<usize> = e.batch_log(0).iter().map(|b| b.request_ids.len()).collect();
+        assert_eq!(sizes, vec![4, 1]);
+        let observer = e.shard(0).observer().expect("observed");
+        let s = observer.metrics().histogram("serve.batch_size").snapshot();
+        assert_eq!((s.count, s.p50, s.p99, s.max), (2, 1, 4, 4));
+    }
 }
