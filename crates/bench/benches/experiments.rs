@@ -130,7 +130,8 @@ fn main() {
         let mono = ReadoutTopology::paper_monolithic(100.0);
         let disc = ReadoutTopology::conventional_discrete();
         move || {
-            std::hint::black_box(mono.rejection_vs(&disc, Volts::from_millivolts(1.0)));
+            let (mono, disc, v) = std::hint::black_box((&mono, &disc, Volts::from_millivolts(1.0)));
+            std::hint::black_box(mono.rejection_vs(disc, v));
         }
     });
 
@@ -138,7 +139,9 @@ fn main() {
         use canti_analog::bridge::WheatstoneBridge;
         let bridge = WheatstoneBridge::paper_pmos().expect("bridge");
         move || {
-            std::hint::black_box(bridge.output(Volts::new(2.5), [-1e-4, 1e-4, 1e-4, -1e-4]));
+            let (bridge, supply, strains) =
+                std::hint::black_box((&bridge, Volts::new(2.5), [-1e-4, 1e-4, 1e-4, -1e-4]));
+            std::hint::black_box(bridge.output(supply, strains));
         }
     });
 
@@ -181,7 +184,8 @@ fn main() {
         let geom = CantileverGeometry::paper_resonant().expect("geometry");
         let beam = CompositeBeam::new(&geom).expect("beam");
         move || {
-            std::hint::black_box(beam.mode_frequency(1)).expect("mode");
+            let (beam, mode) = std::hint::black_box((&beam, 1));
+            std::hint::black_box(beam.mode_frequency(mode)).expect("mode");
         }
     });
 

@@ -9,10 +9,13 @@
 //!
 //! Reports the speedup and re-checks the determinism contract on the
 //! way: the multi-thread and observed reports must be bit-identical to
-//! the sequential 1-thread one. The archived telemetry
-//! (`CANTI_BENCH_JSON`) comes from an observed run on a [`WorkerPool`]
-//! built before the batch starts, so the `queue_wait` stage in
-//! `BENCH_farm.json` reflects parked-worker pickup, not thread spawn.
+//! the sequential 1-thread one. The archived stage timings
+//! (`CANTI_BENCH_JSON`) are the observer registry's
+//! `farm.{queue_wait,precompute,solve}_ns` histograms, written under the
+//! names `queue_wait`, `precompute` and `solve`, from an observed run on
+//! a [`WorkerPool`] built before the batch starts, so the `queue_wait`
+//! stage in `BENCH_farm.json` reflects parked-worker pickup, not thread
+//! spawn.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -94,6 +97,7 @@ fn main() {
     // queue_wait histogram measures parked-worker pickup — and a second
     // check that attaching the observer does not perturb the numbers
     let (observer, _ring) = FarmObserver::profiling(4096);
+    let metrics = Arc::clone(observer.metrics());
     let farm = Farm::with_cache(
         FarmConfig {
             batch_seed: 0xFA12_2026,
@@ -106,12 +110,12 @@ fn main() {
     let report = farm.run(&jobs);
     let fp: f64 = report.metric_values("peak_volts").iter().sum();
     assert_eq!(fp.to_bits(), fp1, "telemetry must not perturb results");
-    let telemetry = report.telemetry.expect("observed run carries telemetry");
-    println!("\n{}", telemetry.render());
+    println!("\n{}", metrics.summary());
 
     let mut exp = ExperimentReport::new("FARM", "sensor-farm stage telemetry", &["stage"]);
-    for (name, snapshot) in telemetry.stages() {
-        exp.push_timing(name, snapshot);
+    for name in ["queue_wait", "precompute", "solve"] {
+        let stage = metrics.histogram(&format!("farm.{name}_ns"));
+        exp.push_timing(name, stage.snapshot());
     }
     println!("{}", exp.to_json());
     // CANTI_BENCH_JSON=<path> additionally archives the document for the

@@ -22,6 +22,14 @@
 //! [`BatchReport::outcomes`] as a [`FarmError`]; it never poisons the
 //! rest of the batch.
 //!
+//! # Observability
+//!
+//! A farm with a [`FarmObserver`] reports every batch, plain or
+//! supervised, through that observer alone: the `farm.*` metrics, the
+//! span/event trace and the optional timeline. The report holds only
+//! the payload, so [`BatchReport`]'s derived equality is the payload
+//! comparison the determinism contract pins.
+//!
 //! # Examples
 //!
 //! ```
@@ -59,7 +67,7 @@ pub use job::{
 pub use pool::{PoolHook, WorkerPool, WorkerStat};
 pub use report::{BatchReport, FarmError, JobOutput};
 pub use supervisor::{BreakerPosition, FarmSupervisor, SupervisedReport, SupervisorConfig};
-pub use telemetry::{FarmObserver, FarmTelemetry};
+pub use telemetry::FarmObserver;
 
 /// Farm-wide settings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,11 +156,11 @@ impl Farm {
         self
     }
 
-    /// Attaches an observer: subsequent [`Self::run`]s record per-job
-    /// spans (queue-wait / precompute / solve), cache counters and
-    /// per-worker utilization, and deposit a [`FarmTelemetry`] section in
-    /// the report. Telemetry is strictly additive — the report's
-    /// numerical payload is bit-identical with or without it.
+    /// Attaches an observer: subsequent batches record per-job spans,
+    /// the queue-wait / precompute / solve stage histograms, the job
+    /// counters and one `farm.worker_busy_ns` sample per worker into
+    /// it. Telemetry is strictly additive — the report is bit-identical
+    /// with or without it.
     #[must_use]
     pub fn with_observer(mut self, observer: FarmObserver) -> Self {
         self.observer = Some(observer);
@@ -329,64 +337,13 @@ impl Farm {
         let runner =
             Arc::new(self.batch_runner(Arc::new(jobs.to_vec()), seeds, contexts, batch_start_ns));
 
-        // Stage histograms are registry-backed and cumulative across
-        // batches, so this batch's contribution is a post-minus-pre sum.
-        let pre_sums = runner
-            .stages
-            .as_ref()
-            .map(|s| [&s.queue_wait, &s.precompute, &s.solve].map(|h| h.sum()));
-
         let (outcomes, worker_stats) = self.dispatch(&runner, None, 0, None);
-
-        let telemetry = obs.map(|o| {
-            let ok = outcomes.iter().filter(|r| r.is_ok()).count() as u64;
-            o.metrics().counter("farm.batches").add(1);
-            o.metrics().gauge("farm.workers").set(threads as i64);
-            o.metrics().counter("farm.jobs_ok").add(ok);
-            o.metrics()
-                .counter("farm.jobs_failed")
-                .add(outcomes.len() as u64 - ok);
-            let stages = runner
-                .stages
-                .as_ref()
-                .expect("observer implies instruments");
-            let telemetry = FarmTelemetry {
-                workers: threads,
-                jobs: jobs.len(),
-                queue_wait_ns: stages.queue_wait.snapshot(),
-                precompute_ns: stages.precompute.snapshot(),
-                solve_ns: stages.solve.snapshot(),
-                cache: self.cache.stats(),
-                per_worker: worker_stats,
-            };
-            if let (Some(timeline), Some([pre_wait, pre_pre, pre_solve])) = (o.timeline(), pre_sums)
-            {
-                // Aggregate per-batch deltas only, stamped at batch end.
-                // Per-worker series are deliberately absent: they would
-                // depend on the worker count and break the timeline's
-                // bit-identity contract.
-                let now_ns = o.clock().now_ns();
-                timeline.record_delta("farm.batches", 1, now_ns);
-                timeline.record_delta("farm.jobs_ok", ok, now_ns);
-                timeline.record_delta("farm.jobs_failed", outcomes.len() as u64 - ok, now_ns);
-                let busy: u64 = telemetry.per_worker.iter().map(|w| w.busy_ns).sum();
-                timeline.record_delta("farm.busy_ns", busy, now_ns);
-                for (series, post, pre) in [
-                    ("farm.queue_wait_ns", &telemetry.queue_wait_ns, pre_wait),
-                    ("farm.precompute_ns", &telemetry.precompute_ns, pre_pre),
-                    ("farm.solve_ns", &telemetry.solve_ns, pre_solve),
-                ] {
-                    timeline.record_delta(series, post.sum.saturating_sub(pre), now_ns);
-                }
-            }
-            telemetry
-        });
+        runner.finish(threads, &outcomes, &worker_stats);
         drop(batch_span);
 
         BatchReport {
             batch_seed: self.config.batch_seed,
             outcomes,
-            telemetry,
         }
     }
 }
@@ -401,7 +358,7 @@ pub(crate) struct BatchRunner {
     pub(crate) jobs: Arc<Vec<JobSpec>>,
     cache: Arc<PrecomputeCache>,
     pub(crate) observer: Option<FarmObserver>,
-    pub(crate) stages: Option<telemetry::StageInstruments>,
+    stages: Option<telemetry::StageInstruments>,
     batch_start_ns: u64,
 }
 
@@ -496,6 +453,48 @@ impl BatchRunner {
             _ => outcome,
         }
     }
+
+    /// Ends an observed batch, plain or supervised, given its final
+    /// outcomes and per-worker tallies: counts the batch, sets the
+    /// worker gauge, adds the outcomes to the job counters, records one
+    /// `farm.worker_busy_ns` sample per worker, and writes the batch's
+    /// deltas to the timeline. Does nothing unobserved.
+    pub(crate) fn finish(
+        &self,
+        threads: usize,
+        outcomes: &[Result<JobOutput, FarmError>],
+        per_worker: &[WorkerStat],
+    ) {
+        let (Some(o), Some(stages)) = (self.observer.as_ref(), self.stages.as_ref()) else {
+            return;
+        };
+        let ok = outcomes.iter().filter(|r| r.is_ok()).count() as u64;
+        let failed = outcomes.len() as u64 - ok;
+        let metrics = o.metrics();
+        metrics.counter("farm.batches").add(1);
+        metrics.gauge("farm.workers").set(threads as i64);
+        metrics.counter("farm.jobs_ok").add(ok);
+        metrics.counter("farm.jobs_failed").add(failed);
+        let busy = metrics.histogram("farm.worker_busy_ns");
+        for w in per_worker {
+            busy.record(w.busy_ns);
+        }
+        if let Some(timeline) = o.timeline() {
+            // Aggregate per-batch deltas only, stamped at batch end.
+            // Per-worker series are deliberately absent: they would
+            // depend on the worker count and break the timeline's
+            // bit-identity contract.
+            let now_ns = o.clock().now_ns();
+            timeline.record_delta("farm.batches", 1, now_ns);
+            timeline.record_delta("farm.jobs_ok", ok, now_ns);
+            timeline.record_delta("farm.jobs_failed", failed, now_ns);
+            let busy_ns = per_worker.iter().map(|w| w.busy_ns).sum();
+            timeline.record_delta("farm.busy_ns", busy_ns, now_ns);
+            for (series, delta) in stages.batch_sums() {
+                timeline.record_delta(series, delta, now_ns);
+            }
+        }
+    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -510,6 +509,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
 
     fn farm(threads: usize) -> Farm {
@@ -598,21 +599,27 @@ mod tests {
             .map(|i| JobSpec::Probe(ProbeMode::Draws(1 + i % 4)))
             .collect();
         let plain = farm(4).run(&jobs);
-        assert!(plain.telemetry.is_none());
 
         let (observer, ring) = FarmObserver::deterministic(4096);
-        let observed = farm(4).with_observer(observer).run(&jobs);
-        let telemetry = observed.telemetry.as_ref().expect("observer => telemetry");
+        let observed = farm(4).with_observer(observer.clone()).run(&jobs);
         assert_eq!(observed, plain, "telemetry must not perturb results");
-        assert_eq!(telemetry.jobs, 12);
-        assert_eq!(telemetry.workers, 4);
-        assert_eq!(telemetry.queue_wait_ns.count, 12);
-        assert_eq!(telemetry.solve_ns.count, 12);
+        let metrics = observer.metrics();
+        assert_eq!(metrics.counter("farm.batches").get(), 1);
+        assert_eq!(metrics.counter("farm.jobs_ok").get(), 12);
+        assert_eq!(metrics.counter("farm.jobs_failed").get(), 0);
+        assert_eq!(metrics.gauge("farm.workers").get(), 4);
+        assert_eq!(metrics.histogram("farm.queue_wait_ns").count(), 12);
+        assert_eq!(metrics.histogram("farm.solve_ns").count(), 12);
         assert_eq!(
-            telemetry.precompute_ns.count, 0,
+            metrics.histogram("farm.precompute_ns").count(),
+            0,
             "probe jobs skip the cache"
         );
-        assert_eq!(telemetry.per_worker.iter().map(|w| w.jobs).sum::<u64>(), 12);
+        assert_eq!(
+            metrics.histogram("farm.worker_busy_ns").count(),
+            4,
+            "one busy-time sample per worker"
+        );
         // trace stream: one batch span + one job span per job
         let events = ring.events();
         assert_eq!(events.first().map(|e| e.name), Some("batch"));
@@ -622,6 +629,81 @@ mod tests {
             .filter(|e| e.name == "job" && e.kind == canti_obs::EventKind::SpanStart)
             .count();
         assert_eq!(job_starts, 12);
+    }
+
+    /// A clock that moves 1 µs on every read: every stage and busy
+    /// interval is non-zero, with no wall-clock dependence.
+    #[derive(Debug, Default)]
+    struct TickClock(AtomicU64);
+
+    impl canti_obs::ObsClock for TickClock {
+        fn now_ns(&self) -> u64 {
+            self.0.fetch_add(1_000, Ordering::Relaxed)
+        }
+    }
+
+    #[test]
+    fn plain_and_supervised_batches_end_through_one_routine() {
+        use canti_obs::{Metrics, RingCollector, TimelineConfig, TimelineRecorder, Tracer};
+
+        let jobs = vec![
+            JobSpec::Probe(ProbeMode::Draws(2)),
+            JobSpec::Probe(ProbeMode::Fail),
+            JobSpec::Probe(ProbeMode::Value(1.0)),
+            JobSpec::Probe(ProbeMode::Draws(5)),
+            JobSpec::Probe(ProbeMode::Fail),
+        ];
+        for threads in [1, 2, 8] {
+            let clock: Arc<dyn canti_obs::ObsClock> = Arc::new(TickClock::default());
+            let ring = Arc::new(RingCollector::new(1 << 12));
+            let timeline = Arc::new(TimelineRecorder::new(TimelineConfig {
+                window_ns: u64::MAX,
+                max_windows: 1,
+            }));
+            let observer = FarmObserver::from_parts(
+                Arc::new(Metrics::new()),
+                Tracer::new(ring, Arc::clone(&clock)),
+                clock,
+            )
+            .with_timeline(Arc::clone(&timeline));
+            let mut sup = FarmSupervisor::new(
+                farm(threads).with_observer(observer.clone()),
+                SupervisorConfig::default(),
+            );
+            let (mut ok, mut failed) = (0, 0);
+            for _ in 0..2 {
+                let plain = sup.farm().run(&jobs);
+                let supervised = sup.run(&jobs).report;
+                for report in [plain, supervised] {
+                    ok += report.ok_count() as u64;
+                    failed += report.err_count() as u64;
+                }
+            }
+
+            let metrics = observer.metrics();
+            let series_sum = |name: &str| -> u64 {
+                let series = timeline.snapshot();
+                let windows = series.iter().find(|s| s.name == name);
+                windows.map_or(0, |s| s.points.iter().map(|p| p.sum).sum())
+            };
+            assert_eq!(
+                metrics.counter("farm.batches").get(),
+                4,
+                "{threads} workers"
+            );
+            assert_eq!(series_sum("farm.batches"), 4, "{threads} workers");
+            let solve = metrics.histogram("farm.solve_ns").sum();
+            assert!(solve > 0, "the ticking clock times every solve");
+            assert_eq!(series_sum("farm.solve_ns"), solve, "{threads} workers");
+            assert_eq!(metrics.counter("farm.jobs_ok").get(), ok);
+            assert_eq!(metrics.counter("farm.jobs_failed").get(), failed);
+            assert_eq!(ok + failed, 4 * jobs.len() as u64);
+            assert_eq!(
+                metrics.histogram("farm.worker_busy_ns").count(),
+                4 * threads as u64,
+                "one busy-time sample per worker per batch"
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,6 @@ use std::fmt;
 
 use canti_fab::variation::Stats;
 
-use crate::telemetry::FarmTelemetry;
-
 /// A per-job or batch-level farm failure.
 ///
 /// Job failures are *per job*: one broken or panicking job surfaces here
@@ -113,30 +111,19 @@ impl JobOutput {
     }
 }
 
-/// The aggregated result of one batch run.
+/// The aggregated result of one batch run: the numerical payload and
+/// nothing else.
 ///
 /// Equality compares the batch seed and every job outcome — two reports
 /// from the same `(seed, jobs)` pair are `==` regardless of how many
-/// worker threads produced them, **and regardless of telemetry**: the
-/// [`FarmTelemetry`] section legitimately varies with scheduling and
-/// (under a wall clock) timing, so it is deliberately excluded from
-/// `PartialEq`. The numerical payload is the contract; telemetry is
-/// diagnostics.
-#[derive(Debug, Clone)]
+/// worker threads produced them and whether a [`crate::FarmObserver`]
+/// watched. Telemetry lives in the observer, never in the report.
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
     /// The seed every job's RNG stream was derived from.
     pub batch_seed: u64,
     /// Per-job outcomes, indexed exactly like the submitted job list.
     pub outcomes: Vec<Result<JobOutput, FarmError>>,
-    /// Stage/cache/worker telemetry, present when the farm ran with a
-    /// [`crate::FarmObserver`] attached.
-    pub telemetry: Option<FarmTelemetry>,
-}
-
-impl PartialEq for BatchReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.batch_seed == other.batch_seed && self.outcomes == other.outcomes
-    }
 }
 
 impl BatchReport {
@@ -238,7 +225,6 @@ mod tests {
                 }),
                 Ok(job(2, 3.0)),
             ],
-            telemetry: None,
         };
         assert_eq!(report.ok_count(), 2);
         assert_eq!(report.errors().count(), 1);
@@ -249,29 +235,6 @@ mod tests {
         let text = report.render();
         assert!(text.contains("2 ok"));
         assert!(text.contains("panicked"));
-    }
-
-    #[test]
-    fn equality_ignores_telemetry() {
-        let base = BatchReport {
-            batch_seed: 1,
-            outcomes: vec![Ok(job(0, 2.0))],
-            telemetry: None,
-        };
-        let mut observed = base.clone();
-        observed.telemetry = Some(FarmTelemetry {
-            workers: 8,
-            jobs: 1,
-            queue_wait_ns: Default::default(),
-            precompute_ns: Default::default(),
-            solve_ns: Default::default(),
-            cache: Default::default(),
-            per_worker: Vec::new(),
-        });
-        assert_eq!(base, observed, "telemetry must not affect report equality");
-        let mut different = base.clone();
-        different.batch_seed = 2;
-        assert_ne!(base, different);
     }
 
     #[test]

@@ -41,7 +41,6 @@ use std::sync::Arc;
 
 use crate::job::JobSpec;
 use crate::report::{BatchReport, FarmError, JobOutput};
-use crate::telemetry::FarmTelemetry;
 use crate::{Farm, WorkerStat};
 
 /// Retry, deadline and breaker policy for a supervised batch.
@@ -127,9 +126,9 @@ impl Default for Breaker {
 
 /// A [`BatchReport`] plus the supervision ledger that produced it.
 ///
-/// Equality compares the report (seed + outcomes, telemetry excluded)
-/// and the ledger — two supervised runs of the same batch are `==`
-/// regardless of worker count.
+/// Equality compares the report (seed + outcomes) and the ledger — two
+/// supervised runs of the same batch are `==` regardless of worker
+/// count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupervisedReport {
     /// Final per-job outcomes after retries, deadlines and the breaker.
@@ -258,7 +257,7 @@ impl FarmSupervisor {
         // slots, so later waves simply overwrite earlier failures.
         let mut outcomes: Vec<Option<Result<JobOutput, FarmError>>> = vec![None; jobs.len()];
         let mut attempts: Vec<u32> = vec![0; jobs.len()];
-        let mut per_worker: Vec<WorkerStat> = Vec::new();
+        let mut per_worker = vec![WorkerStat::default(); threads];
         let mut pending = runnable;
         let mut attempt = 0u32;
         while !pending.is_empty() && attempt < max_attempts {
@@ -279,7 +278,10 @@ impl FarmSupervisor {
                 attempt,
                 self.config.job_deadline_ns,
             );
-            merge_worker_stats(&mut per_worker, &stats);
+            for (total, wave) in per_worker.iter_mut().zip(&stats) {
+                total.jobs += wave.jobs;
+                total.busy_ns += wave.busy_ns;
+            }
             let mut still_failing = Vec::new();
             for (slot, &i) in wave.into_iter().zip(pending.iter()) {
                 attempts[i] += 1;
@@ -361,50 +363,29 @@ impl FarmSupervisor {
             .filter(|o| matches!(o, Err(FarmError::DeadlineExceeded { .. })))
             .count();
 
-        let telemetry = obs.map(|o| {
-            let ok = final_outcomes.iter().filter(|r| r.is_ok()).count() as u64;
-            o.metrics().counter("farm.supervised_batches").add(1);
-            o.metrics().gauge("farm.workers").set(threads as i64);
-            o.metrics().counter("farm.jobs_ok").add(ok);
-            o.metrics()
-                .counter("farm.jobs_failed")
-                .add(final_outcomes.len() as u64 - ok);
-            o.metrics()
+        runner.finish(threads, &final_outcomes, &per_worker);
+        if let Some(o) = obs {
+            let metrics = o.metrics();
+            metrics
                 .counter("farm.jobs_retried")
                 .add(retried_jobs as u64);
-            o.metrics()
-                .counter("farm.jobs_rejected")
-                .add(rejected as u64);
-            o.metrics().counter("farm.breaker_trips").add(trips as u64);
-            o.metrics()
+            metrics.counter("farm.jobs_rejected").add(rejected as u64);
+            metrics.counter("farm.breaker_trips").add(trips as u64);
+            metrics
                 .counter("farm.jobs_deadline")
                 .add(deadline_jobs as u64);
             for (kind, b) in &self.breakers {
-                o.metrics()
+                metrics
                     .gauge(&format!("breaker.state.{kind}"))
                     .set(b.position.gauge_value());
             }
-            let stages = runner
-                .stages
-                .as_ref()
-                .expect("observer implies instruments");
-            FarmTelemetry {
-                workers: threads,
-                jobs: jobs.len(),
-                queue_wait_ns: stages.queue_wait.snapshot(),
-                precompute_ns: stages.precompute.snapshot(),
-                solve_ns: stages.solve.snapshot(),
-                cache: self.farm.cache.stats(),
-                per_worker,
-            }
-        });
+        }
         drop(batch_span);
 
         SupervisedReport {
             report: BatchReport {
                 batch_seed: self.farm.config.batch_seed,
                 outcomes: final_outcomes,
-                telemetry,
             },
             attempts,
             retried_jobs,
@@ -435,18 +416,6 @@ fn emit_breaker_event(
     o.metrics()
         .gauge(&format!("breaker.state.{kind}"))
         .set(position.gauge_value());
-}
-
-/// Element-wise accumulation of wave worker stats; the first wave sizes
-/// the total.
-fn merge_worker_stats(total: &mut Vec<WorkerStat>, wave: &[WorkerStat]) {
-    if total.len() < wave.len() {
-        total.resize(wave.len(), WorkerStat::default());
-    }
-    for (t, w) in total.iter_mut().zip(wave.iter()) {
-        t.jobs += w.jobs;
-        t.busy_ns += w.busy_ns;
-    }
 }
 
 #[cfg(test)]
@@ -661,14 +630,13 @@ mod tests {
         let mut sup = FarmSupervisor::new(farm, config);
         let observed = sup.run(&jobs);
         assert_eq!(observed, plain, "telemetry must not perturb outcomes");
-        let telemetry = observed.report.telemetry.as_ref().expect("telemetry");
+        let metrics = sup.farm().observer().expect("observer").metrics();
         let total_execs: u64 = observed.attempts.iter().map(|&a| u64::from(a)).sum();
         assert_eq!(
-            telemetry.per_worker.iter().map(|w| w.jobs).sum::<u64>(),
+            metrics.histogram("farm.solve_ns").count(),
             total_execs,
             "every execution (retries included) is pool work"
         );
-        let metrics = sup.farm().observer().expect("observer").metrics();
         assert_eq!(
             metrics.counter("farm.jobs_retried").get(),
             plain.retried_jobs as u64

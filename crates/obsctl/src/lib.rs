@@ -33,9 +33,10 @@
 //! `canti_obs::timeline` writes, and `timeline --json` re-emits through
 //! that module's own line writers.
 //!
-//! `diff` understands every timing shape the workspace writes: the
-//! `ExperimentReport::to_json` document (`"timings": [...]`), NDJSON
-//! `farm_stage` records, and NDJSON metric-dump histogram lines.
+//! `diff` understands both timing shapes the workspace writes: the
+//! `ExperimentReport::to_json` document (`"timings": [...]`) and NDJSON
+//! metric-dump histogram lines (a farm telemetry artifact's
+//! `farm.*_ns` stage histograms among them).
 //! [`summary`] and [`trace_request`] have `*_json` twins emitting
 //! fixed-field NDJSON for machine consumers (`--json` on the binary).
 
@@ -113,7 +114,6 @@ pub struct StageSummary {
 ///
 /// Accepted shapes, unioned (first occurrence of a name wins):
 /// * `ExperimentReport::to_json`: `{"timings": [{"name", "p50_ns", ...}]}`
-/// * NDJSON farm records: `{"record":"farm_stage","stage",...,"p50_ns",..}`
 /// * NDJSON metric dumps: `{"metric":..,"type":"histogram","p50":..}`
 ///
 /// # Errors
@@ -136,7 +136,7 @@ pub fn load_stages(path: &Path) -> Result<Vec<(String, StageSummary)>, CliError>
         }
     };
 
-    // the bench/farm shapes suffix keys with `_ns`; metric dumps don't
+    // the bench shape suffixes keys with `_ns`; metric dumps don't
     let summarize = |doc: &Json, suffix: &str| -> Option<StageSummary> {
         let field = |key: &str| doc.get(&format!("{key}{suffix}")).and_then(Json::as_u64);
         Some(StageSummary {
@@ -159,15 +159,6 @@ pub fn load_stages(path: &Path) -> Result<Vec<(String, StageSummary)>, CliError>
                 }
             }
         }
-        // farm_stage NDJSON record
-        if doc.get("record").and_then(Json::as_str) == Some("farm_stage") {
-            if let (Some(name), Some(summary)) = (
-                doc.get("stage").and_then(Json::as_str),
-                summarize(doc, "_ns"),
-            ) {
-                push(name, summary);
-            }
-        }
         // metrics histogram dump line
         if doc.get("type").and_then(Json::as_str) == Some("histogram") {
             if let (Some(name), Some(summary)) =
@@ -180,8 +171,8 @@ pub fn load_stages(path: &Path) -> Result<Vec<(String, StageSummary)>, CliError>
 
     if stages.is_empty() {
         return Err(CliError::Input(format!(
-            "{}: no stage timings found (expected ExperimentReport timings, \
-             farm_stage records or histogram metric lines)",
+            "{}: no stage timings found (expected ExperimentReport timings \
+             or histogram metric lines)",
             path.display()
         )));
     }
@@ -1180,7 +1171,7 @@ mod tests {
     }
 
     #[test]
-    fn load_stages_reads_all_three_shapes() {
+    fn load_stages_reads_both_shapes() {
         let report = write_temp(
             "report",
             r#"{"timings": [{"name": "solve", "count": 5, "sum_ns": 50, "min_ns": 1, "max_ns": 20, "p50_ns": 10, "p95_ns": 20, "p99_ns": 20}]}"#,
@@ -1202,12 +1193,12 @@ mod tests {
 
         let ndjson = write_temp(
             "ndjson",
-            "{\"record\":\"farm_stage\",\"stage\":\"queue_wait\",\"count\":4,\"sum_ns\":40,\"p50_ns\":9,\"p95_ns\":11,\"max_ns\":12}\n\
+            "{\"metric\":\"farm.queue_wait_ns\",\"type\":\"histogram\",\"count\":4,\"sum\":40,\"p50\":9,\"p95\":11,\"max\":12}\n\
              {\"metric\":\"farm.solve_ns\",\"type\":\"histogram\",\"count\":4,\"sum\":40,\"min\":1,\"max\":30,\"p50\":8,\"p95\":30,\"p99\":30}\n",
         );
         let stages = load_stages(&ndjson).unwrap();
         assert_eq!(stages.len(), 2);
-        assert_eq!(stages[0].0, "queue_wait");
+        assert_eq!(stages[0].0, "farm.queue_wait_ns");
         // a legacy record without p99 still loads, with the tail absent
         assert_eq!((stages[0].1.p99_ns, stages[0].1.max_ns), (None, Some(12)));
         assert_eq!(stages[1].0, "farm.solve_ns");

@@ -33,10 +33,11 @@ SUBCOMMANDS:
               for the same artifact; pipe into flamegraph.pl / inferno.
     diff      Compare per-stage p50/p95/p99 latencies between a baseline
               and a candidate file. Accepts ExperimentReport JSON
-              (\"timings\": [...]), farm_stage NDJSON records, and
-              histogram metric-dump NDJSON lines. Exits 1 when any stage
-              regressed beyond the threshold — the CI perf gate. The p99
-              row appears only when both files carry it, so archived
+              (\"timings\": [...]) and histogram metric-dump NDJSON
+              lines (a farm telemetry artifact's farm.*_ns stage
+              histograms among them). Exits 1 when any stage regressed
+              beyond the threshold — the CI perf gate. The p99 row
+              appears only when both files carry it, so archived
               baselines keep diffing.
     trace     Reconstruct one request's span chain — the admission-side
               'request' span plus every farm 'job' span executed on its

@@ -6,6 +6,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::Arc;
 
+use canti_farm::{dose_response_sweep, Farm, FarmConfig, FarmObserver};
 use canti_obs::clock::VirtualClock;
 use canti_obs::serve::{Exposition, ExpositionServer, Registry, ServeObs, SloConfig};
 use canti_obs::timeline::{TimelineConfig, TimelineRecorder};
@@ -142,6 +143,67 @@ fn diff_detects_injected_p95_regression() {
     assert!(regressed[0].contains("farm.solve_ns"));
     assert!(regressed[0].contains("p95"));
     assert!(String::from_utf8_lossy(&out.stderr).contains("gate failed"));
+}
+
+/// A farm telemetry artifact written the way `sensor_farm --telemetry`
+/// writes one: an observed deterministic batch's metrics dump, then its
+/// trace ring.
+fn farm_artifact() -> String {
+    let (observer, ring) = FarmObserver::deterministic(4096);
+    let farm = Farm::new(FarmConfig {
+        batch_seed: 0xD1FF,
+        threads: 2,
+    })
+    .with_observer(observer.clone());
+    let report = farm.run(&dose_response_sweep(&[1.0, 10.0, 100.0]));
+    assert_eq!(report.ok_count(), 3);
+    let mut ndjson = observer.metrics().to_ndjson();
+    ndjson.push_str(&ring.to_ndjson());
+    ndjson
+}
+
+#[test]
+fn diff_reads_farm_telemetry_artifacts() {
+    let old = temp("farm-old", &farm_artifact());
+    let new = temp("farm-new", &farm_artifact());
+    let out = obsctl(&["diff", old.to_str().unwrap(), new.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for stage in ["farm.queue_wait_ns", "farm.precompute_ns", "farm.solve_ns"] {
+        assert!(
+            stdout
+                .lines()
+                .any(|l| l.starts_with(stage) && l.contains("p50")),
+            "no {stage} row: {stdout}"
+        );
+    }
+
+    // raise the solve p50 by 1 ms over double, past the default 25 % /
+    // 10 µs gate
+    let regressed: String = farm_artifact()
+        .lines()
+        .map(|line| {
+            let mut line = line.to_owned();
+            if line.contains("\"metric\":\"farm.solve_ns\"") {
+                let at = line.find("\"p50\":").expect("p50 field") + "\"p50\":".len();
+                let end = at + line[at..].find(',').expect("field after p50");
+                let p50: u64 = line[at..end].parse().expect("numeric p50");
+                line.replace_range(at..end, &(2 * p50 + 1_000_000).to_string());
+            }
+            line + "\n"
+        })
+        .collect();
+    let regressed = temp("farm-regressed", &regressed);
+    let out = obsctl(&["diff", old.to_str().unwrap(), regressed.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "a raised solve p50 must exit 1");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let tripped: Vec<&str> = stdout.lines().filter(|l| l.contains("REGRESSED")).collect();
+    assert_eq!(tripped.len(), 1, "{stdout}");
+    assert!(tripped[0].starts_with("farm.solve_ns") && tripped[0].contains("p50"));
 }
 
 #[test]

@@ -6,9 +6,11 @@
 //! (`jobs` defaults to 48; the CI smoke target uses 16).
 //!
 //! `--telemetry` attaches a wall-clock [`FarmObserver`]: the run prints
-//! per-stage latency histograms, cache counters and per-worker
-//! utilization, and writes the full NDJSON dump (stage records, metrics,
-//! trace events) to `target/farm_telemetry.ndjson`. Telemetry is strictly
+//! the observer's metrics registry (the queue-wait / precompute / solve
+//! stage histograms, job counters, worker gauge and per-worker busy
+//! time `farm.worker_busy_ns`), exits non-zero if a stage histogram is
+//! empty, and writes the registry's NDJSON dump followed by the trace
+//! events to `target/farm_telemetry.ndjson`. Telemetry is strictly
 //! additive — the report stays bit-identical to the untelemetered run,
 //! which the determinism check at the end re-verifies.
 //!
@@ -96,23 +98,17 @@ fn main() {
     );
 
     if let Some((observer, ring)) = observer {
-        let telemetry = report
-            .telemetry
-            .as_ref()
-            .expect("observed run carries telemetry");
-        println!("\n{}", telemetry.render());
-        print!("{}", observer.metrics().summary());
+        print!("\n{}", observer.metrics().summary());
 
         // a stage with zero samples means the instrumentation came unwired
-        for (name, snapshot) in telemetry.stages() {
-            if snapshot.count == 0 {
+        for name in ["farm.queue_wait_ns", "farm.precompute_ns", "farm.solve_ns"] {
+            if observer.metrics().histogram(name).count() == 0 {
                 eprintln!("stage histogram '{name}' has zero samples");
                 std::process::exit(1);
             }
         }
 
-        let mut ndjson = telemetry.to_ndjson();
-        ndjson.push_str(&observer.metrics().to_ndjson());
+        let mut ndjson = observer.metrics().to_ndjson();
         ndjson.push_str(&ring.to_ndjson());
         let path = "target/farm_telemetry.ndjson";
         std::fs::write(path, &ndjson).expect("write telemetry artifact");
@@ -194,15 +190,8 @@ fn run_chaos(seed: u64, telemetry_on: bool) {
     }
 
     if let Some((observer, ring)) = observer {
-        let telemetry = run
-            .report
-            .telemetry
-            .as_ref()
-            .expect("observed run carries telemetry");
-        println!("\n{}", telemetry.render());
-        print!("{}", observer.metrics().summary());
-        let mut ndjson = telemetry.to_ndjson();
-        ndjson.push_str(&observer.metrics().to_ndjson());
+        print!("\n{}", observer.metrics().summary());
+        let mut ndjson = observer.metrics().to_ndjson();
         ndjson.push_str(&ring.to_ndjson());
         let path = "target/chaos_telemetry.ndjson";
         std::fs::write(path, &ndjson).expect("write chaos telemetry artifact");

@@ -195,7 +195,11 @@ if [[ "${1:-}" == "smoke" ]]; then
     cargo run --release --example sensor_farm 16 --telemetry
     artifact=target/farm_telemetry.ndjson
     [[ -s "$artifact" ]] || { echo "missing telemetry artifact $artifact"; exit 1; }
-    grep -q '"record":"farm_stage"' "$artifact" || { echo "no stage records in $artifact"; exit 1; }
+    # each stage's registry histogram line, with a non-zero count
+    for stage in queue_wait precompute solve; do
+        grep -qE "\"metric\":\"farm\.${stage}_ns\",\"type\":\"histogram\",\"count\":[1-9]" "$artifact" \
+            || { echo "no non-empty farm.${stage}_ns histogram line in $artifact"; exit 1; }
+    done
     grep -q '"kind":"span_start"'   "$artifact" || { echo "no trace events in $artifact"; exit 1; }
     echo "telemetry artifact: $(wc -l < "$artifact") NDJSON records"
     # fails (exit 1) on an empty span tree or trace sequence gaps

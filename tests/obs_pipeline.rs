@@ -18,9 +18,7 @@ fn observed_batch() -> (FarmObserver, String) {
     let report = farm.run(&jobs);
     assert_eq!(report.ok_count(), 4, "all jobs succeed");
 
-    let telemetry = report.telemetry.expect("observed run carries telemetry");
-    let mut stream = telemetry.to_ndjson();
-    stream.push_str(&observer.metrics().to_ndjson());
+    let mut stream = observer.metrics().to_ndjson();
     stream.push_str(&ring.to_ndjson());
     (observer, stream)
 }
@@ -83,18 +81,21 @@ fn farm_metrics_render_to_prometheus_text() {
 
 #[test]
 fn stage_records_feed_the_diff_shape() {
-    // the farm_stage NDJSON records are one of the shapes obsctl diff
-    // accepts — check the fields it keys on are all present
+    // the registry's stage histogram lines are the shape obsctl diff
+    // reads from a farm artifact — check the fields it keys on are all
+    // present
     let (_observer, stream) = observed_batch();
     let docs = parse_ndjson(&stream).expect("artifact parses");
-    let stages: Vec<_> = docs
-        .iter()
-        .filter(|d| d.get("record").and_then(Json::as_str) == Some("farm_stage"))
-        .collect();
-    assert_eq!(stages.len(), 3, "queue_wait / precompute / solve");
-    for stage in stages {
-        for key in ["stage", "count", "sum_ns", "p50_ns", "p95_ns", "max_ns"] {
-            assert!(stage.get(key).is_some(), "farm_stage missing {key}");
+    for stage in ["farm.queue_wait_ns", "farm.precompute_ns", "farm.solve_ns"] {
+        let line = docs
+            .iter()
+            .find(|d| {
+                d.get("type").and_then(Json::as_str) == Some("histogram")
+                    && d.get("metric").and_then(Json::as_str) == Some(stage)
+            })
+            .unwrap_or_else(|| panic!("no {stage} histogram line"));
+        for key in ["count", "sum", "p50", "p95", "p99", "max"] {
+            assert!(line.get(key).is_some(), "{stage} missing {key}");
         }
     }
 }

@@ -41,27 +41,30 @@ fn batch_payload_is_bit_identical_with_telemetry_on_or_off() {
     let jobs = mixed_jobs();
     let oracle = farm(1).run(&jobs);
     assert_eq!(oracle.ok_count(), jobs.len(), "all jobs must succeed");
-    assert!(oracle.telemetry.is_none());
 
     for threads in [1, 2, 8] {
         let (observer, _ring) = FarmObserver::deterministic(16_384);
-        let observed = farm(threads).with_observer(observer).run(&jobs);
-        // BatchReport equality covers seed + outcomes and ignores the
-        // telemetry section by design — this IS the payload comparison
+        let observed = farm(threads).with_observer(observer.clone()).run(&jobs);
+        // BatchReport equality covers seed + outcomes, and the report
+        // holds nothing else — this IS the payload comparison
         assert_eq!(observed, oracle, "payload diverged at {threads} threads");
-        let t = observed.telemetry.expect("observer => telemetry");
-        assert_eq!(t.jobs, jobs.len());
-        assert_eq!(t.workers, threads);
-        assert_eq!(t.queue_wait_ns.count, jobs.len() as u64);
-        assert_eq!(t.solve_ns.count, jobs.len() as u64);
+        let m = observer.metrics();
+        let n = jobs.len() as u64;
+        assert_eq!(
+            m.counter("farm.jobs_ok").get() + m.counter("farm.jobs_failed").get(),
+            n
+        );
+        assert_eq!(m.gauge("farm.workers").get(), threads as i64);
+        assert_eq!(m.histogram("farm.queue_wait_ns").count(), n);
+        assert_eq!(m.histogram("farm.solve_ns").count(), n);
         assert!(
-            t.precompute_ns.count > 0,
+            m.histogram("farm.precompute_ns").count() > 0,
             "cache-backed jobs must sample the precompute stage"
         );
-        assert_eq!(t.per_worker.len(), threads.min(jobs.len()));
         assert_eq!(
-            t.per_worker.iter().map(|w| w.jobs).sum::<u64>(),
-            jobs.len() as u64
+            m.histogram("farm.worker_busy_ns").count(),
+            threads as u64,
+            "one busy-time sample per worker"
         );
     }
 }
