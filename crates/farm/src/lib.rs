@@ -64,7 +64,7 @@ pub use job::{
     chaos_scan_batch, cross_reactivity_panel, dose_response_sweep, process_variation_batch,
     JobSpec, ProbeMode, Receptor,
 };
-pub use pool::{PoolHook, WorkerPool, WorkerStat};
+pub use pool::{WorkerPool, WorkerStat};
 pub use report::{BatchReport, FarmError, JobOutput};
 pub use supervisor::{BreakerPosition, FarmSupervisor, SupervisedReport, SupervisorConfig};
 pub use telemetry::FarmObserver;
@@ -98,7 +98,6 @@ pub struct Farm {
     /// the first batch that needs more than one thread; kept for the
     /// farm's lifetime either way.
     pool: OnceLock<Arc<WorkerPool>>,
-    sabotage: Option<PoolHook>,
 }
 
 impl std::fmt::Debug for Farm {
@@ -107,7 +106,6 @@ impl std::fmt::Debug for Farm {
             .field("config", &self.config)
             .field("observed", &self.observer.is_some())
             .field("pooled", &self.pool.get().is_some())
-            .field("sabotaged", &self.sabotage.is_some())
             .finish()
     }
 }
@@ -128,7 +126,6 @@ impl Farm {
             cache,
             observer: None,
             pool: OnceLock::new(),
-            sabotage: None,
         }
     }
 
@@ -142,17 +139,6 @@ impl Farm {
     #[must_use]
     pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = OnceLock::from(pool);
-        self
-    }
-
-    /// Attaches a [`PoolHook`] the pool's workers call before each job,
-    /// outside the per-job panic harness — the serve chaos seam for
-    /// simulating harness-level worker deaths. It fires on every pooled
-    /// farm: one with an attached pool, or with more than one thread.
-    /// The sequential 1-thread oracle stays hook-free.
-    #[must_use]
-    pub fn with_sabotage(mut self, hook: PoolHook) -> Self {
-        self.sabotage = Some(hook);
         self
     }
 
@@ -263,7 +249,7 @@ impl Farm {
         let pool = self
             .pool
             .get_or_init(|| Arc::new(WorkerPool::new(self.threads())));
-        pool.run(n, job, clock, self.sabotage.clone())
+        pool.run(n, job, clock)
     }
 
     /// Runs a batch, returning one outcome per job in submission order.

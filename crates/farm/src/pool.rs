@@ -19,13 +19,10 @@
 //! means a bug in the farm harness itself — which is exactly when
 //! "finish the batch, then fail loudly" beats hanging the caller.
 //!
-//! A panic that escapes the job harness itself (the sabotage hook is the
-//! one deliberate source) kills the worker thread: the claimed job's slot
-//! is poisoned and the job is retired so the caller can never hang. If
-//! the *last* live worker dies, every still-queued job is retired as
-//! poisoned too — callers always get an answer (a re-raise), never a
-//! wedge — and later submissions panic. A pool is never repaired in
-//! place; a restarted serve shard builds a fresh one.
+//! Nothing else a worker runs can panic: the slot write drops only
+//! `Slot::Empty`, because each job index is claimed once, and every lock
+//! recovers from poisoning. So a worker lives as long as its pool, and a
+//! pool that re-raised a job panic serves the next batch at full width.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -37,12 +34,6 @@ use canti_obs::ObsClock;
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
-
-/// A per-job hook the pool calls **outside** the job harness's own
-/// `catch_unwind`, with the batch-local job index about to run. A panic
-/// here unwinds the worker thread itself — this is the serve chaos
-/// seam's way of simulating a worker death rather than a job failure.
-pub type PoolHook = Arc<dyn Fn(usize) + Send + Sync>;
 
 /// Per-worker utilization tallies from one pool run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,14 +67,9 @@ struct BatchTask {
     pending: AtomicUsize,
     /// Set under the pool lock when `pending` hits zero.
     complete: AtomicBool,
-    /// Runs one job and records its result in the caller's slot vector.
+    /// Runs one job and records its result, or its panic, in the
+    /// caller's slot vector.
     run: Box<dyn Fn(usize) + Send + Sync>,
-    /// Records a harness-level panic payload in the job's slot, so a
-    /// dying (or orphan-aborting) worker can poison without running.
-    poison: Box<dyn Fn(usize, Box<dyn std::any::Any + Send>) + Send + Sync>,
-    /// Chaos seam: called outside the job harness's `catch_unwind`, so a
-    /// panic here kills the worker thread (see [`PoolHook`]).
-    sabotage: Option<PoolHook>,
     /// Busy-time clock, when the caller wants utilization timed.
     clock: Option<Arc<dyn ObsClock>>,
     /// Per-worker tallies, indexed by worker slot (pool thread index).
@@ -93,11 +79,6 @@ struct BatchTask {
 struct PoolState {
     queue: VecDeque<Arc<BatchTask>>,
     shutdown: bool,
-    /// Worker threads still running their loop. Mutated only under this
-    /// lock so submission's liveness check and a worker's death are
-    /// serialized: a batch admitted while `live > 0` is either finished
-    /// by surviving workers or orphan-aborted by the last one to die.
-    live: usize,
 }
 
 struct PoolShared {
@@ -159,7 +140,6 @@ impl WorkerPool {
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
                 shutdown: false,
-                live: threads,
             }),
             work: Condvar::new(),
             done: Condvar::new(),
@@ -189,24 +169,18 @@ impl WorkerPool {
     /// Runs `f(i)` for every `i in 0..n` on the pool's workers and
     /// returns the results in index order, plus per-worker utilization:
     /// job counts always, busy time when `clock` is provided (one entry
-    /// per pool thread; idle workers report zero jobs). `sabotage`, when
-    /// set, is a [`PoolHook`] the workers call outside the job harness —
-    /// the serve chaos seam: a hook panic kills the running worker (its
-    /// job's slot poisons, the batch still completes or orphan-aborts,
-    /// the payload re-raises here).
+    /// per pool thread; idle workers report zero jobs).
     ///
     /// # Panics
     ///
-    /// Panics if the pool is shut down or every worker has died (a
-    /// worker dies only by a [`PoolHook`] panic). If `f` panics, the
-    /// batch still completes (and later batches still run — the worker
-    /// thread survives); the first panic payload is then re-raised here.
+    /// Panics if the pool is shut down. If `f` panics, the batch still
+    /// completes (and later batches still run — the worker thread
+    /// survives); the first panic payload is then re-raised here.
     pub fn run<T, F>(
         &self,
         n: usize,
         f: F,
         clock: Option<Arc<dyn ObsClock>>,
-        sabotage: Option<PoolHook>,
     ) -> (Vec<T>, Vec<WorkerStat>)
     where
         T: Send + 'static,
@@ -229,20 +203,12 @@ impl WorkerPool {
                 };
             }) as Box<dyn Fn(usize) + Send + Sync>
         };
-        let poison = {
-            let slots = Arc::clone(&slots);
-            Box::new(move |i: usize, payload: Box<dyn std::any::Any + Send>| {
-                *lock(&slots[i]) = Slot::Poisoned(payload);
-            }) as Box<dyn Fn(usize, Box<dyn std::any::Any + Send>) + Send + Sync>
-        };
         let task = Arc::new(BatchTask {
             n,
             next: AtomicUsize::new(0),
             pending: AtomicUsize::new(n),
             complete: AtomicBool::new(false),
             run,
-            poison,
-            sabotage,
             clock,
             stats: (0..self.threads)
                 .map(|_| Mutex::new(WorkerStat::default()))
@@ -251,7 +217,6 @@ impl WorkerPool {
         {
             let mut state = lock(&self.shared.state);
             assert!(!state.shutdown, "worker pool is shut down");
-            assert!(state.live > 0, "worker pool has no live workers");
             state.queue.push_back(Arc::clone(&task));
         }
         self.shared.work.notify_all();
@@ -341,15 +306,8 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
                 break;
             }
             let t0 = task.clock.as_ref().map(|c| c.now_ns());
-            // `run` catches the job's own panics internally (slot
-            // poisoning); a panic escaping THIS catch is harness-level —
-            // in practice the sabotage hook — and kills the worker.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(hook) = &task.sabotage {
-                    hook(i);
-                }
-                (task.run)(i);
-            }));
+            // `run` catches the job's own panic into its slot
+            (task.run)(i);
             {
                 let mut stat = lock(&task.stats[worker]);
                 if let (Some(t0), Some(c)) = (t0, task.clock.as_ref()) {
@@ -357,20 +315,9 @@ fn worker_loop(shared: &PoolShared, worker: usize) {
                 }
                 stat.jobs += 1;
             }
-            let fatal = match outcome {
-                Ok(()) => false,
-                Err(payload) => {
-                    (task.poison)(i, payload);
-                    true
-                }
-            };
             // stats are written before the retire below, so the caller's
             // post-completion read sees them
             retire_job(shared, &task);
-            if fatal {
-                worker_died(shared);
-                return;
-            }
         }
     }
 }
@@ -388,39 +335,6 @@ fn retire_job(shared: &PoolShared, task: &Arc<BatchTask>) {
     }
 }
 
-/// Books a harness-level worker death. The dying worker already retired
-/// the job it was running; if it was the LAST live worker, it also
-/// claims and poisons every job still queued (in any batch) so blocked
-/// callers re-raise instead of wedging. The liveness decrement and the
-/// orphan snapshot happen under the state lock, mutually exclusive with
-/// submission's `live > 0` check — no batch can slip in unanswered.
-fn worker_died(shared: &PoolShared) {
-    let orphans: Vec<Arc<BatchTask>> = {
-        let mut state = lock(&shared.state);
-        state.live -= 1;
-        if state.live == 0 {
-            state.queue.iter().cloned().collect()
-        } else {
-            Vec::new()
-        }
-    };
-    for task in orphans {
-        loop {
-            let i = task.next.fetch_add(1, Ordering::Relaxed);
-            if i >= task.n {
-                break;
-            }
-            (task.poison)(
-                i,
-                Box::new(format!(
-                    "canti-farm pool: job {i} abandoned — no live workers"
-                )),
-            );
-            retire_job(shared, &task);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,23 +343,20 @@ mod tests {
 
     #[test]
     fn results_are_in_submission_order() {
-        let out = WorkerPool::new(4).run(64, |i| i, None, None).0;
+        let out = WorkerPool::new(4).run(64, |i| i, None).0;
         assert_eq!(out, (0..64).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_single_job_batches() {
         let pool = WorkerPool::new(4);
-        assert_eq!(pool.run(0, |i| i, None, None).0, Vec::<usize>::new());
-        assert_eq!(pool.run(1, |i| i + 10, None, None).0, vec![10]);
+        assert_eq!(pool.run(0, |i| i, None).0, Vec::<usize>::new());
+        assert_eq!(pool.run(1, |i| i + 10, None).0, vec![10]);
     }
 
     #[test]
     fn more_threads_than_jobs() {
-        assert_eq!(
-            WorkerPool::new(16).run(3, |i| i, None, None).0,
-            vec![0, 1, 2]
-        );
+        assert_eq!(WorkerPool::new(16).run(3, |i| i, None).0, vec![0, 1, 2]);
     }
 
     /// Regression: a panic in the FIRST job of a multi-job batch must not
@@ -467,7 +378,6 @@ mod tests {
                     i
                 },
                 None,
-                None,
             )
             .0
         }));
@@ -486,7 +396,7 @@ mod tests {
 
     #[test]
     fn worker_stats_cover_every_job() {
-        let (out, stats) = WorkerPool::new(4).run(40, |i| i, None, None);
+        let (out, stats) = WorkerPool::new(4).run(40, |i| i, None);
         assert_eq!(out.len(), 40);
         assert_eq!(stats.len(), 4);
         assert_eq!(stats.iter().map(|s| s.jobs).sum::<u64>(), 40);
@@ -505,14 +415,14 @@ mod tests {
         let pool = WorkerPool::new(2);
 
         let wall: Arc<dyn ObsClock> = Arc::new(canti_obs::WallClock::new());
-        let (_, stats) = pool.run(8, spin, Some(wall), None);
+        let (_, stats) = pool.run(8, spin, Some(wall));
         assert!(
             stats.iter().map(|s| s.busy_ns).sum::<u64>() > 0,
             "real work under a wall clock must accumulate busy time"
         );
 
         let frozen: Arc<dyn ObsClock> = Arc::new(VirtualClock::new());
-        let (_, stats) = pool.run(8, spin, Some(frozen), None);
+        let (_, stats) = pool.run(8, spin, Some(frozen));
         assert_eq!(stats.iter().map(|s| s.jobs).sum::<u64>(), 8);
         assert!(
             stats.iter().all(|s| s.busy_ns == 0),
@@ -527,7 +437,7 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let pool = WorkerPool::new(threads);
             assert_eq!(
-                pool.run(100, f, None, None).0,
+                pool.run(100, f, None).0,
                 oracle,
                 "{threads} persistent workers"
             );
@@ -538,7 +448,7 @@ mod tests {
     fn persistent_pool_is_reused_across_batches() {
         let pool = WorkerPool::new(3);
         for round in 0..10u64 {
-            let out = pool.run(16, move |i| i as u64 + round, None, None).0;
+            let out = pool.run(16, move |i| i as u64 + round, None).0;
             assert_eq!(out, (0..16).map(|i| i + round).collect::<Vec<_>>());
         }
     }
@@ -546,10 +456,10 @@ mod tests {
     #[test]
     fn persistent_pool_empty_batch_and_stats_shape() {
         let pool = WorkerPool::new(4);
-        let (out, stats) = pool.run(0, |i| i, None, None);
+        let (out, stats) = pool.run(0, |i| i, None);
         assert_eq!(out, Vec::<usize>::new());
         assert_eq!(stats.len(), 4, "one stat slot per pool thread");
-        let (out, stats) = pool.run(40, |i| i, None, None);
+        let (out, stats) = pool.run(40, |i| i, None);
         assert_eq!(out.len(), 40);
         assert_eq!(stats.iter().map(|s| s.jobs).sum::<u64>(), 40);
     }
@@ -563,7 +473,6 @@ mod tests {
             5,
             move |_| job_clock.advance_ns(10),
             Some(clock as Arc<dyn ObsClock>),
-            None,
         );
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].jobs, 5);
@@ -591,7 +500,6 @@ mod tests {
                         i
                     },
                     None,
-                    None,
                 )
                 .0
         }));
@@ -607,7 +515,7 @@ mod tests {
         );
         // subsequent batches still run on the same workers
         assert_eq!(
-            pool.run(8, |i| i * 2, None, None).0,
+            pool.run(8, |i| i * 2, None).0,
             vec![0, 2, 4, 6, 8, 10, 12, 14]
         );
     }
@@ -630,7 +538,6 @@ mod tests {
                         i
                     },
                     None,
-                    None,
                 )
                 .0
         });
@@ -648,10 +555,10 @@ mod tests {
     #[test]
     fn double_shutdown_is_a_noop_and_late_submission_panics() {
         let pool = WorkerPool::new(2);
-        assert_eq!(pool.run(4, |i| i, None, None).0, vec![0, 1, 2, 3]);
+        assert_eq!(pool.run(4, |i| i, None).0, vec![0, 1, 2, 3]);
         pool.shutdown();
         pool.shutdown(); // second call must return immediately
-        let late = catch_unwind(AssertUnwindSafe(|| pool.run(1, |i| i, None, None).0));
+        let late = catch_unwind(AssertUnwindSafe(|| pool.run(1, |i| i, None).0));
         let payload = late.expect_err("submission after shutdown must panic");
         let message = payload
             .downcast_ref::<String>()
@@ -674,12 +581,79 @@ mod tests {
         let callers: Vec<_> = (0..4u64)
             .map(|c| {
                 let pool = Arc::clone(&pool);
-                std::thread::spawn(move || pool.run(32, move |i| i as u64 * 10 + c, None, None).0)
+                std::thread::spawn(move || pool.run(32, move |i| i as u64 * 10 + c, None).0)
             })
             .collect();
         for (c, handle) in callers.into_iter().enumerate() {
             let out = handle.join().expect("caller");
             assert_eq!(out, (0..32).map(|i| i * 10 + c as u64).collect::<Vec<_>>());
         }
+    }
+
+    /// A multi-thread farm with no attached pool builds one pool on its
+    /// first batch and keeps it: three batches and a supervisor's retry
+    /// waves all run on that pool, and every report still equals the
+    /// 1-thread oracle. The jobs are the golden-scenario mix, so the pin
+    /// covers the real simulation substrates.
+    #[test]
+    fn an_unattached_multi_thread_farm_runs_every_batch_and_retry_wave_on_one_pool() {
+        use crate::{
+            cross_reactivity_panel, dose_response_sweep, process_variation_batch, Farm, FarmConfig,
+            FarmSupervisor, JobSpec, ProbeMode, SupervisorConfig,
+        };
+
+        let concentrations: Vec<f64> = (0..20)
+            .map(|i| 0.2 * 10f64.powf(0.2 * f64::from(i)))
+            .collect();
+        let interferents: Vec<f64> = (0..6).map(|i| f64::from(i) * 40.0).collect();
+        let mut jobs = dose_response_sweep(&concentrations);
+        jobs.extend(cross_reactivity_panel(25.0, &interferents));
+        jobs.extend(process_variation_batch(6, 0.05));
+        jobs.extend((1..5).map(|d| JobSpec::Probe(ProbeMode::Draws(d))));
+        let config = |threads| FarmConfig {
+            batch_seed: 0x0E0E_5EED,
+            threads,
+        };
+        let oracle = Farm::new(config(1)).run(&jobs);
+
+        let farm = Farm::new(config(2));
+        assert!(farm.pool.get().is_none(), "no pool before the first batch");
+        assert_eq!(
+            farm.run(&jobs),
+            oracle,
+            "round 0: report diverged from the oracle"
+        );
+        let pool = Arc::clone(farm.pool.get().expect("the first batch builds the pool"));
+        assert_eq!(pool.threads(), 2);
+        for round in 1..3 {
+            assert_eq!(
+                farm.run(&jobs),
+                oracle,
+                "round {round}: report diverged from the oracle"
+            );
+            assert!(
+                Arc::ptr_eq(farm.pool.get().expect("kept"), &pool),
+                "round {round} ran on another pool"
+            );
+        }
+
+        let mut supervisor = FarmSupervisor::new(
+            farm,
+            SupervisorConfig {
+                max_attempts: 4,
+                breaker_threshold: 0,
+                ..SupervisorConfig::default()
+            },
+        );
+        let flaky = vec![JobSpec::Probe(ProbeMode::Flaky { p_fail: 0.5 }); 24];
+        let supervised = supervisor.run(&flaky);
+        assert!(
+            supervised.retried_jobs > 0,
+            "a 0.5 failure rate must force retry waves"
+        );
+        assert!(
+            Arc::ptr_eq(supervisor.farm().pool.get().expect("kept"), &pool),
+            "the retry waves ran on another pool"
+        );
     }
 }

@@ -10,7 +10,9 @@
 //! exceptions. This crate does the same for the simulated instrument:
 //! faults are **values** ([`FaultKind`]) scheduled on a **plan**
 //! ([`FaultPlan`]), drawn per measurement attempt through a
-//! [`FaultInjector`] seam the readout chain consults.
+//! [`FaultInjector`] seam the readout chain consults. One tier up, a
+//! [`ServeFaultPlan`] scripts the serving substrate's one fault: a
+//! shard killed before a given batch.
 //!
 //! # Determinism contract
 //!
@@ -47,7 +49,7 @@ mod plan;
 mod serve_plan;
 
 pub use plan::{ChaosConfig, FaultEvent, FaultPlan};
-pub use serve_plan::{BatchFaults, ServeChaos, ServeFaultEvent, ServeFaultKind, ServeFaultPlan};
+pub use serve_plan::{ServeChaos, ServeFaultEvent, ServeFaultPlan};
 
 use std::fmt;
 

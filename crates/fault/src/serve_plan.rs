@@ -1,72 +1,42 @@
-//! Serve-tier fault plans: scripted failures of the serving substrate.
+//! Serve-tier fault plans: scripted shard kills.
 //!
 //! [`FaultPlan`](crate::FaultPlan) perturbs *measurements* — the
 //! instrument keeps running and produces wrong numbers. A
-//! [`ServeFaultPlan`] instead attacks the serving machinery itself:
-//! a worker thread dies mid-job, a batcher stalls, a whole shard is
-//! killed before a batch executes. The serve layer's self-healing path
-//! (failover routing, pool resurrection, shard restart) is exercised by
-//! replaying these plans deterministically.
+//! [`ServeFaultPlan`] instead attacks the serving machinery itself: it
+//! kills a whole shard before one of its batches executes. The serve
+//! layer's self-healing path (terminal answers, failover routing, shard
+//! restart) is exercised by replaying these plans deterministically.
 //!
 //! # Determinism contract
 //!
-//! Every trigger is keyed to quantities the serve layer decides on one
-//! thread before any parallelism starts: the shard's **batch index**
-//! (batch formation is a pure function of the arrival script) and the
-//! shard's **cumulative executed-job number** in admission order. No
-//! trigger reads wall-clock time, queue races or worker identity, so a
-//! scripted chaos run fires the same faults at the same points at any
-//! worker count. [`ServeFaultPlan::default`] is empty, and the serve
-//! layer is required to be bit-identical under an empty plan to a build
-//! with no plan at all.
+//! A kill is keyed to the shard's **batch index**, which the serve
+//! layer decides on one thread before any parallelism starts (batch
+//! formation is a pure function of the arrival script). No trigger
+//! reads wall-clock time, queue races or worker identity, so a scripted
+//! chaos run fires the same kills at the same points at any worker
+//! count. [`ServeFaultPlan::default`] is empty, and the serve layer is
+//! required to be bit-identical under an empty plan to a build with no
+//! plan at all.
 
-/// One way to break the serving substrate, as a value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeFaultKind {
-    /// Kill the pool worker that picks up the shard's `job`-th executed
-    /// job (0-based, cumulative across batches in admission order): the
-    /// worker thread dies at harness level, poisoning the job's slot and
-    /// leaving the pool one thread short.
-    WorkerPanic {
-        /// Cumulative executed-job number within the shard.
-        job: u64,
-    },
-    /// Stall the batcher for `ns` wall nanoseconds before executing the
-    /// shard's batch `batch` (capped by the executor; the stall is also
-    /// recorded as a `batcher_stall` trace event, which is the only
-    /// observable effect under a virtual clock).
-    BatcherStall {
-        /// Shard-local batch index the stall precedes.
-        batch: u64,
-        /// Stall duration, wall ns.
-        ns: u64,
-    },
-    /// Kill the whole shard before executing its batch `batch`: the
-    /// executor panics, the batcher dies, and every outstanding request
-    /// on the shard must be answered terminally by the supervisor.
-    ShardKill {
-        /// Shard-local batch index the kill precedes.
-        batch: u64,
-    },
-}
-
-/// One scheduled serve fault: which shard, and what happens to it.
+/// One scheduled shard kill: the shard's executor panics before its
+/// batch `batch` executes, its batcher dies, and every outstanding
+/// request on the shard must be answered terminally by the supervisor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeFaultEvent {
-    /// The shard the fault targets.
+    /// The shard killed.
     pub shard: usize,
-    /// What happens.
-    pub kind: ServeFaultKind,
+    /// Shard-local batch index the kill precedes.
+    pub batch: u64,
 }
 
-/// A scripted schedule of serve-tier faults.
+/// A scripted schedule of shard kills.
 ///
 /// The default plan is empty and provably inert: the serve layer built
 /// with `ServeFaultPlan::default()` is byte-identical to one built with
 /// no plan at all.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServeFaultPlan {
-    /// The scheduled faults, in no particular order (triggers are
+    /// The scheduled kills, in no particular order (triggers are
     /// absolute, not sequential).
     pub events: Vec<ServeFaultEvent>,
 }
@@ -88,13 +58,10 @@ impl ServeFaultPlan {
     /// batch executes.
     #[must_use]
     pub fn kill_shard(shard: usize, batch: u64) -> Self {
-        Self::new(vec![ServeFaultEvent {
-            shard,
-            kind: ServeFaultKind::ShardKill { batch },
-        }])
+        Self::new(vec![ServeFaultEvent { shard, batch }])
     }
 
-    /// A seeded smoke plan for `shards` shards: one `ShardKill` of a
+    /// A seeded smoke plan for `shards` shards: one kill of a
     /// deterministically chosen **non-zero** shard before its first
     /// batch. Keeping shard 0 alive guarantees rerouted traffic lands on
     /// a shard whose telemetry artifact the CI gate reads.
@@ -112,46 +79,14 @@ impl ServeFaultPlan {
         let victim = 1 + (seed % (shards as u64 - 1)) as usize;
         Self::kill_shard(victim, 0)
     }
-
-    /// The events targeting one shard, in plan order.
-    #[must_use]
-    pub fn for_shard(&self, shard: usize) -> Vec<ServeFaultEvent> {
-        self.events
-            .iter()
-            .copied()
-            .filter(|e| e.shard == shard)
-            .collect()
-    }
 }
 
-/// What a [`ServeChaos`] injector decided for one batch about to
-/// execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BatchFaults {
-    /// Stall the batcher this many wall ns before executing.
-    pub stall_ns: Option<u64>,
-    /// Kill the shard instead of executing the batch.
-    pub kill: bool,
-    /// Kill the worker that runs this batch-local job slot.
-    pub panic_job: Option<usize>,
-}
-
-impl BatchFaults {
-    /// Whether nothing fires on this batch.
-    #[must_use]
-    pub fn is_none(&self) -> bool {
-        self.stall_ns.is_none() && !self.kill && self.panic_job.is_none()
-    }
-}
-
-/// The per-shard serve-fault injector: consumes a shard's slice of a
-/// [`ServeFaultPlan`] as batches execute. Each event fires at most
-/// once; the only state is the cumulative executed-job counter that
-/// translates a plan's absolute job number into a batch-local slot.
+/// The per-shard serve-fault injector: holds the batch indexes a
+/// [`ServeFaultPlan`] still schedules for one shard, and consumes each
+/// as its batch executes, so every kill fires at most once.
 #[derive(Debug, Clone)]
 pub struct ServeChaos {
-    events: Vec<(ServeFaultEvent, bool)>,
-    jobs_run: u64,
+    kills: Vec<u64>,
 }
 
 impl ServeChaos {
@@ -159,53 +94,29 @@ impl ServeChaos {
     #[must_use]
     pub fn new(plan: &ServeFaultPlan, shard: usize) -> Self {
         Self {
-            events: plan
-                .for_shard(shard)
-                .into_iter()
-                .map(|e| (e, false))
+            kills: plan
+                .events
+                .iter()
+                .filter(|e| e.shard == shard)
+                .map(|e| e.batch)
                 .collect(),
-            jobs_run: 0,
         }
     }
 
-    /// Whether the injector has no events at all (fired or not) — an
-    /// empty injector must be behaviorally identical to no injector.
+    /// Whether the injector has no kill left to fire; at construction,
+    /// whether its shard's slice of the plan is empty — an empty
+    /// injector must be behaviorally identical to no injector.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.kills.is_empty()
     }
 
-    /// Decides what fires on the batch with shard-local index
-    /// `batch_index` carrying `batch_len` jobs, and advances the job
-    /// counter. The counter advances even when the batch is killed: the
-    /// batch's membership was already decided deterministically, so its
-    /// job numbers are consumed either way.
-    pub fn on_batch(&mut self, batch_index: u64, batch_len: usize) -> BatchFaults {
-        let mut out = BatchFaults::default();
-        let first_job = self.jobs_run;
-        let end_job = first_job + batch_len as u64;
-        for (event, fired) in &mut self.events {
-            if *fired {
-                continue;
-            }
-            match event.kind {
-                ServeFaultKind::BatcherStall { batch, ns } if batch == batch_index => {
-                    out.stall_ns = Some(ns);
-                    *fired = true;
-                }
-                ServeFaultKind::ShardKill { batch } if batch == batch_index => {
-                    out.kill = true;
-                    *fired = true;
-                }
-                ServeFaultKind::WorkerPanic { job } if job >= first_job && job < end_job => {
-                    out.panic_job = Some((job - first_job) as usize);
-                    *fired = true;
-                }
-                _ => {}
-            }
-        }
-        self.jobs_run = end_job;
-        out
+    /// Whether the shard dies before its batch `batch_index`: consumes
+    /// every kill scheduled for that index.
+    pub fn on_batch(&mut self, batch_index: u64) -> bool {
+        let scheduled = self.kills.len();
+        self.kills.retain(|&batch| batch != batch_index);
+        self.kills.len() < scheduled
     }
 }
 
@@ -220,7 +131,7 @@ mod tests {
         let mut chaos = ServeChaos::new(&plan, 0);
         assert!(chaos.is_empty());
         for batch in 0..4 {
-            assert!(chaos.on_batch(batch, 3).is_none());
+            assert!(!chaos.on_batch(batch));
         }
     }
 
@@ -228,43 +139,12 @@ mod tests {
     fn shard_kill_fires_once_on_its_batch() {
         let plan = ServeFaultPlan::kill_shard(1, 2);
         let mut other = ServeChaos::new(&plan, 0);
-        assert!(other.on_batch(2, 4).is_none(), "wrong shard never fires");
+        assert!(!other.on_batch(2), "wrong shard never fires");
         let mut chaos = ServeChaos::new(&plan, 1);
-        assert!(chaos.on_batch(0, 4).is_none());
-        assert!(chaos.on_batch(1, 4).is_none());
-        assert!(chaos.on_batch(2, 4).kill, "fires on batch 2");
-        assert!(chaos.on_batch(2, 4).is_none(), "never twice");
-    }
-
-    #[test]
-    fn worker_panic_translates_to_a_batch_local_slot() {
-        let plan = ServeFaultPlan::new(vec![ServeFaultEvent {
-            shard: 0,
-            kind: ServeFaultKind::WorkerPanic { job: 5 },
-        }]);
-        let mut chaos = ServeChaos::new(&plan, 0);
-        assert!(chaos.on_batch(0, 3).is_none(), "jobs 0..3");
-        let f = chaos.on_batch(1, 4); // jobs 3..7: job 5 is slot 2
-        assert_eq!(f.panic_job, Some(2));
-        assert!(chaos.on_batch(2, 4).is_none(), "consumed");
-    }
-
-    #[test]
-    fn stall_and_kill_can_share_a_batch() {
-        let plan = ServeFaultPlan::new(vec![
-            ServeFaultEvent {
-                shard: 2,
-                kind: ServeFaultKind::BatcherStall { batch: 1, ns: 50 },
-            },
-            ServeFaultEvent {
-                shard: 2,
-                kind: ServeFaultKind::ShardKill { batch: 1 },
-            },
-        ]);
-        let mut chaos = ServeChaos::new(&plan, 2);
-        let f = chaos.on_batch(1, 2);
-        assert_eq!(f.stall_ns, Some(50));
-        assert!(f.kill);
+        assert!(!chaos.on_batch(0));
+        assert!(!chaos.on_batch(1));
+        assert!(chaos.on_batch(2), "fires on batch 2");
+        assert!(!chaos.on_batch(2), "never twice");
     }
 
     #[test]

@@ -325,8 +325,8 @@ pub fn diff(old: &Path, new: &Path, opts: DiffOptions) -> Result<DiffReport, Cli
 /// --json record name, line printed when none of them fired, event
 /// names in reporting order)`. Instrument-side fault injection and
 /// recovery plus farm supervision; the serve layer's shard lifecycle
-/// (down → failover → recovered) plus scripted batcher stalls; its
-/// result cache (admission-time hits and misses, in-flight coalescing).
+/// (down → failover → recovered); its result cache (admission-time hits
+/// and misses, in-flight coalescing).
 const EVENT_FAMILIES: [(&str, &str, &str, &[&str]); 3] = [
     (
         "fault health",
@@ -348,7 +348,7 @@ const EVENT_FAMILIES: [(&str, &str, &str, &[&str]); 3] = [
         "shard health",
         "shard",
         "shard health: clean (no shard failures or failovers)",
-        &["shard_down", "failover", "shard_recovered", "batcher_stall"],
+        &["shard_down", "failover", "shard_recovered"],
     ),
     (
         "cache",
@@ -1257,7 +1257,7 @@ mod tests {
 
         let tally = EventTally::new(&load_trace(&artifact).unwrap());
         assert_eq!(tally.count("failover"), 2);
-        assert_eq!(tally.count("batcher_stall"), 0, "absent reads as zero");
+        assert_eq!(tally.count("shard_vanished"), 0, "absent reads as zero");
 
         let json = summary_json(&artifact).unwrap();
         assert!(

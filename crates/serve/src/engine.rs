@@ -162,7 +162,6 @@ impl ServeEngine {
     ) -> Self {
         let chaos = canti_fault::ServeChaos::new(plan, shard);
         if !chaos.is_empty() {
-            let chaos = Arc::new(std::sync::Mutex::new(chaos));
             self.executor = Arc::new(unshared(self.executor).with_chaos(chaos));
         }
         self
@@ -187,12 +186,14 @@ impl ServeEngine {
         self.queue.is_failed()
     }
 
-    /// Reopens the dead shard on `fresh`, the dead executor's
-    /// [`BatchExecutor::resurrected`] copy, as the shard's `restarts`-th
-    /// restart, and returns the dead executor: a threaded driver spawns
-    /// the fresh pool and joins the dead one outside its lock.
-    pub(crate) fn restart(&mut self, fresh: BatchExecutor, restarts: u64) -> Arc<BatchExecutor> {
-        let dead = std::mem::replace(&mut self.executor, Arc::new(fresh));
+    /// Reopens the dead shard as its `restarts`-th restart: clears the
+    /// failed mark, bumps `serve.shard_restarts` and emits
+    /// `shard_recovered`. The shard keeps its executor, whose pool is
+    /// idle with every worker alive: a chaos kill fires before the batch
+    /// reaches the pool, a job panic re-raises only after the pool has
+    /// finished the batch, and a batcher panic outside `execute` leaves
+    /// no batch on it.
+    pub(crate) fn restart(&mut self, restarts: u64) {
         self.queue.restore();
         if let Some(ins) = self.executor.instruments() {
             ins.shard_restarts.inc();
@@ -201,7 +202,6 @@ impl ServeEngine {
             o.tracer()
                 .event("shard_recovered", &[("restarts", restarts.into())]);
         }
-        dead
     }
 
     /// Admits `job` under its global request `id` (deadline relative to

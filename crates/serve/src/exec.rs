@@ -24,7 +24,7 @@ use crate::response::{Disposition, LatencyBreakdown, ServeResponse};
 pub(crate) const REQUEST_LOG_CAPACITY: usize = 1024;
 
 /// A registry counter and the timeline delta series of the same name.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Tally {
     pub counter: Arc<Counter>,
     pub series: SeriesId,
@@ -51,7 +51,7 @@ impl Tally {
 /// log and timeline cannot be re-derived from the name-keyed registry:
 /// the shard's executor holds its one set, and the engine records
 /// through it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ServeInstruments {
     pub admitted: Tally,
     pub rejected: Tally,
@@ -267,31 +267,30 @@ impl ServeInstruments {
 /// worker count because the farm itself is.
 #[derive(Debug)]
 pub(crate) struct BatchExecutor {
-    threads: usize,
     pool: Arc<WorkerPool>,
     cache: Arc<PrecomputeCache>,
     /// The shard's content-addressed result cache: the engine looks up
     /// at admission, and the executor inserts batch results in admission
     /// order. `None` with caching off.
-    report_cache: Option<Arc<Mutex<ReportCache>>>,
+    report_cache: Option<Mutex<ReportCache>>,
     clock: Arc<dyn ObsClock>,
     observer: Option<FarmObserver>,
     instruments: Option<ServeInstruments>,
-    chaos: Option<Arc<Mutex<ServeChaos>>>,
+    chaos: Option<Mutex<ServeChaos>>,
 }
 
 impl BatchExecutor {
     /// An executor running `threads` farm workers per batch (`0` =
     /// machine parallelism) over `cache`, timing requests on `clock`.
     /// The workers live in a persistent [`WorkerPool`] for the executor's
-    /// lifetime, so successive batches pay no thread-spawn cost.
+    /// lifetime, restarts of its shard included, so successive batches
+    /// pay no thread-spawn cost.
     pub(crate) fn new(
         threads: usize,
         clock: Arc<dyn ObsClock>,
         cache: Arc<PrecomputeCache>,
     ) -> Self {
         Self {
-            threads,
             pool: Arc::new(WorkerPool::new(threads)),
             cache,
             report_cache: None,
@@ -306,34 +305,15 @@ impl BatchExecutor {
     /// it, and successful batch outputs are inserted (in admission order)
     /// after each batch lands.
     pub(crate) fn with_report_cache(mut self, cache: ReportCache) -> Self {
-        self.report_cache = Some(Arc::new(Mutex::new(cache)));
+        self.report_cache = Some(Mutex::new(cache));
         self
     }
 
-    /// Attaches a serve-chaos injector. The injector lives behind a
-    /// shared handle so a resurrected executor keeps consuming the same
-    /// plan state — events already fired stay fired across restarts.
-    pub(crate) fn with_chaos(mut self, chaos: Arc<Mutex<ServeChaos>>) -> Self {
-        self.chaos = Some(chaos);
+    /// Attaches a serve-chaos injector. A restarted shard keeps its
+    /// executor, so kills already fired stay fired.
+    pub(crate) fn with_chaos(mut self, chaos: ServeChaos) -> Self {
+        self.chaos = Some(Mutex::new(chaos));
         self
-    }
-
-    /// A replacement executor after shard failure: a **fresh**
-    /// [`WorkerPool`] (the old one may hold poisoned or dead workers),
-    /// but the same clock, cache, observer, instruments and chaos state
-    /// — telemetry continues in the same registry, and a restart warms
-    /// up against the cache exactly as a real redeploy would.
-    pub(crate) fn resurrected(&self) -> Self {
-        Self {
-            threads: self.threads,
-            pool: Arc::new(WorkerPool::new(self.threads)),
-            cache: Arc::clone(&self.cache),
-            report_cache: self.report_cache.clone(),
-            clock: Arc::clone(&self.clock),
-            observer: self.observer.clone(),
-            instruments: self.instruments.clone(),
-            chaos: self.chaos.clone(),
-        }
     }
 
     /// The shard's instrument set, when observed.
@@ -348,7 +328,7 @@ impl BatchExecutor {
 
     /// The shard's result cache, when caching is on.
     pub(crate) fn report_cache(&self) -> Option<&Mutex<ReportCache>> {
-        self.report_cache.as_deref()
+        self.report_cache.as_ref()
     }
 
     /// Attaches a farm observer together with the shard's instrument
@@ -378,8 +358,10 @@ impl BatchExecutor {
         self.observer.as_ref()
     }
 
-    /// [`Self::execute`] with a panic (a chaos kill, a poisoned pool, a
-    /// real bug) caught and returned for the engine's failure path.
+    /// [`Self::execute`] with a panic (a chaos kill, or a job panic the
+    /// pool re-raises once its batch completes) caught and returned for
+    /// the engine's failure path. Either way the pool is left idle with
+    /// every worker alive, so the shard restarts on this executor.
     pub(crate) fn try_execute(
         &self,
         batch: &FormedBatch,
@@ -406,28 +388,13 @@ impl BatchExecutor {
         // scripted chaos: decided on this (single) batcher thread from
         // the shard-local batch index, so it fires identically at any
         // worker count
-        let faults = self
-            .chaos
-            .as_ref()
-            .map(|c| {
-                c.lock()
-                    .expect("serve chaos injector poisoned")
-                    .on_batch(batch.index, batch.len())
-            })
-            .unwrap_or_default();
-        if let Some(ns) = faults.stall_ns {
-            if let Some(o) = &self.observer {
-                o.tracer().event(
-                    "batcher_stall",
-                    &[("batch", batch.index.into()), ("ns", ns.into())],
-                );
-            }
-            // wall-clock stall, capped so a plan typo cannot wedge CI;
-            // under a virtual clock the trace event is the observable
-            std::thread::sleep(std::time::Duration::from_nanos(ns.min(50_000_000)));
-        }
+        let killed = self.chaos.as_ref().is_some_and(|c| {
+            c.lock()
+                .expect("serve chaos injector poisoned")
+                .on_batch(batch.index)
+        });
         assert!(
-            !faults.kill,
+            !killed,
             "canti-serve chaos: shard killed before batch {}",
             batch.index
         );
@@ -444,25 +411,13 @@ impl BatchExecutor {
         let mut farm = Farm::with_cache(
             FarmConfig {
                 batch_seed: batch.seed,
-                threads: self.threads,
+                threads: self.pool.threads(),
             },
             Arc::clone(&self.cache),
         )
         .with_pool(Arc::clone(&self.pool));
         if let Some(o) = &self.observer {
             farm = farm.with_observer(o.clone());
-        }
-        if let Some(slot) = faults.panic_job {
-            // harness-level sabotage: the worker that claims this slot
-            // dies, poisoning the slot; the farm re-raises the payload on
-            // this thread once the batch settles, so the whole batch is
-            // answered by the shard-failure path regardless of which
-            // worker drew the job
-            farm = farm.with_sabotage(Arc::new(move |job| {
-                if job == slot {
-                    panic!("canti-serve chaos: worker killed on job slot {slot}");
-                }
-            }));
         }
         let exec_start_ns = self.clock.now_ns();
         let report = farm.run_traced(&jobs, &seeds, &contexts);

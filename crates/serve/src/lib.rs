@@ -95,7 +95,7 @@ pub mod shard;
 pub mod supervisor;
 
 pub use cache::{job_key, CacheConfig, CacheStats, JobKey, ReportCache};
-pub use canti_fault::{ServeFaultEvent, ServeFaultKind, ServeFaultPlan};
+pub use canti_fault::{ServeFaultEvent, ServeFaultPlan};
 pub use canti_obs::{SloConfig, TimelineConfig};
 pub use engine::{BatchRecord, ServeStats};
 pub use queue::{BatchTrigger, RejectReason};

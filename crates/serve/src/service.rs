@@ -15,14 +15,16 @@
 //! # Failure and restart
 //!
 //! Every admitted request gets a **terminal** answer. A batch whose
-//! executor panics (a poisoned pool, an armed chaos kill) lands through
-//! the engine's failure path: the shard goes [`ShardHealth::Down`] and
-//! the doomed batch, the batches formed behind it and the whole queue
-//! are answered [`RejectReason::ShardFailed`]. A `Down` shard's batcher
-//! sleeps until the supervisor's restart instant and then restarts the
-//! shard, spawning its fresh worker pool outside the lock. A panic
-//! outside `execute` fails the shard the same way and answers every
-//! ticket it held, so [`ShardTicket::wait`] never hangs on a dead shard.
+//! executor panics (an armed chaos kill, a job panic the pool re-raised)
+//! lands through the engine's failure path: the shard goes
+//! [`ShardHealth::Down`] and the doomed batch, the batches formed behind
+//! it and the whole queue are answered [`RejectReason::ShardFailed`]. A
+//! `Down` shard's batcher sleeps until the supervisor's restart instant
+//! and then restarts the shard in place, under its pass's lock: the
+//! shard keeps its executor and worker pool, whose workers all outlive
+//! the failure. A panic outside `execute` fails the shard the same way
+//! and answers every ticket it held, so [`ShardTicket::wait`] never
+//! hangs on a dead shard.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -160,9 +162,7 @@ impl Driver {
             let mut state = self.lock();
             let drain = state.stopping;
             if !drain && state.engine.restart_due(shard) {
-                drop(state);
-                self.restart(shard);
-                continue;
+                state.engine.restart(shard);
             }
             let mut answered = Vec::new();
             let batches = state.engine.shard_mut(shard).form(drain, &mut answered);
@@ -188,16 +188,6 @@ impl Driver {
                 return;
             }
         }
-    }
-
-    /// Restarts a shard whose backoff is due. The lock is held only to
-    /// take the dying executor and to swap in the fresh one: the fresh
-    /// worker pool is spawned, and the dead one joined, outside it.
-    fn restart(&self, shard: usize) {
-        let dying = self.lock().engine.shard(shard).executor();
-        let fresh = dying.resurrected();
-        let dead = self.lock().engine.restart(shard, fresh);
-        drop((dying, dead)); // the last handles on the dead pool
     }
 
     /// Steps 2 and 3 of a pass: executes each formed batch with the lock
@@ -521,7 +511,7 @@ mod tests {
     use super::*;
     use crate::{job_key, request_seed, CacheConfig, Disposition, ServeConfig};
     use canti_farm::{Farm, FarmConfig, JobOutput, ProbeMode};
-    use canti_fault::{ServeFaultEvent, ServeFaultKind};
+    use canti_fault::ServeFaultEvent;
     use canti_obs::{Metrics, RingCollector, Tracer, VirtualClock};
     use std::sync::mpsc;
     use std::time::Instant;
@@ -887,10 +877,7 @@ mod tests {
     #[test]
     fn a_shard_killed_twenty_times_answers_every_ticket_and_serves_again() {
         let kills = (0..20)
-            .map(|batch| ServeFaultEvent {
-                shard: 0,
-                kind: ServeFaultKind::ShardKill { batch },
-            })
+            .map(|batch| ServeFaultEvent { shard: 0, batch })
             .collect();
         let service = one_chaos_shard(one_per_batch(), &ServeFaultPlan::new(kills), backoff(0));
         let mut failed = 0;

@@ -48,7 +48,6 @@ use canti_fault::ServeFaultPlan;
 use canti_obs::ObsClock;
 
 use crate::engine::{Admission, BatchRecord, ServeEngine, ServeStats};
-use crate::exec::BatchExecutor;
 use crate::queue::RejectReason;
 use crate::response::ServeResponse;
 use crate::supervisor::{ShardSupervisor, SupervisorConfig};
@@ -366,7 +365,7 @@ impl ShardedEngine {
 
     /// Pumps every shard in shard order, returning all responses. Each
     /// shard's pass is the three steps a threaded driver splits around
-    /// its lock, run in a row: form (after resurrecting a `Down` shard
+    /// its lock, run in a row: form (after restarting a `Down` shard
     /// whose backoff has elapsed), execute, land; then the supervisor
     /// hears how it went.
     pub fn pump(&mut self) -> Vec<ServeResponse> {
@@ -384,8 +383,7 @@ impl ShardedEngine {
         for shard in 0..self.engines.len() {
             // a drain restarts nothing
             if !drain && self.restart_due(shard) {
-                let fresh = self.engines[shard].executor().resurrected();
-                drop(self.restart(shard, fresh));
+                self.restart(shard);
             }
             let mut responses = Vec::new();
             let batches = self.engines[shard].form(drain, &mut responses);
@@ -405,13 +403,12 @@ impl ShardedEngine {
         self.engines[shard].is_failed() && self.supervisor.restart_due(shard, self.clock.now_ns())
     }
 
-    /// Restarts a dead shard onto `fresh`, a fresh worker pool over the
-    /// dead executor's clock, caches, observer and chaos state, and
-    /// returns the dead executor, for the caller to drop.
-    pub(crate) fn restart(&mut self, shard: usize, fresh: BatchExecutor) -> Arc<BatchExecutor> {
+    /// Restarts a dead shard on the executor it died with: the
+    /// supervisor books the restart, and the shard's queue reopens.
+    pub(crate) fn restart(&mut self, shard: usize) {
         self.supervisor.record_restart(shard);
         let restarts = self.supervisor.restarts(shard);
-        self.engines[shard].restart(fresh, restarts)
+        self.engines[shard].restart(restarts);
     }
 
     /// Ends a shard pass that ran batches: the supervisor hears once per
@@ -751,6 +748,56 @@ mod tests {
         assert_eq!(observer.metrics().counter("serve.failovers").get(), 1);
         let events = rings[survivor].events();
         assert_eq!(events.iter().filter(|ev| ev.name == "failover").count(), 1);
+    }
+
+    /// A restart reopens the dead shard on the executor it died with:
+    /// the kill fired before its batch reached the pool, so every worker
+    /// is alive, and the revived shard serves on them.
+    #[test]
+    fn a_restart_keeps_the_shards_executor() {
+        let clock = Arc::new(VirtualClock::new());
+        let victim = route_request(0, 2);
+        let mut e = ShardedEngine::new(
+            ShardedConfig {
+                shards: 2,
+                base: ServeConfig {
+                    max_batch: 1,
+                    threads: 2,
+                    ..ServeConfig::default()
+                },
+            },
+            Arc::clone(&clock) as Arc<dyn ObsClock>,
+        )
+        .with_supervisor(SupervisorConfig {
+            backoff_base_ns: 1_000,
+            ..SupervisorConfig::default()
+        })
+        .with_chaos_plan(&ServeFaultPlan::kill_shard(victim, 0));
+        let executor = e.shard(victim).executor();
+        assert_eq!(e.submit(probe(0.0)), Ok(0));
+        assert!(!e.pump()[0].disposition.is_ok(), "batch 0 is killed");
+        assert_eq!(e.healths()[victim], ShardHealth::Down);
+
+        clock.advance_ns(2_000);
+        let _ = e.pump();
+        assert_eq!(e.restarts(), 1);
+        assert!(
+            Arc::ptr_eq(&executor, &e.shard(victim).executor()),
+            "the restarted shard runs the executor it died with"
+        );
+        for i in 1..=4 {
+            e.submit(probe(f64::from(i))).expect("admitted");
+        }
+        let answered = e.pump();
+        assert_eq!(answered.len(), 4);
+        assert!(
+            answered.iter().all(|r| r.disposition.is_ok()),
+            "{answered:?}"
+        );
+        assert!(
+            e.shard_stats()[victim].completed > 0,
+            "the revived shard serves again"
+        );
     }
 
     #[test]

@@ -139,9 +139,7 @@ fn wait_all_watchdog(tickets: Vec<ShardTicket>, label: &str) -> Vec<ServeRespons
 fn run_chaos(batch: usize, shards: usize, seed: u64, telemetry: bool) {
     let shards = shards.max(2); // failover needs somewhere to go
     let plan = ServeFaultPlan::generate(seed, shards);
-    let victim = (0..shards)
-        .find(|&s| !plan.for_shard(s).is_empty())
-        .expect("generate schedules exactly one kill");
+    let victim = plan.events[0].shard;
     println!(
         "chaos-serve: seed {seed:#x} kills shard {victim}'s first batch ({shards} shards, batch<={batch})"
     );

@@ -92,10 +92,10 @@ cargo test -q --release --workspace
 phase_end
 
 phase_begin "threaded serve and worker-pool tests, 20 runs each (release)"
-# A race in the threaded driver's locking, or in the WorkerPool's claim,
-# retire and orphan logic that runs every multi-thread farm batch, shows
-# up one run in N, so their tests repeat; the first failing run, or one
-# over 60 s, fails the gate.
+# A race in the threaded driver's locking, or in the WorkerPool's claim
+# and retire logic that runs every multi-thread farm batch, shows up one
+# run in N, so their tests repeat; the first failing run, or one over
+# 60 s, fails the gate.
 repeat_20() {
     local run out
     for run in $(seq 1 20); do

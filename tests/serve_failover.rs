@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use canti::farm::{FarmObserver, JobSpec, ProbeMode};
-use canti::fault::ServeFaultPlan;
+use canti::fault::{ServeFaultEvent, ServeFaultPlan};
 use canti::obs::{ObsClock, VirtualClock};
 use canti::serve::{
     route_failover, route_request, BatchRecord, Disposition, RejectReason, ServeConfig,
@@ -184,26 +184,50 @@ fn kill_plan() -> ServeFaultPlan {
 }
 
 /// Contract 1: the whole chaos trace is bit-identical at 1/2/8 farm
-/// workers, at 2 and 4 shards.
+/// workers, at 2 and 4 shards, under the one-kill plan and under a plan
+/// that kills the victim again at its first batch after the restart.
 #[test]
 fn chaos_traces_are_bit_identical_across_worker_counts() {
-    let plan = kill_plan();
     for shards in [2, 4] {
-        let oracle = chaos_run(1, shards, Some(&plan));
-        for workers in [2, 8] {
-            let run = chaos_run(workers, shards, Some(&plan));
-            assert_eq!(
-                run.health_log, oracle.health_log,
-                "health checkpoints diverged at {workers} workers x {shards} shards"
-            );
-            assert_eq!(
-                run.shard_batches, oracle.shard_batches,
-                "batch formation diverged at {workers} workers x {shards} shards"
-            );
-            assert_eq!(
-                run, oracle,
-                "chaos trace diverged at {workers} workers x {shards} shards"
-            );
+        let single = chaos_run(1, shards, Some(&kill_plan()));
+        // batch indexes run on across a restart, so the victim's first
+        // batch after it is the count of those it formed in phase 1
+        // (ids 0..24)
+        let phase1 = single.shard_batches[VICTIM]
+            .iter()
+            .filter(|b| b.request_ids.iter().all(|&id| id < 24))
+            .count() as u64;
+        let twice = ServeFaultPlan::new(vec![
+            ServeFaultEvent {
+                shard: VICTIM,
+                batch: 0,
+            },
+            ServeFaultEvent {
+                shard: VICTIM,
+                batch: phase1,
+            },
+        ]);
+        let double = chaos_run(1, shards, Some(&twice));
+        assert_eq!(
+            double.restarts, 2,
+            "{shards} shards: the victim restarts twice"
+        );
+        for (plan, oracle) in [(kill_plan(), single), (twice, double)] {
+            for workers in [2, 8] {
+                let run = chaos_run(workers, shards, Some(&plan));
+                assert_eq!(
+                    run.health_log, oracle.health_log,
+                    "health checkpoints diverged at {workers} workers x {shards} shards"
+                );
+                assert_eq!(
+                    run.shard_batches, oracle.shard_batches,
+                    "batch formation diverged at {workers} workers x {shards} shards"
+                );
+                assert_eq!(
+                    run, oracle,
+                    "chaos trace diverged at {workers} workers x {shards} shards"
+                );
+            }
         }
     }
 }
