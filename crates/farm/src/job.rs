@@ -53,11 +53,11 @@ pub enum ProbeMode {
     Draws(usize),
     /// Panic (tests per-job fault isolation).
     Panic,
-    /// Always fail (drives circuit breakers in supervisor tests).
+    /// Always fail (tests per-job error isolation).
     Fail,
-    /// Fail when the job's next RNG draw falls below `p_fail`; under the
-    /// supervisor, retries re-salt the stream, so a flaky job can succeed
-    /// on a later attempt — deterministically.
+    /// Fail when the job's next RNG draw falls below `p_fail`: a seeded
+    /// failure rate, so the same batch fails the same jobs at any worker
+    /// count.
     Flaky {
         /// Failure probability in `[0, 1]`.
         p_fail: f64,

@@ -24,11 +24,11 @@
 //!
 //! # Observability
 //!
-//! A farm with a [`FarmObserver`] reports every batch, plain or
-//! supervised, through that observer alone: the `farm.*` metrics, the
-//! span/event trace and the optional timeline. The report holds only
-//! the payload, so [`BatchReport`]'s derived equality is the payload
-//! comparison the determinism contract pins.
+//! A farm with a [`FarmObserver`] reports every batch through that
+//! observer alone: the `farm.*` metrics, the span/event trace and the
+//! optional timeline. The report holds only the payload, so
+//! [`BatchReport`]'s derived equality is the payload comparison the
+//! determinism contract pins.
 //!
 //! # Examples
 //!
@@ -50,7 +50,6 @@ pub mod cache;
 pub mod job;
 mod pool;
 pub mod report;
-pub mod supervisor;
 pub mod telemetry;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -66,7 +65,6 @@ pub use job::{
 };
 pub use pool::{WorkerPool, WorkerStat};
 pub use report::{BatchReport, FarmError, JobOutput};
-pub use supervisor::{BreakerPosition, FarmSupervisor, SupervisedReport, SupervisorConfig};
 pub use telemetry::FarmObserver;
 
 /// Farm-wide settings.
@@ -181,62 +179,26 @@ impl Farm {
         self.cache.stats()
     }
 
-    /// Builds the owned per-batch execution state shared by the plain
-    /// and supervised paths. `batch_start_ns` anchors queue-wait
-    /// samples; `seeds` switches the RNG derivation to explicit per-job
-    /// seeds (the sharded serve path); `contexts` stamps each job span
-    /// with the owning request's trace context (telemetry only — it
-    /// never reaches the payload path).
-    pub(crate) fn batch_runner(
-        &self,
-        jobs: Arc<Vec<JobSpec>>,
-        seeds: Option<Vec<u64>>,
-        contexts: Option<Vec<canti_obs::TraceContext>>,
-        batch_start_ns: u64,
-    ) -> BatchRunner {
-        BatchRunner {
-            batch_seed: self.config.batch_seed,
-            seeds: seeds.map(Arc::new),
-            contexts: contexts.map(Arc::new),
-            jobs,
-            cache: Arc::clone(&self.cache),
-            observer: self.observer.clone(),
-            stages: self
-                .observer
-                .as_ref()
-                .map(telemetry::StageInstruments::register),
-            batch_start_ns,
-        }
-    }
-
-    /// Runs one wave of jobs — the one place that picks the execution
-    /// path. A farm with one thread and no attached pool runs the wave
+    /// Runs a batch's jobs — the one place that picks the execution
+    /// path. A farm with one thread and no attached pool runs them
     /// sequentially on the calling thread: the oracle every other
-    /// schedule is tested against. Every other farm runs it on its
+    /// schedule is tested against. Every other farm runs them on its
     /// [`WorkerPool`], the attached one or one of [`Self::threads`]
-    /// workers built here on first use. `items` maps wave slots to batch
-    /// job indexes (`None` runs the whole batch, slot `i` = job `i`).
-    pub(crate) fn dispatch(
+    /// workers built here on first use.
+    fn dispatch(
         &self,
         runner: &Arc<BatchRunner>,
-        items: Option<Arc<Vec<usize>>>,
-        attempt: u32,
-        deadline_ns: Option<u64>,
     ) -> (Vec<Result<JobOutput, FarmError>>, Vec<WorkerStat>) {
-        let n = items.as_ref().map_or(runner.jobs.len(), |v| v.len());
-        let wave = items.is_some();
+        let n = runner.jobs.len();
         let clock = runner.observer.as_ref().map(|o| Arc::clone(o.clock()));
         let r = Arc::clone(runner);
-        let job = move |slot: usize| {
-            let i = items.as_ref().map_or(slot, |v| v[slot]);
-            r.run_job(i, attempt, wave, deadline_ns)
-        };
+        let job = move |i: usize| r.run_job(i);
         if self.pool.get().is_none() && self.threads() == 1 {
             let mut stat = WorkerStat::default();
             let outcomes = (0..n)
-                .map(|slot| {
+                .map(|i| {
                     let t0 = clock.as_ref().map(|c| c.now_ns());
-                    let outcome = job(slot);
+                    let outcome = job(i);
                     if let (Some(t0), Some(c)) = (t0, &clock) {
                         stat.busy_ns += c.now_ns().saturating_sub(t0);
                     }
@@ -300,6 +262,10 @@ impl Farm {
         self.run_inner(jobs, Some(seeds.to_vec()), Some(contexts.to_vec()))
     }
 
+    /// Runs one batch. `seeds` switches the RNG derivation to explicit
+    /// per-job seeds (the sharded serve path); `contexts` stamps each job
+    /// span with the owning request's trace context (telemetry only — it
+    /// never reaches the payload path).
     fn run_inner(
         &self,
         jobs: &[JobSpec],
@@ -319,11 +285,18 @@ impl Farm {
                 ],
             )
         });
-        let batch_start_ns = obs.map_or(0, |o| o.clock().now_ns());
-        let runner =
-            Arc::new(self.batch_runner(Arc::new(jobs.to_vec()), seeds, contexts, batch_start_ns));
+        let runner = Arc::new(BatchRunner {
+            batch_seed: self.config.batch_seed,
+            seeds,
+            contexts,
+            jobs: jobs.to_vec(),
+            cache: Arc::clone(&self.cache),
+            observer: self.observer.clone(),
+            stages: obs.map(telemetry::StageInstruments::register),
+            batch_start_ns: obs.map_or(0, |o| o.clock().now_ns()),
+        });
 
-        let (outcomes, worker_stats) = self.dispatch(&runner, None, 0, None);
+        let (outcomes, worker_stats) = self.dispatch(&runner);
         runner.finish(threads, &outcomes, &worker_stats);
         drop(batch_span);
 
@@ -335,33 +308,29 @@ impl Farm {
 }
 
 /// Everything one batch execution needs, owned, so per-job closures are
-/// `'static` and can cross into a persistent [`WorkerPool`]. Shared by
-/// [`Farm::run`] and the supervisor's retry waves.
-pub(crate) struct BatchRunner {
+/// `'static` and can cross into a persistent [`WorkerPool`].
+struct BatchRunner {
     batch_seed: u64,
-    seeds: Option<Arc<Vec<u64>>>,
-    contexts: Option<Arc<Vec<canti_obs::TraceContext>>>,
-    pub(crate) jobs: Arc<Vec<JobSpec>>,
+    seeds: Option<Vec<u64>>,
+    contexts: Option<Vec<canti_obs::TraceContext>>,
+    jobs: Vec<JobSpec>,
     cache: Arc<PrecomputeCache>,
-    pub(crate) observer: Option<FarmObserver>,
+    observer: Option<FarmObserver>,
     stages: Option<telemetry::StageInstruments>,
+    /// Anchors the queue-wait samples.
     batch_start_ns: u64,
 }
 
 impl BatchRunner {
-    /// The per-job, per-attempt RNG stream. The canonical derivation is
-    /// a splitmix-style spread of the batch seed XOR-ed with the job
-    /// index, so neighboring jobs land in distant ChaCha streams; the
-    /// seeded path substitutes an explicit per-job seed for that base.
-    /// Attempt `0` is the canonical stream; supervisor retries salt it
-    /// with the attempt number so a re-run is a genuinely fresh (but
-    /// still deterministic) draw sequence.
-    fn job_rng(&self, job_index: usize, attempt: u32) -> ChaCha8Rng {
-        let base = match &self.seeds {
+    /// The per-job RNG stream. The canonical derivation is a
+    /// splitmix-style spread of the batch seed XOR-ed with the job index,
+    /// so neighboring jobs land in distant ChaCha streams; the seeded
+    /// path substitutes an explicit per-job seed.
+    fn job_rng(&self, job_index: usize) -> ChaCha8Rng {
+        ChaCha8Rng::seed_from_u64(match &self.seeds {
             Some(seeds) => seeds[job_index],
             None => self.batch_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ job_index as u64,
-        };
-        ChaCha8Rng::seed_from_u64(base ^ u64::from(attempt).wrapping_mul(0xA076_1D64_78BD_642F))
+        })
     }
 
     /// Runs one job through the catch-unwind boundary, mapping the three
@@ -369,11 +338,10 @@ impl BatchRunner {
     fn execute(
         &self,
         i: usize,
-        attempt: u32,
         obs: Option<&telemetry::JobInstruments>,
     ) -> Result<JobOutput, FarmError> {
         let spec = &self.jobs[i];
-        let mut rng = self.job_rng(i, attempt);
+        let mut rng = self.job_rng(i);
         let run = catch_unwind(AssertUnwindSafe(|| {
             job::execute(spec, &mut rng, &self.cache, obs)
         }));
@@ -394,18 +362,11 @@ impl BatchRunner {
         }
     }
 
-    /// The full per-job pipeline: queue-wait sample, `job` span (with
-    /// the attempt field on supervised waves), stage instruments, and
-    /// the optional observer-clock deadline.
-    pub(crate) fn run_job(
-        &self,
-        i: usize,
-        attempt: u32,
-        wave: bool,
-        deadline_ns: Option<u64>,
-    ) -> Result<JobOutput, FarmError> {
+    /// The full per-job pipeline: queue-wait sample, `job` span and
+    /// stage instruments.
+    fn run_job(&self, i: usize) -> Result<JobOutput, FarmError> {
         let (Some(o), Some(stages)) = (self.observer.as_ref(), self.stages.as_ref()) else {
-            return self.execute(i, attempt, None);
+            return self.execute(i, None);
         };
         stages
             .queue_wait
@@ -417,35 +378,23 @@ impl BatchRunner {
             fields.push(("request", ctx.request.into()));
             fields.push(("trace", ctx.trace.into()));
         }
-        if wave {
-            fields.push(("attempt", u64::from(attempt).into()));
-        }
         let job_span = o.tracer().span("job", &fields);
         let instruments = telemetry::JobInstruments {
             tracer: o.tracer().clone(),
             metrics: Arc::clone(o.metrics()),
             precompute_ns: Arc::clone(&stages.precompute),
         };
-        let t0 = o.clock().now_ns();
-        let outcome = self.execute(i, attempt, Some(&instruments));
-        let elapsed = o.clock().now_ns().saturating_sub(t0);
+        let outcome = self.execute(i, Some(&instruments));
         stages.solve.record(job_span.end());
-        match deadline_ns {
-            Some(deadline) if elapsed > deadline => Err(FarmError::DeadlineExceeded {
-                job_index: i,
-                elapsed_ns: elapsed,
-                deadline_ns: deadline,
-            }),
-            _ => outcome,
-        }
+        outcome
     }
 
-    /// Ends an observed batch, plain or supervised, given its final
-    /// outcomes and per-worker tallies: counts the batch, sets the
-    /// worker gauge, adds the outcomes to the job counters, records one
-    /// `farm.worker_busy_ns` sample per worker, and writes the batch's
-    /// deltas to the timeline. Does nothing unobserved.
-    pub(crate) fn finish(
+    /// Ends an observed batch given its outcomes and per-worker tallies:
+    /// counts the batch, sets the worker gauge, adds the outcomes to the
+    /// job counters, records one `farm.worker_busy_ns` sample per worker,
+    /// and writes the batch's deltas to the timeline. Does nothing
+    /// unobserved.
+    fn finish(
         &self,
         threads: usize,
         outcomes: &[Result<JobOutput, FarmError>],
@@ -629,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn plain_and_supervised_batches_end_through_one_routine() {
+    fn every_observed_batch_ends_through_one_routine() {
         use canti_obs::{Metrics, RingCollector, TimelineConfig, TimelineRecorder, Tracer};
 
         let jobs = vec![
@@ -652,18 +601,12 @@ mod tests {
                 clock,
             )
             .with_timeline(Arc::clone(&timeline));
-            let mut sup = FarmSupervisor::new(
-                farm(threads).with_observer(observer.clone()),
-                SupervisorConfig::default(),
-            );
+            let farm = farm(threads).with_observer(observer.clone());
             let (mut ok, mut failed) = (0, 0);
-            for _ in 0..2 {
-                let plain = sup.farm().run(&jobs);
-                let supervised = sup.run(&jobs).report;
-                for report in [plain, supervised] {
-                    ok += report.ok_count() as u64;
-                    failed += report.err_count() as u64;
-                }
+            for _ in 0..4 {
+                let report = farm.run(&jobs);
+                ok += report.ok_count() as u64;
+                failed += report.err_count() as u64;
             }
 
             let metrics = observer.metrics();

@@ -591,15 +591,15 @@ mod tests {
     }
 
     /// A multi-thread farm with no attached pool builds one pool on its
-    /// first batch and keeps it: three batches and a supervisor's retry
-    /// waves all run on that pool, and every report still equals the
-    /// 1-thread oracle. The jobs are the golden-scenario mix, so the pin
-    /// covers the real simulation substrates.
+    /// first batch and keeps it: three batches all run on that pool, and
+    /// every report still equals the 1-thread oracle. The jobs are the
+    /// golden-scenario mix, so the pin covers the real simulation
+    /// substrates.
     #[test]
-    fn an_unattached_multi_thread_farm_runs_every_batch_and_retry_wave_on_one_pool() {
+    fn an_unattached_multi_thread_farm_runs_every_batch_on_one_pool() {
         use crate::{
             cross_reactivity_panel, dose_response_sweep, process_variation_batch, Farm, FarmConfig,
-            FarmSupervisor, JobSpec, ProbeMode, SupervisorConfig,
+            JobSpec, ProbeMode,
         };
 
         let concentrations: Vec<f64> = (0..20)
@@ -636,24 +636,5 @@ mod tests {
                 "round {round} ran on another pool"
             );
         }
-
-        let mut supervisor = FarmSupervisor::new(
-            farm,
-            SupervisorConfig {
-                max_attempts: 4,
-                breaker_threshold: 0,
-                ..SupervisorConfig::default()
-            },
-        );
-        let flaky = vec![JobSpec::Probe(ProbeMode::Flaky { p_fail: 0.5 }); 24];
-        let supervised = supervisor.run(&flaky);
-        assert!(
-            supervised.retried_jobs > 0,
-            "a 0.5 failure rate must force retry waves"
-        );
-        assert!(
-            Arc::ptr_eq(supervisor.farm().pool.get().expect("kept"), &pool),
-            "the retry waves ran on another pool"
-        );
     }
 }

@@ -5,18 +5,12 @@ use std::fmt;
 
 use canti_fab::variation::Stats;
 
-/// A per-job or batch-level farm failure.
+/// A per-job farm failure.
 ///
-/// Job failures are *per job*: one broken or panicking job surfaces here
-/// in its slot of [`BatchReport::outcomes`] without poisoning the rest of
-/// the batch.
+/// One broken or panicking job surfaces here in its slot of
+/// [`BatchReport::outcomes`] without poisoning the rest of the batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FarmError {
-    /// The batch itself was misconfigured (bad thread count, empty batch).
-    Config {
-        /// What is wrong.
-        reason: String,
-    },
     /// A job returned an error from the simulation substrate.
     Job {
         /// Index of the failing job in the submitted batch.
@@ -31,55 +25,15 @@ pub enum FarmError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// The supervisor's circuit breaker for this job kind was open, so
-    /// the job was rejected without (its result) being used.
-    BreakerOpen {
-        /// Index of the rejected job in the submitted batch.
-        job_index: usize,
-        /// The job kind whose breaker was open.
-        kind: &'static str,
-    },
-    /// The job finished but blew through the supervisor's per-job
-    /// deadline (measured on the observer's clock).
-    DeadlineExceeded {
-        /// Index of the job in the submitted batch.
-        job_index: usize,
-        /// Observed job duration, ns.
-        elapsed_ns: u64,
-        /// The configured deadline, ns.
-        deadline_ns: u64,
-    },
-}
-
-impl FarmError {
-    /// Whether the supervisor may re-run a job that failed this way.
-    /// Breaker rejections and deadline busts are final; substrate errors
-    /// and panics are worth another attempt with a fresh RNG stream.
-    #[must_use]
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, Self::Job { .. } | Self::Panic { .. })
-    }
 }
 
 impl fmt::Display for FarmError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Config { reason } => write!(f, "farm configuration error: {reason}"),
             Self::Job { job_index, reason } => write!(f, "job {job_index} failed: {reason}"),
             Self::Panic { job_index, message } => {
                 write!(f, "job {job_index} panicked: {message}")
             }
-            Self::BreakerOpen { job_index, kind } => {
-                write!(f, "job {job_index} rejected: breaker open for kind {kind}")
-            }
-            Self::DeadlineExceeded {
-                job_index,
-                elapsed_ns,
-                deadline_ns,
-            } => write!(
-                f,
-                "job {job_index} exceeded its deadline: {elapsed_ns} ns > {deadline_ns} ns"
-            ),
         }
     }
 }
@@ -244,9 +198,5 @@ mod tests {
             reason: "bad".into(),
         };
         assert!(e.to_string().contains("job 4"));
-        let c = FarmError::Config {
-            reason: "no jobs".into(),
-        };
-        assert!(c.to_string().contains("configuration"));
     }
 }

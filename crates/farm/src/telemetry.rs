@@ -1,11 +1,10 @@
 //! Farm observability: the observer handle wired into [`crate::Farm`]
 //! and the per-batch instruments it records through.
 //!
-//! An observed batch, plain or supervised, reports only through its
-//! observer: the `farm.*` counters, gauge and histograms of the metrics
-//! registry, the span/event trace stream, and (when attached) the
-//! per-window timeline. The [`crate::BatchReport`] carries the payload
-//! alone.
+//! An observed batch reports only through its observer: the `farm.*`
+//! counters, gauge and histograms of the metrics registry, the
+//! span/event trace stream, and (when attached) the per-window
+//! timeline. The [`crate::BatchReport`] carries the payload alone.
 //!
 //! # Determinism contract
 //!
@@ -38,7 +37,7 @@ impl FarmObserver {
     /// An observer from explicit parts.
     #[must_use]
     pub fn from_parts(metrics: Arc<Metrics>, tracer: Tracer, clock: Arc<dyn ObsClock>) -> Self {
-        metrics.describe("farm.batches", "farm batches executed, plain or supervised");
+        metrics.describe("farm.batches", "farm batches executed");
         metrics.describe("farm.workers", "resolved worker count of the last batch");
         metrics.describe("farm.jobs_ok", "jobs that completed successfully");
         metrics.describe("farm.jobs_failed", "jobs that returned an error");
@@ -60,11 +59,11 @@ impl FarmObserver {
         }
     }
 
-    /// Attaches a per-window timeline recorder: every finished batch,
-    /// plain or supervised, deposits its aggregate deltas (jobs
-    /// ok/failed, per-stage time, summed worker busy time) into the
-    /// batch-end window. Aggregates only — per-worker series would
-    /// break the bit-identity of `/debug/timeline` across worker counts.
+    /// Attaches a per-window timeline recorder: every finished batch
+    /// deposits its aggregate deltas (jobs ok/failed, per-stage time,
+    /// summed worker busy time) into the batch-end window. Aggregates
+    /// only — per-worker series would break the bit-identity of
+    /// `/debug/timeline` across worker counts.
     #[must_use]
     pub fn with_timeline(mut self, timeline: Arc<TimelineRecorder>) -> Self {
         self.timeline = Some(timeline);
@@ -138,10 +137,10 @@ pub(crate) struct JobInstruments {
 /// The per-stage histograms' registry names, in pipeline order.
 const STAGES: [&str; 3] = ["farm.queue_wait_ns", "farm.precompute_ns", "farm.solve_ns"];
 
-/// The three per-stage histograms every batch (plain or supervised)
-/// records into, registered once per batch on the observer's metrics
-/// registry, with each one's sum at registration: the histograms are
-/// cumulative across batches, so a batch's share is post minus pre.
+/// The three per-stage histograms every batch records into, registered
+/// once per batch on the observer's metrics registry, with each one's
+/// sum at registration: the histograms are cumulative across batches, so
+/// a batch's share is post minus pre.
 pub(crate) struct StageInstruments {
     pub(crate) queue_wait: Arc<Histogram>,
     pub(crate) precompute: Arc<Histogram>,

@@ -11,12 +11,14 @@
 //!
 //! A kill is keyed to the shard's **batch index**, which the serve
 //! layer decides on one thread before any parallelism starts (batch
-//! formation is a pure function of the arrival script). No trigger
-//! reads wall-clock time, queue races or worker identity, so a scripted
-//! chaos run fires the same kills at the same points at any worker
-//! count. [`ServeFaultPlan::default`] is empty, and the serve layer is
-//! required to be bit-identical under an empty plan to a build with no
-//! plan at all.
+//! formation is a pure function of the arrival script). Batches formed
+//! behind a killed batch are stranded and never execute, so a kill
+//! fires before the first batch the shard executes at or past its
+//! index. No trigger reads wall-clock time, queue races or worker
+//! identity, so a scripted chaos run fires the same kills at the same
+//! points at any worker count. [`ServeFaultPlan::default`] is empty,
+//! and the serve layer is required to be bit-identical under an empty
+//! plan to a build with no plan at all.
 
 /// One scheduled shard kill: the shard's executor panics before its
 /// batch `batch` executes, its batcher dies, and every outstanding
@@ -25,7 +27,9 @@
 pub struct ServeFaultEvent {
     /// The shard killed.
     pub shard: usize,
-    /// Shard-local batch index the kill precedes.
+    /// Shard-local batch index the kill precedes. If that batch never
+    /// executes (it was stranded behind an earlier kill), the kill
+    /// precedes the shard's next executed batch.
     pub batch: u64,
 }
 
@@ -83,7 +87,8 @@ impl ServeFaultPlan {
 
 /// The per-shard serve-fault injector: holds the batch indexes a
 /// [`ServeFaultPlan`] still schedules for one shard, and consumes each
-/// as its batch executes, so every kill fires at most once.
+/// before the first batch executed at or past it, so every kill fires
+/// at most once.
 #[derive(Debug, Clone)]
 pub struct ServeChaos {
     kills: Vec<u64>,
@@ -111,11 +116,13 @@ impl ServeChaos {
         self.kills.is_empty()
     }
 
-    /// Whether the shard dies before its batch `batch_index`: consumes
-    /// every kill scheduled for that index.
+    /// Whether the shard dies before executing its batch `batch_index`:
+    /// consumes every kill scheduled at or before that index, so a kill
+    /// whose own batch was stranded unexecuted fires here rather than
+    /// staying pending for the executor's life.
     pub fn on_batch(&mut self, batch_index: u64) -> bool {
         let scheduled = self.kills.len();
-        self.kills.retain(|&batch| batch != batch_index);
+        self.kills.retain(|&batch| batch > batch_index);
         self.kills.len() < scheduled
     }
 }
@@ -145,6 +152,14 @@ mod tests {
         assert!(!chaos.on_batch(1));
         assert!(chaos.on_batch(2), "fires on batch 2");
         assert!(!chaos.on_batch(2), "never twice");
+
+        // a kill whose batch was stranded unexecuted fires before the
+        // shard's next executed batch, once
+        let mut stranded = ServeChaos::new(&ServeFaultPlan::kill_shard(0, 1), 0);
+        assert!(!stranded.on_batch(0));
+        assert!(stranded.on_batch(3), "batch 1 never ran: fires on batch 3");
+        assert!(stranded.is_empty());
+        assert!(!stranded.on_batch(4), "never twice");
     }
 
     #[test]

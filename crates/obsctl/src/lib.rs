@@ -324,9 +324,9 @@ pub fn diff(old: &Path, new: &Path, opts: DiffOptions) -> Result<DiffReport, Cli
 /// The event families `summary` reports, in report order: `(heading,
 /// --json record name, line printed when none of them fired, event
 /// names in reporting order)`. Instrument-side fault injection and
-/// recovery plus farm supervision; the serve layer's shard lifecycle
-/// (down → failover → recovered); its result cache (admission-time hits
-/// and misses, in-flight coalescing).
+/// recovery; the serve layer's shard lifecycle (down → failover →
+/// recovered); its result cache (admission-time hits and misses,
+/// in-flight coalescing).
 const EVENT_FAMILIES: [(&str, &str, &str, &[&str]); 3] = [
     (
         "fault health",
@@ -340,8 +340,6 @@ const EVENT_FAMILIES: [(&str, &str, &str, &[&str]); 3] = [
             "watchdog_trip",
             "recovered",
             "scan_fault",
-            "retry_wave",
-            "breaker_state",
         ],
     ),
     (

@@ -22,18 +22,17 @@
 //!
 //! `--chaos <seed>` switches to a fault-injection campaign instead: a
 //! batch of chaos scans (full autonomous instruments under seeded fault
-//! plans, resilient recovery) plus flaky probes, run under the
-//! [`FarmSupervisor`] with retries and a circuit breaker. The run prints
-//! the degradation summary, with `--telemetry` writes
-//! `target/chaos_telemetry.ndjson`, and re-verifies that the supervised
-//! report is bit-identical to a single-threaded oracle.
+//! plans, resilient per-channel recovery) plus flaky probes. The run
+//! prints the degradation summary and the per-job failures, with
+//! `--telemetry` writes `target/chaos_telemetry.ndjson`, and re-verifies
+//! that the report is bit-identical to a single-threaded oracle.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use canti::farm::{
     chaos_scan_batch, cross_reactivity_panel, dose_response_sweep, process_variation_batch, Farm,
-    FarmConfig, FarmObserver, FarmSupervisor, JobSpec, ProbeMode, SupervisorConfig,
+    FarmConfig, FarmObserver, JobSpec, ProbeMode,
 };
 use canti::obs::{Exposition, ExpositionServer, Registry};
 
@@ -148,8 +147,8 @@ fn main() {
     println!("determinism check: parallel report bit-identical to 1-thread oracle");
 }
 
-/// The `--chaos <seed>` campaign: supervised fault injection across the
-/// farm, with a degradation summary and a determinism re-check.
+/// The `--chaos <seed>` campaign: fault injection across the farm, with
+/// a degradation summary and a determinism re-check.
 fn run_chaos(seed: u64, telemetry_on: bool) {
     let mut jobs = chaos_scan_batch(6, seed, 4);
     jobs.extend((0..10).map(|_| JobSpec::Probe(ProbeMode::Flaky { p_fail: 0.5 })));
@@ -163,21 +162,16 @@ fn run_chaos(seed: u64, telemetry_on: bool) {
     if let Some((obs, _)) = &observer {
         farm = farm.with_observer(obs.clone());
     }
-    let config = SupervisorConfig {
-        max_attempts: 3,
-        ..SupervisorConfig::default()
-    };
-    let mut supervisor = FarmSupervisor::new(farm, config);
     println!(
         "chaos campaign: {} jobs (6 chaos scans + 10 flaky probes), fault seed {seed:#x}, {} workers...",
         jobs.len(),
-        supervisor.farm().threads()
+        farm.threads()
     );
     let start = Instant::now();
-    let run = supervisor.run(&jobs);
-    println!("done in {:.2?}\n{}", start.elapsed(), run.render());
+    let report = farm.run(&jobs);
+    println!("done in {:.2?}\n{}", start.elapsed(), report.render());
 
-    let sum = |name: &str| run.report.metric_values(name).iter().sum::<f64>();
+    let sum = |name: &str| report.metric_values(name).iter().sum::<f64>();
     println!(
         "degradation across chaos scans: {:.0} channels ok, {:.0} retried ({:.0} retry attempts), {:.0} quarantined",
         sum("channels_ok"),
@@ -185,9 +179,6 @@ fn run_chaos(seed: u64, telemetry_on: bool) {
         sum("retry_attempts"),
         sum("channels_quarantined"),
     );
-    for (kind, state) in supervisor.breaker_states() {
-        println!("breaker[{kind}]: {state:?}");
-    }
 
     if let Some((observer, ring)) = observer {
         print!("\n{}", observer.metrics().summary());
@@ -202,19 +193,13 @@ fn run_chaos(seed: u64, telemetry_on: bool) {
         );
     }
 
-    // determinism spot-check: a fresh single-threaded supervisor must
-    // reproduce outcomes, attempts and breaker decisions exactly
-    let mut oracle_supervisor = FarmSupervisor::new(
-        Farm::new(FarmConfig {
-            batch_seed,
-            threads: 1,
-        }),
-        config,
-    );
-    let oracle = oracle_supervisor.run(&jobs);
-    assert_eq!(
-        run, oracle,
-        "supervised chaos run must match the 1-thread oracle"
-    );
-    println!("determinism check: supervised chaos report bit-identical to 1-thread oracle");
+    // determinism spot-check: a single-threaded rerun must reproduce
+    // every outcome, failures included, exactly
+    let oracle = Farm::new(FarmConfig {
+        batch_seed,
+        threads: 1,
+    })
+    .run(&jobs);
+    assert_eq!(report, oracle, "chaos run must match the 1-thread oracle");
+    println!("determinism check: chaos report bit-identical to 1-thread oracle");
 }

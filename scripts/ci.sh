@@ -21,8 +21,8 @@
 #                          #     nonzero exit
 #                          #   * a 16-job sensor_farm batch + obsctl
 #                          #     artifact-health gate
-#                          #   * a supervised chaos (fault-injection)
-#                          #     batch gated through obsctl summary
+#                          #   * a chaos (fault-injection) batch gated
+#                          #     through obsctl summary
 #                          #   * a sharded traced serve_demo run whose
 #                          #     telemetry artifact is gated through
 #                          #     obsctl trace (request-chain health: a
@@ -206,9 +206,9 @@ if [[ "${1:-}" == "smoke" ]]; then
     cargo run --release -q -p canti-obsctl -- summary "$artifact"
     phase_end
 
-    phase_begin "chaos smoke (supervised fault-injection batch)"
-    # the example itself asserts the supervised report is bit-identical
-    # to a 1-thread oracle before it exits 0
+    phase_begin "chaos smoke (fault-injection batch)"
+    # the example itself asserts the report is bit-identical to a
+    # 1-thread oracle before it exits 0
     cargo run --release --example sensor_farm -- --chaos 7341 --telemetry
     chaos_artifact=target/chaos_telemetry.ndjson
     [[ -s "$chaos_artifact" ]] || { echo "missing chaos artifact $chaos_artifact"; exit 1; }
