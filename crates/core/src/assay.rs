@@ -450,7 +450,7 @@ mod tests {
     #[test]
     fn traced_static_assay_is_bit_identical_and_emits_stage_spans() {
         use canti_obs::clock::VirtualClock;
-        use canti_obs::trace::{Collector, EventKind, RingCollector};
+        use canti_obs::trace::{EventKind, RingCollector};
         use std::sync::Arc;
 
         let fresh = || {
@@ -464,10 +464,7 @@ mod tests {
         let plain = run_static_assay(&mut fresh(), &ReceptorLayer::anti_igg(), &sg, 100).unwrap();
 
         let ring = Arc::new(RingCollector::new(64));
-        let tracer = Tracer::new(
-            Arc::clone(&ring) as Arc<dyn Collector>,
-            Arc::new(VirtualClock::new()),
-        );
+        let tracer = Tracer::new(Arc::clone(&ring), Arc::new(VirtualClock::new()));
         let traced =
             run_static_assay_traced(&mut fresh(), &ReceptorLayer::anti_igg(), &sg, 100, &tracer)
                 .unwrap();

@@ -744,14 +744,11 @@ mod tests {
     #[test]
     fn traced_scan_emits_stage_spans_interleaved_with_fsm_events() {
         use canti_obs::clock::VirtualClock;
-        use canti_obs::trace::{Collector, EventKind, RingCollector};
+        use canti_obs::trace::{EventKind, RingCollector};
         use std::sync::Arc;
 
         let ring = Arc::new(RingCollector::new(256));
-        let tracer = Tracer::new(
-            Arc::clone(&ring) as Arc<dyn Collector>,
-            Arc::new(VirtualClock::new()),
-        );
+        let tracer = Tracer::new(Arc::clone(&ring), Arc::new(VirtualClock::new()));
         let mut inst = instrument();
         inst.set_tracer(tracer);
         inst.power_on().unwrap();
@@ -790,14 +787,11 @@ mod tests {
     fn traced_fault_carries_the_reason() {
         use canti_obs::clock::VirtualClock;
         use canti_obs::ndjson::JsonValue;
-        use canti_obs::trace::{Collector, RingCollector};
+        use canti_obs::trace::RingCollector;
         use std::sync::Arc;
 
         let ring = Arc::new(RingCollector::new(256));
-        let tracer = Tracer::new(
-            Arc::clone(&ring) as Arc<dyn Collector>,
-            Arc::new(VirtualClock::new()),
-        );
+        let tracer = Tracer::new(Arc::clone(&ring), Arc::new(VirtualClock::new()));
         let mut inst = instrument();
         inst.set_tracer(tracer);
         inst.power_on().unwrap();
@@ -982,14 +976,11 @@ mod tests {
         #[test]
         fn recovery_emits_retry_and_quarantine_telemetry() {
             use canti_obs::clock::VirtualClock;
-            use canti_obs::trace::{Collector, RingCollector};
+            use canti_obs::trace::RingCollector;
             use std::sync::Arc;
 
             let ring = Arc::new(RingCollector::new(1024));
-            let tracer = Tracer::new(
-                Arc::clone(&ring) as Arc<dyn Collector>,
-                Arc::new(VirtualClock::new()),
-            );
+            let tracer = Tracer::new(Arc::clone(&ring), Arc::new(VirtualClock::new()));
             let metrics = Arc::new(Metrics::new());
             let plan = FaultPlan::new(vec![broken(1, 0, None), broken(3, 0, Some(1))]);
             let mut inst = injected(plan, RecoveryPolicy::resilient());

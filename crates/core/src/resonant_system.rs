@@ -587,14 +587,11 @@ mod tests {
     fn loop_starts_and_sustains_in_air() {
         use canti_obs::clock::VirtualClock;
         use canti_obs::ndjson::JsonValue;
-        use canti_obs::trace::{Collector, RingCollector};
+        use canti_obs::trace::RingCollector;
         use std::sync::Arc;
 
         let ring = Arc::new(RingCollector::new(16));
-        let tracer = Tracer::new(
-            Arc::clone(&ring) as Arc<dyn Collector>,
-            Arc::new(VirtualClock::new()),
-        );
+        let tracer = Tracer::new(Arc::clone(&ring), Arc::new(VirtualClock::new()));
         let mut sys = build(Environment::air());
         let summary = sys.steady_state_traced(1200, &tracer).unwrap();
         let f0 = sys.resonator().resonant_frequency().value();

@@ -505,15 +505,12 @@ mod tests {
         use super::*;
         use canti_obs::clock::VirtualClock;
         use canti_obs::ndjson::JsonValue;
-        use canti_obs::trace::{Collector, RingCollector};
+        use canti_obs::trace::RingCollector;
         use std::sync::Arc;
 
         fn traced(channels: usize, watchdog: u64) -> (MeasurementSequencer, Arc<RingCollector>) {
             let ring = Arc::new(RingCollector::new(256));
-            let tracer = Tracer::new(
-                Arc::clone(&ring) as Arc<dyn Collector>,
-                Arc::new(VirtualClock::new()),
-            );
+            let tracer = Tracer::new(Arc::clone(&ring), Arc::new(VirtualClock::new()));
             let seq = MeasurementSequencer::new(channels, watchdog)
                 .unwrap()
                 .with_tracer(tracer);

@@ -84,7 +84,7 @@ impl FarmObserver {
     pub fn deterministic(capacity: usize) -> (Self, Arc<RingCollector>) {
         let ring = Arc::new(RingCollector::new(capacity));
         let clock: Arc<dyn ObsClock> = Arc::new(VirtualClock::new());
-        let tracer = Tracer::new(Arc::clone(&ring) as _, Arc::clone(&clock));
+        let tracer = Tracer::new(Arc::clone(&ring), Arc::clone(&clock));
         (
             Self::from_parts(Arc::new(Metrics::new()), tracer, clock),
             ring,
@@ -98,7 +98,7 @@ impl FarmObserver {
     pub fn profiling(capacity: usize) -> (Self, Arc<RingCollector>) {
         let ring = Arc::new(RingCollector::new(capacity));
         let clock: Arc<dyn ObsClock> = Arc::new(WallClock::new());
-        let tracer = Tracer::new(Arc::clone(&ring) as _, Arc::clone(&clock));
+        let tracer = Tracer::new(Arc::clone(&ring), Arc::clone(&clock));
         (
             Self::from_parts(Arc::new(Metrics::new()), tracer, clock),
             ring,

@@ -25,7 +25,7 @@
 //!
 //! let ring = Arc::new(RingCollector::new(64));
 //! let clock = Arc::new(VirtualClock::new());
-//! let tracer = Tracer::new(Arc::clone(&ring) as _, Arc::clone(&clock) as _);
+//! let tracer = Tracer::new(Arc::clone(&ring), Arc::clone(&clock) as _);
 //! {
 //!     let _batch = tracer.span("batch", &[]);
 //!     let job = tracer.span("job", &[]);

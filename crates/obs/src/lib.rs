@@ -7,8 +7,8 @@
 //!
 //! * [`metrics`] — a lock-cheap registry of named counters, gauges and
 //!   log-linear histograms (`Arc`-shared, atomic hot paths),
-//! * [`trace`] — a structured span/event tracer behind a pluggable
-//!   [`trace::Collector`] (a bounded in-memory ring in-tree),
+//! * [`trace`] — a structured span/event tracer into a bounded
+//!   in-memory [`trace::RingCollector`],
 //! * [`clock`] — the injectable [`clock::ObsClock`] both ride on:
 //!   deterministic [`clock::VirtualClock`] for tests and farm runs,
 //!   [`clock::WallClock`] for the opt-in profiling paths only,
@@ -49,7 +49,7 @@
 //! let metrics = Arc::new(Metrics::new());
 //! let ring = Arc::new(RingCollector::new(1024));
 //! let clock = Arc::new(VirtualClock::new());
-//! let tracer = Tracer::new(Arc::clone(&ring) as _, Arc::clone(&clock) as _);
+//! let tracer = Tracer::new(Arc::clone(&ring), Arc::clone(&clock) as _);
 //!
 //! let span = tracer.span("solve", &[("job", 0u64.into())]);
 //! clock.advance_ns(1_500);
@@ -85,6 +85,4 @@ pub use timeline::{
     merge_timelines, SeriesId, SeriesKind, SeriesPoint, SeriesWindows, TimelineConfig,
     TimelineRecorder,
 };
-pub use trace::{
-    trace_id, Collector, EventKind, RingCollector, SpanGuard, TraceContext, TraceEvent, Tracer,
-};
+pub use trace::{trace_id, EventKind, RingCollector, SpanGuard, TraceContext, TraceEvent, Tracer};

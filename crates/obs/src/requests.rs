@@ -2,7 +2,7 @@
 //!
 //! The serve layer pushes one [`RequestRecord`] per finished request —
 //! every terminal outcome: completed, coalesced follower, cache hit,
-//! expired, shed or failed — into a bounded [`RequestLog`]. Records carry
+//! expired or failed — into a bounded [`RequestLog`]. Records carry
 //! the request-scoped trace id and the full latency breakdown, so an
 //! operator can go from "this request was slow" to "its time went to
 //! the queue, not the farm" without reconstructing the span tree.
@@ -51,7 +51,7 @@ pub struct RequestRecord {
     /// batch answered, `"cache_hit"` for one answered from the result
     /// cache at admission, `"expired"`, or the reject-reason label of an
     /// admitted request abandoned without an answer (`"shard_failed"`
-    /// when its shard died, `"shed"` under brownout).
+    /// when its shard died).
     pub outcome: &'static str,
     /// The batch that carried the request (`None` for expiries).
     pub batch: Option<u64>,

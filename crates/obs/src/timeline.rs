@@ -46,7 +46,7 @@
 //! tl.record_delta("serve.admitted", 1, 1_500);
 //! tl.sample("serve.queue_depth", 3, 100);
 //! let admitted = tl.series("serve.admitted", SeriesKind::Delta);
-//! let _never_observed = tl.series("serve.shed", SeriesKind::Delta);
+//! let _never_observed = tl.series("serve.failed", SeriesKind::Delta);
 //! tl.record(&[(admitted, 1, 1_600)]);
 //! let snap = tl.snapshot();
 //! assert_eq!(snap.len(), 2, "a series never observed is not listed");

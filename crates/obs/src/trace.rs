@@ -1,10 +1,9 @@
-//! Structured span/event tracing with pluggable collectors.
+//! Structured span/event tracing into a bounded ring.
 //!
 //! A [`Tracer`] timestamps (via the injected [`ObsClock`]) and sequences
-//! [`TraceEvent`]s, then hands them to a [`Collector`]. The in-tree
-//! collector is a bounded in-memory [`RingCollector`] (tests, live
-//! inspection); [`RingCollector::to_ndjson`] writes it out as one JSON
-//! object per line (files, CI artifacts).
+//! [`TraceEvent`]s, then hands them to its [`RingCollector`], a bounded
+//! in-memory ring (tests, live inspection); [`RingCollector::to_ndjson`]
+//! writes it out as one JSON object per line (files, CI artifacts).
 //!
 //! Tracers are cheap to clone (an `Arc` under the hood) and
 //! [`Tracer::disabled`] is a true no-op — a disabled tracer performs no
@@ -87,7 +86,18 @@ pub fn trace_id(request: u64) -> u64 {
     // "trace-id" in ASCII; any fixed odd-ball salt works, it only has to
     // decorrelate trace ids from the ids and seeds they derive from
     const TRACE_SALT: u64 = 0x7472_6163_652D_6964;
-    let mut z = (request ^ TRACE_SALT).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    splitmix64(request ^ TRACE_SALT)
+}
+
+/// The 64-bit splitmix finalizer: a cheap, well-mixed bijection on
+/// `u64`. Trace ids, shard routing, request seeds and the result
+/// cache's key lanes all derive from it, so neighboring ids land on
+/// distant shards, in distant RNG streams and under distant trace ids.
+/// Inlined because the serving path calls it several times per request.
+#[inline]
+#[must_use]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -212,13 +222,6 @@ impl TraceEvent {
     }
 }
 
-/// A sink for trace events. Implementations must tolerate concurrent
-/// `record` calls.
-pub trait Collector: Send + Sync {
-    /// Consumes one event.
-    fn record(&self, event: TraceEvent);
-}
-
 /// A bounded in-memory collector keeping the most recent `capacity`
 /// events.
 ///
@@ -230,7 +233,7 @@ pub trait Collector: Send + Sync {
 /// use canti_obs::trace::{RingCollector, Tracer};
 ///
 /// let ring = Arc::new(RingCollector::new(64));
-/// let tracer = Tracer::new(Arc::clone(&ring) as _, Arc::new(VirtualClock::new()));
+/// let tracer = Tracer::new(Arc::clone(&ring), Arc::new(VirtualClock::new()));
 /// tracer.event("hello", &[("n", 3u64.into())]);
 /// let events = ring.events();
 /// assert_eq!(events.len(), 1);
@@ -281,10 +284,10 @@ impl RingCollector {
         }
         out
     }
-}
 
-impl Collector for RingCollector {
-    fn record(&self, event: TraceEvent) {
+    /// Keeps `event`, evicting the oldest one when the ring is full.
+    /// Safe under concurrent calls.
+    pub fn record(&self, event: TraceEvent) {
         let mut q = self.events.lock().unwrap_or_else(PoisonError::into_inner);
         if q.len() == self.capacity {
             q.pop_front();
@@ -295,7 +298,7 @@ impl Collector for RingCollector {
 }
 
 struct TracerInner {
-    collector: Arc<dyn Collector>,
+    collector: Arc<RingCollector>,
     clock: Arc<dyn ObsClock>,
     seq: AtomicU64,
 }
@@ -318,7 +321,7 @@ impl fmt::Debug for Tracer {
 impl Tracer {
     /// A tracer feeding `collector`, timestamped by `clock`.
     #[must_use]
-    pub fn new(collector: Arc<dyn Collector>, clock: Arc<dyn ObsClock>) -> Self {
+    pub fn new(collector: Arc<RingCollector>, clock: Arc<dyn ObsClock>) -> Self {
         Self {
             inner: Some(Arc::new(TracerInner {
                 collector,
@@ -425,10 +428,7 @@ mod tests {
     fn ring_tracer(capacity: usize) -> (Arc<RingCollector>, Arc<VirtualClock>, Tracer) {
         let ring = Arc::new(RingCollector::new(capacity));
         let clock = Arc::new(VirtualClock::new());
-        let tracer = Tracer::new(
-            Arc::clone(&ring) as Arc<dyn Collector>,
-            Arc::clone(&clock) as Arc<dyn ObsClock>,
-        );
+        let tracer = Tracer::new(Arc::clone(&ring), Arc::clone(&clock) as Arc<dyn ObsClock>);
         (ring, clock, tracer)
     }
 

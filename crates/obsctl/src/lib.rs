@@ -877,8 +877,8 @@ pub fn timeline_report(
 /// Recomputes the per-window request-latency series offline from the
 /// closed `request` spans of a telemetry artifact and compares it to
 /// the live `serve.request_latency_ns` section, window by window. It
-/// applies the serve layer's recording rule: an expired, shed or
-/// stranded request (a `request_expired` or `request_abandoned` event)
+/// applies the serve layer's recording rule: an expired or stranded
+/// request (a `request_expired` or `request_abandoned` event)
 /// closes its span without a latency sample, and a cache hit opens no
 /// span but records one, a 0-ns lookup at its `cache_hit` event on the
 /// virtual clock where this check is exact. The samples go through a

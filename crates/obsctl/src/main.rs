@@ -50,8 +50,8 @@ SUBCOMMANDS:
               are its slo.good and slo.breached series. With --spans,
               recompute the request-latency windows offline from the
               closed 'request' spans of that telemetry artifact (less
-              the expired, shed and failed requests, plus each cache
-              hit as a 0-ns sample) and cross-check them against the
+              the expired and failed requests, plus each cache hit as
+              a 0-ns sample) and cross-check them against the
               live windows; exits 1 when they disagree. The
               cross-check is exact only for artifacts
               recorded on a virtual clock: on a wall clock a request

@@ -38,7 +38,11 @@ pub struct ServeStats {
     /// Admitted requests answered [`RejectReason::ShardFailed`] because
     /// their shard died before their batch completed.
     pub failed: u64,
-    /// Admitted requests evicted by brownout shedding.
+    /// Always 0. A full queue refuses at the door
+    /// ([`RejectReason::QueueFull`]), so the serving layer never sheds a
+    /// request it admitted. The field stays because the benchmark's
+    /// stats delta (`delta` in `perfbench/src/drive.rs`) names every
+    /// `ServeStats` field.
     pub shed: u64,
     /// Requests answered straight from the content-addressed result
     /// cache (also counted in `admitted` and `completed`).
@@ -54,13 +58,12 @@ impl ServeStats {
     #[must_use]
     pub fn render(&self) -> String {
         format!(
-            "serve: {} admitted, {} rejected, {} expired, {} completed, {} failed, {} shed in {} batches ({} cache hits, {} coalesced)",
+            "serve: {} admitted, {} rejected, {} expired, {} completed, {} failed in {} batches ({} cache hits, {} coalesced)",
             self.admitted,
             self.rejected,
             self.expired,
             self.completed,
             self.failed,
-            self.shed,
             self.batches,
             self.cache_hits,
             self.coalesced
@@ -107,8 +110,8 @@ pub(crate) enum Admission {
     Hit(ServeResponse),
 }
 
-/// One shard's serving state machine: admission, expiry, shedding and
-/// batch formation under one lock, and the executor its batches run on.
+/// One shard's serving state machine: admission, expiry and batch
+/// formation under one lock, and the executor its batches run on.
 /// [`crate::ShardedEngine`] pumps it explicitly and
 /// [`crate::ShardedService`] drives it from a batcher thread; either way
 /// a pass runs [`Self::form`], the executor, then [`Self::land`].
@@ -364,7 +367,7 @@ impl ServeEngine {
         response
     }
 
-    /// Ends one admitted request that got no answer — expired, shed, or
+    /// Ends one admitted request that got no answer — expired, or
     /// stranded by its shard's death — as `disposition`: tallied, its
     /// `request_expired` or `request_abandoned` event emitted, recorded
     /// as a breach, its span closed.
@@ -376,11 +379,7 @@ impl ServeEngine {
     ) -> ServeResponse {
         let ex = &self.executor;
         if let Disposition::Failed { reason } = disposition {
-            if reason == RejectReason::Shed {
-                self.stats.shed += 1;
-            } else {
-                self.stats.failed += 1;
-            }
+            self.stats.failed += 1;
             if let Some(o) = ex.observer() {
                 o.tracer().event(
                     "request_abandoned",
@@ -430,10 +429,9 @@ impl ServeEngine {
 
     /// Step 1 of a pass: answers into `out` the cache hits buffered
     /// since the last pump (they were admitted before anything that
-    /// follows), then expiries, then — outside a drain — brownout
-    /// sheds, and releases the batches now due. `drain` stops admission
-    /// and releases everything queued. A failed engine forms nothing:
-    /// its queue was already answered terminally.
+    /// follows), then expiries, and releases the batches now due.
+    /// `drain` stops admission and releases everything queued. A failed
+    /// engine forms nothing: its queue was already answered terminally.
     pub(crate) fn form(&mut self, drain: bool, out: &mut Vec<ServeResponse>) -> Vec<FormedBatch> {
         if self.is_failed() {
             if drain {
@@ -452,7 +450,6 @@ impl ServeEngine {
                     waited_ns,
                     deadline_ns,
                 };
-                // an expiring leader's followers stay queued, promoted
                 out.push(self.unanswered((p.id, p.trace, p.enqueued_ns), expiry, now_ns));
             }
             self.observe_depth();
@@ -462,19 +459,6 @@ impl ServeEngine {
             let batches = std::iter::from_fn(|| self.queue.pop_drain(now_ns)).collect();
             self.observe_depth();
             return batches;
-        }
-        // brownout: the newest waiting requests, down to the mark, are
-        // shed with their followers
-        let brownout = self.queue.config().brownout;
-        let victims = brownout.map_or_else(Vec::new, |b| self.queue.take_shed(b.high_water));
-        if !victims.is_empty() {
-            let shed = Disposition::Failed {
-                reason: RejectReason::Shed,
-            };
-            for m in victims.iter().flat_map(Pending::members) {
-                out.push(self.unanswered(m, shed.clone(), now_ns));
-            }
-            self.observe_depth();
         }
         let batches: Vec<FormedBatch> =
             std::iter::from_fn(|| self.queue.pop_ready(now_ns)).collect();
@@ -841,7 +825,7 @@ mod tests {
                     completed,
                     batches,
                     failed,
-                    shed,
+                    shed: _,
                     cache_hits,
                     coalesced,
                 } = e.stats();
@@ -853,14 +837,12 @@ mod tests {
                     "serve.completed",
                     "serve.batches",
                     "serve.failed",
-                    "serve.shed",
                     "serve.cache_hit",
                     "serve.coalesced",
                 ]
                 .map(|name| m.counter(name).get());
                 let fields = [
-                    admitted, rejected, expired, completed, batches, failed, shed, cache_hits,
-                    coalesced,
+                    admitted, rejected, expired, completed, batches, failed, cache_hits, coalesced,
                 ];
                 let case = format!("{plan:?}, cache {}", cache.is_some());
                 assert_eq!(fields, counters, "{case}");

@@ -17,7 +17,7 @@ use canti_obs::{
 };
 
 use crate::cache::ReportCache;
-use crate::queue::{FormedBatch, RejectReason};
+use crate::queue::FormedBatch;
 use crate::response::{Disposition, LatencyBreakdown, ServeResponse};
 
 /// Finished requests retained for `/debug/requests`, per shard.
@@ -59,7 +59,6 @@ pub(crate) struct ServeInstruments {
     pub completed: Tally,
     pub batches: Tally,
     pub failed: Tally,
-    pub shed: Tally,
     pub cache_hit: Tally,
     pub cache_miss: Tally,
     pub coalesced: Tally,
@@ -128,7 +127,6 @@ impl ServeInstruments {
                 "serve.failed",
                 "admitted requests abandoned because their shard died",
             ),
-            shed: tally("serve.shed", "admitted requests evicted under brownout"),
             cache_hit: tally(
                 "serve.cache_hit",
                 "requests answered from the content-addressed result cache",
@@ -163,8 +161,8 @@ impl ServeInstruments {
     /// Records one terminal answer: the one place the SLO rule is
     /// applied and a [`RequestRecord`] written. An answer — a batch
     /// completion or a cache hit — lands in the latency histogram and is
-    /// good within the objective. An expired, shed or failed request
-    /// always breaches, however briefly it waited, and its wait since
+    /// good within the objective. An expired or failed request always
+    /// breaches, however briefly it waited, and its wait since
     /// `admitted_ns` stands as its latency and queue time. One timeline
     /// write carries the verdict, the outcome's tallies and its phase
     /// series at `now_ns` (a hit also counts its admission, at
@@ -230,9 +228,6 @@ impl ServeInstruments {
             Disposition::Expired { .. } | Disposition::Failed { .. } => {
                 let tally = match r.disposition {
                     Disposition::Expired { .. } => &self.expired,
-                    Disposition::Failed {
-                        reason: RejectReason::Shed,
-                    } => &self.shed,
                     _ => &self.failed,
                 };
                 timeline.record(&[tally.one(now_ns), self.slo_breached.one(now_ns)]);

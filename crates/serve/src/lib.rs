@@ -127,8 +127,8 @@ pub struct ServeConfig {
     /// Farm worker threads per batch (`0` = machine parallelism).
     pub threads: usize,
     /// SLO objective every finished request is scored against: answers
-    /// by latency, while expired, shed and failed requests always
-    /// breach. Verdicts land as `slo.good` / `slo.breached` series on the
+    /// by latency, while expired and failed requests always breach.
+    /// Verdicts land as `slo.good` / `slo.breached` series on the
     /// [`Self::timeline`] grid: `/debug/timeline` serves them per shard
     /// and merged, like every other series.
     pub slo: SloConfig,
@@ -137,8 +137,6 @@ pub struct ServeConfig {
     /// verdicts) behind `/debug/timeline`. Recorded only when an
     /// observer is attached.
     pub timeline: TimelineConfig,
-    /// Brownout shedding policy. `None` (default) disables shedding.
-    pub brownout: Option<BrownoutConfig>,
     /// Content-addressed result caching and in-flight coalescing policy.
     /// `None` (default) disables both, preserving pre-existing scripted
     /// traces. When set, each request's RNG stream derives from the
@@ -147,22 +145,6 @@ pub struct ServeConfig {
     /// makes cached and recomputed answers bitwise interchangeable on
     /// any shard.
     pub cache: Option<CacheConfig>,
-}
-
-/// Policy for brownout shedding: once queue depth exceeds `high_water`,
-/// the pump evicts the newest waiting requests down to the mark,
-/// answering each
-/// [`Disposition::Failed`] with [`RejectReason::Shed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BrownoutConfig {
-    /// Queue depth above which shedding starts.
-    pub high_water: usize,
-}
-
-impl Default for BrownoutConfig {
-    fn default() -> Self {
-        Self { high_water: 32 }
-    }
 }
 
 impl Default for ServeConfig {
@@ -175,7 +157,6 @@ impl Default for ServeConfig {
             threads: 0,
             slo: SloConfig::default(),
             timeline: TimelineConfig::default(),
-            brownout: None,
             cache: None,
         }
     }

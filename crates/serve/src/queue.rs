@@ -29,10 +29,6 @@ pub enum RejectReason {
     /// handed to requests that were already in flight when the shard
     /// died — admitted work is answered, never abandoned silently.
     ShardFailed,
-    /// Brownout shedding evicted the request: queue depth crossed the
-    /// configured high-water mark and this request was among the newest
-    /// waiting.
-    Shed,
 }
 
 impl RejectReason {
@@ -43,7 +39,6 @@ impl RejectReason {
             Self::QueueFull { .. } => "queue_full",
             Self::Draining => "draining",
             Self::ShardFailed => "shard_failed",
-            Self::Shed => "shed",
         }
     }
 }
@@ -56,7 +51,6 @@ impl fmt::Display for RejectReason {
             }
             Self::Draining => write!(f, "service is draining"),
             Self::ShardFailed => write!(f, "shard failed"),
-            Self::Shed => write!(f, "shed under brownout"),
         }
     }
 }
@@ -196,10 +190,10 @@ impl FormedBatch {
 pub(crate) struct AdmissionQueue {
     config: ServeConfig,
     queue: VecDeque<Pending>,
-    /// Content hash → queued leader id, maintained only when the config
-    /// enables the result cache. A deadline-free submission whose hash
-    /// is in here coalesces onto that leader instead of occupying a
-    /// queue slot.
+    /// Content hash → the newest queued deadline-free request with it,
+    /// maintained only when the config enables the result cache. A
+    /// deadline-free submission whose hash is in here coalesces onto
+    /// that leader instead of occupying a queue slot.
     inflight: BTreeMap<JobKey, u64>,
     next_batch: u64,
     draining: bool,
@@ -262,10 +256,12 @@ impl AdmissionQueue {
     /// RNG seed derives from its spec's **content hash** instead of its
     /// id, so identical specs yield identical payload bits (the
     /// invariant that makes cached answers bitwise interchangeable with
-    /// recomputed ones). And a deadline-free submission identical to a
-    /// queued request **coalesces**: it occupies no queue slot and runs
-    /// no job — the leader's answer fans out to it. Deadline-carrying
-    /// submissions always queue normally so expiry stays exact.
+    /// recomputed ones). And coalescing has one rule: a deadline-free
+    /// submission identical to a queued deadline-free request rides it
+    /// as a follower — it occupies no queue slot and runs no job, the
+    /// leader's answer fans out to it. A deadline-carrying submission
+    /// neither rides nor leads, so no follower ever waits on a request
+    /// that can expire.
     ///
     /// # Errors
     ///
@@ -287,18 +283,16 @@ impl AdmissionQueue {
             return Err(RejectReason::Draining);
         }
         let trace = canti_obs::trace_id(id);
-        if deadline_ns.is_none() {
-            if let Some(k) = job_key {
-                if let Some(&leader) = self.inflight.get(&k) {
-                    if let Some(p) = self.queue.iter_mut().find(|p| p.id == leader) {
-                        p.followers.push(Follower {
-                            id,
-                            trace,
-                            enqueued_ns: now_ns,
-                        });
-                        return Ok(Admitted::Coalesced { leader });
-                    }
-                }
+        // only deadline-free requests coalesce, as leader or follower
+        let coalescing = job_key.filter(|_| deadline_ns.is_none());
+        if let Some(&leader) = coalescing.and_then(|k| self.inflight.get(&k)) {
+            if let Some(p) = self.queue.iter_mut().find(|p| p.id == leader) {
+                p.followers.push(Follower {
+                    id,
+                    trace,
+                    enqueued_ns: now_ns,
+                });
+                return Ok(Admitted::Coalesced { leader });
             }
         }
         let capacity = self.config.capacity();
@@ -311,8 +305,8 @@ impl AdmissionQueue {
             Some(k) => crate::shard::request_seed(self.config.batch_seed, k.fold()),
             None => crate::shard::request_seed(self.config.batch_seed, id),
         };
-        if let Some(k) = job_key {
-            // the newest queued instance is the coalesce target
+        if let Some(k) = coalescing {
+            // the newest deadline-free instance is the coalesce target
             self.inflight.insert(k, id);
         }
         self.queue.push_back(Pending {
@@ -331,64 +325,24 @@ impl AdmissionQueue {
     /// Removes and returns every queued request whose deadline has
     /// passed (`now_ns >= deadline_ns`), in admission order. Run this
     /// before [`Self::pop_ready`] so expired requests never occupy batch
-    /// slots.
-    /// An expiring leader with followers does not take its coalition
-    /// down: the oldest follower is **promoted** in place (keeping the
-    /// queue position and the content-derived seed, so payload bits are
-    /// unchanged) and only the leader itself is reported expired.
+    /// slots. A request with a deadline is never a coalesce target, so
+    /// an expiring one has no followers and no `inflight` entry. A pass
+    /// where nothing expires moves and allocates nothing.
     pub(crate) fn take_expired(&mut self, now_ns: u64) -> Vec<Pending> {
-        let mut expired = Vec::new();
-        let inflight = &mut self.inflight;
-        self.queue.retain_mut(|p| match p.deadline_ns {
-            Some(d) if now_ns >= d => {
-                let mut gone = p.clone();
-                gone.followers = Vec::new();
-                if p.followers.is_empty() {
-                    if let Some(k) = p.job_key {
-                        if inflight.get(&k) == Some(&p.id) {
-                            inflight.remove(&k);
-                        }
-                    }
-                    expired.push(gone);
-                    false
-                } else {
-                    let f = p.followers.remove(0);
-                    p.id = f.id;
-                    p.trace = f.trace;
-                    p.enqueued_ns = f.enqueued_ns;
-                    // followers are deadline-free by the coalescing rule
-                    p.deadline_ns = None;
-                    if let Some(k) = p.job_key {
-                        if inflight.get(&k) == Some(&gone.id) {
-                            inflight.insert(k, p.id);
-                        }
-                    }
-                    expired.push(gone);
-                    true
-                }
-            }
-            _ => true,
-        });
-        expired
-    }
-
-    /// Brownout shedding: while more than `high_water` requests wait,
-    /// evicts the newest one and returns the victims in eviction order.
-    /// Purely a function of queue state, so a scripted run sheds the
-    /// same requests every time.
-    pub(crate) fn take_shed(&mut self, high_water: usize) -> Vec<Pending> {
-        let mut shed = Vec::new();
-        while self.queue.len() > high_water {
-            let victim = self.queue.pop_back().expect("non-empty above the mark");
-            if let Some(k) = victim.job_key {
-                if self.inflight.get(&k) == Some(&victim.id) {
-                    self.inflight.remove(&k);
-                }
-            }
-            // a shed leader sheds its whole coalition with it
-            shed.push(victim);
+        let due = |p: &Pending| p.deadline_ns.is_some_and(|d| now_ns >= d);
+        if !self.queue.iter().any(due) {
+            return Vec::new();
         }
-        shed
+        let mut expired = Vec::new();
+        for _ in 0..self.queue.len() {
+            let p = self.queue.pop_front().expect("one pop per queued request");
+            if due(&p) {
+                expired.push(p);
+            } else {
+                self.queue.push_back(p);
+            }
+        }
+        expired
     }
 
     /// Empties the queue for shard-failure handling, in admission order.
@@ -602,7 +556,6 @@ mod tests {
         assert_eq!(RejectReason::Draining.label(), "draining");
         assert_eq!(BatchTrigger::Linger.label(), "linger");
         assert_eq!(RejectReason::ShardFailed.label(), "shard_failed");
-        assert_eq!(RejectReason::Shed.label(), "shed");
     }
 
     #[test]
@@ -617,20 +570,24 @@ mod tests {
     }
 
     #[test]
-    fn shedding_evicts_newest_first() {
+    fn only_deadline_free_requests_coalesce() {
         let mut q = queue(8, 8, 1_000_000);
-        for id in 0..4 {
-            submit(&mut q, 0, id, None).unwrap();
-        }
-        let shed = q.take_shed(2);
+        let spec = probe(1.0);
+        let key = Some(crate::cache::job_key(&spec));
+        let mut keyed = |id, deadline_ns| q.submit(0, id, spec.clone(), key, deadline_ns);
+        assert_eq!(keyed(0, Some(100)), Ok(Admitted::Queued));
         assert_eq!(
-            shed.iter().map(|p| p.id).collect::<Vec<_>>(),
-            vec![3, 2],
-            "victims go newest first"
+            keyed(1, None),
+            Ok(Admitted::Queued),
+            "a deadline-free repeat never rides a request that can expire"
         );
-        assert_eq!(q.depth(), 2);
-        assert!(q.take_shed(2).is_empty(), "at the mark, nothing sheds");
-        let survivors: Vec<u64> = q.take_all().iter().map(|p| p.id).collect();
-        assert_eq!(survivors, vec![0, 1], "the oldest requests survive");
+        assert_eq!(keyed(2, None), Ok(Admitted::Coalesced { leader: 1 }));
+        let gone = q.take_expired(100);
+        assert_eq!(gone.iter().map(|p| p.id).collect::<Vec<_>>(), vec![0]);
+        assert!(gone[0].followers.is_empty());
+        assert_eq!(q.depth(), 1, "the deadline-free leader stays queued");
+        let batch = q.pop_drain(100).expect("the leader is still queued");
+        let members: Vec<u64> = batch.items[0].members().map(|(id, ..)| id).collect();
+        assert_eq!(members, vec![1, 2], "with its follower");
     }
 }

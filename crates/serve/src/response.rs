@@ -100,10 +100,9 @@ pub enum Disposition {
     },
     /// The serving layer itself gave up on an **already admitted**
     /// request: its shard died before the batch completed
-    /// ([`RejectReason::ShardFailed`]) or brownout shedding evicted it
-    /// from the queue ([`RejectReason::Shed`]). Terminal by contract —
-    /// a waiter on the request's ticket always wakes up with this
-    /// response instead of hanging on a dead batcher.
+    /// ([`RejectReason::ShardFailed`]). Terminal by contract — a waiter
+    /// on the request's ticket always wakes up with this response
+    /// instead of hanging on a dead batcher.
     Failed {
         /// Why the serving layer abandoned the request.
         reason: RejectReason,
@@ -266,15 +265,6 @@ mod tests {
         assert!(!failed.disposition.is_ok());
         assert_eq!(failed.disposition.label(), "shard_failed");
         assert!(failed.to_string().contains("abandoned"));
-
-        let shed = ServeResponse {
-            request_id: 7,
-            trace: canti_obs::trace_id(7),
-            disposition: Disposition::Failed {
-                reason: RejectReason::Shed,
-            },
-        };
-        assert_eq!(shed.disposition.label(), "shed");
     }
 
     #[test]

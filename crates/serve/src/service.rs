@@ -552,10 +552,7 @@ mod tests {
 
     /// Supervision whose restart backoff starts at `backoff_base_ns`.
     fn backoff(backoff_base_ns: u64) -> SupervisorConfig {
-        SupervisorConfig {
-            backoff_base_ns,
-            ..SupervisorConfig::default()
-        }
+        SupervisorConfig { backoff_base_ns }
     }
 
     /// Never restarted while a test runs.
@@ -850,11 +847,7 @@ mod tests {
         let service = one_chaos_shard(
             one_per_batch(),
             &ServeFaultPlan::kill_shard(0, 0),
-            SupervisorConfig {
-                backoff_base_ns: 0,
-                probation_batches: 3,
-                ..SupervisorConfig::default()
-            },
+            backoff(0),
         );
         assert!(shard_failed(&wait(
             service.submit(probe(0.0)).expect("admitted")
@@ -869,7 +862,7 @@ mod tests {
         use ShardHealth::{Degraded, Healthy, Recovering};
         assert_eq!(
             ladder,
-            vec![Recovering, Degraded, Degraded, Degraded, Healthy],
+            vec![Recovering, Degraded, Healthy, Healthy, Healthy],
             "the supervisor's ladder after 0..=4 clean batches"
         );
     }

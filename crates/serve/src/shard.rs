@@ -53,16 +53,8 @@ use crate::response::ServeResponse;
 use crate::supervisor::{ShardSupervisor, SupervisorConfig};
 use crate::ServeConfig;
 
-/// The 64-bit splitmix finalizer: a cheap, well-mixed bijection on
-/// `u64`. Used for both routing and seed derivation so neighboring ids
-/// land on distant shards and in distant RNG streams.
-#[must_use]
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+// routing and seed derivation share the trace ids' finalizer
+pub use canti_obs::trace::splitmix64;
 
 /// The routing rule: global request id → shard index. A pure function
 /// of `(request_id, shards)`.
@@ -543,7 +535,6 @@ fn sum_stats(stats: impl Iterator<Item = ServeStats>) -> ServeStats {
         acc.completed += s.completed;
         acc.batches += s.batches;
         acc.failed += s.failed;
-        acc.shed += s.shed;
         acc.cache_hits += s.cache_hits;
         acc.coalesced += s.coalesced;
         acc
@@ -722,7 +713,6 @@ mod tests {
         )
         .with_supervisor(SupervisorConfig {
             backoff_base_ns: u64::MAX, // never restarted
-            ..SupervisorConfig::default()
         })
         .with_observers(observers)
         .with_chaos_plan(&ServeFaultPlan::kill_shard(victim, 0));
@@ -770,7 +760,6 @@ mod tests {
         )
         .with_supervisor(SupervisorConfig {
             backoff_base_ns: 1_000,
-            ..SupervisorConfig::default()
         })
         .with_chaos_plan(&ServeFaultPlan::kill_shard(victim, 0));
         let executor = e.shard(victim).executor();

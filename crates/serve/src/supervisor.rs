@@ -22,32 +22,34 @@
 //!
 //! Restart delays back off exponentially and deterministically:
 //! the `n`-th consecutive failure of a shard schedules its restart
-//! `backoff_base_ns << min(n - 1, backoff_max_shift)` after the failure
-//! was recorded.
+//! `backoff_base_ns << min(n - 1, BACKOFF_MAX_SHIFT)` after the failure
+//! was recorded, so the delay caps at 64× the base.
 
 use crate::shard::ShardHealth;
 
-/// Policy for shard supervision: restart backoff and probation length.
+/// Cap on the exponential backoff's shift: the delay stops doubling at
+/// `backoff_base_ns << 6`, 64× the base.
+const BACKOFF_MAX_SHIFT: u32 = 6;
+
+/// Clean batches a `Degraded` shard must complete before it is
+/// `Healthy` again (the first clean batch only promotes `Recovering` →
+/// `Degraded`).
+const PROBATION_BATCHES: u32 = 1;
+
+/// Policy for shard supervision: the restart backoff's base.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Delay before the first restart attempt, ns on the observer clock.
     pub backoff_base_ns: u64,
-    /// Cap on the exponential backoff: the delay for failure `n` is
-    /// `backoff_base_ns << min(n - 1, backoff_max_shift)`.
-    pub backoff_max_shift: u32,
-    /// Clean batches a `Degraded` shard must complete before it is
-    /// `Healthy` again (the first clean batch only promotes
-    /// `Recovering` → `Degraded`).
-    pub probation_batches: u32,
 }
 
 impl SupervisorConfig {
     /// The deterministic restart delay for a shard's `n`-th consecutive
-    /// failure (`n ≥ 1`): `backoff_base_ns << min(n - 1,
-    /// backoff_max_shift)`, saturating.
+    /// failure (`n ≥ 1`): `backoff_base_ns << min(n - 1, 6)`,
+    /// saturating.
     #[must_use]
     pub fn backoff_ns(&self, failures: u32) -> u64 {
-        let shift = failures.saturating_sub(1).min(self.backoff_max_shift);
+        let shift = failures.saturating_sub(1).min(BACKOFF_MAX_SHIFT);
         self.backoff_base_ns.saturating_mul(1u64 << shift)
     }
 }
@@ -56,8 +58,6 @@ impl Default for SupervisorConfig {
     fn default() -> Self {
         Self {
             backoff_base_ns: 1_000_000, // 1 ms
-            backoff_max_shift: 6,       // cap at 64x base
-            probation_batches: 1,
         }
     }
 }
@@ -179,10 +179,9 @@ impl ShardSupervisor {
 
     /// Records a batch the shard completed cleanly. The first clean
     /// batch promotes `Recovering` → `Degraded`; after
-    /// `probation_batches` further clean batches the shard is `Healthy`
-    /// again and its failure streak resets.
+    /// `PROBATION_BATCHES` (1) further clean batches the shard is
+    /// `Healthy` again and its failure streak resets.
     pub fn record_clean_batch(&mut self, shard: usize) {
-        let probation = self.config.probation_batches;
         let r = &mut self.records[shard];
         match r.health {
             ShardHealth::Recovering => {
@@ -191,7 +190,7 @@ impl ShardSupervisor {
             }
             ShardHealth::Degraded => {
                 r.probation_served += 1;
-                if r.probation_served >= probation {
+                if r.probation_served >= PROBATION_BATCHES {
                     r.health = ShardHealth::Healthy;
                     r.failures = 0;
                     r.probation_served = 0;
@@ -241,11 +240,13 @@ mod tests {
     fn backoff_doubles_and_caps() {
         let config = SupervisorConfig {
             backoff_base_ns: 100,
-            backoff_max_shift: 3,
-            probation_batches: 1,
         };
-        let delays: Vec<u64> = (1..=6).map(|n| config.backoff_ns(n)).collect();
-        assert_eq!(delays, vec![100, 200, 400, 800, 800, 800]);
+        let delays: Vec<u64> = (1..=9).map(|n| config.backoff_ns(n)).collect();
+        assert_eq!(
+            delays,
+            vec![100, 200, 400, 800, 1_600, 3_200, 6_400, 6_400, 6_400],
+            "the delay caps at 64x base"
+        );
     }
 
     #[test]

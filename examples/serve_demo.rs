@@ -52,8 +52,8 @@ use std::time::{Duration, Instant};
 
 use canti::farm::{FarmObserver, JobSpec, ProbeMode, Receptor};
 use canti::obs::{
-    parse_ndjson, Collector, Exposition, ExpositionServer, Json, Metrics, ObsClock, Readiness,
-    Registry, RingCollector, ServeObs, Tracer, WallClock,
+    parse_ndjson, Exposition, ExpositionServer, Json, Metrics, ObsClock, Readiness, Registry,
+    RingCollector, ServeObs, Tracer, WallClock,
 };
 use canti::serve::{
     CacheConfig, Disposition, RejectReason, ServeConfig, ServeFaultPlan, ServeResponse,
@@ -97,7 +97,7 @@ fn build_observers(
     for s in 0..shards {
         let ring = Arc::new(RingCollector::new(1 << 15));
         let clock: Arc<dyn ObsClock> = Arc::new(WallClock::new());
-        let tracer = Tracer::new(Arc::clone(&ring) as Arc<dyn Collector>, Arc::clone(&clock));
+        let tracer = Tracer::new(Arc::clone(&ring), Arc::clone(&clock));
         let observer = FarmObserver::from_parts(Arc::new(Metrics::new()), tracer, clock);
         sources.push((s.to_string(), Arc::clone(observer.metrics())));
         observers.push(observer);
@@ -163,8 +163,6 @@ fn run_chaos(batch: usize, shards: usize, seed: u64, telemetry: bool) {
             // whole failover wave land while the victim is down, short
             // enough to watch it come back
             backoff_base_ns: 1_000_000_000, // 1 s
-            backoff_max_shift: 2,
-            probation_batches: 1,
         },
     ));
 

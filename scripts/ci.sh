@@ -88,7 +88,9 @@ cargo build --release --workspace
 phase_end
 
 phase_begin "tests (release, reusing the build)"
-cargo test -q --release --workspace
+# --no-fail-fast runs every test binary, so one failing binary cannot
+# hide failures in the ones after it; the phase still fails on any
+cargo test -q --release --workspace --no-fail-fast
 phase_end
 
 phase_begin "threaded serve and worker-pool tests, 20 runs each (release)"

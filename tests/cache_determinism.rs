@@ -50,7 +50,6 @@ fn config(workers: usize, capacity: usize) -> ServeConfig {
         threads: workers,
         slo: Default::default(),
         timeline: Default::default(),
-        brownout: None,
         cache: Some(CacheConfig { capacity }),
     }
 }
@@ -351,8 +350,6 @@ fn chaos_cache_run(workers: usize, plan: Option<&ServeFaultPlan>) -> CacheChaosT
     )
     .with_supervisor(SupervisorConfig {
         backoff_base_ns: 1_000,
-        backoff_max_shift: 2,
-        probation_batches: 1,
     });
     if let Some(plan) = plan {
         engine = engine.with_chaos_plan(plan);
@@ -661,7 +658,6 @@ fn threaded_sharded_service_answers_a_hit_inside_submit_and_refuses_when_down() 
         SupervisorConfig {
             // never restarted while the test runs
             backoff_base_ns: 3_600_000_000_000,
-            ..SupervisorConfig::default()
         },
     );
     assert_hits_answer_inside_submit(

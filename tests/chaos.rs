@@ -17,7 +17,7 @@ use std::sync::Arc;
 use canti::farm::{chaos_scan_batch, Farm, FarmConfig, JobSpec, ProbeMode, WorkerPool};
 use canti::fault::{FaultPlan, PlannedInjector};
 use canti::obs::clock::VirtualClock;
-use canti::obs::trace::{Collector, RingCollector};
+use canti::obs::trace::RingCollector;
 use canti::obs::Tracer;
 use canti::serve::route_request;
 use canti::system::autonomous::AutonomousInstrument;
@@ -81,10 +81,7 @@ fn empty_fault_plan_is_byte_identical_to_no_injector() {
             instrument.set_fault_injector(Box::new(PlannedInjector::new(FaultPlan::empty())));
         }
         let ring = Arc::new(RingCollector::new(4096));
-        let tracer = Tracer::new(
-            Arc::clone(&ring) as Arc<dyn Collector>,
-            Arc::new(VirtualClock::new()),
-        );
+        let tracer = Tracer::new(Arc::clone(&ring), Arc::new(VirtualClock::new()));
         instrument.set_tracer(tracer);
         instrument.power_on().unwrap();
         let mut sigmas = [SurfaceStress::zero(); CHANNELS];

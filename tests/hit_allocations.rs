@@ -16,8 +16,7 @@ use std::sync::Arc;
 
 use canti::farm::{FarmObserver, JobSpec, Receptor};
 use canti::obs::{
-    Collector, ObsClock, RingCollector, SeriesKind, TimelineConfig, TimelineRecorder, Tracer,
-    VirtualClock,
+    ObsClock, RingCollector, SeriesKind, TimelineConfig, TimelineRecorder, Tracer, VirtualClock,
 };
 use canti::serve::{CacheConfig, Disposition, ServeConfig, ShardedConfig, ShardedService};
 use canti::units::{Molar, Seconds};
@@ -157,10 +156,7 @@ fn an_unobserved_cache_hit_allocates_only_its_answer_and_its_ticket() {
 fn a_trace_event_with_up_to_three_fields_allocates_nothing() {
     let ring = Arc::new(RingCollector::new(8));
     let clock = Arc::new(VirtualClock::new());
-    let tracer = Tracer::new(
-        Arc::clone(&ring) as Arc<dyn Collector>,
-        Arc::clone(&clock) as Arc<dyn ObsClock>,
-    );
+    let tracer = Tracer::new(Arc::clone(&ring), Arc::clone(&clock) as Arc<dyn ObsClock>);
     let hit = |request: u64| {
         tracer.event(
             "cache_hit",

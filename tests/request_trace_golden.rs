@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use canti::farm::{FarmObserver, JobSpec, ProbeMode};
 use canti::obs::{
-    Collector, Exposition, ExpositionServer, Metrics, ObsClock, Registry, RingCollector, SloConfig,
+    Exposition, ExpositionServer, Metrics, ObsClock, Registry, RingCollector, SloConfig,
     TimelineConfig, Tracer, VirtualClock,
 };
 use canti::serve::{ServeConfig, ServeResponse, ShardedConfig, ShardedEngine};
@@ -34,10 +34,7 @@ fn scripted_observed_run(threads: usize) -> Scripted {
     let ring = Arc::new(RingCollector::new(4096));
     let clock = Arc::new(VirtualClock::new());
     let obs_clock: Arc<dyn ObsClock> = Arc::clone(&clock) as Arc<dyn ObsClock>;
-    let tracer = Tracer::new(
-        Arc::clone(&ring) as Arc<dyn Collector>,
-        Arc::clone(&obs_clock),
-    );
+    let tracer = Tracer::new(Arc::clone(&ring), Arc::clone(&obs_clock));
     let metrics = Arc::new(Metrics::new());
     let observer = FarmObserver::from_parts(Arc::clone(&metrics), tracer, Arc::clone(&obs_clock));
     let mut engine = ShardedEngine::new(

@@ -38,7 +38,6 @@ fn scripted_run(threads: usize) -> RunTrace {
                 threads,
                 slo: Default::default(),
                 timeline: Default::default(),
-                brownout: None,
                 cache: None,
             },
         },

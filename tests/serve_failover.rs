@@ -54,7 +54,6 @@ fn config(workers: usize) -> ServeConfig {
         threads: workers,
         slo: Default::default(),
         timeline: Default::default(),
-        brownout: None,
         cache: None,
     }
 }
@@ -64,8 +63,6 @@ fn config(workers: usize) -> ServeConfig {
 fn supervision() -> SupervisorConfig {
     SupervisorConfig {
         backoff_base_ns: 1_000,
-        backoff_max_shift: 2,
-        probation_batches: 1,
     }
 }
 
@@ -439,8 +436,6 @@ fn threaded_sharded_service_answers_every_ticket_under_chaos() {
         &ServeFaultPlan::kill_shard(VICTIM, 0),
         SupervisorConfig {
             backoff_base_ns: 50_000_000, // 50 ms
-            backoff_max_shift: 2,
-            probation_batches: 1,
         },
     ));
 

@@ -92,7 +92,6 @@ fn config(workers: usize) -> ServeConfig {
         threads: workers,
         slo: Default::default(),
         timeline: Default::default(),
-        brownout: None,
         cache: None,
     }
 }

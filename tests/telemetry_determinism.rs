@@ -11,7 +11,7 @@ use canti::farm::{
     FarmObserver, JobSpec,
 };
 use canti::obs::clock::VirtualClock;
-use canti::obs::trace::{Collector, RingCollector};
+use canti::obs::trace::RingCollector;
 use canti::obs::Tracer;
 use canti::system::autonomous::AutonomousInstrument;
 use canti::system::chip::BiosensorChip;
@@ -110,10 +110,7 @@ fn traced_instrument_scan_matches_untraced_scan() {
     let plain_report = plain.run_scan(sigmas, 200).unwrap();
 
     let ring = Arc::new(RingCollector::new(1024));
-    let tracer = Tracer::new(
-        Arc::clone(&ring) as Arc<dyn Collector>,
-        Arc::new(VirtualClock::new()),
-    );
+    let tracer = Tracer::new(Arc::clone(&ring), Arc::new(VirtualClock::new()));
     let mut traced = build();
     traced.set_tracer(tracer);
     traced.power_on().unwrap();

@@ -20,9 +20,10 @@
 //!    windows exactly, also when a killed shard abandons requests and
 //!    the cache answers others.
 //! 5. The SLO verdict series account for every terminal request, on a
-//!    script extended with a coalesced pair, a brownout burst and a
-//!    cache hit: one verdict per request, equal to the registry
-//!    counters, each in its terminal delta's window.
+//!    script extended with a coalesced pair, a burst that overfills the
+//!    queue and a cache hit: one verdict per answered request, equal to
+//!    the registry counters, each in its terminal delta's window, and
+//!    the burst's overflow is refused at the door.
 //! 6. With the cache on, that extended script's merged `serve.*` and
 //!    `slo.*` delta lines match a golden taken at one shard.
 //! 7. The request logs agree with the responses: one row per response,
@@ -34,12 +35,12 @@ use std::sync::Arc;
 use canti::farm::{dose_response_sweep, FarmObserver, JobSpec, ProbeMode};
 use canti::obs::timeline::{config_line, point_line};
 use canti::obs::{
-    merge_timelines, Collector, Metrics, ObsClock, RequestRecord, RingCollector, SeriesKind,
-    SeriesPoint, SeriesWindows, SloConfig, TimelineConfig, Tracer, VirtualClock,
+    merge_timelines, Metrics, ObsClock, RequestRecord, RingCollector, SeriesKind, SeriesPoint,
+    SeriesWindows, SloConfig, TimelineConfig, Tracer, VirtualClock,
 };
 use canti::serve::{
-    route_request, BrownoutConfig, CacheConfig, Disposition, RejectReason, ServeConfig,
-    ServeFaultPlan, ServeResponse, ShardedConfig, ShardedEngine, SupervisorConfig,
+    route_request, CacheConfig, Disposition, RejectReason, ServeConfig, ServeFaultPlan,
+    ServeResponse, ShardedConfig, ShardedEngine, SupervisorConfig,
 };
 use canti_obsctl::{timeline_report, TimelineOptions};
 
@@ -109,7 +110,6 @@ fn config(workers: usize) -> ServeConfig {
             window_ns: 500,
             max_windows: 64,
         },
-        brownout: None,
         cache: None,
     }
 }
@@ -162,10 +162,7 @@ fn run(
     let mut rings = Vec::new();
     for _ in 0..shards {
         let ring = Arc::new(RingCollector::new(1 << 12));
-        let tracer = Tracer::new(
-            Arc::clone(&ring) as Arc<dyn Collector>,
-            Arc::clone(&clock) as Arc<dyn ObsClock>,
-        );
+        let tracer = Tracer::new(Arc::clone(&ring), Arc::clone(&clock) as Arc<dyn ObsClock>);
         observers.push(FarmObserver::from_parts(
             Arc::new(Metrics::new()),
             tracer,
@@ -471,16 +468,12 @@ fn offline_recompute_skips_abandoned_requests_and_counts_cache_hits() {
     }
     steps.push(Step::Drain);
     let run = run(
-        ServeConfig {
-            brownout: None,
-            ..accounting_config()
-        },
+        accounting_config(),
         2,
         steps,
         &ServeFaultPlan::kill_shard(1, 0),
         SupervisorConfig {
             backoff_base_ns: 2_000,
-            ..SupervisorConfig::default()
         },
     );
     assert_eq!(
@@ -520,11 +513,12 @@ fn offline_recompute_skips_abandoned_requests_and_counts_cache_hits() {
     let _ = std::fs::remove_file(&tl_path);
 }
 
-/// The solo-paced script with the coalescing and brownout paths spliced
+/// The solo-paced script with the coalescing and refusal paths spliced
 /// in before its final submission: a leader and its coalesced follower
-/// answered by one batch, then a burst of three over a brownout mark of
-/// one (two shed, one lingers into a batch). Under [`accounting_config`]
-/// the final submission repeats r0's spec, so the cache answers it.
+/// answered by one batch, then a burst of three at a queue of two (one
+/// refused at the door, two linger into a batch). Under
+/// [`accounting_config`] the final submission repeats r0's spec, so the
+/// cache answers it.
 fn accounting_script() -> Vec<Step> {
     let probe = |v: f64| JobSpec::Probe(ProbeMode::Value(v));
     let mut steps = script();
@@ -543,14 +537,14 @@ fn accounting_script() -> Vec<Step> {
     steps
 }
 
-/// [`config`] with the cache on, a brownout mark of one and a 2 µs
-/// objective, so the slow solos breach on latency.
+/// [`config`] with the cache on, a queue of two and a 2 µs objective,
+/// so the slow solos breach on latency.
 fn accounting_config() -> ServeConfig {
     ServeConfig {
+        queue_capacity: 2,
         slo: SloConfig {
             objective_ns: 2_000,
         },
-        brownout: Some(BrownoutConfig { high_water: 1 }),
         cache: Some(CacheConfig::default()),
         ..config(1)
     }
@@ -566,9 +560,10 @@ fn counts(snapshot: &[SeriesWindows], name: &str) -> BTreeMap<u64, u64> {
 }
 
 /// Contract scope 5: every path that answers a request — batch
-/// completion, coalesced follower, cache hit, expiry, shed — records
-/// exactly one SLO verdict, in the window of its terminal delta, and
-/// the verdict series agree with the registry counters.
+/// completion, coalesced follower, cache hit, expiry — records exactly
+/// one SLO verdict, in the window of its terminal delta, and the verdict
+/// series agree with the registry counters. A refusal at the door
+/// answers no admitted request and records no verdict.
 #[test]
 fn slo_verdicts_account_for_every_terminal_request() {
     for shards in SHARD_GRID {
@@ -607,12 +602,7 @@ fn slo_verdicts_account_for_every_terminal_request() {
             verdicts.1 += shard_breached;
 
             let mut terminal: BTreeMap<u64, u64> = BTreeMap::new();
-            for name in [
-                "serve.completed",
-                "serve.expired",
-                "serve.shed",
-                "serve.failed",
-            ] {
+            for name in ["serve.completed", "serve.expired", "serve.failed"] {
                 for (index, n) in counts(snapshot, name) {
                     *terminal.entry(index).or_default() += n;
                 }
@@ -634,20 +624,26 @@ fn slo_verdicts_account_for_every_terminal_request() {
 
         if shards == 1 {
             let outcomes: BTreeSet<&str> = run.kept_union.iter().map(|&(_, o, _)| o).collect();
-            for outcome in ["ok", "coalesced", "cache_hit", "expired", "shed"] {
+            for outcome in ["ok", "coalesced", "cache_hit", "expired"] {
                 assert!(
                     outcomes.contains(outcome),
                     "the script reaches the {outcome} path: {outcomes:?}"
                 );
             }
-            assert!(verdicts.1 > 3, "latency breaches join the error paths");
+            let full = run
+                .admissions
+                .iter()
+                .filter(|a| **a == Err(RejectReason::QueueFull { capacity: 2 }))
+                .count();
+            assert_eq!(full, 1, "the burst's third request is refused at the door");
+            assert_eq!(verdicts.1, 3, "two latency breaches join the expiry");
         }
     }
 }
 
 /// The merged `serve.*` and `slo.*` delta lines of [`accounting_script`]
 /// under [`accounting_config`] at one shard, where the script reaches
-/// the ok, coalesced, cache-hit, expired and shed paths. Unlike
+/// the ok, coalesced, cache-hit, expired and refused paths. Unlike
 /// [`merged_serve_delta_lines_match_the_scripted_golden`], the cache is
 /// on, so the hit's series (`serve.cache_hit`, `serve.cache_ns`,
 /// `serve.cache_miss`) are pinned too. The list is exact: every line,
@@ -662,7 +658,7 @@ fn merged_cache_on_delta_lines_match_the_accounting_golden() {
         r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":8,"t_ns":4000,"count":1,"sum":1,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":1,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":19,"t_ns":9500,"count":3,"sum":3,"min":1,"max":1}"#,
-        r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":21,"t_ns":10500,"count":3,"sum":3,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":2,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.admitted","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":1,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.batches","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":1,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.batches","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":1,"min":1,"max":1}"#,
@@ -690,7 +686,7 @@ fn merged_cache_on_delta_lines_match_the_accounting_golden() {
         r#"{"record":"timeline","shard":"merged","series":"serve.completed","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":1,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.completed","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":1,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.completed","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":2,"min":1,"max":1}"#,
-        r#"{"record":"timeline","shard":"merged","series":"serve.completed","kind":"delta","window":24,"t_ns":12000,"count":2,"sum":2,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.completed","kind":"delta","window":24,"t_ns":12000,"count":3,"sum":3,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":0,"min":0,"max":0}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":0,"min":0,"max":0}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":6,"t_ns":3000,"count":1,"sum":0,"min":0,"max":0}"#,
@@ -698,7 +694,7 @@ fn merged_cache_on_delta_lines_match_the_accounting_golden() {
         r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":0,"min":0,"max":0}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":0,"min":0,"max":0}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":0,"min":0,"max":0}"#,
-        r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.exec_ns","kind":"delta","window":24,"t_ns":12000,"count":2,"sum":0,"min":0,"max":0}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.expired","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":1,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":0,"min":0,"max":0}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":0,"min":0,"max":0}"#,
@@ -707,7 +703,7 @@ fn merged_cache_on_delta_lines_match_the_accounting_golden() {
         r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":0,"min":0,"max":0}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":0,"min":0,"max":0}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":0,"min":0,"max":0}"#,
-        r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":0,"min":0,"max":0}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.form_ns","kind":"delta","window":24,"t_ns":12000,"count":2,"sum":0,"min":0,"max":0}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":6,"t_ns":3000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
@@ -715,7 +711,8 @@ fn merged_cache_on_delta_lines_match_the_accounting_golden() {
         r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":2600,"min":2600,"max":2600}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":2600,"min":2600,"max":2600}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":2200,"min":1100,"max":1100}"#,
-        r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.queue_ns","kind":"delta","window":24,"t_ns":12000,"count":2,"sum":2200,"min":1100,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.rejected","kind":"delta","window":21,"t_ns":10500,"count":1,"sum":1,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.rejected","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":1,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":1100,"min":1100,"max":1100}"#,
@@ -724,7 +721,7 @@ fn merged_cache_on_delta_lines_match_the_accounting_golden() {
         r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":2600,"min":2600,"max":2600}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":2600,"min":2600,"max":2600}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":2200,"min":1100,"max":1100}"#,
-        r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":24,"t_ns":12000,"count":2,"sum":1100,"min":0,"max":1100}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.request_latency_ns","kind":"delta","window":24,"t_ns":12000,"count":3,"sum":2200,"min":0,"max":1100}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":0,"min":0,"max":0}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":0,"min":0,"max":0}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":6,"t_ns":3000,"count":1,"sum":0,"min":0,"max":0}"#,
@@ -732,17 +729,15 @@ fn merged_cache_on_delta_lines_match_the_accounting_golden() {
         r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":0,"min":0,"max":0}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":19,"t_ns":9500,"count":1,"sum":0,"min":0,"max":0}"#,
         r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":0,"min":0,"max":0}"#,
-        r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":24,"t_ns":12000,"count":1,"sum":0,"min":0,"max":0}"#,
-        r#"{"record":"timeline","shard":"merged","series":"serve.shed","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":2,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"serve.respond_ns","kind":"delta","window":24,"t_ns":12000,"count":2,"sum":0,"min":0,"max":0}"#,
         r#"{"record":"timeline","shard":"merged","series":"slo.breached","kind":"delta","window":14,"t_ns":7000,"count":1,"sum":1,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"slo.breached","kind":"delta","window":19,"t_ns":9500,"count":2,"sum":2,"min":1,"max":1}"#,
-        r#"{"record":"timeline","shard":"merged","series":"slo.breached","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":2,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":2,"t_ns":1000,"count":1,"sum":1,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":4,"t_ns":2000,"count":1,"sum":1,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":6,"t_ns":3000,"count":1,"sum":1,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":8,"t_ns":4000,"count":1,"sum":1,"min":1,"max":1}"#,
         r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":21,"t_ns":10500,"count":2,"sum":2,"min":1,"max":1}"#,
-        r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":24,"t_ns":12000,"count":2,"sum":2,"min":1,"max":1}"#,
+        r#"{"record":"timeline","shard":"merged","series":"slo.good","kind":"delta","window":24,"t_ns":12000,"count":3,"sum":3,"min":1,"max":1}"#,
     ];
     let run = run(
         accounting_config(),
