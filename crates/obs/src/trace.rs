@@ -349,11 +349,12 @@ impl Tracer {
         self.inner.as_ref().map_or(0, |i| i.clock.now_ns())
     }
 
-    fn emit(&self, kind: EventKind, name: &'static str, fields: &[Field]) {
+    /// Records one event stamped `t_ns`, a reading the caller took.
+    fn emit(&self, t_ns: u64, kind: EventKind, name: &'static str, fields: &[Field]) {
         let Some(inner) = &self.inner else { return };
         let event = TraceEvent {
             seq: inner.seq.fetch_add(1, Ordering::Relaxed),
-            t_ns: inner.clock.now_ns(),
+            t_ns,
             kind,
             name,
             fields: Fields::from(fields),
@@ -363,19 +364,22 @@ impl Tracer {
 
     /// Records an instantaneous event.
     pub fn event(&self, name: &'static str, fields: &[Field]) {
-        self.emit(EventKind::Event, name, fields);
+        self.emit(self.now_ns(), EventKind::Event, name, fields);
     }
 
     /// Opens a span; the returned guard records the matching
     /// `span_end` (with a `dur_ns` field) when dropped or
-    /// [`SpanGuard::end`]ed.
+    /// [`SpanGuard::end`]ed. Each edge reads the clock once: the start
+    /// record's stamp is the span's start, and the end record's stamp
+    /// is its start plus `dur_ns`.
     #[must_use]
     pub fn span(&self, name: &'static str, fields: &[Field]) -> SpanGuard {
-        self.emit(EventKind::SpanStart, name, fields);
+        let start_ns = self.now_ns();
+        self.emit(start_ns, EventKind::SpanStart, name, fields);
         SpanGuard {
             tracer: self.clone(),
             name,
-            start_ns: self.now_ns(),
+            start_ns,
             done: !self.is_enabled(),
         }
     }
@@ -391,12 +395,6 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Elapsed span time so far, ns.
-    #[must_use]
-    pub fn elapsed_ns(&self) -> u64 {
-        self.tracer.now_ns().saturating_sub(self.start_ns)
-    }
-
     /// Closes the span now (instead of at drop), returning the duration.
     pub fn end(mut self) -> u64 {
         self.finish()
@@ -407,9 +405,14 @@ impl SpanGuard {
             return 0;
         }
         self.done = true;
-        let dur = self.elapsed_ns();
-        self.tracer
-            .emit(EventKind::SpanEnd, self.name, &[("dur_ns", dur.into())]);
+        let end_ns = self.tracer.now_ns();
+        let dur = end_ns.saturating_sub(self.start_ns);
+        self.tracer.emit(
+            end_ns,
+            EventKind::SpanEnd,
+            self.name,
+            &[("dur_ns", dur.into())],
+        );
         dur
     }
 }
@@ -460,6 +463,28 @@ mod tests {
         assert_eq!(events[1].field("dur_ns"), Some(&JsonValue::U64(250)));
     }
 
+    /// A clock that advances 10 ns per reading and counts its readings.
+    #[derive(Debug, Default)]
+    struct SteppingClock(AtomicU64);
+
+    impl ObsClock for SteppingClock {
+        fn now_ns(&self) -> u64 {
+            self.0.fetch_add(10, Ordering::Relaxed)
+        }
+    }
+
+    #[test]
+    fn a_span_reads_the_clock_once_per_edge() {
+        let ring = Arc::new(RingCollector::new(16));
+        let clock = Arc::new(SteppingClock::default());
+        let tracer = Tracer::new(Arc::clone(&ring), Arc::clone(&clock) as Arc<dyn ObsClock>);
+        assert_eq!(tracer.span("work", &[]).end(), 10);
+        let events = ring.events();
+        assert_eq!((events[0].t_ns, events[1].t_ns), (0, 10));
+        assert_eq!(events[1].field("dur_ns"), Some(&JsonValue::U64(10)));
+        assert_eq!(clock.0.load(Ordering::Relaxed) / 10, 2, "clock readings");
+    }
+
     #[test]
     fn explicit_end_does_not_double_record() {
         let (ring, clock, tracer) = ring_tracer(16);
@@ -474,9 +499,7 @@ mod tests {
         let tracer = Tracer::disabled();
         assert!(!tracer.is_enabled());
         tracer.event("nothing", &[]);
-        let span = tracer.span("nothing", &[]);
-        assert_eq!(span.elapsed_ns(), 0);
-        drop(span);
+        assert_eq!(tracer.span("nothing", &[]).end(), 0);
         assert_eq!(tracer.now_ns(), 0);
     }
 

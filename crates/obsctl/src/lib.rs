@@ -1,6 +1,6 @@
 //! `obsctl` — the consumption-side CLI over canti telemetry artifacts.
 //!
-//! Six subcommands, all pure functions in this library so tests (and
+//! Five subcommands, all pure functions in this library so tests (and
 //! CI) can drive them without spawning the binary:
 //!
 //! * [`summary`] — parse a telemetry NDJSON artifact, reconstruct the
@@ -9,10 +9,11 @@
 //!   gate) when the span tree is empty or the trace sequence has gaps,
 //! * [`flame`] — folded-stack flamegraph lines from the same artifact
 //!   (pipe into `flamegraph.pl` / inferno),
-//! * [`diff`] — compare per-stage `p50`/`p95`/`p99` between two bench or
-//!   telemetry JSON files and report regressions beyond a configurable
-//!   threshold; the binary exits non-zero on any regression, which is
-//!   the perf-regression gate `scripts/ci.sh` runs,
+//! * [`diff`] — compare per-stage `p50`/`p95`/`p99` between two
+//!   `ExperimentReport::to_json` documents (`"timings": [...]`) and
+//!   report regressions beyond a configurable threshold; the binary
+//!   exits non-zero on any regression, which is the perf-regression
+//!   gate `scripts/ci.sh` runs,
 //! * [`trace_request`] — reconstruct one request's span chain (admission
 //!   `request` span through the farm `job` span that executed it) and
 //!   its critical path; **fails** when the request is absent, orphaned
@@ -22,23 +23,11 @@
 //!   `/debug/timeline` NDJSON artifact as tables with count sparklines
 //!   (the SLO verdicts are its `slo.good` / `slo.breached` series), and
 //!   optionally recompute the request-latency windows offline from a
-//!   span artifact as a cross-check (**fails** when they disagree),
-//! * [`anomaly`] — compare a timeline artifact against an archived
-//!   baseline, per-series, and report count drift beyond a threshold;
-//!   the binary exits non-zero on drift or a missing series — the
-//!   timeline anomaly gate `scripts/ci.sh` runs between smoke runs.
+//!   span artifact as a cross-check (**fails** when they disagree).
 //!
-//! `timeline` and `anomaly` read their artifacts through
+//! Each renders one way, as text. `timeline` reads its artifact through
 //! `canti_obs::timeline::TimelineDump`, the reader of the format
-//! `canti_obs::timeline` writes, and `timeline --json` re-emits through
-//! that module's own line writers.
-//!
-//! `diff` understands both timing shapes the workspace writes: the
-//! `ExperimentReport::to_json` document (`"timings": [...]`) and NDJSON
-//! metric-dump histogram lines (a farm telemetry artifact's
-//! `farm.*_ns` stage histograms among them).
-//! [`summary`] and [`trace_request`] have `*_json` twins emitting
-//! fixed-field NDJSON for machine consumers (`--json` on the binary).
+//! `canti_obs::timeline` writes, so obsctl keeps no copy of that format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,8 +38,7 @@ use std::path::Path;
 
 use canti_obs::parse::{parse_json, parse_ndjson, Json};
 use canti_obs::timeline::{
-    config_line, point_line, SeriesId, SeriesKind, SeriesPoint, SeriesWindows, TimelineDump,
-    TimelineRecorder,
+    SeriesId, SeriesKind, SeriesPoint, SeriesWindows, TimelineDump, TimelineRecorder,
 };
 use canti_obs::Trace;
 
@@ -100,79 +88,43 @@ pub struct StageSummary {
     pub p50_ns: u64,
     /// 95th percentile, ns.
     pub p95_ns: u64,
-    /// 99th percentile, ns — `None` for artifacts written before the
-    /// histogram summaries carried tail quantiles (archived baselines
-    /// keep diffing cleanly).
+    /// 99th percentile, ns — `None` for reports written before the
+    /// timings carried tail quantiles (archived baselines keep diffing
+    /// cleanly).
     pub p99_ns: Option<u64>,
-    /// Largest sample, ns — `None` for the same legacy artifacts.
-    pub max_ns: Option<u64>,
-    /// Samples behind the quantiles.
-    pub count: u64,
 }
 
-/// Extracts `(stage name, summary)` pairs from a bench/telemetry file.
-///
-/// Accepted shapes, unioned (first occurrence of a name wins):
-/// * `ExperimentReport::to_json`: `{"timings": [{"name", "p50_ns", ...}]}`
-/// * NDJSON metric dumps: `{"metric":..,"type":"histogram","p50":..}`
+/// Extracts `(stage name, summary)` pairs from an
+/// `ExperimentReport::to_json` document:
+/// `{"timings": [{"name", "p50_ns", "p95_ns", "p99_ns", ...}]}`.
 ///
 /// # Errors
 ///
-/// [`CliError::Input`] when the file is unreadable, unparsable, or
-/// contains no recognizable timings.
+/// [`CliError::Input`] when the file is unreadable, is not one JSON
+/// document, or carries no timings.
 pub fn load_stages(path: &Path) -> Result<Vec<(String, StageSummary)>, CliError> {
-    let text = read_file(path)?;
-    let docs = match parse_json(&text) {
-        Ok(doc) => vec![doc],
-        Err(_) => {
-            parse_ndjson(&text).map_err(|e| CliError::Input(format!("{}: {e}", path.display())))?
-        }
-    };
-
-    let mut stages: Vec<(String, StageSummary)> = Vec::new();
-    let mut push = |name: &str, summary: StageSummary| {
-        if !stages.iter().any(|(n, _)| n == name) {
-            stages.push((name.to_owned(), summary));
-        }
-    };
-
-    // the bench shape suffixes keys with `_ns`; metric dumps don't
-    let summarize = |doc: &Json, suffix: &str| -> Option<StageSummary> {
-        let field = |key: &str| doc.get(&format!("{key}{suffix}")).and_then(Json::as_u64);
-        Some(StageSummary {
-            p50_ns: field("p50")?,
-            p95_ns: field("p95")?,
-            p99_ns: field("p99"),
-            max_ns: field("max"),
-            count: doc.get("count").and_then(Json::as_u64).unwrap_or(0),
+    let doc = parse_json(&read_file(path)?)
+        .map_err(|e| CliError::Input(format!("{}: {e}", path.display())))?;
+    let stages: Vec<(String, StageSummary)> = doc
+        .get("timings")
+        .and_then(Json::as_array)
+        .unwrap_or(&[])
+        .iter()
+        .filter_map(|t| {
+            let field = |key: &str| t.get(key).and_then(Json::as_u64);
+            Some((
+                t.get("name").and_then(Json::as_str)?.to_owned(),
+                StageSummary {
+                    p50_ns: field("p50_ns")?,
+                    p95_ns: field("p95_ns")?,
+                    p99_ns: field("p99_ns"),
+                },
+            ))
         })
-    };
-
-    for doc in &docs {
-        // ExperimentReport document
-        if let Some(timings) = doc.get("timings").and_then(Json::as_array) {
-            for t in timings {
-                if let (Some(name), Some(summary)) =
-                    (t.get("name").and_then(Json::as_str), summarize(t, "_ns"))
-                {
-                    push(name, summary);
-                }
-            }
-        }
-        // metrics histogram dump line
-        if doc.get("type").and_then(Json::as_str) == Some("histogram") {
-            if let (Some(name), Some(summary)) =
-                (doc.get("metric").and_then(Json::as_str), summarize(doc, ""))
-            {
-                push(name, summary);
-            }
-        }
-    }
-
+        .collect();
     if stages.is_empty() {
         return Err(CliError::Input(format!(
-            "{}: no stage timings found (expected ExperimentReport timings \
-             or histogram metric lines)",
+            "{}: no stage timings found (expected ExperimentReport \"timings\")",
             path.display()
         )));
     }
@@ -286,7 +238,7 @@ pub fn diff(old: &Path, new: &Path, opts: DiffOptions) -> Result<DiffReport, Cli
             ("p95", old_summary.p95_ns, new_summary.p95_ns),
         ];
         // tail rows only when both sides carry them, so archived
-        // baselines written before p99/max keep diffing cleanly
+        // baselines written before p99 keep diffing cleanly
         if let (Some(old_p99), Some(new_p99)) = (old_summary.p99_ns, new_summary.p99_ns) {
             quantiles.push(("p99", old_p99, new_p99));
         }
@@ -322,15 +274,13 @@ pub fn diff(old: &Path, new: &Path, opts: DiffOptions) -> Result<DiffReport, Cli
 }
 
 /// The event families `summary` reports, in report order: `(heading,
-/// --json record name, line printed when none of them fired, event
-/// names in reporting order)`. Instrument-side fault injection and
-/// recovery; the serve layer's shard lifecycle (down → failover →
-/// recovered); its result cache (admission-time hits and misses,
-/// in-flight coalescing).
-const EVENT_FAMILIES: [(&str, &str, &str, &[&str]); 3] = [
+/// line printed when none of them fired, event names in reporting
+/// order)`. Instrument-side fault injection and recovery; the serve
+/// layer's shard lifecycle (down → failover → recovered); its result
+/// cache (admission-time hits and misses, in-flight coalescing).
+const EVENT_FAMILIES: [(&str, &str, &[&str]); 3] = [
     (
         "fault health",
-        "fault",
         "fault health: clean (no fault or recovery events)",
         &[
             "fault_injected",
@@ -344,12 +294,10 @@ const EVENT_FAMILIES: [(&str, &str, &str, &[&str]); 3] = [
     ),
     (
         "shard health",
-        "shard",
         "shard health: clean (no shard failures or failovers)",
         &["shard_down", "failover", "shard_recovered"],
     ),
     (
-        "cache",
         "cache",
         "cache: quiet (no cache activity recorded)",
         &["cache_hit", "cache_miss", "coalesced"],
@@ -383,24 +331,17 @@ impl EventTally {
             .map_or(0, |&(_, c)| c)
     }
 
-    /// `(event name, occurrences)` for each of `names` that fired, in
-    /// `names` order.
-    fn fired<'a>(
-        &'a self,
-        names: &'a [&'static str],
-    ) -> impl Iterator<Item = (&'static str, u64)> + 'a {
-        names
-            .iter()
-            .map(|&name| (name, self.count(name)))
-            .filter(|&(_, count)| count > 0)
-    }
-
-    /// The sections `summary` appends to its report, one per family.
+    /// The sections `summary` appends to its report, one per family:
+    /// each event of the family that fired, in family order.
     fn render(&self) -> String {
         let mut out = String::new();
-        for (heading, _, quiet, names) in EVENT_FAMILIES {
-            let mut fired = self.fired(names).peekable();
-            if fired.peek().is_none() {
+        for (heading, quiet, names) in EVENT_FAMILIES {
+            let fired: Vec<(&str, u64)> = names
+                .iter()
+                .map(|&name| (name, self.count(name)))
+                .filter(|&(_, count)| count > 0)
+                .collect();
+            if fired.is_empty() {
                 out.push_str(quiet);
                 out.push('\n');
                 continue;
@@ -412,22 +353,6 @@ impl EventTally {
         }
         out
     }
-}
-
-/// The gates [`summary`] and [`summary_json`] share: the artifact parses
-/// into a non-empty span tree on a gap-free sequence.
-fn load_summarizable(path: &Path) -> Result<Trace, CliError> {
-    let trace = load_trace(path)?;
-    if trace.span_count() == 0 {
-        return Err(CliError::Gate(format!(
-            "{}: span tree is empty ({} trace records, {} non-trace lines)",
-            path.display(),
-            trace.trace_records,
-            trace.skipped_records
-        )));
-    }
-    gate_gaps(&trace, path)?;
-    Ok(trace)
 }
 
 /// Fails when the trace sequence has gaps: an artifact missing records
@@ -453,7 +378,16 @@ fn gate_gaps(trace: &Trace, path: &Path) -> Result<(), CliError> {
 /// [`CliError::Gate`] when the span tree is empty or the trace sequence
 /// has gaps; [`CliError::Input`] on unreadable/unparsable files.
 pub fn summary(path: &Path) -> Result<String, CliError> {
-    let trace = load_summarizable(path)?;
+    let trace = load_trace(path)?;
+    if trace.span_count() == 0 {
+        return Err(CliError::Gate(format!(
+            "{}: span tree is empty ({} trace records, {} non-trace lines)",
+            path.display(),
+            trace.trace_records,
+            trace.skipped_records
+        )));
+    }
+    gate_gaps(&trace, path)?;
     let mut out = trace.render_summary();
     out.push_str(&EventTally::new(&trace).render());
     Ok(out)
@@ -477,14 +411,21 @@ pub fn flame(path: &Path) -> Result<String, CliError> {
     Ok(folded)
 }
 
-/// The gates [`trace_request`] and [`trace_request_json`] share: a
-/// healthy sequence, a present and non-orphaned request, closed owners.
-fn request_paths_checked<'t>(
-    trace: &'t Trace,
-    path: &Path,
-    request: u64,
-) -> Result<Vec<Vec<&'t canti_obs::SpanNode>>, CliError> {
-    gate_gaps(trace, path)?;
+/// Reconstructs one request's span chain from a serve telemetry
+/// artifact: the admission-side `request` span plus every farm `job`
+/// span that executed on its behalf, each with its ancestry path, then
+/// the critical path under the slowest owning span.
+///
+/// # Errors
+///
+/// [`CliError::Gate`] when the artifact is unhealthy for this request —
+/// the trace sequence has gaps, no span carries the request id, the
+/// request is orphaned (farm spans reference it but no admission-side
+/// `request` span exists), or an owning span never closed.
+/// [`CliError::Input`] on unreadable/unparsable files.
+pub fn trace_request(path: &Path, request: u64) -> Result<String, CliError> {
+    let trace = load_trace(path)?;
+    gate_gaps(&trace, path)?;
     let paths = trace.request_paths(request);
     if paths.is_empty() {
         return Err(CliError::Gate(format!(
@@ -513,28 +454,6 @@ fn request_paths_checked<'t>(
             owners.len()
         )));
     }
-    Ok(paths)
-}
-
-/// Reconstructs one request's span chain from a serve telemetry
-/// artifact: the admission-side `request` span plus every farm `job`
-/// span that executed on its behalf, each with its ancestry path, then
-/// the critical path under the slowest owning span.
-///
-/// # Errors
-///
-/// [`CliError::Gate`] when the artifact is unhealthy for this request —
-/// the trace sequence has gaps, no span carries the request id, the
-/// request is orphaned (farm spans reference it but no admission-side
-/// `request` span exists), or an owning span never closed.
-/// [`CliError::Input`] on unreadable/unparsable files.
-pub fn trace_request(path: &Path, request: u64) -> Result<String, CliError> {
-    let trace = load_trace(path)?;
-    let paths = request_paths_checked(&trace, path, request)?;
-    let owners: Vec<&canti_obs::SpanNode> = paths
-        .iter()
-        .map(|p| *p.last().expect("request path is never empty"))
-        .collect();
 
     let trace_id = owners.iter().find_map(|s| s.trace_id);
     let mut out = String::new();
@@ -550,8 +469,7 @@ pub fn trace_request(path: &Path, request: u64) -> Result<String, CliError> {
             let _ = writeln!(out, "request {request}: {} owning span(s)", owners.len());
         }
     }
-    for p in &paths {
-        let owner = p.last().expect("non-empty");
+    for (p, owner) in paths.iter().zip(&owners) {
         let chain: Vec<&str> = p.iter().map(|s| s.name.as_str()).collect();
         let _ = writeln!(
             out,
@@ -614,138 +532,13 @@ fn load_trace(path: &Path) -> Result<Trace, CliError> {
     Trace::from_ndjson(&text).map_err(|e| CliError::Input(format!("{}: {e}", path.display())))
 }
 
-/// Machine-readable [`summary`]: the same artifact-health gates, but
-/// fixed-field NDJSON output — one `trace_health` line, one `stage`
-/// line per span name, one `critical` line per critical-path hop, then
-/// one `fault`, `shard` or `cache` line per [`EventTally`] event that
-/// fired.
-///
-/// # Errors
-///
-/// Identical to [`summary`].
-pub fn summary_json(path: &Path) -> Result<String, CliError> {
-    use canti_obs::ndjson::{self, JsonValue};
-
-    let trace = load_summarizable(path)?;
-    let mut out = String::new();
-    out.push_str(&ndjson::object(&[
-        ("record", JsonValue::from("trace_health")),
-        ("spans", JsonValue::from(trace.span_count())),
-        ("trace_records", JsonValue::from(trace.trace_records)),
-        ("skipped_records", JsonValue::from(trace.skipped_records)),
-    ]));
-    out.push('\n');
-    for (stage, stats) in trace.stage_stats() {
-        out.push_str(&ndjson::object(&[
-            ("record", JsonValue::from("stage")),
-            ("stage", JsonValue::from(stage)),
-            ("count", JsonValue::U64(stats.count)),
-            ("sum_ns", JsonValue::U64(stats.sum_ns)),
-            ("min_ns", JsonValue::U64(stats.min_ns)),
-            ("max_ns", JsonValue::U64(stats.max_ns)),
-        ]));
-        out.push('\n');
-    }
-    for (depth, span) in trace.critical_path().iter().enumerate() {
-        out.push_str(&ndjson::object(&[
-            ("record", JsonValue::from("critical")),
-            ("depth", JsonValue::from(depth)),
-            ("span", JsonValue::from(span.name.clone())),
-            ("dur_ns", JsonValue::U64(span.duration_ns())),
-        ]));
-        out.push('\n');
-    }
-    let tally = EventTally::new(&trace);
-    for (_, record, _, names) in EVENT_FAMILIES {
-        for (name, count) in tally.fired(names) {
-            out.push_str(&ndjson::object(&[
-                ("record", JsonValue::from(record)),
-                ("name", JsonValue::from(name)),
-                ("count", JsonValue::U64(count)),
-            ]));
-            out.push('\n');
-        }
-    }
-    Ok(out)
-}
-
-/// Machine-readable [`trace_request`]: the same gates, fixed-field
-/// NDJSON output — one `request` line, one `owning_span` line per
-/// ancestry path, one `critical` line per critical-path hop.
-///
-/// # Errors
-///
-/// Identical to [`trace_request`].
-pub fn trace_request_json(path: &Path, request: u64) -> Result<String, CliError> {
-    use canti_obs::ndjson::{self, JsonValue};
-
-    let trace = load_trace(path)?;
-    let paths = request_paths_checked(&trace, path, request)?;
-    let owners: Vec<&canti_obs::SpanNode> = paths
-        .iter()
-        .map(|p| *p.last().expect("request path is never empty"))
-        .collect();
-
-    let mut out = String::new();
-    let mut header: Vec<(&str, JsonValue)> = vec![
-        ("record", JsonValue::from("request")),
-        ("request", JsonValue::U64(request)),
-    ];
-    if let Some(id) = owners.iter().find_map(|s| s.trace_id) {
-        header.push(("trace", JsonValue::U64(id)));
-    }
-    header.push(("owners", JsonValue::from(owners.len())));
-    out.push_str(&ndjson::object(&header));
-    out.push('\n');
-    for p in &paths {
-        let owner = p.last().expect("non-empty");
-        let chain: Vec<&str> = p.iter().map(|s| s.name.as_str()).collect();
-        out.push_str(&ndjson::object(&[
-            ("record", JsonValue::from("owning_span")),
-            ("chain", JsonValue::from(chain.join(" -> "))),
-            ("dur_ns", JsonValue::U64(owner.duration_ns())),
-            ("events", JsonValue::from(owner.events.len())),
-        ]));
-        out.push('\n');
-    }
-    let slowest = owners
-        .iter()
-        .max_by_key(|s| s.duration_ns())
-        .expect("at least one owning span");
-    for (depth, span) in slowest.critical_path().iter().enumerate() {
-        out.push_str(&ndjson::object(&[
-            ("record", JsonValue::from("critical")),
-            ("depth", JsonValue::from(depth)),
-            ("span", JsonValue::from(span.name.clone())),
-            ("dur_ns", JsonValue::U64(span.duration_ns())),
-        ]));
-        out.push('\n');
-    }
-    Ok(out)
-}
-
-/// Reads a `/debug/timeline` NDJSON artifact through [`TimelineDump`].
-fn load_timeline(path: &Path) -> Result<TimelineDump, CliError> {
-    TimelineDump::parse(&read_file(path)?)
-        .map_err(|e| CliError::Input(format!("{}: {e}", path.display())))
-}
-
-/// `(count, sum)` over a series' retained windows, saturating.
-fn totals(series: &SeriesWindows) -> (u64, u64) {
-    series.points.iter().fold((0u64, 0u64), |(count, sum), p| {
-        (count.saturating_add(p.count), sum.saturating_add(p.sum))
-    })
-}
-
-/// What [`timeline_report`] shows and in which format.
+/// What [`timeline_report`] shows.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimelineOptions {
     /// Shard section to render (`"merged"` for the cross-shard fold).
     pub shard: String,
     /// Series-name filter; empty means every series of the shard.
     pub series: Vec<String>,
-    /// Emit fixed-field NDJSON instead of tables.
-    pub json: bool,
 }
 
 impl Default for TimelineOptions {
@@ -753,7 +546,6 @@ impl Default for TimelineOptions {
         Self {
             shard: "0".to_owned(),
             series: Vec::new(),
-            json: false,
         }
     }
 }
@@ -778,12 +570,11 @@ fn sparkline(points: &[SeriesPoint]) -> String {
 }
 
 /// Renders the selected shard's per-window series from a
-/// `/debug/timeline` artifact — a table plus count sparkline per
-/// series, or fixed-field NDJSON with `--json`. With `spans`, also
-/// recomputes the request-latency windows offline from the closed
-/// `request` spans and `cache_hit` events in that telemetry artifact
-/// and cross-checks them against the live `serve.request_latency_ns`
-/// section.
+/// `/debug/timeline` artifact, a table plus count sparkline per
+/// series. With `spans`, also recomputes the request-latency windows
+/// offline from the closed `request` spans and `cache_hit` events in
+/// that telemetry artifact and cross-checks them against the live
+/// `serve.request_latency_ns` section.
 ///
 /// # Errors
 ///
@@ -795,7 +586,8 @@ pub fn timeline_report(
     spans: Option<&Path>,
     opts: &TimelineOptions,
 ) -> Result<String, CliError> {
-    let dump = load_timeline(path)?;
+    let dump = TimelineDump::parse(&read_file(path)?)
+        .map_err(|e| CliError::Input(format!("{}: {e}", path.display())))?;
     let selected: Vec<&SeriesWindows> = dump
         .sections
         .iter()
@@ -818,58 +610,43 @@ pub fn timeline_report(
 
     let width = dump.config.width();
     let mut out = String::new();
-    if opts.json {
-        out.push_str(&config_line(dump.config));
-        out.push('\n');
-        for s in &selected {
-            for p in &s.points {
-                out.push_str(&point_line(Some(&opts.shard), &s.name, s.kind, width, p));
-                out.push('\n');
-            }
-        }
-    } else {
+    let _ = writeln!(
+        out,
+        "timeline: window={width} ns, {} window(s) retained, shard {:?}, {} series",
+        dump.config.max_windows,
+        opts.shard,
+        selected.len()
+    );
+    for s in &selected {
+        let (count, sum) = s.points.iter().fold((0u64, 0u64), |(count, sum), p| {
+            (count.saturating_add(p.count), sum.saturating_add(p.sum))
+        });
         let _ = writeln!(
             out,
-            "timeline: window={width} ns, {} window(s) retained, shard {:?}, {} series",
-            dump.config.max_windows,
-            opts.shard,
-            selected.len()
+            "{} ({}): {} window(s) count={count} sum={sum}  {}",
+            s.name,
+            s.kind.as_str(),
+            s.points.len(),
+            sparkline(&s.points)
         );
-        for s in &selected {
-            let (count, sum) = totals(s);
+        for p in &s.points {
+            let mean = p.sum.checked_div(p.count).unwrap_or(0);
             let _ = writeln!(
                 out,
-                "{} ({}): {} window(s) count={count} sum={sum}  {}",
-                s.name,
-                s.kind.as_str(),
-                s.points.len(),
-                sparkline(&s.points)
+                "  window {} [t={} ns): count={} sum={} mean={} min={} max={}",
+                p.index,
+                p.index.saturating_mul(width),
+                p.count,
+                p.sum,
+                mean,
+                p.min,
+                p.max
             );
-            for p in &s.points {
-                let mean = p.sum.checked_div(p.count).unwrap_or(0);
-                let _ = writeln!(
-                    out,
-                    "  window {} [t={} ns): count={} sum={} mean={} min={} max={}",
-                    p.index,
-                    p.index.saturating_mul(width),
-                    p.count,
-                    p.sum,
-                    mean,
-                    p.min,
-                    p.max
-                );
-            }
         }
     }
 
     if let Some(spans_path) = spans {
-        out.push_str(&timeline_crosscheck(
-            &dump,
-            &opts.shard,
-            path,
-            spans_path,
-            opts.json,
-        )?);
+        out.push_str(&timeline_crosscheck(&dump, &opts.shard, path, spans_path)?);
     }
     Ok(out)
 }
@@ -889,9 +666,7 @@ fn timeline_crosscheck(
     shard: &str,
     artifact_path: &Path,
     spans_path: &Path,
-    json: bool,
 ) -> Result<String, CliError> {
-    use canti_obs::ndjson::{self, JsonValue};
     use std::collections::BTreeSet;
 
     let Some(live) = dump.section(shard, "serve.request_latency_ns") else {
@@ -968,194 +743,17 @@ fn timeline_crosscheck(
         )));
     }
 
-    if json {
-        let mut line = ndjson::object(&[
-            ("record", JsonValue::from("timeline_crosscheck")),
-            ("shard", JsonValue::from(shard.to_owned())),
-            ("requests", JsonValue::from(samples.len())),
-            ("windows", JsonValue::from(recomputed.len())),
-            ("verdict", JsonValue::from("match")),
-        ]);
-        line.push('\n');
-        Ok(line)
-    } else {
-        let hits = match hits_ns.len() {
-            0 => String::new(),
-            n => format!("{n} cache hit(s), "),
-        };
-        Ok(format!(
-            "offline recompute ({}): {} request span(s), {hits}{} window(s) — \
-             matches live serve.request_latency_ns\n",
-            spans_path.display(),
-            spans.len(),
-            recomputed.len()
-        ))
-    }
-}
-
-/// Tuning for [`anomaly`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnomalyOptions {
-    /// Relative slack: a series is anomalous when its total count
-    /// drifted (either direction) by more than this percentage.
-    pub threshold_pct: f64,
-    /// Shard section to compare — the merged fold by default, so the
-    /// verdict does not depend on how requests happened to shard.
-    pub shard: String,
-    /// Series to compare; empty means every series present in either
-    /// artifact's shard section. A named series missing on either side
-    /// is itself an anomaly.
-    pub series: Vec<String>,
-}
-
-impl Default for AnomalyOptions {
-    fn default() -> Self {
-        Self {
-            threshold_pct: 25.0,
-            shard: "merged".to_owned(),
-            series: Vec::new(),
-        }
-    }
-}
-
-/// One series comparison inside an [`AnomalyReport`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnomalyRow {
-    /// Series name.
-    pub series: String,
-    /// Baseline total count.
-    pub baseline: u64,
-    /// Current total count.
-    pub current: u64,
-    /// Absolute relative drift, percent.
-    pub drift_pct: f64,
-    /// Whether this row trips the gate.
-    pub anomalous: bool,
-}
-
-/// The outcome of comparing a timeline artifact against a baseline.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct AnomalyReport {
-    /// All compared series.
-    pub rows: Vec<AnomalyRow>,
-    /// Series present on only one side: `(name, missing side)` where
-    /// the side is `"baseline"` or `"current"`.
-    pub missing: Vec<(String, &'static str)>,
-}
-
-impl AnomalyReport {
-    /// Whether any series drifted beyond the threshold or went missing.
-    #[must_use]
-    pub fn anomalous(&self) -> bool {
-        !self.missing.is_empty() || self.rows.iter().any(|r| r.anomalous)
-    }
-
-    /// An aligned human-readable table.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<28} {:>12} {:>12} {:>9}  verdict",
-            "series", "baseline", "current", "drift"
-        );
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>12} {:>12} {:>8.1}%  {}",
-                r.series,
-                r.baseline,
-                r.current,
-                r.drift_pct,
-                if r.anomalous { "ANOMALOUS" } else { "ok" }
-            );
-        }
-        for (name, side) in &self.missing {
-            let _ = writeln!(out, "{name:<28} missing in {side}  ANOMALOUS");
-        }
-        out
-    }
-}
-
-/// Compares the per-series total observation counts of a current
-/// `/debug/timeline` artifact against an archived baseline.
-///
-/// Counts — not sums — carry the verdict: on a wall clock the nanosecond
-/// sums jitter run to run, while the number of admissions, completions
-/// and expiries of a scripted smoke run is stable. Drift in **either**
-/// direction beyond [`AnomalyOptions::threshold_pct`] is anomalous (a
-/// vanished series is a worse regression than a slow one), as is a
-/// series present on only one side.
-///
-/// # Errors
-///
-/// [`CliError::Gate`] when the shard/series selection matches nothing
-/// at all; [`CliError::Input`] on unreadable/unparsable artifacts.
-/// Drift itself is *not* an error — callers check
-/// [`AnomalyReport::anomalous`] (the binary maps it to exit 1).
-pub fn anomaly(
-    current: &Path,
-    baseline: &Path,
-    opts: &AnomalyOptions,
-) -> Result<AnomalyReport, CliError> {
-    let cur = load_timeline(current)?;
-    let base = load_timeline(baseline)?;
-
-    let names: Vec<String> = if opts.series.is_empty() {
-        let mut names: Vec<String> = cur
-            .sections
-            .iter()
-            .chain(&base.sections)
-            .filter(|(shard, _)| *shard == opts.shard)
-            .map(|(_, s)| s.name.clone())
-            .collect();
-        names.sort_unstable();
-        names.dedup();
-        names
-    } else {
-        opts.series.clone()
+    let hits = match hits_ns.len() {
+        0 => String::new(),
+        n => format!("{n} cache hit(s), "),
     };
-    if names.is_empty() {
-        return Err(CliError::Gate(format!(
-            "neither {} nor {} has timeline series for shard {:?}",
-            current.display(),
-            baseline.display(),
-            opts.shard
-        )));
-    }
-
-    let mut report = AnomalyReport::default();
-    for name in names {
-        let cur_total = cur.section(&opts.shard, &name).map(|s| totals(s).0);
-        let base_total = base.section(&opts.shard, &name).map(|s| totals(s).0);
-        match (base_total, cur_total) {
-            (None, None) => {
-                report.missing.push((name.clone(), "baseline"));
-                report.missing.push((name, "current"));
-            }
-            (None, Some(_)) => report.missing.push((name, "baseline")),
-            (Some(_), None) => report.missing.push((name, "current")),
-            (Some(b), Some(c)) => {
-                let drift_pct = if b == 0 {
-                    if c == 0 {
-                        0.0
-                    } else {
-                        100.0
-                    }
-                } else {
-                    (c as f64 - b as f64).abs() / b as f64 * 100.0
-                };
-                report.rows.push(AnomalyRow {
-                    series: name,
-                    baseline: b,
-                    current: c,
-                    drift_pct,
-                    anomalous: drift_pct > opts.threshold_pct,
-                });
-            }
-        }
-    }
-    Ok(report)
+    Ok(format!(
+        "offline recompute ({}): {} request span(s), {hits}{} window(s) — \
+         matches live serve.request_latency_ns\n",
+        spans_path.display(),
+        spans.len(),
+        recomputed.len()
+    ))
 }
 
 #[cfg(test)]
@@ -1169,39 +767,35 @@ mod tests {
     }
 
     #[test]
-    fn load_stages_reads_both_shapes() {
+    fn load_stages_reads_report_timings() {
         let report = write_temp(
             "report",
-            r#"{"timings": [{"name": "solve", "count": 5, "sum_ns": 50, "min_ns": 1, "max_ns": 20, "p50_ns": 10, "p95_ns": 20, "p99_ns": 20}]}"#,
+            r#"{"timings": [{"name": "solve", "count": 5, "sum_ns": 50, "min_ns": 1, "max_ns": 20, "p50_ns": 10, "p95_ns": 20, "p99_ns": 20}, {"name": "queue_wait", "count": 4, "p50_ns": 9, "p95_ns": 11}]}"#,
         );
         let stages = load_stages(&report).unwrap();
         assert_eq!(
             stages,
-            vec![(
-                "solve".to_owned(),
-                StageSummary {
-                    p50_ns: 10,
-                    p95_ns: 20,
-                    p99_ns: Some(20),
-                    max_ns: Some(20),
-                    count: 5
-                }
-            )]
+            vec![
+                (
+                    "solve".to_owned(),
+                    StageSummary {
+                        p50_ns: 10,
+                        p95_ns: 20,
+                        p99_ns: Some(20),
+                    }
+                ),
+                // a legacy timing without p99 still loads, with the tail
+                // absent
+                (
+                    "queue_wait".to_owned(),
+                    StageSummary {
+                        p50_ns: 9,
+                        p95_ns: 11,
+                        p99_ns: None,
+                    }
+                ),
+            ]
         );
-
-        let ndjson = write_temp(
-            "ndjson",
-            "{\"metric\":\"farm.queue_wait_ns\",\"type\":\"histogram\",\"count\":4,\"sum\":40,\"p50\":9,\"p95\":11,\"max\":12}\n\
-             {\"metric\":\"farm.solve_ns\",\"type\":\"histogram\",\"count\":4,\"sum\":40,\"min\":1,\"max\":30,\"p50\":8,\"p95\":30,\"p99\":30}\n",
-        );
-        let stages = load_stages(&ndjson).unwrap();
-        assert_eq!(stages.len(), 2);
-        assert_eq!(stages[0].0, "farm.queue_wait_ns");
-        // a legacy record without p99 still loads, with the tail absent
-        assert_eq!((stages[0].1.p99_ns, stages[0].1.max_ns), (None, Some(12)));
-        assert_eq!(stages[1].0, "farm.solve_ns");
-        assert_eq!(stages[1].1.p95_ns, 30);
-        assert_eq!(stages[1].1.p99_ns, Some(30));
     }
 
     #[test]
@@ -1256,12 +850,6 @@ mod tests {
         let tally = EventTally::new(&load_trace(&artifact).unwrap());
         assert_eq!(tally.count("failover"), 2);
         assert_eq!(tally.count("shard_vanished"), 0, "absent reads as zero");
-
-        let json = summary_json(&artifact).unwrap();
-        assert!(
-            json.contains("{\"record\":\"shard\",\"name\":\"failover\",\"count\":2}"),
-            "{json}"
-        );
     }
 
     #[test]
@@ -1301,16 +889,6 @@ mod tests {
         assert_eq!(tally.count("cache_hit"), 3);
         assert_eq!(tally.count("cache_miss"), 1);
         assert_eq!(tally.count("coalesced"), 1);
-
-        let json = summary_json(&artifact).unwrap();
-        assert!(
-            json.contains("{\"record\":\"cache\",\"name\":\"cache_hit\",\"count\":3}"),
-            "{json}"
-        );
-        assert!(
-            json.contains("{\"record\":\"cache\",\"name\":\"coalesced\",\"count\":1}"),
-            "{json}"
-        );
     }
 
     #[test]

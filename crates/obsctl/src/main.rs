@@ -4,22 +4,19 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use canti_obsctl::{
-    anomaly, diff, flame, summary, summary_json, timeline_report, trace_request,
-    trace_request_json, AnomalyOptions, CliError, DiffOptions, TimelineOptions,
+    diff, flame, summary, timeline_report, trace_request, CliError, DiffOptions, TimelineOptions,
 };
 
 const HELP: &str = "\
 obsctl — consume canti telemetry artifacts
 
 USAGE:
-    obsctl summary  <telemetry.ndjson> [--json]
+    obsctl summary  <telemetry.ndjson>
     obsctl flame    <telemetry.ndjson>
     obsctl diff     <old.json> <new.json> [--threshold-pct <P>] [--min-ns <N>]
-    obsctl trace    <telemetry.ndjson> <request-id> [--json]
+    obsctl trace    <telemetry.ndjson> <request-id>
     obsctl timeline <timeline.ndjson> [--shard <S>] [--series <NAME>]...
-                    [--spans <telemetry.ndjson>] [--json]
-    obsctl anomaly  <current.ndjson> <baseline.ndjson> [--shard <S>]
-                    [--series <NAME>]... [--threshold-pct <P>]
+                    [--spans <telemetry.ndjson>]
     obsctl --help
 
 SUBCOMMANDS:
@@ -32,13 +29,11 @@ SUBCOMMANDS:
     flame     Print folded-stack flamegraph lines (`a;b;c <self_ns>`)
               for the same artifact; pipe into flamegraph.pl / inferno.
     diff      Compare per-stage p50/p95/p99 latencies between a baseline
-              and a candidate file. Accepts ExperimentReport JSON
-              (\"timings\": [...]) and histogram metric-dump NDJSON
-              lines (a farm telemetry artifact's farm.*_ns stage
-              histograms among them). Exits 1 when any stage regressed
-              beyond the threshold — the CI perf gate. The p99 row
-              appears only when both files carry it, so archived
-              baselines keep diffing.
+              and a candidate ExperimentReport JSON file (\"timings\":
+              [...], as the benches archive them). Exits 1 when any
+              stage regressed beyond the threshold — the CI perf gate.
+              The p99 row appears only when both files carry it, so
+              archived baselines keep diffing.
     trace     Reconstruct one request's span chain — the admission-side
               'request' span plus every farm 'job' span executed on its
               behalf — and print it with the critical path. Exits 1 when
@@ -58,15 +53,6 @@ SUBCOMMANDS:
               span opens after admission reads the clock and closes
               after the batch's answer time, so span durations exceed
               the recorded latencies and the check fails.
-    anomaly   Compare a timeline artifact against an archived baseline,
-              per series, on total observation counts (stable under a
-              wall clock, unlike nanosecond sums). Exits 1 when any
-              series drifted beyond the threshold in either direction or
-              is missing on one side — the CI timeline anomaly gate.
-
-OPTIONS (summary, trace, timeline):
-    --json                Emit fixed-field NDJSON records instead of the
-                          human-readable rendering.
 
 OPTIONS (diff):
     --threshold-pct <P>   Relative slack in percent; a quantile regresses
@@ -82,19 +68,11 @@ OPTIONS (timeline):
                           request-latency windows from as a cross-check
                           (exact only on a virtual clock; see above).
 
-OPTIONS (anomaly):
-    --shard <S>           Shard section to compare (default merged).
-    --series <NAME>       Compare this series; repeatable. A named
-                          series missing on either side is an anomaly.
-                          Default: every series in either artifact.
-    --threshold-pct <P>   Count-drift tolerance in percent, either
-                          direction (default 25).
-
 EXIT CODES:
-    0   success / no regression / no anomaly
+    0   success / no regression
     1   gate failed (regression, empty span tree, sequence gaps,
-        missing/orphaned/unclosed request, no request spans, timeline
-        recompute mismatch, timeline count drift or missing series)
+        missing/orphaned/unclosed request, empty timeline selection,
+        no request spans, timeline recompute mismatch)
     2   usage, I/O or parse error
 ";
 
@@ -110,27 +88,22 @@ fn run() -> Result<(), CliError> {
             Ok(())
         }
         "summary" | "flame" => {
-            let (json, rest): (bool, Vec<&String>) = split_json_flag(&args[1..]);
-            let [path] = rest.as_slice() else {
+            let [path] = &args[1..] else {
                 return Err(CliError::Usage(format!(
                     "{cmd} takes exactly one file argument"
                 )));
             };
-            if json && cmd == "flame" {
-                return Err(CliError::Usage("flame has no --json mode".into()));
-            }
             let path = PathBuf::from(path);
-            let out = match (cmd.as_str(), json) {
-                ("summary", false) => summary(&path)?,
-                ("summary", true) => summary_json(&path)?,
-                _ => flame(&path)?,
+            let out = if cmd == "summary" {
+                summary(&path)?
+            } else {
+                flame(&path)?
             };
             print!("{out}");
             Ok(())
         }
         "trace" => {
-            let (json, rest): (bool, Vec<&String>) = split_json_flag(&args[1..]);
-            let [path, request] = rest.as_slice() else {
+            let [path, request] = &args[1..] else {
                 return Err(CliError::Usage(
                     "trace takes exactly two arguments: <telemetry.ndjson> <request-id>".into(),
                 ));
@@ -138,13 +111,7 @@ fn run() -> Result<(), CliError> {
             let request: u64 = request.parse().map_err(|_| {
                 CliError::Usage(format!("trace: cannot parse request id {request:?}"))
             })?;
-            let path = PathBuf::from(path);
-            let out = if json {
-                trace_request_json(&path, request)?
-            } else {
-                trace_request(&path, request)?
-            };
-            print!("{out}");
+            print!("{}", trace_request(&PathBuf::from(path), request)?);
             Ok(())
         }
         "timeline" => {
@@ -163,7 +130,6 @@ fn run() -> Result<(), CliError> {
                     "--spans" => {
                         spans = Some(PathBuf::from(require_value(rest.next(), "--spans")?));
                     }
-                    "--json" => opts.json = true,
                     flag if flag.starts_with('-') => {
                         return Err(CliError::Usage(format!("unknown flag {flag}")));
                     }
@@ -177,44 +143,6 @@ fn run() -> Result<(), CliError> {
             };
             let out = timeline_report(path, spans.as_deref(), &opts)?;
             print!("{out}");
-            Ok(())
-        }
-        "anomaly" => {
-            let mut opts = AnomalyOptions::default();
-            let mut files: Vec<PathBuf> = Vec::new();
-            let mut rest = args[1..].iter();
-            while let Some(arg) = rest.next() {
-                match arg.as_str() {
-                    "--threshold-pct" => {
-                        opts.threshold_pct = parse_flag(rest.next(), "--threshold-pct")?;
-                    }
-                    "--shard" => {
-                        opts.shard = require_value(rest.next(), "--shard")?;
-                    }
-                    "--series" => {
-                        opts.series.push(require_value(rest.next(), "--series")?);
-                    }
-                    flag if flag.starts_with('-') => {
-                        return Err(CliError::Usage(format!("unknown flag {flag}")));
-                    }
-                    path => files.push(PathBuf::from(path)),
-                }
-            }
-            let [current, baseline] = files.as_slice() else {
-                return Err(CliError::Usage(
-                    "anomaly takes exactly two file arguments: <current> <baseline>".into(),
-                ));
-            };
-            let report = anomaly(current, baseline, &opts)?;
-            print!("{}", report.render());
-            if report.anomalous() {
-                return Err(CliError::Gate(format!(
-                    "{} series anomalous beyond {}%, {} missing",
-                    report.rows.iter().filter(|r| r.anomalous).count(),
-                    opts.threshold_pct,
-                    report.missing.len()
-                )));
-            }
             Ok(())
         }
         "diff" => {
@@ -268,12 +196,6 @@ fn require_value(value: Option<&String>, flag: &str) -> Result<String, CliError>
     value
         .cloned()
         .ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))
-}
-
-/// Pulls a trailing/leading `--json` out of an argument slice.
-fn split_json_flag(args: &[String]) -> (bool, Vec<&String>) {
-    let json = args.iter().any(|a| a == "--json");
-    (json, args.iter().filter(|a| *a != "--json").collect())
 }
 
 fn main() -> ExitCode {

@@ -1,17 +1,14 @@
 //! End-to-end tests for the `obsctl` binary: the perf-regression gate
-//! (`diff`) and the artifact-health gate (`summary`) with real process
-//! exit codes, driven through `CARGO_BIN_EXE_obsctl`.
+//! (`diff`), the artifact-health gates (`summary`, `trace`) and the
+//! timeline rendering and cross-check, with real process exit codes,
+//! driven through `CARGO_BIN_EXE_obsctl`.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::Arc;
 
-use canti_farm::{dose_response_sweep, Farm, FarmConfig, FarmObserver};
 use canti_obs::clock::VirtualClock;
-use canti_obs::serve::{Exposition, ExpositionServer, Registry, ServeObs, SloConfig};
-use canti_obs::timeline::{TimelineConfig, TimelineRecorder};
 use canti_obs::trace::{RingCollector, Tracer};
-use canti_obs::{Metrics, RequestLog};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -145,67 +142,6 @@ fn diff_detects_injected_p95_regression() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("gate failed"));
 }
 
-/// A farm telemetry artifact written the way `sensor_farm --telemetry`
-/// writes one: an observed deterministic batch's metrics dump, then its
-/// trace ring.
-fn farm_artifact() -> String {
-    let (observer, ring) = FarmObserver::deterministic(4096);
-    let farm = Farm::new(FarmConfig {
-        batch_seed: 0xD1FF,
-        threads: 2,
-    })
-    .with_observer(observer.clone());
-    let report = farm.run(&dose_response_sweep(&[1.0, 10.0, 100.0]));
-    assert_eq!(report.ok_count(), 3);
-    let mut ndjson = observer.metrics().to_ndjson();
-    ndjson.push_str(&ring.to_ndjson());
-    ndjson
-}
-
-#[test]
-fn diff_reads_farm_telemetry_artifacts() {
-    let old = temp("farm-old", &farm_artifact());
-    let new = temp("farm-new", &farm_artifact());
-    let out = obsctl(&["diff", old.to_str().unwrap(), new.to_str().unwrap()]);
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for stage in ["farm.queue_wait_ns", "farm.precompute_ns", "farm.solve_ns"] {
-        assert!(
-            stdout
-                .lines()
-                .any(|l| l.starts_with(stage) && l.contains("p50")),
-            "no {stage} row: {stdout}"
-        );
-    }
-
-    // raise the solve p50 by 1 ms over double, past the default 25 % /
-    // 10 µs gate
-    let regressed: String = farm_artifact()
-        .lines()
-        .map(|line| {
-            let mut line = line.to_owned();
-            if line.contains("\"metric\":\"farm.solve_ns\"") {
-                let at = line.find("\"p50\":").expect("p50 field") + "\"p50\":".len();
-                let end = at + line[at..].find(',').expect("field after p50");
-                let p50: u64 = line[at..end].parse().expect("numeric p50");
-                line.replace_range(at..end, &(2 * p50 + 1_000_000).to_string());
-            }
-            line + "\n"
-        })
-        .collect();
-    let regressed = temp("farm-regressed", &regressed);
-    let out = obsctl(&["diff", old.to_str().unwrap(), regressed.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "a raised solve p50 must exit 1");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let tripped: Vec<&str> = stdout.lines().filter(|l| l.contains("REGRESSED")).collect();
-    assert_eq!(tripped.len(), 1, "{stdout}");
-    assert!(tripped[0].starts_with("farm.solve_ns") && tripped[0].contains("p50"));
-}
-
 #[test]
 fn diff_threshold_flags_are_honoured() {
     let old = fixture("bench_old.json");
@@ -308,6 +244,21 @@ fn usage_errors_exit_2_and_help_exits_0() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand slo"));
     let out = obsctl(&["diff", "only-one-file.json"]);
     assert_eq!(out.status.code(), Some(2));
+    // count drift is checked exactly by the demo that knows its load;
+    // there is no anomaly subcommand
+    let out = obsctl(&["anomaly", path.to_str().unwrap(), path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand anomaly"));
+    // every subcommand renders one way: --json is refused
+    let timeline = fixture("timeline_old.ndjson");
+    for args in [
+        vec!["summary", path.to_str().unwrap(), "--json"],
+        vec!["trace", path.to_str().unwrap(), "5", "--json"],
+        vec!["timeline", timeline.to_str().unwrap(), "--json"],
+    ] {
+        let out = obsctl(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
     let out = obsctl(&["--help"]);
     assert!(out.status.success());
     let help = String::from_utf8_lossy(&out.stdout);
@@ -317,14 +268,19 @@ fn usage_errors_exit_2_and_help_exits_0() {
         "diff",
         "trace",
         "timeline",
-        "anomaly",
         "--threshold-pct",
         "--min-ns",
         "EXIT CODES",
     ] {
         assert!(help.contains(needle), "help missing {needle}");
     }
-    for gone in ["obsctl slo", "--objective-ns", "--window-ns"] {
+    for gone in [
+        "obsctl slo",
+        "--objective-ns",
+        "--window-ns",
+        "anomaly",
+        "--json",
+    ] {
         assert!(!help.contains(gone), "help still lists {gone}");
     }
 }
@@ -333,51 +289,6 @@ fn usage_errors_exit_2_and_help_exits_0() {
 fn missing_file_is_an_input_error() {
     let out = obsctl(&["summary", "/nonexistent/telemetry.ndjson"]);
     assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn summary_and_trace_emit_ndjson_with_json_flag() {
-    let path = temp("json-summary", &healthy_trace());
-    let out = obsctl(&["summary", path.to_str().unwrap(), "--json"]);
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let docs = canti_obs::parse_ndjson(&stdout).expect("summary --json parses back");
-    let records: Vec<&str> = docs
-        .iter()
-        .filter_map(|d| d.get("record").and_then(canti_obs::Json::as_str))
-        .collect();
-    assert!(records.contains(&"trace_health"), "{stdout}");
-    assert!(records.contains(&"stage"), "{stdout}");
-    assert!(records.contains(&"critical"), "{stdout}");
-
-    let path = temp("json-trace", &serve_trace());
-    let out = obsctl(&["trace", path.to_str().unwrap(), "5", "--json"]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let docs = canti_obs::parse_ndjson(&stdout).expect("trace --json parses back");
-    let request = docs
-        .iter()
-        .find(|d| d.get("record").and_then(canti_obs::Json::as_str) == Some("request"))
-        .expect("request record");
-    assert_eq!(
-        request.get("request").and_then(canti_obs::Json::as_u64),
-        Some(5)
-    );
-    assert_eq!(
-        request.get("trace").and_then(canti_obs::Json::as_u64),
-        Some(0xAB)
-    );
-    assert!(docs
-        .iter()
-        .any(|d| d.get("record").and_then(canti_obs::Json::as_str) == Some("owning_span")));
-
-    // the gates apply identically in --json mode
-    let out = obsctl(&["trace", path.to_str().unwrap(), "999", "--json"]);
-    assert_eq!(out.status.code(), Some(1));
 }
 
 /// A timeline artifact plus a span artifact whose offline recompute
@@ -423,7 +334,7 @@ fn timeline_renders_tables_and_sparklines() {
     let out = obsctl(&["timeline", old.to_str().unwrap(), "--shard", "7"]);
     assert_eq!(out.status.code(), Some(1));
 
-    // --series filters, --json re-emits the artifact records
+    // --series keeps only the named series
     let out = obsctl(&[
         "timeline",
         old.to_str().unwrap(),
@@ -431,64 +342,15 @@ fn timeline_renders_tables_and_sparklines() {
         "merged",
         "--series",
         "serve.expired",
-        "--json",
     ]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(stdout.lines().count(), 2, "config + one point: {stdout}");
+    assert!(stdout.contains("shard \"merged\", 1 series"), "{stdout}");
     assert!(
-        stdout.contains("\"series\":\"serve.expired\",\"kind\":\"delta\",\"window\":1"),
+        stdout.contains("window 1 [t=1000 ns): count=1 sum=1 mean=1 min=1 max=1"),
         "{stdout}"
     );
-}
-
-/// A `/debug/timeline` body scraped from a live exposition of two
-/// shards, each with delta and sample series over several windows.
-fn scraped_debug_timeline() -> String {
-    let shard = |offset: u64| {
-        let timeline = TimelineRecorder::new(TimelineConfig {
-            window_ns: 1_000,
-            max_windows: 4,
-        });
-        for t_ns in [2_500, 100, 4_200, 1_100, 5_900] {
-            timeline.record_delta("serve.request_latency_ns", t_ns / 3 + offset, t_ns);
-            timeline.sample("serve.queue_depth", offset + t_ns % 7, t_ns);
-        }
-        timeline.record_delta("slo.good", 1, 300 + offset);
-        ServeObs {
-            slo: SloConfig::default(),
-            requests: Arc::new(RequestLog::new(8)),
-            timeline: Arc::new(timeline),
-        }
-    };
-    let exposition = Exposition {
-        shards: vec![("0".to_owned(), shard(0)), ("1".to_owned(), shard(7))],
-        ..Exposition::new(Registry::Single(Arc::new(Metrics::new())))
-    };
-    let server = ExpositionServer::bind("127.0.0.1:0", exposition).expect("bind ephemeral");
-    let body = server.scrape("/debug/timeline").expect("scrape");
-    server.shutdown();
-    body
-}
-
-#[test]
-fn timeline_json_re_emits_a_shards_lines_byte_for_byte() {
-    let body = scraped_debug_timeline();
-    let path = temp("tl-debug-body", &body);
-    let out = obsctl(&["timeline", path.to_str().unwrap(), "--json", "--shard", "0"]);
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let mut expected: String = body
-        .lines()
-        .filter(|l| l.contains("\"record\":\"timeline_config\"") || l.contains("\"shard\":\"0\""))
-        .collect::<Vec<_>>()
-        .join("\n");
-    expected.push('\n');
-    assert!(expected.lines().count() > 8, "{body}");
-    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+    assert!(!stdout.contains("serve.admitted"), "{stdout}");
 }
 
 #[test]
@@ -533,63 +395,12 @@ fn timeline_offline_recompute_matches_and_gates_on_divergence() {
 }
 
 #[test]
-fn anomaly_passes_a_self_diff_and_catches_a_seeded_regression() {
-    let old = fixture("timeline_old.ndjson");
-    let out = obsctl(&["anomaly", old.to_str().unwrap(), old.to_str().unwrap()]);
-    assert!(
-        out.status.success(),
-        "self-diff must pass: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("serve.completed"), "{stdout}");
-    assert!(!stdout.contains("ANOMALOUS"), "{stdout}");
-
-    // the regressed fixture drops merged serve.completed 10 -> 6 (-40%)
-    let regressed = fixture("timeline_regressed.ndjson");
-    let out = obsctl(&[
-        "anomaly",
-        regressed.to_str().unwrap(),
-        old.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(1), "seeded regression must gate");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let anomalous: Vec<&str> = stdout.lines().filter(|l| l.contains("ANOMALOUS")).collect();
-    assert_eq!(anomalous.len(), 1, "{stdout}");
-    assert!(anomalous[0].contains("serve.completed"), "{stdout}");
-    assert!(anomalous[0].contains("40.0%"), "{stdout}");
-
-    // inside a loose threshold the same pair passes
-    let out = obsctl(&[
-        "anomaly",
-        regressed.to_str().unwrap(),
-        old.to_str().unwrap(),
-        "--threshold-pct",
-        "50",
-    ]);
-    assert!(out.status.success());
-
-    // a named series missing from one side is itself an anomaly
-    let out = obsctl(&[
-        "anomaly",
-        regressed.to_str().unwrap(),
-        old.to_str().unwrap(),
-        "--series",
-        "serve.vanished",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("missing in"));
-}
-
-#[test]
-fn timeline_and_anomaly_usage_errors_exit_2() {
+fn timeline_usage_errors_exit_2() {
     let out = obsctl(&["timeline"]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = obsctl(&["anomaly", "only-one.ndjson"]);
     assert_eq!(out.status.code(), Some(2));
     let out = obsctl(&["timeline", "x.ndjson", "--shard"]);
     assert_eq!(out.status.code(), Some(2));
-    let out = obsctl(&["anomaly", "a.ndjson", "b.ndjson", "--frobnicate"]);
+    let out = obsctl(&["timeline", "x.ndjson", "--frobnicate"]);
     assert_eq!(out.status.code(), Some(2));
     // a non-artifact file is an input error, not a crash
     let not_timeline = temp("not-timeline", "{\"metric\":\"x\",\"value\":1}\n");

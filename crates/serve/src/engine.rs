@@ -35,8 +35,8 @@ pub struct ServeStats {
     pub completed: u64,
     /// Batches executed.
     pub batches: u64,
-    /// Admitted requests answered [`RejectReason::ShardFailed`] because
-    /// their shard died before their batch completed.
+    /// Admitted requests answered [`Disposition::Failed`] because their
+    /// shard died before their batch completed.
     pub failed: u64,
     /// Always 0. A full queue refuses at the door
     /// ([`RejectReason::QueueFull`]), so the serving layer never sheds a
@@ -378,16 +378,12 @@ impl ServeEngine {
         now_ns: u64,
     ) -> ServeResponse {
         let ex = &self.executor;
-        if let Disposition::Failed { reason } = disposition {
+        if matches!(disposition, Disposition::Failed) {
             self.stats.failed += 1;
             if let Some(o) = ex.observer() {
                 o.tracer().event(
                     "request_abandoned",
-                    &[
-                        ("request", id.into()),
-                        ("trace", trace.into()),
-                        ("reason", reason.label().into()),
-                    ],
+                    &[("request", id.into()), ("trace", trace.into())],
                 );
             }
         } else {
@@ -521,10 +517,10 @@ impl ServeEngine {
     }
 
     /// Fails the shard — it refuses every submission until restarted —
-    /// drops what is still queued, and answers
-    /// [`RejectReason::ShardFailed`] to each `(id, trace, admitted_ns)`
-    /// in `open`: the members of a batch that died, or every ticket a
-    /// driver that panicked outside a batch still held.
+    /// drops what is still queued, and answers [`Disposition::Failed`]
+    /// to each `(id, trace, admitted_ns)` in `open`: the members of a
+    /// batch that died, or every ticket a driver that panicked outside a
+    /// batch still held.
     pub(crate) fn fail(
         &mut self,
         open: impl IntoIterator<Item = (u64, u64, u64)>,
@@ -532,12 +528,9 @@ impl ServeEngine {
         self.queue.fail();
         self.queue.take_all();
         let now_ns = self.executor.clock().now_ns();
-        let failed = Disposition::Failed {
-            reason: RejectReason::ShardFailed,
-        };
         let out = open
             .into_iter()
-            .map(|m| self.unanswered(m, failed.clone(), now_ns))
+            .map(|m| self.unanswered(m, Disposition::Failed, now_ns))
             .collect();
         self.observe_depth();
         out

@@ -225,7 +225,7 @@ impl ServeInstruments {
                 ]);
                 ("cache_hit", None, *latency_ns, *b)
             }
-            Disposition::Expired { .. } | Disposition::Failed { .. } => {
+            Disposition::Expired { .. } | Disposition::Failed => {
                 let tally = match r.disposition {
                     Disposition::Expired { .. } => &self.expired,
                     _ => &self.failed,

@@ -4,8 +4,6 @@ use std::fmt;
 
 use canti_farm::{FarmError, JobOutput};
 
-use crate::RejectReason;
-
 /// The serving layer's answer to one admitted request.
 ///
 /// Equality is exact (payload `f64`s compare bitwise through
@@ -99,14 +97,11 @@ pub enum Disposition {
         deadline_ns: u64,
     },
     /// The serving layer itself gave up on an **already admitted**
-    /// request: its shard died before the batch completed
-    /// ([`RejectReason::ShardFailed`]). Terminal by contract — a waiter
-    /// on the request's ticket always wakes up with this response
-    /// instead of hanging on a dead batcher.
-    Failed {
-        /// Why the serving layer abandoned the request.
-        reason: RejectReason,
-    },
+    /// request: its shard died before the batch completed. Labelled
+    /// `shard_failed`, like [`crate::RejectReason::ShardFailed`].
+    /// Terminal by contract — a waiter on the request's ticket always
+    /// wakes up with this response instead of hanging on a dead batcher.
+    Failed,
 }
 
 impl Disposition {
@@ -127,7 +122,7 @@ impl Disposition {
             Self::Completed { result: Err(_), .. } => "job_failed",
             Self::CacheHit { .. } => "cache_hit",
             Self::Expired { .. } => "expired",
-            Self::Failed { reason } => reason.label(),
+            Self::Failed => "shard_failed",
         }
     }
 
@@ -191,8 +186,8 @@ impl fmt::Display for ServeResponse {
                 "request {}: expired after {waited_ns} ns (deadline at {deadline_ns} ns)",
                 self.request_id
             ),
-            Disposition::Failed { reason } => {
-                write!(f, "request {}: abandoned ({reason})", self.request_id)
+            Disposition::Failed => {
+                write!(f, "request {}: abandoned (shard failed)", self.request_id)
             }
         }
     }
@@ -258,9 +253,7 @@ mod tests {
         let failed = ServeResponse {
             request_id: 6,
             trace: canti_obs::trace_id(6),
-            disposition: Disposition::Failed {
-                reason: RejectReason::ShardFailed,
-            },
+            disposition: Disposition::Failed,
         };
         assert!(!failed.disposition.is_ok());
         assert_eq!(failed.disposition.label(), "shard_failed");

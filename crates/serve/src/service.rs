@@ -18,7 +18,7 @@
 //! executor panics (an armed chaos kill, a job panic the pool re-raised)
 //! lands through the engine's failure path: the shard goes
 //! [`ShardHealth::Down`] and the doomed batch, the batches formed behind
-//! it and the whole queue are answered [`RejectReason::ShardFailed`]. A
+//! it and the whole queue are answered [`crate::Disposition::Failed`]. A
 //! `Down` shard's batcher sleeps until the supervisor's restart instant
 //! and then restarts the shard in place, under its pass's lock: the
 //! shard keeps its executor and worker pool, whose workers all outlive
@@ -579,10 +579,7 @@ mod tests {
     }
 
     fn shard_failed(r: &ServeResponse) -> bool {
-        r.disposition
-            == Disposition::Failed {
-                reason: RejectReason::ShardFailed,
-            }
+        r.disposition == Disposition::Failed
     }
 
     #[test]

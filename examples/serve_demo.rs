@@ -10,10 +10,13 @@
 //! stream lands in a profiling ring.
 //!
 //! Run with:
-//! `cargo run --release --example serve_demo [requests] [--submitters N] [--batch N] [--shards N] [--chaos-serve SEED] [--telemetry] [--addr HOST:PORT]`
+//! `cargo run --release --example serve_demo [requests] [--submitters N] [--batch N] [--shards N] [--chaos-serve SEED] [--cache] [--telemetry] [--addr HOST:PORT]`
 //!
 //! * `requests` — total requests to push (default 48),
-//! * `--submitters N` — concurrent submitter threads (default 4),
+//! * `--submitters N` — concurrent submitter threads (default 4, at
+//!   most 64, the default queue capacity: each submitter waits for its
+//!   answer before sending again, so no queue can fill and no request
+//!   is refused),
 //! * `--batch N` — batch size threshold per shard (default 8),
 //! * `--shards N` — independent farm shards behind deterministic
 //!   request routing (default 1),
@@ -37,23 +40,29 @@
 //!   `target/serve_telemetry.ndjson` for `obsctl trace`
 //!   (`target/serve_chaos_telemetry.ndjson` under `--chaos-serve`), and
 //!   — outside chaos mode — the scraped `/debug/timeline` body to
-//!   `target/serve_timeline.ndjson` for `obsctl timeline` / `anomaly`,
+//!   `target/serve_timeline.ndjson` for `obsctl timeline`,
 //! * `--addr HOST:PORT` — where to bind the endpoint
 //!   (default `127.0.0.1:0`, an ephemeral port printed at startup).
 //!
 //! The demo deliberately includes one hopeless deadline (to show an
 //! expiry burning SLO budget), prints the per-request latency breakdown
 //! table, self-scrapes every route (the SLO window view among them),
-//! then drains gracefully.
+//! then drains gracefully. Its load is fixed, so it checks the scraped
+//! timeline exactly: the merged `serve.admitted`, `serve.completed` and
+//! `serve.expired` counts must equal the service's `stats()` and the
+//! load sent (`requests + 1`, `requests` and 1). The timeline keeps 64
+//! windows of 1 s, so a run that outlasts them (several thousand
+//! requests) fails the check instead of comparing a partial count.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use canti::farm::{FarmObserver, JobSpec, ProbeMode, Receptor};
+use canti::obs::timeline::TimelineDump;
 use canti::obs::{
-    parse_ndjson, Exposition, ExpositionServer, Json, Metrics, ObsClock, Readiness, Registry,
-    RingCollector, ServeObs, Tracer, WallClock,
+    Exposition, ExpositionServer, Metrics, ObsClock, Readiness, Registry, RingCollector, ServeObs,
+    Tracer, WallClock,
 };
 use canti::serve::{
     CacheConfig, Disposition, RejectReason, ServeConfig, ServeFaultPlan, ServeResponse,
@@ -63,7 +72,7 @@ use canti::units::{Molar, Seconds};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: serve_demo [requests] [--submitters N] [--batch N] [--shards N] [--chaos-serve SEED] [--cache] [--telemetry] [--addr HOST:PORT]\n\
+        "usage: serve_demo [requests] [--submitters 1-64] [--batch N] [--shards N] [--chaos-serve SEED] [--cache] [--telemetry] [--addr HOST:PORT]\n\
          pushes concurrent assay requests through the sharded batching serve layer"
     );
     std::process::exit(2);
@@ -113,6 +122,24 @@ fn labelled(obs: Vec<Option<ServeObs>>) -> Vec<(String, ServeObs)> {
         .enumerate()
         .filter_map(|(s, o)| o.map(|o| (s.to_string(), o)))
         .collect()
+}
+
+/// The observations `series` counts in the merged section of a scraped
+/// `/debug/timeline` body (0 when absent). The count is exact only while
+/// no shard's series has filled its retained windows, which this
+/// asserts: past that, the oldest windows are evicted.
+fn merged_count(debug_timeline: &str, series: &str) -> u64 {
+    let dump = TimelineDump::parse(debug_timeline).expect("/debug/timeline parses");
+    let retained = dump.config.max_windows;
+    assert!(
+        !dump.sections.iter().any(|(shard, s)| {
+            shard != "merged" && s.name == series && s.points.len() >= retained
+        }),
+        "{series} filled its {retained} retained windows, so its oldest counts \
+         may be gone: run fewer requests"
+    );
+    dump.section("merged", series)
+        .map_or(0, |s| s.points.iter().map(|p| p.count).sum())
 }
 
 /// Waits every ticket on a helper thread under a hard timeout: in a
@@ -175,7 +202,7 @@ fn run_chaos(batch: usize, shards: usize, seed: u64, telemetry: bool) {
     let responses = wait_all_watchdog(wave1, "chaos-serve wave 1");
     let failed1 = responses
         .iter()
-        .filter(|r| matches!(r.disposition, Disposition::Failed { .. }))
+        .filter(|r| matches!(r.disposition, Disposition::Failed))
         .count();
     println!(
         "chaos-serve wave 1: {admitted1} admitted, {} completed, {failed1} failed terminally",
@@ -439,15 +466,7 @@ fn run_cache(shards: usize, telemetry: bool) {
     let debug_timeline = server
         .scrape("/debug/timeline")
         .expect("self-scrape /debug/timeline");
-    let timeline_hits: u64 = parse_ndjson(&debug_timeline)
-        .expect("/debug/timeline is NDJSON")
-        .iter()
-        .filter(|r| {
-            r.get("shard").and_then(Json::as_str) == Some("merged")
-                && r.get("series").and_then(Json::as_str) == Some("serve.cache_hit")
-        })
-        .filter_map(|r| r.get("count").and_then(Json::as_u64))
-        .sum();
+    let timeline_hits = merged_count(&debug_timeline, "serve.cache_hit");
     println!("cache drill timeline: merged serve.cache_hit x{timeline_hits}");
     assert_eq!(
         timeline_hits, stats.cache_hits,
@@ -500,7 +519,9 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--submitters" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => submitters = n,
+                Some(n) if (1..=ServeConfig::default().queue_capacity).contains(&n) => {
+                    submitters = n;
+                }
                 _ => usage(),
             },
             "--batch" => match it.next().and_then(|v| v.parse().ok()) {
@@ -590,18 +611,17 @@ fn main() {
         .map(|w| {
             let service = Arc::clone(&service);
             std::thread::spawn(move || {
-                let mut answered: Vec<ServeResponse> = Vec::new();
-                for i in (w..requests).step_by(submitters) {
-                    match service.submit(request(i)) {
-                        Ok(ticket) => {
-                            let response = ticket.wait();
-                            assert!(response.disposition.is_ok(), "{response}");
-                            answered.push(response);
-                        }
-                        Err(reason) => println!("request {i} rejected: {reason}"),
-                    }
-                }
-                answered
+                (w..requests)
+                    .step_by(submitters)
+                    .map(|i| {
+                        let response = service
+                            .submit(request(i))
+                            .unwrap_or_else(|reason| panic!("request {i} refused: {reason}"))
+                            .wait();
+                        assert!(response.disposition.is_ok(), "{response}");
+                        response
+                    })
+                    .collect::<Vec<ServeResponse>>()
             })
         })
         .collect();
@@ -706,6 +726,23 @@ fn main() {
         !merged_verdicts.is_empty(),
         "terminal requests must fill the merged slo windows: {debug_timeline}"
     );
+    // The load is fixed, so the merged counts are exact: every request
+    // admitted and completed, plus the hopeless one admitted and expired.
+    let stats = service.stats();
+    let sent = requests as u64;
+    for (series, tally, load) in [
+        ("serve.admitted", stats.admitted, sent + 1),
+        ("serve.completed", stats.completed, sent),
+        ("serve.expired", stats.expired, 1),
+    ] {
+        let merged = merged_count(&debug_timeline, series);
+        println!("timeline: merged {series} x{merged}");
+        assert_eq!(
+            merged, tally,
+            "merged {series} windows vs the service's stats"
+        );
+        assert_eq!(merged, load, "merged {series} windows vs the load sent");
+    }
 
     let health = server.scrape("/healthz").expect("self-scrape /healthz");
     println!("--- /healthz ---\n{health}");
@@ -748,8 +785,8 @@ fn main() {
         );
 
         // The timeline artifact is the scraped route body verbatim, so
-        // `obsctl timeline` / `obsctl anomaly` gate exactly what a live
-        // scraper would have seen.
+        // `obsctl timeline` renders exactly what a live scraper would
+        // have seen.
         let timeline_path = "target/serve_timeline.ndjson";
         std::fs::write(timeline_path, &debug_timeline).expect("write serve timeline artifact");
         println!(

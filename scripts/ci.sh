@@ -23,22 +23,26 @@
 #                          #     artifact-health gate
 #                          #   * a chaos (fault-injection) batch gated
 #                          #     through obsctl summary
-#                          #   * a sharded traced serve_demo run whose
+#                          #   * a sharded traced serve_demo run, which
+#                          #     itself asserts that its scraped
+#                          #     /debug/timeline body's merged
+#                          #     serve.admitted, serve.completed and
+#                          #     serve.expired counts equal the service's
+#                          #     stats and the load it sent; its
 #                          #     telemetry artifact is gated through
 #                          #     obsctl trace (request-chain health: a
 #                          #     closed admission-side request span),
-#                          #     and whose scraped /debug/timeline body is
-#                          #     archived (serve_timeline.ndjson, previous
-#                          #     run kept as .prev) and gated through
-#                          #     obsctl timeline (its merged section must
-#                          #     carry the slo.breached verdict series the
-#                          #     demo's 0 ns deadline feeds) + obsctl
-#                          #     anomaly
+#                          #     and its timeline body
+#                          #     (serve_timeline.ndjson) through obsctl
+#                          #     timeline (its merged section must carry
+#                          #     the slo.breached verdict series the
+#                          #     demo's 0 ns deadline feeds)
 #                          #   * a cache drill (serve_demo --cache) whose
 #                          #     telemetry artifact is gated through
 #                          #     obsctl summary: zero trace sequence gaps
 #                          #     AND non-zero cache_hit AND non-zero
-#                          #     coalesced counts in the cache section,
+#                          #     coalesced counts in its text cache
+#                          #     section,
 #                          #     and whose scraped /debug/timeline body
 #                          #     (serve_cache_timeline.ndjson; the demo
 #                          #     asserts its merged serve.cache_hit count
@@ -62,10 +66,6 @@
 #   CANTI_PERF_MIN_NS         absolute noise floor in ns (default 50000,
 #                             except the farm bench's 2000000 — see the
 #                             bench-loop comments)
-#   CANTI_TIMELINE_THRESHOLD_PCT
-#                             count-drift tolerance for the timeline
-#                             anomaly gate (default 10; the smoke load is
-#                             fixed, so counts should be near-exact)
 #   CANTI_FARM_JOBS           farm bench batch size (default 64)
 #   CANTI_BENCH_MS            experiments bench ms/kernel (default 80 here)
 set -euo pipefail
@@ -223,14 +223,13 @@ if [[ "${1:-}" == "smoke" ]]; then
     phase_end
 
     phase_begin "serve smoke (sharded traced demo) + request-trace gate"
-    # keep the previous timeline artifact as the anomaly baseline before
-    # the demo overwrites it (same .prev pattern as the bench artifacts)
-    timeline_artifact=target/serve_timeline.ndjson
-    timeline_prev=target/serve_timeline.prev.ndjson
-    [[ -s "$timeline_artifact" ]] && cp "$timeline_artifact" "$timeline_prev"
     # the demo itself asserts breakdown tiling, non-empty merged
-    # slo.good/slo.breached lines in the scraped /debug/timeline body and
-    # the JSON /healthz body before it exits 0
+    # slo.good/slo.breached lines in the scraped /debug/timeline body,
+    # merged serve.admitted / serve.completed / serve.expired counts of
+    # exactly 17 / 16 / 1 (its fixed load, each equal to the service's
+    # stats; the 0 ns deadline expires deterministically, since expiry
+    # sweeps run before every batch formation) and the JSON /healthz
+    # body before it exits 0
     cargo run --release --example serve_demo 16 --shards 2 --telemetry
     serve_artifact=target/serve_telemetry.ndjson
     [[ -s "$serve_artifact" ]] || { echo "missing serve artifact $serve_artifact"; exit 1; }
@@ -243,6 +242,7 @@ if [[ "${1:-}" == "smoke" ]]; then
     cargo run --release -q -p canti-obsctl -- trace "$serve_artifact" "$req"
     # the scraped /debug/timeline body must parse and render (exit 1 on
     # an empty shard selection, exit 2 on a malformed artifact)
+    timeline_artifact=target/serve_timeline.ndjson
     [[ -s "$timeline_artifact" ]] || { echo "missing timeline artifact $timeline_artifact"; exit 1; }
     echo "-- obsctl timeline (merged view) --"
     cargo run --release -q -p canti-obsctl -- timeline "$timeline_artifact" --shard merged
@@ -252,19 +252,6 @@ if [[ "${1:-}" == "smoke" ]]; then
     echo "-- obsctl timeline (merged slo.breached verdicts) --"
     cargo run --release -q -p canti-obsctl -- timeline "$timeline_artifact" --shard merged \
         --series slo.breached
-    if [[ -s "$timeline_prev" ]]; then
-        # gate request-scoped observation counts against the previous
-        # run; sums are wall-clock noisy, counts are load-determined
-        # (serve.expired included: the demo's hopeless deadline is 0 ns
-        # relative, and expiry sweeps run before every batch formation,
-        # so exactly one expiry is deterministic)
-        echo "-- obsctl anomaly gate: timeline vs previous run --"
-        cargo run --release -q -p canti-obsctl -- anomaly "$timeline_artifact" "$timeline_prev" \
-            --series serve.admitted --series serve.completed --series serve.expired \
-            --threshold-pct "${CANTI_TIMELINE_THRESHOLD_PCT:-10}"
-    else
-        echo "-- obsctl anomaly gate: no previous timeline artifact, baseline archived --"
-    fi
     phase_end
 
     phase_begin "chaos-serve smoke (shard kill -> failover -> restart)"
@@ -299,11 +286,9 @@ if [[ "${1:-}" == "smoke" ]]; then
     # must additionally show real hit and coalescing activity
     cache_summary=$(cargo run --release -q -p canti-obsctl -- summary "$cache_artifact")
     echo "$cache_summary"
-    cache_json=$(cargo run --release -q -p canti-obsctl -- summary "$cache_artifact" --json)
+    # each fired event of the cache section is a "  <name>  <count>" line
     for name in cache_hit coalesced; do
-        count=$(echo "$cache_json" \
-            | sed -n "s/.*\"record\":\"cache\",\"name\":\"$name\",\"count\":\([0-9]*\).*/\1/p" \
-            | head -1)
+        count=$(echo "$cache_summary" | sed -n "s/^  $name  *\([0-9]*\)$/\1/p" | head -1)
         [[ -n "$count" && "$count" -gt 0 ]] \
             || { echo "cache gate: no $name activity in $cache_artifact"; exit 1; }
         echo "cache gate: $name x$count"

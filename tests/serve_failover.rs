@@ -249,7 +249,7 @@ fn every_admitted_request_is_answered_terminally_exactly_once() {
                     r.disposition,
                     Disposition::Completed { .. }
                         | Disposition::Expired { .. }
-                        | Disposition::Failed { .. }
+                        | Disposition::Failed
                 ),
                 "request {} left non-terminal: {r}",
                 r.request_id
@@ -269,7 +269,7 @@ fn the_script_kills_fails_over_restarts_and_readmits() {
         let failed = trace
             .responses
             .iter()
-            .filter(|r| matches!(r.disposition, Disposition::Failed { .. }))
+            .filter(|r| matches!(r.disposition, Disposition::Failed))
             .count() as u64;
         assert!(failed > 0, "{shards} shards: the kill fails requests");
         assert_eq!(
@@ -394,19 +394,10 @@ fn summary_tallies_the_victims_shard_down_and_shard_recovered() {
     ));
     std::fs::write(&path, rings[VICTIM].to_ndjson()).expect("write the victim's ring");
     let summary = canti_obsctl::summary(&path).expect("the victim's ring is a healthy artifact");
-    let json = canti_obsctl::summary_json(&path).expect("the same gates pass in --json mode");
     let _ = std::fs::remove_file(&path);
 
     assert!(summary.contains("  shard_down           1\n"), "{summary}");
     assert!(summary.contains("  shard_recovered      1\n"), "{summary}");
-    assert!(
-        json.contains("{\"record\":\"shard\",\"name\":\"shard_down\",\"count\":1}"),
-        "{json}"
-    );
-    assert!(
-        json.contains("{\"record\":\"shard\",\"name\":\"shard_recovered\",\"count\":1}"),
-        "{json}"
-    );
 }
 
 /// The threaded layer under the same fault plan, watchdog-asserted:
@@ -527,7 +518,7 @@ fn wave_summary(responses: Vec<ServeResponse>) -> WaveSummary {
     for r in responses {
         match r.disposition {
             Disposition::Completed { .. } | Disposition::CacheHit { .. } => s.completed += 1,
-            Disposition::Failed { .. } => s.failed += 1,
+            Disposition::Failed => s.failed += 1,
             Disposition::Expired { .. } => s.expired += 1,
         }
     }

@@ -156,7 +156,7 @@ fn payload_view(trace: &ShardTrace) -> BTreeMap<u64, Payload> {
                 let bits = out.metrics.iter().map(|&(n, v)| (n, v.to_bits())).collect();
                 Some((r.request_id, (out.kind, bits)))
             }
-            Disposition::Expired { .. } | Disposition::Failed { .. } => None,
+            Disposition::Expired { .. } | Disposition::Failed => None,
         })
         .collect()
 }
@@ -171,9 +171,9 @@ fn expiry_view(trace: &ShardTrace) -> BTreeMap<u64, (u64, u64)> {
                 waited_ns,
                 deadline_ns,
             } => Some((r.request_id, (waited_ns, deadline_ns))),
-            Disposition::Completed { .. }
-            | Disposition::CacheHit { .. }
-            | Disposition::Failed { .. } => None,
+            Disposition::Completed { .. } | Disposition::CacheHit { .. } | Disposition::Failed => {
+                None
+            }
         })
         .collect()
 }

@@ -433,7 +433,6 @@ fn offline_recompute_from_spans_matches_the_live_windows() {
                 &TimelineOptions {
                     shard: s.to_string(),
                     series: vec!["serve.request_latency_ns".to_owned()],
-                    json: false,
                 },
             )
             .unwrap_or_else(|e| panic!("crosscheck failed at {shards} shards, shard {s}: {e}"));
@@ -500,7 +499,6 @@ fn offline_recompute_skips_abandoned_requests_and_counts_cache_hits() {
             &TimelineOptions {
                 shard: s.to_string(),
                 series: vec!["serve.request_latency_ns".to_owned()],
-                json: false,
             },
         );
         let _ = std::fs::remove_file(&sp_path);
@@ -581,7 +579,7 @@ fn slo_verdicts_account_for_every_terminal_request() {
             .filter(|r| match &r.disposition {
                 Disposition::Completed { latency_ns, .. }
                 | Disposition::CacheHit { latency_ns, .. } => *latency_ns <= objective_ns,
-                Disposition::Expired { .. } | Disposition::Failed { .. } => false,
+                Disposition::Expired { .. } | Disposition::Failed => false,
             })
             .count() as u64;
         let mut verdicts = (0, 0);
@@ -832,7 +830,7 @@ fn request_log_agrees_with_every_response() {
                         "{at}: an expiry's latency is its wait"
                     );
                 }
-                Disposition::Failed { .. } => {}
+                Disposition::Failed => {}
             }
         }
         if shards == 1 {
