@@ -21,8 +21,9 @@
 //! plan to a build with no plan at all.
 
 /// One scheduled shard kill: the shard's executor panics before its
-/// batch `batch` executes, its batcher dies, and every outstanding
-/// request on the shard must be answered terminally by the supervisor.
+/// batch `batch` executes. The serve layer answers every outstanding
+/// request on the shard terminally and restarts the shard after its
+/// backoff; the shard's batcher thread and worker pool live on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeFaultEvent {
     /// The shard killed.

@@ -60,6 +60,7 @@ use std::time::Duration;
 
 use crate::expose::{render_prometheus, render_prometheus_sharded};
 use crate::metrics::Metrics;
+use crate::ndjson;
 use crate::requests::RequestLog;
 use crate::timeline::{self, TimelineRecorder};
 
@@ -450,7 +451,7 @@ fn render_healthz(exposition: &Exposition) -> String {
     let status = if draining { "draining" } else { "ok" };
     let health = match health {
         Some(labels) => {
-            let quoted: Vec<String> = labels.iter().map(|l| format!("\"{l}\"")).collect();
+            let quoted: Vec<String> = labels.iter().map(|l| ndjson::escape(l)).collect();
             format!(",\"shard_health\":[{}]", quoted.join(","))
         }
         None => String::new(),
@@ -477,7 +478,8 @@ fn render_debug_requests(exposition: &Exposition) -> String {
         for r in obs.requests.records() {
             let json = r.to_json();
             // splice the shard label in as the first field
-            rows.push((r.request, format!("{{\"shard\":\"{label}\",{}", &json[1..])));
+            let shard = ndjson::escape(label);
+            rows.push((r.request, format!("{{\"shard\":{shard},{}", &json[1..])));
         }
     }
     rows.sort();
@@ -851,6 +853,70 @@ mod tests {
         stream.read_to_string(&mut response).unwrap();
         let (head, body) = response.split_once("\r\n\r\n").unwrap();
         assert_framed(head, body, "405 Method Not Allowed");
+        server.shutdown();
+    }
+
+    /// A label is caller-supplied text: every JSON route escapes it, so
+    /// a quote and a backslash parse back unchanged.
+    #[test]
+    fn json_routes_escape_a_label_with_a_quote() {
+        use crate::parse::{parse_json, parse_ndjson};
+        use crate::requests::RequestRecord;
+
+        const LABEL: &str = "a\"b\\c";
+        let obs = shard_obs(100, 8);
+        obs.timeline.record_delta("serve.admitted", 1, 50);
+        obs.requests.push(RequestRecord {
+            request: 1,
+            trace: crate::trace_id(1),
+            outcome: "ok",
+            batch: Some(0),
+            latency_ns: 5,
+            queue_ns: 5,
+            form_ns: 0,
+            exec_ns: 0,
+            respond_ns: 0,
+            finished_ns: 0,
+        });
+        let server = ExpositionServer::bind(
+            "127.0.0.1:0",
+            Exposition {
+                shards: vec![(LABEL.to_owned(), obs)],
+                readiness: Some(Readiness {
+                    shards: 1,
+                    shard_health: Some(Arc::new(|| vec![LABEL])),
+                    ..Readiness::default()
+                }),
+                ..single(Metrics::new())
+            },
+        )
+        .unwrap();
+
+        let shard_of = |doc: &crate::parse::Json| doc.get("shard")?.as_str().map(str::to_owned);
+        let requests = server.scrape("/debug/requests").unwrap();
+        let docs = parse_ndjson(&requests).unwrap_or_else(|e| panic!("{e}: {requests}"));
+        assert_eq!(docs.len(), 1, "{requests}");
+        assert_eq!(shard_of(&docs[0]).as_deref(), Some(LABEL), "{requests}");
+
+        let timeline = server.scrape("/debug/timeline").unwrap();
+        let docs = parse_ndjson(&timeline).unwrap_or_else(|e| panic!("{e}: {timeline}"));
+        let shards: Vec<Option<String>> = docs.iter().skip(1).map(shard_of).collect();
+        assert_eq!(
+            shards,
+            vec![Some(LABEL.to_owned()), Some("merged".to_owned())],
+            "{timeline}"
+        );
+
+        let health = server.scrape("/healthz").unwrap();
+        let doc = parse_json(health.trim_end()).unwrap_or_else(|e| panic!("{e}: {health}"));
+        let labels: Vec<&str> = doc
+            .get("shard_health")
+            .and_then(crate::parse::Json::as_array)
+            .expect("a shard_health array")
+            .iter()
+            .filter_map(crate::parse::Json::as_str)
+            .collect();
+        assert_eq!(labels, vec![LABEL], "{health}");
         server.shutdown();
     }
 

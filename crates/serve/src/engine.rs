@@ -1,13 +1,14 @@
 //! One shard's serving state machine.
 //!
 //! `ServeEngine` holds what one shard keeps behind its lock — the
-//! bounded queue, the request spans, the serve tallies, the pumped-only
-//! hit buffer and batch log — and the `BatchExecutor` its batches run
-//! on, which alone holds the shard's clock, observer, instruments and
-//! result cache. Its pass runs in three steps — form, execute, land — so
-//! a driver can execute batches outside its lock. It is crate-internal:
-//! [`crate::ShardedEngine`] runs one per shard, and every request it
-//! sees carries the global id that engine allocated.
+//! bounded queue, the request spans, the serve tallies, the shard's
+//! liveness record, the pumped-only hit buffer and batch log — and the
+//! `BatchExecutor` its batches run on, which alone holds the shard's
+//! clock, observer, instruments and result cache. Its pass runs in three
+//! steps — form, execute, land — so a driver can execute batches outside
+//! its lock. It is crate-internal: [`crate::ShardedEngine`] runs one per
+//! shard, and every request it sees carries the global id that engine
+//! allocated.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError};
@@ -20,6 +21,7 @@ use crate::cache::ReportCache;
 use crate::exec::{BatchExecutor, ServeInstruments};
 use crate::queue::{AdmissionQueue, Admitted, BatchTrigger, FormedBatch, Pending, RejectReason};
 use crate::response::{Disposition, LatencyBreakdown, ServeResponse};
+use crate::shard::{ShardHealth, SupervisorConfig};
 use crate::ServeConfig;
 
 /// Running tallies of everything the serving layer decided.
@@ -103,7 +105,11 @@ impl BatchRecord {
 pub(crate) enum Admission {
     /// Queued, or coalesced onto a queued leader: a batch answers it
     /// later.
-    Queued,
+    Queued {
+        /// The clock reading at admission, which the request's wait and
+        /// latency run from.
+        admitted_ns: u64,
+    },
     /// Answered from the result cache at admission. The response is
     /// terminal and already fully accounted (stats, counters, SLO,
     /// request log); the caller only delivers it.
@@ -131,6 +137,15 @@ pub(crate) struct ServeEngine {
     /// Every batch formed so far, in formation order (pumped passes
     /// only).
     batch_log: Vec<BatchRecord>,
+    /// How long a dead shard stays down.
+    supervisor: SupervisorConfig,
+    /// The shard's one liveness record: while it is dead, the instant
+    /// its restart falls due; `None` while it serves.
+    restart_at_ns: Option<u64>,
+    /// Deaths since the shard's last clean batch.
+    deaths: u32,
+    /// Restarts over the shard's lifetime.
+    restarts: u64,
 }
 
 impl ServeEngine {
@@ -152,7 +167,16 @@ impl ServeEngine {
             executor: Arc::new(executor),
             hits: Vec::new(),
             batch_log: Vec::new(),
+            supervisor: SupervisorConfig::default(),
+            restart_at_ns: None,
+            deaths: 0,
+            restarts: 0,
         }
+    }
+
+    /// Replaces the restart policy.
+    pub(crate) fn set_supervisor(&mut self, config: SupervisorConfig) {
+        self.supervisor = config;
     }
 
     /// Arms a [`canti_fault::ServeFaultPlan`]: this engine consumes the
@@ -177,33 +201,45 @@ impl ServeEngine {
     /// the observer over the same clock the engine was given.
     pub(crate) fn with_observer(mut self, observer: FarmObserver) -> Self {
         let config = self.queue.config();
-        let instruments = ServeInstruments::new(&observer, config.slo, config.timeline);
-        self.executor = Arc::new(unshared(self.executor).with_instruments(observer, instruments));
+        let instruments = ServeInstruments::new(observer, config.slo, config.timeline);
+        self.executor = Arc::new(unshared(self.executor).with_instruments(instruments));
         self
     }
 
-    /// Whether the shard has died (executor panic) and awaits a restart.
-    /// Its queue refuses every submission with
-    /// [`RejectReason::ShardFailed`] meanwhile, and passes form nothing.
-    pub(crate) fn is_failed(&self) -> bool {
-        self.queue.is_failed()
+    /// The shard's health: `Down` from its death until its restart.
+    /// Routing sends a `Down` shard nothing, and its passes form nothing.
+    pub(crate) fn health(&self) -> ShardHealth {
+        match self.restart_at_ns {
+            Some(_) => ShardHealth::Down,
+            None => ShardHealth::Healthy,
+        }
     }
 
-    /// Reopens the dead shard as its `restarts`-th restart: clears the
-    /// failed mark, bumps `serve.shard_restarts` and emits
-    /// `shard_recovered`. The shard keeps its executor, whose pool is
-    /// idle with every worker alive: a chaos kill fires before the batch
-    /// reaches the pool, a job panic re-raises only after the pool has
-    /// finished the batch, and a batcher panic outside `execute` leaves
-    /// no batch on it.
-    pub(crate) fn restart(&mut self, restarts: u64) {
-        self.queue.restore();
+    /// The instant a dead shard's restart falls due; `None` while it
+    /// serves.
+    pub(crate) fn next_restart_ns(&self) -> Option<u64> {
+        self.restart_at_ns
+    }
+
+    /// Restarts performed over the shard's lifetime.
+    pub(crate) fn restarts(&self) -> u64 {
+        self.restarts
+    }
+
+    /// Brings the dead shard back: clears its restart instant, bumps
+    /// `serve.shard_restarts` and emits `shard_recovered`. The shard
+    /// keeps its executor, whose pool is idle with every worker alive: a
+    /// chaos kill fires before the batch reaches the pool, a job panic
+    /// re-raises only after the pool has finished the batch, and a
+    /// batcher panic outside `execute` leaves no batch on it.
+    fn restart(&mut self) {
+        self.restart_at_ns = None;
+        self.restarts += 1;
         if let Some(ins) = self.executor.instruments() {
             ins.shard_restarts.inc();
-        }
-        if let Some(o) = self.executor.observer() {
-            o.tracer()
-                .event("shard_recovered", &[("restarts", restarts.into())]);
+            ins.observer
+                .tracer()
+                .event("shard_recovered", &[("restarts", self.restarts.into())]);
         }
     }
 
@@ -224,11 +260,9 @@ impl ServeEngine {
         let kind = job.kind();
         // Content-addressed fast path: a cached answer satisfies any
         // deadline, so the lookup precedes the capacity gate (a hit
-        // occupies no queue slot). A failed or draining shard refuses
-        // before any lookup, in the queue.
-        let cache = ex
-            .report_cache()
-            .filter(|_| !self.queue.is_failed() && !self.queue.is_draining());
+        // occupies no queue slot). A draining shard refuses before any
+        // lookup, in the queue; a dead one is never routed to.
+        let cache = ex.report_cache().filter(|_| !self.queue.is_draining());
         let job_key = cache.map(|_| crate::cache::job_key(&job));
         if let (Some(cache), Some(k)) = (cache, job_key) {
             let hit = cache
@@ -240,10 +274,10 @@ impl ServeEngine {
             }
             // the miss names only the kind: the admission or rejection
             // that follows accounts for the request
-            if let Some(o) = ex.observer() {
-                o.tracer().event("cache_miss", &[("kind", kind.into())]);
-            }
             if let Some(ins) = ex.instruments() {
+                ins.observer
+                    .tracer()
+                    .event("cache_miss", &[("kind", kind.into())]);
                 ins.cache_miss.counter.inc();
             }
         }
@@ -256,13 +290,11 @@ impl ServeEngine {
             Ok(admitted) => admitted,
             Err(reason) => {
                 self.stats.rejected += 1;
-                if let Some(o) = ex.observer() {
-                    o.tracer().event(
+                if let Some(ins) = ex.instruments() {
+                    ins.observer.tracer().event(
                         "request_rejected",
                         &[("kind", kind.into()), ("reason", reason.label().into())],
                     );
-                }
-                if let Some(ins) = ex.instruments() {
                     let deltas = [(ins.cache_miss.series, 1, now_ns), ins.rejected.one(now_ns)];
                     ins.obs.timeline.record(&deltas[from..]);
                 }
@@ -271,10 +303,10 @@ impl ServeEngine {
         };
         self.stats.admitted += 1;
         let ctx = TraceContext::from_admission(id);
-        if let Some(o) = ex.observer() {
+        if let Some(ins) = ex.instruments() {
             // span fields carry the global id and trace id, so the chain
             // stays joinable at any shard count
-            let span = o.tracer().span(
+            let span = ins.observer.tracer().span(
                 "request",
                 &[
                     ("request", ctx.request.into()),
@@ -283,8 +315,6 @@ impl ServeEngine {
                 ],
             );
             self.spans.insert(id, span);
-        }
-        if let Some(ins) = ex.instruments() {
             let coalesced = matches!(admitted, Admitted::Coalesced { .. });
             let deltas = [
                 (ins.cache_miss.series, 1, now_ns),
@@ -300,8 +330,8 @@ impl ServeEngine {
             Admitted::Coalesced { leader } => {
                 // no depth change: the follower rides the leader's slot
                 self.stats.coalesced += 1;
-                if let Some(o) = ex.observer() {
-                    o.tracer().event(
+                if let Some(ins) = ex.instruments() {
+                    ins.observer.tracer().event(
                         "coalesced",
                         &[
                             ("request", ctx.request.into()),
@@ -309,13 +339,13 @@ impl ServeEngine {
                             ("leader", leader.into()),
                         ],
                     );
-                }
-                if let Some(ins) = ex.instruments() {
                     ins.coalesced.counter.inc();
                 }
             }
         }
-        Ok(Admission::Queued)
+        Ok(Admission::Queued {
+            admitted_ns: now_ns,
+        })
     }
 
     /// One request answered from the result cache at admission: tallied,
@@ -339,16 +369,6 @@ impl ServeEngine {
         let trace = canti_obs::trace_id(id);
         let done_ns = ex.clock().now_ns();
         let cache_ns = done_ns.saturating_sub(admitted_ns);
-        if let Some(o) = ex.observer() {
-            o.tracer().event(
-                "cache_hit",
-                &[
-                    ("request", id.into()),
-                    ("trace", trace.into()),
-                    ("kind", kind.into()),
-                ],
-            );
-        }
         let response = ServeResponse {
             request_id: id,
             trace,
@@ -362,6 +382,14 @@ impl ServeEngine {
             },
         };
         if let Some(ins) = ex.instruments() {
+            ins.observer.tracer().event(
+                "cache_hit",
+                &[
+                    ("request", id.into()),
+                    ("trace", trace.into()),
+                    ("kind", kind.into()),
+                ],
+            );
             ins.finish(&response, false, admitted_ns, done_ns);
         }
         response
@@ -377,30 +405,22 @@ impl ServeEngine {
         disposition: Disposition,
         now_ns: u64,
     ) -> ServeResponse {
-        let ex = &self.executor;
-        if matches!(disposition, Disposition::Failed) {
+        let event = if matches!(disposition, Disposition::Failed) {
             self.stats.failed += 1;
-            if let Some(o) = ex.observer() {
-                o.tracer().event(
-                    "request_abandoned",
-                    &[("request", id.into()), ("trace", trace.into())],
-                );
-            }
+            "request_abandoned"
         } else {
             self.stats.expired += 1;
-            if let Some(o) = ex.observer() {
-                o.tracer().event(
-                    "request_expired",
-                    &[("request", id.into()), ("trace", trace.into())],
-                );
-            }
-        }
+            "request_expired"
+        };
         let response = ServeResponse {
             request_id: id,
             trace,
             disposition,
         };
-        if let Some(ins) = ex.instruments() {
+        if let Some(ins) = self.executor.instruments() {
+            ins.observer
+                .tracer()
+                .event(event, &[("request", id.into()), ("trace", trace.into())]);
             ins.finish(&response, false, admitted_ns, now_ns);
         }
         if let Some(span) = self.spans.remove(&id) {
@@ -426,17 +446,22 @@ impl ServeEngine {
     /// Step 1 of a pass: answers into `out` the cache hits buffered
     /// since the last pump (they were admitted before anything that
     /// follows), then expiries, and releases the batches now due.
-    /// `drain` stops admission and releases everything queued. A failed
-    /// engine forms nothing: its queue was already answered terminally.
+    /// `drain` stops admission and releases everything queued. A dead
+    /// shard first restarts once its backoff has elapsed (a drain
+    /// restarts nothing); until then it forms nothing, because its
+    /// queue was already answered terminally.
     pub(crate) fn form(&mut self, drain: bool, out: &mut Vec<ServeResponse>) -> Vec<FormedBatch> {
-        if self.is_failed() {
-            if drain {
-                self.queue.begin_drain();
+        let now_ns = self.executor.clock().now_ns();
+        if let Some(due) = self.restart_at_ns {
+            if drain || now_ns < due {
+                if drain {
+                    self.queue.begin_drain();
+                }
+                return Vec::new();
             }
-            return Vec::new();
+            self.restart();
         }
         out.append(&mut self.hits);
-        let now_ns = self.executor.clock().now_ns();
         let expired = self.queue.take_expired(now_ns);
         if !expired.is_empty() {
             for p in &expired {
@@ -479,12 +504,12 @@ impl ServeEngine {
     }
 
     /// Step 3 of a pass: lands one executed batch. A clean run closes
-    /// its members' spans (the executor already recorded their answers)
-    /// and bumps the tallies. An executor panic (a chaos kill or a real
-    /// bug) fails the shard and answers **every** outstanding request
-    /// terminally — the batch that died, the batches formed behind it in
-    /// `rest`, and everything still queued. No admitted request is ever
-    /// left hanging.
+    /// its members' spans (the executor already recorded their answers),
+    /// bumps the tallies and resets the shard's death streak. An
+    /// executor panic (a chaos kill or a real bug) fails the shard and
+    /// answers **every** outstanding request terminally — the batch that
+    /// died, the batches formed behind it in `rest`, and everything still
+    /// queued. No admitted request is ever left hanging.
     pub(crate) fn land(
         &mut self,
         batch: &FormedBatch,
@@ -499,6 +524,7 @@ impl ServeEngine {
             }
             self.stats.completed += responses.len() as u64;
             self.stats.batches += 1;
+            self.deaths = 0;
             responses
         } else {
             if let Some(o) = self.executor.observer() {
@@ -516,18 +542,24 @@ impl ServeEngine {
         }
     }
 
-    /// Fails the shard — it refuses every submission until restarted —
-    /// drops what is still queued, and answers [`Disposition::Failed`]
-    /// to each `(id, trace, admitted_ns)` in `open`: the members of a
-    /// batch that died, or every ticket a driver that panicked outside a
-    /// batch still held.
+    /// Fails the shard — it takes no traffic until restarted — drops
+    /// what is still queued, and answers [`Disposition::Failed`] to each
+    /// `(id, trace, admitted_ns)` in `open`: the members of a batch that
+    /// died, or every ticket a driver that panicked outside a batch
+    /// still held. The `k`-th death since the last clean batch schedules
+    /// the restart [`SupervisorConfig::backoff_ns`]`(k)` from now; a
+    /// shard already down keeps its schedule.
     pub(crate) fn fail(
         &mut self,
         open: impl IntoIterator<Item = (u64, u64, u64)>,
     ) -> Vec<ServeResponse> {
-        self.queue.fail();
-        self.queue.take_all();
         let now_ns = self.executor.clock().now_ns();
+        if self.restart_at_ns.is_none() {
+            self.deaths += 1;
+            let backoff_ns = self.supervisor.backoff_ns(self.deaths);
+            self.restart_at_ns = Some(now_ns.saturating_add(backoff_ns));
+        }
+        self.queue.take_all();
         let out = open
             .into_iter()
             .map(|m| self.unanswered(m, Disposition::Failed, now_ns))

@@ -39,7 +39,8 @@ impl Tally {
     }
 }
 
-/// The serve-layer metrics handles, registered once per observer.
+/// A shard's observer and the serve-layer metrics handles registered
+/// in it once.
 ///
 /// Names follow the `serve.` prefix the exposition layer sanitizes into
 /// `serve_*` Prometheus series. Every timeline series the layer writes
@@ -53,6 +54,10 @@ impl Tally {
 /// through it.
 #[derive(Debug)]
 pub(crate) struct ServeInstruments {
+    /// The shard's observer, recording the farm's per-batch aggregates
+    /// into [`ServeObs::timeline`] so serve.* and farm.* series share one
+    /// window grid.
+    pub observer: FarmObserver,
     pub admitted: Tally,
     pub rejected: Tally,
     pub expired: Tally,
@@ -83,13 +88,14 @@ pub(crate) struct ServeInstruments {
 }
 
 impl ServeInstruments {
-    pub(crate) fn new(observer: &FarmObserver, slo: SloConfig, timeline: TimelineConfig) -> Self {
-        let m = observer.metrics();
+    pub(crate) fn new(observer: FarmObserver, slo: SloConfig, timeline: TimelineConfig) -> Self {
         let obs = ServeObs {
             slo,
             requests: Arc::new(RequestLog::new(REQUEST_LOG_CAPACITY)),
             timeline: Arc::new(TimelineRecorder::new(timeline)),
         };
+        let observer = observer.with_timeline(Arc::clone(&obs.timeline));
+        let m = observer.metrics();
         let delta = |name| obs.timeline.series(name, SeriesKind::Delta);
         let sample = |name| obs.timeline.series(name, SeriesKind::Sample);
         // an empty help text registers no description
@@ -113,7 +119,10 @@ impl ServeInstruments {
             "serve.failovers",
             "requests rerouted here because their primary shard was down",
         );
-        m.describe("serve.shard_restarts", "times this shard was resurrected");
+        m.describe(
+            "serve.shard_restarts",
+            "times this shard was restarted after its backoff",
+        );
         Self {
             admitted: tally("serve.admitted", "requests accepted into the queue"),
             rejected: tally("serve.rejected", "submissions refused at the door"),
@@ -155,6 +164,7 @@ impl ServeInstruments {
             exec_ns: delta("serve.exec_ns"),
             respond_ns: delta("serve.respond_ns"),
             obs,
+            observer,
         }
     }
 
@@ -269,7 +279,6 @@ pub(crate) struct BatchExecutor {
     /// order. `None` with caching off.
     report_cache: Option<Mutex<ReportCache>>,
     clock: Arc<dyn ObsClock>,
-    observer: Option<FarmObserver>,
     instruments: Option<ServeInstruments>,
     chaos: Option<Mutex<ServeChaos>>,
 }
@@ -290,7 +299,6 @@ impl BatchExecutor {
             cache,
             report_cache: None,
             clock,
-            observer: None,
             instruments: None,
             chaos: None,
         }
@@ -311,7 +319,7 @@ impl BatchExecutor {
         self
     }
 
-    /// The shard's instrument set, when observed.
+    /// The shard's observer and instrument set, when observed.
     pub(crate) fn instruments(&self) -> Option<&ServeInstruments> {
         self.instruments.as_ref()
     }
@@ -326,18 +334,11 @@ impl BatchExecutor {
         self.report_cache.as_ref()
     }
 
-    /// Attaches a farm observer together with the shard's instrument
-    /// set, which the engine records through: batches run with farm
-    /// telemetry, and the serve-side counters, histograms and spans land
-    /// in the same registry and trace stream.
-    pub(crate) fn with_instruments(
-        mut self,
-        observer: FarmObserver,
-        instruments: ServeInstruments,
-    ) -> Self {
-        // The farm records its per-batch aggregates into the same
-        // recorder, so serve.* and farm.* series share one window grid.
-        self.observer = Some(observer.with_timeline(Arc::clone(&instruments.obs.timeline)));
+    /// Attaches the shard's observer and instrument set, which the
+    /// engine records through: batches run with farm telemetry, and the
+    /// serve-side counters, histograms and spans land in the same
+    /// registry and trace stream.
+    pub(crate) fn with_instruments(mut self, instruments: ServeInstruments) -> Self {
         self.instruments = Some(instruments);
         self
     }
@@ -350,7 +351,7 @@ impl BatchExecutor {
 
     /// The attached observer, if any.
     pub(crate) fn observer(&self) -> Option<&FarmObserver> {
-        self.observer.as_ref()
+        self.instruments.as_ref().map(|i| &i.observer)
     }
 
     /// [`Self::execute`] with a panic (a chaos kill, or a job panic the
@@ -370,7 +371,7 @@ impl BatchExecutor {
     /// per-request seed (fixed at admission), not its batch slot.
     pub(crate) fn execute(&self, batch: &FormedBatch) -> Vec<ServeResponse> {
         // held for the whole execution so the farm's spans nest inside
-        let _span = self.observer.as_ref().map(|o| {
+        let _span = self.observer().map(|o| {
             o.tracer().span(
                 "serve_batch",
                 &[
@@ -411,13 +412,14 @@ impl BatchExecutor {
             Arc::clone(&self.cache),
         )
         .with_pool(Arc::clone(&self.pool));
-        if let Some(o) = &self.observer {
+        if let Some(o) = self.observer() {
             farm = farm.with_observer(o.clone());
         }
         let exec_start_ns = self.clock.now_ns();
         let report = farm.run_traced(&jobs, &seeds, &contexts);
         let exec_end_ns = self.clock.now_ns();
-
+        // the respond anchor: read before the batch-level metrics below
+        // are recorded, so their cost falls outside every answer's latency
         let now_ns = self.clock.now_ns();
         if let Some(ins) = &self.instruments {
             ins.batch_size.record(batch.len() as u64);
@@ -574,9 +576,8 @@ pub(crate) mod tests {
         let clock = Arc::new(VirtualClock::new());
         let (observer, ring) = FarmObserver::deterministic(4096);
         let instruments =
-            ServeInstruments::new(&observer, SloConfig::default(), TimelineConfig::default());
-        let exec =
-            BatchExecutor::new(2, clock, Arc::default()).with_instruments(observer, instruments);
+            ServeInstruments::new(observer, SloConfig::default(), TimelineConfig::default());
+        let exec = BatchExecutor::new(2, clock, Arc::default()).with_instruments(instruments);
         let responses = exec.execute(&formed(3, 0));
         assert_eq!(responses.len(), 3);
         let m = exec.observer().expect("observer").metrics();

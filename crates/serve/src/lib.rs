@@ -28,7 +28,7 @@
 //!
 //! # One state machine, two drivers
 //!
-//! [`ShardedEngine`] — routing, failover and supervision over one
+//! [`ShardedEngine`] — routing, failover and restart over one
 //! crate-internal engine per shard — is the only serve state machine,
 //! and the only two ways to drive it are:
 //!
@@ -92,7 +92,6 @@ pub mod queue;
 pub mod response;
 pub mod service;
 pub mod shard;
-pub mod supervisor;
 
 pub use cache::{job_key, CacheConfig, CacheStats, JobKey, ReportCache};
 pub use canti_fault::{ServeFaultEvent, ServeFaultPlan};
@@ -103,8 +102,8 @@ pub use response::{Disposition, LatencyBreakdown, ServeResponse};
 pub use service::{ShardTicket, ShardedService};
 pub use shard::{
     request_seed, route_failover, route_request, ShardHealth, ShardedConfig, ShardedEngine,
+    SupervisorConfig,
 };
-pub use supervisor::{ShardSupervisor, SupervisorConfig};
 
 /// Admission, batching and execution policy for the serving layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

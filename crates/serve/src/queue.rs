@@ -24,10 +24,10 @@ pub enum RejectReason {
     },
     /// The service is draining for shutdown and admits nothing new.
     Draining,
-    /// The request's shard is down (batcher dead or executor poisoned)
-    /// and no live shard could take it. Also the terminal disposition
-    /// handed to requests that were already in flight when the shard
-    /// died — admitted work is answered, never abandoned silently.
+    /// Every shard is down (its executor panicked under a batch, or its
+    /// batcher outside one), so no live shard could take the request.
+    /// Requests admitted before their shard died are answered
+    /// [`crate::Disposition::Failed`] instead.
     ShardFailed,
 }
 
@@ -197,7 +197,6 @@ pub(crate) struct AdmissionQueue {
     inflight: BTreeMap<JobKey, u64>,
     next_batch: u64,
     draining: bool,
-    failed: bool,
 }
 
 impl AdmissionQueue {
@@ -209,7 +208,6 @@ impl AdmissionQueue {
             inflight: BTreeMap::new(),
             next_batch: 0,
             draining: false,
-            failed: false,
         }
     }
 
@@ -226,23 +224,6 @@ impl AdmissionQueue {
     /// Whether the queue has stopped admitting.
     pub(crate) fn is_draining(&self) -> bool {
         self.draining
-    }
-
-    /// Whether the owning shard is marked failed: every submission is
-    /// refused with [`RejectReason::ShardFailed`] until the shard
-    /// restarts and clears the mark.
-    pub(crate) fn is_failed(&self) -> bool {
-        self.failed
-    }
-
-    /// Marks the owning shard failed.
-    pub(crate) fn fail(&mut self) {
-        self.failed = true;
-    }
-
-    /// Clears the failed mark after the shard restarted.
-    pub(crate) fn restore(&mut self) {
-        self.failed = false;
     }
 
     /// Admits `job` under the caller's request `id` at time `now_ns`,
@@ -265,7 +246,6 @@ impl AdmissionQueue {
     ///
     /// # Errors
     ///
-    /// [`RejectReason::ShardFailed`] while the shard is marked failed,
     /// [`RejectReason::Draining`] once [`Self::begin_drain`] was called,
     /// [`RejectReason::QueueFull`] when `capacity` requests wait already.
     pub(crate) fn submit(
@@ -276,9 +256,6 @@ impl AdmissionQueue {
         job_key: Option<JobKey>,
         deadline_ns: Option<u64>,
     ) -> Result<Admitted, RejectReason> {
-        if self.failed {
-            return Err(RejectReason::ShardFailed);
-        }
         if self.draining {
             return Err(RejectReason::Draining);
         }
@@ -347,7 +324,7 @@ impl AdmissionQueue {
 
     /// Empties the queue for shard-failure handling, in admission order.
     /// The caller answers each request terminally with
-    /// [`RejectReason::ShardFailed`].
+    /// [`crate::Disposition::Failed`].
     pub(crate) fn take_all(&mut self) -> Vec<Pending> {
         self.inflight.clear();
         self.queue.drain(..).collect()
@@ -556,17 +533,6 @@ mod tests {
         assert_eq!(RejectReason::Draining.label(), "draining");
         assert_eq!(BatchTrigger::Linger.label(), "linger");
         assert_eq!(RejectReason::ShardFailed.label(), "shard_failed");
-    }
-
-    #[test]
-    fn failed_queue_refuses_until_restored() {
-        let mut q = queue(8, 8, 100);
-        assert_eq!(submit(&mut q, 0, 0, None), Ok(Admitted::Queued));
-        q.fail();
-        assert!(q.is_failed());
-        assert_eq!(submit(&mut q, 0, 1, None), Err(RejectReason::ShardFailed));
-        q.restore();
-        assert_eq!(submit(&mut q, 0, 1, None), Ok(Admitted::Queued));
     }
 
     #[test]

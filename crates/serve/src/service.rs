@@ -2,9 +2,9 @@
 //! state machine on the wall clock for concurrent callers.
 //!
 //! One mutex holds the engine and the ticket table, so routing,
-//! failover, health, each queue's failed mark and the restart schedule
-//! change together. A submission takes that lock once: the engine
-//! routes, fails over and admits it, and the caller gets a
+//! failover and each shard's liveness record — its engine's restart
+//! instant — change together. A submission takes that lock once: the
+//! engine routes, fails over and admits it, and the caller gets a
 //! [`ShardTicket`] — already answered when the result cache hit. Each
 //! shard has one batcher thread with its own [`Condvar`], which runs
 //! the engine's shard pass in its three steps: form under the lock,
@@ -17,14 +17,14 @@
 //! Every admitted request gets a **terminal** answer. A batch whose
 //! executor panics (an armed chaos kill, a job panic the pool re-raised)
 //! lands through the engine's failure path: the shard goes
-//! [`ShardHealth::Down`] and the doomed batch, the batches formed behind
-//! it and the whole queue are answered [`crate::Disposition::Failed`]. A
-//! `Down` shard's batcher sleeps until the supervisor's restart instant
-//! and then restarts the shard in place, under its pass's lock: the
-//! shard keeps its executor and worker pool, whose workers all outlive
-//! the failure. A panic outside `execute` fails the shard the same way
-//! and answers every ticket it held, so [`ShardTicket::wait`] never
-//! hangs on a dead shard.
+//! [`ShardHealth::Down`] until its backoff elapses, and the doomed
+//! batch, the batches formed behind it and the whole queue are answered
+//! [`crate::Disposition::Failed`]. A `Down` shard's batcher sleeps until
+//! its engine's restart instant, and its next pass restarts the shard in
+//! place, under the pass's lock: the shard keeps its executor and worker
+//! pool, whose workers all outlive the failure. A panic outside
+//! `execute` fails the shard the same way and answers every ticket it
+//! held, so [`ShardTicket::wait`] never hangs on a dead shard.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,8 +39,7 @@ use canti_obs::{ObsClock, WallClock};
 use crate::engine::{Admission, ServeStats};
 use crate::queue::{FormedBatch, RejectReason};
 use crate::response::ServeResponse;
-use crate::shard::{ShardHealth, ShardedConfig, ShardedEngine};
-use crate::supervisor::SupervisorConfig;
+use crate::shard::{ShardHealth, ShardedConfig, ShardedEngine, SupervisorConfig};
 
 /// How long a batcher sleeps after a pass that changed nothing (a
 /// submission to its shard wakes it at once).
@@ -161,24 +160,19 @@ impl Driver {
         loop {
             let mut state = self.lock();
             let drain = state.stopping;
-            if !drain && state.engine.restart_due(shard) {
-                state.engine.restart(shard);
-            }
             let mut answered = Vec::new();
             let batches = state.engine.shard_mut(shard).form(drain, &mut answered);
             let idle = answered.is_empty() && batches.is_empty();
             state.deliver(shard, answered);
             if !batches.is_empty() {
-                // the pass ends unlocked: callers whose tickets just
-                // landed can submit before the next pass forms
-                self.run(shard, state, batches).engine.end_pass(shard);
+                self.run(shard, state, batches);
             } else if idle && !drain {
                 // waits under the pass's own lock, so no wake-up is
                 // lost; a Down shard sleeps until its restart falls due
                 let wait = state
                     .engine
-                    .supervisor()
-                    .next_restart_ns(shard)
+                    .shard(shard)
+                    .next_restart_ns()
                     .map_or(IDLE_WAIT, |due| {
                         Duration::from_nanos(due.saturating_sub(self.clock.now_ns()))
                     });
@@ -191,13 +185,15 @@ impl Driver {
     }
 
     /// Steps 2 and 3 of a pass: executes each formed batch with the lock
-    /// released and lands it back under the lock. Returns holding it.
+    /// released and lands it back under the lock. The pass ends
+    /// unlocked: callers whose tickets just landed can submit before the
+    /// next pass forms.
     fn run<'a>(
         &'a self,
         shard: usize,
         mut state: MutexGuard<'a, State>,
         batches: Vec<FormedBatch>,
-    ) -> MutexGuard<'a, State> {
+    ) {
         let executor = state.engine.shard(shard).executor();
         let mut batches = batches.into_iter();
         while let Some(batch) = batches.next() {
@@ -210,7 +206,6 @@ impl Driver {
                 .land(&batch, ran, &mut batches);
             state.deliver(shard, answered);
         }
-        state
     }
 
     /// The safety net for a batcher that panicked outside `execute`
@@ -286,7 +281,7 @@ impl ShardedService {
     }
 
     /// [`Self::start_observed`] with a serve fault plan armed and an
-    /// explicit supervision policy — the chaos entry point.
+    /// explicit restart policy — the chaos entry point.
     ///
     /// # Panics
     ///
@@ -376,10 +371,10 @@ impl ShardedService {
                     ready: Condvar::new(),
                 })
             }
-            Admission::Queued => {
+            Admission::Queued { admitted_ns } => {
                 let slot = Arc::new(Slot::default());
                 let open = Open {
-                    admitted_ns: self.driver.clock.now_ns(),
+                    admitted_ns,
                     slot: Arc::clone(&slot),
                 };
                 state.tickets.insert((shard, id), open);
@@ -420,7 +415,8 @@ impl ShardedService {
         self.read(ShardedEngine::shard_stats)
     }
 
-    /// Per-shard health, in shard order, as the supervisor sees it.
+    /// Per-shard health, in shard order: `Down` from a shard's death
+    /// until its restart.
     #[must_use]
     pub fn healths(&self) -> Vec<ShardHealth> {
         self.read(ShardedEngine::healths)
@@ -498,7 +494,7 @@ fn spawn_batcher(driver: Arc<Driver>, shard: usize) -> JoinHandle<()> {
         .name("canti-serve-batcher".into())
         .spawn(move || {
             // the batcher outlives a panic outside `execute`: its shard
-            // fails, and the supervisor restarts it after the backoff
+            // fails, and its next pass past the backoff restarts it
             while catch_unwind(AssertUnwindSafe(|| driver.serve(shard))).is_err() {
                 driver.fail(shard);
             }
@@ -789,7 +785,7 @@ mod tests {
     }
 
     #[test]
-    fn the_supervisor_restarts_a_down_shard_when_its_backoff_is_due() {
+    fn a_down_shard_restarts_when_its_backoff_is_due() {
         // on a virtual clock the backoff elapses when the test says so
         let clock = Arc::new(VirtualClock::new());
         let observer = FarmObserver::from_parts(
@@ -817,20 +813,13 @@ mod tests {
 
         clock.advance_ns(backoff_ns);
         until_restarted(&service);
-        assert_eq!(service.healths(), vec![ShardHealth::Recovering]);
+        assert_eq!(service.healths(), vec![ShardHealth::Healthy]);
         assert_eq!(service.restarts(), 1);
 
         // the restarted shard serves again (the kill event already fired)
         let ticket = service.submit(probe(2.0)).expect("readmitted");
         assert!(wait(ticket).disposition.is_ok());
-        assert!(
-            matches!(
-                service.healths()[0],
-                ShardHealth::Degraded | ShardHealth::Healthy
-            ),
-            "clean batches walk the ladder up, got {:?}",
-            service.healths()
-        );
+        assert_eq!(service.healths(), vec![ShardHealth::Healthy]);
         assert_eq!(service.restarts(), 1, "a live shard is not restarted");
         let observer = service.observers()[0].clone().expect("observer");
         assert_eq!(observer.metrics().counter("serve.shard_restarts").get(), 1);
@@ -839,29 +828,29 @@ mod tests {
         assert_eq!(stats.completed, 1);
     }
 
+    /// On the wall clock a killed shard stays down for at least its
+    /// backoff, then serves again. Only the lower bound is asserted: a
+    /// loaded host can restart the shard late, never early.
     #[test]
-    fn a_restarted_shard_serves_its_whole_probation() {
+    fn a_killed_shard_stays_down_for_its_backoff_on_the_wall_clock() {
+        let backoff_ns = 100_000_000; // 100 ms
         let service = one_chaos_shard(
             one_per_batch(),
             &ServeFaultPlan::kill_shard(0, 0),
-            backoff(0),
+            backoff(backoff_ns),
         );
-        assert!(shard_failed(&wait(
-            service.submit(probe(0.0)).expect("admitted")
-        )));
+        let before_death = Instant::now();
+        let doomed = wait(service.submit(probe(1.0)).expect("admitted"));
+        assert!(shard_failed(&doomed), "{doomed}");
         until_restarted(&service);
-        let mut ladder = vec![service.healths()[0]];
-        for i in 1..=4 {
-            let ticket = service.submit(probe(f64::from(i))).expect("admitted");
-            assert!(wait(ticket).disposition.is_ok());
-            ladder.push(service.healths()[0]);
-        }
-        use ShardHealth::{Degraded, Healthy, Recovering};
-        assert_eq!(
-            ladder,
-            vec![Recovering, Degraded, Healthy, Healthy, Healthy],
-            "the supervisor's ladder after 0..=4 clean batches"
+        let down = before_death.elapsed();
+        assert!(
+            down >= Duration::from_nanos(backoff_ns),
+            "restarted {down:?} after the kill, inside its 100 ms backoff"
         );
+        let served = wait(service.submit(probe(2.0)).expect("readmitted"));
+        assert!(served.disposition.is_ok(), "{served}");
+        assert_eq!(service.restarts(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Sharded serving: N independent farm shards behind deterministic
-//! request routing, with health supervision and failover.
+//! request routing, with restart-after-backoff and failover.
 //!
 //! A shard is a complete serving stack of its own — admission queue,
 //! executor, persistent worker pool — so shards share no queues; they
@@ -26,6 +26,12 @@
 //!   with the same health script fail over identically — and because
 //!   payloads are pinned by [`request_seed`], a failed-over request
 //!   still computes the same bits it would have computed on its primary.
+//! * **Restart** — each shard's engine is the one record of its
+//!   liveness: a death schedules its restart after a deterministic
+//!   backoff ([`SupervisorConfig::backoff_ns`] of the deaths since its
+//!   last clean batch), and the shard's next pass at or past that
+//!   instant restarts it. Routing, both drivers and `/healthz` read
+//!   that one record.
 //!
 //! # What is and is not shard-invariant
 //!
@@ -50,7 +56,6 @@ use canti_obs::ObsClock;
 use crate::engine::{Admission, BatchRecord, ServeEngine, ServeStats};
 use crate::queue::RejectReason;
 use crate::response::ServeResponse;
-use crate::supervisor::{ShardSupervisor, SupervisorConfig};
 use crate::ServeConfig;
 
 // routing and seed derivation share the trace ids' finalizer
@@ -113,24 +118,20 @@ pub fn request_seed(base_seed: u64, request_id: u64) -> u64 {
     splitmix64(base_seed ^ splitmix64(request_id))
 }
 
-/// One shard's health, as the supervisor tracks it.
+/// One shard's health, as its engine's liveness record reads it:
 ///
 /// ```text
-/// Healthy → Down → Recovering → Degraded → Healthy
+/// Healthy ──executor or batcher panic──▶ Down ──backoff elapsed, restart──▶ Healthy
 /// ```
 ///
-/// Everything but `Down` accepts traffic; `Down` shards are skipped by
-/// [`route_failover`] until their backoff elapses and they restart.
+/// `Down` shards are skipped by [`route_failover`] until they restart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardHealth {
-    /// Serving normally.
+    /// Serving.
     Healthy,
-    /// Restarted and past its first clean batch, still on probation.
-    Degraded,
-    /// Dead: batcher exited or executor poisoned. Takes no traffic.
+    /// Dead: its executor panicked under a batch, or its batcher
+    /// panicked outside one. Takes no traffic until its restart.
     Down,
-    /// Freshly restarted, no clean batch served yet. Takes traffic.
-    Recovering,
 }
 
 impl ShardHealth {
@@ -139,16 +140,44 @@ impl ShardHealth {
     pub fn label(&self) -> &'static str {
         match self {
             Self::Healthy => "healthy",
-            Self::Degraded => "degraded",
             Self::Down => "down",
-            Self::Recovering => "recovering",
         }
     }
 
-    /// Whether the shard accepts traffic (everything but `Down`).
+    /// Whether the shard accepts traffic (it is not `Down`).
     #[must_use]
     pub fn is_live(&self) -> bool {
         !matches!(self, Self::Down)
+    }
+}
+
+/// Cap on the exponential backoff's shift: the delay stops doubling at
+/// `backoff_base_ns << 6`, 64× the base.
+const BACKOFF_MAX_SHIFT: u32 = 6;
+
+/// The restart policy: how long a dead shard stays down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SupervisorConfig {
+    /// Delay before the first restart attempt, ns on the serve clock.
+    pub backoff_base_ns: u64,
+}
+
+impl SupervisorConfig {
+    /// The deterministic restart delay after a shard's `k`-th death
+    /// since its last clean batch (`k ≥ 1`):
+    /// `backoff_base_ns << min(k - 1, 6)`, saturating.
+    #[must_use]
+    pub fn backoff_ns(&self, deaths: u32) -> u64 {
+        let shift = deaths.saturating_sub(1).min(BACKOFF_MAX_SHIFT);
+        self.backoff_base_ns.saturating_mul(1u64 << shift)
+    }
+}
+
+impl Default for SupervisorConfig {
+    fn default() -> Self {
+        Self {
+            backoff_base_ns: 1_000_000, // 1 ms
+        }
     }
 }
 
@@ -187,24 +216,22 @@ impl Default for ShardedConfig {
 
 /// The serving state machine: one engine per shard behind
 /// [`route_request`], sharing one injected clock and one precompute
-/// cache, supervised by a [`ShardSupervisor`]. It allocates every
-/// request's global id, and every queue, span, log and response keys on
-/// that id. Pumped explicitly (one shard is the plain single-queue
-/// case), it is what the scripted determinism and failover tests drive;
-/// the threaded [`crate::ShardedService`] runs the same machine on the
-/// wall clock.
+/// cache, each engine the one record of its shard's liveness. It
+/// allocates every request's global id, and every queue, span, log and
+/// response keys on that id. Pumped explicitly (one shard is the plain
+/// single-queue case), it is what the scripted determinism and failover
+/// tests drive; the threaded [`crate::ShardedService`] runs the same
+/// machine on the wall clock.
 #[derive(Debug)]
 pub struct ShardedEngine {
     engines: Vec<ServeEngine>,
     next_id: u64,
-    clock: Arc<dyn ObsClock>,
-    supervisor: ShardSupervisor,
     failovers: u64,
 }
 
 impl ShardedEngine {
     /// A sharded engine under `config`, timing every shard on `clock`,
-    /// supervised under [`SupervisorConfig::default`].
+    /// restarting dead shards under [`SupervisorConfig::default`].
     #[must_use]
     pub fn new(config: ShardedConfig, clock: Arc<dyn ObsClock>) -> Self {
         let n = config.shard_count();
@@ -216,8 +243,6 @@ impl ShardedEngine {
                 .map(|_| ServeEngine::new(config.base, Arc::clone(&clock), Arc::clone(&precompute)))
                 .collect(),
             next_id: 0,
-            clock,
-            supervisor: ShardSupervisor::new(SupervisorConfig::default(), n),
             failovers: 0,
         }
     }
@@ -244,10 +269,12 @@ impl ShardedEngine {
         self
     }
 
-    /// Replaces the supervision policy (backoff, probation).
+    /// Replaces every shard's restart policy.
     #[must_use]
     pub fn with_supervisor(mut self, config: SupervisorConfig) -> Self {
-        self.supervisor = ShardSupervisor::new(config, self.engines.len());
+        for e in &mut self.engines {
+            e.set_supervisor(config);
+        }
         self
     }
 
@@ -330,12 +357,9 @@ impl ShardedEngine {
         let admission = self.engines[shard].admit(global, job, deadline_ns)?;
         if shard != primary {
             self.failovers += 1;
-            let executor = self.engines[shard].executor();
-            if let Some(ins) = executor.instruments() {
+            if let Some(ins) = self.engines[shard].executor().instruments() {
                 ins.failovers.inc();
-            }
-            if let Some(o) = executor.observer() {
-                o.tracer().event(
+                ins.observer.tracer().event(
                     "failover",
                     &[
                         ("request", global.into()),
@@ -349,17 +373,16 @@ impl ShardedEngine {
         Ok((shard, global, admission))
     }
 
-    /// A shard is routable unless the supervisor marks it `Down` or its
-    /// engine has failed and the supervisor simply hasn't pumped yet.
+    /// A shard is routable unless its engine's liveness record has it
+    /// `Down`.
     fn shard_is_live(&self, shard: usize) -> bool {
-        self.supervisor.is_live(shard) && !self.engines[shard].is_failed()
+        self.engines[shard].health().is_live()
     }
 
     /// Pumps every shard in shard order, returning all responses. Each
     /// shard's pass is the three steps a threaded driver splits around
-    /// its lock, run in a row: form (after restarting a `Down` shard
-    /// whose backoff has elapsed), execute, land; then the supervisor
-    /// hears how it went.
+    /// its lock, run in a row: form (which first restarts a `Down` shard
+    /// whose backoff has elapsed), execute, land.
     pub fn pump(&mut self) -> Vec<ServeResponse> {
         self.pass(false)
     }
@@ -372,55 +395,16 @@ impl ShardedEngine {
 
     fn pass(&mut self, drain: bool) -> Vec<ServeResponse> {
         let mut out = Vec::new();
-        for shard in 0..self.engines.len() {
-            // a drain restarts nothing
-            if !drain && self.restart_due(shard) {
-                self.restart(shard);
-            }
-            let mut responses = Vec::new();
-            let batches = self.engines[shard].form(drain, &mut responses);
-            let ran = !batches.is_empty();
-            responses.extend(self.engines[shard].run(batches));
-            if ran {
-                self.end_pass(shard);
-            }
-            out.extend(responses);
+        for engine in &mut self.engines {
+            let batches = engine.form(drain, &mut out);
+            out.extend(engine.run(batches));
         }
         out
     }
 
-    /// Whether `shard` is dead and the supervisor's backoff for it has
-    /// elapsed: its next pass starts with [`Self::restart`].
-    pub(crate) fn restart_due(&self, shard: usize) -> bool {
-        self.engines[shard].is_failed() && self.supervisor.restart_due(shard, self.clock.now_ns())
-    }
-
-    /// Restarts a dead shard on the executor it died with: the
-    /// supervisor books the restart, and the shard's queue reopens.
-    pub(crate) fn restart(&mut self, shard: usize) {
-        self.supervisor.record_restart(shard);
-        let restarts = self.supervisor.restarts(shard);
-        self.engines[shard].restart(restarts);
-    }
-
-    /// Ends a shard pass that ran batches: the supervisor hears once per
-    /// pass — a death when the shard failed in it (its requests were
-    /// already answered terminally), a clean batch otherwise.
-    pub(crate) fn end_pass(&mut self, shard: usize) {
-        if self.engines[shard].is_failed() {
-            self.supervisor.record_failure(shard, self.clock.now_ns());
-        } else {
-            self.supervisor.record_clean_batch(shard);
-        }
-    }
-
     /// Fails a shard whose driver panicked outside a batch, answering
-    /// the tickets it still held (`open`: `(id, enqueued_ns)` each), and
-    /// tells the supervisor unless it knew.
+    /// the tickets it still held (`open`: `(id, enqueued_ns)` each).
     pub(crate) fn fail_shard(&mut self, shard: usize, open: &[(u64, u64)]) -> Vec<ServeResponse> {
-        if self.supervisor.is_live(shard) {
-            self.supervisor.record_failure(shard, self.clock.now_ns());
-        }
         let open = open
             .iter()
             .map(|&(id, at)| (id, canti_obs::trace_id(id), at));
@@ -452,11 +436,11 @@ impl ShardedEngine {
         self.engines.iter().map(ServeEngine::stats).collect()
     }
 
-    /// Per-shard health, in shard order, as the supervisor last saw it
-    /// (updated at every [`Self::pump`]).
+    /// Per-shard health, in shard order: `Down` from a shard's death
+    /// until its restart.
     #[must_use]
     pub fn healths(&self) -> Vec<ShardHealth> {
-        self.supervisor.healths()
+        self.engines.iter().map(ServeEngine::health).collect()
     }
 
     /// Requests rerouted off a `Down` primary so far.
@@ -468,13 +452,7 @@ impl ShardedEngine {
     /// Shard restarts performed so far, across all shards.
     #[must_use]
     pub fn restarts(&self) -> u64 {
-        self.supervisor.total_restarts()
-    }
-
-    /// The supervisor's view of the shards (for tests and tools).
-    #[must_use]
-    pub fn supervisor(&self) -> &ShardSupervisor {
-        &self.supervisor
+        self.engines.iter().map(ServeEngine::restarts).sum()
     }
 
     /// One shard's batch log: every batch it formed so far, in
@@ -638,16 +616,74 @@ mod tests {
 
     #[test]
     fn shard_health_labels_and_liveness() {
-        for h in [
-            ShardHealth::Healthy,
-            ShardHealth::Degraded,
-            ShardHealth::Down,
-            ShardHealth::Recovering,
-        ] {
-            assert!(!h.label().is_empty());
-        }
-        assert!(ShardHealth::Recovering.is_live());
+        assert_eq!(ShardHealth::Healthy.label(), "healthy");
+        assert_eq!(ShardHealth::Down.label(), "down");
+        assert!(ShardHealth::Healthy.is_live());
         assert!(!ShardHealth::Down.is_live());
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        let config = SupervisorConfig {
+            backoff_base_ns: 100,
+        };
+        let delays: Vec<u64> = (1..=9).map(|n| config.backoff_ns(n)).collect();
+        assert_eq!(
+            delays,
+            vec![100, 200, 400, 800, 1_600, 3_200, 6_400, 6_400, 6_400],
+            "the delay caps at 64x base"
+        );
+    }
+
+    /// The restart backoff grows with the deaths since the shard's last
+    /// clean batch: a second death right after a restart waits twice the
+    /// base, and one clean batch in between resets it to the base.
+    #[test]
+    fn one_clean_batch_resets_the_death_streak() {
+        for (kills, backoff_ns) in [([0, 1], 2_000), ([0, 2], 1_000)] {
+            let clock = Arc::new(VirtualClock::new());
+            let events = kills
+                .iter()
+                .map(|&batch| canti_fault::ServeFaultEvent { shard: 0, batch })
+                .collect();
+            let mut e = ShardedEngine::new(
+                ShardedConfig {
+                    shards: 1,
+                    base: ServeConfig {
+                        max_batch: 1,
+                        threads: 1,
+                        ..ServeConfig::default()
+                    },
+                },
+                Arc::clone(&clock) as Arc<dyn ObsClock>,
+            )
+            .with_supervisor(SupervisorConfig {
+                backoff_base_ns: 1_000,
+            })
+            .with_chaos_plan(&ServeFaultPlan::new(events));
+            let mut next = 0.0;
+            let mut serve_one = |e: &mut ShardedEngine| {
+                next += 1.0;
+                e.submit(probe(next)).expect("admitted");
+                e.pump().remove(0).disposition.is_ok()
+            };
+
+            assert!(!serve_one(&mut e), "batch 0 is killed");
+            assert_eq!(e.shard(0).next_restart_ns(), Some(1_000));
+            clock.set_ns(1_000);
+            let _ = e.pump();
+            assert_eq!(e.healths(), vec![ShardHealth::Healthy], "restarted");
+            if kills[1] == 2 {
+                assert!(serve_one(&mut e), "batch 1 is clean");
+            }
+            assert!(!serve_one(&mut e), "kills {kills:?}: the second kill");
+            assert_eq!(e.healths(), vec![ShardHealth::Down]);
+            assert_eq!(
+                e.shard(0).next_restart_ns(),
+                Some(1_000 + backoff_ns),
+                "kills {kills:?}"
+            );
+        }
     }
 
     #[test]

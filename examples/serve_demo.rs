@@ -24,7 +24,7 @@
 //!   [`ServeFaultPlan`] that kills one shard on its first batch, then
 //!   prove the failure answered every ticket terminally (watchdogged —
 //!   a hung waiter fails the run), traffic failed over to the
-//!   survivors, the supervisor restarted the dead shard, and the
+//!   survivors, the dead shard restarted after its backoff, and the
 //!   revived shard served again. Forces ≥ 2 shards,
 //! * `--cache` — result-cache drill: run a repeat-heavy workload through
 //!   a service with the content-addressed result cache on, prove that
@@ -161,8 +161,8 @@ fn wait_all_watchdog(tickets: Vec<ShardTicket>, label: &str) -> Vec<ServeRespons
 }
 
 /// The `--chaos-serve` drill: kill one shard under load, prove every
-/// ticket still resolves, traffic fails over, the supervisor restarts
-/// the shard, and the revived shard serves again.
+/// ticket still resolves, traffic fails over, the shard restarts after
+/// its backoff, and the revived shard serves again.
 fn run_chaos(batch: usize, shards: usize, seed: u64, telemetry: bool) {
     let shards = shards.max(2); // failover needs somewhere to go
     let plan = ServeFaultPlan::generate(seed, shards);
@@ -244,8 +244,8 @@ fn run_chaos(batch: usize, shards: usize, seed: u64, telemetry: bool) {
         service.failovers()
     );
 
-    // Recovery: the wall-clock supervisor revives the victim after its
-    // backoff; wait for the health cell to leave Down.
+    // Recovery: the victim's batcher restarts it once its backoff has
+    // elapsed on the wall clock; wait for its health to leave Down.
     let deadline = Instant::now() + Duration::from_secs(10);
     while !service.healths()[victim].is_live() {
         assert!(

@@ -4,8 +4,8 @@
 //!
 //! One scripted run on a virtual clock kills a shard's first batch
 //! ([`ServeFaultPlan::kill_shard`]), watches traffic fail over, lets
-//! the supervisor's backoff elapse, restarts the shard, and re-admits
-//! traffic to it. The contract:
+//! the victim's restart backoff elapse, restarts the shard, and
+//! re-admits traffic to it. The contract:
 //!
 //! 1. **Bit-identity across worker counts** — the whole chaos trace
 //!    (admissions, responses in emission order, batch logs, stats,
@@ -58,8 +58,8 @@ fn config(workers: usize) -> ServeConfig {
     }
 }
 
-/// Supervision on virtual time: first restart due 1 µs after the
-/// failure, one clean batch of probation after the first.
+/// The restart policy on virtual time: first restart due 1 µs after the
+/// death.
 fn supervision() -> SupervisorConfig {
     SupervisorConfig {
         backoff_base_ns: 1_000,
@@ -131,8 +131,8 @@ fn observed_chaos_run(
 
     // Phase 1, t=0: a burst big enough that every shard forms a batch.
     // The victim's batch 0 is killed mid-execution: its members and its
-    // queued survivors must all be answered terminally, and the
-    // supervisor marks the shard Down.
+    // queued survivors must all be answered terminally, and the shard
+    // is Down.
     submit(&mut engine, &mut trace, 24);
     trace.responses.extend(engine.pump());
     trace.health_log.push(engine.healths());
@@ -146,15 +146,14 @@ fn observed_chaos_run(
     trace.health_log.push(engine.healths());
 
     // Phase 3, t=1500: past both the backoff and every survivor's
-    // linger. The pump restarts the victim (Recovering) and flushes all
+    // linger. The pump restarts the victim (Healthy) and flushes all
     // queues.
     clock.set_ns(1_500);
     trace.responses.extend(engine.pump());
     trace.health_log.push(engine.healths());
 
     // Phase 4: two re-admission rounds. Each round's second pump fires
-    // the lingered leftovers, so the victim serves clean batches and
-    // walks Recovering → Degraded → Healthy.
+    // the lingered leftovers, so the victim serves clean batches.
     for round in 0..2u64 {
         submit(&mut engine, &mut trace, 12);
         trace.responses.extend(engine.pump());
@@ -260,8 +259,7 @@ fn every_admitted_request_is_answered_terminally_exactly_once() {
 
 /// The script actually exercises the self-healing path end to end: the
 /// kill fails requests, failovers land, the restart happens after the
-/// backoff (not before), and the victim walks back up to Healthy and
-/// serves again.
+/// backoff (not before), and the victim is Healthy and serves again.
 #[test]
 fn the_script_kills_fails_over_restarts_and_readmits() {
     for shards in [2, 4] {
@@ -284,11 +282,10 @@ fn the_script_kills_fails_over_restarts_and_readmits() {
         assert_eq!(trace.restarts, 1, "{shards} shards: exactly one restart");
 
         // health checkpoints: Down after the kill, still Down at t=100
-        // (backoff not elapsed), Recovering right after the restart,
-        // Healthy by the end of the re-admission rounds
+        // (backoff not elapsed), Healthy from the restart on
         assert_eq!(trace.health_log[0][VICTIM], ShardHealth::Down);
         assert_eq!(trace.health_log[1][VICTIM], ShardHealth::Down);
-        assert_eq!(trace.health_log[2][VICTIM], ShardHealth::Recovering);
+        assert_eq!(trace.health_log[2][VICTIM], ShardHealth::Healthy);
         assert_eq!(
             *trace.health_log.last().unwrap(),
             vec![ShardHealth::Healthy; shards],
@@ -402,8 +399,8 @@ fn summary_tallies_the_victims_shard_down_and_shard_recovered() {
 
 /// The threaded layer under the same fault plan, watchdog-asserted:
 /// every ticket resolves terminally within the timeout even while the
-/// victim shard is down, failed-over traffic completes, and the
-/// supervisor brings the victim back.
+/// victim shard is down, failed-over traffic completes, and the victim
+/// comes back after its backoff.
 #[test]
 fn threaded_sharded_service_answers_every_ticket_under_chaos() {
     use std::sync::mpsc;
@@ -478,7 +475,7 @@ fn threaded_sharded_service_answers_every_ticket_under_chaos() {
     let responses = wave_summary(wait_all(wave2));
     assert_eq!(responses.expired, 0, "no deadline in play, nothing expires");
 
-    // the supervisor must bring the victim back
+    // the victim must come back after its backoff
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while !service.healths()[VICTIM].is_live() {
         assert!(
