@@ -8,12 +8,15 @@
 //! so the analyzer can be pointed at a whole `farm_telemetry.ndjson`.
 //!
 //! Because workers interleave their spans on the shared sequence, strict
-//! nesting does not hold; reconstruction matches each `span_end` to the
-//! **innermost open span of the same name** (LIFO per name), which is
-//! exact for single-threaded traces and a deterministic, conservative
-//! approximation for interleaved ones. Spans opened after the matched
-//! one stay open — under interleaving they belong to other workers — so
-//! every span that has an end record closes with a duration.
+//! nesting does not hold. A `span_end` that names its request (the serve
+//! layer's `request` span ends carry a `request` field) closes that
+//! request's open span, so overlapping requests keep their own
+//! durations. Any other `span_end` closes the **innermost open span of
+//! the same name** (LIFO per name), which is exact for single-threaded
+//! traces and a deterministic, conservative approximation for
+//! interleaved ones. Spans opened after the matched one stay open —
+//! under interleaving they belong to other workers — so every span that
+//! has an end record closes with a duration.
 //!
 //! # Examples
 //!
@@ -221,7 +224,8 @@ impl Trace {
             .map(|w| (w[0].seq, w[1].seq))
             .collect();
 
-        // open-span stack; span_end pops the innermost same-name frame
+        // open-span stack; a span_end naming a request pops that
+        // request's frame, any other the innermost same-name frame
         let mut roots: Vec<SpanNode> = Vec::new();
         let mut stack: Vec<SpanNode> = Vec::new();
         let mut orphan_events: Vec<String> = Vec::new();
@@ -247,7 +251,8 @@ impl Trace {
                     events: Vec::new(),
                 }),
                 "span_end" => {
-                    let Some(pos) = stack.iter().rposition(|s| &s.name == name) else {
+                    let owns = |s: &SpanNode| request.is_none() || s.request == *request;
+                    let Some(pos) = stack.iter().rposition(|s| &s.name == name && owns(s)) else {
                         continue; // stray end (e.g. ring evicted the start)
                     };
                     // frames opened after the match stay open: with
@@ -485,7 +490,7 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
-    use crate::trace::{RingCollector, Tracer};
+    use crate::trace::{EventKind, RingCollector, Tracer};
     use std::sync::Arc;
 
     fn traced<F: FnOnce(&Tracer, &VirtualClock)>(f: F) -> Trace {
@@ -567,6 +572,25 @@ mod tests {
         assert_eq!(trace.roots.len(), 1);
         assert_eq!(trace.roots[0].dur_ns, Some(16));
         assert_eq!(trace.roots[0].children[0].dur_ns, Some(5));
+    }
+
+    #[test]
+    fn an_end_naming_its_request_closes_that_request_span() {
+        // request 1 opens inside request 0 and both end stamped by their
+        // caller: each end closes its own request, not the innermost
+        let trace = traced(|tracer, _clock| {
+            let start = |request: u64| [("request", request.into())];
+            let end =
+                |request: u64, dur: u64| [("dur_ns", dur.into()), ("request", request.into())];
+            tracer.emit(0, EventKind::SpanStart, "request", &start(0));
+            tracer.emit(100, EventKind::SpanStart, "request", &start(1));
+            tracer.emit(100, EventKind::SpanEnd, "request", &end(0, 100));
+            tracer.emit(100, EventKind::SpanEnd, "request", &end(1, 0));
+        });
+        let durations: Vec<(Option<u64>, Option<u64>)> =
+            trace.roots.iter().map(|s| (s.request, s.dur_ns)).collect();
+        assert_eq!(durations, [(Some(0), Some(100)), (Some(1), Some(0))]);
+        assert!(trace.unclosed.is_empty());
     }
 
     #[test]

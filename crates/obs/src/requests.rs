@@ -63,7 +63,8 @@ pub struct RequestRecord {
     pub form_ns: u64,
     /// The farm run itself, ns.
     pub exec_ns: u64,
-    /// Farm completion to response assembly, ns.
+    /// Farm completion to the answer time, ns: the answer's clock
+    /// reading follows the farm's end, before response assembly.
     pub respond_ns: u64,
     /// Clock reading when the request was answered, ns.
     pub finished_ns: u64,

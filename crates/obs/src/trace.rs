@@ -128,8 +128,9 @@ impl EventKind {
 pub type Field = (&'static str, JsonValue);
 
 /// How many fields a [`TraceEvent`] holds without a heap block: enough
-/// for a request span's start (`request`, `trace`, `kind`) and for the
-/// cache events. More inline slots would make every ring slot bigger.
+/// for a request span's start (`request`, `trace`, `kind`), its end
+/// (`dur_ns`, `request`) and the cache events. More inline slots would
+/// make every ring slot bigger.
 pub const INLINE_FIELDS: usize = 3;
 
 /// A [`TraceEvent`]'s fields in emission order; derefs to a slice. Up
@@ -349,8 +350,12 @@ impl Tracer {
         self.inner.as_ref().map_or(0, |i| i.clock.now_ns())
     }
 
-    /// Records one event stamped `t_ns`, a reading the caller took.
-    fn emit(&self, t_ns: u64, kind: EventKind, name: &'static str, fields: &[Field]) {
+    /// Records one event stamped `t_ns`, a reading the caller took. A
+    /// caller that already times an interval writes its span's two
+    /// records this way, so the span and the interval share their clock
+    /// readings; an end record then carries the `dur_ns` the caller
+    /// measured.
+    pub fn emit(&self, t_ns: u64, kind: EventKind, name: &'static str, fields: &[Field]) {
         let Some(inner) = &self.inner else { return };
         let event = TraceEvent {
             seq: inner.seq.fetch_add(1, Ordering::Relaxed),

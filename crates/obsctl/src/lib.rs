@@ -492,41 +492,6 @@ pub fn trace_request(path: &Path, request: u64) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// One closed admission-side `request` span.
-struct ClosedRequest {
-    /// The request's global admission id.
-    request: u64,
-    /// The span's duration: the request's latency.
-    latency_ns: u64,
-    /// Where the span ended on the observer clock, saturating so a
-    /// crafted artifact cannot overflow it.
-    end_ns: u64,
-}
-
-/// Every closed admission-side `request` span in `trace`, in tree order:
-/// the samples `timeline --spans` recomputes the latency windows from.
-fn closed_requests(trace: &Trace) -> Vec<ClosedRequest> {
-    fn walk(node: &canti_obs::SpanNode, out: &mut Vec<ClosedRequest>) {
-        if let (Some(request), Some(latency_ns)) = (node.request, node.dur_ns) {
-            if node.name == "request" {
-                out.push(ClosedRequest {
-                    request,
-                    latency_ns,
-                    end_ns: node.start_ns.saturating_add(latency_ns),
-                });
-            }
-        }
-        for child in &node.children {
-            walk(child, out);
-        }
-    }
-    let mut out = Vec::new();
-    for root in &trace.roots {
-        walk(root, &mut out);
-    }
-    out
-}
-
 fn load_trace(path: &Path) -> Result<Trace, CliError> {
     let text = read_file(path)?;
     Trace::from_ndjson(&text).map_err(|e| CliError::Input(format!("{}: {e}", path.display())))
@@ -572,8 +537,8 @@ fn sparkline(points: &[SeriesPoint]) -> String {
 /// Renders the selected shard's per-window series from a
 /// `/debug/timeline` artifact, a table plus count sparkline per
 /// series. With `spans`, also recomputes the request-latency windows
-/// offline from the closed `request` spans and `cache_hit` events in
-/// that telemetry artifact and cross-checks them against the live
+/// offline from the `request` span ends and `cache_hit` events in that
+/// telemetry artifact and cross-checks them against the live
 /// `serve.request_latency_ns` section.
 ///
 /// # Errors
@@ -652,13 +617,15 @@ pub fn timeline_report(
 }
 
 /// Recomputes the per-window request-latency series offline from the
-/// closed `request` spans of a telemetry artifact and compares it to
-/// the live `serve.request_latency_ns` section, window by window. It
-/// applies the serve layer's recording rule: an expired or stranded
-/// request (a `request_expired` or `request_abandoned` event)
-/// closes its span without a latency sample, and a cache hit opens no
+/// `request` span ends of a telemetry artifact and compares it to the
+/// live `serve.request_latency_ns` section, window by window. Each end
+/// record is one sample as the serve layer recorded it: its stamp is the
+/// answer's clock reading, its `dur_ns` the latency, its `request` the
+/// id. It applies the serve layer's recording rule: an expired or
+/// stranded request (a `request_expired` or `request_abandoned` event)
+/// ends its span without a latency sample, and a cache hit opens no
 /// span but records one, a 0-ns lookup at its `cache_hit` event on the
-/// virtual clock where this check is exact. The samples go through a
+/// virtual clock where a lookup takes no time. The samples go through a
 /// [`TimelineRecorder`] on the artifact's window policy, so windowing
 /// and retention are the live recorder's own.
 fn timeline_crosscheck(
@@ -682,34 +649,43 @@ fn timeline_crosscheck(
         .map_err(|e| CliError::Input(format!("{}: {e}", spans_path.display())))?;
     let mut unanswered: BTreeSet<u64> = BTreeSet::new();
     let mut hits_ns: Vec<u64> = Vec::new();
-    for doc in docs
-        .iter()
-        .filter(|d| d.get("kind").and_then(Json::as_str) == Some("event"))
-    {
-        match doc.get("name").and_then(Json::as_str) {
-            Some("request_expired" | "request_abandoned") => unanswered.extend(
-                doc.get("fields")
-                    .and_then(|f| f.get("request"))
-                    .and_then(Json::as_u64),
-            ),
-            Some("cache_hit") => hits_ns.extend(doc.get("t_ns").and_then(Json::as_u64)),
+    // (request, latency_ns, end_ns) per request span end
+    let mut spans: Vec<(u64, u64, u64)> = Vec::new();
+    for doc in &docs {
+        let t_ns = doc.get("t_ns").and_then(Json::as_u64);
+        let field = |key: &str| {
+            doc.get("fields")
+                .and_then(|f| f.get(key))
+                .and_then(Json::as_u64)
+        };
+        let kind = doc.get("kind").and_then(Json::as_str);
+        match (kind, doc.get("name").and_then(Json::as_str)) {
+            (Some("event"), Some("request_expired" | "request_abandoned")) => {
+                unanswered.extend(field("request"));
+            }
+            (Some("event"), Some("cache_hit")) => hits_ns.extend(t_ns),
+            (Some("span_end"), Some("request")) => {
+                if let (Some(request), Some(latency_ns), Some(end_ns)) =
+                    (field("request"), field("dur_ns"), t_ns)
+                {
+                    spans.push((request, latency_ns, end_ns));
+                }
+            }
             _ => {}
         }
     }
 
-    let mut spans = closed_requests(&Trace::from_docs(&docs));
-    spans.retain(|s| !unanswered.contains(&s.request));
+    spans.retain(|(request, ..)| !unanswered.contains(request));
     let recorder = TimelineRecorder::new(dump.config);
     let latency = recorder.series("serve.request_latency_ns", SeriesKind::Delta);
-    // (series, latency_ns, end_ns) per recorded latency
     let samples: Vec<(SeriesId, u64, u64)> = spans
         .iter()
-        .map(|s| (latency, s.latency_ns, s.end_ns))
+        .map(|&(_, latency_ns, end_ns)| (latency, latency_ns, end_ns))
         .chain(hits_ns.iter().map(|&t_ns| (latency, 0, t_ns)))
         .collect();
     if samples.is_empty() {
         return Err(CliError::Gate(format!(
-            "{}: no closed, answered 'request' spans or cache hits to recompute from",
+            "{}: no answered 'request' span ends or cache hits to recompute from",
             spans_path.display()
         )));
     }
@@ -972,38 +948,6 @@ mod tests {
         let err = trace_request(&gapped, 3).unwrap_err();
         assert_eq!(err.exit_code(), 1);
         assert!(err.to_string().contains("gap"), "{err}");
-    }
-
-    /// A request span ending past `u64::MAX` saturates into the last
-    /// window of the `--spans` recompute instead of overflowing (or
-    /// wrapping into window 0), so it matches a live window recorded
-    /// there.
-    #[test]
-    fn timeline_spans_saturate_a_span_ending_past_the_clock_range() {
-        let start = u64::MAX - 5;
-        let last = u64::MAX / 1_000;
-        let timeline = write_temp(
-            "spans-overflow-timeline",
-            &format!(
-                "{{\"record\":\"timeline_config\",\"window_ns\":1000,\"max_windows\":8}}\n\
-                 {{\"record\":\"timeline\",\"shard\":\"0\",\"series\":\"serve.request_latency_ns\",\
-                 \"kind\":\"delta\",\"window\":{last},\"t_ns\":{},\"count\":1,\"sum\":100,\
-                 \"min\":100,\"max\":100}}\n",
-                last * 1_000
-            ),
-        );
-        let spans = write_temp(
-            "spans-overflow",
-            &format!(
-                "{{\"seq\":0,\"t_ns\":{start},\"kind\":\"span_start\",\"name\":\"request\",\"fields\":{{\"request\":1}}}}\n\
-                 {{\"seq\":1,\"t_ns\":{start},\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{{\"dur_ns\":100}}}}\n"
-            ),
-        );
-        let text = timeline_report(&timeline, Some(&spans), &TimelineOptions::default()).unwrap();
-        assert!(
-            text.contains("1 request span(s), 1 window(s) — matches live"),
-            "{text}"
-        );
     }
 
     #[test]

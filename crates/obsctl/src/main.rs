@@ -44,15 +44,13 @@ SUBCOMMANDS:
               artifact as tables with count sparklines; the SLO verdicts
               are its slo.good and slo.breached series. With --spans,
               recompute the request-latency windows offline from the
-              closed 'request' spans of that telemetry artifact (less
+              'request' span ends of that telemetry artifact (less
               the expired and failed requests, plus each cache hit as
               a 0-ns sample) and cross-check them against the
-              live windows; exits 1 when they disagree. The
-              cross-check is exact only for artifacts
-              recorded on a virtual clock: on a wall clock a request
-              span opens after admission reads the clock and closes
-              after the batch's answer time, so span durations exceed
-              the recorded latencies and the check fails.
+              live windows; exits 1 when they disagree. A span end
+              carries its request's recorded latency and answer time,
+              so the check is exact on any clock; a cache hit's 0-ns
+              sample is exact only on a virtual clock.
 
 OPTIONS (diff):
     --threshold-pct <P>   Relative slack in percent; a quantile regresses

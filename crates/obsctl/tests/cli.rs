@@ -292,10 +292,10 @@ fn missing_file_is_an_input_error() {
 }
 
 /// A timeline artifact plus a span artifact whose offline recompute
-/// reproduces its `serve.request_latency_ns` windows exactly: requests
-/// 1 (end 150, latency 50) and 2 (end 1300, latency 400) land in
-/// windows 0 and 1 of a 1000 ns grid; request 3 expired and must be
-/// excluded from the recompute.
+/// reproduces its `serve.request_latency_ns` windows exactly: each span
+/// end names its request, and requests 1 (end 150, latency 50) and 2
+/// (end 1300, latency 400) land in windows 0 and 1 of a 1000 ns grid;
+/// request 3 expired and must be excluded from the recompute.
 fn matching_timeline_and_spans() -> (String, String) {
     let timeline = "\
 {\"record\":\"timeline_config\",\"window_ns\":1000,\"max_windows\":64}\n\
@@ -303,12 +303,12 @@ fn matching_timeline_and_spans() -> (String, String) {
 {\"record\":\"timeline\",\"shard\":\"0\",\"series\":\"serve.request_latency_ns\",\"kind\":\"delta\",\"window\":1,\"t_ns\":1000,\"count\":1,\"sum\":400,\"min\":400,\"max\":400}\n";
     let spans = "\
 {\"seq\":0,\"t_ns\":100,\"kind\":\"span_start\",\"name\":\"request\",\"fields\":{\"request\":1,\"trace\":11}}\n\
-{\"seq\":1,\"t_ns\":150,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":50}}\n\
+{\"seq\":1,\"t_ns\":150,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":50,\"request\":1}}\n\
 {\"seq\":2,\"t_ns\":900,\"kind\":\"span_start\",\"name\":\"request\",\"fields\":{\"request\":2,\"trace\":12}}\n\
-{\"seq\":3,\"t_ns\":1300,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":400}}\n\
+{\"seq\":3,\"t_ns\":1300,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":400,\"request\":2}}\n\
 {\"seq\":4,\"t_ns\":1400,\"kind\":\"span_start\",\"name\":\"request\",\"fields\":{\"request\":3,\"trace\":13}}\n\
 {\"seq\":5,\"t_ns\":1410,\"kind\":\"event\",\"name\":\"request_expired\",\"fields\":{\"request\":3,\"trace\":13}}\n\
-{\"seq\":6,\"t_ns\":1410,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":10}}\n";
+{\"seq\":6,\"t_ns\":1410,\"kind\":\"span_end\",\"name\":\"request\",\"fields\":{\"dur_ns\":10,\"request\":3}}\n";
     (timeline.to_owned(), spans.to_owned())
 }
 

@@ -1,21 +1,20 @@
 //! One shard's serving state machine.
 //!
 //! `ServeEngine` holds what one shard keeps behind its lock — the
-//! bounded queue, the request spans, the serve tallies, the shard's
-//! liveness record, the pumped-only hit buffer and batch log — and the
-//! `BatchExecutor` its batches run on, which alone holds the shard's
-//! clock, observer, instruments and result cache. Its pass runs in three
-//! steps — form, execute, land — so a driver can execute batches outside
-//! its lock. It is crate-internal: [`crate::ShardedEngine`] runs one per
-//! shard, and every request it sees carries the global id that engine
-//! allocated.
+//! bounded queue, the serve tallies, the shard's liveness record, the
+//! pumped-only hit buffer and batch log — and the `BatchExecutor` its
+//! batches run on, which alone holds the shard's clock, observer,
+//! instruments and result cache. It keeps no span per request: admission
+//! writes a request span's start, and the executor's finish path its end.
+//! Its pass runs in three steps — form, execute, land — so a driver can
+//! execute batches outside its lock. It is crate-internal:
+//! [`crate::ShardedEngine`] runs one per shard, and every request it
+//! sees carries the global id that engine allocated.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError};
 
 use canti_farm::{FarmObserver, JobOutput, JobSpec, PrecomputeCache};
-use canti_obs::trace::SpanGuard;
-use canti_obs::{ObsClock, TraceContext};
+use canti_obs::{EventKind, ObsClock, TraceContext};
 
 use crate::cache::ReportCache;
 use crate::exec::{BatchExecutor, ServeInstruments};
@@ -124,9 +123,6 @@ pub(crate) enum Admission {
 #[derive(Debug)]
 pub(crate) struct ServeEngine {
     queue: AdmissionQueue,
-    /// Open request spans by id: opened at admission, ended with the
-    /// request's terminal answer.
-    spans: BTreeMap<u64, SpanGuard>,
     stats: ServeStats,
     /// The shard's one clock, observer, instruments and result cache;
     /// shared so a threaded driver can run a batch outside its lock.
@@ -162,7 +158,6 @@ impl ServeEngine {
         }
         Self {
             queue: AdmissionQueue::new(config),
-            spans: BTreeMap::new(),
             stats: ServeStats::default(),
             executor: Arc::new(executor),
             hits: Vec::new(),
@@ -245,10 +240,11 @@ impl ServeEngine {
 
     /// Admits `job` under its global request `id` (deadline relative to
     /// now) or rejects it, keeping tallies, the queue-depth gauge, the
-    /// request span and the admission/rejection events. A cache hit comes
-    /// back answered; the pumped engine then [`hold`](Self::hold)s it for
-    /// the next pump. This is the serving path's only caller of
-    /// [`crate::cache::job_key`]: a miss hands its key to the queue.
+    /// request span's start and the admission/rejection events, all at
+    /// one clock reading. A cache hit comes back answered; the pumped
+    /// engine then [`hold`](Self::hold)s it for the next pump. This is the
+    /// serving path's only caller of [`crate::cache::job_key`]: a miss
+    /// hands its key to the queue.
     pub(crate) fn admit(
         &mut self,
         id: u64,
@@ -304,17 +300,14 @@ impl ServeEngine {
         self.stats.admitted += 1;
         let ctx = TraceContext::from_admission(id);
         if let Some(ins) = ex.instruments() {
-            // span fields carry the global id and trace id, so the chain
-            // stays joinable at any shard count
-            let span = ins.observer.tracer().span(
-                "request",
-                &[
-                    ("request", ctx.request.into()),
-                    ("trace", ctx.trace.into()),
-                    ("kind", kind.into()),
-                ],
-            );
-            self.spans.insert(id, span);
+            // the span starts at the reading the request's latency runs
+            // from; its global id and trace id keep the chain joinable at
+            // any shard count
+            let [request, trace] = ctx.fields();
+            let start = [request, trace, ("kind", kind.into())];
+            ins.observer
+                .tracer()
+                .emit(now_ns, EventKind::SpanStart, "request", &start);
             let coalesced = matches!(admitted, Admitted::Coalesced { .. });
             let deltas = [
                 (ins.cache_miss.series, 1, now_ns),
@@ -331,14 +324,9 @@ impl ServeEngine {
                 // no depth change: the follower rides the leader's slot
                 self.stats.coalesced += 1;
                 if let Some(ins) = ex.instruments() {
-                    ins.observer.tracer().event(
-                        "coalesced",
-                        &[
-                            ("request", ctx.request.into()),
-                            ("trace", ctx.trace.into()),
-                            ("leader", leader.into()),
-                        ],
-                    );
+                    let [request, trace] = ctx.fields();
+                    let fields = [request, trace, ("leader", leader.into())];
+                    ins.observer.tracer().event("coalesced", &fields);
                     ins.coalesced.counter.inc();
                 }
             }
@@ -349,12 +337,12 @@ impl ServeEngine {
     }
 
     /// One request answered from the result cache at admission: tallied,
-    /// its `cache_hit` event emitted, its answer recorded, and returned
-    /// as its terminal response. No span opens — the request never enters
-    /// the queue. On a virtual clock the lookup is instantaneous
-    /// (`cache_ns` 0), so scripted traces stay pinned; on the wall clock
-    /// `cache_ns` is the real lookup cost and the breakdown still tiles
-    /// exactly.
+    /// its `cache_hit` event emitted at the answer's clock reading, its
+    /// answer recorded, and returned as its terminal response. No span
+    /// opens — the request never enters the queue. On a virtual clock the
+    /// lookup is instantaneous (`cache_ns` 0), so scripted traces stay
+    /// pinned; on the wall clock `cache_ns` is the real lookup cost and
+    /// the breakdown still tiles exactly.
     fn complete_hit(
         &mut self,
         id: u64,
@@ -366,12 +354,12 @@ impl ServeEngine {
         self.stats.cache_hits += 1;
         self.stats.completed += 1;
         let ex = &self.executor;
-        let trace = canti_obs::trace_id(id);
+        let ctx = TraceContext::from_admission(id);
         let done_ns = ex.clock().now_ns();
         let cache_ns = done_ns.saturating_sub(admitted_ns);
         let response = ServeResponse {
             request_id: id,
-            trace,
+            trace: ctx.trace,
             disposition: Disposition::CacheHit {
                 latency_ns: cache_ns,
                 breakdown: LatencyBreakdown {
@@ -382,14 +370,11 @@ impl ServeEngine {
             },
         };
         if let Some(ins) = ex.instruments() {
-            ins.observer.tracer().event(
-                "cache_hit",
-                &[
-                    ("request", id.into()),
-                    ("trace", trace.into()),
-                    ("kind", kind.into()),
-                ],
-            );
+            let [request, trace] = ctx.fields();
+            let fields = [request, trace, ("kind", kind.into())];
+            ins.observer
+                .tracer()
+                .emit(done_ns, EventKind::Event, "cache_hit", &fields);
             ins.finish(&response, false, admitted_ns, done_ns);
         }
         response
@@ -398,7 +383,7 @@ impl ServeEngine {
     /// Ends one admitted request that got no answer — expired, or
     /// stranded by its shard's death — as `disposition`: tallied, its
     /// `request_expired` or `request_abandoned` event emitted, recorded
-    /// as a breach, its span closed.
+    /// as a breach and its span ended, both by the finish path.
     fn unanswered(
         &mut self,
         (id, trace, admitted_ns): (u64, u64, u64),
@@ -422,9 +407,6 @@ impl ServeEngine {
                 .tracer()
                 .event(event, &[("request", id.into()), ("trace", trace.into())]);
             ins.finish(&response, false, admitted_ns, now_ns);
-        }
-        if let Some(span) = self.spans.remove(&id) {
-            span.end();
         }
         response
     }
@@ -503,8 +485,8 @@ impl ServeEngine {
         out
     }
 
-    /// Step 3 of a pass: lands one executed batch. A clean run closes
-    /// its members' spans (the executor already recorded their answers),
+    /// Step 3 of a pass: lands one executed batch. A clean run (the
+    /// executor already recorded its answers and ended their spans)
     /// bumps the tallies and resets the shard's death streak. An
     /// executor panic (a chaos kill or a real bug) fails the shard and
     /// answers **every** outstanding request terminally — the batch that
@@ -517,11 +499,6 @@ impl ServeEngine {
         rest: &mut impl Iterator<Item = FormedBatch>,
     ) -> Vec<ServeResponse> {
         if let Ok(responses) = ran {
-            for r in &responses {
-                if let Some(span) = self.spans.remove(&r.request_id) {
-                    span.end();
-                }
-            }
             self.stats.completed += responses.len() as u64;
             self.stats.batches += 1;
             self.deaths = 0;
@@ -805,7 +782,7 @@ mod tests {
         assert_eq!(m.counter("serve.admitted").get(), 2);
         assert_eq!(m.counter("serve.completed").get(), 2);
         assert_eq!(m.gauge("serve.queue_depth").get(), 0);
-        // request spans open at admission and close after the batch
+        // request spans open at admission and close in the batch
         let request_starts = ring
             .events()
             .iter()

@@ -12,8 +12,8 @@ use canti_farm::{Farm, FarmConfig, FarmObserver, JobSpec, PrecomputeCache, Worke
 use canti_fault::ServeChaos;
 use canti_obs::serve::{SLO_BREACHED, SLO_GOOD};
 use canti_obs::{
-    Counter, Gauge, Histogram, ObsClock, RequestLog, RequestRecord, SeriesId, SeriesKind, ServeObs,
-    SloConfig, TimelineConfig, TimelineRecorder, TraceContext,
+    Counter, EventKind, Gauge, Histogram, ObsClock, RequestLog, RequestRecord, SeriesId,
+    SeriesKind, ServeObs, SloConfig, TimelineConfig, TimelineRecorder, TraceContext,
 };
 
 use crate::cache::ReportCache;
@@ -169,15 +169,18 @@ impl ServeInstruments {
     }
 
     /// Records one terminal answer: the one place the SLO rule is
-    /// applied and a [`RequestRecord`] written. An answer — a batch
-    /// completion or a cache hit — lands in the latency histogram and is
-    /// good within the objective. An expired or failed request always
-    /// breaches, however briefly it waited, and its wait since
-    /// `admitted_ns` stands as its latency and queue time. One timeline
-    /// write carries the verdict, the outcome's tallies and its phase
-    /// series at `now_ns` (a hit also counts its admission, at
-    /// `admitted_ns`); then the request log gets the row. A served
-    /// `follower` rode a coalesced leader's job and logs as `coalesced`.
+    /// applied, a [`RequestRecord`] written and a `request` span ended.
+    /// An answer — a batch completion or a cache hit — lands in the
+    /// latency histogram and is good within the objective. An expired or
+    /// failed request always breaches, however briefly it waited, and
+    /// its wait since `admitted_ns` stands as its latency and queue time.
+    /// One timeline write carries the verdict, the outcome's tallies and
+    /// its phase series at `now_ns` (a hit also counts its admission, at
+    /// `admitted_ns`); then the request log gets the row, and every
+    /// answer but a hit, which opened no span, ends the span admission
+    /// opened: stamped `now_ns`, its `dur_ns` the latency just recorded.
+    /// A served `follower` rode a coalesced leader's job and logs as
+    /// `coalesced`.
     pub(crate) fn finish(&self, r: &ServeResponse, follower: bool, admitted_ns: u64, now_ns: u64) {
         let at = |series, value| (series, value, now_ns);
         let timeline = &self.obs.timeline;
@@ -261,6 +264,14 @@ impl ServeInstruments {
             respond_ns: b.respond_ns,
             finished_ns: now_ns,
         });
+        if !matches!(r.disposition, Disposition::CacheHit { .. }) {
+            let end = [
+                ("dur_ns", latency_ns.into()),
+                ("request", r.request_id.into()),
+            ];
+            let tracer = self.observer.tracer();
+            tracer.emit(now_ns, EventKind::SpanEnd, "request", &end);
+        }
     }
 }
 

@@ -46,7 +46,10 @@ pub struct LatencyBreakdown {
     pub form_ns: u64,
     /// The farm run itself, ns.
     pub exec_ns: u64,
-    /// Farm completion to response assembly, ns.
+    /// Farm completion to the answer time, ns. The answer's clock reading
+    /// is taken right after the farm's end, before the batch's metrics
+    /// are recorded and its responses assembled, so this phase is one
+    /// clock read.
     pub respond_ns: u64,
 }
 

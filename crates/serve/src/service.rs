@@ -54,7 +54,17 @@ const IDLE_WAIT: Duration = Duration::from_millis(50);
 pub struct ShardTicket {
     id: u64,
     shard: usize,
-    slot: Arc<Slot>,
+    slot: Held,
+}
+
+/// Where a ticket's response lands.
+#[derive(Debug)]
+enum Held {
+    /// A cache hit's answer, ready when `submit` returns: the ticket
+    /// holds it, and nothing else ever touches it.
+    Ready(Slot),
+    /// Shared with the ticket table until a batcher answers.
+    Open(Arc<Slot>),
 }
 
 #[derive(Debug, Default)]
@@ -76,22 +86,25 @@ impl ShardTicket {
         self.shard
     }
 
+    fn slot(&self) -> &Slot {
+        match &self.slot {
+            Held::Ready(slot) => slot,
+            Held::Open(slot) => slot,
+        }
+    }
+
     /// Blocks until the response arrives and returns it. Always
     /// terminal: if the serving shard dies, the response is
     /// [`crate::Disposition::Failed`] — never a hang.
     #[must_use]
     pub fn wait(self) -> ServeResponse {
-        let mut guard = self
-            .slot
-            .response
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let slot = self.slot();
+        let mut guard = slot.response.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if let Some(response) = guard.take() {
                 return response;
             }
-            guard = self
-                .slot
+            guard = slot
                 .ready
                 .wait(guard)
                 .unwrap_or_else(PoisonError::into_inner);
@@ -101,7 +114,7 @@ impl ShardTicket {
     /// Takes the response if it has already arrived, without blocking.
     #[must_use]
     pub fn poll(&self) -> Option<ServeResponse> {
-        self.slot
+        self.slot()
             .response
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -362,11 +375,12 @@ impl ShardedService {
         let mut state = self.driver.lock();
         let (shard, id, admission) = state.engine.admit(job, deadline_ns)?;
         let slot = match admission {
-            // a hit changes no queue state: its ticket holds the answer,
-            // with no table entry and no batcher wake-up
+            // a hit changes no queue state: its ticket holds the answer
+            // itself, with no shared slot, no table entry and no batcher
+            // wake-up
             Admission::Hit(response) => {
                 drop(state);
-                Arc::new(Slot {
+                Held::Ready(Slot {
                     response: Mutex::new(Some(response)),
                     ready: Condvar::new(),
                 })
@@ -380,7 +394,7 @@ impl ShardedService {
                 state.tickets.insert((shard, id), open);
                 drop(state);
                 self.driver.wake[shard].notify_one();
-                slot
+                Held::Open(slot)
             }
         };
         Ok(ShardTicket { id, shard, slot })
@@ -508,8 +522,8 @@ mod tests {
     use crate::{job_key, request_seed, CacheConfig, Disposition, ServeConfig};
     use canti_farm::{Farm, FarmConfig, JobOutput, ProbeMode};
     use canti_fault::ServeFaultEvent;
-    use canti_obs::{Metrics, RingCollector, Tracer, VirtualClock};
-    use std::sync::mpsc;
+    use canti_obs::{Metrics, RingCollector, Trace, Tracer, VirtualClock};
+    use std::sync::{mpsc, Barrier};
     use std::time::Instant;
 
     fn probe(v: f64) -> JobSpec {
@@ -981,6 +995,71 @@ mod tests {
                 let oracle = oracle[0].as_ref().expect("oracle solve");
                 assert_eq!(bits(served), bits(oracle), "request {id}, cache {cache:?}");
             }
+        }
+    }
+
+    // a ticket crosses threads and is shared between them, ready or not
+    const _: () = {
+        const fn send_sync<T: Send + Sync>() {}
+        send_sync::<ShardTicket>();
+    };
+
+    /// On the wall clock a request's span is its recorded latency: the
+    /// span's two records carry the clock readings its latency runs
+    /// between, however many submitters overlap on the two shards.
+    #[test]
+    fn each_request_span_lasts_exactly_its_latency_on_the_wall_clock() {
+        let (observers, rings): (Vec<_>, Vec<_>) =
+            (0..2).map(|_| FarmObserver::profiling(4096)).unzip();
+        let base = ServeConfig {
+            max_batch: 4,
+            linger_ns: 0,
+            threads: 1,
+            ..ServeConfig::default()
+        };
+        let service = Arc::new(ShardedService::start_observed(
+            ShardedConfig { shards: 2, base },
+            observers,
+        ));
+        let release = Arc::new(Barrier::new(4));
+        let submitters: Vec<_> = (0..4)
+            .map(|w| {
+                let (service, release) = (Arc::clone(&service), Arc::clone(&release));
+                std::thread::spawn(move || {
+                    release.wait();
+                    let tickets: Vec<ShardTicket> = (0..4)
+                        .map(|i| {
+                            service
+                                .submit(probe(f64::from(w * 4 + i)))
+                                .expect("admitted")
+                        })
+                        .collect();
+                    tickets.into_iter().map(wait).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let answered: Vec<ServeResponse> = submitters
+            .into_iter()
+            .flat_map(|s| s.join().expect("submitter thread"))
+            .collect();
+        let service = Arc::into_inner(service).expect("every submitter joined");
+        let _ = service.shutdown();
+
+        let traces: Vec<Trace> = rings
+            .iter()
+            .map(|ring| Trace::from_ndjson(&ring.to_ndjson()).expect("trace parses"))
+            .collect();
+        assert_eq!(answered.len(), 16);
+        for r in &answered {
+            let Disposition::Completed { latency_ns, .. } = r.disposition else {
+                panic!("not answered by a batch: {r}");
+            };
+            let spans: Vec<Option<u64>> = traces
+                .iter()
+                .flat_map(|t| t.request_paths(r.request_id))
+                .filter_map(|p| p.last().filter(|s| s.name == "request").map(|s| s.dur_ns))
+                .collect();
+            assert_eq!(spans, [Some(latency_ns)], "request {}", r.request_id);
         }
     }
 

@@ -36,7 +36,10 @@
 #                          #     (serve_timeline.ndjson) through obsctl
 #                          #     timeline (its merged section must carry
 #                          #     the slo.breached verdict series the
-#                          #     demo's 0 ns deadline feeds)
+#                          #     demo's 0 ns deadline feeds, and shard 0's
+#                          #     serve.request_latency_ns windows must
+#                          #     equal those obsctl timeline --spans
+#                          #     recomputes from the telemetry artifact)
 #                          #   * a cache drill (serve_demo --cache) whose
 #                          #     telemetry artifact is gated through
 #                          #     obsctl summary: zero trace sequence gaps
@@ -252,6 +255,13 @@ if [[ "${1:-}" == "smoke" ]]; then
     echo "-- obsctl timeline (merged slo.breached verdicts) --"
     cargo run --release -q -p canti-obsctl -- timeline "$timeline_artifact" --shard merged \
         --series slo.breached
+    # each request span end carries its request's recorded latency and
+    # answer time, so shard 0's latency windows recomputed from its
+    # trace (the archived ring) must equal the live ones exactly, on the
+    # wall clock too (exit 1 on any difference)
+    echo "-- obsctl timeline (shard 0 latency windows vs its request spans) --"
+    cargo run --release -q -p canti-obsctl -- timeline "$timeline_artifact" --shard 0 \
+        --spans "$serve_artifact"
     phase_end
 
     phase_begin "chaos-serve smoke (shard kill -> failover -> restart)"

@@ -6,15 +6,19 @@
 //! every timestamp, latency phase and trace id in both artifacts is a
 //! pure function of the script — any drift in the emission paths shows
 //! up as a byte diff here before it reaches an operator's dashboards.
+//! A second script overlaps two requests' spans and checks that each
+//! keeps its own duration, in the rebuilt trace and in `obsctl timeline
+//! --spans`.
 
 use std::sync::Arc;
 
 use canti::farm::{FarmObserver, JobSpec, ProbeMode};
 use canti::obs::{
     Exposition, ExpositionServer, Metrics, ObsClock, Registry, RingCollector, SloConfig,
-    TimelineConfig, Tracer, VirtualClock,
+    TimelineConfig, Trace, Tracer, VirtualClock,
 };
-use canti::serve::{ServeConfig, ServeResponse, ShardedConfig, ShardedEngine};
+use canti::serve::{Disposition, ServeConfig, ServeResponse, ShardedConfig, ShardedEngine};
+use canti_obsctl::TimelineOptions;
 
 /// Everything the scripted run produces: the responses, the ring's
 /// NDJSON trace stream, the live `/debug/requests` body scraped over
@@ -68,18 +72,8 @@ fn scripted_observed_run(threads: usize) -> Scripted {
     responses.extend(engine.pump());
     responses.extend(engine.drain());
 
-    let obs = engine
-        .obs()
-        .remove(0)
-        .expect("observed engine keeps debug handles");
-    let exposition = Exposition {
-        shards: vec![("0".to_owned(), obs)],
-        ..Exposition::new(Registry::Single(metrics))
-    };
-    let server = ExpositionServer::bind("127.0.0.1:0", exposition).expect("bind debug server");
-    let requests_body = server.scrape("/debug/requests").expect("scrape requests");
-    let timeline_body = server.scrape("/debug/timeline").expect("scrape timeline");
-    server.shutdown();
+    let [requests_body, timeline_body] =
+        scrape(&engine, metrics, ["/debug/requests", "/debug/timeline"]);
     let slo_lines = timeline_body
         .lines()
         .filter(|l| l.contains("\"series\":\"slo."))
@@ -92,6 +86,27 @@ fn scripted_observed_run(threads: usize) -> Scripted {
         requests_body,
         slo_lines,
     }
+}
+
+/// The bodies of `routes`, scraped from a debug server over the one
+/// observed shard of `engine` and its registry `metrics`.
+fn scrape<const N: usize>(
+    engine: &ShardedEngine,
+    metrics: Arc<Metrics>,
+    routes: [&str; N],
+) -> [String; N] {
+    let obs = engine
+        .obs()
+        .remove(0)
+        .expect("observed engine keeps debug handles");
+    let exposition = Exposition {
+        shards: vec![("0".to_owned(), obs)],
+        ..Exposition::new(Registry::Single(metrics))
+    };
+    let server = ExpositionServer::bind("127.0.0.1:0", exposition).expect("bind debug server");
+    let bodies = routes.map(|route| server.scrape(route).expect("scrape a debug route"));
+    server.shutdown();
+    bodies
 }
 
 /// The `/debug/requests` body, byte for byte: shard label first, fixed
@@ -111,13 +126,16 @@ const GOLDEN_SLO: &str = "\
 {\"record\":\"timeline\",\"shard\":\"merged\",\"series\":\"slo.breached\",\"kind\":\"delta\",\"window\":1,\"t_ns\":1000,\"count\":1,\"sum\":1,\"min\":1,\"max\":1}\n\
 {\"record\":\"timeline\",\"shard\":\"merged\",\"series\":\"slo.good\",\"kind\":\"delta\",\"window\":0,\"t_ns\":0,\"count\":2,\"sum\":2,\"min\":1,\"max\":1}\n";
 
-/// `obsctl trace` for request 1: the admission-side chain (both request
-/// spans are open concurrently, so reconstruction nests them), the farm
-/// job that executed it, and the critical path between them.
+/// `obsctl trace` for request 1: its admission-side span, the farm job
+/// that executed it and the critical path from the slower of the two.
+/// Both request spans are open while the batch runs, and each ends
+/// inside `serve_batch`, naming its request: so each closes its own
+/// span, neither nests under the other, and `serve_batch` nests under
+/// neither.
 const GOLDEN_TRACE_1: &str = "request 1: trace 0xc58a01a08ed4811d, 2 owning span(s)
-  request -> request [250 ns] (0 events)
-  request -> request -> serve_batch -> batch -> job [0 ns] (0 events)
-critical path: request (250 ns) -> serve_batch (0 ns) -> batch (0 ns) -> job (0 ns)
+  request [250 ns] (0 events)
+  serve_batch -> batch -> job [0 ns] (0 events)
+critical path: request (250 ns)
 ";
 
 #[test]
@@ -194,4 +212,87 @@ fn obsctl_trace_reconstructs_at_any_worker_count() {
             );
         }
     }
+}
+
+/// Two requests whose spans overlap on one virtual clock: A is admitted
+/// at t=0, B at t=100 fills the two-request batch, and the batch answers
+/// both at t=100. Each span end names its request, so the rebuilt spans
+/// read A = 100 ns and B = 0 ns, as their latencies do; matched by name
+/// alone, A's end would close B's span and the two durations would
+/// swap. `obsctl timeline --spans` recomputes the live 100 ns windows
+/// from the same ends.
+#[test]
+fn overlapping_requests_keep_their_own_span_durations() {
+    let ring = Arc::new(RingCollector::new(256));
+    let clock = Arc::new(VirtualClock::new());
+    let obs_clock: Arc<dyn ObsClock> = Arc::clone(&clock) as Arc<dyn ObsClock>;
+    let tracer = Tracer::new(Arc::clone(&ring), Arc::clone(&obs_clock));
+    let metrics = Arc::new(Metrics::new());
+    let observer = FarmObserver::from_parts(Arc::clone(&metrics), tracer, Arc::clone(&obs_clock));
+    let mut engine = ShardedEngine::new(
+        ShardedConfig {
+            shards: 1,
+            base: ServeConfig {
+                max_batch: 2,
+                threads: 1,
+                timeline: TimelineConfig {
+                    window_ns: 100,
+                    max_windows: 8,
+                },
+                ..ServeConfig::default()
+            },
+        },
+        Arc::clone(&obs_clock),
+    )
+    .with_observers(vec![observer]);
+
+    let a = engine.submit(JobSpec::Probe(ProbeMode::Draws(1))).unwrap();
+    clock.advance_ns(100);
+    let b = engine.submit(JobSpec::Probe(ProbeMode::Draws(2))).unwrap();
+    let responses = engine.pump();
+    let latency = |id: u64| {
+        responses
+            .iter()
+            .find(|r| r.request_id == id)
+            .and_then(|r| match r.disposition {
+                Disposition::Completed { latency_ns, .. } => Some(latency_ns),
+                _ => None,
+            })
+    };
+    assert_eq!((latency(a), latency(b)), (Some(100), Some(0)));
+
+    let trace_ndjson = ring.to_ndjson();
+    let trace = Trace::from_ndjson(&trace_ndjson).expect("trace parses");
+    let span_ns = |id: u64| -> Vec<Option<u64>> {
+        let paths = trace.request_paths(id);
+        let owners = paths.iter().filter_map(|p| p.last());
+        owners
+            .filter(|s| s.name == "request")
+            .map(|s| s.dur_ns)
+            .collect()
+    };
+    assert_eq!((span_ns(a), span_ns(b)), (vec![Some(100)], vec![Some(0)]));
+
+    let [timeline_body] = scrape(&engine, metrics, ["/debug/timeline"]);
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let timeline_path = dir.join(format!("request-trace-overlap-timeline-{pid}.ndjson"));
+    let spans_path = dir.join(format!("request-trace-overlap-spans-{pid}.ndjson"));
+    std::fs::write(&timeline_path, &timeline_body).expect("write timeline artifact");
+    std::fs::write(&spans_path, &trace_ndjson).expect("write span artifact");
+    let checked = canti_obsctl::timeline_report(
+        &timeline_path,
+        Some(&spans_path),
+        &TimelineOptions {
+            shard: "0".to_owned(),
+            series: vec!["serve.request_latency_ns".to_owned()],
+        },
+    );
+    let _ = std::fs::remove_file(&timeline_path);
+    let _ = std::fs::remove_file(&spans_path);
+    let out = checked.unwrap_or_else(|e| panic!("--spans disagrees with the live windows: {e}"));
+    assert!(
+        out.contains("2 request span(s), 1 window(s) — matches live"),
+        "{out}"
+    );
 }
